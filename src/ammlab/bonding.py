@@ -82,8 +82,11 @@ def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveS
 def bonding_sell(state: BondingCurveState, burned: float) -> tuple[BondingCurveState, float]:
     """Burn tokens, release reserve: t = C * (1 - (1 - e/s)^(1/F)).
 
-    Returns the post-trade state and the released reserve amount. Burning the
-    entire supply (or more) is rejected — the curve needs a positive state.
+    Returns the post-trade state and the released reserve amount. Both are
+    computed directly, not as a difference of nearly equal numbers, so a
+    sell of nearly the whole supply stays on the curve. Burning the entire
+    supply (or more), or so much that the reserve underflows to 0, is
+    rejected — the curve needs a positive state.
     """
     if burned < 0.0:
         raise NonPositiveState(f"burned amount must be non-negative, got {burned}")
@@ -91,8 +94,10 @@ def bonding_sell(state: BondingCurveState, burned: float) -> tuple[BondingCurveS
         raise SupplyDepletion(f"burning {burned} exhausts supply {state.supply}")
     if burned == 0.0:
         return state, 0.0
-    released = state.reserve * (
-        1.0 - (1.0 - burned / state.supply) ** (1.0 / state.reserve_ratio)
-    )
-    new_state = replace(state, reserve=state.reserve - released, supply=state.supply - burned)
-    return new_state, released
+    supply = state.supply - burned
+    exponent = 1.0 / state.reserve_ratio
+    reserve = state.reserve * (supply / state.supply) ** exponent
+    if reserve == 0.0:
+        raise SupplyDepletion(f"burning {burned} of {state.supply} leaves no reserve")
+    released = -state.reserve * math.expm1(math.log1p(-burned / state.supply) * exponent)
+    return replace(state, reserve=reserve, supply=supply), released

@@ -322,16 +322,17 @@ class TransitionReceipt:
         return all(check.passed for check in self.checks)
 
 
-def _invariant_deviation(state: PoolState, config: SolverConfig) -> float:
+def _invariant_deviation(state: PoolState) -> float:
     """How far the state's reserves sit from its stored conservation
-    constants, relative; stableswap re-solves D as an independent check."""
+    constants, relative; for stableswap, the distance from the stored D to
+    the reserves' invariant, to first order (one Newton step, no root
+    solve)."""
     family = state.spec.family
     if family is ProtocolFamily.WEIGHTED:
         value = _w.weighted_conservation(state.reserves, state.spec.weights)
         return abs(value - state.invariant[0]) / state.invariant[0]
     if family is ProtocolFamily.STABLESWAP:
-        d = _ss.solve_invariant(state.reserves, state.spec.amplification, config)
-        return abs(d - state.invariant[0]) / state.invariant[0]
+        return _ss.invariant_drift(state.reserves, state.invariant[0], state.spec.amplification)
     return _pmm.conservation_residual(state.reserves[0], state.reserves[1], _pmm_params(state))
 
 
@@ -340,7 +341,6 @@ def apply_swap(
     input_asset: int,
     output_asset: int,
     x_in: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[PoolState, SwapOutcome, TransitionReceipt]:
     """Execute a pure swap: reserves move, conservation constants stay.
 
@@ -398,7 +398,7 @@ def apply_swap(
         kind=TransitionKind.PURE_SWAP,
         pre_state=state,
         post_state=post,
-        checks=(RuleCheck("invariant_preserved", _invariant_deviation(post, config)),),
+        checks=(RuleCheck("invariant_preserved", _invariant_deviation(post)),),
     )
     return post, outcome, receipt
 
@@ -406,15 +406,16 @@ def apply_swap(
 def add_liquidity_proportional(
     state: PoolState,
     fraction: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[PoolState, TransitionReceipt]:
     """Scale every reserve by (1 + fraction); negative fraction is removal.
 
     Conservation constants are recomputed for the new reserves (weighted:
-    product re-evaluated; stableswap: D re-solved; PMM: both equilibrium
-    targets scaled by the same factor, keeping the pool's composition and so
-    its rates). The receipt records the worst relative spot-rate change over
-    all ordered asset pairs.
+    product re-evaluated; stableswap: D scaled by the same factor, as D is
+    homogeneous of degree 1 in the reserves; PMM: both equilibrium targets
+    scaled by the same factor, keeping the pool's composition and so its
+    rates). The new state still passes its own conservation check. The
+    receipt records the worst relative spot-rate change over all ordered
+    asset pairs.
     """
     if not math.isfinite(fraction) or fraction <= -1.0:
         raise ReserveDepletion(f"fraction must exceed -1, got {fraction}")
@@ -423,10 +424,8 @@ def add_liquidity_proportional(
     family = state.spec.family
     if family is ProtocolFamily.WEIGHTED:
         invariant = (_w.weighted_conservation(reserves, state.spec.weights),)
-    elif family is ProtocolFamily.STABLESWAP:
-        invariant = (_ss.solve_invariant(reserves, state.spec.amplification, config),)
     else:
-        invariant = (state.invariant[0] * grow, state.invariant[1] * grow)
+        invariant = tuple(c * grow for c in state.invariant)
     post = PoolState(
         reserves=reserves,
         spec=state.spec,

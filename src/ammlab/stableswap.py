@@ -73,6 +73,23 @@ def defining_residual(reserves, D: float, amplification: float) -> float:
     return (D / n) ** n / prod - 1.0 - amplification * (total / D - 1.0)
 
 
+def invariant_drift(reserves, D: float, amplification: float) -> float:
+    """Relative distance |D* - D| / D from D to the reserves' invariant D*,
+    to first order: one Newton step on g from D, |g(D)| / (D * |g'(D)|) with
+    g'(D) = 1 - A - (n+1) * (D/n)^n / prod(r).
+
+    g' is strictly negative near the root and the neglected term is of the
+    order of the result squared, so at drifts near 1e-9 this agrees with
+    re-solving D to ~1e-18, without a root solve.
+    """
+    _check_reserves(reserves)
+    n = len(reserves)
+    ratio = (D / n) ** n / math.prod(reserves)
+    g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
+    slope = 1.0 - amplification - (n + 1) * ratio
+    return abs(g) / (D * abs(slope))
+
+
 def solve_invariant(
     reserves,
     amplification: float,

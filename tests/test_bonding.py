@@ -116,6 +116,26 @@ class TestSell:
         with pytest.raises(SupplyDepletion):
             bonding_sell(state, 1000.0)
 
+    def test_selling_nearly_all_supply_stays_on_curve(self):
+        state = bonding_curve(reserve=100.0, supply=1000.0, reserve_ratio=0.2)
+        for burned in (990.0, 1000.0 * (1.0 - 1e-4)):
+            post, released = bonding_sell(state, burned)
+            assert math.isclose(
+                post.reserve, bonding_reserve_at(post, post.supply), rel_tol=1e-9
+            )
+            assert math.isclose(post.reserve + released, state.reserve, rel_tol=1e-12)
+
+    def test_small_sell_releases_without_cancellation(self):
+        state = bonding_curve(reserve=100.0, supply=1000.0, reserve_ratio=0.2)
+        _, released = bonding_sell(state, 1e-9)
+        # first order: dC = C * (e/s) / F
+        assert math.isclose(released, 100.0 * 1e-12 / 0.2, rel_tol=1e-9)
+
+    def test_reserve_underflow_rejected(self):
+        state = bonding_curve(reserve=1.0, supply=1.0, reserve_ratio=0.01)
+        with pytest.raises(SupplyDepletion):
+            bonding_sell(state, 1.0 - 1e-10)
+
 
 class TestIdentities:
     def test_buy_sell_round_trip(self):

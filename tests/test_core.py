@@ -31,6 +31,7 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
+from ammlab.stableswap import solve_invariant
 
 reserve_values = st.floats(min_value=1.0, max_value=1e6)
 
@@ -255,6 +256,21 @@ class TestAddLiquidity:
         pool = stableswap_pool((50.0, 150.0), 10.0)
         post, receipt = add_liquidity_proportional(pool, 1.0)
         assert math.isclose(post.invariant[0], 2.0 * pool.invariant[0], rel_tol=1e-9)
+        assert receipt.passed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4),
+        amp_exponent=st.floats(min_value=-2.0, max_value=4.0),
+        fraction=st.floats(min_value=-0.9, max_value=10.0, exclude_min=True, exclude_max=True),
+    )
+    def test_stableswap_scaled_invariant_matches_re_solve(self, exponents, amp_exponent, fraction):
+        amp = 10.0**amp_exponent
+        pool = stableswap_pool(tuple(10.0**e for e in exponents), amp)
+        post, receipt = add_liquidity_proportional(pool, fraction)
+        assert math.isclose(
+            post.invariant[0], solve_invariant(post.reserves, amp), rel_tol=1e-14
+        )
         assert receipt.passed
 
     def test_pmm_targets_scale_off_equilibrium(self):

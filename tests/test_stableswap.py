@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ammlab import (
     IdenticalAssets,
     ImplicitConservation,
+    InvalidBracket,
     ReserveDepletion,
     implicit_swap,
 )
@@ -16,6 +19,7 @@ from ammlab.stableswap import (
     StableSwapParams,
     conservation_residual,
     defining_residual,
+    invariant_drift,
     solve_invariant,
     stableswap_slippage,
     stableswap_spot_rate,
@@ -23,6 +27,10 @@ from ammlab.stableswap import (
 )
 
 AMPLIFICATION_LADDER = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+# base-10 exponents: reserves 1e-3..1e6, amplification 1e-2..1e4
+log_reserves = st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4)
+log_amplification = st.floats(min_value=-2.0, max_value=4.0)
 
 
 class TestParams:
@@ -82,6 +90,70 @@ class TestSolveInvariant:
     def test_rejects_nonpositive_reserves(self):
         with pytest.raises(ValueError):
             solve_invariant((0.0, 100.0), 10.0)
+
+    @pytest.mark.xfail(
+        raises=InvalidBracket,
+        strict=True,
+        reason="known defect: when n*(prod r)^(1/n) and sum r round to the same "
+        "double, the bracket collapses and the solve raises",
+    )
+    def test_near_balanced_pool_is_solved(self):
+        reserves = (1.0, 10.0**1e-9)
+        d = solve_invariant(reserves, 10.0**0.0078125)
+        assert math.isclose(d, math.fsum(reserves), rel_tol=1e-15)
+
+
+def _bracket_is_open(reserves) -> bool:
+    """Whether solve_invariant's AM-GM bracket has distinct endpoints, or
+    the pool is exactly balanced and needs no bracket."""
+    n = len(reserves)
+    geo = n * math.prod(reserves) ** (1.0 / n)
+    return min(reserves) == max(reserves) or geo < math.fsum(reserves)
+
+
+class TestInvariantDrift:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        exponents=log_reserves,
+        amp_exponent=log_amplification,
+        trade_exponent=st.floats(min_value=-6.0, max_value=math.log10(3.0)),
+        data=st.data(),
+    )
+    def test_matches_re_solved_invariant_after_a_swap(
+        self, exponents, amp_exponent, trade_exponent, data
+    ):
+        reserves = tuple(10.0**e for e in exponents)
+        amp = 10.0**amp_exponent
+        i, o = data.draw(st.permutations(range(len(reserves))))[:2]
+        x_in = reserves[i] * 10.0**trade_exponent
+        # the re-solve oracle cannot bracket pools this near balance (see
+        # test_near_balanced_pool_is_solved)
+        assume(_bracket_is_open(reserves))
+        d = solve_invariant(reserves, amp)
+        post = list(reserves)
+        post[i] += x_in
+        post[o] -= stableswap_swap(reserves, d, amp, i, o, x_in)
+        assume(_bracket_is_open(post))
+        re_solved = abs(solve_invariant(post, amp) - d) / d
+        assert abs(invariant_drift(post, d, amp) - re_solved) <= 1e-14
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        exponents=log_reserves,
+        amp_exponent=log_amplification,
+        delta_exponent=st.floats(min_value=-10.0, max_value=-6.0),
+    )
+    def test_reports_a_perturbed_invariant(self, exponents, amp_exponent, delta_exponent):
+        reserves = tuple(10.0**e for e in exponents)
+        amp = 10.0**amp_exponent
+        delta = 10.0**delta_exponent
+        assume(_bracket_is_open(reserves))
+        d = solve_invariant(reserves, amp)
+        drift = invariant_drift(reserves, d * (1.0 + delta), amp)
+        assert math.isclose(drift, delta / (1.0 + delta), rel_tol=1e-2)
+
+    def test_zero_drift_on_a_balanced_pool(self):
+        assert invariant_drift((100.0, 100.0), 200.0, 10.0) == 0.0
 
 
 class TestSpotRate:
