@@ -7,9 +7,16 @@ sweep accepts a ``point_map`` (any order-preserving ``map`` equivalent, e.g.
 ``ThreadPoolExecutor.map``); output ordering follows the grid regardless of
 evaluation order, keeping results identical across parallelism degrees.
 
+Divergence loss comes from closed forms on every family: weighted pools
+have it outright, stableswap pools through a one-dimensional root solve along
+the curve. The generic rebalance-and-revalue engine in ``numerics`` is kept
+apart as their independent check.
+
 Per-point solver failures inside divergence and cross-section sweeps mark the
-point as NaN and record it, rather than aborting the series: extreme
-amplification values legitimately contain unattainable grid points.
+point as NaN and record it, rather than aborting the series: a grid point can
+be legitimately unattainable, such as a price shift whose rebalanced reserves
+leave the floating-point range, or a cross-section reserve with no positive
+solution.
 """
 from __future__ import annotations
 
@@ -20,21 +27,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import stableswap as _ss
 from . import weighted as _w
-from .core import (
-    PoolState,
-    ProtocolFamily,
-    implicit_conservation,
-    slippage,
-    swap_amount,
-)
+from .core import PoolState, ProtocolFamily, implicit_conservation, slippage, swap_amount
 from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
 from .numerics import DEFAULT_CONFIG, SolverConfig, ValuationReport, generic_divergence_loss
 
 __all__ = [
     "SeriesKind",
     "CurveSeries",
+    # the generic engine that checks divergence_loss, re-exported beside it
+    # (perfbench/tracing.py wraps these two names)
     "ValuationReport",
+    "generic_divergence_loss",
+    "implicit_conservation",
     "divergence_loss",
     "slippage_curve",
     "divergence_curve",
@@ -150,10 +156,12 @@ def divergence_loss(
     by rho against asset 0 (the numeraire).
 
     Weighted pools use the closed form (1+rho)^w / (1 + w*rho) - 1;
-    stableswap pools run the generic rebalance-and-revalue procedure.
-    Oracle-anchored pools have no divergence loss to measure — their quoted
-    rates follow the market instead of diverging from it — so they are
-    rejected with NotApplicable.
+    stableswap pools rebalance along the curve by a one-dimensional root
+    solve (stableswap.stableswap_divergence_loss), which the generic
+    rebalance-and-revalue procedure in numerics checks. Oracle-anchored
+    pools have no divergence loss to measure — their quoted rates follow the
+    market instead of diverging from it — so they are rejected with
+    NotApplicable.
     """
     family = state.spec.family
     if family is ProtocolFamily.PMM:
@@ -164,10 +172,9 @@ def divergence_loss(
         raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
     if family is ProtocolFamily.WEIGHTED:
         return _w.weighted_divergence_loss(state.spec.weights, asset, rho)
-    report = generic_divergence_loss(
-        implicit_conservation(state), state.reserves, state.invariant, asset, rho, config
+    return _ss.stableswap_divergence_loss(
+        state.reserves, state.invariant[0], state.spec.amplification, asset, rho, config
     )
-    return report.L
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IdenticalAssets, InfeasibleTrade, NoSolution, ReserveDepletion
+from .errors import DomainError, IdenticalAssets, InfeasibleTrade, NoSolution, ReserveDepletion
 from .numerics import DEFAULT_CONFIG, RootBracket, SolverConfig, find_root
 
 
@@ -65,12 +65,14 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
 def defining_residual(reserves, D: float, amplification: float) -> float:
     """Signed residual (D/n)^n/prod(r) - 1 - A*(sum(r)/D - 1), zero exactly
     on the curve and strictly decreasing in every reserve — the form handed
-    to the generic numeric engine."""
+    to the generic numeric engine.
+
+    The excess sum(r) - D is summed exactly before A multiplies it: rounding
+    sum(r)/D first would put noise of order A*eps on the residual."""
     _check_reserves(reserves)
     n = len(reserves)
-    total = math.fsum(reserves)
     prod = math.prod(reserves)
-    return (D / n) ** n / prod - 1.0 - amplification * (total / D - 1.0)
+    return (D / n) ** n / prod - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
 
 
 def invariant_drift(reserves, D: float, amplification: float) -> float:
@@ -113,11 +115,12 @@ def solve_invariant(
         return _polynomial_terms(reserves, D, amplification)[0]
 
     g_lo, g_hi = g(geo), g(total)
-    # analytically g(geo) >= 0 >= g(total); rounding can flip a near-zero
-    # endpoint, in which case the endpoint already is the root
-    if g_lo < 0.0:
+    # analytically g(geo) >= 0 >= g(total); an endpoint where rounding makes g
+    # zero or flips its sign already is the root, which also covers endpoints
+    # that round to the same double
+    if g_lo <= 0.0:
         return geo
-    if g_hi > 0.0:
+    if g_hi >= 0.0:
         return total
     return find_root(
         g,
@@ -179,6 +182,104 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     if not (root > 0.0 and math.isfinite(root)):
         raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
     return reserves[o] - root
+
+
+def stableswap_divergence_loss(
+    reserves,
+    D: float,
+    amplification: float,
+    o: int,
+    rho: float,
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> float:
+    """Loss L of providing liquidity versus holding when asset o appreciates
+    by rho against asset 0 (the numeraire): rebalance along the curve to the
+    shifted rates, revalue, compare.
+
+    The curve's gradient is g_k = A + c/r_k with c = D*(D/n)^n/prod(r), and
+    the rebalanced state's gradient is proportional to w, where w = g except
+    w_o = (1+rho)*g_o. Writing x_k = c'/r'_k for the rebalanced state, A + x_k
+    is proportional to w_k, so x_k = s + e_k*(s + A) with e_k = w_k/w_m - 1
+    >= 0 against the smallest weight w_m and s = x_m > 0. On the curve
+    A*sum(1/x_k) + (1-A)*P - 1 = 0 with P = prod(n/x_k)^(1/(n+1)) = D/c':
+    one equation in s, +inf at s -> 0 and -1 at s -> inf, with a single root
+    because one point of the strictly convex curve has its normal along w.
+    Then r'_k = D/(P*x_k), valued at the prices w_k/w_0, as
+    numerics.generic_divergence_loss values a pool at g_k/g_0.
+    """
+    _check_reserves(reserves)
+    n = len(reserves)
+    if not 0 <= o < n:
+        raise IndexError(f"asset index {o} out of range for {n} assets")
+    if o == 0:
+        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+    if rho <= -1.0:
+        raise DomainError(f"price shift must exceed -1, got {rho}")
+    if rho == 0.0:
+        return 0.0
+    A = amplification
+    c = D * math.prod(D / (n * r) for r in reserves)
+    g = [A + c / r for r in reserves]
+    w = list(g)
+    w[o] *= 1.0 + rho
+    m = min(range(n), key=w.__getitem__)
+
+    def excess(k: int) -> float:
+        # w_k - w_m as c*(1/r_k - 1/r_m) plus the shift term, not as a
+        # difference of the A-sized weights, whose rounding error a large A
+        # would carry into x_k
+        if k == m:
+            return 0.0
+        out = c * (reserves[m] - reserves[k]) / (reserves[k] * reserves[m])
+        if k == o:
+            out += rho * g[o]
+        elif m == o:
+            out -= rho * g[o]
+        return max(out, 0.0) / w[m]
+
+    e = [excess(k) for k in range(n)]
+
+    def curve(s: float) -> tuple[list[float], float, float]:
+        x = [s + ek * (s + A) for ek in e]
+        P = math.prod(n / xk for xk in x) ** (1.0 / (n + 1))
+        return x, P, A * sum(1.0 / xk for xk in x) + (1.0 - A) * P - 1.0
+
+    # the curve equation is positive at s_lo and negative at s_hi (bounds
+    # from x_k >= s); walk from the unshifted state by factors of two
+    s_lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
+    s_hi = 2.0 * n * max(1.0, A)
+    s = min(max(c / reserves[m], s_lo), s_hi)
+    f = curve(s)[2]
+    factor = 2.0 if f > 0.0 else 0.5
+    while True:
+        t = min(max(s * factor, s_lo), s_hi)
+        f_t = curve(t)[2]
+        if t == s or not (math.isfinite(f) and math.isfinite(f_t)):
+            raise NoSolution(
+                f"rate shift {rho} for asset {o} is unattainable: the curve is not representable"
+            )
+        if f_t == 0.0 or (f_t > 0.0) != (f > 0.0):
+            break
+        s, f = t, f_t
+    (lo, f_lo), (hi, f_hi) = sorted(((s, f), (t, f_t)))
+    # solve in units of lo, so the finite-difference step stays inside s > 0
+    root = lo * find_root(
+        lambda u: curve(lo * u)[2],
+        RootBracket(1.0, hi / lo, f_lo, f_hi),
+        config.root_rel_tol,
+        config.root_max_iterations,
+    )
+    x, P, _ = curve(root)
+    rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
+    if not all(0.0 < r < math.inf for r in rebalanced):
+        raise NoSolution(
+            f"rate shift {rho} for asset {o} is unattainable: a rebalanced reserve "
+            "leaves the floating-point range"
+        )
+    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
+    V_held = V + g[o] / g[0] * reserves[o] * rho
+    V_prime = math.fsum(wk / w[0] * r for wk, r in zip(w, rebalanced))
+    return V_prime / V_held - 1.0
 
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:

@@ -200,10 +200,17 @@ class TestDivergenceCurve:
         assert all(y <= 0.0 for y in series.y_values)
 
     def test_unattainable_shifts_marked_as_failures(self):
-        series = divergence_curve(stableswap_pool((100.0, 100.0), 1e8), 1, (-0.5, 0.5))
-        assert len(series.failures) == 2
-        assert all(math.isnan(series.y_values[idx]) for idx, _ in series.failures)
-        assert all("unattainable" in reason for _, reason in series.failures)
+        # at A = 1e8, shifts of -50% and +50% reach the constant-sum limits
+        # -1/3 and -1/5; a shift of 1e300 would move a rebalanced reserve
+        # out of the floating-point range
+        series = divergence_curve(
+            stableswap_pool((100.0, 100.0), 1e8), 1, (-0.5, 0.5, 1e300)
+        )
+        assert abs(series.y_values[0] - (-1.0 / 3.0)) <= 1e-3
+        assert abs(series.y_values[1] - (-0.2)) <= 1e-3
+        assert [idx for idx, _ in series.failures] == [2]
+        assert math.isnan(series.y_values[2])
+        assert "unattainable" in series.failures[0][1]
 
     def test_rejects_shifts_at_or_below_minus_one(self):
         with pytest.raises(ValueError):

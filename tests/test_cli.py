@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 from ammlab import __version__
 from ammlab.cli import main, run_scenario, validate_scenario_data
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 UNI = {"id": "uni", "protocol": "uniswap", "reserves": [100, 100]}
 BAL = {"id": "bal", "protocol": "balancer", "reserves": [100, 100], "weights": [0.8, 0.2]}
@@ -203,7 +206,7 @@ class TestRun:
             {
                 "pools": [pool],
                 "actions": [
-                    {"action": "divergence_curve", "pool": "crv", "grid": [-0.5, 0.5]}
+                    {"action": "divergence_curve", "pool": "crv", "grid": [-0.5, 0.5, 1e300]}
                 ],
             },
         )
@@ -211,10 +214,12 @@ class TestRun:
         assert main(["run", str(path), "--out", str(out)]) == 3
         manifest = (out / "scenario_failures.txt").read_text(encoding="utf-8")
         assert "unattainable" in manifest
-        csv_text = (out / "scenario_a000_divergence_loss_crv.csv").read_text(
-            encoding="utf-8"
-        )
-        assert "nan" in csv_text
+        _, rows = read_csv_columns(out / "scenario_a000_divergence_loss_crv.csv")
+        # -0.5 and +0.5 reach the constant-sum limits; 1e300 leaves the
+        # floating-point range
+        assert abs(float(rows[0][1]) - (-1.0 / 3.0)) <= 1e-3
+        assert abs(float(rows[1][1]) - (-0.2)) <= 1e-3
+        assert math.isnan(float(rows[2][1]))
 
     def test_domain_error_during_execution(self, tmp_path, capsys):
         path = write_scenario(
@@ -303,3 +308,19 @@ class TestDeterminism:
         assert outputs[0] == outputs[2]
         # four comparison series plus two single-pool series plus the log
         assert sum(1 for name in outputs[0] if name.endswith(".csv")) == 6
+
+    def test_divergence_heavy_scenario_solves_every_point(self, tmp_path):
+        scenario = SCENARIOS / "divergence_heavy.json"
+        outputs = []
+        for parallel in ("1", "2"):
+            out = tmp_path / parallel
+            assert main(["run", str(scenario), "--parallel", parallel, "--out", str(out)]) == 0
+            outputs.append(self.collect(out))
+        assert outputs[0] == outputs[1]
+        assert not outputs[0].get("divergence_heavy_failures.txt")
+        csvs = [name for name in outputs[0] if name.endswith(".csv")]
+        assert len(csvs) == 5
+        for name in csvs:
+            rows = outputs[0][name].decode("utf-8").splitlines()[1:]
+            assert len(rows) == 200
+            assert all(math.isfinite(float(row.split(",")[1])) for row in rows)

@@ -221,8 +221,9 @@ class TestSolveRebalance:
             solve_rebalance(UNISWAP, (100.0, 100.0), (10_000.0,), 1, -1.0)
 
     def test_unattainable_rate_raises_no_solution(self):
-        # At extreme amplification the curve's rate range collapses around 1,
-        # so a +50% shift has no solution.
+        # At extreme amplification the rates stay pinned near 1 until a
+        # reserve is nearly drained; the damped Newton solve stalls before a
+        # +50% shift, which stableswap_divergence_loss reaches near L = -0.2.
         amp = 1e8
         reserves = (100.0, 100.0)
         d = solve_invariant(reserves, amp)

@@ -9,24 +9,37 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
+    ConvergenceFailure,
+    DomainError,
     IdenticalAssets,
     ImplicitConservation,
-    InvalidBracket,
+    NoSolution,
     ReserveDepletion,
+    generic_divergence_loss,
     implicit_swap,
 )
+from ammlab.analysis import default_shift_grid
 from ammlab.stableswap import (
     StableSwapParams,
     conservation_residual,
     defining_residual,
     invariant_drift,
     solve_invariant,
+    stableswap_divergence_loss,
     stableswap_slippage,
     stableswap_spot_rate,
     stableswap_swap,
 )
+from ammlab.weighted import weighted_divergence_loss
 
 AMPLIFICATION_LADDER = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def implicit_curve(amp: float, n: int) -> ImplicitConservation:
+    return ImplicitConservation(
+        evaluate=lambda r, inv: defining_residual(r, inv[0], amp), n=n
+    )
+
 
 # base-10 exponents: reserves 1e-3..1e6, amplification 1e-2..1e4
 log_reserves = st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4)
@@ -91,24 +104,11 @@ class TestSolveInvariant:
         with pytest.raises(ValueError):
             solve_invariant((0.0, 100.0), 10.0)
 
-    @pytest.mark.xfail(
-        raises=InvalidBracket,
-        strict=True,
-        reason="known defect: when n*(prod r)^(1/n) and sum r round to the same "
-        "double, the bracket collapses and the solve raises",
-    )
     def test_near_balanced_pool_is_solved(self):
+        # n*(prod r)^(1/n) and sum r round to the same double here
         reserves = (1.0, 10.0**1e-9)
         d = solve_invariant(reserves, 10.0**0.0078125)
         assert math.isclose(d, math.fsum(reserves), rel_tol=1e-15)
-
-
-def _bracket_is_open(reserves) -> bool:
-    """Whether solve_invariant's AM-GM bracket has distinct endpoints, or
-    the pool is exactly balanced and needs no bracket."""
-    n = len(reserves)
-    geo = n * math.prod(reserves) ** (1.0 / n)
-    return min(reserves) == max(reserves) or geo < math.fsum(reserves)
 
 
 class TestInvariantDrift:
@@ -126,14 +126,10 @@ class TestInvariantDrift:
         amp = 10.0**amp_exponent
         i, o = data.draw(st.permutations(range(len(reserves))))[:2]
         x_in = reserves[i] * 10.0**trade_exponent
-        # the re-solve oracle cannot bracket pools this near balance (see
-        # test_near_balanced_pool_is_solved)
-        assume(_bracket_is_open(reserves))
         d = solve_invariant(reserves, amp)
         post = list(reserves)
         post[i] += x_in
         post[o] -= stableswap_swap(reserves, d, amp, i, o, x_in)
-        assume(_bracket_is_open(post))
         re_solved = abs(solve_invariant(post, amp) - d) / d
         assert abs(invariant_drift(post, d, amp) - re_solved) <= 1e-14
 
@@ -147,7 +143,6 @@ class TestInvariantDrift:
         reserves = tuple(10.0**e for e in exponents)
         amp = 10.0**amp_exponent
         delta = 10.0**delta_exponent
-        assume(_bracket_is_open(reserves))
         d = solve_invariant(reserves, amp)
         drift = invariant_drift(reserves, d * (1.0 + delta), amp)
         assert math.isclose(drift, delta / (1.0 + delta), rel_tol=1e-2)
@@ -266,3 +261,80 @@ class TestSlippage:
             d = solve_invariant((100.0, 100.0), amp)
             values.append(stableswap_slippage((100.0, 100.0), d, amp, 0, 1, 10.0))
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestDivergenceLoss:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        imbalance=st.lists(
+            st.floats(min_value=0.0, max_value=math.log10(6.0)), min_size=2, max_size=4
+        ),
+        amp_exponent=st.floats(min_value=-2.0, max_value=3.0),
+        rho=st.floats(min_value=-0.9, max_value=4.0, exclude_min=True),
+        data=st.data(),
+    )
+    def test_matches_generic_rebalance(self, imbalance, amp_exponent, rho, data):
+        reserves = tuple(100.0 * 10.0**e for e in imbalance)
+        amp = 10.0**amp_exponent
+        o = data.draw(st.integers(min_value=1, max_value=len(reserves) - 1))
+        d = solve_invariant(reserves, amp)
+        try:
+            generic = generic_divergence_loss(
+                implicit_curve(amp, len(reserves)), reserves, (d,), o, rho
+            )
+        except (NoSolution, ConvergenceFailure):
+            assume(False)
+        closed = stableswap_divergence_loss(reserves, d, amp, o, rho)
+        assert abs((1.0 + closed) / (1.0 + generic.L) - 1.0) <= 1e-8
+
+    def test_generic_engine_reaches_every_shift_at_high_amplification(self):
+        # the generic rebalance used to stall on Z's A*eps rounding noise and
+        # report reachable shifts at A = 1000 as unattainable
+        amp = 1000.0
+        for reserves in (
+            (100.0, 100.0),
+            (100.0, 450.0),
+            (100.0, 100.0, 100.0),
+            (100.0, 300.0, 600.0),
+        ):
+            d = solve_invariant(reserves, amp)
+            curve = implicit_curve(amp, len(reserves))
+            for rho in default_shift_grid():
+                generic = generic_divergence_loss(curve, reserves, (d,), 1, rho)
+                closed = stableswap_divergence_loss(reserves, d, amp, 1, rho)
+                assert abs((1.0 + closed) / (1.0 + generic.L) - 1.0) <= 1e-8
+
+    def test_zero_shift_is_exactly_zero(self):
+        for reserves in ((100.0, 100.0), (50.0, 150.0, 90.0)):
+            for amp in AMPLIFICATION_LADDER:
+                d = solve_invariant(reserves, amp)
+                assert stableswap_divergence_loss(reserves, d, amp, 1, 0.0) == 0.0
+
+    def test_low_amplification_matches_constant_product(self):
+        amp = 1e-8
+        for reserves in ((100.0, 100.0), (50.0, 150.0)):
+            d = solve_invariant(reserves, amp)
+            for rho in (-0.9, -0.5, 0.21, 1.0, 4.0):
+                got = stableswap_divergence_loss(reserves, d, amp, 1, rho)
+                assert abs(got - weighted_divergence_loss((0.5, 0.5), 1, rho)) <= 1e-6
+
+    def test_high_amplification_reaches_the_constant_sum_limit(self):
+        # holding 100 + 100 at the shifted price against a pool drained
+        # into the cheaper asset: 200/150 - 1 and 200/250 - 1
+        d = solve_invariant((100.0, 100.0), 1e8)
+        got = [stableswap_divergence_loss((100.0, 100.0), d, 1e8, 1, rho) for rho in (-0.5, 0.5)]
+        assert abs(got[0] - (-1.0 / 3.0)) <= 1e-3
+        assert abs(got[1] - (-0.2)) <= 1e-3
+
+    def test_unrepresentable_rebalance_raises(self):
+        d = solve_invariant((100.0, 100.0), 1e8)
+        with pytest.raises(NoSolution):
+            stableswap_divergence_loss((100.0, 100.0), d, 1e8, 1, 1e300)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 0, 0.5)
+        with pytest.raises(IndexError):
+            stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 2, 0.5)
+        with pytest.raises(DomainError):
+            stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, -1.0)
