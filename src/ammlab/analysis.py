@@ -2,8 +2,19 @@
 conservation-law cross-sections for any configured pool.
 
 Every sweep returns a ``CurveSeries`` — plain x/y vectors with pool metadata —
-ready for CSV emission. Grid points are independent of each other, so each
-sweep accepts a ``point_map`` (any order-preserving ``map`` equivalent, e.g.
+ready for CSV emission. A sweep checks its arguments, dispatches on the pool
+family and computes the curve's constants (spot rate, weight ratios, the
+stableswap quadratic's D-terms, PMM parameters) once, through the kernels
+``core.swap_kernel`` and the family ``*_kernel`` functions, then runs only the
+point-dependent arithmetic. Each point runs the same floating-point
+operations, in the same order, as the scalar function it samples
+(``core.slippage``, ``core.swap_amount``, ``divergence_loss``), so a curve
+equals the scalar path bit for bit. The kernels are plain Python: numpy's
+vectorised ``power`` rounds differently from the C library's ``pow`` in a
+few percent of values, which would break that equality.
+
+Grid points are independent of each other, so each sweep accepts a
+``point_map`` (any order-preserving ``map`` equivalent, e.g.
 ``ThreadPoolExecutor.map``); output ordering follows the grid regardless of
 evaluation order, keeping results identical across parallelism degrees.
 
@@ -16,31 +27,45 @@ Per-point solver failures inside divergence and cross-section sweeps mark the
 point as NaN and record it, rather than aborting the series: a grid point can
 be legitimately unattainable, such as a price shift whose rebalanced reserves
 leave the floating-point range, or a cross-section reserve with no positive
-solution.
+solution. Any other error, and any error in a slippage sweep, aborts the
+series.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import stableswap as _ss
 from . import weighted as _w
-from .core import PoolState, ProtocolFamily, implicit_conservation, slippage, swap_amount
+from .core import (
+    PoolState,
+    ProtocolFamily,
+    implicit_conservation,
+    slippage,
+    spot_rate,
+    swap_amount,
+    swap_kernel,
+)
 from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
 from .numerics import DEFAULT_CONFIG, SolverConfig, ValuationReport, generic_divergence_loss
+from .quote import slippage_from_quote
 
 __all__ = [
     "SeriesKind",
     "CurveSeries",
-    # the generic engine that checks divergence_loss, re-exported beside it
-    # (perfbench/tracing.py wraps these two names)
+    # the generic engine that checks divergence_loss and the scalar functions
+    # the sweeps sample, re-exported beside them (perfbench/tracing.py wraps
+    # generic_divergence_loss, implicit_conservation, slippage, swap_amount)
     "ValuationReport",
     "generic_divergence_loss",
     "implicit_conservation",
+    "slippage",
+    "swap_amount",
     "divergence_loss",
     "slippage_curve",
     "divergence_curve",
@@ -78,8 +103,8 @@ class CurveSeries:
     failures: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_values", tuple(float(x) for x in self.x_values))
-        object.__setattr__(self, "y_values", tuple(float(y) for y in self.y_values))
+        object.__setattr__(self, "x_values", tuple(map(float, self.x_values)))
+        object.__setattr__(self, "y_values", tuple(map(float, self.y_values)))
         if len(self.x_values) != len(self.y_values):
             raise ValueError("x and y vectors must have equal length")
         for a, b in zip(self.x_values, self.x_values[1:]):
@@ -163,6 +188,12 @@ def divergence_loss(
     market instead of diverging from it — so they are rejected with
     NotApplicable.
     """
+    return _divergence_kernel(state, asset, config)(rho)
+
+
+def _divergence_kernel(state: PoolState, asset: int, config: SolverConfig):
+    """rho -> divergence_loss(state, asset, rho, config), with the family
+    dispatch and the argument checks done once."""
     family = state.spec.family
     if family is ProtocolFamily.PMM:
         raise NotApplicable(
@@ -171,14 +202,31 @@ def divergence_loss(
     if asset == 0:
         raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
     if family is ProtocolFamily.WEIGHTED:
-        return _w.weighted_divergence_loss(state.spec.weights, asset, rho)
-    return _ss.stableswap_divergence_loss(
-        state.reserves, state.invariant[0], state.spec.amplification, asset, rho, config
+        return _w.weighted_divergence_kernel(state.spec.weights, asset)
+    return partial(
+        _ss.stableswap_divergence_loss,
+        state.reserves, state.invariant[0], state.spec.amplification, asset,
+        config=config,
     )
 
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+def _solved_points(point_map: PointMap, solve: Callable[[float], float], grid):
+    """y-values and (grid index, reason) failures of solve over the grid; a
+    point raising NoSolution or ConvergenceFailure becomes NaN."""
+
+    def point(x: float) -> tuple[float, str | None]:
+        try:
+            return solve(x), None
+        except (NoSolution, ConvergenceFailure) as exc:
+            return math.nan, str(exc)
+
+    results = tuple(point_map(point, grid))
+    failures = tuple((k, msg) for k, (_, msg) in enumerate(results) if msg is not None)
+    return tuple(y for y, _ in results), failures
 
 
 def slippage_curve(
@@ -191,15 +239,22 @@ def slippage_curve(
     point_map: PointMap = map,
 ) -> CurveSeries:
     """Slippage S against normalized trade size x_in/r_in over the grid
-    (values restricted to (0, 0.95])."""
+    (values restricted to (0, 0.95]). Equal, bit for bit, to
+    core.slippage(state, input_asset, output_asset, g * r_in) at every grid
+    value g; the first point that raises aborts the series."""
     grid = default_trade_grid() if grid is None else tuple(float(g) for g in grid)
     for g in grid:
         if not 0.0 < g <= 0.95:
             raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
+    swap = swap_kernel(state, input_asset, output_asset)
+    rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
 
     def point(g: float) -> float:
-        return slippage(state, input_asset, output_asset, g * r_in)
+        x_in = g * r_in
+        if x_in == 0.0:
+            return 0.0
+        return slippage_from_quote(x_in, swap(x_in), rate)
 
     y = tuple(point_map(point, grid))
     return CurveSeries(
@@ -222,9 +277,9 @@ def divergence_curve(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> CurveSeries:
     """Divergence loss L against price shift rho over the grid (values in
-    (-1, inf)); per-point solver failures become NaN entries."""
-    family = state.spec.family
-    if family is ProtocolFamily.PMM:
+    (-1, inf)), equal to divergence_loss at every point; per-point solver
+    failures become NaN entries."""
+    if state.spec.family is ProtocolFamily.PMM:
         raise NotApplicable(
             "oracle-anchored pools track the market rate; divergence loss does not arise"
         )
@@ -232,22 +287,14 @@ def divergence_curve(
     for g in grid:
         if not g > -1.0:
             raise ValueError(f"price shifts must exceed -1, got {g}")
-
-    def point(rho: float) -> tuple[float, str | None]:
-        try:
-            return divergence_loss(state, asset, rho, config), None
-        except (NoSolution, ConvergenceFailure) as exc:
-            return math.nan, str(exc)
-
-    results = tuple(point_map(point, grid))
-    failures = tuple((k, msg) for k, (_, msg) in enumerate(results) if msg is not None)
+    y, failures = _solved_points(point_map, _divergence_kernel(state, asset, config), grid)
     return CurveSeries(
         kind=SeriesKind.DIVERGENCE_LOSS,
         pool_id=pool_id,
         protocol=protocol if protocol is not None else state.spec.family.value,
         hyperparameters=hyperparameter_string(state),
         x_values=grid,
-        y_values=tuple(y for y, _ in results),
+        y_values=y,
         failures=failures,
     )
 
@@ -261,8 +308,9 @@ def conservation_cross_section(
     protocol: str | None = None,
     point_map: PointMap = map,
 ) -> CurveSeries:
-    """The conservation curve itself: for each input-reserve value on the
-    grid, the output reserve keeping the law satisfied with every other
+    """The conservation curve itself: for each input-reserve value g on the
+    grid, the output reserve r_out - swap_amount(state, input_asset,
+    output_asset, g - r_in) keeping the law satisfied with every other
     reserve fixed. Points with no positive solution become NaN entries."""
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
@@ -270,22 +318,15 @@ def conservation_cross_section(
     for g in grid:
         if not g > 0.0:
             raise ValueError(f"reserve grid values must be positive, got {g}")
-
-    def point(g: float) -> tuple[float, str | None]:
-        try:
-            return r_out - swap_amount(state, input_asset, output_asset, g - r_in), None
-        except (NoSolution, ConvergenceFailure) as exc:
-            return math.nan, str(exc)
-
-    results = tuple(point_map(point, grid))
-    failures = tuple((k, msg) for k, (_, msg) in enumerate(results) if msg is not None)
+    swap = swap_kernel(state, input_asset, output_asset)
+    y, failures = _solved_points(point_map, lambda g: r_out - swap(g - r_in), grid)
     return CurveSeries(
         kind=SeriesKind.CONSERVATION_CROSS_SECTION,
         pool_id=pool_id,
         protocol=protocol if protocol is not None else state.spec.family.value,
         hyperparameters=hyperparameter_string(state),
         x_values=grid,
-        y_values=tuple(y for y, _ in results),
+        y_values=y,
         failures=failures,
     )
 

@@ -4,9 +4,10 @@
 definitions plus an ordered action list — executes it, and writes CSV series
 files and a plain-text transition-receipt log. ``ammlab validate`` reports
 every scenario problem without executing anything. Output is deterministic:
-identical scenarios produce byte-identical files, regardless of
-``--parallel`` degree (grid points are pure functions evaluated in grid
-order).
+identical scenarios produce byte-identical files. Everything runs in one
+thread, in grid order; ``--parallel N`` must be at least 1 and does not change
+the output (a thread pool cannot speed up this pure-Python arithmetic, which
+holds the interpreter lock, so none is started).
 
 Exit codes: 0 success, 1 parse error, 2 validation error (or a domain error
 hit while executing), 3 solver failure (partial outputs are kept and a
@@ -51,7 +52,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -422,13 +422,13 @@ def validate_scenario(path) -> list[str]:
 # execution
 
 
-def _series_csv(series) -> str:
-    lines = ["grid,value,pool,protocol,hyperparameters"]
-    for x, y in zip(series.x_values, series.y_values):
-        lines.append(
-            f"{_fmt(x)},{_fmt(y)},{series.pool_id},{series.protocol},{series.hyperparameters}"
-        )
-    return "\n".join(lines) + "\n"
+def _series_csv(series, x_column: list[str]) -> str:
+    """The series as CSV text; x_column holds the grid values already
+    formatted, so a compare formats its shared grid once."""
+    tail = f"{series.pool_id},{series.protocol},{series.hyperparameters}".replace("%", "%%")
+    row = "%s,%.17g," + tail + "\n"
+    rows = [row % point for point in zip(x_column, series.y_values)]
+    return "grid,value,pool,protocol,hyperparameters\n" + "".join(rows)
 
 
 def _series_failures(series, idx: int) -> list[str]:
@@ -439,7 +439,14 @@ def _series_failures(series, idx: int) -> list[str]:
     ]
 
 
-def _execute(data: dict, parallel: int):
+_SERIES_ACTIONS = {
+    "slippage_curve": SeriesKind.SLIPPAGE,
+    "divergence_curve": SeriesKind.DIVERGENCE_LOSS,
+    "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
+}
+
+
+def _execute(data: dict):
     """Run a validated scenario; returns (receipt lines, [(csv name, csv
     content)], manifest lines, exit code, fatal message or None)."""
     states: dict[str, PoolState] = {}
@@ -452,89 +459,70 @@ def _execute(data: dict, parallel: int):
     csvs: list[tuple[str, str]] = []
     manifest: list[str] = []
     exit_code = EXIT_OK
-    fatal = None
 
-    executor = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
-    point_map = executor.map if executor is not None else map
-    try:
-        for idx, act in enumerate(data.get("actions", [])):
-            name = act["action"]
-            try:
-                if name == "swap":
-                    pid = act["pool"]
-                    state, outcome, receipt = apply_swap(
-                        states[pid],
-                        act.get("input_asset", 0),
-                        act.get("output_asset", 1),
-                        float(act["amount"]),
-                    )
-                    states[pid] = state
-                    check = receipt.checks[0]
-                    receipts.append(
-                        f"action {idx:03d} swap pool={pid}"
-                        f" input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
-                        f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
-                        f" kind={receipt.kind.value} rule={check.rule}"
-                        f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
-                        f" passed={'yes' if check.passed else 'no'}"
-                    )
-                elif name == "add_liquidity":
-                    pid = act["pool"]
-                    state, receipt = add_liquidity_proportional(
-                        states[pid], float(act["fraction"])
-                    )
-                    states[pid] = state
-                    check = receipt.checks[0]
-                    receipts.append(
-                        f"action {idx:03d} add_liquidity pool={pid}"
-                        f" fraction={float(act['fraction'])!r}"
-                        f" kind={receipt.kind.value} rule={check.rule}"
-                        f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
-                        f" passed={'yes' if check.passed else 'no'}"
-                    )
-                elif name == "compare":
+    for idx, act in enumerate(data.get("actions", [])):
+        name = act["action"]
+        try:
+            if name == "swap":
+                pid = act["pool"]
+                state, outcome, receipt = apply_swap(
+                    states[pid],
+                    act.get("input_asset", 0),
+                    act.get("output_asset", 1),
+                    float(act["amount"]),
+                )
+                states[pid] = state
+                check = receipt.checks[0]
+                receipts.append(
+                    f"action {idx:03d} swap pool={pid}"
+                    f" input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
+                    f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
+                    f" kind={receipt.kind.value} rule={check.rule}"
+                    f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
+                    f" passed={'yes' if check.passed else 'no'}"
+                )
+            elif name == "add_liquidity":
+                pid = act["pool"]
+                state, receipt = add_liquidity_proportional(states[pid], float(act["fraction"]))
+                states[pid] = state
+                check = receipt.checks[0]
+                receipts.append(
+                    f"action {idx:03d} add_liquidity pool={pid}"
+                    f" fraction={float(act['fraction'])!r}"
+                    f" kind={receipt.kind.value} rule={check.rule}"
+                    f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
+                    f" passed={'yes' if check.passed else 'no'}"
+                )
+            else:
+                if name == "compare":
                     kind = _KINDS[act.get("kind", "slippage")]
-                    grid = _resolve_grid(act.get("grid"), "", [])
-                    for pid in act["pools"]:
-                        series = _run_curve(
-                            kind, states[pid], act, grid, pid, labels[pid], point_map
-                        )
-                        if series.failures:
-                            manifest.extend(_series_failures(series, idx))
-                            exit_code = EXIT_SOLVER
-                        csvs.append(
-                            (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series))
-                        )
+                    pids = act["pools"]
                 else:
-                    kind = {
-                        "slippage_curve": SeriesKind.SLIPPAGE,
-                        "divergence_curve": SeriesKind.DIVERGENCE_LOSS,
-                        "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
-                    }[name]
-                    pid = act["pool"]
-                    grid = _resolve_grid(act.get("grid"), "", [])
-                    series = _run_curve(
-                        kind, states[pid], act, grid, pid, labels[pid], point_map
-                    )
+                    kind = _SERIES_ACTIONS[name]
+                    pids = [act["pool"]]
+                grid = _resolve_grid(act.get("grid"), "", [])
+                x_column = None if grid is None else [_fmt(x) for x in grid]
+                for pid in pids:
+                    series = _run_curve(kind, states[pid], act, grid, pid, labels[pid])
                     if series.failures:
                         manifest.extend(_series_failures(series, idx))
                         exit_code = EXIT_SOLVER
+                    # without an explicit grid each pool's series has its own
+                    column = x_column if x_column is not None else [
+                        _fmt(x) for x in series.x_values
+                    ]
                     csvs.append(
-                        (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series))
+                        (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series, column))
                     )
-            except (NoSolution, ConvergenceFailure) as exc:
-                manifest.append(f"action {idx:03d} {name}: {exc}")
-                return receipts, csvs, manifest, EXIT_SOLVER, None
-            except AmmError as exc:
-                fatal = f"action {idx:03d} {name}: {exc}"
-                return receipts, csvs, manifest, EXIT_VALIDATION, fatal
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-    return receipts, csvs, manifest, exit_code, fatal
+        except (NoSolution, ConvergenceFailure) as exc:
+            manifest.append(f"action {idx:03d} {name}: {exc}")
+            return receipts, csvs, manifest, EXIT_SOLVER, None
+        except AmmError as exc:
+            return receipts, csvs, manifest, EXIT_VALIDATION, f"action {idx:03d} {name}: {exc}"
+    return receipts, csvs, manifest, exit_code, None
 
 
-def _run_curve(kind, state, act, grid, pool_id, protocol, point_map):
+def _run_curve(kind, state, act, grid, pool_id, protocol):
     if kind is SeriesKind.SLIPPAGE:
         return slippage_curve(
             state,
@@ -543,13 +531,10 @@ def _run_curve(kind, state, act, grid, pool_id, protocol, point_map):
             grid,
             pool_id=pool_id,
             protocol=protocol,
-            point_map=point_map,
         )
     if kind is SeriesKind.DIVERGENCE_LOSS:
         asset = act.get("asset", act.get("output_asset", 1))
-        return divergence_curve(
-            state, asset, grid, pool_id=pool_id, protocol=protocol, point_map=point_map
-        )
+        return divergence_curve(state, asset, grid, pool_id=pool_id, protocol=protocol)
     return conservation_cross_section(
         state,
         act.get("input_asset", 0),
@@ -557,12 +542,12 @@ def _run_curve(kind, state, act, grid, pool_id, protocol, point_map):
         grid,
         pool_id=pool_id,
         protocol=protocol,
-        point_map=point_map,
     )
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
-    """Execute a scenario file end to end; returns the process exit code."""
+    """Execute a scenario file end to end; returns the process exit code.
+    `parallel` must be at least 1; the output is the same at every value."""
     scenario_path = Path(path)
     try:
         with open(scenario_path, "r", encoding="utf-8") as fh:
@@ -590,7 +575,7 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     else:
         directory = Path.cwd()
 
-    receipts, csvs, manifest, code, fatal = _execute(data, parallel)
+    receipts, csvs, manifest, code, fatal = _execute(data)
 
     directory.mkdir(parents=True, exist_ok=True)
     content = "".join(line + "\n" for line in receipts)
@@ -618,7 +603,11 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario", help="path to the scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory (overrides the scenario)")
     p_run.add_argument(
-        "--parallel", type=int, default=1, help="worker threads for grid evaluation"
+        "--parallel",
+        type=int,
+        default=1,
+        help="degree of parallelism, at least 1; grids are evaluated in one "
+        "thread and the output is identical at every degree",
     )
     p_validate = sub.add_parser("validate", help="report scenario problems without executing")
     p_validate.add_argument("scenario", help="path to the scenario JSON file")

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from . import pmm as _pmm
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from .errors import DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
 from .numerics import DEFAULT_CONFIG, ImplicitConservation, SolverConfig
+from .quote import slippage_from_quote
 
 RULE_TOLERANCE = 1e-9
 
@@ -149,11 +150,11 @@ def _pmm_params(state: PoolState) -> _pmm.PMMParams:
     )
 
 
-def _check_indices(state: PoolState, *indices: int) -> None:
-    n = state.n_assets
-    for k in indices:
-        if not 0 <= k < n:
-            raise IndexError(f"asset index {k} out of range for {n} assets")
+def _check_indices(state: PoolState, i: int, o: int) -> None:
+    n = len(state.reserves)
+    if not (0 <= i < n and 0 <= o < n):
+        k = o if 0 <= i < n else i
+        raise IndexError(f"asset index {k} out of range for {n} assets")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,10 @@ def spot_rate(state: PoolState, i: int, o: int) -> float:
 
 def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     """Output of asset o for adding x_in of asset i (closed form per family).
-    Negative x_in is the reverse-trade sign convention."""
+    Negative x_in is the reverse-trade sign convention; a non-finite x_in
+    raises DomainError."""
+    if not math.isfinite(x_in):
+        raise DomainError(f"trade size must be finite, got {x_in}")
     _check_indices(state, i, o)
     if i == o:
         raise IdenticalAssets("swap needs distinct input and output assets")
@@ -258,18 +262,37 @@ def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     return _pmm.pmm_swap(state.reserves[1], state.reserves[0], params.mirrored(), x_in)
 
 
+def swap_kernel(state: PoolState, i: int, o: int):
+    """x_in -> swap_amount(state, i, o, x_in), bit for bit on finite x_in,
+    with the index checks, the family dispatch and the curve constants done
+    once: the per-point function of a sweep over trade sizes or reserves."""
+    _check_indices(state, i, o)
+    if i == o:
+        raise IdenticalAssets("swap needs distinct input and output assets")
+    family = state.spec.family
+    if family is ProtocolFamily.WEIGHTED:
+        return _w.weighted_swap_kernel(state.reserves, state.spec.weights, i, o)
+    if family is ProtocolFamily.STABLESWAP:
+        return _ss.stableswap_swap_kernel(
+            state.reserves, state.invariant[0], state.spec.amplification, i, o
+        )
+    params = _pmm_params(state)
+    if (i, o) == (0, 1):
+        return _pmm.pmm_swap_kernel(state.reserves[0], state.reserves[1], params)
+    return _pmm.pmm_swap_kernel(state.reserves[1], state.reserves[0], params.mirrored())
+
+
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
-    """S = (x_in/x_out)/E - 1: excess of the effective rate over the
-    pre-trade spot rate. Zero trade has zero slippage by convention."""
+    """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
+    effective rate over the pre-trade spot rate. Zero trade has zero
+    slippage by convention; a non-finite x_in raises DomainError."""
     if x_in == 0.0:
         _check_indices(state, i, o)
         if i == o:
             raise IdenticalAssets("slippage needs distinct input and output assets")
         return 0.0
     x_out = swap_amount(state, i, o, x_in)
-    if x_out == 0.0:
-        raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
-    return (x_in / x_out) / spot_rate(state, i, o) - 1.0
+    return slippage_from_quote(x_in, x_out, spot_rate(state, i, o))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +368,8 @@ def apply_swap(
     """Execute a pure swap: reserves move, conservation constants stay.
 
     Returns the post state, the trade quantities, and a receipt recording the
-    measured relative invariant deviation.
+    measured relative invariant deviation. A non-finite x_in raises
+    DomainError (through swap_amount).
     """
     _check_indices(state, input_asset, output_asset)
     if input_asset == output_asset:

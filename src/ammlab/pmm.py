@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import InfeasibleTrade, ReserveDepletion, SingularAmplification
+from .errors import ReserveDepletion, SingularAmplification
+from .quote import slippage_from_quote
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,7 @@ def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
     return c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
 
 
-def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
-    """Output of asset 2 for adding x1 of asset 1, moving along the
-    conservation curve; the branch is chosen by the post-trade reserve, so
-    trades crossing the equilibrium point are handled by their endpoint.
-    Negative x1 is the reverse-trade convention."""
-    _check_reserves(r1, r2)
+def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     r1_new = r1 + x1
     if r1_new <= 0.0:
         raise ReserveDepletion(f"input {x1} exhausts reserve {r1}")
@@ -136,12 +133,26 @@ def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     return r2 - reserve2_given_reserve1(r1_new, params)
 
 
+def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
+    """Output of asset 2 for adding x1 of asset 1, moving along the
+    conservation curve; the branch is chosen by the post-trade reserve, so
+    trades crossing the equilibrium point are handled by their endpoint.
+    Negative x1 is the reverse-trade convention."""
+    _check_reserves(r1, r2)
+    return _swap_output(r1, r2, params, x1)
+
+
+def pmm_swap_kernel(r1: float, r2: float, params: PMMParams):
+    """x1 -> pmm_swap(r1, r2, params, x1), bit for bit, with the reserve
+    check done once for a sweep."""
+    _check_reserves(r1, r2)
+    return partial(_swap_output, r1, r2, params)
+
+
 def pmm_slippage(r1: float, r2: float, params: PMMParams, x1: float) -> float:
-    """S = (x1/x2)/E - 1 against the pre-trade spot rate. Zero trade has
-    zero slippage by convention."""
+    """Slippage (quote.slippage_from_quote) of adding x1 of asset 1 against
+    the pre-trade spot rate. Zero trade has zero slippage by convention."""
     if x1 == 0.0:
         return 0.0
     x2 = pmm_swap(r1, r2, params, x1)
-    if x2 == 0.0:
-        raise InfeasibleTrade(f"input {x1} produced zero output; slippage undefined")
-    return (x1 / x2) / pmm_spot_rate(r1, r2, params) - 1.0
+    return slippage_from_quote(x1, x2, pmm_spot_rate(r1, r2, params))

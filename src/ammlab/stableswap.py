@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainError, IdenticalAssets, InfeasibleTrade, NoSolution, ReserveDepletion
+from .errors import DomainError, IdenticalAssets, NoSolution, ReserveDepletion
 from .numerics import DEFAULT_CONFIG, RootBracket, SolverConfig, find_root
+from .quote import slippage_from_quote
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,36 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     )
 
 
+def _swap_output(
+    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
+) -> float:
+    r_in_new = reserves[i] + x_in
+    if r_in_new <= 0.0:
+        raise ReserveDepletion(f"input {x_in} exhausts reserve {reserves[i]}")
+    if x_in == 0.0:
+        return 0.0
+    s0 = 0.0
+    p0 = 1.0
+    for k, r in enumerate(reserves):
+        if k == o:
+            continue
+        val = r_in_new if k == i else r
+        s0 += val
+        p0 *= val
+    b = s0 - shift
+    c = scale / (amplification * p0)
+    disc = b * b + 4.0 * c
+    if disc < 0.0:
+        raise NoSolution("swap quadratic has no real root")
+    # stable two-root form of u^2 + b*u - c = 0; the roots have opposite
+    # signs (product -c < 0), keep the positive one
+    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = max(q_half, -c / q_half)
+    if not (root > 0.0 and math.isfinite(root)):
+        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
+    return reserves[o] - root
+
+
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
     """Output amount for adding x_in of asset i at fixed invariant D.
 
@@ -156,32 +188,23 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     _check_reserves(reserves)
     if i == o:
         raise IdenticalAssets("input and output asset must differ")
-    r_in_new = reserves[i] + x_in
-    if r_in_new <= 0.0:
-        raise ReserveDepletion(f"input {x_in} exhausts reserve {reserves[i]}")
-    if x_in == 0.0:
-        return 0.0
     n = len(reserves)
-    s0 = 0.0
-    p0 = 1.0
-    for k, r in enumerate(reserves):
-        if k == o:
-            continue
-        val = r_in_new if k == i else r
-        s0 += val
-        p0 *= val
-    b = s0 - D * (1.0 - 1.0 / amplification)
-    c = (D / n) ** n * D / (amplification * p0)
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    # stable two-root form of u^2 + b*u - c = 0; the roots have opposite
-    # signs (product -c < 0), keep the positive one
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = max(q_half, -c / q_half)
-    if not (root > 0.0 and math.isfinite(root)):
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return reserves[o] - root
+    shift = D * (1.0 - 1.0 / amplification)
+    scale = (D / n) ** n * D
+    return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
+
+
+def stableswap_swap_kernel(reserves, D: float, amplification: float, i: int, o: int):
+    """x_in -> stableswap_swap(reserves, D, amplification, i, o, x_in), bit
+    for bit, with the checks and the curve constants D*(1 - 1/A) and
+    (D/n)^n*D done once for a sweep."""
+    _check_reserves(reserves)
+    if i == o:
+        raise IdenticalAssets("input and output asset must differ")
+    n = len(reserves)
+    shift = D * (1.0 - 1.0 / amplification)
+    scale = (D / n) ** n * D
+    return partial(_swap_output, reserves, i, o, shift, scale, amplification)
 
 
 def stableswap_divergence_loss(
@@ -283,12 +306,10 @@ def stableswap_divergence_loss(
 
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
-    """S = (x_in/x_out)/E - 1 against the pre-trade spot rate. Zero trade
-    has zero slippage by convention."""
+    """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
+    trade has zero slippage by convention."""
     if x_in == 0.0:
         return 0.0
     x_out = stableswap_swap(reserves, D, amplification, i, o, x_in)
-    if x_out == 0.0:
-        raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
     rate = stableswap_spot_rate(reserves, D, amplification, i, o)
-    return (x_in / x_out) / rate - 1.0
+    return slippage_from_quote(x_in, x_out, rate)

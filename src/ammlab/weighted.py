@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from .errors import DomainError, IdenticalAssets, ReserveDepletion
+from .quote import slippage_from_quote
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -56,6 +58,14 @@ def weighted_spot_rate(reserves, weights, i: int, o: int) -> float:
     return (reserves[i] * weights[o]) / (reserves[o] * weights[i])
 
 
+def _swap_output(r_in: float, r_out: float, exponent: float, x_in: float) -> float:
+    r_in_new = r_in + x_in
+    if r_in_new <= 0.0:
+        raise ReserveDepletion(f"input {x_in} exhausts reserve {r_in}")
+    ratio = r_in / r_in_new
+    return r_out * (1.0 - ratio**exponent)
+
+
 def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
     """Output amount for adding x_in of asset i: the output reserve moves to
     r_o * (r_i / (r_i + x_in))^{w_i/w_o}, all other reserves untouched.
@@ -66,35 +76,46 @@ def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
     _check_shape(reserves, weights)
     if i == o:
         raise IdenticalAssets("input and output asset must differ")
-    r_in_new = reserves[i] + x_in
-    if r_in_new <= 0.0:
-        raise ReserveDepletion(f"input {x_in} exhausts reserve {reserves[i]}")
-    ratio = reserves[i] / r_in_new
-    return reserves[o] * (1.0 - ratio ** (weights[i] / weights[o]))
+    return _swap_output(reserves[i], reserves[o], weights[i] / weights[o], x_in)
+
+
+def weighted_swap_kernel(reserves, weights, i: int, o: int):
+    """x_in -> weighted_swap(reserves, weights, i, o, x_in), bit for bit, with
+    the checks and the exponent w_i/w_o done once for a sweep."""
+    _check_shape(reserves, weights)
+    if i == o:
+        raise IdenticalAssets("input and output asset must differ")
+    return partial(_swap_output, reserves[i], reserves[o], weights[i] / weights[o])
 
 
 def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:
-    """Relative excess of the realized rate over the pre-trade spot rate,
-    S = (x_in/x_out)/E - 1. Zero trade has zero slippage by convention."""
+    """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
+    trade has zero slippage by convention."""
     if x_in == 0.0:
         return 0.0
     x_out = weighted_swap(reserves, weights, i, o, x_in)
-    if x_out == 0.0:
-        raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
-    rate = weighted_spot_rate(reserves, weights, i, o)
-    return (x_in / x_out) / rate - 1.0
+    return slippage_from_quote(x_in, x_out, weighted_spot_rate(reserves, weights, i, o))
+
+
+def _divergence_loss_at(w: float, rho: float) -> float:
+    if rho <= -1.0:
+        raise DomainError(f"price shift must exceed -1, got {rho}")
+    return (1.0 + rho) ** w / (1.0 + w * rho) - 1.0
+
+
+def weighted_divergence_kernel(weights, o: int):
+    """rho -> weighted_divergence_loss(weights, o, rho), with the index check
+    and the weight w_o taken once for a sweep."""
+    if not 0 <= o < len(weights):
+        raise IndexError(f"asset index {o} out of range for {len(weights)} assets")
+    return partial(_divergence_loss_at, weights[o])
 
 
 def weighted_divergence_loss(weights, o: int, rho: float) -> float:
     """Loss of pooled value versus holding when asset o appreciates by rho:
     L = (1+rho)^{w_o} / (1 + w_o*rho) - 1, which is <= 0 with equality only
     at rho = 0 (weighted AM-GM)."""
-    if not 0 <= o < len(weights):
-        raise IndexError(f"asset index {o} out of range for {len(weights)} assets")
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
-    w = weights[o]
-    return (1.0 + rho) ** w / (1.0 + w * rho) - 1.0
+    return weighted_divergence_kernel(weights, o)(rho)
 
 
 def weighted_rebalanced_reserves(reserves, weights, o: int, rho: float) -> tuple[float, ...]:

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammlab import (
+    ConvergenceFailure,
+    NoSolution,
     NotApplicable,
+    apply_swap,
     pmm_pool,
+    slippage,
     stableswap_pool,
+    swap_amount,
     uniswap_pool,
     weighted_pool,
 )
@@ -288,3 +296,124 @@ class TestCompareProtocols:
         with ThreadPoolExecutor(max_workers=8) as executor:
             threaded = compare_protocols(config, point_map=executor.map)
         assert serial == threaded
+
+
+# ---------------------------------------------------------------------------
+# the sweeps against the scalar path, bit for bit
+
+reserve_sizes = st.floats(min_value=1.0, max_value=1e6)
+
+
+@st.composite
+def swept_pools(draw, families=("weighted", "stableswap", "pmm")):
+    """(pool, input asset, output asset): 2- and 3-asset weighted and
+    stableswap pools with any asset pair, and PMM pools in both
+    orientations, displaced against the sweep's direction so that its
+    trades cross the equilibrium seam."""
+    family = draw(st.sampled_from(families))
+    if family == "pmm":
+        target1, target2 = draw(reserve_sizes), draw(reserve_sizes)
+        pool = pmm_pool(
+            target1,
+            target2,
+            target1 / target2 * draw(st.floats(0.5, 2.0)),
+            draw(st.floats(0.01, 1.0)),
+        )
+        i, o = draw(st.sampled_from([(0, 1), (1, 0)]))
+        displacement = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+        if displacement:
+            pool, _, _ = apply_swap(pool, o, i, displacement * pool.reserves[o])
+        return pool, i, o
+    n = draw(st.sampled_from([2, 3]))
+    reserves = draw(st.lists(reserve_sizes, min_size=n, max_size=n))
+    i, o = draw(st.permutations(range(n)))[:2]
+    if family == "weighted":
+        raw = draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n))
+        weights = [w / math.fsum(raw) for w in raw[:-1]]
+        weights.append(1.0 - math.fsum(weights))
+        return weighted_pool(reserves, weights), i, o
+    amplification = 10.0 ** draw(st.floats(-2.0, 4.0))
+    return stableswap_pool(reserves, amplification), i, o
+
+
+def sorted_grid(values):
+    return st.lists(values, min_size=1, max_size=40, unique=True).map(sorted)
+
+
+def scalar_series(function, grid):
+    """function over the grid as a sweep records it: NoSolution and
+    ConvergenceFailure become NaN plus a (grid index, reason) failure."""
+    ys, failures = [], []
+    for k, x in enumerate(grid):
+        try:
+            ys.append(function(x))
+        except (NoSolution, ConvergenceFailure) as exc:
+            ys.append(math.nan)
+            failures.append((k, str(exc)))
+    return ys, failures
+
+
+def assert_bitwise_equal(got, want):
+    # hex() shows every bit, the sign of zero included, and reads NaN as nan
+    assert [y.hex() for y in got] == [float(y).hex() for y in want]
+
+
+class TestSweepsMatchTheScalarPath:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(swept_pools(), sorted_grid(st.floats(1e-6, 0.95)))
+    def test_slippage_curve(self, case, grid):
+        pool, i, o = case
+        r_in = pool.reserves[i]
+        try:
+            want = [slippage(pool, i, o, g * r_in) for g in grid]
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                slippage_curve(pool, i, o, grid)
+            return
+        assert_bitwise_equal(slippage_curve(pool, i, o, grid).y_values, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(swept_pools(), sorted_grid(st.floats(0.05, 20.0)))
+    def test_conservation_cross_section(self, case, multiples):
+        pool, i, o = case
+        r_in, r_out = pool.reserves[i], pool.reserves[o]
+        grid = sorted({m * r_in for m in multiples})
+        want, failures = scalar_series(lambda g: r_out - swap_amount(pool, i, o, g - r_in), grid)
+        series = conservation_cross_section(pool, i, o, grid)
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(swept_pools(families=("weighted",)), sorted_grid(st.floats(-0.999, 10.0)))
+    def test_weighted_divergence_curve(self, case, grid):
+        pool, i, o = case
+        asset = o or i  # any asset but the numeraire
+        want, failures = scalar_series(lambda rho: divergence_loss(pool, asset, rho), grid)
+        series = divergence_curve(pool, asset, grid)
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures == []
+
+    @pytest.mark.parametrize(
+        "reserves, i, o", [((100.0, 100.0), 0, 1), ((100.0, 150.0, 80.0), 2, 0)]
+    )
+    def test_cross_section_failures(self, reserves, i, o):
+        # reserves of 1e200 and more have no positive solution: NaN rows
+        pool = stableswap_pool(reserves, 10.0)
+        r_in, r_out = pool.reserves[i], pool.reserves[o]
+        grid = (50.0, 100.0, 1e200, 1e300)
+        want, failures = scalar_series(lambda g: r_out - swap_amount(pool, i, o, g - r_in), grid)
+        series = conservation_cross_section(pool, i, o, grid)
+        assert [k for k, _ in failures] == [2, 3]
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures
+
+    def test_pmm_sweeps_cross_the_equilibrium_seam(self):
+        # the strategy's displacement puts the sweep's input reserve below its
+        # target; pin one such case in each orientation explicitly
+        for i, o in ((0, 1), (1, 0)):
+            pool, _, _ = apply_swap(pmm_pool(100.0, 80.0, 1.25, 0.3), o, i, 30.0)
+            assert pool.reserves[i] < pool.invariant[i]
+            grid = log_grid(1e-3, 0.95, 60)
+            assert max(grid) * pool.reserves[i] > pool.invariant[i] - pool.reserves[i]
+            want = [slippage(pool, i, o, g * pool.reserves[i]) for g in grid]
+            assert_bitwise_equal(slippage_curve(pool, i, o, grid).y_values, want)

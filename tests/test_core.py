@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
+    DomainError,
     IdenticalAssets,
     InfeasibleTrade,
     PoolState,
@@ -172,6 +173,25 @@ class TestSwapDispatch:
     def test_constant_product_slippage(self):
         got = slippage(uniswap_pool(100.0, 100.0), 0, 1, 10.0)
         assert math.isclose(got, 0.1, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("x_in", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [swap_amount, slippage, apply_swap])
+    @pytest.mark.parametrize(
+        "make_pool",
+        [
+            lambda: uniswap_pool(100.0, 100.0),
+            lambda: weighted_pool((100.0, 200.0, 300.0), (0.2, 0.3, 0.5)),
+            lambda: stableswap_pool((100.0, 120.0), 10.0),
+            lambda: stableswap_pool((100.0, 120.0, 80.0), 10.0),
+            lambda: pmm_pool(100.0, 100.0, 1.0, 0.5),
+        ],
+        ids=["uniswap", "weighted3", "stableswap2", "stableswap3", "pmm"],
+    )
+    def test_non_finite_trade_sizes_rejected(self, make_pool, call, x_in):
+        pool = make_pool()
+        for i, o in ((0, 1), (1, 0)):
+            with pytest.raises(DomainError, match="trade size must be finite"):
+                call(pool, i, o, x_in)
 
     def test_both_directions_agree_with_round_trip(self):
         for pool in four_protocol_pools():
