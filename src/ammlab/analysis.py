@@ -2,8 +2,10 @@
 conservation-law cross-sections for any configured pool.
 
 Every sweep returns a ``CurveSeries`` — plain x/y vectors with pool metadata —
-ready for CSV emission. A sweep checks its arguments, dispatches on the pool
-family and computes the curve's constants (spot rate, weight ratios, the
+ready for CSV emission. A sweep checks all its arguments before its first
+point (the grid through ``check_grid_domain``; ``ammlab validate`` relies on
+this, calling each sweep on an empty grid), dispatches on the pool family and
+computes the curve's constants (spot rate, weight ratios, the
 stableswap quadratic's D-terms, PMM parameters) once, through the kernels
 ``core.swap_kernel`` and the family ``*_kernel`` functions, then runs only the
 point-dependent arithmetic. Each point runs the same floating-point
@@ -35,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -77,6 +79,7 @@ __all__ = [
     "default_trade_grid",
     "default_shift_grid",
     "default_cross_section_grid",
+    "check_grid_domain",
     "hyperparameter_string",
 ]
 
@@ -134,11 +137,13 @@ def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, points))
 
 
+@cache
 def default_trade_grid() -> tuple[float, ...]:
     """Normalized trade sizes x_in/r_in: 50 log-spaced points on [0.01, 0.9]."""
     return log_grid(0.01, 0.9, 50)
 
 
+@cache
 def default_shift_grid() -> tuple[float, ...]:
     """Price shifts rho: 60 evenly spaced points on [-0.9, 4]."""
     return linear_grid(-0.9, 4.0, 60)
@@ -148,6 +153,24 @@ def default_cross_section_grid(reserve: float) -> tuple[float, ...]:
     """Input-reserve sweep around the current value: 50 log-spaced points on
     [0.1*r, 10*r]."""
     return log_grid(0.1 * reserve, 10.0 * reserve, 50)
+
+
+def check_grid_domain(kind: SeriesKind, grid: Iterable[float]) -> None:
+    """Raise ValueError at the first grid value outside the sweep's domain:
+    normalized trade sizes in (0, 0.95] for slippage, price shifts above -1
+    for divergence loss, positive reserves for a cross-section."""
+    if kind is SeriesKind.SLIPPAGE:
+        for g in grid:
+            if not 0.0 < g <= 0.95:
+                raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
+    elif kind is SeriesKind.DIVERGENCE_LOSS:
+        for g in grid:
+            if not g > -1.0:
+                raise ValueError(f"price shifts must exceed -1, got {g}")
+    else:
+        for g in grid:
+            if not g > 0.0:
+                raise ValueError(f"reserve grid values must be positive, got {g}")
 
 
 def hyperparameter_string(state: PoolState) -> str:
@@ -203,10 +226,8 @@ def _divergence_kernel(state: PoolState, asset: int, config: SolverConfig):
         raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
     if family is ProtocolFamily.WEIGHTED:
         return _w.weighted_divergence_kernel(state.spec.weights, asset)
-    return partial(
-        _ss.stableswap_divergence_loss,
-        state.reserves, state.invariant[0], state.spec.amplification, asset,
-        config=config,
+    return _ss.stableswap_divergence_kernel(
+        state.reserves, state.invariant[0], state.spec.amplification, asset, config
     )
 
 
@@ -243,9 +264,7 @@ def slippage_curve(
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
     value g; the first point that raises aborts the series."""
     grid = default_trade_grid() if grid is None else tuple(float(g) for g in grid)
-    for g in grid:
-        if not 0.0 < g <= 0.95:
-            raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
+    check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
@@ -279,15 +298,10 @@ def divergence_curve(
     """Divergence loss L against price shift rho over the grid (values in
     (-1, inf)), equal to divergence_loss at every point; per-point solver
     failures become NaN entries."""
-    if state.spec.family is ProtocolFamily.PMM:
-        raise NotApplicable(
-            "oracle-anchored pools track the market rate; divergence loss does not arise"
-        )
+    loss = _divergence_kernel(state, asset, config)
     grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
-    for g in grid:
-        if not g > -1.0:
-            raise ValueError(f"price shifts must exceed -1, got {g}")
-    y, failures = _solved_points(point_map, _divergence_kernel(state, asset, config), grid)
+    check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
+    y, failures = _solved_points(point_map, loss, grid)
     return CurveSeries(
         kind=SeriesKind.DIVERGENCE_LOSS,
         pool_id=pool_id,
@@ -312,13 +326,11 @@ def conservation_cross_section(
     grid, the output reserve r_out - swap_amount(state, input_asset,
     output_asset, g - r_in) keeping the law satisfied with every other
     reserve fixed. Points with no positive solution become NaN entries."""
+    swap = swap_kernel(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
     grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
-    for g in grid:
-        if not g > 0.0:
-            raise ValueError(f"reserve grid values must be positive, got {g}")
-    swap = swap_kernel(state, input_asset, output_asset)
+    check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
     y, failures = _solved_points(point_map, lambda g: r_out - swap(g - r_in), grid)
     return CurveSeries(
         kind=SeriesKind.CONSERVATION_CROSS_SECTION,

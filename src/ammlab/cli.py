@@ -3,7 +3,11 @@
 ``ammlab run <scenario.json>`` reads a declarative scenario — pool
 definitions plus an ordered action list — executes it, and writes CSV series
 files and a plain-text transition-receipt log. ``ammlab validate`` reports
-every scenario problem without executing anything. Output is deterministic:
+every scenario problem without executing anything: it checks the document's
+shape (keys, types, list lengths, pool references, grids) itself, then builds
+each pool and checks each action's arguments against it through the library,
+which reports any value outside its domain; those problems are prefixed
+``pools[k]:`` or ``actions[k]:``. Output is deterministic:
 identical scenarios produce byte-identical files. Everything runs in one
 thread, in grid order; ``--parallel N`` must be at least 1 and does not change
 the output (a thread pool cannot speed up this pure-Python arithmetic, which
@@ -49,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -57,6 +60,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     SeriesKind,
+    check_grid_domain,
     conservation_cross_section,
     divergence_curve,
     linear_grid,
@@ -71,10 +75,11 @@ from .core import (
     pmm_pool,
     stableswap_pool,
     sushiswap_pool,
+    swap_kernel,
     uniswap_pool,
     weighted_pool,
 )
-from .errors import AmmError, ConvergenceFailure, NoSolution
+from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -112,7 +117,8 @@ def _fmt(x: float) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # the comparison is exact for integers of any size, and false for NaN
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_index(v) -> bool:
@@ -120,12 +126,20 @@ def _is_index(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: the CLI checks the document's shape (keys, types, list lengths,
+# references, grids); every value is judged by the library code that uses it
+
+# what the library raises for a value outside a formula's domain (overflow
+# included: huge reserves leave the floating-point range inside a formula)
+_DOMAIN_ERRORS = (AmmError, ArithmeticError, IndexError, ValueError)
+# the lists the two-asset factories take as two separate arguments
+_PAIRS = {"uniswap": "reserves", "sushiswap": "reserves", "dodo": "targets"}
 
 
 def _resolve_grid(spec, where: str, problems: list[str]):
-    """Turn a grid spec (array or start/stop/points object) into a tuple,
-    collecting problems; returns None when the spec is absent or bad."""
+    """Turn a grid spec (array or start/stop/points object) into a strictly
+    increasing tuple, collecting problems; returns None when the spec is
+    absent or bad."""
     if spec is None:
         return None
     if isinstance(spec, list):
@@ -136,11 +150,7 @@ def _resolve_grid(spec, where: str, problems: list[str]):
             problems.append(f"{where}: grid values must be finite numbers")
             return None
         values = tuple(float(v) for v in spec)
-        if any(b <= a for a, b in zip(values, values[1:])):
-            problems.append(f"{where}: grid values must be strictly increasing")
-            return None
-        return values
-    if isinstance(spec, dict):
+    elif isinstance(spec, dict):
         unknown = set(spec) - {"start", "stop", "points", "spacing"}
         if unknown:
             problems.append(f"{where}: unknown grid keys {sorted(unknown)}")
@@ -149,8 +159,8 @@ def _resolve_grid(spec, where: str, problems: list[str]):
             problems.append(f"{where}: grid start/stop must be finite numbers")
             return None
         points = spec.get("points")
-        if not (_is_index(points) and points >= 2):
-            problems.append(f"{where}: grid points must be an integer >= 2")
+        if not _is_index(points):
+            problems.append(f"{where}: grid points must be an integer")
             return None
         spacing = spec.get("spacing", "log")
         if spacing not in ("log", "linear"):
@@ -158,17 +168,23 @@ def _resolve_grid(spec, where: str, problems: list[str]):
             return None
         try:
             build = log_grid if spacing == "log" else linear_grid
-            return build(float(spec["start"]), float(spec["stop"]), points)
-        except ValueError as exc:
+            values = build(float(spec["start"]), float(spec["stop"]), points)
+        except _DOMAIN_ERRORS as exc:
             problems.append(f"{where}: {exc}")
             return None
-    problems.append(f"{where}: grid must be an array or a start/stop/points object")
-    return None
+    else:
+        problems.append(f"{where}: grid must be an array or a start/stop/points object")
+        return None
+    if not all(b > a for a, b in zip(values, values[1:])):
+        problems.append(f"{where}: grid values must be strictly increasing")
+        return None
+    return values
 
 
-def _validate_pool(defn, where: str, problems: list[str]):
-    """Field checks for one pool definition; returns (id, protocol, n_assets)
-    with None entries for whatever failed."""
+def _check_pool(defn, where: str, problems: list[str]):
+    """Shape checks for one pool definition, then the library's verdict on
+    its values by building it; returns (id, protocol, state) with None for
+    whatever failed."""
     if not isinstance(defn, dict):
         problems.append(f"{where}: pool definition must be an object")
         return None, None, None
@@ -182,56 +198,35 @@ def _validate_pool(defn, where: str, problems: list[str]):
             f"{where}: unknown protocol {protocol!r} (expected one of {', '.join(_PROTOCOLS)})"
         )
         return pid, None, None
+    before = len(problems)
     unknown = set(defn) - _POOL_KEYS[protocol]
     if unknown:
         problems.append(f"{where}: unknown keys for {protocol}: {sorted(unknown)}")
-    n = None
-    reserves = defn.get("reserves")
-    if not (
-        isinstance(reserves, list)
-        and len(reserves) >= 2
-        and all(_is_number(r) and r > 0 for r in reserves)
-    ):
-        problems.append(f"{where}: reserves must be a list of >= 2 positive numbers")
-    else:
-        n = len(reserves)
-        if protocol in ("uniswap", "sushiswap", "dodo") and n != 2:
-            problems.append(f"{where}: {protocol} pools hold exactly two assets")
-    if protocol in ("balancer", "bancor"):
-        weights = defn.get("weights")
-        if not (
-            isinstance(weights, list)
-            and all(_is_number(w) and 0 < w < 1 for w in weights)
-        ):
-            problems.append(f"{where}: weights must be a list of numbers in (0, 1)")
-        else:
-            if n is not None and len(weights) != n:
-                problems.append(f"{where}: one weight per asset required")
-            if abs(math.fsum(float(w) for w in weights) - 1.0) > 1e-12:
-                problems.append(f"{where}: weights must sum to 1")
-    if protocol == "curve":
-        a = defn.get("amplification")
-        if not (_is_number(a) and a > 0):
-            problems.append(f"{where}: amplification must be a positive number")
-    if protocol == "dodo":
-        a = defn.get("amplification")
-        if not (_is_number(a) and 0 < a <= 1):
-            problems.append(f"{where}: amplification must lie in (0, 1]")
-        p = defn.get("oracle_price")
-        if not (_is_number(p) and p > 0):
-            problems.append(f"{where}: oracle_price must be a positive number")
-        targets = defn.get("targets")
-        if targets is not None and not (
-            isinstance(targets, list)
-            and len(targets) == 2
-            and all(_is_number(t) and t > 0 for t in targets)
-        ):
-            problems.append(f"{where}: targets must be a list of two positive numbers")
-    return pid, protocol, n
+    for key in sorted(_POOL_KEYS[protocol] - {"id", "protocol"}):
+        if key == "targets" and key not in defn:
+            continue
+        value = defn.get(key)
+        if key in ("amplification", "oracle_price"):
+            if not _is_number(value):
+                problems.append(f"{where}: {key} must be a finite number")
+        elif not (isinstance(value, list) and all(_is_number(v) for v in value)):
+            problems.append(f"{where}: {key} must be a list of finite numbers")
+    pair = _PAIRS.get(protocol)
+    # dodo targets default to the reserves
+    if len(problems) == before and pair and len(defn.get(pair, defn["reserves"])) != 2:
+        problems.append(f"{where}: {protocol} {pair} must have exactly two entries")
+    if len(problems) > before:
+        return pid, protocol, None
+    try:
+        return pid, protocol, _build_pool(defn)
+    except _DOMAIN_ERRORS as exc:
+        problems.append(f"{where}: {exc}")
+        return pid, protocol, None
 
 
 def _build_pool(defn) -> PoolState:
-    """Construct the PoolState for a field-validated definition."""
+    """Construct the PoolState for a shape-checked definition; the factories
+    reject values outside their domain."""
     protocol = defn["protocol"]
     reserves = [float(r) for r in defn["reserves"]]
     if protocol == "uniswap":
@@ -255,7 +250,9 @@ def _build_pool(defn) -> PoolState:
 
 
 def validate_scenario_data(data) -> list[str]:
-    """Every problem in a parsed scenario document, without executing it."""
+    """Every problem in a parsed scenario document, without executing it:
+    shape problems, then each pool's and each action's values as the library
+    judges them, prefixed pools[k]: or actions[k]:."""
     problems: list[str] = []
     if not isinstance(data, dict):
         return ["scenario root must be a JSON object"]
@@ -277,43 +274,19 @@ def validate_scenario_data(data) -> list[str]:
             problems.append("output: directory must be a string")
 
     pools = data.get("pools")
-    info: dict[str, tuple[str, int | None]] = {}
+    # pool id -> (protocol, state, or None when the pool failed its checks)
+    built: dict[str, tuple[str, PoolState | None]] = {}
     if not isinstance(pools, list):
         problems.append("pools must be an array")
         pools = []
     for k, defn in enumerate(pools):
         where = f"pools[{k}]"
-        before = len(problems)
-        pid, protocol, n = _validate_pool(defn, where, problems)
+        pid, protocol, state = _check_pool(defn, where, problems)
         if pid is not None:
-            if pid in info:
+            if pid in built:
                 problems.append(f"{where}: duplicate pool id {pid!r}")
             elif protocol is not None:
-                info[pid] = (protocol, n)
-                if len(problems) == before:
-                    try:
-                        _build_pool(defn)
-                    except Exception as exc:
-                        problems.append(f"{where}: {exc}")
-
-    def check_ref(pid, where) -> tuple[str, int | None] | None:
-        if not isinstance(pid, str) or pid not in info:
-            problems.append(f"{where}: references undefined pool {pid!r}")
-            return None
-        return info[pid]
-
-    def check_pair(act, where, n) -> None:
-        i, o = act.get("input_asset", 0), act.get("output_asset", 1)
-        for name, v in (("input_asset", i), ("output_asset", o)):
-            if not _is_index(v):
-                problems.append(f"{where}: {name} must be an integer")
-                return
-        if i == o:
-            problems.append(f"{where}: input and output asset must differ")
-        if n is not None:
-            for name, v in (("input_asset", i), ("output_asset", o)):
-                if not 0 <= v < n:
-                    problems.append(f"{where}: {name} {v} out of range for {n} assets")
+                built[pid] = (protocol, state)
 
     actions = data.get("actions")
     if not isinstance(actions, list):
@@ -325,11 +298,12 @@ def validate_scenario_data(data) -> list[str]:
             problems.append(f"{where}: action must be an object")
             continue
         name = act.get("action")
-        if name not in _ACTION_KEYS:
+        if not (isinstance(name, str) and name in _ACTION_KEYS):
             problems.append(
                 f"{where}: unknown action {name!r} (expected one of {', '.join(_ACTION_KEYS)})"
             )
             continue
+        before = len(problems)
         unknown = set(act) - _ACTION_KEYS[name]
         if unknown:
             problems.append(f"{where}: unknown keys for {name}: {sorted(unknown)}")
@@ -338,77 +312,60 @@ def validate_scenario_data(data) -> list[str]:
             if not isinstance(pids, list):
                 problems.append(f"{where}: pools must be an array of pool ids")
                 pids = []
-            refs = [check_ref(pid, where) for pid in pids]
             if len(set(map(str, pids))) != len(pids):
                 problems.append(f"{where}: duplicate pool ids in compare")
             kind = act.get("kind", "slippage")
-            if kind not in _KINDS:
+            if not (isinstance(kind, str) and kind in _KINDS):
                 problems.append(
                     f"{where}: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"
                 )
                 continue
-            ns = [ref[1] for ref in refs if ref is not None]
-            check_pair(act, where, min(ns) if ns else None)
-            if kind == "divergence_loss":
-                if act.get("output_asset", 1) == 0:
-                    problems.append(
-                        f"{where}: asset 0 is the numeraire and cannot be the appreciating asset"
-                    )
-                for pid, ref in zip(pids, refs):
-                    if ref is not None and ref[0] == "dodo":
-                        problems.append(
-                            f"{where}: divergence loss does not apply to dodo pool {pid!r}"
-                        )
-            grid = _resolve_grid(act.get("grid"), where, problems)
-            _check_grid_domain(grid, _KINDS[kind], where, problems)
-            continue
-        ref = check_ref(act.get("pool"), where)
-        n = ref[1] if ref is not None else None
-        if name == "swap":
-            check_pair(act, where, n)
-            if not _is_number(act.get("amount")):
-                problems.append(f"{where}: amount must be a finite number")
-        elif name == "add_liquidity":
+            kind = _KINDS[kind]
+        else:
+            pids = [act.get("pool")]
+            kind = _SERIES_ACTIONS.get(name)
+        known = [pid for pid in pids if isinstance(pid, str) and pid in built]
+        for pid in pids:
+            if pid not in known:
+                problems.append(f"{where}: references undefined pool {pid!r}")
+        if name == "add_liquidity":
             fraction = act.get("fraction")
             if not _is_number(fraction) or fraction <= -1:
                 problems.append(f"{where}: fraction must be a finite number > -1")
-        elif name == "slippage_curve":
-            check_pair(act, where, n)
-            grid = _resolve_grid(act.get("grid"), where, problems)
-            _check_grid_domain(grid, SeriesKind.SLIPPAGE, where, problems)
-        elif name == "divergence_curve":
-            asset = act.get("asset", 1)
-            if not _is_index(asset):
-                problems.append(f"{where}: asset must be an integer")
-            elif asset == 0:
+            continue
+        keys = ("asset",) if name == "divergence_curve" else ("input_asset", "output_asset")
+        for key in keys:
+            if not _is_index(act.get(key, 0)):
+                problems.append(f"{where}: {key} must be an integer")
+        if name == "swap" and not _is_number(act.get("amount")):
+            problems.append(f"{where}: amount must be a finite number")
+        grid = _resolve_grid(act.get("grid"), where, problems) if kind is not None else None
+        if len(problems) > before:
+            continue
+        # the library judges a well-formed action, evaluating no point: the
+        # grid's domain, then on each built pool the swap kernel the asset
+        # pair and the sweep, on an empty grid, the rest of its arguments
+        if grid is not None:
+            try:
+                check_grid_domain(kind, grid)
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
+        for pid in known:
+            protocol, state = built[pid]
+            if state is None:
+                continue
+            try:
+                if name != "divergence_curve":
+                    swap_kernel(state, act.get("input_asset", 0), act.get("output_asset", 1))
+                if kind is not None:
+                    _run_curve(kind, state, act, (), pid, protocol)
+            except NotApplicable:
                 problems.append(
-                    f"{where}: asset 0 is the numeraire and cannot be the appreciating asset"
+                    f"{where}: divergence loss does not apply to {protocol} pool {pid!r}"
                 )
-            elif n is not None and not 0 <= asset < n:
-                problems.append(f"{where}: asset {asset} out of range for {n} assets")
-            if ref is not None and ref[0] == "dodo":
-                problems.append(f"{where}: divergence loss does not apply to dodo pools")
-            grid = _resolve_grid(act.get("grid"), where, problems)
-            _check_grid_domain(grid, SeriesKind.DIVERGENCE_LOSS, where, problems)
-        elif name == "cross_section":
-            check_pair(act, where, n)
-            grid = _resolve_grid(act.get("grid"), where, problems)
-            _check_grid_domain(grid, SeriesKind.CONSERVATION_CROSS_SECTION, where, problems)
+            except _DOMAIN_ERRORS as exc:
+                problems.append(f"{where}: pool {pid!r}: {exc}")
     return problems
-
-
-def _check_grid_domain(grid, kind: SeriesKind, where: str, problems: list[str]) -> None:
-    if grid is None:
-        return
-    if kind is SeriesKind.SLIPPAGE:
-        if not all(0.0 < g <= 0.95 for g in grid):
-            problems.append(f"{where}: slippage grid values must lie in (0, 0.95]")
-    elif kind is SeriesKind.DIVERGENCE_LOSS:
-        if not all(g > -1.0 for g in grid):
-            problems.append(f"{where}: divergence grid values must exceed -1")
-    else:
-        if not all(g > 0.0 for g in grid):
-            problems.append(f"{where}: cross-section grid values must be positive")
 
 
 def validate_scenario(path) -> list[str]:
@@ -517,32 +474,18 @@ def _execute(data: dict):
         except (NoSolution, ConvergenceFailure) as exc:
             manifest.append(f"action {idx:03d} {name}: {exc}")
             return receipts, csvs, manifest, EXIT_SOLVER, None
-        except AmmError as exc:
+        except _DOMAIN_ERRORS as exc:
             return receipts, csvs, manifest, EXIT_VALIDATION, f"action {idx:03d} {name}: {exc}"
     return receipts, csvs, manifest, exit_code, None
 
 
 def _run_curve(kind, state, act, grid, pool_id, protocol):
-    if kind is SeriesKind.SLIPPAGE:
-        return slippage_curve(
-            state,
-            act.get("input_asset", 0),
-            act.get("output_asset", 1),
-            grid,
-            pool_id=pool_id,
-            protocol=protocol,
-        )
     if kind is SeriesKind.DIVERGENCE_LOSS:
         asset = act.get("asset", act.get("output_asset", 1))
         return divergence_curve(state, asset, grid, pool_id=pool_id, protocol=protocol)
-    return conservation_cross_section(
-        state,
-        act.get("input_asset", 0),
-        act.get("output_asset", 1),
-        grid,
-        pool_id=pool_id,
-        protocol=protocol,
-    )
+    sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
+    i, o = act.get("input_asset", 0), act.get("output_asset", 1)
+    return sweep(state, i, o, grid, pool_id=pool_id, protocol=protocol)
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:

@@ -207,42 +207,35 @@ def stableswap_swap_kernel(reserves, D: float, amplification: float, i: int, o: 
     return partial(_swap_output, reserves, i, o, shift, scale, amplification)
 
 
-def stableswap_divergence_loss(
+def stableswap_divergence_kernel(
     reserves,
     D: float,
     amplification: float,
     o: int,
-    rho: float,
     config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
-    """Loss L of providing liquidity versus holding when asset o appreciates
-    by rho against asset 0 (the numeraire): rebalance along the curve to the
-    shifted rates, revalue, compare.
-
-    The curve's gradient is g_k = A + c/r_k with c = D*(D/n)^n/prod(r), and
-    the rebalanced state's gradient is proportional to w, where w = g except
-    w_o = (1+rho)*g_o. Writing x_k = c'/r'_k for the rebalanced state, A + x_k
-    is proportional to w_k, so x_k = s + e_k*(s + A) with e_k = w_k/w_m - 1
-    >= 0 against the smallest weight w_m and s = x_m > 0. On the curve
-    A*sum(1/x_k) + (1-A)*P - 1 = 0 with P = prod(n/x_k)^(1/(n+1)) = D/c':
-    one equation in s, +inf at s -> 0 and -1 at s -> inf, with a single root
-    because one point of the strictly convex curve has its normal along w.
-    Then r'_k = D/(P*x_k), valued at the prices w_k/w_0, as
-    numerics.generic_divergence_loss values a pool at g_k/g_0.
-    """
+):
+    """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho,
+    config), bit for bit, with the reserve, asset-index and numeraire checks
+    and the unshifted curve gradient done once for a sweep."""
     _check_reserves(reserves)
     n = len(reserves)
     if not 0 <= o < n:
         raise IndexError(f"asset index {o} out of range for {n} assets")
     if o == 0:
         raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+    A = amplification
+    c = D * math.prod(D / (n * r) for r in reserves)
+    g = [A + c / r for r in reserves]
+    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
+    return partial(_divergence_loss_at, tuple(reserves), D, A, o, c, tuple(g), V, config)
+
+
+def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float:
     if rho <= -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
     if rho == 0.0:
         return 0.0
-    A = amplification
-    c = D * math.prod(D / (n * r) for r in reserves)
-    g = [A + c / r for r in reserves]
+    n = len(reserves)
     w = list(g)
     w[o] *= 1.0 + rho
     m = min(range(n), key=w.__getitem__)
@@ -299,10 +292,35 @@ def stableswap_divergence_loss(
             f"rate shift {rho} for asset {o} is unattainable: a rebalanced reserve "
             "leaves the floating-point range"
         )
-    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
     V_held = V + g[o] / g[0] * reserves[o] * rho
     V_prime = math.fsum(wk / w[0] * r for wk, r in zip(w, rebalanced))
     return V_prime / V_held - 1.0
+
+
+def stableswap_divergence_loss(
+    reserves,
+    D: float,
+    amplification: float,
+    o: int,
+    rho: float,
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> float:
+    """Loss L of providing liquidity versus holding when asset o appreciates
+    by rho against asset 0 (the numeraire): rebalance along the curve to the
+    shifted rates, revalue, compare.
+
+    The curve's gradient is g_k = A + c/r_k with c = D*(D/n)^n/prod(r), and
+    the rebalanced state's gradient is proportional to w, where w = g except
+    w_o = (1+rho)*g_o. Writing x_k = c'/r'_k for the rebalanced state, A + x_k
+    is proportional to w_k, so x_k = s + e_k*(s + A) with e_k = w_k/w_m - 1
+    >= 0 against the smallest weight w_m and s = x_m > 0. On the curve
+    A*sum(1/x_k) + (1-A)*P - 1 = 0 with P = prod(n/x_k)^(1/(n+1)) = D/c':
+    one equation in s, +inf at s -> 0 and -1 at s -> inf, with a single root
+    because one point of the strictly convex curve has its normal along w.
+    Then r'_k = D/(P*x_k), valued at the prices w_k/w_0, as
+    numerics.generic_divergence_loss values a pool at g_k/g_0.
+    """
+    return stableswap_divergence_kernel(reserves, D, amplification, o, config)(rho)
 
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:

@@ -26,6 +26,7 @@ from ammlab.analysis import (
     ComparisonConfig,
     CurveSeries,
     SeriesKind,
+    check_grid_domain,
     compare_protocols,
     conservation_cross_section,
     default_shift_grid,
@@ -78,6 +79,25 @@ class TestGrids:
             linear_grid(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             linear_grid(1.0, 2.0, 1)
+
+    def test_constant_default_grids_are_built_once(self):
+        assert default_trade_grid() is default_trade_grid()
+        assert default_shift_grid() is default_shift_grid()
+
+    @pytest.mark.parametrize(
+        "kind, good, bad, message",
+        [
+            (SeriesKind.SLIPPAGE, 0.95, 0.96, r"\(0, 0\.95\], got 0\.96"),
+            (SeriesKind.SLIPPAGE, 0.01, 0.0, r"\(0, 0\.95\], got 0\.0"),
+            (SeriesKind.DIVERGENCE_LOSS, -0.99, -1.0, r"exceed -1, got -1\.0"),
+            (SeriesKind.CONSERVATION_CROSS_SECTION, 1e-300, 0.0, r"positive, got 0\.0"),
+        ],
+    )
+    def test_grid_domain_names_the_first_value_outside_it(self, kind, good, bad, message):
+        check_grid_domain(kind, ())
+        check_grid_domain(kind, (good,))
+        with pytest.raises(ValueError, match=message):
+            check_grid_domain(kind, (good, bad, math.nan))
 
 
 class TestCurveSeries:
@@ -228,6 +248,21 @@ class TestDivergenceCurve:
         with pytest.raises(NotApplicable):
             divergence_curve(pmm_pool(100.0, 100.0, 1.0, 0.5), 1, (0.5,))
 
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            stableswap_pool((100.0, 200.0), 10.0),
+            stableswap_pool((100.0, 200.0, 300.0), 10.0),
+            weighted_pool((100.0, 200.0, 300.0), (0.5, 0.25, 0.25)),
+        ],
+        ids=["stableswap-2", "stableswap-3", "weighted-3"],
+    )
+    @pytest.mark.parametrize("asset", [5, -1])
+    def test_bad_asset_rejected_before_the_first_point(self, pool, asset):
+        message = f"asset index {asset} out of range for {pool.n_assets} assets"
+        with pytest.raises(IndexError, match=message):
+            divergence_curve(pool, asset, ())
+
 
 class TestConservationCrossSection:
     def test_constant_product_hyperbola(self):
@@ -248,6 +283,12 @@ class TestConservationCrossSection:
             conservation_cross_section(
                 uniswap_pool(100.0, 100.0), 0, 1, (-1.0, 100.0)
             )
+
+    def test_bad_asset_index_is_named(self):
+        with pytest.raises(IndexError, match="asset index 5 out of range for 2 assets"):
+            conservation_cross_section(uniswap_pool(100.0, 100.0), 0, 5, (50.0,))
+        with pytest.raises(IndexError, match="asset index 5 out of range for 2 assets"):
+            conservation_cross_section(uniswap_pool(100.0, 100.0), 5, 0)
 
     def test_default_grid_spans_a_decade_around_the_reserve(self):
         series = conservation_cross_section(uniswap_pool(100.0, 100.0), 0, 1)

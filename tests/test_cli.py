@@ -77,6 +77,20 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
+    def test_integers_beyond_the_float_range_rejected(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"pools": [{"id": "u", "protocol": "uniswap", "reserves": [%s, 100]}],'
+            ' "actions": [{"action": "slippage_curve", "pool": "u",'
+            ' "grid": {"start": 0.1, "stop": 0.5, "points": %s}}]}' % (huge, huge),
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "pools[0]: reserves must be a list of finite numbers" in out
+        assert "actions[0]: " in out
+
     def test_unknown_pool_keys_rejected(self):
         problems = validate_scenario_data(
             {"pools": [dict(UNI, fee=0.003)], "actions": []}
@@ -104,6 +118,58 @@ class TestValidate:
             }
         )
         assert any("numeraire" in p for p in problems)
+
+    def test_compare_with_a_malformed_pool_reports_problems(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [UNI, dict(CRV, reserves=[100, None])],
+                "actions": [{"action": "compare", "pools": ["uni", "crv"]}],
+            },
+        )
+        assert main(["validate", str(path)]) == 2
+        assert "pools[1]: reserves must be a list of finite numbers" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "pools[1]: reserves" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_object_grid_must_resolve_strictly_increasing(self, tmp_path, capsys):
+        grid = {"start": 1, "stop": 1.0000000000000004, "points": 10, "spacing": "linear"}
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [UNI],
+                "actions": [{"action": "divergence_curve", "pool": "uni", "grid": grid}],
+            },
+        )
+        assert main(["validate", str(path)]) == 2
+        assert "actions[0]: grid values must be strictly increasing" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_library_domain_errors_are_reported_per_pool(self):
+        problems = validate_scenario_data(
+            {
+                "pools": [UNI, CRV, DDO, dict(CRV, id="crv3", reserves=[100, 200, 300])],
+                "actions": [
+                    {"action": "cross_section", "pool": "uni", "output_asset": 5},
+                    {"action": "compare", "pools": ["crv", "ddo"], "kind": "divergence_loss"},
+                    {"action": "swap", "pool": "crv", "input_asset": 1, "output_asset": 1,
+                     "amount": 1},
+                    {"action": "divergence_curve", "pool": "crv3", "asset": -1},
+                    {"action": "add_liquidity", "pool": "uni", "fraction": -1},
+                ],
+            }
+        )
+        assert problems == [
+            "actions[0]: pool 'uni': asset index 5 out of range for 2 assets",
+            "actions[1]: divergence loss does not apply to dodo pool 'ddo'",
+            "actions[2]: pool 'crv': swap needs distinct input and output assets",
+            "actions[3]: pool 'crv3': asset index -1 out of range for 3 assets",
+            "actions[4]: fraction must be a finite number > -1",
+        ]
 
     def test_slippage_grid_domain_enforced(self):
         problems = validate_scenario_data(
@@ -232,6 +298,20 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "action 000 swap" in capsys.readouterr().err
+
+    def test_arithmetic_error_during_execution(self, tmp_path, capsys):
+        # reserves scaled to ~1e302 leave the floating-point range of the
+        # stableswap spot rate: a domain error with exit 2, not a traceback
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [CRV],
+                "actions": [{"action": "add_liquidity", "pool": "crv", "fraction": 1e300}],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "action 000 add_liquidity" in capsys.readouterr().err
 
     def test_parallel_must_be_positive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
