@@ -74,6 +74,7 @@ __all__ = [
     "conservation_cross_section",
     "ComparisonConfig",
     "compare_protocols",
+    "MAX_GRID_POINTS",
     "log_grid",
     "linear_grid",
     "default_trade_grid",
@@ -119,12 +120,23 @@ class CurveSeries:
 # grids
 
 
+# the largest grid log_grid and linear_grid build: numpy allocates the whole
+# grid before any point is evaluated, 8 bytes a point
+MAX_GRID_POINTS = 1_000_000
+
+
+def _check_points(points: int) -> None:
+    if points < 2:
+        raise ValueError("a grid needs at least two points")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
+
+
 def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     """Log-spaced grid on [lo, hi], endpoints included."""
     if not (0.0 < lo < hi):
         raise ValueError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
-    if points < 2:
-        raise ValueError("a grid needs at least two points")
+    _check_points(points)
     return tuple(float(v) for v in np.geomspace(lo, hi, points))
 
 
@@ -132,8 +144,7 @@ def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     """Evenly spaced grid on [lo, hi], endpoints included."""
     if not lo < hi:
         raise ValueError(f"linear grid needs lo < hi, got [{lo}, {hi}]")
-    if points < 2:
-        raise ValueError("a grid needs at least two points")
+    _check_points(points)
     return tuple(float(v) for v in np.linspace(lo, hi, points))
 
 

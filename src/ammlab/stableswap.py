@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 from .errors import DomainError, IdenticalAssets, NoSolution, ReserveDepletion
 from .numerics import DEFAULT_CONFIG, RootBracket, SolverConfig, find_root
@@ -51,7 +52,15 @@ def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, 
     n = len(reserves)
     total = math.fsum(reserves)
     prod = math.prod(reserves)
-    power = D * (D / n) ** n / prod
+    try:
+        power = D * (D / n) ** n / prod
+    except (OverflowError, ZeroDivisionError):
+        # (D/n)^n overflows, or prod(r) underflows to 0: the equation is not
+        # representable at this scale without rescaling the reserves
+        raise DomainError(
+            f"the invariant equation leaves the floating-point range at D={D} "
+            f"for reserves {tuple(reserves)}"
+        ) from None
     terms = (amplification * total, D, amplification * D, power)
     return terms[0] + terms[1] - terms[2] - terms[3], sum(abs(t) for t in terms)
 
@@ -230,6 +239,74 @@ def stableswap_divergence_kernel(
     return partial(_divergence_loss_at, tuple(reserves), D, A, o, c, tuple(g), V, config)
 
 
+def _curve(e, A: float):
+    """s -> (x, P, f) on the rebalanced state: x_k = s + e_k*(s + A),
+    P = prod(n/x_k)^(1/(n+1)) and the curve equation
+    f = A*sum(1/x_k) + (1 - A)*P - 1 (see stableswap_divergence_loss).
+
+    The sum is folded left to right, as the unrolled residuals add: the
+    built-in sum compensates its rounding on Python 3.12 and later."""
+    n = len(e)
+
+    def curve(s: float) -> tuple[list[float], float, float]:
+        x = [s + ek * (s + A) for ek in e]
+        P = math.prod(n / xk for xk in x) ** (1.0 / (n + 1))
+        return x, P, A * reduce(add, [1.0 / xk for xk in x]) + (1.0 - A) * P - 1.0
+
+    return curve
+
+
+# The unrolled residuals keep _curve's float operations in _curve's order:
+# find_root's iterates, and with them the loss and every output byte, follow
+# the last bits of f. What differs is exact: s + A and 1 - A are computed
+# once (the doubles _curve recomputes), math.prod's leading 1 and the fold's
+# leading 0 are dropped, n/x_k is written n.0/x_k and 1/(n+1) a literal.
+def _residual_2(e, A: float, k: float):
+    e0, e1 = e
+    B = 1.0 - A
+
+    def f(u: float) -> float:
+        s = k * u
+        t = s + A
+        x0 = s + e0 * t
+        x1 = s + e1 * t
+        return A * (1.0 / x0 + 1.0 / x1) + B * ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0) - 1.0
+
+    return f
+
+
+def _residual_3(e, A: float, k: float):
+    e0, e1, e2 = e
+    B = 1.0 - A
+
+    def f(u: float) -> float:
+        s = k * u
+        t = s + A
+        x0 = s + e0 * t
+        x1 = s + e1 * t
+        x2 = s + e2 * t
+        return (
+            A * (1.0 / x0 + 1.0 / x1 + 1.0 / x2)
+            + B * ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
+            - 1.0
+        )
+
+    return f
+
+
+_UNROLLED_RESIDUALS = {2: _residual_2, 3: _residual_3}
+
+
+def _residual(e, A: float, k: float):
+    """u -> _curve(e, A)(k*u)[2], bit for bit: the curve equation in units of
+    k, unrolled for 2 and 3 assets."""
+    unrolled = _UNROLLED_RESIDUALS.get(len(e))
+    if unrolled is not None:
+        return unrolled(e, A, k)
+    curve = _curve(e, A)
+    return lambda u: curve(k * u)[2]
+
+
 def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float:
     if rho <= -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
@@ -254,22 +331,22 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float
         return max(out, 0.0) / w[m]
 
     e = [excess(k) for k in range(n)]
-
-    def curve(s: float) -> tuple[list[float], float, float]:
-        x = [s + ek * (s + A) for ek in e]
-        P = math.prod(n / xk for xk in x) ** (1.0 / (n + 1))
-        return x, P, A * sum(1.0 / xk for xk in x) + (1.0 - A) * P - 1.0
+    # the bracket walk and the solve evaluate the curve equation alone,
+    # unrolled for 2 and 3 assets; the unrolled forms must repeat _curve's
+    # operations in its order, or the roots, and the output bytes with them,
+    # move. _curve stays the one source of x and P for the rebalanced reserves
+    residual = _residual(e, A, 1.0)
 
     # the curve equation is positive at s_lo and negative at s_hi (bounds
     # from x_k >= s); walk from the unshifted state by factors of two
     s_lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
     s_hi = 2.0 * n * max(1.0, A)
     s = min(max(c / reserves[m], s_lo), s_hi)
-    f = curve(s)[2]
+    f = residual(s)
     factor = 2.0 if f > 0.0 else 0.5
     while True:
         t = min(max(s * factor, s_lo), s_hi)
-        f_t = curve(t)[2]
+        f_t = residual(t)
         if t == s or not (math.isfinite(f) and math.isfinite(f_t)):
             raise NoSolution(
                 f"rate shift {rho} for asset {o} is unattainable: the curve is not representable"
@@ -280,12 +357,12 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float
     (lo, f_lo), (hi, f_hi) = sorted(((s, f), (t, f_t)))
     # solve in units of lo, so the finite-difference step stays inside s > 0
     root = lo * find_root(
-        lambda u: curve(lo * u)[2],
+        _residual(e, A, lo),
         RootBracket(1.0, hi / lo, f_lo, f_hi),
         config.root_rel_tol,
         config.root_max_iterations,
     )
-    x, P, _ = curve(root)
+    x, P, _ = _curve(e, A)(root)
     rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
     if not all(0.0 < r < math.inf for r in rebalanced):
         raise NoSolution(

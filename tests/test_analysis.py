@@ -23,6 +23,7 @@ from ammlab import (
     weighted_pool,
 )
 from ammlab.analysis import (
+    MAX_GRID_POINTS,
     ComparisonConfig,
     CurveSeries,
     SeriesKind,
@@ -79,6 +80,13 @@ class TestGrids:
             linear_grid(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             linear_grid(1.0, 2.0, 1)
+
+    def test_grids_are_capped_before_allocating(self):
+        for build in (log_grid, linear_grid):
+            with pytest.raises(ValueError, match="at most 1000000 points, got 1000001"):
+                build(1.0, 2.0, MAX_GRID_POINTS + 1)
+            with pytest.raises(ValueError, match="at most"):
+                build(1.0, 2.0, 10**400)
 
     def test_constant_default_grids_are_built_once(self):
         assert default_trade_grid() is default_trade_grid()

@@ -149,6 +149,24 @@ class TestValidate:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_object_grid_points_are_capped(self, tmp_path, capsys):
+        grid = {"start": 0.01, "stop": 0.5, "points": 100000000}
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [UNI],
+                "actions": [{"action": "slippage_curve", "pool": "uni", "grid": grid}],
+            },
+        )
+        assert main(["validate", str(path)]) == 2
+        assert (
+            "actions[0]: a grid holds at most 1000000 points, got 100000000"
+            in capsys.readouterr().out
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_library_domain_errors_are_reported_per_pool(self):
         problems = validate_scenario_data(
             {

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
+    AmmError,
     DomainError,
     IdenticalAssets,
     InfeasibleTrade,
@@ -130,6 +131,16 @@ class TestFactories:
     def test_stableswap_solves_the_invariant(self):
         pool = stableswap_pool((100.0, 100.0), 10.0)
         assert pool.invariant == (200.0,)
+
+    @pytest.mark.parametrize(
+        "reserves",
+        [(1e-200, 1e-200), (1e200, 1e200), (1e60,) * 8],
+        ids=["underflow", "overflow", "eight-assets"],
+    )
+    def test_stableswap_at_the_float_range_edges_raises_amm_error(self, reserves):
+        # the invariant equation's (D/n)^n and prod(r) leave the float range
+        with pytest.raises(AmmError):
+            stableswap_pool(reserves, 10.0)
 
     def test_pmm_defaults_to_equilibrium_reserves(self):
         pool = pmm_pool(
@@ -312,6 +323,10 @@ class TestAddLiquidity:
     def test_full_withdrawal_rejected(self):
         with pytest.raises(ReserveDepletion):
             add_liquidity_proportional(uniswap_pool(100.0, 100.0), -1.0)
+
+    def test_growth_beyond_the_float_range_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            add_liquidity_proportional(stableswap_pool((80.0, 100.0), 100.0), 1e300)
 
 
 class TestRuleCheck:

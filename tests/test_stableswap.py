@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
+    AmmError,
     ConvergenceFailure,
     DomainError,
     IdenticalAssets,
@@ -18,6 +20,7 @@ from ammlab import (
     generic_divergence_loss,
     implicit_swap,
 )
+from ammlab import stableswap
 from ammlab.analysis import default_shift_grid
 from ammlab.stableswap import (
     StableSwapParams,
@@ -338,3 +341,54 @@ class TestDivergenceLoss:
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 2, 0.5)
         with pytest.raises(DomainError):
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, -1.0)
+
+
+def _log_uniform(lo_exponent: float, hi_exponent: float):
+    return st.floats(min_value=lo_exponent, max_value=hi_exponent).map(lambda x: 10.0**x)
+
+
+class TestUnrolledResidual:
+    """The 2- and 3-asset curve equations that the divergence solve evaluates
+    must equal the generic stableswap._curve bit for bit: a reordered float
+    operation moves the roots find_root returns, and with them output bytes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        e=st.lists(
+            st.one_of(st.just(0.0), _log_uniform(-17.0, 20.0), _log_uniform(20.0, 300.0)),
+            min_size=2,
+            max_size=3,
+        ),
+        amp=_log_uniform(-3.0, 8.0),
+        u=_log_uniform(-4.0, 9.0),
+        k=st.one_of(st.just(1.0), _log_uniform(-4.0, 9.0)),
+    )
+    def test_matches_the_generic_curve_bit_for_bit(self, e, amp, u, k):
+        assert len(e) in stableswap._UNROLLED_RESIDUALS
+        got = stableswap._residual(e, amp, k)(u)
+        assert float.hex(got) == float.hex(stableswap._curve(e, amp)(k * u)[2])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_reserves=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4),
+        amp=_log_uniform(-3.0, 8.0),
+        rho=st.one_of(
+            st.floats(min_value=-1.0, max_value=4.0, exclude_min=True),
+            _log_uniform(0.0, 300.0),
+        ),
+        data=st.data(),
+    )
+    def test_divergence_loss_matches_the_generic_path(self, log_reserves, amp, rho, data):
+        reserves = tuple(10.0**x for x in log_reserves)
+        o = data.draw(st.integers(min_value=1, max_value=len(reserves) - 1))
+        d = solve_invariant(reserves, amp)
+
+        def outcome():
+            try:
+                return float.hex(stableswap_divergence_loss(reserves, d, amp, o, rho))
+            except AmmError as exc:
+                return type(exc), str(exc)
+
+        unrolled = outcome()
+        with patch.dict(stableswap._UNROLLED_RESIDUALS, clear=True):
+            assert outcome() == unrolled
