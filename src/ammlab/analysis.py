@@ -6,9 +6,10 @@ ready for CSV emission. A sweep checks all its arguments before its first
 point (the grid through ``check_grid_domain``; ``ammlab validate`` relies on
 this, calling each sweep on an empty grid), dispatches on the pool family and
 computes the curve's constants (spot rate, weight ratios, the
-stableswap quadratic's D-terms, PMM parameters) once, through the kernels
-``core.swap_kernel`` and the family ``*_kernel`` functions, then runs only the
-point-dependent arithmetic. Each point runs the same floating-point
+stableswap quadratic's D-terms, PMM parameters) once, through
+``core.swap_kernel`` (the constants each pool keeps) and the family
+``*_divergence_kernel`` functions, then runs only the point-dependent
+arithmetic. Each point runs the same floating-point
 operations, in the same order, as the scalar function it samples
 (``core.slippage``, ``core.swap_amount``, ``divergence_loss``), so a curve
 equals the scalar path bit for bit. The kernels are plain Python: numpy's

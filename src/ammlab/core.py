@@ -9,8 +9,13 @@ in exactly two pure kinds:
   (spot rates fixed, constants rescaled).
 
 Each transition returns a receipt measuring how well its rule held, checked
-against ``RULE_TOLERANCE``. All operations are pure functions from states to
-new states; nothing is mutated, so states can be shared across threads.
+against ``RULE_TOLERANCE``. A state whose reserves are off its conservation
+curve is refused with ``ConservationViolation``. A swap's post state is
+checked once, by the same evaluation of the conservation law that gives its
+receipt: it shares every validated constant with its parent, so only the two
+moved reserves are checked again. All operations are pure functions from
+states to new states; nothing is mutated, so states can be shared across
+threads.
 
 Arithmetic is double-precision real arithmetic; on-chain integer rounding and
 fees are out of scope. Disproportionate deposits are not a primitive — they
@@ -21,11 +26,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from . import pmm as _pmm
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from .errors import (
+    ConservationViolation,
+    DomainError,
+    IdenticalAssets,
+    InfeasibleTrade,
+    ReserveDepletion,
+)
 from .numerics import DEFAULT_CONFIG, ImplicitConservation, SolverConfig
 from .quote import slippage_from_quote
 
@@ -114,7 +126,6 @@ class PoolState:
                 raise ValueError("pmm pools carry two conservation targets")
             if self.oracle_price is None:
                 raise ValueError("pmm pools need an oracle price")
-            deviation = _pmm.conservation_residual(reserves[0], reserves[1], _pmm_params(self))
         else:
             if self.oracle_price is not None:
                 raise ValueError("only pmm pools carry an oracle price")
@@ -122,32 +133,110 @@ class PoolState:
                 raise ValueError("weighted/stableswap pools carry one conservation value")
             if invariant[0] <= 0.0:
                 raise ValueError(f"conservation value must be positive, got {invariant[0]}")
-            if family is ProtocolFamily.WEIGHTED:
-                if len(self.spec.weights) != len(reserves):
-                    raise ValueError("one weight per asset required")
-                value = _w.weighted_conservation(reserves, self.spec.weights)
-                deviation = abs(value - invariant[0]) / invariant[0]
-            else:
-                deviation = _ss.conservation_residual(
-                    reserves, invariant[0], self.spec.amplification
-                )
-        if deviation > RULE_TOLERANCE:
-            raise ValueError(
-                f"reserves violate the conservation law (relative deviation {deviation:.3e})"
-            )
+            if family is ProtocolFamily.WEIGHTED and len(self.spec.weights) != len(reserves):
+                raise ValueError("one weight per asset required")
+        if family is ProtocolFamily.STABLESWAP:
+            deviation = _ss.conservation_residual(reserves, invariant[0], self.spec.amplification)
+        else:
+            deviation = _invariant_deviation(self)
+        _gate(deviation)
 
     @property
     def n_assets(self) -> int:
         return len(self.reserves)
 
+    @cached_property
+    def _curve(self):
+        """The family's constants and per-point formulas for this pool's
+        curve, built on first use; a swap's post state inherits its
+        parent's. Filling this cache is the only write to a state, and it
+        is idempotent, so states stay safe to share across threads."""
+        return _CURVES[self.spec.family](self)
 
-def _pmm_params(state: PoolState) -> _pmm.PMMParams:
-    return _pmm.PMMParams(
-        oracle_price=state.oracle_price,
-        amplification=state.spec.amplification,
-        target1=state.invariant[0],
-        target2=state.invariant[1],
-    )
+
+def _gate(deviation: float) -> None:
+    """The conservation check every state passes; NaN fails it."""
+    if not deviation <= RULE_TOLERANCE:
+        raise ConservationViolation(
+            f"reserves violate the conservation law (relative deviation {deviation:.3e})"
+        )
+
+
+# The per-pool curves: each holds its family's constants and evaluates the
+# kernels' per-point helpers on reserves that a PoolState has already
+# checked. deviations(reserves) is (gate deviation, receipt deviation) from
+# one evaluation of the conservation law.
+
+
+class _WeightedCurve:
+    __slots__ = ("weights", "value")
+
+    def __init__(self, state: PoolState) -> None:
+        self.weights = state.spec.weights
+        self.value = state.invariant[0]
+
+    def spot_rate(self, reserves, i: int, o: int) -> float:
+        return _w._spot_rate(reserves, self.weights, i, o)
+
+    def kernel(self, reserves, i: int, o: int):
+        w = self.weights
+        return partial(_w._swap_output, reserves[i], reserves[o], w[i] / w[o])
+
+    def deviations(self, reserves) -> tuple[float, float]:
+        deviation = abs(_w._conservation(reserves, self.weights) - self.value) / self.value
+        return deviation, deviation
+
+
+class _StableSwapCurve:
+    __slots__ = ("D", "A", "q", "dq", "shift")
+
+    def __init__(self, state: PoolState) -> None:
+        self.D = state.invariant[0]
+        self.A = state.spec.amplification
+        self.q, self.dq, self.shift = _ss.curve_constants(self.D, self.A, state.n_assets)
+
+    def spot_rate(self, reserves, i: int, o: int) -> float:
+        return _ss._spot_rate(reserves, self.dq, self.A, i, o)
+
+    def kernel(self, reserves, i: int, o: int):
+        return partial(_ss._swap_output, reserves, i, o, self.shift, self.dq, self.A)
+
+    def deviations(self, reserves) -> tuple[float, float]:
+        # the gate is the residual of the defining equation, the receipt the
+        # drift of D (invariant_drift)
+        return _ss.conservation_check(reserves, self.D, self.A, self.q, self.dq)
+
+
+class _PMMCurve:
+    __slots__ = ("params",)
+
+    def __init__(self, state: PoolState) -> None:
+        self.params = _pmm.PMMParams(
+            oracle_price=state.oracle_price,
+            amplification=state.spec.amplification,
+            target1=state.invariant[0],
+            target2=state.invariant[1],
+        )
+
+    def spot_rate(self, reserves, i: int, o: int) -> float:
+        rate = _pmm._spot_rate(reserves[0], reserves[1], self.params)
+        return rate if (i, o) == (0, 1) else 1.0 / rate
+
+    def kernel(self, reserves, i: int, o: int):
+        if (i, o) == (0, 1):
+            return partial(_pmm._swap_output, reserves[0], reserves[1], self.params)
+        return partial(_pmm._swap_output, reserves[1], reserves[0], self.params.mirrored())
+
+    def deviations(self, reserves) -> tuple[float, float]:
+        deviation = _pmm._residual(reserves[0], reserves[1], self.params)
+        return deviation, deviation
+
+
+_CURVES = {
+    ProtocolFamily.WEIGHTED: _WeightedCurve,
+    ProtocolFamily.STABLESWAP: _StableSwapCurve,
+    ProtocolFamily.PMM: _PMMCurve,
+}
 
 
 def _check_indices(state: PoolState, i: int, o: int) -> None:
@@ -229,15 +318,7 @@ def spot_rate(state: PoolState, i: int, o: int) -> float:
     _check_indices(state, i, o)
     if i == o:
         return 1.0
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
-        return _w.weighted_spot_rate(state.reserves, state.spec.weights, i, o)
-    if family is ProtocolFamily.STABLESWAP:
-        return _ss.stableswap_spot_rate(
-            state.reserves, state.invariant[0], state.spec.amplification, i, o
-        )
-    rate = _pmm.pmm_spot_rate(state.reserves[0], state.reserves[1], _pmm_params(state))
-    return rate if (i, o) == (0, 1) else 1.0 / rate
+    return state._curve.spot_rate(state.reserves, i, o)
 
 
 def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
@@ -246,20 +327,7 @@ def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     raises DomainError."""
     if not math.isfinite(x_in):
         raise DomainError(f"trade size must be finite, got {x_in}")
-    _check_indices(state, i, o)
-    if i == o:
-        raise IdenticalAssets("swap needs distinct input and output assets")
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
-        return _w.weighted_swap(state.reserves, state.spec.weights, i, o, x_in)
-    if family is ProtocolFamily.STABLESWAP:
-        return _ss.stableswap_swap(
-            state.reserves, state.invariant[0], state.spec.amplification, i, o, x_in
-        )
-    params = _pmm_params(state)
-    if (i, o) == (0, 1):
-        return _pmm.pmm_swap(state.reserves[0], state.reserves[1], params, x_in)
-    return _pmm.pmm_swap(state.reserves[1], state.reserves[0], params.mirrored(), x_in)
+    return swap_kernel(state, i, o)(x_in)
 
 
 def swap_kernel(state: PoolState, i: int, o: int):
@@ -269,17 +337,7 @@ def swap_kernel(state: PoolState, i: int, o: int):
     _check_indices(state, i, o)
     if i == o:
         raise IdenticalAssets("swap needs distinct input and output assets")
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
-        return _w.weighted_swap_kernel(state.reserves, state.spec.weights, i, o)
-    if family is ProtocolFamily.STABLESWAP:
-        return _ss.stableswap_swap_kernel(
-            state.reserves, state.invariant[0], state.spec.amplification, i, o
-        )
-    params = _pmm_params(state)
-    if (i, o) == (0, 1):
-        return _pmm.pmm_swap_kernel(state.reserves[0], state.reserves[1], params)
-    return _pmm.pmm_swap_kernel(state.reserves[1], state.reserves[0], params.mirrored())
+    return state._curve.kernel(state.reserves, i, o)
 
 
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
@@ -292,7 +350,7 @@ def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
             raise IdenticalAssets("slippage needs distinct input and output assets")
         return 0.0
     x_out = swap_amount(state, i, o, x_in)
-    return slippage_from_quote(x_in, x_out, spot_rate(state, i, o))
+    return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +407,16 @@ def _invariant_deviation(state: PoolState) -> float:
     """How far the state's reserves sit from its stored conservation
     constants, relative; for stableswap, the distance from the stored D to
     the reserves' invariant, to first order (one Newton step, no root
-    solve)."""
+    solve). A transition's receipt holds this number, computed by its
+    curve's single evaluation; for weighted and PMM pools it is also the
+    deviation a PoolState is checked with."""
     family = state.spec.family
     if family is ProtocolFamily.WEIGHTED:
         value = _w.weighted_conservation(state.reserves, state.spec.weights)
         return abs(value - state.invariant[0]) / state.invariant[0]
     if family is ProtocolFamily.STABLESWAP:
         return _ss.invariant_drift(state.reserves, state.invariant[0], state.spec.amplification)
-    return _pmm.conservation_residual(state.reserves[0], state.reserves[1], _pmm_params(state))
+    return _pmm.conservation_residual(state.reserves[0], state.reserves[1], state._curve.params)
 
 
 def apply_swap(
@@ -369,12 +429,13 @@ def apply_swap(
 
     Returns the post state, the trade quantities, and a receipt recording the
     measured relative invariant deviation. A non-finite x_in raises
-    DomainError (through swap_amount).
+    DomainError; a post state off the curve raises ConservationViolation.
     """
     _check_indices(state, input_asset, output_asset)
     if input_asset == output_asset:
         raise IdenticalAssets("swap needs distinct input and output assets")
-    rate_before = spot_rate(state, input_asset, output_asset)
+    curve = state._curve
+    rate_before = curve.spot_rate(state.reserves, input_asset, output_asset)
     if x_in == 0.0:
         outcome = SwapOutcome(
             input_asset=input_asset,
@@ -393,7 +454,9 @@ def apply_swap(
             checks=(RuleCheck("invariant_preserved", 0.0),),
         )
         return state, outcome, receipt
-    x_out = swap_amount(state, input_asset, output_asset, x_in)
+    if not math.isfinite(x_in):
+        raise DomainError(f"trade size must be finite, got {x_in}")
+    x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output")
     reserves = list(state.reserves)
@@ -401,19 +464,23 @@ def apply_swap(
     reserves[output_asset] -= x_out
     if reserves[output_asset] <= 0.0:
         raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
-    post = PoolState(
-        reserves=tuple(reserves),
-        spec=state.spec,
-        invariant=state.invariant,
-        oracle_price=state.oracle_price,
-        share_supply=state.share_supply,
-    )
+    reserves = tuple(reserves)
+    # the post state differs from the checked one in the two moved reserves
+    # alone: PoolState's checks that remain open are theirs and the
+    # conservation law, evaluated once
+    r_in, r_out = reserves[input_asset], reserves[output_asset]
+    if not (math.isfinite(r_in) and r_in > 0.0 and math.isfinite(r_out) and r_out > 0.0):
+        raise ValueError(f"reserves must be finite and positive, got {reserves}")
+    gate, deviation = curve.deviations(reserves)
+    _gate(gate)
+    post = object.__new__(PoolState)
+    post.__dict__.update(state.__dict__, reserves=reserves)
     outcome = SwapOutcome(
         input_asset=input_asset,
         output_asset=output_asset,
         amount_in=x_in,
         amount_out=x_out,
-        reserves_after=post.reserves,
+        reserves_after=reserves,
         spot_rate_before=rate_before,
         effective_rate=x_in / x_out,
         slippage=(x_in / x_out) / rate_before - 1.0,
@@ -422,7 +489,7 @@ def apply_swap(
         kind=TransitionKind.PURE_SWAP,
         pre_state=state,
         post_state=post,
-        checks=(RuleCheck("invariant_preserved", _invariant_deviation(post)),),
+        checks=(RuleCheck("invariant_preserved", deviation),),
     )
     return post, outcome, receipt
 
@@ -437,16 +504,15 @@ def add_liquidity_proportional(
     product re-evaluated; stableswap: D scaled by the same factor, as D is
     homogeneous of degree 1 in the reserves; PMM: both equilibrium targets
     scaled by the same factor, keeping the pool's composition and so its
-    rates). The new state still passes its own conservation check. The
-    receipt records the worst relative spot-rate change over all ordered
-    asset pairs.
+    rates). Every field changes, so the new state takes the full PoolState
+    check. The receipt records the worst relative spot-rate change over all
+    ordered asset pairs; a NaN change fails it.
     """
     if not math.isfinite(fraction) or fraction <= -1.0:
         raise ReserveDepletion(f"fraction must exceed -1, got {fraction}")
     grow = 1.0 + fraction
     reserves = tuple(r * grow for r in state.reserves)
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
+    if state.spec.family is ProtocolFamily.WEIGHTED:
         invariant = (_w.weighted_conservation(reserves, state.spec.weights),)
     else:
         invariant = tuple(c * grow for c in state.invariant)
@@ -457,14 +523,18 @@ def add_liquidity_proportional(
         oracle_price=state.oracle_price,
         share_supply=state.share_supply * grow,
     )
+    curve, post_curve = state._curve, post._curve
     worst = 0.0
     for i in range(state.n_assets):
         for o in range(state.n_assets):
             if i == o:
                 continue
-            before = spot_rate(state, i, o)
-            after = spot_rate(post, i, o)
-            worst = max(worst, abs(after / before - 1.0))
+            before = curve.spot_rate(state.reserves, i, o)
+            after = post_curve.spot_rate(post.reserves, i, o)
+            change = abs(after / before - 1.0)
+            # max() would keep 0.0 over a NaN change
+            if change > worst or math.isnan(change):
+                worst = change
     receipt = TransitionReceipt(
         kind=TransitionKind.PURE_LIQUIDITY_CHANGE,
         pre_state=state,

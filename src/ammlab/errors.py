@@ -34,6 +34,11 @@ class InfeasibleTrade(AmmError):
     """A nonzero input produced a zero output, leaving slippage undefined."""
 
 
+class ConservationViolation(AmmError, ValueError):
+    """Reserves lie off the conservation curve of the constants stored with
+    them; a ValueError too, as the value of a state is at fault."""
+
+
 class DomainError(AmmError):
     """An argument lies outside the mathematical domain of a formula."""
 

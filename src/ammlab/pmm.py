@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 from .errors import ReserveDepletion, SingularAmplification
 from .quote import slippage_from_quote
@@ -46,6 +46,11 @@ class PMMParams:
     def mirrored(self) -> "PMMParams":
         """The same pool with the two assets relabeled (price inverted);
         the conservation curve is symmetric under this relabeling."""
+        return self._mirror
+
+    @cached_property
+    def _mirror(self) -> "PMMParams":
+        # built, and validated, on first use only: 1/P can overflow
         return PMMParams(
             oracle_price=1.0 / self.oracle_price,
             amplification=self.amplification,
@@ -59,14 +64,26 @@ def _check_reserves(r1: float, r2: float) -> None:
         raise ValueError(f"reserves must be positive, got ({r1}, {r2})")
 
 
-def pmm_spot_rate(r1: float, r2: float, params: PMMParams) -> float:
-    """Spot rate (asset-1 units per asset 2), the oracle price scaled by the
-    pool-composition adjustment; equals P exactly at equilibrium."""
-    _check_reserves(r1, r2)
+def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     a = params.amplification
     if r1 >= params.target1:
         return params.oracle_price * (1.0 + a * ((params.target2 / r2) ** 2 - 1.0))
     return params.oracle_price / (1.0 + a * ((params.target1 / r1) ** 2 - 1.0))
+
+
+def pmm_spot_rate(r1: float, r2: float, params: PMMParams) -> float:
+    """Spot rate (asset-1 units per asset 2), the oracle price scaled by the
+    pool-composition adjustment; equals P exactly at equilibrium."""
+    _check_reserves(r1, r2)
+    return _spot_rate(r1, r2, params)
+
+
+def _gap(r1: float, r2: float, params: PMMParams) -> float:
+    p, a = params.oracle_price, params.amplification
+    c1, c2 = params.target1, params.target2
+    if r1 >= c1:
+        return (r1 - c1) - p * (c2 - r2) * (1.0 + a * (c2 / r2 - 1.0))
+    return p * (r2 - c2) - (c1 - r1) * (1.0 + a * (c1 / r1 - 1.0))
 
 
 def conservation_gap(r1: float, r2: float, params: PMMParams) -> float:
@@ -75,17 +92,18 @@ def conservation_gap(r1: float, r2: float, params: PMMParams) -> float:
     residual's gradient continuous at the equilibrium point). Zero exactly on
     the curve."""
     _check_reserves(r1, r2)
-    p, a = params.oracle_price, params.amplification
-    c1, c2 = params.target1, params.target2
-    if r1 >= c1:
-        return (r1 - c1) - p * (c2 - r2) * (1.0 + a * (c2 / r2 - 1.0))
-    return p * (r2 - c2) - (c1 - r1) * (1.0 + a * (c1 / r1 - 1.0))
+    return _gap(r1, r2, params)
+
+
+def _residual(r1: float, r2: float, params: PMMParams) -> float:
+    scale = params.target1 + params.oracle_price * params.target2
+    return abs(_gap(r1, r2, params)) / scale
 
 
 def conservation_residual(r1: float, r2: float, params: PMMParams) -> float:
     """|conservation_gap| relative to the pool's value scale C1 + P*C2."""
-    scale = params.target1 + params.oracle_price * params.target2
-    return abs(conservation_gap(r1, r2, params)) / scale
+    _check_reserves(r1, r2)
+    return _residual(r1, r2, params)
 
 
 def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
@@ -140,13 +158,6 @@ def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     Negative x1 is the reverse-trade convention."""
     _check_reserves(r1, r2)
     return _swap_output(r1, r2, params, x1)
-
-
-def pmm_swap_kernel(r1: float, r2: float, params: PMMParams):
-    """x1 -> pmm_swap(r1, r2, params, x1), bit for bit, with the reserve
-    check done once for a sweep."""
-    _check_reserves(r1, r2)
-    return partial(_swap_output, r1, r2, params)
 
 
 def pmm_slippage(r1: float, r2: float, params: PMMParams, x1: float) -> float:

@@ -43,11 +43,22 @@ def _check_reserves(reserves) -> None:
         raise ValueError(f"reserves must be positive, got {tuple(reserves)}")
 
 
+def _out_of_range(reserves, D: float) -> DomainError:
+    # (D/n)^n or D*(D/n)^n overflows, or prod(r) underflows to 0: the
+    # equation is not representable at this scale without rescaling the
+    # reserves
+    return DomainError(
+        f"the invariant equation leaves the floating-point range at D={D} "
+        f"for reserves {tuple(reserves)}"
+    )
+
+
 def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, float]:
     """g(D) and the sum of its term magnitudes, for backward-error residuals.
 
     g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)); the invariant is
-    the positive root of g.
+    the positive root of g. A last term that leaves the float range raises
+    DomainError: an infinite term would make the residual NaN.
     """
     n = len(reserves)
     total = math.fsum(reserves)
@@ -55,12 +66,9 @@ def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, 
     try:
         power = D * (D / n) ** n / prod
     except (OverflowError, ZeroDivisionError):
-        # (D/n)^n overflows, or prod(r) underflows to 0: the equation is not
-        # representable at this scale without rescaling the reserves
-        raise DomainError(
-            f"the invariant equation leaves the floating-point range at D={D} "
-            f"for reserves {tuple(reserves)}"
-        ) from None
+        raise _out_of_range(reserves, D) from None
+    if not math.isfinite(power):
+        raise _out_of_range(reserves, D)
     terms = (amplification * total, D, amplification * D, power)
     return terms[0] + terms[1] - terms[2] - terms[3], sum(abs(t) for t in terms)
 
@@ -71,6 +79,37 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
     _check_reserves(reserves)
     g, scale = _polynomial_terms(reserves, D, amplification)
     return abs(g) / max(scale, 1e-300)
+
+
+def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
+    """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
+    spot rates, swaps and conservation checks share."""
+    shift = D * (1.0 - 1.0 / amplification)
+    q = (D / n) ** n
+    return q, D * q, shift
+
+
+def conservation_check(reserves, D: float, amplification: float, q: float, dq: float):
+    """(conservation_residual, invariant_drift) at (reserves, D) from one
+    pass, bit for bit, given q and D*q from curve_constants: a transition's
+    gate and its receipt. The reserves are not checked; where invariant_drift
+    divides by a zero slope, the drift is inf."""
+    n = len(reserves)
+    total = math.fsum(reserves)
+    prod = math.prod(reserves)
+    try:
+        power = dq / prod
+    except ZeroDivisionError:
+        raise _out_of_range(reserves, D) from None
+    if not math.isfinite(power):
+        raise _out_of_range(reserves, D)
+    a_total, a_d = amplification * total, amplification * D
+    head = a_total + D - a_d
+    # the four terms are positive, so their sum is that of their magnitudes
+    residual = abs(head - power) / max(sum((a_total, D, a_d, power)), 1e-300)
+    ratio = q / prod
+    denominator = D * abs(1.0 - amplification - (n + 1) * ratio)
+    return residual, abs(head - D * ratio) / denominator if denominator else math.inf
 
 
 def defining_residual(reserves, D: float, amplification: float) -> float:
@@ -141,6 +180,13 @@ def solve_invariant(
     )
 
 
+def _spot_rate(reserves, dq: float, amplification: float, i: int, o: int) -> float:
+    a_prod = amplification * math.prod(reserves)
+    return (reserves[i] * (a_prod * reserves[o] + dq)) / (
+        reserves[o] * (a_prod * reserves[i] + dq)
+    )
+
+
 def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: int) -> float:
     """Spot rate (token i per token o) on the amplified curve:
     r_i*(A*r_o*prod + D*q) / (r_o*(A*r_i*prod + D*q)) with q = (D/n)^n."""
@@ -148,12 +194,7 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     if i == o:
         return 1.0
     n = len(reserves)
-    prod = math.prod(reserves)
-    dq = D * (D / n) ** n
-    a_prod = amplification * prod
-    return (reserves[i] * (a_prod * reserves[o] + dq)) / (
-        reserves[o] * (a_prod * reserves[i] + dq)
-    )
+    return _spot_rate(reserves, D * (D / n) ** n, amplification, i, o)
 
 
 def _swap_output(
@@ -197,23 +238,8 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     _check_reserves(reserves)
     if i == o:
         raise IdenticalAssets("input and output asset must differ")
-    n = len(reserves)
-    shift = D * (1.0 - 1.0 / amplification)
-    scale = (D / n) ** n * D
+    _, scale, shift = curve_constants(D, amplification, len(reserves))
     return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
-
-
-def stableswap_swap_kernel(reserves, D: float, amplification: float, i: int, o: int):
-    """x_in -> stableswap_swap(reserves, D, amplification, i, o, x_in), bit
-    for bit, with the checks and the curve constants D*(1 - 1/A) and
-    (D/n)^n*D done once for a sweep."""
-    _check_reserves(reserves)
-    if i == o:
-        raise IdenticalAssets("input and output asset must differ")
-    n = len(reserves)
-    shift = D * (1.0 - 1.0 / amplification)
-    scale = (D / n) ** n * D
-    return partial(_swap_output, reserves, i, o, shift, scale, amplification)
 
 
 def stableswap_divergence_kernel(

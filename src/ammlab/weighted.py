@@ -41,13 +41,21 @@ def _check_shape(reserves, weights) -> None:
         raise ValueError(f"reserves must be positive, got {tuple(reserves)}")
 
 
-def weighted_conservation(reserves, weights) -> float:
-    """Invariant value prod_k r_k^{w_k}."""
-    _check_shape(reserves, weights)
+def _conservation(reserves, weights) -> float:
     out = 1.0
     for r, w in zip(reserves, weights):
         out *= r**w
     return out
+
+
+def weighted_conservation(reserves, weights) -> float:
+    """Invariant value prod_k r_k^{w_k}."""
+    _check_shape(reserves, weights)
+    return _conservation(reserves, weights)
+
+
+def _spot_rate(reserves, weights, i: int, o: int) -> float:
+    return (reserves[i] * weights[o]) / (reserves[o] * weights[i])
 
 
 def weighted_spot_rate(reserves, weights, i: int, o: int) -> float:
@@ -55,7 +63,7 @@ def weighted_spot_rate(reserves, weights, i: int, o: int) -> float:
     _check_shape(reserves, weights)
     if i == o:
         return 1.0
-    return (reserves[i] * weights[o]) / (reserves[o] * weights[i])
+    return _spot_rate(reserves, weights, i, o)
 
 
 def _swap_output(r_in: float, r_out: float, exponent: float, x_in: float) -> float:
@@ -77,15 +85,6 @@ def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
     if i == o:
         raise IdenticalAssets("input and output asset must differ")
     return _swap_output(reserves[i], reserves[o], weights[i] / weights[o], x_in)
-
-
-def weighted_swap_kernel(reserves, weights, i: int, o: int):
-    """x_in -> weighted_swap(reserves, weights, i, o, x_in), bit for bit, with
-    the checks and the exponent w_i/w_o done once for a sweep."""
-    _check_shape(reserves, weights)
-    if i == o:
-        raise IdenticalAssets("input and output asset must differ")
-    return partial(_swap_output, reserves[i], reserves[o], weights[i] / weights[o])
 
 
 def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ammlab import (
     AmmError,
+    ConservationViolation,
     DomainError,
     IdenticalAssets,
     InfeasibleTrade,
@@ -33,6 +34,10 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
+from ammlab import core
+from ammlab import pmm as _pmm
+from ammlab import stableswap as _ss
+from ammlab import weighted as _w
 from ammlab.stableswap import solve_invariant
 
 reserve_values = st.floats(min_value=1.0, max_value=1e6)
@@ -112,6 +117,18 @@ class TestPoolState:
                 oracle_price=1.0,
             )
 
+    def test_off_curve_reserves_raise_conservation_violation(self):
+        spec = ProtocolSpec(family=ProtocolFamily.WEIGHTED, weights=(0.5, 0.5))
+        with pytest.raises(ConservationViolation, match=r"relative deviation 3\.333e-01"):
+            PoolState(reserves=(100.0, 100.0), spec=spec, invariant=(150.0,))
+        assert issubclass(ConservationViolation, AmmError)
+        assert issubclass(ConservationViolation, ValueError)
+
+    def test_nan_deviation_fails_the_check(self):
+        # a NaN target makes the PMM residual NaN, which must not pass
+        with pytest.raises(ConservationViolation, match="relative deviation nan"):
+            pmm_pool(math.nan, 100.0, 1.0, 0.5, reserves=(100.0, 100.0))
+
 
 class TestFactories:
     def test_constant_product_aliases(self):
@@ -140,6 +157,12 @@ class TestFactories:
     def test_stableswap_at_the_float_range_edges_raises_amm_error(self, reserves):
         # the invariant equation's (D/n)^n and prod(r) leave the float range
         with pytest.raises(AmmError):
+            stableswap_pool(reserves, 10.0)
+
+    @pytest.mark.parametrize("reserves", [(1e120, 1e120), (1e80, 1e80, 1e80)])
+    def test_stableswap_power_term_beyond_the_float_range_raises_domain_error(self, reserves):
+        # D*(D/n)^n is inf while (D/n)^n is finite: the residual would be NaN
+        with pytest.raises(DomainError, match="leaves the floating-point range"):
             stableswap_pool(reserves, 10.0)
 
     def test_pmm_defaults_to_equilibrium_reserves(self):
@@ -240,6 +263,20 @@ class TestApplySwap:
         assert math.isclose(post.reserves[1], 10_000.0 / 90.0, rel_tol=1e-9)
         assert outcome.amount_out < 0.0
 
+    @pytest.mark.parametrize(
+        "make_pool, x_in",
+        [
+            (lambda: uniswap_pool(100.0, 100.0), 1e10),
+            (lambda: uniswap_pool(100.0, 100.0), 1e14),
+            (lambda: weighted_pool((1.0, 1000.0), (0.9, 0.1)), 50.0),
+        ],
+        ids=["uniswap-1e10", "uniswap-1e14", "weighted-50"],
+    )
+    def test_cancelling_output_reserve_raises_amm_error(self, make_pool, x_in):
+        # r_o - x_out cancels, so the post state is off its curve
+        with pytest.raises(ConservationViolation):
+            apply_swap(make_pool(), 0, 1, x_in)
+
     def test_vanishing_output_rejected(self):
         with pytest.raises(InfeasibleTrade):
             apply_swap(uniswap_pool(100.0, 100.0), 0, 1, 1e-300)
@@ -328,6 +365,13 @@ class TestAddLiquidity:
         with pytest.raises(DomainError):
             add_liquidity_proportional(stableswap_pool((80.0, 100.0), 100.0), 1e300)
 
+    def test_nan_rate_change_fails_the_receipt(self):
+        # the stableswap spot rate's products, of order r^4, overflow here
+        post, receipt = add_liquidity_proportional(stableswap_pool((1e99, 1e99), 10.0), 9.0)
+        assert post.reserves == (1e100, 1e100)
+        assert math.isnan(receipt.checks[0].deviation)
+        assert not receipt.passed
+
 
 class TestRuleCheck:
     def test_tolerance_boundary(self):
@@ -391,3 +435,178 @@ class TestRandomizedRules:
         assert swap_receipt.passed
         _, grow_receipt = add_liquidity_proportional(swapped, growth)
         assert grow_receipt.passed
+
+
+# ---------------------------------------------------------------------------
+# transitions against their plain statement, bit for bit
+
+
+def _params(state):
+    return _pmm.PMMParams(state.oracle_price, state.spec.amplification, *state.invariant)
+
+
+def _reference_rate(state, i, o):
+    r, family = state.reserves, state.spec.family
+    if family is ProtocolFamily.WEIGHTED:
+        return _w.weighted_spot_rate(r, state.spec.weights, i, o)
+    if family is ProtocolFamily.STABLESWAP:
+        return _ss.stableswap_spot_rate(r, state.invariant[0], state.spec.amplification, i, o)
+    rate = _pmm.pmm_spot_rate(r[0], r[1], _params(state))
+    return rate if (i, o) == (0, 1) else 1.0 / rate
+
+
+def _reference_amount(state, i, o, x_in):
+    r, family = state.reserves, state.spec.family
+    if family is ProtocolFamily.WEIGHTED:
+        return _w.weighted_swap(r, state.spec.weights, i, o, x_in)
+    if family is ProtocolFamily.STABLESWAP:
+        return _ss.stableswap_swap(r, state.invariant[0], state.spec.amplification, i, o, x_in)
+    if (i, o) == (0, 1):
+        return _pmm.pmm_swap(r[0], r[1], _params(state), x_in)
+    return _pmm.pmm_swap(r[1], r[0], _params(state).mirrored(), x_in)
+
+
+def _reference_swap(state, i, o, x_in):
+    """apply_swap for distinct in-range assets and a nonzero finite trade:
+    the kernels' public functions, the public PoolState constructor for the
+    post state and core._invariant_deviation for the receipt."""
+    rate = _reference_rate(state, i, o)
+    x_out = _reference_amount(state, i, o, x_in)
+    if x_out == 0.0:
+        raise InfeasibleTrade(f"input {x_in} produced zero output")
+    reserves = list(state.reserves)
+    reserves[i] += x_in
+    reserves[o] -= x_out
+    if reserves[o] <= 0.0:
+        raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
+    post = PoolState(
+        reserves=tuple(reserves),
+        spec=state.spec,
+        invariant=state.invariant,
+        oracle_price=state.oracle_price,
+        share_supply=state.share_supply,
+    )
+    outcome = (i, o, x_in, x_out, post.reserves, rate, x_in / x_out, (x_in / x_out) / rate - 1.0)
+    return post.reserves, outcome, core._invariant_deviation(post)
+
+
+def _reference_liquidity(state, fraction):
+    grow = 1.0 + fraction
+    reserves = tuple(r * grow for r in state.reserves)
+    if state.spec.family is ProtocolFamily.WEIGHTED:
+        invariant = (_w.weighted_conservation(reserves, state.spec.weights),)
+    else:
+        invariant = tuple(c * grow for c in state.invariant)
+    post = PoolState(
+        reserves=reserves,
+        spec=state.spec,
+        invariant=invariant,
+        oracle_price=state.oracle_price,
+        share_supply=state.share_supply * grow,
+    )
+    changes = [
+        abs(_reference_rate(post, i, o) / _reference_rate(state, i, o) - 1.0)
+        for i in range(state.n_assets)
+        for o in range(state.n_assets)
+        if i != o
+    ]
+    worst = math.nan if any(math.isnan(c) for c in changes) else max(changes)
+    return post.reserves, post.invariant, post.share_supply, worst
+
+
+def _swap_result(state, i, o, x_in):
+    post, outcome, receipt = apply_swap(state, i, o, x_in)
+    assert receipt.post_state is post and receipt.pre_state is state
+    assert post.reserves is outcome.reserves_after
+    assert (post.spec, post.invariant, post.oracle_price, post.share_supply) == (
+        state.spec, state.invariant, state.oracle_price, state.share_supply
+    )
+    fields = (
+        outcome.input_asset, outcome.output_asset, outcome.amount_in, outcome.amount_out,
+        outcome.reserves_after, outcome.spot_rate_before, outcome.effective_rate,
+        outcome.slippage,
+    )
+    return post.reserves, fields, receipt.checks[0].deviation
+
+
+def _liquidity_result(state, fraction):
+    post, receipt = add_liquidity_proportional(state, fraction)
+    return post.reserves, post.invariant, post.share_supply, receipt.checks[0].deviation
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _settled(fn, *args):
+    """float.hex of every float fn returns, or its exception class and
+    message."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@st.composite
+def transition_pools(draw):
+    """Weighted (n = 2..4), PMM and stableswap (n = 2..4) pools, each
+    displaced from its starting point by one swap when that swap succeeds."""
+    family = draw(st.sampled_from(["weighted", "pmm", "stableswap"]))
+    if family == "pmm":
+        n = 2
+        targets = [10.0 ** draw(st.floats(-3.0, 6.0)) for _ in range(2)]
+        amp = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+        pool = pmm_pool(*targets, 10.0 ** draw(st.floats(-3.0, 3.0)), amp)
+    else:
+        n = draw(st.integers(2, 4))
+        base = 10.0 ** draw(st.floats(-6.0, 9.0))
+        reserves = [base * 10.0 ** draw(st.floats(0.0, 3.0)) for _ in range(n)]
+        if family == "weighted":
+            raw = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
+            weights = [w / math.fsum(raw) for w in raw]
+            pool = weighted_pool(reserves, weights)
+        else:
+            pool = stableswap_pool(reserves, 10.0 ** draw(st.floats(-3.0, 8.0)))
+    i, o = draw(st.permutations(range(n)))[:2]
+    shift = pool.reserves[i] * 10.0 ** draw(st.floats(-6.0, 0.0))
+    try:
+        pool, _, _ = apply_swap(pool, i, o, shift)
+    except (AmmError, ValueError):
+        pass
+    return pool
+
+
+class TestTransitionBits:
+    """apply_swap and add_liquidity_proportional check their post state once,
+    with one evaluation of the conservation law that also gives the receipt;
+    they must equal the plain statement of each rule bit for bit, and fail
+    where it fails, with the same message."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        pool=transition_pools(),
+        pair=st.integers(0, 11),
+        # trades of 1e-9 to 10 times the input reserve, and a third far
+        # beyond, where r_o - x_out cancels and the post state is refused
+        exponent=st.one_of(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0), st.floats(1.0, 14.0)),
+        sign=st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+    )
+    def test_apply_swap(self, pool, pair, exponent, sign):
+        pairs = [(i, o) for i in range(pool.n_assets) for o in range(pool.n_assets) if i != o]
+        i, o = pairs[pair % len(pairs)]
+        x_in = sign * pool.reserves[i] * 10.0**exponent
+        got = _settled(_swap_result, pool, i, o, x_in)
+        assert got == _settled(_reference_swap, pool, i, o, x_in)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        pool=transition_pools(),
+        fraction=st.floats(-0.9, 10.0, exclude_min=True, exclude_max=True),
+    )
+    def test_add_liquidity_proportional(self, pool, fraction):
+        got = _settled(_liquidity_result, pool, fraction)
+        assert got == _settled(_reference_liquidity, pool, fraction)

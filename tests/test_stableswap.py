@@ -154,6 +154,25 @@ class TestInvariantDrift:
         assert invariant_drift((100.0, 100.0), 200.0, 10.0) == 0.0
 
 
+class TestConservationCheck:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(st.floats(min_value=-6.0, max_value=9.0), min_size=2, max_size=4),
+        amp_exponent=st.floats(min_value=-3.0, max_value=8.0),
+        delta=st.one_of(st.just(0.0), st.floats(min_value=-1e-6, max_value=1e-6)),
+    )
+    def test_matches_residual_and_drift_bit_for_bit(self, exponents, amp_exponent, delta):
+        # one pass gives conservation_residual and invariant_drift, on the
+        # curve and off it
+        reserves = tuple(10.0**e for e in exponents)
+        amp = 10.0**amp_exponent
+        d = solve_invariant(reserves, amp) * (1.0 + delta)
+        q, dq, _ = stableswap.curve_constants(d, amp, len(reserves))
+        residual, drift = stableswap.conservation_check(reserves, d, amp, q, dq)
+        assert residual.hex() == conservation_residual(reserves, d, amp).hex()
+        assert drift.hex() == invariant_drift(reserves, d, amp).hex()
+
+
 class TestSpotRate:
     def test_same_asset_is_one(self):
         d = solve_invariant((50.0, 150.0), 10.0)
