@@ -113,9 +113,7 @@ class PoolState:
         object.__setattr__(self, "invariant", invariant)
         if len(reserves) < 2:
             raise ValueError("a pool holds at least two assets")
-        for r in reserves:
-            if not (math.isfinite(r) and r > 0.0):
-                raise ValueError(f"reserves must be finite and positive, got {reserves}")
+        _check_reserves(reserves, reserves)
         if not (math.isfinite(self.share_supply) and self.share_supply > 0.0):
             raise ValueError(f"share supply must be positive, got {self.share_supply}")
         family = self.spec.family
@@ -136,9 +134,11 @@ class PoolState:
             if family is ProtocolFamily.WEIGHTED and len(self.spec.weights) != len(reserves):
                 raise ValueError("one weight per asset required")
         if family is ProtocolFamily.STABLESWAP:
+            # not self._curve: its constants (D/n)^n and D*(D/n)^n may leave
+            # the float range, which conservation_residual reports as DomainError
             deviation = _ss.conservation_residual(reserves, invariant[0], self.spec.amplification)
         else:
-            deviation = _invariant_deviation(self)
+            deviation = self._curve.deviations(reserves)[0]
         _gate(deviation)
 
     @property
@@ -148,10 +148,24 @@ class PoolState:
     @cached_property
     def _curve(self):
         """The family's constants and per-point formulas for this pool's
-        curve, built on first use; a swap's post state inherits its
-        parent's. Filling this cache is the only write to a state, and it
+        curve, built on first use (for weighted and PMM pools, by the
+        conservation check at construction); a swap's post state inherits
+        its parent's. Filling this cache is the only write to a state, and it
         is idempotent, so states stay safe to share across threads."""
         return _CURVES[self.spec.family](self)
+
+
+def _check_reserves(reserves, values) -> None:
+    """Each of values, taken from the tuple reserves, is finite and positive;
+    the message names the whole tuple."""
+    for r in values:
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"reserves must be finite and positive, got {reserves}")
+
+
+def _check_trade(x_in: float) -> None:
+    if not math.isfinite(x_in):
+        raise DomainError(f"trade size must be finite, got {x_in}")
 
 
 def _gate(deviation: float) -> None:
@@ -325,8 +339,7 @@ def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     """Output of asset o for adding x_in of asset i (closed form per family).
     Negative x_in is the reverse-trade sign convention; a non-finite x_in
     raises DomainError."""
-    if not math.isfinite(x_in):
-        raise DomainError(f"trade size must be finite, got {x_in}")
+    _check_trade(x_in)
     return swap_kernel(state, i, o)(x_in)
 
 
@@ -403,22 +416,6 @@ class TransitionReceipt:
         return all(check.passed for check in self.checks)
 
 
-def _invariant_deviation(state: PoolState) -> float:
-    """How far the state's reserves sit from its stored conservation
-    constants, relative; for stableswap, the distance from the stored D to
-    the reserves' invariant, to first order (one Newton step, no root
-    solve). A transition's receipt holds this number, computed by its
-    curve's single evaluation; for weighted and PMM pools it is also the
-    deviation a PoolState is checked with."""
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
-        value = _w.weighted_conservation(state.reserves, state.spec.weights)
-        return abs(value - state.invariant[0]) / state.invariant[0]
-    if family is ProtocolFamily.STABLESWAP:
-        return _ss.invariant_drift(state.reserves, state.invariant[0], state.spec.amplification)
-    return _pmm.conservation_residual(state.reserves[0], state.reserves[1], state._curve.params)
-
-
 def apply_swap(
     state: PoolState,
     input_asset: int,
@@ -454,8 +451,7 @@ def apply_swap(
             checks=(RuleCheck("invariant_preserved", 0.0),),
         )
         return state, outcome, receipt
-    if not math.isfinite(x_in):
-        raise DomainError(f"trade size must be finite, got {x_in}")
+    _check_trade(x_in)
     x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output")
@@ -464,13 +460,14 @@ def apply_swap(
     reserves[output_asset] -= x_out
     if reserves[output_asset] <= 0.0:
         raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
-    reserves = tuple(reserves)
     # the post state differs from the checked one in the two moved reserves
-    # alone: PoolState's checks that remain open are theirs and the
-    # conservation law, evaluated once
-    r_in, r_out = reserves[input_asset], reserves[output_asset]
-    if not (math.isfinite(r_in) and r_in > 0.0 and math.isfinite(r_out) and r_out > 0.0):
-        raise ValueError(f"reserves must be finite and positive, got {reserves}")
+    # alone: PoolState's checks that remain open are their float coercion
+    # (x_in may be a numpy scalar), their values and the conservation law,
+    # evaluated once
+    reserves[input_asset] = float(reserves[input_asset])
+    reserves[output_asset] = float(reserves[output_asset])
+    reserves = tuple(reserves)
+    _check_reserves(reserves, (reserves[input_asset], reserves[output_asset]))
     gate, deviation = curve.deviations(reserves)
     _gate(gate)
     post = object.__new__(PoolState)

@@ -53,12 +53,14 @@ def _out_of_range(reserves, D: float) -> DomainError:
     )
 
 
-def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, float]:
-    """g(D) and the sum of its term magnitudes, for backward-error residuals.
+def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, float, float]:
+    """g(D), the sum of its term magnitudes (for backward-error residuals),
+    and its last term D^{n+1} / (n^n * prod(r)).
 
     g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)); the invariant is
-    the positive root of g. A last term that leaves the float range raises
-    DomainError: an infinite term would make the residual NaN.
+    the positive root of g. The last term can overflow to inf at the upper
+    end of solve_invariant's bracket, sum(r), even where the root itself is
+    representable: g is then -inf, a valid sign for the root solve.
     """
     n = len(reserves)
     total = math.fsum(reserves)
@@ -67,17 +69,19 @@ def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, 
         power = D * (D / n) ** n / prod
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
-    if not math.isfinite(power):
-        raise _out_of_range(reserves, D)
     terms = (amplification * total, D, amplification * D, power)
-    return terms[0] + terms[1] - terms[2] - terms[3], sum(abs(t) for t in terms)
+    return terms[0] + terms[1] - terms[2] - terms[3], sum(abs(t) for t in terms), power
 
 
 def conservation_residual(reserves, D: float, amplification: float) -> float:
     """Relative residual of the defining equation at (reserves, D):
-    |g(D)| normalized by the magnitudes of g's terms. Zero on the curve."""
+    |g(D)| normalized by the magnitudes of g's terms. Zero on the curve. A
+    last term beyond the float range raises DomainError: it would make the
+    residual NaN."""
     _check_reserves(reserves)
-    g, scale = _polynomial_terms(reserves, D, amplification)
+    g, scale, power = _polynomial_terms(reserves, D, amplification)
+    if not math.isfinite(power):
+        raise _out_of_range(reserves, D)
     return abs(g) / max(scale, 1e-300)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from ammlab import (
     DomainError,
     IdenticalAssets,
     InfeasibleTrade,
+    InvalidBracket,
     PoolState,
     ProtocolFamily,
     ProtocolSpec,
@@ -34,7 +36,6 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
-from ammlab import core
 from ammlab import pmm as _pmm
 from ammlab import stableswap as _ss
 from ammlab import weighted as _w
@@ -164,6 +165,18 @@ class TestFactories:
         # D*(D/n)^n is inf while (D/n)^n is finite: the residual would be NaN
         with pytest.raises(DomainError, match="leaves the floating-point range"):
             stableswap_pool(reserves, 10.0)
+
+    def test_stableswap_solver_keeps_an_infinite_bracket_end(self):
+        # D*(D/n)^n overflows at the bracket's upper end D = sum(r), although
+        # the root, near 7.4e67, is representable. Only the conservation gate
+        # refuses an infinite last term: the solver's g is -inf there, and
+        # the refusal is the root bracket's, which needs finite endpoint
+        # values
+        reserves = (1e103, 1e-3)
+        g, _, power = _ss._polynomial_terms(reserves, math.fsum(reserves), 1.0)
+        assert g == -math.inf and power == math.inf
+        with pytest.raises(InvalidBracket, match="endpoint values must be finite"):
+            stableswap_pool(reserves, 1.0)
 
     def test_pmm_defaults_to_equilibrium_reserves(self):
         pool = pmm_pool(
@@ -466,10 +479,22 @@ def _reference_amount(state, i, o, x_in):
     return _pmm.pmm_swap(r[1], r[0], _params(state).mirrored(), x_in)
 
 
+def _reference_deviation(state):
+    """The receipt's deviation: how far the reserves sit from the stored
+    constants, relative; for stableswap, the drift of D to first order."""
+    r, family = state.reserves, state.spec.family
+    if family is ProtocolFamily.WEIGHTED:
+        value = _w.weighted_conservation(r, state.spec.weights)
+        return abs(value - state.invariant[0]) / state.invariant[0]
+    if family is ProtocolFamily.STABLESWAP:
+        return _ss.invariant_drift(r, state.invariant[0], state.spec.amplification)
+    return _pmm.conservation_residual(r[0], r[1], _params(state))
+
+
 def _reference_swap(state, i, o, x_in):
     """apply_swap for distinct in-range assets and a nonzero finite trade:
     the kernels' public functions, the public PoolState constructor for the
-    post state and core._invariant_deviation for the receipt."""
+    post state and _reference_deviation for the receipt."""
     rate = _reference_rate(state, i, o)
     x_out = _reference_amount(state, i, o, x_in)
     if x_out == 0.0:
@@ -487,7 +512,7 @@ def _reference_swap(state, i, o, x_in):
         share_supply=state.share_supply,
     )
     outcome = (i, o, x_in, x_out, post.reserves, rate, x_in / x_out, (x_in / x_out) / rate - 1.0)
-    return post.reserves, outcome, core._invariant_deviation(post)
+    return post.reserves, outcome, _reference_deviation(post)
 
 
 def _reference_liquidity(state, fraction):
@@ -610,3 +635,25 @@ class TestTransitionBits:
     def test_add_liquidity_proportional(self, pool, fraction):
         got = _settled(_liquidity_result, pool, fraction)
         assert got == _settled(_reference_liquidity, pool, fraction)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e14])
+    @pytest.mark.parametrize(
+        "make_pool",
+        [
+            lambda: weighted_pool((100.0, 300.0, 50.0), (0.5, 0.3, 0.2)),
+            lambda: pmm_pool(100.0, 400.0, 0.25, 0.5, reserves=(100.0, 400.0)),
+            lambda: stableswap_pool((100.0, 300.0, 50.0), 10.0),
+        ],
+        ids=["weighted", "pmm", "stableswap"],
+    )
+    def test_numpy_trade_leaves_float_reserves(self, make_pool, scale):
+        # a numpy scalar trade moves the reserves by numpy arithmetic; the
+        # post state holds them as floats, as PoolState(...) would
+        pool = make_pool()
+        x_in = np.float64(pool.reserves[0] * scale)
+        got = _settled(_swap_result, pool, 0, 1, x_in)
+        assert got == _settled(_reference_swap, pool, 0, 1, x_in)
+        if scale < 1.0:
+            post, outcome, _ = apply_swap(pool, 0, 1, x_in)
+            assert all(type(r) is float for r in post.reserves)
+            assert outcome.reserves_after is post.reserves
