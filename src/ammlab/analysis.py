@@ -14,7 +14,11 @@ operations, in the same order, as the scalar function it samples
 (``core.slippage``, ``core.swap_amount``, ``divergence_loss``), so a curve
 equals the scalar path bit for bit. The kernels are plain Python: numpy's
 vectorised ``power`` rounds differently from the C library's ``pow`` in a
-few percent of values, which would break that equality.
+few percent of values, which would break that equality. numpy is imported
+only by ``log_grid``, whose ``numpy.geomspace`` a plain-Python product does
+not reproduce bit for bit; ``linear_grid`` repeats ``numpy.linspace``'s
+float operations in plain Python, so a sweep on linear grids never loads
+numpy.
 
 Grid points are independent of each other, so each sweep accepts a
 ``point_map`` (any order-preserving ``map`` equivalent, e.g.
@@ -40,8 +44,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import stableswap as _ss
 from . import weighted as _w
@@ -121,12 +123,16 @@ class CurveSeries:
 # grids
 
 
-# the largest grid log_grid and linear_grid build: numpy allocates the whole
-# grid before any point is evaluated, 8 bytes a point
+# the largest grid log_grid and linear_grid build: each holds the whole grid
+# before any point is evaluated
 MAX_GRID_POINTS = 1_000_000
 
 
-def _check_points(points: int) -> None:
+def _check_grid(kind: str, lo: float, hi: float, points: int) -> None:
+    """Refuse, given lo < hi, an unbounded span, which would put NaN or inf
+    on the grid, and a point count outside [2, MAX_GRID_POINTS]."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{kind} grid needs finite bounds and span, got [{lo}, {hi}]")
     if points < 2:
         raise ValueError("a grid needs at least two points")
     if points > MAX_GRID_POINTS:
@@ -134,19 +140,33 @@ def _check_points(points: int) -> None:
 
 
 def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    """Log-spaced grid on [lo, hi], endpoints included."""
+    """Log-spaced grid on [lo, hi], endpoints included: numpy.geomspace's
+    values, the one grid that loads numpy."""
     if not (0.0 < lo < hi):
         raise ValueError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
-    _check_points(points)
+    _check_grid("log", lo, hi, points)
+    import numpy as np
+
     return tuple(float(v) for v in np.geomspace(lo, hi, points))
 
 
 def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    """Evenly spaced grid on [lo, hi], endpoints included."""
+    """Evenly spaced grid on [lo, hi], endpoints included: numpy.linspace's
+    values, bit for bit, from the same float operations."""
     if not lo < hi:
         raise ValueError(f"linear grid needs lo < hi, got [{lo}, {hi}]")
-    _check_points(points)
-    return tuple(float(v) for v in np.linspace(lo, hi, points))
+    lo, hi = float(lo), float(hi)
+    _check_grid("linear", lo, hi, points)
+    delta = hi - lo
+    div = points - 1
+    step = delta / div
+    if step == 0.0:
+        # a subnormal span: numpy scales k/div by the span instead (gh-5437)
+        values = [lo + k / div * delta for k in range(points)]
+    else:
+        values = [lo + k * step for k in range(points)]
+    values[-1] = hi
+    return tuple(values)
 
 
 @cache

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import (
     ConvergenceFailure,
     DegenerateGradient,
@@ -110,8 +108,9 @@ def find_root(
 
     Newton steps (finite-difference derivative) are accepted only while they
     stay strictly inside the current bracket; anything else falls back to
-    bisection. The bracket shrinks monotonically, so the method cannot
-    diverge.
+    bisection. A difference probe that leaves f's domain (f raises ValueError
+    or OverflowError) ends the Newton steps: the rest of the solve bisects.
+    The bracket shrinks monotonically, so the method cannot diverge.
     """
     if rel_tol < 1e-15:
         raise ValueError("rel_tol below 1e-15 is not resolvable in double precision")
@@ -122,6 +121,7 @@ def find_root(
     if f_hi == 0.0:
         return hi
     x = 0.5 * (lo + hi)
+    newton = True
     for _ in range(max_iterations):
         fx = f(x)
         if fx == 0.0:
@@ -132,9 +132,20 @@ def find_root(
             hi, f_hi = x, fx
         if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
-        h = max(abs(x) * 1e-7, 1e-12)
-        d = (f(x + h) - f(x - h)) / (2.0 * h)
-        x_next = x - fx / d if d != 0.0 and math.isfinite(d) else math.inf
+        x_next = math.inf
+        if newton:
+            h = max(abs(x) * 1e-7, 1e-12)
+            try:
+                d = (f(x + h) - f(x - h)) / (2.0 * h)
+            except (ValueError, OverflowError):
+                # the step's absolute floor reaches past the edge of f's
+                # domain: this close to it a difference quotient misleads
+                # even where both probes succeed, and a tiny Newton step
+                # would pass for convergence
+                newton = False
+            else:
+                if d != 0.0 and math.isfinite(d):
+                    x_next = x - fx / d
         if lo < x_next < hi:
             if abs(x_next - x) <= rel_tol * abs(x_next):
                 return x_next
@@ -271,6 +282,10 @@ def solve_rebalance(
     iterate stays in the positive orthant; the initial guess is the current
     reserves.
     """
+    # the one numpy user outside log grids: imported here, so that importing
+    # the package does not load numpy
+    import numpy as np
+
     n = len(reserves)
     _check_assets(n, o)
     if n != Z.n:

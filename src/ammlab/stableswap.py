@@ -186,9 +186,25 @@ def solve_invariant(
 
 def _spot_rate(reserves, dq: float, amplification: float, i: int, o: int) -> float:
     a_prod = amplification * math.prod(reserves)
-    return (reserves[i] * (a_prod * reserves[o] + dq)) / (
-        reserves[o] * (a_prod * reserves[i] + dq)
-    )
+    try:
+        rate = (reserves[i] * (a_prod * reserves[o] + dq)) / (
+            reserves[o] * (a_prod * reserves[i] + dq)
+        )
+    except ZeroDivisionError:
+        rate = 0.0
+    if 0.0 < rate < math.inf:
+        return rate
+    # products of order r^(n+2) overflowed or underflowed: on balanced
+    # 2-asset pools that build from about 1e77 up, and on small pools. The
+    # rate is homogeneous of degree 0 in the reserves and D, so evaluate it
+    # again with both scaled by the exact power of two that brings the
+    # largest reserve into [0.5, 1) (dq = D*(D/n)^n scales by that power to
+    # the n+1); every rate in range keeps its bits
+    e = math.frexp(max(reserves))[1]
+    if e == 0:
+        raise DomainError("the spot rate's products leave the floating-point range")
+    scaled = [math.ldexp(r, -e) for r in reserves]
+    return _spot_rate(scaled, math.ldexp(dq, -e * (len(reserves) + 1)), amplification, i, o)
 
 
 def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: int) -> float:

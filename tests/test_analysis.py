@@ -6,8 +6,9 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
@@ -80,6 +81,50 @@ class TestGrids:
             linear_grid(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             linear_grid(1.0, 2.0, 1)
+
+    @pytest.mark.parametrize(
+        "build, lo, hi",
+        [
+            (linear_grid, -1e308, 1e308),
+            (linear_grid, 0.0, math.inf),
+            (linear_grid, -math.inf, 0.0),
+            (log_grid, 1.0, math.inf),
+        ],
+    )
+    def test_grids_refuse_unbounded_spans(self, build, lo, hi):
+        # numpy would put NaN or inf on these grids
+        with pytest.raises(ValueError, match="needs finite bounds and span"):
+            build(lo, hi, 3)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(allow_nan=False, allow_infinity=False),
+        hi=st.floats(allow_nan=False, allow_infinity=False),
+        points=st.integers(2, 300),
+    )
+    @example(lo=0.0, hi=5e-324, points=3)  # a zero step: numpy's subnormal branch
+    @example(lo=-5e-324, hi=1e-320, points=7)
+    @example(lo=-0.9, hi=4.0, points=60)
+    def test_linear_grid_is_numpy_linspace_bit_for_bit(self, lo, hi, points):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assume(lo < hi and math.isfinite(hi - lo))
+        # k * step can round past the float range at the last point, which
+        # both builders then set to hi
+        with np.errstate(over="ignore"):
+            want = [float(v).hex() for v in np.linspace(lo, hi, points)]
+        assert [v.hex() for v in linear_grid(lo, hi, points)] == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(min_value=5e-324, max_value=1e300),
+        ratio=st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+        points=st.integers(2, 300),
+    )
+    def test_log_grid_is_numpy_geomspace(self, lo, ratio, points):
+        hi = min(lo * ratio, 1e308)
+        assume(lo < hi)
+        want = [float(v).hex() for v in np.geomspace(lo, hi, points)]
+        assert [v.hex() for v in log_grid(lo, hi, points)] == want
 
     def test_grids_are_capped_before_allocating(self):
         for build in (log_grid, linear_grid):

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import ammlab
 from ammlab import __version__
 from ammlab.cli import main, run_scenario, validate_scenario_data
 
@@ -166,6 +172,21 @@ class TestValidate:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_object_grid_span_must_be_finite(self, tmp_path, capsys):
+        grid = {"start": -1e308, "stop": 1e308, "points": 3, "spacing": "linear"}
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [UNI],
+                "actions": [{"action": "divergence_curve", "pool": "uni", "grid": grid}],
+            },
+        )
+        assert main(["validate", str(path)]) == 2
+        assert (
+            "actions[0]: linear grid needs finite bounds and span, got [-1e+308, 1e+308]"
+            in capsys.readouterr().out
+        )
 
     def test_library_domain_errors_are_reported_per_pool(self):
         problems = validate_scenario_data(
@@ -422,3 +443,53 @@ class TestDeterminism:
             rows = outputs[0][name].decode("utf-8").splitlines()[1:]
             assert len(rows) == 200
             assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+
+# a trader's session on each family, as the trade-stream benchmark drives it
+TRADES = """
+from ammlab import bonding, core, numerics
+pools = [
+    core.uniswap_pool(100.0, 100.0),
+    core.weighted_pool((100.0, 200.0, 300.0), (0.5, 0.3, 0.2)),
+    core.pmm_pool(100.0, 100.0, 1.0, 0.5),
+    core.stableswap_pool((100.0, 300.0, 600.0), 10.0),
+]
+for pool in pools:
+    core.spot_rate(pool, 0, 1)
+    core.slippage(pool, 0, 1, 5.0)
+    post = core.apply_swap(pool, 0, 1, 5.0)[0]
+    core.add_liquidity_proportional(post, 0.1)
+curve = bonding.bonding_curve(100.0, 1000.0, 0.5)
+bonding.bonding_sell(bonding.bonding_buy(curve, 10.0)[0], 5.0)
+"""
+
+
+class TestNumpyFreeImport:
+    """numpy is loaded by log-spaced grids and the solve_rebalance oracle
+    alone; importing the package, trading and a run on linear grids leave it
+    unloaded."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import ammlab",
+            "import ammlab.cli",
+            TRADES,
+            "from ammlab import cli; cli.main(['run', {scenario!r}, '--out', {out!r}])",
+        ],
+        ids=["package", "cli", "trades", "linear-grid-run"],
+    )
+    def test_numpy_stays_unloaded(self, tmp_path, code):
+        code = code.format(
+            scenario=str(SCENARIOS / "divergence_heavy.json"), out=str(tmp_path / "out")
+        )
+        src = str(Path(ammlab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", code + "\nimport sys; sys.exit('numpy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr or "numpy was loaded"

@@ -19,9 +19,13 @@ from ammlab import (
     ValuationReport,
     find_root,
     generic_divergence_loss,
+    implicit_conservation,
     implicit_swap,
     numeric_spot_rate,
     solve_rebalance,
+    stableswap_pool,
+    swap_amount,
+    uniswap_pool,
 )
 from ammlab.pmm import PMMParams, conservation_gap, pmm_swap
 from ammlab.stableswap import defining_residual, solve_invariant
@@ -96,6 +100,15 @@ class TestFindRoot:
         with pytest.raises(ConvergenceFailure):
             find_root(lambda x: x - 2.0, bracket, max_iterations=1)
 
+    def test_probe_outside_the_domain_bisects(self):
+        # the root sits closer to the domain's edge than the difference
+        # step's 1e-12 floor, so a probe lands at x <= 0, where log raises
+        def f(x: float) -> float:
+            return math.log(x / 3e-13)
+
+        root = find_root(f, RootBracket.from_function(f, 1e-20, 1.0))
+        assert math.isclose(root, 3e-13, rel_tol=1e-13)
+
     def test_matches_stableswap_invariant_solver(self):
         # Independent route to the same stableswap D: root of the defining
         # residual in D over a wide bracket.
@@ -165,6 +178,20 @@ class TestImplicitSwap:
         )
         with pytest.raises(NoSolution):
             implicit_swap(constant_sum, (100.0, 100.0), (200.0,), 0, 1, 250.0)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-11])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda r: uniswap_pool(r, r), lambda r: stableswap_pool((r, r), 10.0)],
+        ids=["uniswap", "stableswap"],
+    )
+    def test_reserves_below_the_difference_step(self, build, scale):
+        pool = build(scale)
+        x_in = 0.01 * scale
+        numeric = implicit_swap(
+            implicit_conservation(pool), pool.reserves, pool.invariant, 0, 1, x_in
+        )
+        assert math.isclose(numeric, swap_amount(pool, 0, 1, x_in), rel_tol=1e-8)
 
     def test_matches_oracle_anchored_closed_form(self):
         params = PMMParams(

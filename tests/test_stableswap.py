@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -17,8 +19,12 @@ from ammlab import (
     ImplicitConservation,
     NoSolution,
     ReserveDepletion,
+    apply_swap,
     generic_divergence_loss,
     implicit_swap,
+    slippage,
+    spot_rate,
+    stableswap_pool,
 )
 from ammlab import stableswap
 from ammlab.analysis import default_shift_grid
@@ -36,6 +42,10 @@ from ammlab.stableswap import (
 from ammlab.weighted import weighted_divergence_loss
 
 AMPLIFICATION_LADDER = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def _log_uniform(lo_exponent: float, hi_exponent: float):
+    return st.floats(min_value=lo_exponent, max_value=hi_exponent).map(lambda x: 10.0**x)
 
 
 def implicit_curve(amp: float, n: int) -> ImplicitConservation:
@@ -192,6 +202,70 @@ class TestSpotRate:
         rate = stableswap_spot_rate((50.0, 150.0), d, 1e8, 0, 1)
         assert math.isclose(rate, 0.99999996444444670, rel_tol=1e-12)
         assert abs(rate - 1.0) <= 1e-6
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=3),
+        amp=_log_uniform(-3.0, 8.0),
+        data=st.data(),
+    )
+    def test_power_of_two_scaling_keeps_the_rate_bit_for_bit(self, exponents, amp, data):
+        # the rate is homogeneous of degree 0; beyond the scale where its
+        # products of order r^(n+2) overflow it is evaluated in scaled units
+        reserves = tuple(10.0**e for e in exponents)
+        n = len(reserves)
+        d = solve_invariant(reserves, amp)
+        # D < 2^12 here, so D^(n+1) stays finite; below, no product of order
+        # r^(n+2) may underflow
+        k = data.draw(st.integers(-(1000 // (n + 2)) + 12, 1000 // (n + 1) - 12))
+        scaled = tuple(math.ldexp(r, k) for r in reserves)
+        i, o = data.draw(st.permutations(range(n)))[:2]
+        got = stableswap_spot_rate(scaled, math.ldexp(d, k), amp, i, o)
+        assert got.hex() == stableswap_spot_rate(reserves, d, amp, i, o).hex()
+
+    @pytest.mark.parametrize("exponent", [77, 90, 102])
+    @pytest.mark.parametrize("amp", [1.0, 10.0, 1000.0])
+    def test_pools_up_to_the_float_range_have_finite_rates(self, exponent, amp):
+        # balanced 2-asset pools from 1e77 to 1e102 build, but their rate's
+        # products overflow
+        r = 10.0**exponent
+        pool = stableswap_pool((r, r), amp)
+        assert spot_rate(pool, 0, 1) == 1.0
+        assert math.isfinite(slippage(pool, 0, 1, 0.01 * r))
+        _, outcome, receipt = apply_swap(pool, 0, 1, 0.01 * r)
+        assert outcome.spot_rate_before == 1.0
+        assert receipt.passed
+        unbalanced = stableswap_pool((r, 1.3 * r), amp)
+        want = spot_rate(stableswap_pool((1.0, 1.3), amp), 0, 1)
+        assert math.isclose(spot_rate(unbalanced, 0, 1), want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "reserves, amp",
+        [
+            ((1e100, 1.3e100), 10.0),  # both products overflow: NaN
+            ((1.0841883749415982e41, 4.717810299113501e90), 145.14135431241363),  # 0 and inf
+            # the denominator underflows: ZeroDivisionError
+            ((3.856628684885056e-58, 9.18688017093514e-101, 1.516623333219833e-70), 0.0625),
+        ],
+    )
+    def test_rates_beyond_the_float_range_of_their_products(self, reserves, amp):
+        d = solve_invariant(reserves, amp)
+        n = len(reserves)
+        dq = d * (d / n) ** n
+        exact = [Fraction(r) for r in reserves]
+        a_prod = Fraction(amp) * math.prod(exact)
+        for i, o in permutations(range(n), 2):
+            want = exact[i] * (a_prod * exact[o] + Fraction(dq)) / (
+                exact[o] * (a_prod * exact[i] + Fraction(dq))
+            )
+            got = stableswap_spot_rate(reserves, d, amp, i, o)
+            assert abs(Fraction(got) / want - 1) <= 1e-15
+
+    def test_rate_out_of_range_at_unit_scale_raises(self):
+        # the largest reserve is already in [0.5, 1), and every product
+        # underflows to zero
+        with pytest.raises(DomainError, match="products leave the floating-point range"):
+            stableswap_spot_rate((0.75, 1e-200, 1e-200), 1e-100, 10.0, 0, 1)
 
 
 class TestSwap:
@@ -360,10 +434,6 @@ class TestDivergenceLoss:
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 2, 0.5)
         with pytest.raises(DomainError):
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, -1.0)
-
-
-def _log_uniform(lo_exponent: float, hi_exponent: float):
-    return st.floats(min_value=lo_exponent, max_value=hi_exponent).map(lambda x: 10.0**x)
 
 
 class TestUnrolledResidual:
