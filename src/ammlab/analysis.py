@@ -20,11 +20,6 @@ not reproduce bit for bit; ``linear_grid`` repeats ``numpy.linspace``'s
 float operations in plain Python, so a sweep on linear grids never loads
 numpy.
 
-Grid points are independent of each other, so each sweep accepts a
-``point_map`` (any order-preserving ``map`` equivalent, e.g.
-``ThreadPoolExecutor.map``); output ordering follows the grid regardless of
-evaluation order, keeping results identical across parallelism degrees.
-
 Divergence loss comes from closed forms on every family: weighted pools
 have it outright, stableswap pools through a one-dimensional root solve along
 the curve. The generic rebalance-and-revalue engine in ``numerics`` is kept
@@ -57,7 +52,7 @@ from .core import (
     swap_kernel,
 )
 from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
-from .numerics import DEFAULT_CONFIG, SolverConfig, ValuationReport, generic_divergence_loss
+from .numerics import ValuationReport, generic_divergence_loss
 from .quote import slippage_from_quote
 
 __all__ = [
@@ -86,9 +81,6 @@ __all__ = [
     "check_grid_domain",
     "hyperparameter_string",
 ]
-
-PointMap = Callable[[Callable, Iterable], Iterable]
-
 
 class SeriesKind(str, enum.Enum):
     SLIPPAGE = "slippage"
@@ -226,12 +218,7 @@ def hyperparameter_string(state: PoolState) -> str:
 # single-point divergence loss
 
 
-def divergence_loss(
-    state: PoolState,
-    asset: int,
-    rho: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
+def divergence_loss(state: PoolState, asset: int, rho: float) -> float:
     """Loss L of providing liquidity versus holding when `asset` appreciates
     by rho against asset 0 (the numeraire).
 
@@ -243,12 +230,12 @@ def divergence_loss(
     market instead of diverging from it — so they are rejected with
     NotApplicable.
     """
-    return _divergence_kernel(state, asset, config)(rho)
+    return _divergence_kernel(state, asset)(rho)
 
 
-def _divergence_kernel(state: PoolState, asset: int, config: SolverConfig):
-    """rho -> divergence_loss(state, asset, rho, config), with the family
-    dispatch and the argument checks done once."""
+def _divergence_kernel(state: PoolState, asset: int):
+    """rho -> divergence_loss(state, asset, rho), with the family dispatch
+    and the argument checks done once."""
     family = state.spec.family
     if family is ProtocolFamily.PMM:
         raise NotApplicable(
@@ -259,7 +246,7 @@ def _divergence_kernel(state: PoolState, asset: int, config: SolverConfig):
     if family is ProtocolFamily.WEIGHTED:
         return _w.weighted_divergence_kernel(state.spec.weights, asset)
     return _ss.stableswap_divergence_kernel(
-        state.reserves, state.invariant[0], state.spec.amplification, asset, config
+        state.reserves, state.invariant[0], state.spec.amplification, asset
     )
 
 
@@ -267,7 +254,7 @@ def _divergence_kernel(state: PoolState, asset: int, config: SolverConfig):
 # sweeps
 
 
-def _solved_points(point_map: PointMap, solve: Callable[[float], float], grid):
+def _solved_points(solve: Callable[[float], float], grid):
     """y-values and (grid index, reason) failures of solve over the grid; a
     point raising NoSolution or ConvergenceFailure becomes NaN."""
 
@@ -277,7 +264,7 @@ def _solved_points(point_map: PointMap, solve: Callable[[float], float], grid):
         except (NoSolution, ConvergenceFailure) as exc:
             return math.nan, str(exc)
 
-    results = tuple(point_map(point, grid))
+    results = tuple(map(point, grid))
     failures = tuple((k, msg) for k, (_, msg) in enumerate(results) if msg is not None)
     return tuple(y for y, _ in results), failures
 
@@ -289,7 +276,6 @@ def slippage_curve(
     grid: Sequence[float] | None = None,
     pool_id: str = "pool",
     protocol: str | None = None,
-    point_map: PointMap = map,
 ) -> CurveSeries:
     """Slippage S against normalized trade size x_in/r_in over the grid
     (values restricted to (0, 0.95]). Equal, bit for bit, to
@@ -307,7 +293,7 @@ def slippage_curve(
             return 0.0
         return slippage_from_quote(x_in, swap(x_in), rate)
 
-    y = tuple(point_map(point, grid))
+    y = tuple(map(point, grid))
     return CurveSeries(
         kind=SeriesKind.SLIPPAGE,
         pool_id=pool_id,
@@ -324,16 +310,14 @@ def divergence_curve(
     grid: Sequence[float] | None = None,
     pool_id: str = "pool",
     protocol: str | None = None,
-    point_map: PointMap = map,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> CurveSeries:
     """Divergence loss L against price shift rho over the grid (values in
     (-1, inf)), equal to divergence_loss at every point; per-point solver
     failures become NaN entries."""
-    loss = _divergence_kernel(state, asset, config)
+    loss = _divergence_kernel(state, asset)
     grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
     check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
-    y, failures = _solved_points(point_map, loss, grid)
+    y, failures = _solved_points(loss, grid)
     return CurveSeries(
         kind=SeriesKind.DIVERGENCE_LOSS,
         pool_id=pool_id,
@@ -352,7 +336,6 @@ def conservation_cross_section(
     grid: Sequence[float] | None = None,
     pool_id: str = "pool",
     protocol: str | None = None,
-    point_map: PointMap = map,
 ) -> CurveSeries:
     """The conservation curve itself: for each input-reserve value g on the
     grid, the output reserve r_out - swap_amount(state, input_asset,
@@ -363,7 +346,7 @@ def conservation_cross_section(
     r_out = state.reserves[output_asset]
     grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
     check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
-    y, failures = _solved_points(point_map, lambda g: r_out - swap(g - r_in), grid)
+    y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return CurveSeries(
         kind=SeriesKind.CONSERVATION_CROSS_SECTION,
         pool_id=pool_id,
@@ -381,7 +364,9 @@ def conservation_cross_section(
 
 @dataclass(frozen=True)
 class ComparisonConfig:
-    """Pools to sweep on one shared grid.
+    """Pools to sweep side by side: on `grid`, or where it is None each on
+    its own sweep's default grid (a cross-section's default spans a decade
+    around that pool's input reserve).
 
     pools: (pool id, state) pairs, optionally (pool id, state, protocol
     label) triples when the caller wants a display name different from the
@@ -396,48 +381,26 @@ class ComparisonConfig:
     grid: tuple[float, ...] | None = None
 
 
-def compare_protocols(
-    config: ComparisonConfig,
-    point_map: PointMap = map,
-    solver_config: SolverConfig = DEFAULT_CONFIG,
-) -> tuple[CurveSeries, ...]:
-    """One CurveSeries per configured pool, all on the same grid; failures
-    are annotated with the pool id they came from. An empty pool list yields
-    an empty tuple."""
-    entries = []
-    for entry in config.pools:
-        if len(entry) == 2:
-            pool_id, state = entry
-            label = None
-        else:
-            pool_id, state, label = entry
-        entries.append((str(pool_id), state, label))
-    grid = config.grid
-    if grid is None:
-        if config.kind is SeriesKind.SLIPPAGE:
-            grid = default_trade_grid()
-        elif config.kind is SeriesKind.DIVERGENCE_LOSS:
-            grid = default_shift_grid()
-        elif entries:
-            grid = default_cross_section_grid(entries[0][1].reserves[config.input_asset])
+def compare_protocols(config: ComparisonConfig) -> tuple[CurveSeries, ...]:
+    """One CurveSeries per configured pool; failures are annotated with the
+    pool id they came from. An empty pool list yields an empty tuple."""
     series = []
-    for pool_id, state, label in entries:
+    for entry in config.pools:
+        pool_id, state, label = entry if len(entry) == 3 else (*entry, None)
+        pool_id = str(pool_id)
         try:
-            if config.kind is SeriesKind.SLIPPAGE:
-                one = slippage_curve(
-                    state, config.input_asset, config.output_asset, grid,
-                    pool_id=pool_id, protocol=label, point_map=point_map,
-                )
-            elif config.kind is SeriesKind.DIVERGENCE_LOSS:
+            if config.kind is SeriesKind.DIVERGENCE_LOSS:
                 one = divergence_curve(
-                    state, config.output_asset, grid,
-                    pool_id=pool_id, protocol=label, point_map=point_map,
-                    config=solver_config,
+                    state, config.output_asset, config.grid, pool_id=pool_id, protocol=label
                 )
             else:
-                one = conservation_cross_section(
-                    state, config.input_asset, config.output_asset, grid,
-                    pool_id=pool_id, protocol=label, point_map=point_map,
+                sweep = (
+                    slippage_curve if config.kind is SeriesKind.SLIPPAGE
+                    else conservation_cross_section
+                )
+                one = sweep(
+                    state, config.input_asset, config.output_asset, config.grid,
+                    pool_id=pool_id, protocol=label,
                 )
         except AmmError as exc:
             raise type(exc)(f"pool '{pool_id}': {exc}") from exc

@@ -7,11 +7,13 @@ every scenario problem without executing anything: it checks the document's
 shape (keys, types, list lengths, pool references, grids) itself, then builds
 each pool and checks each action's arguments against it through the library,
 which reports any value outside its domain; those problems are prefixed
-``pools[k]:`` or ``actions[k]:``. Output is deterministic:
-identical scenarios produce byte-identical files. Everything runs in one
-thread, in grid order; ``--parallel N`` must be at least 1 and does not change
-the output (a thread pool cannot speed up this pure-Python arithmetic, which
-holds the interpreter lock, so none is started).
+``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks and executes
+what they built: the pools, the resolved grids and each action's arguments
+with their defaults filled in, so nothing is built twice. Output is
+deterministic: identical scenarios produce byte-identical files. Everything
+runs in one thread, in grid order; ``--parallel N`` must be at least 1 and
+does not change the output (a thread pool cannot speed up this pure-Python
+arithmetic, which holds the interpreter lock, so none is started).
 
 Exit codes: 0 success, 1 parse error, 2 validation error (or a domain error
 hit while executing), 3 solver failure (partial outputs are kept and a
@@ -101,6 +103,11 @@ _POOL_KEYS = {
     "curve": {"id", "protocol", "reserves", "amplification"},
     "dodo": {"id", "protocol", "reserves", "amplification", "oracle_price", "targets"},
 }
+_SERIES_ACTIONS = {
+    "slippage_curve": SeriesKind.SLIPPAGE,
+    "divergence_curve": SeriesKind.DIVERGENCE_LOSS,
+    "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
+}
 _ACTION_KEYS = {
     "swap": {"action", "pool", "input_asset", "output_asset", "amount"},
     "add_liquidity": {"action", "pool", "fraction"},
@@ -136,48 +143,36 @@ _DOMAIN_ERRORS = (AmmError, ArithmeticError, IndexError, ValueError)
 _PAIRS = {"uniswap": "reserves", "sushiswap": "reserves", "dodo": "targets"}
 
 
-def _resolve_grid(spec, where: str, problems: list[str]):
+def _resolve_grid(spec):
     """Turn a grid spec (array or start/stop/points object) into a strictly
-    increasing tuple, collecting problems; returns None when the spec is
-    absent or bad."""
+    increasing tuple; None when the spec is absent. A bad spec raises
+    ValueError, and the library's grid builders their own errors."""
     if spec is None:
         return None
     if isinstance(spec, list):
         if len(spec) == 0:
-            problems.append(f"{where}: grid array is empty")
-            return None
+            raise ValueError("grid array is empty")
         if not all(_is_number(v) for v in spec):
-            problems.append(f"{where}: grid values must be finite numbers")
-            return None
+            raise ValueError("grid values must be finite numbers")
         values = tuple(float(v) for v in spec)
     elif isinstance(spec, dict):
         unknown = set(spec) - {"start", "stop", "points", "spacing"}
         if unknown:
-            problems.append(f"{where}: unknown grid keys {sorted(unknown)}")
-            return None
+            raise ValueError(f"unknown grid keys {sorted(unknown)}")
         if not (_is_number(spec.get("start")) and _is_number(spec.get("stop"))):
-            problems.append(f"{where}: grid start/stop must be finite numbers")
-            return None
+            raise ValueError("grid start/stop must be finite numbers")
         points = spec.get("points")
         if not _is_index(points):
-            problems.append(f"{where}: grid points must be an integer")
-            return None
+            raise ValueError("grid points must be an integer")
         spacing = spec.get("spacing", "log")
         if spacing not in ("log", "linear"):
-            problems.append(f"{where}: grid spacing must be 'log' or 'linear'")
-            return None
-        try:
-            build = log_grid if spacing == "log" else linear_grid
-            values = build(float(spec["start"]), float(spec["stop"]), points)
-        except _DOMAIN_ERRORS as exc:
-            problems.append(f"{where}: {exc}")
-            return None
+            raise ValueError("grid spacing must be 'log' or 'linear'")
+        build = log_grid if spacing == "log" else linear_grid
+        values = build(float(spec["start"]), float(spec["stop"]), points)
     else:
-        problems.append(f"{where}: grid must be an array or a start/stop/points object")
-        return None
+        raise ValueError("grid must be an array or a start/stop/points object")
     if not all(b > a for a, b in zip(values, values[1:])):
-        problems.append(f"{where}: grid values must be strictly increasing")
-        return None
+        raise ValueError("grid values must be strictly increasing")
     return values
 
 
@@ -249,13 +244,16 @@ def _build_pool(defn) -> PoolState:
     )
 
 
-def validate_scenario_data(data) -> list[str]:
-    """Every problem in a parsed scenario document, without executing it:
-    shape problems, then each pool's and each action's values as the library
-    judges them, prefixed pools[k]: or actions[k]:."""
+def _compile(data):
+    """(problems, pools, steps) of a parsed scenario document; pools and
+    steps are complete only when there are no problems. pools maps each pool
+    id to (protocol, state), the states the checks built. steps holds one
+    step per action, led by its name: (name, pid, i, o, amount) for a swap,
+    (name, pid, fraction) for add_liquidity, (name, kind, pids, i, o, grid or
+    None) for a series, where o is a divergence series' appreciating asset."""
     problems: list[str] = []
     if not isinstance(data, dict):
-        return ["scenario root must be a JSON object"]
+        return ["scenario root must be a JSON object"], {}, []
     unknown = set(data) - {"output", "pools", "actions"}
     if unknown:
         problems.append(f"unknown top-level keys: {sorted(unknown)}")
@@ -292,6 +290,7 @@ def validate_scenario_data(data) -> list[str]:
     if not isinstance(actions, list):
         problems.append("actions must be an array")
         actions = []
+    steps: list[tuple] = []
     for k, act in enumerate(actions):
         where = f"actions[{k}]"
         if not isinstance(act, dict):
@@ -332,6 +331,8 @@ def validate_scenario_data(data) -> list[str]:
             fraction = act.get("fraction")
             if not _is_number(fraction) or fraction <= -1:
                 problems.append(f"{where}: fraction must be a finite number > -1")
+            elif len(problems) == before:
+                steps.append((name, pids[0], float(fraction)))
             continue
         keys = ("asset",) if name == "divergence_curve" else ("input_asset", "output_asset")
         for key in keys:
@@ -339,9 +340,20 @@ def validate_scenario_data(data) -> list[str]:
                 problems.append(f"{where}: {key} must be an integer")
         if name == "swap" and not _is_number(act.get("amount")):
             problems.append(f"{where}: amount must be a finite number")
-        grid = _resolve_grid(act.get("grid"), where, problems) if kind is not None else None
+        grid = None
+        if kind is not None:
+            try:
+                grid = _resolve_grid(act.get("grid"))
+            except _DOMAIN_ERRORS as exc:
+                problems.append(f"{where}: {exc}")
         if len(problems) > before:
             continue
+        # o is the appreciating asset of a divergence_curve
+        i, o = act.get("input_asset", 0), act.get(keys[-1], 1)
+        if name == "swap":
+            steps.append((name, pids[0], i, o, float(act["amount"])))
+        else:
+            steps.append((name, kind, tuple(pids), i, o, grid))
         # the library judges a well-formed action, evaluating no point: the
         # grid's domain, then on each built pool the swap kernel the asset
         # pair and the sweep, on an empty grid, the rest of its arguments
@@ -356,16 +368,23 @@ def validate_scenario_data(data) -> list[str]:
                 continue
             try:
                 if name != "divergence_curve":
-                    swap_kernel(state, act.get("input_asset", 0), act.get("output_asset", 1))
+                    swap_kernel(state, i, o)
                 if kind is not None:
-                    _run_curve(kind, state, act, (), pid, protocol)
+                    _sweep(kind, state, i, o, (), pid, protocol)
             except NotApplicable:
                 problems.append(
                     f"{where}: divergence loss does not apply to {protocol} pool {pid!r}"
                 )
             except _DOMAIN_ERRORS as exc:
                 problems.append(f"{where}: pool {pid!r}: {exc}")
-    return problems
+    return problems, built, steps
+
+
+def validate_scenario_data(data) -> list[str]:
+    """Every problem in a parsed scenario document, without executing it:
+    shape problems, then each pool's and each action's values as the library
+    judges them, prefixed pools[k]: or actions[k]:."""
+    return _compile(data)[0]
 
 
 def validate_scenario(path) -> list[str]:
@@ -396,78 +415,54 @@ def _series_failures(series, idx: int) -> list[str]:
     ]
 
 
-_SERIES_ACTIONS = {
-    "slippage_curve": SeriesKind.SLIPPAGE,
-    "divergence_curve": SeriesKind.DIVERGENCE_LOSS,
-    "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
-}
+def _receipt_tail(receipt) -> str:
+    """The receipt line's account of the rule checked on a transition."""
+    check = receipt.checks[0]
+    return (
+        f" kind={receipt.kind.value} rule={check.rule}"
+        f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
+        f" passed={'yes' if check.passed else 'no'}"
+    )
 
 
-def _execute(data: dict):
-    """Run a validated scenario; returns (receipt lines, [(csv name, csv
-    content)], manifest lines, exit code, fatal message or None)."""
-    states: dict[str, PoolState] = {}
-    labels: dict[str, str] = {}
-    for defn in data.get("pools", []):
-        states[defn["id"]] = _build_pool(defn)
-        labels[defn["id"]] = defn["protocol"]
-
+def _execute(pools: dict, steps: list):
+    """Run the steps _compile built on its pools; returns (receipt lines,
+    [(csv name, csv content)], manifest lines, exit code, fatal message or
+    None)."""
+    states = {pid: state for pid, (_, state) in pools.items()}
     receipts: list[str] = []
     csvs: list[tuple[str, str]] = []
     manifest: list[str] = []
     exit_code = EXIT_OK
 
-    for idx, act in enumerate(data.get("actions", [])):
-        name = act["action"]
+    for idx, (name, *args) in enumerate(steps):
         try:
             if name == "swap":
-                pid = act["pool"]
-                state, outcome, receipt = apply_swap(
-                    states[pid],
-                    act.get("input_asset", 0),
-                    act.get("output_asset", 1),
-                    float(act["amount"]),
-                )
-                states[pid] = state
-                check = receipt.checks[0]
+                pid, i, o, amount = args
+                states[pid], outcome, receipt = apply_swap(states[pid], i, o, amount)
                 receipts.append(
                     f"action {idx:03d} swap pool={pid}"
                     f" input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
                     f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
-                    f" kind={receipt.kind.value} rule={check.rule}"
-                    f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
-                    f" passed={'yes' if check.passed else 'no'}"
+                    + _receipt_tail(receipt)
                 )
             elif name == "add_liquidity":
-                pid = act["pool"]
-                state, receipt = add_liquidity_proportional(states[pid], float(act["fraction"]))
-                states[pid] = state
-                check = receipt.checks[0]
+                pid, fraction = args
+                states[pid], receipt = add_liquidity_proportional(states[pid], fraction)
                 receipts.append(
-                    f"action {idx:03d} add_liquidity pool={pid}"
-                    f" fraction={float(act['fraction'])!r}"
-                    f" kind={receipt.kind.value} rule={check.rule}"
-                    f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
-                    f" passed={'yes' if check.passed else 'no'}"
+                    f"action {idx:03d} add_liquidity pool={pid} fraction={fraction!r}"
+                    + _receipt_tail(receipt)
                 )
             else:
-                if name == "compare":
-                    kind = _KINDS[act.get("kind", "slippage")]
-                    pids = act["pools"]
-                else:
-                    kind = _SERIES_ACTIONS[name]
-                    pids = [act["pool"]]
-                grid = _resolve_grid(act.get("grid"), "", [])
+                kind, pids, i, o, grid = args
                 x_column = None if grid is None else [_fmt(x) for x in grid]
                 for pid in pids:
-                    series = _run_curve(kind, states[pid], act, grid, pid, labels[pid])
+                    series = _sweep(kind, states[pid], i, o, grid, pid, pools[pid][0])
                     if series.failures:
                         manifest.extend(_series_failures(series, idx))
                         exit_code = EXIT_SOLVER
                     # without an explicit grid each pool's series has its own
-                    column = x_column if x_column is not None else [
-                        _fmt(x) for x in series.x_values
-                    ]
+                    column = x_column or [_fmt(x) for x in series.x_values]
                     csvs.append(
                         (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series, column))
                     )
@@ -479,12 +474,11 @@ def _execute(data: dict):
     return receipts, csvs, manifest, exit_code, None
 
 
-def _run_curve(kind, state, act, grid, pool_id, protocol):
+def _sweep(kind, state, i, o, grid, pool_id, protocol):
+    # o is the appreciating asset of a divergence series
     if kind is SeriesKind.DIVERGENCE_LOSS:
-        asset = act.get("asset", act.get("output_asset", 1))
-        return divergence_curve(state, asset, grid, pool_id=pool_id, protocol=protocol)
+        return divergence_curve(state, o, grid, pool_id=pool_id, protocol=protocol)
     sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
-    i, o = act.get("input_asset", 0), act.get("output_asset", 1)
     return sweep(state, i, o, grid, pool_id=pool_id, protocol=protocol)
 
 
@@ -498,7 +492,7 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot parse scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    problems = validate_scenario_data(data)
+    problems, pools, steps = _compile(data)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -518,7 +512,7 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     else:
         directory = Path.cwd()
 
-    receipts, csvs, manifest, code, fatal = _execute(data)
+    receipts, csvs, manifest, code, fatal = _execute(pools, steps)
 
     directory.mkdir(parents=True, exist_ok=True)
     content = "".join(line + "\n" for line in receipts)

@@ -38,7 +38,7 @@ from .errors import (
     InfeasibleTrade,
     ReserveDepletion,
 )
-from .numerics import DEFAULT_CONFIG, ImplicitConservation, SolverConfig
+from .numerics import ImplicitConservation
 from .quote import slippage_from_quote
 
 RULE_TOLERANCE = 1e-9
@@ -293,11 +293,11 @@ def bancor_pool(reserves, weights) -> PoolState:
     return weighted_pool(reserves, weights)
 
 
-def stableswap_pool(reserves, amplification: float, config: SolverConfig = DEFAULT_CONFIG) -> PoolState:
+def stableswap_pool(reserves, amplification: float) -> PoolState:
     """Amplified hybrid pool; D is solved from the starting reserves."""
     spec = ProtocolSpec(ProtocolFamily.STABLESWAP, amplification=amplification)
     reserves = tuple(float(r) for r in reserves)
-    d = _ss.solve_invariant(reserves, spec.amplification, config)
+    d = _ss.solve_invariant(reserves, spec.amplification)
     return PoolState(reserves=reserves, spec=spec, invariant=(d,))
 
 

@@ -6,7 +6,8 @@ rates, swap solving, rate-targeted rebalancing, and the five-step divergence
 loss procedure. None of it touches the protocol closed forms, so these
 routines double as an independent cross-check of those closed forms.
 
-All tolerances live in one SolverConfig record so that outputs are
+All tolerances live in one table, DEFAULT_CONFIG (a SolverConfig record),
+which every routine reads; there is no per-call override, so outputs are
 reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
@@ -168,9 +169,8 @@ def _partial(
     reserves: Sequence[float],
     invariant: Sequence[float],
     k: int,
-    config: SolverConfig,
 ) -> float:
-    h = max(config.spot_rel_step * reserves[k], config.spot_abs_step)
+    h = max(DEFAULT_CONFIG.spot_rel_step * reserves[k], DEFAULT_CONFIG.spot_abs_step)
     if reserves[k] <= h:
         raise ValueError(f"reserve {k} too small for the finite-difference step {h}")
     up = list(reserves)
@@ -186,17 +186,16 @@ def numeric_spot_rate(
     invariant: Sequence[float],
     i: int,
     o: int,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> float:
     """Spot rate (token i per token o) as the ratio of central-difference
     partials (dZ/dr_o)/(dZ/dr_i). Returns 1 exactly when i == o."""
     _check_assets(len(reserves), i, o)
     if i == o:
         return 1.0
-    d_o = _partial(Z, reserves, invariant, o, config)
-    d_i = _partial(Z, reserves, invariant, i, config)
+    d_o = _partial(Z, reserves, invariant, o)
+    d_i = _partial(Z, reserves, invariant, i)
     scale = max(abs(d_o), abs(d_i))
-    if scale == 0.0 or abs(d_i) <= config.degenerate_gradient_rtol * scale:
+    if scale == 0.0 or abs(d_i) <= DEFAULT_CONFIG.degenerate_gradient_rtol * scale:
         raise DegenerateGradient(
             f"dZ/dr_{i} = {d_i} is numerically zero relative to scale {scale}"
         )
@@ -210,7 +209,6 @@ def implicit_swap(
     i: int,
     o: int,
     x_in: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> float:
     """Swap by root finding: add x_in to reserve i, solve Z = 0 for the new
     reserve o (all other reserves fixed), return x_out = r_o - r_o'.
@@ -235,34 +233,27 @@ def implicit_swap(
         probe[o] = y
         return Z.evaluate(probe, invariant)
 
-    lo = config.swap_bracket_lo * reserves[o]
-    hi = config.swap_bracket_hi * reserves[o]
+    lo = DEFAULT_CONFIG.swap_bracket_lo * reserves[o]
+    hi = DEFAULT_CONFIG.swap_bracket_hi * reserves[o]
     g_lo, g_hi = g(lo), g(hi)
     if g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
         raise NoSolution(
             f"no post-trade reserve in [{lo}, {hi}] satisfies the conservation law"
         )
-    root = find_root(
-        g,
-        RootBracket(lo, hi, g_lo, g_hi),
-        config.root_rel_tol,
-        config.root_max_iterations,
-    )
-    return reserves[o] - root
+    return reserves[o] - find_root(g, RootBracket(lo, hi, g_lo, g_hi))
 
 
 def _rebalance_scale(
     Z: ImplicitConservation,
     reserves: Sequence[float],
     invariant: Sequence[float],
-    config: SolverConfig,
 ) -> float:
     # characteristic variation of Z over relative reserve moves; normalizes
     # the conservation equation so "within 1e-9" means the same thing for
     # every protocol family
     total = 0.0
     for k in range(len(reserves)):
-        total += abs(_partial(Z, reserves, invariant, k, config)) * reserves[k]
+        total += abs(_partial(Z, reserves, invariant, k)) * reserves[k]
     return max(total, 1e-300)
 
 
@@ -272,7 +263,6 @@ def solve_rebalance(
     invariant: Sequence[float],
     o: int,
     rho: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[float, ...]:
     """Reserves after arbitrage rebalancing to a shifted price of asset o.
 
@@ -292,16 +282,17 @@ def solve_rebalance(
         raise ValueError(f"expected {Z.n} reserves, got {n}")
     if rho <= -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
+    config = DEFAULT_CONFIG
     others = [j for j in range(n) if j != o]
-    base = [numeric_spot_rate(Z, reserves, invariant, j, o, config) for j in others]
+    base = [numeric_spot_rate(Z, reserves, invariant, j, o) for j in others]
     target = 1.0 + rho
-    z_scale = _rebalance_scale(Z, reserves, invariant, config)
+    z_scale = _rebalance_scale(Z, reserves, invariant)
 
     def system(u: np.ndarray) -> np.ndarray:
         r = [math.exp(v) for v in u]
         out = np.empty(n)
         for row, j in enumerate(others):
-            rate = numeric_spot_rate(Z, r, invariant, j, o, config)
+            rate = numeric_spot_rate(Z, r, invariant, j, o)
             out[row] = rate / (base[row] * target) - 1.0
         out[n - 1] = Z.evaluate(r, invariant) / z_scale
         return out
@@ -387,7 +378,6 @@ def generic_divergence_loss(
     invariant: Sequence[float],
     o: int,
     rho: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> ValuationReport:
     """Divergence loss of providing liquidity versus holding, when asset o
     appreciates by rho against the rest. Asset 0 is the numeraire.
@@ -403,11 +393,11 @@ def generic_divergence_loss(
         raise DomainError(f"price shift must exceed -1, got {rho}")
 
     def value(state: Sequence[float]) -> tuple[float, list[float]]:
-        rates = [numeric_spot_rate(Z, state, invariant, 0, j, config) for j in range(n)]
+        rates = [numeric_spot_rate(Z, state, invariant, 0, j) for j in range(n)]
         return sum(rate * r for rate, r in zip(rates, state)), rates
 
     V, rates = value(reserves)
     V_held = V + rates[o] * reserves[o] * rho
-    rebalanced = solve_rebalance(Z, reserves, invariant, o, rho, config)
+    rebalanced = solve_rebalance(Z, reserves, invariant, o, rho)
     V_prime, _ = value(rebalanced)
     return ValuationReport(V=V, V_held=V_held, V_prime=V_prime, L=V_prime / V_held - 1.0, rho=rho)

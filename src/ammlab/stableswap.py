@@ -18,7 +18,7 @@ from functools import partial, reduce
 from operator import add
 
 from .errors import DomainError, IdenticalAssets, NoSolution, ReserveDepletion
-from .numerics import DEFAULT_CONFIG, RootBracket, SolverConfig, find_root
+from .numerics import RootBracket, find_root
 from .quote import slippage_from_quote
 
 
@@ -87,9 +87,13 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
 
 def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
     """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
-    spot rates, swaps and conservation checks share."""
+    spot rates, swaps and conservation checks share. A q beyond the float
+    range raises DomainError."""
     shift = D * (1.0 - 1.0 / amplification)
-    q = (D / n) ** n
+    try:
+        q = (D / n) ** n
+    except OverflowError:
+        raise DomainError(f"(D/n)^n leaves the floating-point range at D={D}") from None
     return q, D * q, shift
 
 
@@ -146,11 +150,7 @@ def invariant_drift(reserves, D: float, amplification: float) -> float:
     return abs(g) / (D * abs(slope))
 
 
-def solve_invariant(
-    reserves,
-    amplification: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
+def solve_invariant(reserves, amplification: float) -> float:
     """The unique positive invariant D for the given reserves.
 
     AM-GM brackets the root inside [n*(prod r)^{1/n}, sum r], where g has
@@ -176,12 +176,7 @@ def solve_invariant(
         return geo
     if g_hi >= 0.0:
         return total
-    return find_root(
-        g,
-        RootBracket(geo, total, g_lo, g_hi),
-        config.root_rel_tol,
-        config.root_max_iterations,
-    )
+    return find_root(g, RootBracket(geo, total, g_lo, g_hi))
 
 
 def _spot_rate(reserves, dq: float, amplification: float, i: int, o: int) -> float:
@@ -213,8 +208,8 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     _check_reserves(reserves)
     if i == o:
         return 1.0
-    n = len(reserves)
-    return _spot_rate(reserves, D * (D / n) ** n, amplification, i, o)
+    _, dq, _ = curve_constants(D, amplification, len(reserves))
+    return _spot_rate(reserves, dq, amplification, i, o)
 
 
 def _swap_output(
@@ -262,15 +257,9 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
 
 
-def stableswap_divergence_kernel(
-    reserves,
-    D: float,
-    amplification: float,
-    o: int,
-    config: SolverConfig = DEFAULT_CONFIG,
-):
-    """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho,
-    config), bit for bit, with the reserve, asset-index and numeraire checks
+def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
+    """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho),
+    bit for bit, with the reserve, asset-index and numeraire checks
     and the unshifted curve gradient done once for a sweep."""
     _check_reserves(reserves)
     n = len(reserves)
@@ -282,7 +271,7 @@ def stableswap_divergence_kernel(
     c = D * math.prod(D / (n * r) for r in reserves)
     g = [A + c / r for r in reserves]
     V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
-    return partial(_divergence_loss_at, tuple(reserves), D, A, o, c, tuple(g), V, config)
+    return partial(_divergence_loss_at, tuple(reserves), D, A, o, c, tuple(g), V)
 
 
 def _curve(e, A: float):
@@ -353,7 +342,7 @@ def _residual(e, A: float, k: float):
     return lambda u: curve(k * u)[2]
 
 
-def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float:
+def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
     if rho <= -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
     if rho == 0.0:
@@ -402,12 +391,7 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float
         s, f = t, f_t
     (lo, f_lo), (hi, f_hi) = sorted(((s, f), (t, f_t)))
     # solve in units of lo, so the finite-difference step stays inside s > 0
-    root = lo * find_root(
-        _residual(e, A, lo),
-        RootBracket(1.0, hi / lo, f_lo, f_hi),
-        config.root_rel_tol,
-        config.root_max_iterations,
-    )
+    root = lo * find_root(_residual(e, A, lo), RootBracket(1.0, hi / lo, f_lo, f_hi))
     x, P, _ = _curve(e, A)(root)
     rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
     if not all(0.0 < r < math.inf for r in rebalanced):
@@ -421,12 +405,7 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, config, rho: float) -> float
 
 
 def stableswap_divergence_loss(
-    reserves,
-    D: float,
-    amplification: float,
-    o: int,
-    rho: float,
-    config: SolverConfig = DEFAULT_CONFIG,
+    reserves, D: float, amplification: float, o: int, rho: float
 ) -> float:
     """Loss L of providing liquidity versus holding when asset o appreciates
     by rho against asset 0 (the numeraire): rebalance along the curve to the
@@ -443,7 +422,7 @@ def stableswap_divergence_loss(
     Then r'_k = D/(P*x_k), valued at the prices w_k/w_0, as
     numerics.generic_divergence_loss values a pool at g_k/g_0.
     """
-    return stableswap_divergence_kernel(reserves, D, amplification, o, config)(rho)
+    return stableswap_divergence_kernel(reserves, D, amplification, o)(rho)
 
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -384,12 +383,18 @@ class TestCompareProtocols:
         with pytest.raises(NotApplicable, match="pool 'dodo'"):
             compare_protocols(config)
 
-    def test_parallel_evaluation_is_reproducible(self):
-        config = four_pool_config()
-        serial = compare_protocols(config)
-        with ThreadPoolExecutor(max_workers=8) as executor:
-            threaded = compare_protocols(config, point_map=executor.map)
-        assert serial == threaded
+    def test_each_pool_sweeps_its_own_default_cross_section_grid(self):
+        small, large = uniswap_pool(100.0, 100.0), uniswap_pool(1e6, 1e6)
+        config = ComparisonConfig(
+            pools=(("small", small), ("large", large)),
+            kind=SeriesKind.CONSERVATION_CROSS_SECTION,
+        )
+        got = compare_protocols(config)
+        assert [s.x_values for s in got] == [
+            conservation_cross_section(small, 0, 1).x_values,
+            conservation_cross_section(large, 0, 1).x_values,
+        ]
+        assert math.isclose(got[1].x_values[0], 1e5, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,29 @@ class TestRun:
         assert receipts.read_bytes() == b""
         assert list(out.glob("*.csv")) == []
 
+    def test_run_builds_each_pool_and_grid_once(self, tmp_path, monkeypatch):
+        # run executes the pools and grids that validation built
+        calls = {"stableswap_pool": 0, "log_grid": 0}
+
+        def counting(name):
+            original = getattr(ammlab.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ammlab.cli, name, counting(name))
+        grid = {"start": 0.01, "stop": 0.9, "points": 20}
+        path = write_scenario(
+            tmp_path,
+            {"pools": [CRV], "actions": [{"action": "slippage_curve", "pool": "crv", "grid": grid}]},
+        )
+        assert run_scenario(path, out_dir=tmp_path / "out") == 0
+        assert calls == {"stableswap_pool": 1, "log_grid": 1}
+
     def test_receipts_record_transitions(self, tmp_path):
         path = write_scenario(
             tmp_path,

@@ -267,6 +267,21 @@ class TestSpotRate:
         with pytest.raises(DomainError, match="products leave the floating-point range"):
             stableswap_spot_rate((0.75, 1e-200, 1e-200), 1e-100, 10.0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: stableswap_spot_rate((1e200, 1e200), 2e200, 10.0, 0, 1),
+            lambda: stableswap_swap((1e200, 1e200), 2e200, 10.0, 0, 1, 1.0),
+            lambda: stableswap.curve_constants(2e200, 10.0, 2),
+        ],
+        ids=["spot_rate", "swap", "curve_constants"],
+    )
+    def test_invariant_beyond_the_float_range_raises_domain_error(self, call):
+        # (D/n)^n overflows once D/n passes ~1e154; pools that build never
+        # get there, but a caller passing D directly does
+        with pytest.raises(DomainError, match=r"\(D/n\)\^n leaves the floating-point range"):
+            call()
+
 
 class TestSwap:
     def test_frozen_outputs_across_amplifications(self):
