@@ -42,6 +42,142 @@ def read_csv_columns(path):
     return header, rows
 
 
+def _slippage_on(grid):
+    return {
+        "pools": [UNI],
+        "actions": [{"action": "slippage_curve", "pool": "uni", "grid": grid}],
+    }
+
+
+# a scenario document and every line validate prints for it: one document
+# per refusal the CLI's own shape checks can make, and the library's verdict
+# on the sushiswap and bancor builds
+REFUSALS = {
+    "grid-empty": (_slippage_on([]), ["actions[0]: grid array is empty"]),
+    "grid-not-numbers": (
+        _slippage_on([0.1, "x"]),
+        ["actions[0]: grid values must be finite numbers"],
+    ),
+    "grid-unknown-key": (
+        _slippage_on({"start": 0.1, "stop": 0.5, "points": 3, "step": 1}),
+        ["actions[0]: unknown grid keys ['step']"],
+    ),
+    "grid-start-stop": (
+        _slippage_on({"start": 0.1, "stop": None, "points": 3}),
+        ["actions[0]: grid start/stop must be finite numbers"],
+    ),
+    "grid-points": (
+        _slippage_on({"start": 0.1, "stop": 0.5, "points": 2.5}),
+        ["actions[0]: grid points must be an integer"],
+    ),
+    "grid-spacing": (
+        _slippage_on({"start": 0.1, "stop": 0.5, "points": 3, "spacing": "cubic"}),
+        ["actions[0]: grid spacing must be 'log' or 'linear'"],
+    ),
+    "grid-type": (
+        _slippage_on("0.1:0.5"),
+        ["actions[0]: grid must be an array or a start/stop/points object"],
+    ),
+    "pool-not-object": (
+        {"pools": [[1, 2]], "actions": []},
+        ["pools[0]: pool definition must be an object"],
+    ),
+    "pool-id": (
+        {"pools": [dict(UNI, id="u ni")], "actions": []},
+        ["pools[0]: pool id must match [A-Za-z0-9_-]+, got 'u ni'"],
+    ),
+    "unknown-protocol": (
+        {"pools": [dict(UNI, protocol="maker")], "actions": []},
+        [
+            "pools[0]: unknown protocol 'maker' (expected one of uniswap, sushiswap, "
+            "balancer, bancor, curve, dodo)"
+        ],
+    ),
+    "amplification-not-a-number": (
+        {"pools": [dict(CRV, amplification="10")], "actions": []},
+        ["pools[0]: amplification must be a finite number"],
+    ),
+    "sushiswap-build": (
+        {"pools": [{"id": "s", "protocol": "sushiswap", "reserves": [100, -1]}], "actions": []},
+        ["pools[0]: reserves must be positive, got (100.0, -1.0)"],
+    ),
+    "bancor-build": (
+        {"pools": [dict(BAL, protocol="bancor", weights=[0.6, 0.6])], "actions": []},
+        ["pools[0]: weights must sum to 1, got (0.6, 0.6)"],
+    ),
+    "root": ([], ["scenario root must be a JSON object"]),
+    "top-level-key": (
+        {"pools": [], "actions": [], "fees": 1},
+        ["unknown top-level keys: ['fees']"],
+    ),
+    "output-not-object": (
+        {"output": "out", "pools": [], "actions": []},
+        ["output must be an object"],
+    ),
+    "output-keys": (
+        {"output": {"stem": "a b", "directory": 3, "format": "csv"}, "pools": [], "actions": []},
+        [
+            "output: unknown keys ['format']",
+            "output: stem must match [A-Za-z0-9_-]+, got 'a b'",
+            "output: directory must be a string",
+        ],
+    ),
+    "pools-array": ({"pools": {"uni": UNI}, "actions": []}, ["pools must be an array"]),
+    "actions-array": ({"pools": [UNI], "actions": {}}, ["actions must be an array"]),
+    "action-object": (
+        {"pools": [UNI], "actions": ["swap"]},
+        ["actions[0]: action must be an object"],
+    ),
+    "unknown-action": (
+        {"pools": [UNI], "actions": [{"action": "burn", "pool": "uni"}]},
+        [
+            "actions[0]: unknown action 'burn' (expected one of swap, add_liquidity, "
+            "slippage_curve, divergence_curve, cross_section, compare)"
+        ],
+    ),
+    "unknown-action-key": (
+        {
+            "pools": [UNI],
+            "actions": [{"action": "add_liquidity", "pool": "uni", "fraction": 0.1, "fee": 0}],
+        },
+        ["actions[0]: unknown keys for add_liquidity: ['fee']"],
+    ),
+    "compare-pools-array": (
+        {"pools": [UNI], "actions": [{"action": "compare", "pools": "uni"}]},
+        ["actions[0]: pools must be an array of pool ids"],
+    ),
+    "compare-duplicate-ids": (
+        {"pools": [UNI], "actions": [{"action": "compare", "pools": ["uni", "uni"]}]},
+        ["actions[0]: duplicate pool ids in compare"],
+    ),
+    "unknown-kind": (
+        {"pools": [UNI], "actions": [{"action": "compare", "pools": ["uni"], "kind": "volume"}]},
+        [
+            "actions[0]: unknown kind 'volume' (expected one of slippage, divergence_loss, "
+            "cross_section)"
+        ],
+    ),
+    "integer-indices": (
+        {
+            "pools": [UNI],
+            "actions": [
+                {"action": "swap", "pool": "uni", "input_asset": 0.0, "output_asset": True,
+                 "amount": 1}
+            ],
+        },
+        ["actions[0]: input_asset must be an integer", "actions[0]: output_asset must be an integer"],
+    ),
+    "integer-asset": (
+        {"pools": [UNI], "actions": [{"action": "divergence_curve", "pool": "uni", "asset": "1"}]},
+        ["actions[0]: asset must be an integer"],
+    ),
+    "amount": (
+        {"pools": [UNI], "actions": [{"action": "swap", "pool": "uni", "amount": math.nan}]},
+        ["actions[0]: amount must be a finite number"],
+    ),
+}
+
+
 class TestVersion:
     def test_prints_package_version(self, capsys):
         assert main(["version"]) == 0
@@ -209,6 +345,10 @@ class TestValidate:
             "actions[3]: pool 'crv3': asset index -1 out of range for 3 assets",
             "actions[4]: fraction must be a finite number > -1",
         ]
+
+    @pytest.mark.parametrize("document, expected", list(REFUSALS.values()), ids=list(REFUSALS))
+    def test_every_refusal_is_reported_exactly(self, document, expected):
+        assert validate_scenario_data(document) == expected
 
     def test_slippage_grid_domain_enforced(self):
         problems = validate_scenario_data(
@@ -401,6 +541,21 @@ class TestRun:
         )
         assert run_scenario(path) == 0
         assert (nested / "data" / "demo_receipts.log").exists()
+
+    def test_unparseable_scenario_is_not_run(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert run_scenario(path, out_dir=tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("cannot parse scenario: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_output_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_scenario(path) == 0
+        assert [p.name for p in work.iterdir()] == ["scenario_receipts.log"]
 
     def test_out_flag_overrides_the_scenario_directory(self, tmp_path):
         path = write_scenario(
