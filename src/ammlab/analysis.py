@@ -269,6 +269,19 @@ def _solved_points(solve: Callable[[float], float], grid):
     return tuple(y for y, _ in results), failures
 
 
+def _series(kind, state, grid, y, failures, pool_id, protocol) -> CurveSeries:
+    """The sweep's record; the protocol label defaults to the family name."""
+    return CurveSeries(
+        kind=kind,
+        pool_id=pool_id,
+        protocol=protocol if protocol is not None else state.spec.family.value,
+        hyperparameters=hyperparameter_string(state),
+        x_values=grid,
+        y_values=y,
+        failures=failures,
+    )
+
+
 def slippage_curve(
     state: PoolState,
     input_asset: int,
@@ -294,14 +307,7 @@ def slippage_curve(
         return slippage_from_quote(x_in, swap(x_in), rate)
 
     y = tuple(map(point, grid))
-    return CurveSeries(
-        kind=SeriesKind.SLIPPAGE,
-        pool_id=pool_id,
-        protocol=protocol if protocol is not None else state.spec.family.value,
-        hyperparameters=hyperparameter_string(state),
-        x_values=grid,
-        y_values=y,
-    )
+    return _series(SeriesKind.SLIPPAGE, state, grid, y, (), pool_id, protocol)
 
 
 def divergence_curve(
@@ -318,15 +324,7 @@ def divergence_curve(
     grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
     check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
     y, failures = _solved_points(loss, grid)
-    return CurveSeries(
-        kind=SeriesKind.DIVERGENCE_LOSS,
-        pool_id=pool_id,
-        protocol=protocol if protocol is not None else state.spec.family.value,
-        hyperparameters=hyperparameter_string(state),
-        x_values=grid,
-        y_values=y,
-        failures=failures,
-    )
+    return _series(SeriesKind.DIVERGENCE_LOSS, state, grid, y, failures, pool_id, protocol)
 
 
 def conservation_cross_section(
@@ -347,14 +345,8 @@ def conservation_cross_section(
     grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
     check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
     y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
-    return CurveSeries(
-        kind=SeriesKind.CONSERVATION_CROSS_SECTION,
-        pool_id=pool_id,
-        protocol=protocol if protocol is not None else state.spec.family.value,
-        hyperparameters=hyperparameter_string(state),
-        x_values=grid,
-        y_values=y,
-        failures=failures,
+    return _series(
+        SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol
     )
 
 

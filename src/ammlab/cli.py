@@ -354,9 +354,9 @@ def _compile(data):
             steps.append((name, pids[0], i, o, float(act["amount"])))
         else:
             steps.append((name, kind, tuple(pids), i, o, grid))
-        # the library judges a well-formed action, evaluating no point: the
-        # grid's domain, then on each built pool the swap kernel the asset
-        # pair and the sweep, on an empty grid, the rest of its arguments
+        # the library judges a well-formed action without evaluating a point:
+        # the grid's domain, then on each built pool the asset pair (by the
+        # swap kernel, but for divergence) and, on an empty grid, the sweep
         if grid is not None:
             try:
                 check_grid_domain(kind, grid)
@@ -367,7 +367,7 @@ def _compile(data):
             if state is None:
                 continue
             try:
-                if name != "divergence_curve":
+                if kind is not SeriesKind.DIVERGENCE_LOSS:
                     swap_kernel(state, i, o)
                 if kind is not None:
                     _sweep(kind, state, i, o, (), pid, protocol)

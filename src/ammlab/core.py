@@ -9,13 +9,13 @@ in exactly two pure kinds:
   (spot rates fixed, constants rescaled).
 
 Each transition returns a receipt measuring how well its rule held, checked
-against ``RULE_TOLERANCE``. A state whose reserves are off its conservation
-curve is refused with ``ConservationViolation``. A swap's post state is
-checked once, by the same evaluation of the conservation law that gives its
-receipt: it shares every validated constant with its parent, so only the two
-moved reserves are checked again. All operations are pure functions from
-states to new states; nothing is mutated, so states can be shared across
-threads.
+against ``RULE_TOLERANCE``. Each state builds its family's curve once, at
+construction, and is gated by it: reserves off the conservation curve are
+refused with ``ConservationViolation``. A swap's post state shares its
+parent's curve and every validated constant, so one evaluation of the law
+gives both its check and its receipt, and only the two moved reserves are
+checked again. All operations are pure functions from states to new states;
+nothing is mutated, so states can be shared across threads.
 
 Arithmetic is double-precision real arithmetic; on-chain integer rounding and
 fees are out of scope. Disproportionate deposits are not a primitive — they
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from . import pmm as _pmm
 from . import stableswap as _ss
@@ -98,6 +98,7 @@ class PoolState:
     equilibrium targets (C1, C2) for PMM.
     oracle_price: PMM market rate (asset-1 units per asset 2); None otherwise.
     share_supply: scalar pool-share supply, scaled by liquidity changes.
+    _curve (not a field): the family's curve, built at construction and shared by swaps.
     """
 
     reserves: tuple[float, ...]
@@ -133,26 +134,13 @@ class PoolState:
                 raise ValueError(f"conservation value must be positive, got {invariant[0]}")
             if family is ProtocolFamily.WEIGHTED and len(self.spec.weights) != len(reserves):
                 raise ValueError("one weight per asset required")
-        if family is ProtocolFamily.STABLESWAP:
-            # not self._curve: its constants (D/n)^n and D*(D/n)^n may leave
-            # the float range, which conservation_residual reports as DomainError
-            deviation = _ss.conservation_residual(reserves, invariant[0], self.spec.amplification)
-        else:
-            deviation = self._curve.deviations(reserves)[0]
-        _gate(deviation)
+        curve = _CURVES[family](self)
+        object.__setattr__(self, "_curve", curve)
+        _gate(curve.deviations(reserves)[0])
 
     @property
     def n_assets(self) -> int:
         return len(self.reserves)
-
-    @cached_property
-    def _curve(self):
-        """The family's constants and per-point formulas for this pool's
-        curve, built on first use (for weighted and PMM pools, by the
-        conservation check at construction); a swap's post state inherits
-        its parent's. Filling this cache is the only write to a state, and it
-        is idempotent, so states stay safe to share across threads."""
-        return _CURVES[self.spec.family](self)
 
 
 def _check_reserves(reserves, values) -> None:

@@ -350,6 +350,30 @@ class TestValidate:
     def test_every_refusal_is_reported_exactly(self, document, expected):
         assert validate_scenario_data(document) == expected
 
+    @pytest.mark.parametrize("input_asset", [1, 7])
+    def test_divergence_compare_ignores_the_input_asset(self, tmp_path, input_asset):
+        # a divergence series reads only its appreciating asset, output_asset
+        compare = {"action": "compare", "pools": ["uni"], "kind": "divergence_loss",
+                   "input_asset": input_asset, "output_asset": 1, "grid": [0.5]}
+        curve = {"action": "divergence_curve", "pool": "uni", "asset": 1, "grid": [0.5]}
+        data = {"pools": [UNI], "actions": [compare, curve]}
+        assert validate_scenario_data(data) == []
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert (
+            (out / "scenario_a000_divergence_loss_uni.csv").read_bytes()
+            == (out / "scenario_a001_divergence_loss_uni.csv").read_bytes()
+        )
+
+    def test_divergence_compare_names_the_numeraire(self):
+        compare = {"action": "compare", "pools": ["uni"], "kind": "divergence_loss",
+                   "input_asset": 1, "output_asset": 0}
+        assert validate_scenario_data({"pools": [UNI], "actions": [compare]}) == [
+            "actions[0]: pool 'uni': asset 0 is the numeraire; pick a different "
+            "appreciating asset"
+        ]
+
     def test_slippage_grid_domain_enforced(self):
         problems = validate_scenario_data(
             {

@@ -68,6 +68,15 @@ class TestProtocolSpec:
         with pytest.raises(ValueError):
             ProtocolSpec(family=ProtocolFamily.STABLESWAP, amplification=-1.0)
 
+    @pytest.mark.parametrize(
+        "family, amplification",
+        [(ProtocolFamily.STABLESWAP, 10.0), (ProtocolFamily.PMM, 0.5)],
+        ids=["stableswap", "pmm"],
+    )
+    def test_only_weighted_pools_take_weights(self, family, amplification):
+        with pytest.raises(ValueError, match=f"^{family.value} pools take no weights$"):
+            ProtocolSpec(family=family, weights=(0.5, 0.5), amplification=amplification)
+
     def test_pmm_amplification_capped_at_one(self):
         with pytest.raises(ValueError):
             ProtocolSpec(family=ProtocolFamily.PMM, amplification=1.5)
@@ -118,6 +127,60 @@ class TestPoolState:
                 oracle_price=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "family, fields, message",
+        [
+            (
+                ProtocolFamily.WEIGHTED,
+                dict(reserves=(100.0, 100.0), invariant=(100.0,), share_supply=0.0),
+                "share supply must be positive, got 0.0",
+            ),
+            (
+                ProtocolFamily.PMM,
+                dict(reserves=(100.0, 100.0, 100.0), invariant=(100.0, 100.0), oracle_price=1.0),
+                "pmm pools hold exactly two assets",
+            ),
+            (
+                ProtocolFamily.PMM,
+                dict(reserves=(100.0, 100.0), invariant=(100.0,), oracle_price=1.0),
+                "pmm pools carry two conservation targets",
+            ),
+            (
+                ProtocolFamily.PMM,
+                dict(reserves=(100.0, 100.0), invariant=(100.0, 100.0)),
+                "pmm pools need an oracle price",
+            ),
+            (
+                ProtocolFamily.STABLESWAP,
+                dict(reserves=(100.0, 100.0), invariant=(200.0, 200.0)),
+                "weighted/stableswap pools carry one conservation value",
+            ),
+            (
+                ProtocolFamily.STABLESWAP,
+                dict(reserves=(100.0, 100.0), invariant=(-200.0,)),
+                "conservation value must be positive, got -200.0",
+            ),
+            (
+                ProtocolFamily.WEIGHTED,
+                dict(reserves=(100.0, 100.0, 100.0), invariant=(100.0,)),
+                "one weight per asset required",
+            ),
+        ],
+        ids=[
+            "share-supply", "pmm-assets", "pmm-targets", "pmm-oracle", "one-value",
+            "positive-value", "one-weight-per-asset",
+        ],
+    )
+    def test_shape_refusals_come_before_the_curve(self, family, fields, message):
+        if family is ProtocolFamily.WEIGHTED:
+            spec = ProtocolSpec(family, weights=(0.5, 0.5))
+        else:
+            spec = ProtocolSpec(family, amplification=0.5)
+        with pytest.raises(ValueError) as info:
+            PoolState(spec=spec, **fields)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
     def test_off_curve_reserves_raise_conservation_violation(self):
         spec = ProtocolSpec(family=ProtocolFamily.WEIGHTED, weights=(0.5, 0.5))
         with pytest.raises(ConservationViolation, match=r"relative deviation 3\.333e-01"):
@@ -165,6 +228,16 @@ class TestFactories:
         # D*(D/n)^n is inf while (D/n)^n is finite: the residual would be NaN
         with pytest.raises(DomainError, match="leaves the floating-point range"):
             stableswap_pool(reserves, 10.0)
+
+    def test_stableswap_curve_constants_beyond_the_float_range_raise_domain_error(self):
+        # a balanced pool's D = 2e200 is exact, but (D/n)^n overflows while
+        # the pool builds its curve, before the conservation gate
+        with pytest.raises(
+            DomainError, match=r"^\(D/n\)\^n leaves the floating-point range at D=2e\+200$"
+        ):
+            stableswap_pool((1e200, 1e200), 10.0)
+        with pytest.raises(DomainError, match=r"^\(D/n\)\^n leaves the floating-point range"):
+            add_liquidity_proportional(stableswap_pool((100.0, 100.0), 10.0), 1e300)
 
     def test_stableswap_solver_keeps_an_infinite_bracket_end(self):
         # D*(D/n)^n overflows at the bracket's upper end D = sum(r), although
@@ -221,6 +294,14 @@ class TestSwapDispatch:
         got = slippage(uniswap_pool(100.0, 100.0), 0, 1, 10.0)
         assert math.isclose(got, 0.1, rel_tol=1e-12)
 
+    def test_zero_trade_slippage_still_checks_the_assets(self):
+        pool = uniswap_pool(100.0, 100.0)
+        assert slippage(pool, 0, 1, 0.0) == 0.0
+        with pytest.raises(IdenticalAssets, match="^slippage needs distinct input and output"):
+            slippage(pool, 1, 1, 0.0)
+        with pytest.raises(IndexError, match="^asset index 2 out of range for 2 assets$"):
+            slippage(pool, 0, 2, 0.0)
+
     @pytest.mark.parametrize("x_in", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", [swap_amount, slippage, apply_swap])
     @pytest.mark.parametrize(
@@ -262,6 +343,16 @@ class TestApplySwap:
         assert receipt.checks[0].rule == "invariant_preserved"
         assert receipt.checks[0].deviation <= 1e-9
         assert receipt.passed
+
+    def test_identical_assets_rejected(self):
+        with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
+            apply_swap(uniswap_pool(100.0, 100.0), 1, 1, 10.0)
+
+    def test_post_state_shares_the_pool_curve(self):
+        for pool in four_protocol_pools():
+            post, _, _ = apply_swap(pool, 0, 1, 10.0)
+            assert post._curve is pool._curve
+            assert add_liquidity_proportional(pool, 0.1)[0]._curve is not pool._curve
 
     def test_zero_input_is_identity(self):
         pool = stableswap_pool((100.0, 100.0), 10.0)
