@@ -3,11 +3,11 @@ conservation-law cross-sections for any configured pool.
 
 Every sweep returns a ``CurveSeries`` — plain x/y vectors with pool metadata —
 ready for CSV emission. A sweep checks all its arguments before its first
-point (the grid through ``check_grid_domain``; ``ammlab validate`` relies on
-this, calling each sweep on an empty grid), dispatches on the pool family and
-computes the curve's constants (spot rate, weight ratios, the
-stableswap quadratic's D-terms, PMM parameters) once, through
-``core.swap_kernel`` (the constants each pool keeps) and the family
+point (the grid's order, then its domain through ``check_grid_domain``;
+``ammlab validate`` relies on this, calling each sweep on an empty grid),
+dispatches on the pool family and computes the curve's constants (spot
+rate, weight ratios, the stableswap quadratic's D-terms, PMM parameters) once,
+through ``core.swap_kernel`` (the constants each pool keeps) and the family
 ``*_divergence_kernel`` functions, then runs only the point-dependent
 arithmetic. Each point runs the same floating-point
 operations, in the same order, as the scalar function it samples
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
+from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
 from .core import (
@@ -106,9 +107,6 @@ class CurveSeries:
         object.__setattr__(self, "y_values", tuple(map(float, self.y_values)))
         if len(self.x_values) != len(self.y_values):
             raise ValueError("x and y vectors must have equal length")
-        for a, b in zip(self.x_values, self.x_values[1:]):
-            if not b > a:
-                raise ValueError("grid values must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,7 @@ def _divergence_kernel(state: PoolState, asset: int):
         raise NotApplicable(
             "oracle-anchored pools track the market rate; divergence loss does not arise"
         )
-    if asset == 0:
-        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+    quote.check_numeraire(asset)
     if family is ProtocolFamily.WEIGHTED:
         return _w.weighted_divergence_kernel(state.spec.weights, asset)
     return _ss.stableswap_divergence_kernel(
@@ -252,6 +249,17 @@ def _divergence_kernel(state: PoolState, asset: int):
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+def _sweep_grid(kind: SeriesKind, grid, default) -> tuple[float, ...]:
+    """The grid as floats, or default() where it is None, refused before any
+    point unless strictly increasing and inside the sweep's domain."""
+    grid = default() if grid is None else tuple(float(g) for g in grid)
+    for a, b in zip(grid, grid[1:]):
+        if not b > a:
+            raise ValueError("grid values must be strictly increasing")
+    check_grid_domain(kind, grid)
+    return grid
 
 
 def _solved_points(solve: Callable[[float], float], grid):
@@ -294,8 +302,7 @@ def slippage_curve(
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
     value g; the first point that raises aborts the series."""
-    grid = default_trade_grid() if grid is None else tuple(float(g) for g in grid)
-    check_grid_domain(SeriesKind.SLIPPAGE, grid)
+    grid = _sweep_grid(SeriesKind.SLIPPAGE, grid, default_trade_grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
@@ -321,8 +328,7 @@ def divergence_curve(
     (-1, inf)), equal to divergence_loss at every point; per-point solver
     failures become NaN entries."""
     loss = _divergence_kernel(state, asset)
-    grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
-    check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
+    grid = _sweep_grid(SeriesKind.DIVERGENCE_LOSS, grid, default_shift_grid)
     y, failures = _solved_points(loss, grid)
     return _series(SeriesKind.DIVERGENCE_LOSS, state, grid, y, failures, pool_id, protocol)
 
@@ -342,8 +348,9 @@ def conservation_cross_section(
     swap = swap_kernel(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
-    grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
-    check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
+    grid = _sweep_grid(
+        SeriesKind.CONSERVATION_CROSS_SECTION, grid, lambda: default_cross_section_grid(r_in)
+    )
     y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return _series(
         SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol

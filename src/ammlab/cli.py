@@ -355,8 +355,8 @@ def _compile(data):
         else:
             steps.append((name, kind, tuple(pids), i, o, grid))
         # the library judges a well-formed action without evaluating a point:
-        # the grid's domain, then on each built pool the asset pair (by the
-        # swap kernel, but for divergence) and, on an empty grid, the sweep
+        # the grid's domain, then on each built pool a swap's asset pair by
+        # the swap kernel, or a series' sweep on an empty grid
         if grid is not None:
             try:
                 check_grid_domain(kind, grid)
@@ -367,9 +367,9 @@ def _compile(data):
             if state is None:
                 continue
             try:
-                if kind is not SeriesKind.DIVERGENCE_LOSS:
+                if kind is None:
                     swap_kernel(state, i, o)
-                if kind is not None:
+                else:
                     _sweep(kind, state, i, o, (), pid, protocol)
             except NotApplicable:
                 problems.append(

@@ -29,15 +29,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import pmm as _pmm
+from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import (
-    ConservationViolation,
-    DomainError,
-    IdenticalAssets,
-    InfeasibleTrade,
-    ReserveDepletion,
-)
+from .errors import ConservationViolation, DomainError, InfeasibleTrade, ReserveDepletion
 from .numerics import ImplicitConservation
 from .quote import slippage_from_quote
 
@@ -75,17 +70,13 @@ class ProtocolSpec:
         elif self.family is ProtocolFamily.STABLESWAP:
             if self.weights is not None:
                 raise ValueError("stableswap pools take no weights")
-            a = self.amplification
-            if a is None or not (math.isfinite(a) and a > 0.0):
-                raise ValueError(f"stableswap amplification must be finite and positive, got {a}")
-            object.__setattr__(self, "amplification", float(a))
+            quote.check_stableswap_amplification(self.amplification)
+            object.__setattr__(self, "amplification", float(self.amplification))
         elif self.family is ProtocolFamily.PMM:
             if self.weights is not None:
                 raise ValueError("pmm pools take no weights")
-            a = self.amplification
-            if a is None or not (math.isfinite(a) and 0.0 < a <= 1.0):
-                raise ValueError(f"pmm amplification must lie in (0, 1], got {a}")
-            object.__setattr__(self, "amplification", float(a))
+            quote.check_pmm_amplification(self.amplification)
+            object.__setattr__(self, "amplification", float(self.amplification))
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown protocol family {self.family!r}")
 
@@ -112,9 +103,8 @@ class PoolState:
         invariant = tuple(float(c) for c in self.invariant)
         object.__setattr__(self, "reserves", reserves)
         object.__setattr__(self, "invariant", invariant)
-        if len(reserves) < 2:
-            raise ValueError("a pool holds at least two assets")
-        _check_reserves(reserves, reserves)
+        quote.check_asset_count(len(reserves))
+        quote.check_reserves(reserves)
         if not (math.isfinite(self.share_supply) and self.share_supply > 0.0):
             raise ValueError(f"share supply must be positive, got {self.share_supply}")
         family = self.spec.family
@@ -141,14 +131,6 @@ class PoolState:
     @property
     def n_assets(self) -> int:
         return len(self.reserves)
-
-
-def _check_reserves(reserves, values) -> None:
-    """Each of values, taken from the tuple reserves, is finite and positive;
-    the message names the whole tuple."""
-    for r in values:
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"reserves must be finite and positive, got {reserves}")
 
 
 def _check_trade(x_in: float) -> None:
@@ -241,13 +223,6 @@ _CURVES = {
 }
 
 
-def _check_indices(state: PoolState, i: int, o: int) -> None:
-    n = len(state.reserves)
-    if not (0 <= i < n and 0 <= o < n):
-        k = o if 0 <= i < n else i
-        raise IndexError(f"asset index {k} out of range for {n} assets")
-
-
 # ---------------------------------------------------------------------------
 # pool factories
 
@@ -317,7 +292,7 @@ def pmm_pool(
 def spot_rate(state: PoolState, i: int, o: int) -> float:
     """Marginal exchange rate in asset-i units per unit of asset o; exactly 1
     when i == o, and exact reciprocals across the two orientations."""
-    _check_indices(state, i, o)
+    quote.check_assets(len(state.reserves), i, o)
     if i == o:
         return 1.0
     return state._curve.spot_rate(state.reserves, i, o)
@@ -335,9 +310,7 @@ def swap_kernel(state: PoolState, i: int, o: int):
     """x_in -> swap_amount(state, i, o, x_in), bit for bit on finite x_in,
     with the index checks, the family dispatch and the curve constants done
     once: the per-point function of a sweep over trade sizes or reserves."""
-    _check_indices(state, i, o)
-    if i == o:
-        raise IdenticalAssets("swap needs distinct input and output assets")
+    quote.check_assets(len(state.reserves), i, o, "swap")
     return state._curve.kernel(state.reserves, i, o)
 
 
@@ -346,9 +319,7 @@ def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     effective rate over the pre-trade spot rate. Zero trade has zero
     slippage by convention; a non-finite x_in raises DomainError."""
     if x_in == 0.0:
-        _check_indices(state, i, o)
-        if i == o:
-            raise IdenticalAssets("slippage needs distinct input and output assets")
+        quote.check_assets(len(state.reserves), i, o, "slippage")
         return 0.0
     x_out = swap_amount(state, i, o, x_in)
     return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
@@ -416,59 +387,45 @@ def apply_swap(
     measured relative invariant deviation. A non-finite x_in raises
     DomainError; a post state off the curve raises ConservationViolation.
     """
-    _check_indices(state, input_asset, output_asset)
-    if input_asset == output_asset:
-        raise IdenticalAssets("swap needs distinct input and output assets")
+    quote.check_assets(len(state.reserves), input_asset, output_asset, "swap")
     curve = state._curve
     rate_before = curve.spot_rate(state.reserves, input_asset, output_asset)
     if x_in == 0.0:
-        outcome = SwapOutcome(
-            input_asset=input_asset,
-            output_asset=output_asset,
-            amount_in=0.0,
-            amount_out=0.0,
-            reserves_after=state.reserves,
-            spot_rate_before=rate_before,
-            effective_rate=rate_before,
-            slippage=0.0,
-        )
-        receipt = TransitionReceipt(
-            kind=TransitionKind.PURE_SWAP,
-            pre_state=state,
-            post_state=state,
-            checks=(RuleCheck("invariant_preserved", 0.0),),
-        )
-        return state, outcome, receipt
-    _check_trade(x_in)
-    x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
-    if x_out == 0.0:
-        raise InfeasibleTrade(f"input {x_in} produced zero output")
-    reserves = list(state.reserves)
-    reserves[input_asset] += x_in
-    reserves[output_asset] -= x_out
-    if reserves[output_asset] <= 0.0:
-        raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
-    # the post state differs from the checked one in the two moved reserves
-    # alone: PoolState's checks that remain open are their float coercion
-    # (x_in may be a numpy scalar), their values and the conservation law,
-    # evaluated once
-    reserves[input_asset] = float(reserves[input_asset])
-    reserves[output_asset] = float(reserves[output_asset])
-    reserves = tuple(reserves)
-    _check_reserves(reserves, (reserves[input_asset], reserves[output_asset]))
-    gate, deviation = curve.deviations(reserves)
-    _gate(gate)
-    post = object.__new__(PoolState)
-    post.__dict__.update(state.__dict__, reserves=reserves)
+        # a zero trade keeps the state, checked on construction
+        post, x_in, x_out, deviation, effective, slip = state, 0.0, 0.0, 0.0, rate_before, 0.0
+    else:
+        _check_trade(x_in)
+        x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
+        if x_out == 0.0:
+            raise InfeasibleTrade(f"input {x_in} produced zero output")
+        reserves = list(state.reserves)
+        reserves[input_asset] += x_in
+        reserves[output_asset] -= x_out
+        if reserves[output_asset] <= 0.0:
+            raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
+        # the post state differs from the checked one in the two moved
+        # reserves alone: PoolState's checks that remain open are their float
+        # coercion (x_in may be a numpy scalar), their values and the
+        # conservation law, evaluated once
+        reserves[input_asset] = float(reserves[input_asset])
+        reserves[output_asset] = float(reserves[output_asset])
+        reserves = tuple(reserves)
+        quote.check_reserves(reserves, (reserves[input_asset], reserves[output_asset]))
+        gate, deviation = curve.deviations(reserves)
+        _gate(gate)
+        post = object.__new__(PoolState)
+        post.__dict__.update(state.__dict__, reserves=reserves)
+        effective = x_in / x_out
+        slip = effective / rate_before - 1.0
     outcome = SwapOutcome(
         input_asset=input_asset,
         output_asset=output_asset,
         amount_in=x_in,
         amount_out=x_out,
-        reserves_after=reserves,
+        reserves_after=post.reserves,
         spot_rate_before=rate_before,
-        effective_rate=x_in / x_out,
-        slippage=(x_in / x_out) / rate_before - 1.0,
+        effective_rate=effective,
+        slippage=slip,
     )
     receipt = TransitionReceipt(
         kind=TransitionKind.PURE_SWAP,

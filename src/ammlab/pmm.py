@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import quote
 from .errors import ReserveDepletion, SingularAmplification
 from .quote import slippage_from_quote
 
@@ -36,8 +37,7 @@ class PMMParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.oracle_price) and self.oracle_price > 0.0):
             raise ValueError(f"oracle price must be finite and positive, got {self.oracle_price}")
-        if not (math.isfinite(self.amplification) and 0.0 < self.amplification <= 1.0):
-            raise ValueError(f"amplification must lie in (0, 1], got {self.amplification}")
+        quote.check_pmm_amplification(self.amplification)
         if self.target1 <= 0.0 or self.target2 <= 0.0:
             raise ValueError(
                 f"equilibrium targets must be positive, got ({self.target1}, {self.target2})"
@@ -59,11 +59,6 @@ class PMMParams:
         )
 
 
-def _check_reserves(r1: float, r2: float) -> None:
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise ValueError(f"reserves must be positive, got ({r1}, {r2})")
-
-
 def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     a = params.amplification
     if r1 >= params.target1:
@@ -74,7 +69,7 @@ def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:
 def pmm_spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     """Spot rate (asset-1 units per asset 2), the oracle price scaled by the
     pool-composition adjustment; equals P exactly at equilibrium."""
-    _check_reserves(r1, r2)
+    quote.check_reserves((r1, r2))
     return _spot_rate(r1, r2, params)
 
 
@@ -91,7 +86,7 @@ def conservation_gap(r1: float, r2: float, params: PMMParams) -> float:
     branches (the r1 <= C1 branch is multiplied through by P, which keeps the
     residual's gradient continuous at the equilibrium point). Zero exactly on
     the curve."""
-    _check_reserves(r1, r2)
+    quote.check_reserves((r1, r2))
     return _gap(r1, r2, params)
 
 
@@ -102,7 +97,7 @@ def _residual(r1: float, r2: float, params: PMMParams) -> float:
 
 def conservation_residual(r1: float, r2: float, params: PMMParams) -> float:
     """|conservation_gap| relative to the pool's value scale C1 + P*C2."""
-    _check_reserves(r1, r2)
+    quote.check_reserves((r1, r2))
     return _residual(r1, r2, params)
 
 
@@ -156,7 +151,7 @@ def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     conservation curve; the branch is chosen by the post-trade reserve, so
     trades crossing the equilibrium point are handled by their endpoint.
     Negative x1 is the reverse-trade convention."""
-    _check_reserves(r1, r2)
+    quote.check_reserves((r1, r2))
     return _swap_output(r1, r2, params, x1)
 
 

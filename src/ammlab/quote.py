@@ -1,8 +1,56 @@
-"""The slippage definition shared by every pool family, `core.slippage` and
-the slippage sweeps."""
+"""The domain rules shared by `core`, the pool kernels and `analysis`, each
+stated once as one check that raises on a violation, and the slippage
+definition shared by every pool family, `core.slippage` and the slippage
+sweeps. Pools live on the positive orthant: a NaN or infinite reserve is
+refused like a non-positive one."""
 from __future__ import annotations
 
-from .errors import InfeasibleTrade
+import math
+
+from .errors import DomainError, IdenticalAssets, InfeasibleTrade
+
+
+def check_asset_count(n: int) -> None:
+    if n < 2:
+        raise ValueError("a pool needs at least two assets")
+
+
+def check_reserves(reserves, values=None) -> None:
+    """Every reserve, or each of values taken from reserves, is finite and
+    positive; the message names the whole tuple."""
+    for r in reserves if values is None else values:
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
+
+
+def check_assets(n: int, i: int, o: int = 0, action: str | None = None) -> None:
+    """Asset indices i and o (asset 0, which every pool holds, by default)
+    lie in [0, n); for the swap or quote named by action they also differ."""
+    if not (0 <= i < n and 0 <= o < n):
+        k = o if 0 <= i < n else i
+        raise IndexError(f"asset index {k} out of range for {n} assets")
+    if i == o and action is not None:
+        raise IdenticalAssets(f"{action} needs distinct input and output assets")
+
+
+def check_price_shift(rho: float) -> None:
+    if rho <= -1.0:
+        raise DomainError(f"price shift must exceed -1, got {rho}")
+
+
+def check_numeraire(o: int) -> None:
+    if o == 0:
+        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+
+
+def check_stableswap_amplification(a) -> None:
+    if a is None or not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"stableswap amplification must be finite and positive, got {a}")
+
+
+def check_pmm_amplification(a) -> None:
+    if a is None or not (math.isfinite(a) and 0.0 < a <= 1.0):
+        raise ValueError(f"pmm amplification must lie in (0, 1], got {a}")
 
 
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 
-from .errors import DomainError, IdenticalAssets, NoSolution, ReserveDepletion
+from . import quote
+from .errors import DomainError, NoSolution, ReserveDepletion
 from .numerics import RootBracket, find_root
 from .quote import slippage_from_quote
 
@@ -30,17 +31,13 @@ class StableSwapParams:
     n: int = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplification) and self.amplification > 0.0):
-            raise ValueError(f"amplification must be finite and positive, got {self.amplification}")
-        if self.n < 2:
-            raise ValueError("a pool needs at least two assets")
+        quote.check_stableswap_amplification(self.amplification)
+        quote.check_asset_count(self.n)
 
 
 def _check_reserves(reserves) -> None:
-    if len(reserves) < 2:
-        raise ValueError("a pool needs at least two assets")
-    if any(r <= 0.0 for r in reserves):
-        raise ValueError(f"reserves must be positive, got {tuple(reserves)}")
+    quote.check_asset_count(len(reserves))
+    quote.check_reserves(reserves)
 
 
 def _out_of_range(reserves, D: float) -> DomainError:
@@ -251,8 +248,7 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     reserves stay untouched.
     """
     _check_reserves(reserves)
-    if i == o:
-        raise IdenticalAssets("input and output asset must differ")
+    quote.check_assets(len(reserves), i, o, "swap")
     _, scale, shift = curve_constants(D, amplification, len(reserves))
     return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
 
@@ -263,10 +259,8 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
     and the unshifted curve gradient done once for a sweep."""
     _check_reserves(reserves)
     n = len(reserves)
-    if not 0 <= o < n:
-        raise IndexError(f"asset index {o} out of range for {n} assets")
-    if o == 0:
-        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+    quote.check_assets(n, o)
+    quote.check_numeraire(o)
     A = amplification
     c = D * math.prod(D / (n * r) for r in reserves)
     g = [A + c / r for r in reserves]
@@ -343,8 +337,7 @@ def _residual(e, A: float, k: float):
 
 
 def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
+    quote.check_price_shift(rho)
     if rho == 0.0:
         return 0.0
     n = len(reserves)

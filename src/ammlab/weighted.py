@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import DomainError, IdenticalAssets, ReserveDepletion
+from . import quote
+from .errors import ReserveDepletion
 from .quote import slippage_from_quote
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -26,8 +27,7 @@ class WeightedPoolParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) < 2:
-            raise ValueError("a pool needs at least two assets")
+        quote.check_asset_count(len(self.weights))
         if any(not 0.0 < w < 1.0 for w in self.weights):
             raise ValueError(f"every weight must lie in (0, 1), got {self.weights}")
         if abs(math.fsum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
@@ -37,8 +37,7 @@ class WeightedPoolParams:
 def _check_shape(reserves, weights) -> None:
     if len(reserves) != len(weights):
         raise ValueError(f"{len(reserves)} reserves vs {len(weights)} weights")
-    if any(r <= 0.0 for r in reserves):
-        raise ValueError(f"reserves must be positive, got {tuple(reserves)}")
+    quote.check_reserves(reserves)
 
 
 def _conservation(reserves, weights) -> float:
@@ -82,8 +81,7 @@ def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
     i) and produces a negative output, meaning asset o is paid in.
     """
     _check_shape(reserves, weights)
-    if i == o:
-        raise IdenticalAssets("input and output asset must differ")
+    quote.check_assets(len(reserves), i, o, "swap")
     return _swap_output(reserves[i], reserves[o], weights[i] / weights[o], x_in)
 
 
@@ -97,16 +95,14 @@ def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:
 
 
 def _divergence_loss_at(w: float, rho: float) -> float:
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
+    quote.check_price_shift(rho)
     return (1.0 + rho) ** w / (1.0 + w * rho) - 1.0
 
 
 def weighted_divergence_kernel(weights, o: int):
     """rho -> weighted_divergence_loss(weights, o, rho), with the index check
     and the weight w_o taken once for a sweep."""
-    if not 0 <= o < len(weights):
-        raise IndexError(f"asset index {o} out of range for {len(weights)} assets")
+    quote.check_assets(len(weights), o)
     return partial(_divergence_loss_at, weights[o])
 
 
@@ -123,8 +119,7 @@ def weighted_rebalanced_reserves(reserves, weights, o: int, rho: float) -> tuple
     This leaves the invariant unchanged and moves every spot rate against o
     by exactly (1+rho)."""
     _check_shape(reserves, weights)
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
+    quote.check_price_shift(rho)
     grow = (1.0 + rho) ** weights[o]
     return tuple(
         r * grow / (1.0 + rho) if k == o else r * grow for k, r in enumerate(reserves)

@@ -22,6 +22,7 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
+from ammlab import analysis
 from ammlab.analysis import (
     MAX_GRID_POINTS,
     ComparisonConfig,
@@ -164,16 +165,40 @@ class TestCurveSeries:
                 y_values=(0.1,),
             )
 
+
+class TestSweepGrids:
+    SWEEPS = {
+        "slippage": lambda pool, grid: slippage_curve(pool, 0, 1, grid),
+        "divergence": lambda pool, grid: divergence_curve(pool, 1, grid),
+        "cross_section": lambda pool, grid: conservation_cross_section(pool, 0, 1, grid),
+    }
+
     def test_rejects_unordered_grid(self):
-        with pytest.raises(ValueError):
-            CurveSeries(
-                kind=SeriesKind.SLIPPAGE,
-                pool_id="p",
-                protocol="weighted",
-                hyperparameters="",
-                x_values=(0.2, 0.1),
-                y_values=(0.1, 0.2),
-            )
+        pool = uniswap_pool(100.0, 100.0)
+        for sweep in self.SWEEPS.values():
+            for grid in ((0.2, 0.1), (0.1, 0.1)):
+                with pytest.raises(ValueError, match="^grid values must be strictly increasing$"):
+                    sweep(pool, grid)
+        # a grid both unordered and out of the domain reports the order
+        with pytest.raises(ValueError, match="^grid values must be strictly increasing$"):
+            slippage_curve(pool, 0, 1, (0.96, 0.5))
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_no_point_runs_before_the_order_refusal(self, name, monkeypatch):
+        points = []
+
+        def counting(kernel):
+            def wrapped(*args):
+                inner = kernel(*args)
+                return lambda x: points.append(x) or inner(x)
+
+            return wrapped
+
+        for attr in ("swap_kernel", "_divergence_kernel"):
+            monkeypatch.setattr(analysis, attr, counting(getattr(analysis, attr)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.SWEEPS[name](uniswap_pool(100.0, 100.0), (0.5, 0.1, 0.2))
+        assert points == []
 
 
 class TestHyperparameterString:

@@ -99,7 +99,7 @@ REFUSALS = {
     ),
     "sushiswap-build": (
         {"pools": [{"id": "s", "protocol": "sushiswap", "reserves": [100, -1]}], "actions": []},
-        ["pools[0]: reserves must be positive, got (100.0, -1.0)"],
+        ["pools[0]: reserves must be finite and positive, got (100.0, -1.0)"],
     ),
     "bancor-build": (
         {"pools": [dict(BAL, protocol="bancor", weights=[0.6, 0.6])], "actions": []},
@@ -366,6 +366,25 @@ class TestValidate:
             == (out / "scenario_a001_divergence_loss_uni.csv").read_bytes()
         )
 
+    def test_series_asset_pair_is_judged_once(self, monkeypatch):
+        # a swap's pair is judged by the swap kernel, a series' by its sweep
+        calls = []
+        original = ammlab.analysis.swap_kernel
+
+        def counting(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(ammlab.analysis, "swap_kernel", counting)
+        monkeypatch.setattr(ammlab.cli, "swap_kernel", counting)
+        actions = [
+            {"action": "swap", "pool": "uni", "amount": 1},
+            {"action": "slippage_curve", "pool": "uni"},
+            {"action": "cross_section", "pool": "uni", "input_asset": 1, "output_asset": 0},
+        ]
+        assert validate_scenario_data({"pools": [UNI], "actions": actions}) == []
+        assert calls == [(0, 1), (0, 1), (1, 0)]
+
     def test_divergence_compare_names_the_numeraire(self):
         compare = {"action": "compare", "pools": ["uni"], "kind": "divergence_loss",
                    "input_asset": 1, "output_asset": 0}
@@ -524,6 +543,35 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "action 000 swap" in capsys.readouterr().err
+
+    def test_solver_failure_during_execution(self, tmp_path, capsys):
+        # a swap whose quadratic leaves the float range fails to solve: the
+        # earlier receipts are kept, the failure goes to the manifest and no
+        # later action runs
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [CRV],
+                "actions": [
+                    {"action": "swap", "pool": "crv", "amount": 1},
+                    {"action": "swap", "pool": "crv", "amount": 1e300},
+                    {"action": "slippage_curve", "pool": "crv", "grid": [0.5]},
+                    {"action": "swap", "pool": "crv", "amount": 1},
+                ],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scenario_failures.txt", "scenario_receipts.log"
+        ]
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 001 swap: swap quadratic produced a non-positive reserve 0.0\n"
+        )
+        receipts = (out / "scenario_receipts.log").read_text(encoding="utf-8").splitlines()
+        assert len(receipts) == 1
+        assert receipts[0].startswith("action 000 swap pool=crv")
 
     def test_arithmetic_error_during_execution(self, tmp_path, capsys):
         # reserves scaled to ~1e302 leave the floating-point range of the
