@@ -3,7 +3,7 @@ conservation-law cross-sections for any configured pool.
 
 Every sweep returns a ``CurveSeries`` — plain x/y vectors with pool metadata —
 ready for CSV emission. A sweep checks all its arguments before its first
-point (the grid's order, then its domain through ``check_grid_domain``;
+point (the grid's domain, then its order, through ``check_grid_domain``;
 ``ammlab validate`` relies on this, calling each sweep on an empty grid),
 dispatches on the pool family and computes the curve's constants (spot
 rate, weight ratios, the stableswap quadratic's D-terms, PMM parameters) once,
@@ -38,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import quote
 from . import stableswap as _ss
@@ -177,10 +177,11 @@ def default_cross_section_grid(reserve: float) -> tuple[float, ...]:
     return log_grid(0.1 * reserve, 10.0 * reserve, 50)
 
 
-def check_grid_domain(kind: SeriesKind, grid: Iterable[float]) -> None:
-    """Raise ValueError at the first grid value outside the sweep's domain:
-    normalized trade sizes in (0, 0.95] for slippage, price shifts above -1
-    for divergence loss, positive reserves for a cross-section."""
+def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
+    """Raise ValueError at the first grid value outside the sweep's domain
+    (normalized trade sizes in (0, 0.95] for slippage, price shifts above -1
+    for divergence loss, positive reserves for a cross-section), then unless
+    the grid strictly increases."""
     if kind is SeriesKind.SLIPPAGE:
         for g in grid:
             if not 0.0 < g <= 0.95:
@@ -193,6 +194,9 @@ def check_grid_domain(kind: SeriesKind, grid: Iterable[float]) -> None:
         for g in grid:
             if not g > 0.0:
                 raise ValueError(f"reserve grid values must be positive, got {g}")
+    for a, b in zip(grid, grid[1:]):
+        if not b > a:
+            raise ValueError("grid values must be strictly increasing")
 
 
 def hyperparameter_string(state: PoolState) -> str:
@@ -251,17 +255,6 @@ def _divergence_kernel(state: PoolState, asset: int):
 # sweeps
 
 
-def _sweep_grid(kind: SeriesKind, grid, default) -> tuple[float, ...]:
-    """The grid as floats, or default() where it is None, refused before any
-    point unless strictly increasing and inside the sweep's domain."""
-    grid = default() if grid is None else tuple(float(g) for g in grid)
-    for a, b in zip(grid, grid[1:]):
-        if not b > a:
-            raise ValueError("grid values must be strictly increasing")
-    check_grid_domain(kind, grid)
-    return grid
-
-
 def _solved_points(solve: Callable[[float], float], grid):
     """y-values and (grid index, reason) failures of solve over the grid; a
     point raising NoSolution or ConvergenceFailure becomes NaN."""
@@ -302,7 +295,8 @@ def slippage_curve(
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
     value g; the first point that raises aborts the series."""
-    grid = _sweep_grid(SeriesKind.SLIPPAGE, grid, default_trade_grid)
+    grid = default_trade_grid() if grid is None else tuple(float(g) for g in grid)
+    check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
@@ -328,7 +322,8 @@ def divergence_curve(
     (-1, inf)), equal to divergence_loss at every point; per-point solver
     failures become NaN entries."""
     loss = _divergence_kernel(state, asset)
-    grid = _sweep_grid(SeriesKind.DIVERGENCE_LOSS, grid, default_shift_grid)
+    grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
+    check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
     y, failures = _solved_points(loss, grid)
     return _series(SeriesKind.DIVERGENCE_LOSS, state, grid, y, failures, pool_id, protocol)
 
@@ -348,9 +343,8 @@ def conservation_cross_section(
     swap = swap_kernel(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
-    grid = _sweep_grid(
-        SeriesKind.CONSERVATION_CROSS_SECTION, grid, lambda: default_cross_section_grid(r_in)
-    )
+    grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
+    check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
     y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return _series(
         SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol

@@ -171,6 +171,7 @@ def _resolve_grid(spec):
         values = build(float(spec["start"]), float(spec["stop"]), points)
     else:
         raise ValueError("grid must be an array or a start/stop/points object")
+    # ahead of the domain and the pools, as the validator's problem lists expect
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ValueError("grid values must be strictly increasing")
     return values

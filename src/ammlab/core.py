@@ -292,7 +292,8 @@ def pmm_pool(
 def spot_rate(state: PoolState, i: int, o: int) -> float:
     """Marginal exchange rate in asset-i units per unit of asset o; exactly 1
     when i == o, and exact reciprocals across the two orientations."""
-    quote.check_assets(len(state.reserves), i, o)
+    quote.check_index(len(state.reserves), i)
+    quote.check_index(len(state.reserves), o)
     if i == o:
         return 1.0
     return state._curve.spot_rate(state.reserves, i, o)

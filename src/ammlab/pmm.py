@@ -159,6 +159,7 @@ def pmm_slippage(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     """Slippage (quote.slippage_from_quote) of adding x1 of asset 1 against
     the pre-trade spot rate. Zero trade has zero slippage by convention."""
     if x1 == 0.0:
+        quote.check_reserves((r1, r2))
         return 0.0
     x2 = pmm_swap(r1, r2, params, x1)
     return slippage_from_quote(x1, x2, pmm_spot_rate(r1, r2, params))

@@ -23,13 +23,16 @@ def check_reserves(reserves, values=None) -> None:
             raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
 
 
-def check_assets(n: int, i: int, o: int = 0, action: str | None = None) -> None:
-    """Asset indices i and o (asset 0, which every pool holds, by default)
-    lie in [0, n); for the swap or quote named by action they also differ."""
-    if not (0 <= i < n and 0 <= o < n):
-        k = o if 0 <= i < n else i
+def check_index(n: int, k: int) -> None:
+    if not 0 <= k < n:
         raise IndexError(f"asset index {k} out of range for {n} assets")
-    if i == o and action is not None:
+
+
+def check_assets(n: int, i: int, o: int, action: str) -> None:
+    """The swap or quote named by action takes two distinct assets in [0, n)."""
+    check_index(n, i)
+    check_index(n, o)
+    if i == o:
         raise IdenticalAssets(f"{action} needs distinct input and output assets")
 
 

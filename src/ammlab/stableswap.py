@@ -259,7 +259,7 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
     and the unshifted curve gradient done once for a sweep."""
     _check_reserves(reserves)
     n = len(reserves)
-    quote.check_assets(n, o)
+    quote.check_index(n, o)
     quote.check_numeraire(o)
     A = amplification
     c = D * math.prod(D / (n * r) for r in reserves)
@@ -420,8 +420,10 @@ def stableswap_divergence_loss(
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
     """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
-    trade has zero slippage by convention."""
+    trade has zero slippage by convention, on valid reserves and asset pair."""
     if x_in == 0.0:
+        _check_reserves(reserves)
+        quote.check_assets(len(reserves), i, o, "slippage")
         return 0.0
     x_out = stableswap_swap(reserves, D, amplification, i, o, x_in)
     rate = stableswap_spot_rate(reserves, D, amplification, i, o)

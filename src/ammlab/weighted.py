@@ -87,8 +87,10 @@ def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
 
 def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:
     """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
-    trade has zero slippage by convention."""
+    trade has zero slippage by convention, on a valid pool and asset pair."""
     if x_in == 0.0:
+        _check_shape(reserves, weights)
+        quote.check_assets(len(reserves), i, o, "slippage")
         return 0.0
     x_out = weighted_swap(reserves, weights, i, o, x_in)
     return slippage_from_quote(x_in, x_out, weighted_spot_rate(reserves, weights, i, o))
@@ -102,7 +104,7 @@ def _divergence_loss_at(w: float, rho: float) -> float:
 def weighted_divergence_kernel(weights, o: int):
     """rho -> weighted_divergence_loss(weights, o, rho), with the index check
     and the weight w_o taken once for a sweep."""
-    quote.check_assets(len(weights), o)
+    quote.check_index(len(weights), o)
     return partial(_divergence_loss_at, weights[o])
 
 

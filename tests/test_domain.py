@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ammlab import pmm, stableswap, weighted
+from ammlab.errors import IdenticalAssets
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
@@ -22,6 +23,7 @@ KERNELS = {
     "weighted_spot_rate": lambda r: weighted.weighted_spot_rate(r, W, 0, 1),
     "weighted_swap": lambda r: weighted.weighted_swap(r, W, 0, 1, 1.0),
     "weighted_slippage": lambda r: weighted.weighted_slippage(r, W, 0, 1, 1.0),
+    "weighted_slippage zero trade": lambda r: weighted.weighted_slippage(r, W, 0, 1, 0.0),
     "weighted_rebalanced_reserves": lambda r: weighted.weighted_rebalanced_reserves(r, W, 1, 0.5),
     "solve_invariant": lambda r: stableswap.solve_invariant(r, 10.0),
     "defining_residual": lambda r: stableswap.defining_residual(r, 200.0, 10.0),
@@ -30,6 +32,9 @@ KERNELS = {
     "stableswap_spot_rate": lambda r: stableswap.stableswap_spot_rate(r, 200.0, 10.0, 0, 1),
     "stableswap_swap": lambda r: stableswap.stableswap_swap(r, 200.0, 10.0, 0, 1, 1.0),
     "stableswap_slippage": lambda r: stableswap.stableswap_slippage(r, 200.0, 10.0, 0, 1, 1.0),
+    "stableswap_slippage zero trade": lambda r: stableswap.stableswap_slippage(
+        r, 200.0, 10.0, 0, 1, 0.0
+    ),
     "stableswap_divergence_kernel": lambda r: stableswap.stableswap_divergence_kernel(
         r, 200.0, 10.0, 1
     ),
@@ -41,6 +46,7 @@ KERNELS = {
     "pmm.conservation_residual": lambda r: pmm.conservation_residual(*r, PMM),
     "pmm_swap": lambda r: pmm.pmm_swap(*r, PMM, 1.0),
     "pmm_slippage": lambda r: pmm.pmm_slippage(*r, PMM, 1.0),
+    "pmm_slippage zero trade": lambda r: pmm.pmm_slippage(*r, PMM, 0.0),
 }
 
 
@@ -53,6 +59,22 @@ def test_kernels_refuse_non_finite_reserves(name, bad, position):
     message = f"^reserves must be finite and positive, got {re.escape(str(tuple(reserves)))}$"
     with pytest.raises(ValueError, match=message):
         KERNELS[name](tuple(reserves))
+
+
+@pytest.mark.parametrize(
+    "zero_trade",
+    [
+        lambda i, o: weighted.weighted_slippage((100.0, 100.0), W, i, o, 0.0),
+        lambda i, o: stableswap.stableswap_slippage((100.0, 100.0), 200.0, 10.0, i, o, 0.0),
+    ],
+    ids=["weighted_slippage", "stableswap_slippage"],
+)
+def test_zero_trade_slippage_judges_the_asset_pair(zero_trade):
+    assert zero_trade(0, 1) == 0.0
+    with pytest.raises(IdenticalAssets, match="^slippage needs distinct input and output assets$"):
+        zero_trade(1, 1)
+    with pytest.raises(IndexError, match="^asset index 2 out of range for 2 assets$"):
+        zero_trade(0, 2)
 
 
 # one message per rule; the modules that enforce a rule call the check in quote

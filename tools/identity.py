@@ -52,6 +52,8 @@ MODES = {
     "run": lambda path, out: ["run", path, "--out", out],
     "run --parallel 2": lambda path, out: ["run", path, "--parallel", "2", "--out", out],
 }
+POOL_SEEDS = (1, 2)
+SHOWN = 20  # differing cases printed in full
 
 # ---------------------------------------------------------------------------
 # corpus
@@ -174,7 +176,7 @@ def _perfbench_generate():
     return module
 
 
-def write_corpus(directory: Path, mutants: int, value_mutants: int, pools: int, seeds) -> int:
+def write_corpus(directory: Path, mutants: int, value_mutants: int, pools: int) -> int:
     """Write the scenario files under directory/scenarios and the pool list
     to directory/pools.json; returns the number of scenario files."""
     scenarios = directory / "scenarios"
@@ -195,7 +197,7 @@ def write_corpus(directory: Path, mutants: int, value_mutants: int, pools: int, 
     (scenarios / "unparseable.json").write_text('{"pools": [', encoding="utf-8")
 
     corpus = []
-    for seed in seeds:
+    for seed in POOL_SEEDS:
         rng = random.Random(f"identity/stableswap/{seed}")
         for _ in range(pools):
             scale = 10.0 ** rng.uniform(-160, 160)
@@ -317,16 +319,13 @@ def compare(args) -> int:
         raise SystemExit("--accept takes OLD=>NEW")
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     try:
-        files = write_corpus(work, args.mutants, args.value_mutants, args.pools, args.seeds)
+        files = write_corpus(work, args.mutants, args.value_mutants, args.pools)
         print(f"corpus: {files} scenario files x {len(MODES)} modes, "
-              f"{args.pools * len(args.seeds)} stableswap pools")
+              f"{args.pools * len(POOL_SEEDS)} stableswap pools")
         a = _records(args.tree_a.resolve(), work, work / "a.jsonl")
         b = _records(args.tree_b.resolve(), work, work / "b.jsonl")
     finally:
-        if args.keep:
-            print(f"work directory kept: {work}")
-        else:
-            shutil.rmtree(work)
+        shutil.rmtree(work)
     if [r["case"] for r in a] != [r["case"] for r in b]:
         print("the two trees recorded different cases")
         return 1
@@ -353,7 +352,7 @@ def compare(args) -> int:
         counts = ", ".join(f"{code} x {n}" for (m, code), n in sorted(outcomes.items(), key=str)
                            if m == mode)
         print(f"  tree B {mode}: {counts}")
-    for ra, rb in differ[: args.show]:
+    for ra, rb in differ[:SHOWN]:
         print(f"DIFF {ra['case']}")
         for key in ("exit", "stdout", "stderr", "files"):
             if ra[key] != rb[key]:
@@ -370,11 +369,8 @@ def main(argv=None) -> int:
     p.add_argument("--mutants", type=int, default=1500, help="structural scenario mutants")
     p.add_argument("--value-mutants", type=int, default=300, help="numeric scenario mutants")
     p.add_argument("--pools", type=int, default=10000, help="stableswap pools per seed")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2], help="stableswap pool seeds")
     p.add_argument("--accept", action="append", default=[], metavar="OLD=>NEW",
                    help="a declared wording change in tree B")
-    p.add_argument("--show", type=int, default=20, help="differing cases to print")
-    p.add_argument("--keep", action="store_true", help="keep the work directory")
     w = sub.add_parser("worker", help=argparse.SUPPRESS)
     w.add_argument("tree", type=Path)
     w.add_argument("corpus", type=Path)
