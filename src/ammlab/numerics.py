@@ -121,21 +121,27 @@ def find_root(
         return lo
     if f_hi == 0.0:
         return hi
+    # RootBracket makes 0 < lo < hi, and every x lies in [lo, hi], so lo, hi
+    # and x are positive throughout and need no abs(); each x replaces the
+    # endpoint whose sign it shares, so f(lo) keeps f_lo's sign
+    lo_negative = f_lo < 0.0
     x = 0.5 * (lo + hi)
     newton = True
     for _ in range(max_iterations):
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, fx
+        if (fx < 0.0) == lo_negative:
+            lo = x
         else:
-            hi, f_hi = x, fx
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
+            hi = x
+        if hi - lo <= rel_tol * hi:
             return 0.5 * (lo + hi)
         x_next = math.inf
         if newton:
-            h = max(abs(x) * 1e-7, 1e-12)
+            h = x * 1e-7
+            if h < 1e-12:
+                h = 1e-12
             try:
                 d = (f(x + h) - f(x - h)) / (2.0 * h)
             except (ValueError, OverflowError):
@@ -148,7 +154,8 @@ def find_root(
                 if d != 0.0 and math.isfinite(d):
                     x_next = x - fx / d
         if lo < x_next < hi:
-            if abs(x_next - x) <= rel_tol * abs(x_next):
+            tol = rel_tol * x_next
+            if -tol <= x_next - x <= tol:
                 return x_next
             x = x_next
         else:

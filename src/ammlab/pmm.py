@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import quote
-from .errors import ReserveDepletion, SingularAmplification
+from .errors import DomainError, ReserveDepletion, SingularAmplification
 from .quote import slippage_from_quote
 
 
@@ -101,6 +101,13 @@ def conservation_residual(r1: float, r2: float, params: PMMParams) -> float:
     return _residual(r1, r2, params)
 
 
+def _post_reserve_error(r1_new: float) -> ValueError:
+    # a post-trade reserve 1 outside (0, inf): the curve pairs no reserve 2
+    # with it
+    what = "positive" if r1_new <= 0.0 else "finite"
+    return ValueError(f"reserve must stay {what}, got {r1_new}")
+
+
 def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     """Post-trade reserve 2 on the r1 >= C1 branch: the positive root of
     P*(1-A)*u^2 + (r1' - C1 - P*C2*(1-2A))*u - P*A*C2^2 = 0.
@@ -108,6 +115,8 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     At A = 1 the leading coefficient vanishes; use the analytic limit via
     reserve2_given_reserve1 instead.
     """
+    if not 0.0 < r1_new < math.inf:
+        raise _post_reserve_error(r1_new)
     p, a = params.oracle_price, params.amplification
     c1, c2 = params.target1, params.target2
     lead = p * (1.0 - a)
@@ -125,8 +134,8 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
     """The reserve-2 value paired with r1_new on the conservation curve."""
-    if r1_new <= 0.0:
-        raise ValueError(f"reserve must stay positive, got {r1_new}")
+    if not 0.0 < r1_new < math.inf:
+        raise _post_reserve_error(r1_new)
     p, a = params.oracle_price, params.amplification
     c1, c2 = params.target1, params.target2
     if r1_new >= c1:
@@ -143,6 +152,8 @@ def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
         raise ReserveDepletion(f"input {x1} exhausts reserve {r1}")
     if x1 == 0.0:
         return 0.0
+    if r1_new == math.inf:
+        raise DomainError(f"input {x1} takes reserve {r1} past the floating-point range")
     return r2 - reserve2_given_reserve1(r1_new, params)
 
 

@@ -37,7 +37,8 @@ def check_assets(n: int, i: int, o: int, action: str) -> None:
 
 
 def check_price_shift(rho: float) -> None:
-    if rho <= -1.0:
+    # written so that a NaN shift fails too
+    if not rho > -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
 
 

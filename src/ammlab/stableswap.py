@@ -256,7 +256,8 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
 def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
     """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho),
     bit for bit, with the reserve, asset-index and numeraire checks
-    and the unshifted curve gradient done once for a sweep."""
+    and the unshifted curve gradient done once for a sweep. Each point runs
+    the pool size's form in _DIVERGENCE_POINTS, or the generic one."""
     _check_reserves(reserves)
     n = len(reserves)
     quote.check_index(n, o)
@@ -265,7 +266,8 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
     c = D * math.prod(D / (n * r) for r in reserves)
     g = [A + c / r for r in reserves]
     V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
-    return partial(_divergence_loss_at, tuple(reserves), D, A, o, c, tuple(g), V)
+    point = _DIVERGENCE_POINTS.get(n, _divergence_loss_at)
+    return partial(point, tuple(reserves), D, A, o, c, tuple(g), V)
 
 
 def _curve(e, A: float):
@@ -273,8 +275,10 @@ def _curve(e, A: float):
     P = prod(n/x_k)^(1/(n+1)) and the curve equation
     f = A*sum(1/x_k) + (1 - A)*P - 1 (see stableswap_divergence_loss).
 
-    The sum is folded left to right, as the unrolled residuals add: the
-    built-in sum compensates its rounding on Python 3.12 and later."""
+    The generic divergence point evaluates it for any n; the 2- and 3-asset
+    forms unroll it. The sum is folded left to right, as the unrolled
+    residuals add: the built-in sum compensates its rounding on Python 3.12
+    and later."""
     n = len(e)
 
     def curve(s: float) -> tuple[list[float], float, float]:
@@ -285,11 +289,14 @@ def _curve(e, A: float):
     return curve
 
 
-# The unrolled residuals keep _curve's float operations in _curve's order:
-# find_root's iterates, and with them the loss and every output byte, follow
-# the last bits of f. What differs is exact: s + A and 1 - A are computed
-# once (the doubles _curve recomputes), math.prod's leading 1 and the fold's
-# leading 0 are dropped, n/x_k is written n.0/x_k and 1/(n+1) a literal.
+# Two unrolled forms keep _curve's float operations in _curve's order: the
+# residuals below, which the bracket walk and find_root evaluate, and the
+# revaluation of _divergence_loss_2 and _divergence_loss_3, which computes x
+# and P at the root. find_root's iterates follow the last bits of f, and the
+# loss follows those of P*x_k, so a reordered operation moves output bytes.
+# What differs is exact: s + A and 1 - A are computed once (the doubles
+# _curve recomputes), math.prod's leading 1 and the fold's leading 0 are
+# dropped, n/x_k is written n.0/x_k and 1/(n+1) a literal.
 def _residual_2(e, A: float, k: float):
     e0, e1 = e
     B = 1.0 - A
@@ -359,10 +366,10 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
         return max(out, 0.0) / w[m]
 
     e = [excess(k) for k in range(n)]
-    # the bracket walk and the solve evaluate the curve equation alone,
-    # unrolled for 2 and 3 assets; the unrolled forms must repeat _curve's
-    # operations in its order, or the roots, and the output bytes with them,
-    # move. _curve stays the one source of x and P for the rebalanced reserves
+    # the bracket walk and the solve evaluate the curve equation alone, and
+    # _curve gives x and P at the root; _divergence_loss_2 and
+    # _divergence_loss_3 repeat all of this in the same order for 2 and 3
+    # assets, so this form runs for 4 or more and is their reference
     residual = _residual(e, A, 1.0)
 
     # the curve equation is positive at s_lo and negative at s_hi (bounds
@@ -395,6 +402,129 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
     V_held = V + g[o] / g[0] * reserves[o] * rho
     V_prime = math.fsum(wk / w[0] * r for wk, r in zip(w, rebalanced))
     return V_prime / V_held - 1.0
+
+
+# The 2- and 3-asset forms of _divergence_loss_at, bit for bit. They set up
+# w, m and e, and revalue at the root, unrolled: tuple unpacking and plain
+# comparisons in place of min(key=), max, sorted, all() and the comprehensions
+# (each conditional keeps the generic form's choice, NaN included); the
+# rebalanced x and P repeat _curve's operations in its order, and the values
+# are summed by the same math.fsum. The walk and the solve share _shift_root.
+def _unattainable(rho: float, o: int, reason: str) -> NoSolution:
+    return NoSolution(f"rate shift {rho} for asset {o} is unattainable: {reason}")
+
+
+def _shift_root(unrolled, e, A: float, s: float, rho: float, o: int) -> float:
+    """The root of the curve equation for the excess weights e, walked from
+    s and solved as _divergence_loss_at does, on the unrolled residual."""
+    n = len(e)
+    residual = unrolled(e, A, 1.0)
+    s_lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
+    s_hi = 2.0 * n * (A if A > 1.0 else 1.0)
+    if s_lo > s:
+        s = s_lo
+    if s_hi < s:
+        s = s_hi
+    f = residual(s)
+    if not math.isfinite(f):
+        raise _unattainable(rho, o, "the curve is not representable")
+    # a step keeps f's sign until the walk brackets the root
+    positive = f > 0.0
+    factor = 2.0 if positive else 0.5
+    while True:
+        t = s * factor
+        if s_lo > t:
+            t = s_lo
+        if s_hi < t:
+            t = s_hi
+        f_t = residual(t)
+        if t == s or not math.isfinite(f_t):
+            raise _unattainable(rho, o, "the curve is not representable")
+        if f_t == 0.0 or (f_t > 0.0) != positive:
+            break
+        s, f = t, f_t
+    lo, f_lo, hi, f_hi = (t, f_t, s, f) if t < s else (s, f, t, f_t)
+    return lo * find_root(unrolled(e, A, lo), RootBracket(1.0, hi / lo, f_lo, f_hi))
+
+
+def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
+    quote.check_price_shift(rho)
+    if rho == 0.0:
+        return 0.0
+    r0, r1 = reserves
+    g0, g1 = g
+    w1 = g1 * (1.0 + rho)  # o is 1
+    if w1 < g0:
+        out = c * (r1 - r0) / (r0 * r1) - rho * g1
+        e0, e1 = (0.0 if out < 0.0 else out) / w1, 0.0
+        r_m = r1
+    else:
+        out = c * (r0 - r1) / (r1 * r0) + rho * g1
+        e0, e1 = 0.0, (0.0 if out < 0.0 else out) / g0
+        r_m = r0
+    s = _shift_root(_residual_2, (e0, e1), A, c / r_m, rho, o)
+    t = s + A
+    x0 = s + e0 * t
+    x1 = s + e1 * t
+    P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
+    p0, p1 = P * x0, P * x1
+    if p0 > 0.0 and p1 > 0.0:
+        q0, q1 = D / p0, D / p1
+        if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf:
+            V_held = V + g1 / g0 * r1 * rho
+            return math.fsum((g0 / g0 * q0, w1 / g0 * q1)) / V_held - 1.0
+    raise _unattainable(rho, o, "a rebalanced reserve leaves the floating-point range")
+
+
+def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
+    quote.check_price_shift(rho)
+    if rho == 0.0:
+        return 0.0
+    r0, r1, r2 = reserves
+    g0, g1, g2 = g
+    w1, w2 = (g1 * (1.0 + rho), g2) if o == 1 else (g1, g2 * (1.0 + rho))
+    shift = rho * g[o]
+    m, r_m, w_m = 0, r0, g0
+    if w1 < w_m:
+        m, r_m, w_m = 1, r1, w1
+    if w2 < w_m:
+        m, r_m, w_m = 2, r2, w2
+    e0 = e1 = e2 = 0.0
+    if m != 0:
+        out = c * (r_m - r0) / (r0 * r_m)
+        if m == o:
+            out -= shift
+        e0 = (0.0 if out < 0.0 else out) / w_m
+    if m != 1:
+        out = c * (r_m - r1) / (r1 * r_m)
+        if o == 1:
+            out += shift
+        elif m == o:
+            out -= shift
+        e1 = (0.0 if out < 0.0 else out) / w_m
+    if m != 2:
+        out = c * (r_m - r2) / (r2 * r_m)
+        if o == 2:
+            out += shift
+        elif m == o:
+            out -= shift
+        e2 = (0.0 if out < 0.0 else out) / w_m
+    s = _shift_root(_residual_3, (e0, e1, e2), A, c / r_m, rho, o)
+    t = s + A
+    x0 = s + e0 * t
+    x1 = s + e1 * t
+    x2 = s + e2 * t
+    P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
+    p0, p1, p2 = P * x0, P * x1, P * x2
+    if p0 > 0.0 and p1 > 0.0 and p2 > 0.0:
+        q0, q1, q2 = D / p0, D / p1, D / p2
+        if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf and 0.0 < q2 < math.inf:
+            V_held = V + g[o] / g0 * reserves[o] * rho
+            return math.fsum((g0 / g0 * q0, w1 / g0 * q1, w2 / g0 * q2)) / V_held - 1.0
+    raise _unattainable(rho, o, "a rebalanced reserve leaves the floating-point range")
+
+
+_DIVERGENCE_POINTS = {2: _divergence_loss_2, 3: _divergence_loss_3}
 
 
 def stableswap_divergence_loss(

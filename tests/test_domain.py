@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ammlab import pmm, stableswap, weighted
-from ammlab.errors import IdenticalAssets
+from ammlab import analysis, pmm, stableswap, weighted
+from ammlab.core import uniswap_pool
+from ammlab.errors import DomainError, IdenticalAssets
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
@@ -75,6 +76,35 @@ def test_zero_trade_slippage_judges_the_asset_pair(zero_trade):
         zero_trade(1, 1)
     with pytest.raises(IndexError, match="^asset index 2 out of range for 2 assets$"):
         zero_trade(0, 2)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda rho: analysis.divergence_loss(uniswap_pool(100.0, 100.0), 1, rho),
+        lambda rho: weighted.weighted_divergence_loss((0.5, 0.5), 1, rho),
+        lambda rho: stableswap.stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, rho),
+        lambda rho: stableswap.stableswap_divergence_loss(
+            (100.0, 100.0, 100.0), 300.0, 10.0, 2, rho
+        ),
+        lambda rho: stableswap.stableswap_divergence_loss((100.0,) * 4, 400.0, 10.0, 3, rho),
+    ],
+    ids=["uniswap", "weighted", "stableswap-2", "stableswap-3", "stableswap-4"],
+)
+def test_divergence_loss_refuses_a_nan_price_shift(loss):
+    with pytest.raises(DomainError, match="^price shift must exceed -1, got nan$"):
+        loss(math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "helper",
+    [pmm.reserve2_given_reserve1, pmm.quadratic_branch_reserve2],
+    ids=["reserve2_given_reserve1", "quadratic_branch_reserve2"],
+)
+def test_pmm_post_trade_helpers_refuse_a_non_finite_reserve(helper, bad):
+    with pytest.raises(ValueError, match=f"^reserve must stay finite, got {bad}$"):
+        helper(bad, PMM)
 
 
 # one message per rule; the modules that enforce a rule call the check in quote

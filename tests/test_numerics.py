@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -27,6 +29,7 @@ from ammlab import (
     swap_amount,
     uniswap_pool,
 )
+from ammlab import stableswap
 from ammlab.pmm import PMMParams, conservation_gap, pmm_swap
 from ammlab.stableswap import defining_residual, solve_invariant
 from ammlab.weighted import weighted_rebalanced_reserves
@@ -122,6 +125,37 @@ class TestFindRoot:
         via_root = find_root(g, bracket)
         via_solver = solve_invariant(reserves, amp)
         assert math.isclose(via_root, via_solver, rel_tol=1e-12)
+
+    def test_roots_keep_their_bits(self):
+        # find_root's iterates decide every root's last bits, and with them
+        # the output bytes: its results on a seeded set of brackets, by
+        # float.hex, are pinned. The brackets are solve_invariant's on
+        # stableswap pools, the divergence curve equation between the
+        # bracket walk's bounds, and roots within the difference step's
+        # floor of the domain's edge, where Newton gives way to bisection
+        rng = random.Random("numerics/find_root")
+        roots = []
+        for _ in range(200):
+            n = rng.randint(2, 3)
+            reserves = tuple(10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n))
+            amp = 10.0 ** rng.uniform(-3.0, 6.0)
+            roots.append(solve_invariant(reserves, amp))
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            e = (0.0, *(10.0 ** rng.uniform(-12.0, 12.0) for _ in range(n - 1)))
+            amp = 10.0 ** rng.uniform(-6.0, 12.0)
+            lo = 0.5 * amp if amp <= 1.0 else n * (2.0 * n) ** -(n + 1)
+            hi = 2.0 * n * max(1.0, amp)
+            f = stableswap._residual(e, amp, lo)
+            roots.append(find_root(f, RootBracket.from_function(f, 1.0, hi / lo)))
+        for _ in range(50):
+            r = 10.0 ** rng.uniform(-14.0, -10.0)
+            f = lambda x, r=r: math.log(x / r)  # noqa: E731
+            roots.append(find_root(f, RootBracket.from_function(f, 1e-20, 1.0)))
+        results = [float.hex(x) for x in roots]
+        assert results[:2] == ["0x1.2264ab1b39a96p-5", "0x1.bc5366b4ff3c2p+4"]
+        digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+        assert digest == "8e4ae81208f6f6f589f13771458027ace618864cd29488dd6c09b3a549acec87"
 
 
 class TestNumericSpotRate:

@@ -7,9 +7,13 @@ import math
 import pytest
 
 from ammlab import (
+    DomainError,
     InfeasibleTrade,
     ReserveDepletion,
     SingularAmplification,
+    apply_swap,
+    pmm_pool,
+    swap_amount,
 )
 from ammlab.pmm import (
     PMMParams,
@@ -145,6 +149,17 @@ class TestSwap:
     def test_draining_input_reserve_rejected(self):
         with pytest.raises(ReserveDepletion):
             pmm_swap(100.0, 100.0, BALANCED, -100.0)
+
+    def test_input_reserve_past_the_float_range_rejected(self):
+        # the post-trade reserve 1 rounds to inf, which the curve pairs with
+        # no reserve 2; the pool then refuses the trade as it would refuse
+        # any value leaving the floating-point range
+        pool = pmm_pool(1e308, 100.0, 1.0, 0.5)
+        message = r"^input 1e\+308 takes reserve 1e\+308 past the floating-point range$"
+        with pytest.raises(DomainError, match=message):
+            swap_amount(pool, 0, 1, 1e308)
+        with pytest.raises(DomainError, match=message):
+            apply_swap(pool, 0, 1, 1e308)
 
     def test_round_trip_restores_reserves(self):
         out = pmm_swap(100.0, 100.0, BALANCED, 10.0)

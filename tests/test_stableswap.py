@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from unittest.mock import patch
@@ -472,27 +474,54 @@ class TestUnrolledResidual:
         got = stableswap._residual(e, amp, k)(u)
         assert float.hex(got) == float.hex(stableswap._curve(e, amp)(k * u)[2])
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        log_reserves=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4),
-        amp=_log_uniform(-3.0, 8.0),
-        rho=st.one_of(
-            st.floats(min_value=-1.0, max_value=4.0, exclude_min=True),
-            _log_uniform(0.0, 300.0),
-        ),
-        data=st.data(),
-    )
-    def test_divergence_loss_matches_the_generic_path(self, log_reserves, amp, rho, data):
-        reserves = tuple(10.0**x for x in log_reserves)
-        o = data.draw(st.integers(min_value=1, max_value=len(reserves) - 1))
-        d = solve_invariant(reserves, amp)
+    def test_divergence_loss_matches_the_generic_path(self):
+        # the unrolled 2- and 3-asset divergence points against the generic
+        # _divergence_loss_at on the generic curve: equal bits, or the same
+        # error. Random pools from 1e-100 to 1e100 with shifts up to 1e300
+        # reach the rebalanced reserves' range check; two 3-asset pools
+        # imbalanced by over 1e100 reach the walk's finiteness check
+        rng = random.Random("stableswap/divergence-points")
+        cases = []
+        for _ in range(2500):
+            n = rng.choice((2, 3))
+            scale = 10.0 ** rng.uniform(-100.0, 100.0)
+            reserves = tuple(scale * 10.0 ** rng.uniform(-10.0, 10.0) for _ in range(n))
+            amp = 10.0 ** rng.uniform(-6.0, 12.0)
+            o = rng.randrange(1, n)
+            rho = rng.choice((
+                rng.uniform(-1.0, 4.0),
+                -1.0 + 10.0 ** rng.uniform(-12.0, 0.0),
+                10.0 ** rng.uniform(-12.0, 300.0),
+            ))
+            cases.append((reserves, amp, o, rho))
+        cases += [
+            ((6.027984854914927e-20, 3.7187202283900295e-138, 3.3623626518537535e-118),
+             27291316123.15527, 2, -0.976534714960766),
+            ((1.5743298522794656e-134, 1.3221162647478556e-19, 1.0101688250408584e-149),
+             73392281102087.28, 2, -0.999990037487363),
+        ]
 
-        def outcome():
+        def outcome(reserves, d, amp, o, rho):
             try:
                 return float.hex(stableswap_divergence_loss(reserves, d, amp, o, rho))
             except AmmError as exc:
                 return type(exc), str(exc)
 
-        unrolled = outcome()
-        with patch.dict(stableswap._UNROLLED_RESIDUALS, clear=True):
-            assert outcome() == unrolled
+        outcomes = []
+        for reserves, amp, o, rho in cases:
+            try:
+                d = solve_invariant(reserves, amp)
+            except AmmError:
+                continue
+            unrolled = outcome(reserves, d, amp, o, rho)
+            with patch.dict(stableswap._UNROLLED_RESIDUALS, clear=True), patch.dict(
+                stableswap._DIVERGENCE_POINTS, clear=True
+            ):
+                assert outcome(reserves, d, amp, o, rho) == unrolled, (reserves, amp, o, rho)
+            outcomes.append(unrolled)
+        reasons = Counter(
+            out[1].rsplit(": ", 1)[-1] for out in outcomes if out[0] is NoSolution
+        )
+        assert reasons["the curve is not representable"] == 2
+        assert reasons["a rebalanced reserve leaves the floating-point range"] >= 5
+        assert sum(isinstance(out, str) for out in outcomes) >= 2000

@@ -19,8 +19,10 @@ scenario file it runs `ammlab validate`, `ammlab run` and
 stderr and the sha256 of every file written. For every pool it records the
 build's accept or refuse decision with the error class and message, and on
 a built pool, by `float.hex`: D, `spot_rate(0, 1)`, every `SwapOutcome`
-field, the receipt deviation and post reserves of a swap, and the post
-reserves, D, share supply and receipt of a liquidity change.
+field, the receipt deviation and post reserves of a swap, the post
+reserves, D, share supply and receipt of a liquidity change, and the
+divergence loss of the last asset at each shift in SHIFTS. Each step that
+raises is recorded as its error class and message.
 
 The two records must match exactly. `--accept 'OLD=>NEW'` (repeatable)
 declares a wording change: OLD is replaced by NEW in tree A's text before
@@ -53,6 +55,7 @@ MODES = {
     "run --parallel 2": lambda path, out: ["run", path, "--parallel", "2", "--out", out],
 }
 POOL_SEEDS = (1, 2)
+SHIFTS = (-0.9, -0.5, 0.01, 1.0, 4.0, 1e3)  # price shifts of each pool's divergence loss
 SHOWN = 20  # differing cases printed in full
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,10 @@ HAND_MADE = {
     # reserves scaled out of the spot rate's range while executing: exit 2
     "domain-error": {"pools": [BASE["pools"][4]], "actions": [
         {"action": "add_liquidity", "pool": "crv", "fraction": 1e300}]},
+    # a dodo swap whose post-trade reserve 1 overflows to inf: exit 2
+    "overflowing-dodo-swap": {"pools": [dict(BASE["pools"][6], reserves=[1e308, 100],
+                                             targets=[1e308, 100])], "actions": [
+        {"action": "swap", "pool": "ddo", "amount": 1e308}]},
     "divergence-on-dodo": {"pools": [BASE["pools"][6]], "actions": [
         {"action": "divergence_curve", "pool": "ddo", "asset": 1}]},
     "default-grids": {"pools": BASE["pools"], "actions": [
@@ -216,7 +223,7 @@ def _hex(x) -> str:
     return float(x).hex() if isinstance(x, (int, float)) else repr(x)
 
 
-def _pool_line(core, reserves, amplification) -> str:
+def _pool_line(core, analysis, reserves, amplification) -> str:
     def attempt(step, fn):
         try:
             return fn()
@@ -245,25 +252,29 @@ def _pool_line(core, reserves, amplification) -> str:
 
     parts.append(attempt("swap", swap))
     parts.append(attempt("add", liquidity))
+    o = len(pool.reserves) - 1
+    for rho in SHIFTS:
+        step = f"div({rho:g})"
+        parts.append(attempt(step, lambda: f"{step}={_hex(analysis.divergence_loss(pool, o, rho))}"))
     return " ".join(parts)
 
 
 def worker(tree: Path, corpus: Path, out: Path) -> int:
     import ammlab
-    from ammlab import cli, core
+    from ammlab import analysis, cli, core
 
     if tree.resolve() not in Path(ammlab.__file__).resolve().parents:
         print(f"ammlab was imported from {ammlab.__file__}, not from {tree}", file=sys.stderr)
         return 2
     scratch = Path(tempfile.mkdtemp(prefix="identity-out-"))
     try:
-        _record_all(cli, core, corpus, scratch, out)
+        _record_all(cli, core, analysis, corpus, scratch, out)
     finally:
         shutil.rmtree(scratch)
     return 0
 
 
-def _record_all(cli, core, corpus: Path, scratch: Path, out: Path) -> None:
+def _record_all(cli, core, analysis, corpus: Path, scratch: Path, out: Path) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for path in sorted((corpus / "scenarios").glob("*.json")):
             for mode, argv in MODES.items():
@@ -288,7 +299,7 @@ def _record_all(cli, core, corpus: Path, scratch: Path, out: Path) -> None:
                 fh.write(json.dumps(record) + "\n")
         pools = json.loads((corpus / "pools.json").read_text(encoding="utf-8"))
         for k, (reserves, amplification) in enumerate(pools):
-            line = _pool_line(core, reserves, amplification)
+            line = _pool_line(core, analysis, reserves, amplification)
             record = {"case": f"pool {k:05d}", "exit": None, "stdout": line, "stderr": "",
                       "files": {}}
             fh.write(json.dumps(record) + "\n")
