@@ -20,6 +20,11 @@ from dataclasses import dataclass, replace
 from .errors import NonPositiveState, SupplyDepletion
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class BondingCurveState:
     """Current reserve/supply plus the construction-time anchor pair used for
@@ -33,9 +38,7 @@ class BondingCurveState:
 
     def __post_init__(self) -> None:
         for name in ("reserve", "supply", "anchor_reserve", "anchor_supply"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            _check_positive(name, getattr(self, name))
         f = self.reserve_ratio
         if not (math.isfinite(f) and 0.0 < f <= 1.0):
             raise ValueError(f"reserve ratio must lie in (0, 1], got {f}")
@@ -59,9 +62,8 @@ def bonding_price(state: BondingCurveState) -> float:
 
 def bonding_reserve_at(state: BondingCurveState, supply: float) -> float:
     """Reserve implied by the curve at the given supply, from the anchor:
-    C = C0 * (s / s0)^(1/F)."""
-    if supply <= 0.0:
-        raise ValueError(f"supply must be positive, got {supply}")
+    C = C0 * (s / s0)^(1/F), for a finite, positive supply."""
+    _check_positive("supply", supply)
     return state.anchor_reserve * (supply / state.anchor_supply) ** (1.0 / state.reserve_ratio)
 
 

@@ -4,9 +4,9 @@
 definitions plus an ordered action list — executes it, and writes CSV series
 files and a plain-text transition-receipt log. ``ammlab validate`` reports
 every scenario problem without executing anything: it checks the document's
-shape (keys, types, list lengths, pool references, grids) itself, then builds
-each pool and checks each action's arguments against it through the library,
-which reports any value outside its domain; those problems are prefixed
+shape (keys, types, list lengths, pool references, grid specs) itself, and
+the library judges every value: it builds each pool and checks each grid,
+fraction and action argument, in its own words; those problems are prefixed
 ``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks and executes
 what they built: the pools, the resolved grids and each action's arguments
 with their defaults filled in, so nothing is built twice. Output is
@@ -59,7 +59,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, quote
 from .analysis import (
     SeriesKind,
     check_grid_domain,
@@ -134,7 +134,7 @@ def _is_index(v) -> bool:
 
 # ---------------------------------------------------------------------------
 # validation: the CLI checks the document's shape (keys, types, list lengths,
-# references, grids); every value is judged by the library code that uses it
+# references, grid specs); every value is judged by the library code using it
 
 # what the library raises for a value outside a formula's domain (overflow
 # included: huge reserves leave the floating-point range inside a formula)
@@ -144,9 +144,9 @@ _PAIRS = {"uniswap": "reserves", "sushiswap": "reserves", "dodo": "targets"}
 
 
 def _resolve_grid(spec):
-    """Turn a grid spec (array or start/stop/points object) into a strictly
-    increasing tuple; None when the spec is absent. A bad spec raises
-    ValueError, and the library's grid builders their own errors."""
+    """Turn a grid spec (array or start/stop/points object) into a tuple;
+    None when the spec is absent. A bad spec raises ValueError, and the
+    library's grid builders their own errors."""
     if spec is None:
         return None
     if isinstance(spec, list):
@@ -171,9 +171,6 @@ def _resolve_grid(spec):
         values = build(float(spec["start"]), float(spec["stop"]), points)
     else:
         raise ValueError("grid must be an array or a start/stop/points object")
-    # ahead of the domain and the pools, as the validator's problem lists expect
-    if not all(b > a for a, b in zip(values, values[1:])):
-        raise ValueError("grid values must be strictly increasing")
     return values
 
 
@@ -330,9 +327,13 @@ def _compile(data):
                 problems.append(f"{where}: references undefined pool {pid!r}")
         if name == "add_liquidity":
             fraction = act.get("fraction")
-            if not _is_number(fraction) or fraction <= -1:
-                problems.append(f"{where}: fraction must be a finite number > -1")
-            elif len(problems) == before:
+            try:
+                if not _is_number(fraction):
+                    raise ValueError("fraction must be a finite number")
+                quote.check_fraction(fraction)
+            except _DOMAIN_ERRORS as exc:
+                problems.append(f"{where}: {exc}")
+            if len(problems) == before:
                 steps.append((name, pids[0], float(fraction)))
             continue
         keys = ("asset",) if name == "divergence_curve" else ("input_asset", "output_asset")
@@ -356,8 +357,8 @@ def _compile(data):
         else:
             steps.append((name, kind, tuple(pids), i, o, grid))
         # the library judges a well-formed action without evaluating a point:
-        # the grid's domain, then on each built pool a swap's asset pair by
-        # the swap kernel, or a series' sweep on an empty grid
+        # the grid's domain and order, then on each built pool a swap's asset
+        # pair by the swap kernel, or a series' sweep on an empty grid
         if grid is not None:
             try:
                 check_grid_domain(kind, grid)

@@ -32,7 +32,7 @@ from . import pmm as _pmm
 from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import ConservationViolation, DomainError, InfeasibleTrade, ReserveDepletion
+from .errors import ConservationViolation, InfeasibleTrade, ReserveDepletion
 from .numerics import ImplicitConservation
 from .quote import slippage_from_quote
 
@@ -131,11 +131,6 @@ class PoolState:
     @property
     def n_assets(self) -> int:
         return len(self.reserves)
-
-
-def _check_trade(x_in: float) -> None:
-    if not math.isfinite(x_in):
-        raise DomainError(f"trade size must be finite, got {x_in}")
 
 
 def _gate(deviation: float) -> None:
@@ -301,16 +296,15 @@ def spot_rate(state: PoolState, i: int, o: int) -> float:
 
 def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     """Output of asset o for adding x_in of asset i (closed form per family).
-    Negative x_in is the reverse-trade sign convention; a non-finite x_in
-    raises DomainError."""
-    _check_trade(x_in)
+    Negative x_in is the reverse-trade sign convention; a trade that takes
+    the input reserve out of (0, inf) raises quote.trade_refusal."""
     return swap_kernel(state, i, o)(x_in)
 
 
 def swap_kernel(state: PoolState, i: int, o: int):
-    """x_in -> swap_amount(state, i, o, x_in), bit for bit on finite x_in,
-    with the index checks, the family dispatch and the curve constants done
-    once: the per-point function of a sweep over trade sizes or reserves."""
+    """x_in -> swap_amount(state, i, o, x_in), bit for bit, with the index
+    checks, the family dispatch and the curve constants done once: the
+    per-point function of a sweep over trade sizes or reserves."""
     quote.check_assets(len(state.reserves), i, o, "swap")
     return state._curve.kernel(state.reserves, i, o)
 
@@ -318,7 +312,7 @@ def swap_kernel(state: PoolState, i: int, o: int):
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
     effective rate over the pre-trade spot rate. Zero trade has zero
-    slippage by convention; a non-finite x_in raises DomainError."""
+    slippage by convention; swap_amount's refusals apply."""
     if x_in == 0.0:
         quote.check_assets(len(state.reserves), i, o, "slippage")
         return 0.0
@@ -385,8 +379,8 @@ def apply_swap(
     """Execute a pure swap: reserves move, conservation constants stay.
 
     Returns the post state, the trade quantities, and a receipt recording the
-    measured relative invariant deviation. A non-finite x_in raises
-    DomainError; a post state off the curve raises ConservationViolation.
+    measured relative invariant deviation. A trade is refused as by
+    swap_amount; a post state off the curve raises ConservationViolation.
     """
     quote.check_assets(len(state.reserves), input_asset, output_asset, "swap")
     curve = state._curve
@@ -395,7 +389,6 @@ def apply_swap(
         # a zero trade keeps the state, checked on construction
         post, x_in, x_out, deviation, effective, slip = state, 0.0, 0.0, 0.0, rate_before, 0.0
     else:
-        _check_trade(x_in)
         x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
         if x_out == 0.0:
             raise InfeasibleTrade(f"input {x_in} produced zero output")
@@ -448,12 +441,15 @@ def add_liquidity_proportional(
     homogeneous of degree 1 in the reserves; PMM: both equilibrium targets
     scaled by the same factor, keeping the pool's composition and so its
     rates). Every field changes, so the new state takes the full PoolState
-    check. The receipt records the worst relative spot-rate change over all
-    ordered asset pairs; a NaN change fails it.
+    check, after a growth that leaves (0, inf) is refused
+    (quote.growth_refusal). The receipt records the worst relative spot-rate
+    change over all ordered asset pairs; a NaN change fails it.
     """
-    if not math.isfinite(fraction) or fraction <= -1.0:
-        raise ReserveDepletion(f"fraction must exceed -1, got {fraction}")
+    quote.check_fraction(fraction)
     grow = 1.0 + fraction
+    for value in (*state.reserves, *state.invariant, state.share_supply):
+        if not 0.0 < value * grow < math.inf:
+            raise quote.growth_refusal(fraction, value)
     reserves = tuple(r * grow for r in state.reserves)
     if state.spec.family is ProtocolFamily.WEIGHTED:
         invariant = (_w.weighted_conservation(reserves, state.spec.weights),)

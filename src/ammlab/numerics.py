@@ -16,15 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    ConvergenceFailure,
-    DegenerateGradient,
-    DomainError,
-    IdenticalAssets,
-    InvalidBracket,
-    NoSolution,
-    ReserveDepletion,
-)
+from . import quote
+from .errors import ConvergenceFailure, DegenerateGradient, InvalidBracket, NoSolution
 
 ResidualFn = Callable[[Sequence[float], Sequence[float]], float]
 
@@ -69,8 +62,7 @@ class ImplicitConservation:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("conservation law needs at least two assets")
+        quote.check_asset_count(self.n)
 
 
 @dataclass(frozen=True)
@@ -165,12 +157,6 @@ def find_root(
     )
 
 
-def _check_assets(n: int, *indices: int) -> None:
-    for k in indices:
-        if not 0 <= k < n:
-            raise IndexError(f"asset index {k} out of range for {n} assets")
-
-
 def _partial(
     Z: ImplicitConservation,
     reserves: Sequence[float],
@@ -196,7 +182,8 @@ def numeric_spot_rate(
 ) -> float:
     """Spot rate (token i per token o) as the ratio of central-difference
     partials (dZ/dr_o)/(dZ/dr_i). Returns 1 exactly when i == o."""
-    _check_assets(len(reserves), i, o)
+    quote.check_index(len(reserves), i)
+    quote.check_index(len(reserves), o)
     if i == o:
         return 1.0
     d_o = _partial(Z, reserves, invariant, o)
@@ -224,12 +211,10 @@ def implicit_swap(
     raises NoSolution. Negative x_in is the reverse-trade convention and
     yields negative x_out.
     """
-    _check_assets(len(reserves), i, o)
-    if i == o:
-        raise IdenticalAssets("input and output asset must differ")
+    quote.check_assets(len(reserves), i, o, "swap")
     r_in_new = reserves[i] + x_in
-    if r_in_new <= 0.0:
-        raise ReserveDepletion(f"input {x_in} exhausts reserve {reserves[i]}")
+    if not 0.0 < r_in_new < math.inf:
+        raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
     work = list(reserves)
@@ -284,11 +269,10 @@ def solve_rebalance(
     import numpy as np
 
     n = len(reserves)
-    _check_assets(n, o)
+    quote.check_index(n, o)
     if n != Z.n:
         raise ValueError(f"expected {Z.n} reserves, got {n}")
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
+    quote.check_price_shift(rho)
     config = DEFAULT_CONFIG
     others = [j for j in range(n) if j != o]
     base = [numeric_spot_rate(Z, reserves, invariant, j, o) for j in others]
@@ -393,11 +377,9 @@ def generic_divergence_loss(
     rebalance the pool to the shifted rates, revalue, compare.
     """
     n = len(reserves)
-    _check_assets(n, o)
-    if o == 0:
-        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
-    if rho <= -1.0:
-        raise DomainError(f"price shift must exceed -1, got {rho}")
+    quote.check_index(n, o)
+    quote.check_numeraire(o)
+    quote.check_price_shift(rho)
 
     def value(state: Sequence[float]) -> tuple[float, list[float]]:
         rates = [numeric_spot_rate(Z, state, invariant, 0, j) for j in range(n)]

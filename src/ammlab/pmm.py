@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import quote
-from .errors import DomainError, ReserveDepletion, SingularAmplification
+from .errors import SingularAmplification
 from .quote import slippage_from_quote
 
 
@@ -148,12 +148,10 @@ def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
 
 def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     r1_new = r1 + x1
-    if r1_new <= 0.0:
-        raise ReserveDepletion(f"input {x1} exhausts reserve {r1}")
+    if not 0.0 < r1_new < math.inf:
+        raise quote.trade_refusal(r1, x1)
     if x1 == 0.0:
         return 0.0
-    if r1_new == math.inf:
-        raise DomainError(f"input {x1} takes reserve {r1} past the floating-point range")
     return r2 - reserve2_given_reserve1(r1_new, params)
 
 

@@ -1,13 +1,13 @@
-"""The domain rules shared by `core`, the pool kernels and `analysis`, each
-stated once as one check that raises on a violation, and the slippage
-definition shared by every pool family, `core.slippage` and the slippage
-sweeps. Pools live on the positive orthant: a NaN or infinite reserve is
-refused like a non-positive one."""
+"""The domain rules shared by `core`, the pool kernels, `analysis`, the
+numeric engine and the CLI, each stated once as a check or a refusal, and
+the slippage definition shared by every pool family, `core.slippage` and the
+slippage sweeps. Pools live on the positive orthant: a NaN or infinite
+reserve is refused like a non-positive one."""
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, IdenticalAssets, InfeasibleTrade
+from .errors import AmmError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
 
 
 def check_asset_count(n: int) -> None:
@@ -45,6 +45,28 @@ def check_price_shift(rho: float) -> None:
 def check_numeraire(o: int) -> None:
     if o == 0:
         raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+
+
+def trade_refusal(r_in: float, x_in: float) -> AmmError:
+    """What a swap kernel raises when r_in + x_in lies outside (0, inf)."""
+    if not math.isfinite(x_in):
+        return DomainError(f"trade size must be finite, got {x_in}")
+    if r_in + x_in <= 0.0:
+        return ReserveDepletion(f"input {x_in} exhausts reserve {r_in}")
+    return DomainError(f"input {x_in} takes reserve {r_in} past the floating-point range")
+
+
+def check_fraction(fraction) -> None:
+    # written so that a NaN or infinite fraction fails too
+    if not -1.0 < fraction < math.inf:
+        raise ReserveDepletion(f"fraction must exceed -1, got {fraction}")
+
+
+def growth_refusal(fraction: float, value: float) -> AmmError:
+    """What a liquidity change by fraction raises when it scales value out of (0, inf)."""
+    scaled = value * (1.0 + fraction)
+    error = ReserveDepletion if scaled <= 0.0 else DomainError
+    return error(f"fraction {fraction} scales {value} to {scaled}, outside (0, inf)")
 
 
 def check_stableswap_amplification(a) -> None:

@@ -18,7 +18,7 @@ from functools import partial, reduce
 from operator import add
 
 from . import quote
-from .errors import DomainError, NoSolution, ReserveDepletion
+from .errors import DomainError, NoSolution
 from .numerics import RootBracket, find_root
 from .quote import slippage_from_quote
 
@@ -213,8 +213,8 @@ def _swap_output(
     reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
 ) -> float:
     r_in_new = reserves[i] + x_in
-    if r_in_new <= 0.0:
-        raise ReserveDepletion(f"input {x_in} exhausts reserve {reserves[i]}")
+    if not 0.0 < r_in_new < math.inf:
+        raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
     s0 = 0.0
@@ -343,6 +343,14 @@ def _residual(e, A: float, k: float):
     return lambda u: curve(k * u)[2]
 
 
+_UNREPRESENTABLE = "the curve is not representable"
+_RESERVE_OUT_OF_RANGE = "a rebalanced reserve leaves the floating-point range"
+
+
+def _unattainable(rho: float, o: int, reason: str) -> NoSolution:
+    return NoSolution(f"rate shift {rho} for asset {o} is unattainable: {reason}")
+
+
 def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
     quote.check_price_shift(rho)
     if rho == 0.0:
@@ -383,9 +391,7 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
         t = min(max(s * factor, s_lo), s_hi)
         f_t = residual(t)
         if t == s or not (math.isfinite(f) and math.isfinite(f_t)):
-            raise NoSolution(
-                f"rate shift {rho} for asset {o} is unattainable: the curve is not representable"
-            )
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
         if f_t == 0.0 or (f_t > 0.0) != (f > 0.0):
             break
         s, f = t, f_t
@@ -395,10 +401,7 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
     x, P, _ = _curve(e, A)(root)
     rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
     if not all(0.0 < r < math.inf for r in rebalanced):
-        raise NoSolution(
-            f"rate shift {rho} for asset {o} is unattainable: a rebalanced reserve "
-            "leaves the floating-point range"
-        )
+        raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
     V_held = V + g[o] / g[0] * reserves[o] * rho
     V_prime = math.fsum(wk / w[0] * r for wk, r in zip(w, rebalanced))
     return V_prime / V_held - 1.0
@@ -410,10 +413,6 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
 # (each conditional keeps the generic form's choice, NaN included); the
 # rebalanced x and P repeat _curve's operations in its order, and the values
 # are summed by the same math.fsum. The walk and the solve share _shift_root.
-def _unattainable(rho: float, o: int, reason: str) -> NoSolution:
-    return NoSolution(f"rate shift {rho} for asset {o} is unattainable: {reason}")
-
-
 def _shift_root(unrolled, e, A: float, s: float, rho: float, o: int) -> float:
     """The root of the curve equation for the excess weights e, walked from
     s and solved as _divergence_loss_at does, on the unrolled residual."""
@@ -427,7 +426,7 @@ def _shift_root(unrolled, e, A: float, s: float, rho: float, o: int) -> float:
         s = s_hi
     f = residual(s)
     if not math.isfinite(f):
-        raise _unattainable(rho, o, "the curve is not representable")
+        raise _unattainable(rho, o, _UNREPRESENTABLE)
     # a step keeps f's sign until the walk brackets the root
     positive = f > 0.0
     factor = 2.0 if positive else 0.5
@@ -439,7 +438,7 @@ def _shift_root(unrolled, e, A: float, s: float, rho: float, o: int) -> float:
             t = s_hi
         f_t = residual(t)
         if t == s or not math.isfinite(f_t):
-            raise _unattainable(rho, o, "the curve is not representable")
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
         if f_t == 0.0 or (f_t > 0.0) != positive:
             break
         s, f = t, f_t
@@ -473,7 +472,7 @@ def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
         if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf:
             V_held = V + g1 / g0 * r1 * rho
             return math.fsum((g0 / g0 * q0, w1 / g0 * q1)) / V_held - 1.0
-    raise _unattainable(rho, o, "a rebalanced reserve leaves the floating-point range")
+    raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
 
 
 def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
@@ -521,7 +520,7 @@ def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
         if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf and 0.0 < q2 < math.inf:
             V_held = V + g[o] / g0 * reserves[o] * rho
             return math.fsum((g0 / g0 * q0, w1 / g0 * q1, w2 / g0 * q2)) / V_held - 1.0
-    raise _unattainable(rho, o, "a rebalanced reserve leaves the floating-point range")
+    raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
 
 
 _DIVERGENCE_POINTS = {2: _divergence_loss_2, 3: _divergence_loss_3}

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import quote
-from .errors import ReserveDepletion
 from .quote import slippage_from_quote
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -67,8 +66,8 @@ def weighted_spot_rate(reserves, weights, i: int, o: int) -> float:
 
 def _swap_output(r_in: float, r_out: float, exponent: float, x_in: float) -> float:
     r_in_new = r_in + x_in
-    if r_in_new <= 0.0:
-        raise ReserveDepletion(f"input {x_in} exhausts reserve {r_in}")
+    if not 0.0 < r_in_new < math.inf:
+        raise quote.trade_refusal(r_in, x_in)
     ratio = r_in / r_in_new
     return r_out * (1.0 - ratio**exponent)
 

@@ -164,3 +164,9 @@ class TestIdentities:
     def test_reserve_at_the_anchor_supply_is_the_anchor_reserve(self):
         state = bonding_curve(reserve=100.0, supply=1000.0, reserve_ratio=0.5)
         assert bonding_reserve_at(state, 1000.0) == 100.0
+
+    @pytest.mark.parametrize("supply", [math.nan, math.inf, 0.0, -1.0])
+    def test_reserve_at_refuses_a_supply_off_the_positive_reals(self, supply):
+        state = bonding_curve(reserve=100.0, supply=10.0, reserve_ratio=0.5)
+        with pytest.raises(ValueError, match=f"^supply must be finite and positive, got {supply}$"):
+            bonding_reserve_at(state, supply)

@@ -93,6 +93,10 @@ REFUSALS = {
             "balancer, bancor, curve, dodo)"
         ],
     ),
+    "fraction-not-a-number": (
+        {"pools": [UNI], "actions": [{"action": "add_liquidity", "pool": "uni", "fraction": "1"}]},
+        ["actions[0]: fraction must be a finite number"],
+    ),
     "amplification-not-a-number": (
         {"pools": [dict(CRV, amplification="10")], "actions": []},
         ["pools[0]: amplification must be a finite number"],
@@ -343,7 +347,18 @@ class TestValidate:
             "actions[1]: divergence loss does not apply to dodo pool 'ddo'",
             "actions[2]: pool 'crv': swap needs distinct input and output assets",
             "actions[3]: pool 'crv3': asset index -1 out of range for 3 assets",
-            "actions[4]: fraction must be a finite number > -1",
+            "actions[4]: fraction must exceed -1, got -1",
+        ]
+
+    def test_the_library_judges_a_grid_domain_then_its_order(self):
+        assert validate_scenario_data(_slippage_on([0.5, 1e300, 0.1])) == [
+            "actions[0]: normalized trade sizes must lie in (0, 0.95], got 1e+300"
+        ]
+        # an unordered grid leaves the pools' own problems to be reported
+        curve = {"action": "divergence_curve", "pool": "ddo", "grid": [0.5, 0.1]}
+        assert validate_scenario_data({"pools": [DDO], "actions": [curve]}) == [
+            "actions[0]: grid values must be strictly increasing",
+            "actions[0]: divergence loss does not apply to dodo pool 'ddo'",
         ]
 
     @pytest.mark.parametrize("document, expected", list(REFUSALS.values()), ids=list(REFUSALS))

@@ -1,6 +1,8 @@
-"""The domain rules that `core`, the pool kernels and `analysis` share through
-`ammlab.quote`: each is stated once, and every public kernel that takes
-reserves refuses a non-finite one."""
+"""The domain rules that `core`, the pool kernels, `analysis`, the numeric
+engine and the CLI share through `ammlab.quote`: each is stated once, every
+public kernel that takes reserves refuses a non-finite one, and every swap
+kernel refuses a trade whose input reserve leaves (0, inf) in the same
+words."""
 
 from __future__ import annotations
 
@@ -10,13 +12,23 @@ from pathlib import Path
 
 import pytest
 
-from ammlab import analysis, pmm, stableswap, weighted
-from ammlab.core import uniswap_pool
-from ammlab.errors import DomainError, IdenticalAssets
+from ammlab import analysis, numerics, pmm, stableswap, weighted
+from ammlab.core import (
+    add_liquidity_proportional,
+    apply_swap,
+    implicit_conservation,
+    pmm_pool,
+    slippage,
+    swap_amount,
+    uniswap_pool,
+)
+from ammlab.errors import DomainError, IdenticalAssets, ReserveDepletion
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
 PMM = PMMParams(oracle_price=1.0, amplification=0.5, target1=100.0, target2=100.0)
+# the (100, 100) constant-product law, for the generic engine
+UNI_Z = implicit_conservation(uniswap_pool(100.0, 100.0))
 
 # every public kernel function that takes reserves, as reserves -> call
 KERNELS = {
@@ -88,8 +100,13 @@ def test_zero_trade_slippage_judges_the_asset_pair(zero_trade):
             (100.0, 100.0, 100.0), 300.0, 10.0, 2, rho
         ),
         lambda rho: stableswap.stableswap_divergence_loss((100.0,) * 4, 400.0, 10.0, 3, rho),
+        lambda rho: numerics.generic_divergence_loss(UNI_Z, (100.0, 100.0), (100.0,), 1, rho),
+        lambda rho: numerics.solve_rebalance(UNI_Z, (100.0, 100.0), (100.0,), 1, rho),
     ],
-    ids=["uniswap", "weighted", "stableswap-2", "stableswap-3", "stableswap-4"],
+    ids=[
+        "uniswap", "weighted", "stableswap-2", "stableswap-3", "stableswap-4", "generic",
+        "solve_rebalance",
+    ],
 )
 def test_divergence_loss_refuses_a_nan_price_shift(loss):
     with pytest.raises(DomainError, match="^price shift must exceed -1, got nan$"):
@@ -107,26 +124,110 @@ def test_pmm_post_trade_helpers_refuse_a_non_finite_reserve(helper, bad):
         helper(bad, PMM)
 
 
-# one message per rule; the modules that enforce a rule call the check in quote
-RULES = (
-    "reserves must be finite and positive",
-    "a pool needs at least two assets",
-    "asset index",
-    "needs distinct input and output assets",
-    "price shift must exceed -1",
-    "asset 0 is the numeraire",
-    "stableswap amplification must be finite and positive",
-    "pmm amplification must lie in (0, 1]",
+# every swap kernel, closed-form and generic, as x_in -> output of asset 1
+# for x_in of asset 0 on a (100, 100) pool
+SWAPS = {
+    "weighted_swap": lambda x: weighted.weighted_swap((100.0, 100.0), W, 0, 1, x),
+    "stableswap_swap": lambda x: stableswap.stableswap_swap(
+        (100.0, 100.0), 200.0, 10.0, 0, 1, x
+    ),
+    "pmm_swap": lambda x: pmm.pmm_swap(100.0, 100.0, PMM, x),
+    "implicit_swap": lambda x: numerics.implicit_swap(UNI_Z, (100.0, 100.0), (100.0,), 0, 1, x),
+}
+
+
+@pytest.mark.parametrize(
+    "x_in, error, message",
+    [
+        (math.nan, DomainError, "trade size must be finite, got nan"),
+        (math.inf, DomainError, "trade size must be finite, got inf"),
+        (-math.inf, DomainError, "trade size must be finite, got -inf"),
+        (-150.0, ReserveDepletion, "input -150.0 exhausts reserve 100.0"),
+    ],
+    ids=["nan", "inf", "-inf", "exhausting"],
 )
-MODULES = ("core", "weighted", "stableswap", "pmm", "analysis", "quote")
+@pytest.mark.parametrize("name", list(SWAPS))
+def test_swap_kernels_refuse_a_trade_alike(name, x_in, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SWAPS[name](x_in)
 
 
-@pytest.mark.parametrize("message", RULES)
+OVERFLOW = r"^input 1e\+308 takes reserve 1e\+308 past the floating-point range$"
+
+
+@pytest.mark.parametrize("call", [swap_amount, slippage, apply_swap])
+def test_an_overflowing_weighted_trade_is_refused(call):
+    # the input reserve overflows to inf: before, the quote drained the
+    # whole output reserve
+    with pytest.raises(DomainError, match=OVERFLOW):
+        call(uniswap_pool(1e308, 100.0), 0, 1, 1e308)
+
+
+def test_an_overflowing_implicit_swap_is_refused():
+    pool = uniswap_pool(1e308, 100.0)
+    with pytest.raises(DomainError, match=OVERFLOW):
+        numerics.implicit_swap(
+            implicit_conservation(pool), pool.reserves, pool.invariant, 0, 1, 1e308
+        )
+
+
+def test_the_generic_engine_words_its_rules_as_quote():
+    with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
+        numerics.implicit_swap(UNI_Z, (100.0, 100.0), (100.0,), 1, 1, 10.0)
+    with pytest.raises(ValueError, match="^a pool needs at least two assets$"):
+        numerics.ImplicitConservation(lambda r, inv: 0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "make_pool, fraction, error, message",
+    [
+        (lambda: uniswap_pool(1e300, 1e300), 1e10, DomainError,
+         "fraction 10000000000.0 scales 1e+300 to inf, outside (0, inf)"),
+        (lambda: pmm_pool(1e300, 1e300, 1.0, 0.5), 1e10, DomainError,
+         "fraction 10000000000.0 scales 1e+300 to inf, outside (0, inf)"),
+        # the reserves stay in range, the equilibrium target 1e307 does not
+        (lambda: pmm_pool(1e307, 1.0, 1e10, 1e-6, reserves=(1e306, 9.000080999999999e296)),
+         19.0, DomainError, "fraction 19.0 scales 1e+307 to inf, outside (0, inf)"),
+        # the share supply, 1e300 after a first change, leaves the range
+        (lambda: add_liquidity_proportional(uniswap_pool(1e-300, 1e-300), 1e300)[0], 1e300,
+         DomainError, "fraction 1e+300 scales 1e+300 to inf, outside (0, inf)"),
+        (lambda: uniswap_pool(1e-310, 1e-310), -1.0 + 2.0**-53, ReserveDepletion,
+         "fraction -0.9999999999999999 scales 1e-310 to 0.0, outside (0, inf)"),
+    ],
+    ids=["uniswap", "pmm", "pmm-target", "share-supply", "underflow"],
+)
+def test_liquidity_leaving_the_float_range_is_refused(make_pool, fraction, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        add_liquidity_proportional(make_pool(), fraction)
+
+
+# one message per rule, and the one module of src/ammlab that words it; the
+# modules that enforce a rule call the check or the refusal built there
+RULES = {
+    "reserves must be finite and positive": "quote",
+    "a pool needs at least two assets": "quote",
+    "asset index": "quote",
+    "needs distinct input and output assets": "quote",
+    "price shift must exceed -1": "quote",
+    "asset 0 is the numeraire": "quote",
+    "stableswap amplification must be finite and positive": "quote",
+    "pmm amplification must lie in (0, 1]": "quote",
+    "exhausts reserve": "quote",
+    "past the floating-point range": "quote",
+    "trade size must be finite": "quote",
+    "fraction must exceed -1": "quote",
+    "grid values must be strictly increasing": "analysis",
+    "the curve is not representable": "stableswap",
+    "a rebalanced reserve leaves the floating-point range": "stableswap",
+}
+
+
+@pytest.mark.parametrize("message", list(RULES))
 def test_each_rule_is_stated_once(message):
     src = Path(__file__).resolve().parent.parent / "src" / "ammlab"
     where = [
-        name for name in MODULES
-        for line in (src / f"{name}.py").read_text(encoding="utf-8").splitlines()
+        path.stem for path in sorted(src.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
         if message in line
     ]
-    assert where == ["quote"]
+    assert where == [RULES[message]]

@@ -112,6 +112,18 @@ HAND_MADE = {
     "overflowing-dodo-swap": {"pools": [dict(BASE["pools"][6], reserves=[1e308, 100],
                                              targets=[1e308, 100])], "actions": [
         {"action": "swap", "pool": "ddo", "amount": 1e308}]},
+    # a uniswap swap whose input reserve overflows to inf: exit 2
+    "overflowing-uniswap-swap": {"pools": [dict(BASE["pools"][0], reserves=[1e308, 100])],
+                                 "actions": [{"action": "swap", "pool": "uni", "amount": 1e308}]},
+    # a grid both unordered and out of its domain
+    "unordered-grid-out-of-domain": {"pools": [BASE["pools"][0]], "actions": [
+        {"action": "slippage_curve", "pool": "uni", "grid": [0.5, 1e300, 0.1]}]},
+    # a fraction at the floor, and one that overflows the reserves of 100
+    **{
+        f"add-liquidity-{fraction:g}": {"pools": [BASE["pools"][0]], "actions": [
+            {"action": "add_liquidity", "pool": "uni", "fraction": fraction}]}
+        for fraction in (-1, 1e308)
+    },
     "divergence-on-dodo": {"pools": [BASE["pools"][6]], "actions": [
         {"action": "divergence_curve", "pool": "ddo", "asset": 1}]},
     "default-grids": {"pools": BASE["pools"], "actions": [
