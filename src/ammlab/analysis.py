@@ -303,8 +303,6 @@ def slippage_curve(
 
     def point(g: float) -> float:
         x_in = g * r_in
-        if x_in == 0.0:
-            return 0.0
         return slippage_from_quote(x_in, swap(x_in), rate)
 
     y = tuple(map(point, grid))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import quote
 from .errors import NonPositiveState, SupplyDepletion
 
 
@@ -72,6 +73,8 @@ def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveS
 
     Returns the post-trade state and the minted token amount.
     """
+    if not math.isfinite(deposit):
+        raise quote.trade_refusal(state.reserve, deposit)
     if deposit < 0.0:
         raise NonPositiveState(f"deposit must be non-negative, got {deposit}")
     if deposit == 0.0:
@@ -90,6 +93,8 @@ def bonding_sell(state: BondingCurveState, burned: float) -> tuple[BondingCurveS
     supply (or more), or so much that the reserve underflows to 0, is
     rejected — the curve needs a positive state.
     """
+    if not math.isfinite(burned):
+        raise quote.trade_refusal(state.supply, burned)
     if burned < 0.0:
         raise NonPositiveState(f"burned amount must be non-negative, got {burned}")
     if burned >= state.supply:

@@ -32,7 +32,7 @@ from . import pmm as _pmm
 from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import ConservationViolation, InfeasibleTrade, ReserveDepletion
+from .errors import ConservationViolation, ReserveDepletion
 from .numerics import ImplicitConservation
 from .quote import slippage_from_quote
 
@@ -65,8 +65,7 @@ class ProtocolSpec:
                 raise ValueError("weighted pools need weights")
             if self.amplification is not None:
                 raise ValueError("weighted pools take no amplification")
-            params = _w.WeightedPoolParams(self.weights)
-            object.__setattr__(self, "weights", params.weights)
+            object.__setattr__(self, "weights", quote.check_weights(self.weights))
         elif self.family is ProtocolFamily.STABLESWAP:
             if self.weights is not None:
                 raise ValueError("stableswap pools take no weights")
@@ -122,8 +121,8 @@ class PoolState:
                 raise ValueError("weighted/stableswap pools carry one conservation value")
             if invariant[0] <= 0.0:
                 raise ValueError(f"conservation value must be positive, got {invariant[0]}")
-            if family is ProtocolFamily.WEIGHTED and len(self.spec.weights) != len(reserves):
-                raise ValueError("one weight per asset required")
+            if family is ProtocolFamily.WEIGHTED:
+                quote.check_weight_count(len(reserves), self.spec.weights)
         curve = _CURVES[family](self)
         object.__setattr__(self, "_curve", curve)
         _gate(curve.deviations(reserves)[0])
@@ -297,7 +296,10 @@ def spot_rate(state: PoolState, i: int, o: int) -> float:
 def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     """Output of asset o for adding x_in of asset i (closed form per family).
     Negative x_in is the reverse-trade sign convention; a trade that takes
-    the input reserve out of (0, inf) raises quote.trade_refusal."""
+    the input reserve out of (0, inf) raises quote.trade_refusal; one that
+    takes the output reserve past the float range raises
+    quote.output_refusal on weighted and PMM pools, NoSolution on
+    stableswap pools."""
     return swap_kernel(state, i, o)(x_in)
 
 
@@ -305,17 +307,14 @@ def swap_kernel(state: PoolState, i: int, o: int):
     """x_in -> swap_amount(state, i, o, x_in), bit for bit, with the index
     checks, the family dispatch and the curve constants done once: the
     per-point function of a sweep over trade sizes or reserves."""
-    quote.check_assets(len(state.reserves), i, o, "swap")
+    quote.check_assets(len(state.reserves), i, o)
     return state._curve.kernel(state.reserves, i, o)
 
 
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
-    effective rate over the pre-trade spot rate. Zero trade has zero
-    slippage by convention; swap_amount's refusals apply."""
-    if x_in == 0.0:
-        quote.check_assets(len(state.reserves), i, o, "slippage")
-        return 0.0
+    effective rate over the pre-trade spot rate; swap_amount's refusals
+    apply."""
     x_out = swap_amount(state, i, o, x_in)
     return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
 
@@ -382,7 +381,7 @@ def apply_swap(
     measured relative invariant deviation. A trade is refused as by
     swap_amount; a post state off the curve raises ConservationViolation.
     """
-    quote.check_assets(len(state.reserves), input_asset, output_asset, "swap")
+    quote.check_assets(len(state.reserves), input_asset, output_asset)
     curve = state._curve
     rate_before = curve.spot_rate(state.reserves, input_asset, output_asset)
     if x_in == 0.0:
@@ -390,8 +389,7 @@ def apply_swap(
         post, x_in, x_out, deviation, effective, slip = state, 0.0, 0.0, 0.0, rate_before, 0.0
     else:
         x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
-        if x_out == 0.0:
-            raise InfeasibleTrade(f"input {x_in} produced zero output")
+        slip = slippage_from_quote(x_in, x_out, rate_before)
         reserves = list(state.reserves)
         reserves[input_asset] += x_in
         reserves[output_asset] -= x_out
@@ -410,7 +408,6 @@ def apply_swap(
         post = object.__new__(PoolState)
         post.__dict__.update(state.__dict__, reserves=reserves)
         effective = x_in / x_out
-        slip = effective / rate_before - 1.0
     outcome = SwapOutcome(
         input_asset=input_asset,
         output_asset=output_asset,

@@ -211,7 +211,7 @@ def implicit_swap(
     raises NoSolution. Negative x_in is the reverse-trade convention and
     yields negative x_out.
     """
-    quote.check_assets(len(reserves), i, o, "swap")
+    quote.check_assets(len(reserves), i, o)
     r_in_new = reserves[i] + x_in
     if not 0.0 < r_in_new < math.inf:
         raise quote.trade_refusal(reserves[i], x_in)

@@ -152,23 +152,24 @@ def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
         raise quote.trade_refusal(r1, x1)
     if x1 == 0.0:
         return 0.0
-    return r2 - reserve2_given_reserve1(r1_new, params)
+    r2_new = reserve2_given_reserve1(r1_new, params)
+    if not r2_new < math.inf:
+        raise quote.output_refusal(r2, x1)
+    return r2 - r2_new
 
 
 def pmm_swap(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     """Output of asset 2 for adding x1 of asset 1, moving along the
     conservation curve; the branch is chosen by the post-trade reserve, so
     trades crossing the equilibrium point are handled by their endpoint.
-    Negative x1 is the reverse-trade convention."""
+    Negative x1 is the reverse-trade convention; one that takes reserve 2
+    past the float range raises quote.output_refusal."""
     quote.check_reserves((r1, r2))
     return _swap_output(r1, r2, params, x1)
 
 
 def pmm_slippage(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     """Slippage (quote.slippage_from_quote) of adding x1 of asset 1 against
-    the pre-trade spot rate. Zero trade has zero slippage by convention."""
-    if x1 == 0.0:
-        quote.check_reserves((r1, r2))
-        return 0.0
+    the pre-trade spot rate."""
     x2 = pmm_swap(r1, r2, params, x1)
     return slippage_from_quote(x1, x2, pmm_spot_rate(r1, r2, params))

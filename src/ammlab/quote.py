@@ -9,6 +9,10 @@ import math
 
 from .errors import AmmError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
 
+_WEIGHT_SUM_TOL = 1e-12
+# how a trade that takes a reserve past the largest float is refused
+_PAST_RANGE = "past the floating-point range"
+
 
 def check_asset_count(n: int) -> None:
     if n < 2:
@@ -28,12 +32,29 @@ def check_index(n: int, k: int) -> None:
         raise IndexError(f"asset index {k} out of range for {n} assets")
 
 
-def check_assets(n: int, i: int, o: int, action: str) -> None:
-    """The swap or quote named by action takes two distinct assets in [0, n)."""
+def check_assets(n: int, i: int, o: int) -> None:
+    """A swap takes two distinct assets in [0, n)."""
     check_index(n, i)
     check_index(n, o)
     if i == o:
-        raise IdenticalAssets(f"{action} needs distinct input and output assets")
+        raise IdenticalAssets("swap needs distinct input and output assets")
+
+
+def check_weights(weights) -> tuple[float, ...]:
+    """The weights as a float tuple: at least two, each in (0, 1), summing
+    to 1."""
+    weights = tuple(float(w) for w in weights)
+    check_asset_count(len(weights))
+    if any(not 0.0 < w < 1.0 for w in weights):
+        raise ValueError(f"every weight must lie in (0, 1), got {weights}")
+    if abs(math.fsum(weights) - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {weights}")
+    return weights
+
+
+def check_weight_count(n: int, weights) -> None:
+    if len(weights) != n:
+        raise ValueError("one weight per asset required")
 
 
 def check_price_shift(rho: float) -> None:
@@ -48,12 +69,19 @@ def check_numeraire(o: int) -> None:
 
 
 def trade_refusal(r_in: float, x_in: float) -> AmmError:
-    """What a swap kernel raises when r_in + x_in lies outside (0, inf)."""
+    """What a swap kernel raises when r_in + x_in lies outside (0, inf), and
+    what any transition raises for a trade of NaN or infinite size x_in."""
     if not math.isfinite(x_in):
         return DomainError(f"trade size must be finite, got {x_in}")
     if r_in + x_in <= 0.0:
         return ReserveDepletion(f"input {x_in} exhausts reserve {r_in}")
-    return DomainError(f"input {x_in} takes reserve {r_in} past the floating-point range")
+    return DomainError(f"input {x_in} takes reserve {r_in} {_PAST_RANGE}")
+
+
+def output_refusal(r_out: float, x_in: float) -> DomainError:
+    """What a swap kernel raises when a reverse trade x_in takes the output
+    reserve r_out past the largest float."""
+    return DomainError(f"input {x_in} takes output reserve {r_out} {_PAST_RANGE}")
 
 
 def check_fraction(fraction) -> None:
@@ -81,8 +109,11 @@ def check_pmm_amplification(a) -> None:
 
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
-    pre-trade spot rate E, for a nonzero input x_in that returned x_out.
-    Zero output leaves slippage undefined and raises InfeasibleTrade."""
+    pre-trade spot rate E, for an input x_in that returned x_out. A zero
+    trade has zero slippage by convention; zero output from a nonzero trade
+    leaves slippage undefined and raises InfeasibleTrade."""
+    if x_in == 0.0:
+        return 0.0
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
     return (x_in / x_out) / rate - 1.0

@@ -13,7 +13,6 @@ D -> sum r_k); small A relaxes it toward the constant-product hyperbola
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 
@@ -21,18 +20,6 @@ from . import quote
 from .errors import DomainError, NoSolution
 from .numerics import RootBracket, find_root
 from .quote import slippage_from_quote
-
-
-@dataclass(frozen=True)
-class StableSwapParams:
-    """Amplification and asset count; A is the n^n-absorbed coefficient."""
-
-    amplification: float
-    n: int = 2
-
-    def __post_init__(self) -> None:
-        quote.check_stableswap_amplification(self.amplification)
-        quote.check_asset_count(self.n)
 
 
 def _check_reserves(reserves) -> None:
@@ -155,7 +142,7 @@ def solve_invariant(reserves, amplification: float) -> float:
     pool sits exactly at the upper endpoint and returns n*r directly.
     """
     _check_reserves(reserves)
-    StableSwapParams(amplification, len(reserves))
+    quote.check_stableswap_amplification(amplification)
     n = len(reserves)
     if min(reserves) == max(reserves):
         return n * reserves[0]
@@ -248,7 +235,7 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     reserves stay untouched.
     """
     _check_reserves(reserves)
-    quote.check_assets(len(reserves), i, o, "swap")
+    quote.check_assets(len(reserves), i, o)
     _, scale, shift = curve_constants(D, amplification, len(reserves))
     return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
 
@@ -548,12 +535,7 @@ def stableswap_divergence_loss(
 
 
 def stableswap_slippage(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
-    """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
-    trade has zero slippage by convention, on valid reserves and asset pair."""
-    if x_in == 0.0:
-        _check_reserves(reserves)
-        quote.check_assets(len(reserves), i, o, "slippage")
-        return 0.0
+    """Slippage (quote.slippage_from_quote) of adding x_in of asset i."""
     x_out = stableswap_swap(reserves, D, amplification, i, o, x_in)
     rate = stableswap_spot_rate(reserves, D, amplification, i, o)
     return slippage_from_quote(x_in, x_out, rate)

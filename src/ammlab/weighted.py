@@ -9,33 +9,14 @@ multi-asset pools. Asset 0 serves as the numeraire for divergence loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from . import quote
 from .quote import slippage_from_quote
 
-_WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class WeightedPoolParams:
-    """Immutable pool weights, one per asset, positive and summing to 1."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        quote.check_asset_count(len(self.weights))
-        if any(not 0.0 < w < 1.0 for w in self.weights):
-            raise ValueError(f"every weight must lie in (0, 1), got {self.weights}")
-        if abs(math.fsum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {self.weights}")
-
 
 def _check_shape(reserves, weights) -> None:
-    if len(reserves) != len(weights):
-        raise ValueError(f"{len(reserves)} reserves vs {len(weights)} weights")
+    quote.check_weight_count(len(reserves), weights)
     quote.check_reserves(reserves)
 
 
@@ -69,7 +50,14 @@ def _swap_output(r_in: float, r_out: float, exponent: float, x_in: float) -> flo
     if not 0.0 < r_in_new < math.inf:
         raise quote.trade_refusal(r_in, x_in)
     ratio = r_in / r_in_new
-    return r_out * (1.0 - ratio**exponent)
+    try:
+        x_out = r_out * (1.0 - ratio**exponent)
+    except OverflowError:
+        raise quote.output_refusal(r_out, x_in) from None
+    # only a reverse trade raises the output reserve
+    if x_in < 0.0 and not r_out - x_out < math.inf:
+        raise quote.output_refusal(r_out, x_in)
+    return x_out
 
 
 def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
@@ -77,20 +65,17 @@ def weighted_swap(reserves, weights, i: int, o: int, x_in: float) -> float:
     r_o * (r_i / (r_i + x_in))^{w_i/w_o}, all other reserves untouched.
 
     Negative x_in is the reverse-trade convention (the trader receives asset
-    i) and produces a negative output, meaning asset o is paid in.
+    i) and produces a negative output, meaning asset o is paid in; one that
+    takes the output reserve past the float range raises
+    quote.output_refusal.
     """
     _check_shape(reserves, weights)
-    quote.check_assets(len(reserves), i, o, "swap")
+    quote.check_assets(len(reserves), i, o)
     return _swap_output(reserves[i], reserves[o], weights[i] / weights[o], x_in)
 
 
 def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:
-    """Slippage (quote.slippage_from_quote) of adding x_in of asset i. Zero
-    trade has zero slippage by convention, on a valid pool and asset pair."""
-    if x_in == 0.0:
-        _check_shape(reserves, weights)
-        quote.check_assets(len(reserves), i, o, "slippage")
-        return 0.0
+    """Slippage (quote.slippage_from_quote) of adding x_in of asset i."""
     x_out = weighted_swap(reserves, weights, i, o, x_in)
     return slippage_from_quote(x_in, x_out, weighted_spot_rate(reserves, weights, i, o))
 

@@ -109,6 +109,10 @@ REFUSALS = {
         {"pools": [dict(BAL, protocol="bancor", weights=[0.6, 0.6])], "actions": []},
         ["pools[0]: weights must sum to 1, got (0.6, 0.6)"],
     ),
+    "balancer-weight-count": (
+        {"pools": [dict(BAL, weights=[0.5, 0.3, 0.2])], "actions": []},
+        ["pools[0]: one weight per asset required"],
+    ),
     "root": ([], ["scenario root must be a JSON object"]),
     "top-level-key": (
         {"pools": [], "actions": [], "fees": 1},
@@ -558,6 +562,19 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "action 000 swap" in capsys.readouterr().err
+
+    def test_overflowing_reverse_swap_is_a_domain_error(self, tmp_path, capsys):
+        # (r_in / r_in')^(w_i / w_o) leaves the float range
+        pool = dict(BAL, weights=[0.99, 0.01])
+        path = write_scenario(
+            tmp_path,
+            {"pools": [pool], "actions": [{"action": "swap", "pool": "bal", "amount": -99.99999}]},
+        )
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "action 000 swap: input -99.99999 takes output reserve 100.0 "
+            "past the floating-point range\n"
+        )
 
     def test_solver_failure_during_execution(self, tmp_path, capsys):
         # a swap whose quadratic leaves the float range fails to solve: the

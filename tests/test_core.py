@@ -297,7 +297,7 @@ class TestSwapDispatch:
     def test_zero_trade_slippage_still_checks_the_assets(self):
         pool = uniswap_pool(100.0, 100.0)
         assert slippage(pool, 0, 1, 0.0) == 0.0
-        with pytest.raises(IdenticalAssets, match="^slippage needs distinct input and output"):
+        with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
             slippage(pool, 1, 1, 0.0)
         with pytest.raises(IndexError, match="^asset index 2 out of range for 2 assets$"):
             slippage(pool, 0, 2, 0.0)
@@ -589,7 +589,7 @@ def _reference_swap(state, i, o, x_in):
     rate = _reference_rate(state, i, o)
     x_out = _reference_amount(state, i, o, x_in)
     if x_out == 0.0:
-        raise InfeasibleTrade(f"input {x_in} produced zero output")
+        raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
     reserves = list(state.reserves)
     reserves[i] += x_in
     reserves[o] -= x_out

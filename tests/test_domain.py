@@ -1,8 +1,8 @@
 """The domain rules that `core`, the pool kernels, `analysis`, the numeric
 engine and the CLI share through `ammlab.quote`: each is stated once, every
-public kernel that takes reserves refuses a non-finite one, and every swap
+public kernel that takes reserves refuses a non-finite one, every swap
 kernel refuses a trade whose input reserve leaves (0, inf) in the same
-words."""
+words, and every slippage reads a zero trade and a zero output alike."""
 
 from __future__ import annotations
 
@@ -12,17 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from ammlab import analysis, numerics, pmm, stableswap, weighted
+from ammlab import analysis, bonding, numerics, pmm, stableswap, weighted
 from ammlab.core import (
     add_liquidity_proportional,
     apply_swap,
+    balancer_pool,
     implicit_conservation,
     pmm_pool,
     slippage,
+    stableswap_pool,
     swap_amount,
     uniswap_pool,
 )
-from ammlab.errors import DomainError, IdenticalAssets, ReserveDepletion
+from ammlab.errors import DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
@@ -84,10 +86,77 @@ def test_kernels_refuse_non_finite_reserves(name, bad, position):
 )
 def test_zero_trade_slippage_judges_the_asset_pair(zero_trade):
     assert zero_trade(0, 1) == 0.0
-    with pytest.raises(IdenticalAssets, match="^slippage needs distinct input and output assets$"):
+    with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
         zero_trade(1, 1)
     with pytest.raises(IndexError, match="^asset index 2 out of range for 2 assets$"):
         zero_trade(0, 2)
+
+
+# every slippage that takes an asset pair, as (i, o, x_in) -> its slippage
+# on a (100, 100) pool
+SLIPPAGES = {
+    "slippage uniswap": lambda i, o, x: slippage(uniswap_pool(100.0, 100.0), i, o, x),
+    "slippage stableswap": lambda i, o, x: slippage(stableswap_pool((100.0, 100.0), 10.0), i, o, x),
+    "slippage pmm": lambda i, o, x: slippage(pmm_pool(100.0, 100.0, 1.0, 0.5), i, o, x),
+    "weighted_slippage": lambda i, o, x: weighted.weighted_slippage((100.0, 100.0), W, i, o, x),
+    "stableswap_slippage": lambda i, o, x: stableswap.stableswap_slippage(
+        (100.0, 100.0), 200.0, 10.0, i, o, x
+    ),
+}
+
+
+@pytest.mark.parametrize("x_in", [0.0, 1.0])
+@pytest.mark.parametrize("name", list(SLIPPAGES))
+def test_identical_assets_read_alike_at_any_trade(name, x_in):
+    # a zero trade takes the swap's checks, and its words
+    with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
+        SLIPPAGES[name](1, 1, x_in)
+
+
+@pytest.mark.parametrize("call", [slippage, apply_swap])
+def test_zero_output_is_refused_in_one_wording(call):
+    # the input 1e-30 rounds away against a reserve of 1e300
+    message = "^input 1e-30 produced zero output; slippage undefined$"
+    with pytest.raises(InfeasibleTrade, match=message):
+        call(uniswap_pool(1e300, 1e-300), 0, 1, 1e-30)
+
+
+def _output_overflow(x_in, r_out):
+    reserve = re.escape(str(r_out))
+    return f"^input {x_in} takes output reserve {reserve} past the floating-point range$"
+
+
+@pytest.mark.parametrize("call", [swap_amount, slippage, apply_swap])
+@pytest.mark.parametrize(
+    "make_pool, x_in, r_out",
+    [
+        (lambda: uniswap_pool(100.0, 1e305), -99.99999, 1e305),
+        # (r_in / r_in')^(w_i / w_o) overflows
+        (lambda: balancer_pool((100.0, 100.0), (0.99, 0.01)), -99.99999, 100.0),
+        # the output is finite, the output reserve plus it is not
+        (lambda: uniswap_pool(100.0, 1e308), -50.0, 1e308),
+        (lambda: pmm_pool(100.0, 1e300, 1e-298, 0.5), -99.9999999, 1e300),
+    ],
+    ids=["uniswap", "weighted-power", "uniswap-sum", "pmm"],
+)
+def test_a_reverse_trade_whose_output_overflows_is_refused(call, make_pool, x_in, r_out):
+    with pytest.raises(DomainError, match=_output_overflow(x_in, r_out)):
+        call(make_pool(), 0, 1, x_in)
+
+
+def test_the_kernels_refuse_an_overflowing_output_reserve():
+    with pytest.raises(DomainError, match=_output_overflow(-99.99999, 100.0)):
+        weighted.weighted_swap((100.0, 100.0), (0.99, 0.01), 0, 1, -99.99999)
+    params = PMMParams(oracle_price=1e-298, amplification=0.5, target1=100.0, target2=1e300)
+    with pytest.raises(DomainError, match=_output_overflow(-99.9999999, 1e300)):
+        pmm.pmm_swap(100.0, 1e300, params, -99.9999999)
+
+
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("trade", [bonding.bonding_buy, bonding.bonding_sell])
+def test_bonding_refuses_a_non_finite_trade(trade, amount):
+    with pytest.raises(DomainError, match=f"^trade size must be finite, got {amount}$"):
+        trade(bonding.bonding_curve(100.0, 10.0, 0.5), amount)
 
 
 @pytest.mark.parametrize(
@@ -216,6 +285,10 @@ RULES = {
     "past the floating-point range": "quote",
     "trade size must be finite": "quote",
     "fraction must exceed -1": "quote",
+    "produced zero output": "quote",
+    "every weight must lie in (0, 1)": "quote",
+    "weights must sum to 1": "quote",
+    "one weight per asset required": "quote",
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",

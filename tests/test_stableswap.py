@@ -31,7 +31,6 @@ from ammlab import (
 from ammlab import stableswap
 from ammlab.analysis import default_shift_grid
 from ammlab.stableswap import (
-    StableSwapParams,
     conservation_residual,
     defining_residual,
     invariant_drift,
@@ -63,21 +62,21 @@ log_amplification = st.floats(min_value=-2.0, max_value=4.0)
 
 class TestParams:
     def test_accepts_positive_amplification(self):
-        assert StableSwapParams(10.0).amplification == 10.0
+        assert stableswap_pool((100.0, 100.0), 10.0).spec.amplification == 10.0
 
     def test_rejects_nonpositive_amplification(self):
         with pytest.raises(ValueError):
-            StableSwapParams(0.0)
+            stableswap_pool((100.0, 100.0), 0.0)
         with pytest.raises(ValueError):
-            StableSwapParams(-1.0)
+            solve_invariant((100.0, 100.0), -1.0)
 
     def test_rejects_non_finite_amplification(self):
         with pytest.raises(ValueError):
-            StableSwapParams(math.inf)
+            solve_invariant((100.0, 100.0), math.inf)
 
     def test_rejects_single_asset(self):
         with pytest.raises(ValueError):
-            StableSwapParams(10.0, n=1)
+            solve_invariant((100.0,), 10.0)
 
 
 class TestSolveInvariant:

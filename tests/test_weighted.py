@@ -14,9 +14,9 @@ from ammlab import (
     InfeasibleTrade,
     ReserveDepletion,
     implicit_swap,
+    weighted_pool,
 )
 from ammlab.weighted import (
-    WeightedPoolParams,
     weighted_conservation,
     weighted_divergence_loss,
     weighted_rebalanced_reserves,
@@ -33,21 +33,22 @@ trade_fractions = st.floats(min_value=0.01, max_value=0.5)
 
 class TestParams:
     def test_accepts_unit_sum(self):
-        assert WeightedPoolParams((0.2, 0.3, 0.5)).weights == (0.2, 0.3, 0.5)
+        pool = weighted_pool((100.0, 100.0, 100.0), (0.2, 0.3, 0.5))
+        assert pool.spec.weights == (0.2, 0.3, 0.5)
 
     def test_rejects_non_unit_sum(self):
         with pytest.raises(ValueError):
-            WeightedPoolParams((0.6, 0.6))
+            weighted_pool((100.0, 100.0), (0.6, 0.6))
 
     def test_rejects_boundary_weights(self):
         with pytest.raises(ValueError):
-            WeightedPoolParams((1.0,))
+            weighted_pool((100.0,), (1.0,))
         with pytest.raises(ValueError):
-            WeightedPoolParams((0.0, 1.0))
+            weighted_pool((100.0, 100.0), (0.0, 1.0))
 
     def test_rejects_single_asset(self):
         with pytest.raises(ValueError):
-            WeightedPoolParams((0.5,))
+            weighted_pool((100.0,), (0.5,))
 
 
 class TestConservation:

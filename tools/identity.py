@@ -115,6 +115,21 @@ HAND_MADE = {
     # a uniswap swap whose input reserve overflows to inf: exit 2
     "overflowing-uniswap-swap": {"pools": [dict(BASE["pools"][0], reserves=[1e308, 100])],
                                  "actions": [{"action": "swap", "pool": "uni", "amount": 1e308}]},
+    # a swap whose output rounds to zero: slippage undefined, exit 2
+    "zero-output-swap": {"pools": [dict(BASE["pools"][0], reserves=[1e300, 1e-300])],
+                         "actions": [{"action": "swap", "pool": "uni", "amount": 1e-30}]},
+    # reverse swaps whose output overflows, by the product r_o * (1 - p) and
+    # by the power p = (r_i / r_i')^(w_i / w_o) itself: exit 2
+    "reverse-overflowing-uniswap-swap": {
+        "pools": [dict(BASE["pools"][0], reserves=[100, 1e305])],
+        "actions": [{"action": "swap", "pool": "uni", "amount": -99.99999}]},
+    "reverse-overflowing-balancer-swap": {
+        "pools": [dict(BASE["pools"][3], protocol="balancer", reserves=[100, 100],
+                       weights=[0.99, 0.01])],
+        "actions": [{"action": "swap", "pool": "ban", "amount": -99.99999}]},
+    # three weights on two reserves
+    "balancer-weight-count": {"pools": [dict(BASE["pools"][2], reserves=[100, 200])],
+                              "actions": []},
     # a grid both unordered and out of its domain
     "unordered-grid-out-of-domain": {"pools": [BASE["pools"][0]], "actions": [
         {"action": "slippage_curve", "pool": "uni", "grid": [0.5, 1e300, 0.1]}]},
