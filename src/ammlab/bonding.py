@@ -15,7 +15,7 @@ began (up to rounding). F = 1 is the degenerate constant-price case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import quote
 from .errors import NonPositiveState, SupplyDepletion
@@ -43,6 +43,16 @@ class BondingCurveState:
         f = self.reserve_ratio
         if not (math.isfinite(f) and 0.0 < f <= 1.0):
             raise ValueError(f"reserve ratio must lie in (0, 1], got {f}")
+
+
+def _moved(state: BondingCurveState, reserve: float, supply: float) -> BondingCurveState:
+    """state with the reserve and supply a trade moved and checked; the
+    ratio and the anchor pair are the parent's, checked when it was built,
+    so they are not checked again (as core.apply_swap builds its post
+    state)."""
+    post = object.__new__(BondingCurveState)
+    post.__dict__.update(state.__dict__, reserve=reserve, supply=supply)
+    return post
 
 
 def bonding_curve(reserve: float, supply: float, reserve_ratio: float) -> BondingCurveState:
@@ -79,9 +89,16 @@ def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveS
         raise NonPositiveState(f"deposit must be non-negative, got {deposit}")
     if deposit == 0.0:
         return state, 0.0
+    # a positive deposit raises the reserve and mints a non-negative amount,
+    # so each moved field can leave (0, inf) only at the top
+    reserve = state.reserve + deposit
+    if not reserve < math.inf:
+        raise quote.trade_refusal(state.reserve, deposit)
     minted = state.supply * ((1.0 + deposit / state.reserve) ** state.reserve_ratio - 1.0)
-    new_state = replace(state, reserve=state.reserve + deposit, supply=state.supply + minted)
-    return new_state, minted
+    supply = state.supply + minted
+    if not supply < math.inf:
+        raise quote.mint_refusal(state.supply, minted)
+    return _moved(state, reserve, supply), minted
 
 
 def bonding_sell(state: BondingCurveState, burned: float) -> tuple[BondingCurveState, float]:
@@ -107,4 +124,5 @@ def bonding_sell(state: BondingCurveState, burned: float) -> tuple[BondingCurveS
     if reserve == 0.0:
         raise SupplyDepletion(f"burning {burned} of {state.supply} leaves no reserve")
     released = -state.reserve * math.expm1(math.log1p(-burned / state.supply) * exponent)
-    return replace(state, reserve=reserve, supply=supply), released
+    # both moved fields shrink and stay positive, by the two checks above
+    return _moved(state, reserve, supply), released

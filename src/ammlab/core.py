@@ -166,18 +166,19 @@ class _WeightedCurve:
 
 
 class _StableSwapCurve:
-    __slots__ = ("D", "A", "q", "dq", "shift")
+    __slots__ = ("D", "A", "q", "dq", "shift", "swap")
 
     def __init__(self, state: PoolState) -> None:
         self.D = state.invariant[0]
         self.A = state.spec.amplification
         self.q, self.dq, self.shift = _ss.curve_constants(self.D, self.A, state.n_assets)
+        self.swap = _ss._swap_output_for(state.n_assets)
 
     def spot_rate(self, reserves, i: int, o: int) -> float:
         return _ss._spot_rate(reserves, self.dq, self.A, i, o)
 
     def kernel(self, reserves, i: int, o: int):
-        return partial(_ss._swap_output, reserves, i, o, self.shift, self.dq, self.A)
+        return partial(self.swap, reserves, i, o, self.shift, self.dq, self.A)
 
     def deviations(self, reserves) -> tuple[float, float]:
         # the gate is the residual of the defining equation, the receipt the
@@ -328,7 +329,13 @@ class TransitionKind(str, enum.Enum):
     PURE_LIQUIDITY_CHANGE = "pure_liquidity_change"
 
 
-@dataclass(frozen=True)
+# The records built on every transition fill their fields in one write:
+# the __init__ a frozen dataclass generates calls object.__setattr__ once per
+# field. Equality, hash, repr, replace() and the frozen assignment check stay
+# the dataclass's own.
+
+
+@dataclass(frozen=True, init=False)
 class RuleCheck:
     """One measured transition-rule deviation against its tolerance."""
 
@@ -336,12 +343,15 @@ class RuleCheck:
     deviation: float
     tolerance: float = RULE_TOLERANCE
 
+    def __init__(self, rule: str, deviation: float, tolerance: float = RULE_TOLERANCE) -> None:
+        self.__dict__.update(rule=rule, deviation=deviation, tolerance=tolerance)
+
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SwapOutcome:
     """Quantities of a single swap, oriented input-per-output like spot."""
 
@@ -354,8 +364,30 @@ class SwapOutcome:
     effective_rate: float
     slippage: float
 
+    def __init__(
+        self,
+        input_asset: int,
+        output_asset: int,
+        amount_in: float,
+        amount_out: float,
+        reserves_after: tuple[float, ...],
+        spot_rate_before: float,
+        effective_rate: float,
+        slippage: float,
+    ) -> None:
+        self.__dict__.update(
+            input_asset=input_asset,
+            output_asset=output_asset,
+            amount_in=amount_in,
+            amount_out=amount_out,
+            reserves_after=reserves_after,
+            spot_rate_before=spot_rate_before,
+            effective_rate=effective_rate,
+            slippage=slippage,
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TransitionReceipt:
     """Audit record of one transition and its rule-check measurements."""
 
@@ -363,6 +395,15 @@ class TransitionReceipt:
     pre_state: PoolState
     post_state: PoolState
     checks: tuple[RuleCheck, ...] = field(default_factory=tuple)
+
+    def __init__(
+        self,
+        kind: TransitionKind,
+        pre_state: PoolState,
+        post_state: PoolState,
+        checks: tuple[RuleCheck, ...] = (),
+    ) -> None:
+        self.__dict__.update(kind=kind, pre_state=pre_state, post_state=post_state, checks=checks)
 
     @property
     def passed(self) -> bool:

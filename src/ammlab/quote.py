@@ -84,6 +84,12 @@ def output_refusal(r_out: float, x_in: float) -> DomainError:
     return DomainError(f"input {x_in} takes output reserve {r_out} {_PAST_RANGE}")
 
 
+def mint_refusal(supply: float, minted: float) -> DomainError:
+    """What a bonding-curve buy raises when the minted amount takes the
+    token supply past the largest float."""
+    return DomainError(f"minting {minted} takes supply {supply} {_PAST_RANGE}")
+
+
 def check_fraction(fraction) -> None:
     # written so that a NaN or infinite fraction fails too
     if not -1.0 < fraction < math.inf:

@@ -196,6 +196,26 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     return _spot_rate(reserves, dq, amplification, i, o)
 
 
+def _output_reserve(
+    s0: float, p0: float, shift: float, scale: float, amplification: float
+) -> float:
+    """The post-trade output reserve: the positive root u of
+    u^2 + (s0 - shift)*u - scale/(A*p0) = 0, for the sum s0 and product p0
+    of the non-output reserves after the trade."""
+    b = s0 - shift
+    c = scale / (amplification * p0)
+    disc = b * b + 4.0 * c
+    if disc < 0.0:
+        raise NoSolution("swap quadratic has no real root")
+    # stable two-root form of u^2 + b*u - c = 0; the roots have opposite
+    # signs (product -c < 0), keep the positive one
+    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = max(q_half, -c / q_half)
+    if not (root > 0.0 and math.isfinite(root)):
+        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
+    return root
+
+
 def _swap_output(
     reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
 ) -> float:
@@ -212,18 +232,44 @@ def _swap_output(
         val = r_in_new if k == i else r
         s0 += val
         p0 *= val
-    b = s0 - shift
-    c = scale / (amplification * p0)
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    # stable two-root form of u^2 + b*u - c = 0; the roots have opposite
-    # signs (product -c < 0), keep the positive one
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = max(q_half, -c / q_half)
-    if not (root > 0.0 and math.isfinite(root)):
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return reserves[o] - root
+    return reserves[o] - _output_reserve(s0, p0, shift, scale, amplification)
+
+
+# The 2- and 3-asset forms of _swap_output, bit for bit: the loop's leading
+# 0.0 + and 1.0 * are exact, and a sum or product of two doubles does not
+# depend on their order. The pool size picks its form once (_SWAP_OUTPUTS);
+# the loop runs for 4 or more assets and is their reference.
+def _swap_output_2(
+    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
+) -> float:
+    r_in_new = reserves[i] + x_in
+    if not 0.0 < r_in_new < math.inf:
+        raise quote.trade_refusal(reserves[i], x_in)
+    if x_in == 0.0:
+        return 0.0
+    return reserves[o] - _output_reserve(r_in_new, r_in_new, shift, scale, amplification)
+
+
+def _swap_output_3(
+    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
+) -> float:
+    r_in_new = reserves[i] + x_in
+    if not 0.0 < r_in_new < math.inf:
+        raise quote.trade_refusal(reserves[i], x_in)
+    if x_in == 0.0:
+        return 0.0
+    r_other = reserves[3 - i - o]
+    return reserves[o] - _output_reserve(
+        r_in_new + r_other, r_in_new * r_other, shift, scale, amplification
+    )
+
+
+_SWAP_OUTPUTS = {2: _swap_output_2, 3: _swap_output_3}
+
+
+def _swap_output_for(n: int):
+    """The swap output function for an n-asset pool: unrolled for 2 and 3."""
+    return _SWAP_OUTPUTS.get(n, _swap_output)
 
 
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
@@ -236,8 +282,9 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     """
     _check_reserves(reserves)
     quote.check_assets(len(reserves), i, o)
-    _, scale, shift = curve_constants(D, amplification, len(reserves))
-    return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
+    n = len(reserves)
+    _, scale, shift = curve_constants(D, amplification, n)
+    return _swap_output_for(n)(reserves, i, o, shift, scale, amplification, x_in)
 
 
 def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):

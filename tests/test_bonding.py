@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
 from ammlab import (
+    AmmError,
+    BondingCurveState,
+    DomainError,
     NonPositiveState,
     SupplyDepletion,
     bonding_buy,
@@ -170,3 +176,71 @@ class TestIdentities:
         state = bonding_curve(reserve=100.0, supply=10.0, reserve_ratio=0.5)
         with pytest.raises(ValueError, match=f"^supply must be finite and positive, got {supply}$"):
             bonding_reserve_at(state, supply)
+
+
+def _reference_buy(state, deposit):
+    minted = state.supply * ((1.0 + deposit / state.reserve) ** state.reserve_ratio - 1.0)
+    return replace(state, reserve=state.reserve + deposit, supply=state.supply + minted), minted
+
+
+def _reference_sell(state, burned):
+    supply = state.supply - burned
+    exponent = 1.0 / state.reserve_ratio
+    reserve = state.reserve * (supply / state.supply) ** exponent
+    released = -state.reserve * math.expm1(math.log1p(-burned / state.supply) * exponent)
+    return replace(state, reserve=reserve, supply=supply), released
+
+
+def _bits(result):
+    state, amount = result
+    assert type(state) is BondingCurveState
+    return [float.hex(getattr(state, f.name)) for f in fields(state)], float.hex(amount)
+
+
+class TestPostStates:
+    """A trade builds its post state from the checked parent and checks the
+    two fields it moved; the state and the amount must equal those of the
+    same formulas rebuilt through dataclasses.replace, which checks every
+    field, bit for bit. Where replace refuses a field that left the float
+    range, the trade refuses it with DomainError."""
+
+    def test_match_a_replace_reference(self):
+        rng = random.Random("bonding/post-states")
+        outcomes = Counter()
+        for _ in range(3000):
+            state = bonding_curve(
+                10.0 ** rng.uniform(-150.0, 150.0),
+                10.0 ** rng.uniform(-150.0, 150.0),
+                1.0 - rng.random() if rng.random() < 0.9 else 1.0,
+            )
+            deposit = state.reserve * 10.0 ** rng.uniform(-20.0, 20.0)
+            if rng.random() < 0.1:
+                deposit = 10.0 ** rng.uniform(150.0, 308.0)
+            burned = state.supply * rng.choice((rng.random(), 1.0 - 10.0 ** rng.uniform(-16, -1)))
+            try:
+                reference = _reference_buy(state, deposit)
+            except ValueError:
+                with pytest.raises(DomainError, match="past the floating-point range"):
+                    bonding_buy(state, deposit)
+                outcomes["buy refused"] += 1
+                continue
+            bought = bonding_buy(state, deposit)
+            assert bought == reference
+            assert _bits(bought) == _bits(reference)
+            for parent, amount in ((state, burned), (bought[0], bought[1])):
+                if not 0.0 < amount < parent.supply:
+                    continue
+                try:
+                    reference = _reference_sell(parent, amount)
+                except ValueError:
+                    with pytest.raises(AmmError):
+                        bonding_sell(parent, amount)
+                    outcomes["sell refused"] += 1
+                    continue
+                assert _bits(bonding_sell(parent, amount)) == _bits(reference)
+                outcomes["sell"] += 1
+            outcomes["buy"] += 1
+        assert outcomes["buy"] >= 2500
+        assert outcomes["buy refused"] >= 50
+        assert outcomes["sell"] >= 4000
+        assert outcomes["sell refused"] >= 10

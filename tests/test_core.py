@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
+    RULE_TOLERANCE,
     AmmError,
+    BondingCurveState,
     ConservationViolation,
     DomainError,
     IdenticalAssets,
@@ -20,8 +23,11 @@ from ammlab import (
     ProtocolFamily,
     ProtocolSpec,
     ReserveDepletion,
+    RootBracket,
     RuleCheck,
+    SwapOutcome,
     TransitionKind,
+    TransitionReceipt,
     add_liquidity_proportional,
     apply_swap,
     balancer_pool,
@@ -481,6 +487,67 @@ class TestRuleCheck:
     def test_tolerance_boundary(self):
         assert RuleCheck("invariant_preserved", 1e-9).passed
         assert not RuleCheck("invariant_preserved", 2e-9).passed
+
+
+def _record_cases():
+    """(class, positional arguments, defaulted trailing fields) for every
+    record a transition or a root solve builds."""
+    pool = uniswap_pool(100.0, 100.0)
+    post, outcome, receipt = apply_swap(pool, 0, 1, 1.0)
+    check = receipt.checks[0]
+    return [
+        (RuleCheck, ("invariant_preserved", 2.5e-12, 1e-6), {"tolerance": RULE_TOLERANCE}),
+        (SwapOutcome, tuple(getattr(outcome, f.name) for f in fields(SwapOutcome)), {}),
+        (TransitionReceipt, (TransitionKind.PURE_SWAP, pool, post, (check,)), {"checks": ()}),
+        (BondingCurveState, (110.0, 1.0, 0.5, 100.0, 0.9), {}),
+        (RootBracket, (1.0, 4.0, 3.0, -12.0), {}),
+    ]
+
+
+class TestRecords:
+    """The transition records, the bonding state and the root bracket keep
+    the dataclass contract whatever builds them: construction by position
+    and by keyword, defaults, equality, hash, repr, fields, replace and the
+    frozen assignment check."""
+
+    @pytest.mark.parametrize(
+        "cls, args, defaults", _record_cases(), ids=[c[0].__name__ for c in _record_cases()]
+    )
+    def test_dataclass_contract(self, cls, args, defaults):
+        names = [f.name for f in fields(cls)]
+        assert len(names) == len(args)
+        record = cls(*args)
+        assert record.__dict__ == dict(zip(names, args))
+        by_keyword = cls(**dict(zip(names, args)))
+        assert record == by_keyword and record is not by_keyword
+        assert hash(record) == hash(by_keyword)
+        assert repr(record) == (
+            f"{cls.__name__}(" + ", ".join(f"{n}={a!r}" for n, a in zip(names, args)) + ")"
+        )
+        required = len(args) - len(defaults)
+        assert names[required:] == list(defaults)
+        assert cls(*args[:required]).__dict__ == {**dict(zip(names, args)), **defaults}
+
+        # replace() rebuilds through the same constructor
+        last = names[-1]
+        changed = replace(record, **{last: defaults.get(last, args[-1] * 2)})
+        assert changed != record
+        assert changed == cls(*args[:-1], getattr(changed, last))
+        assert replace(record) == record
+
+        for name in (names[0], last, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, args[0])
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, names[0])
+        assert record == by_keyword
+
+    def test_root_bracket_checks_every_construction(self):
+        bracket = RootBracket(1.0, 4.0, 3.0, -12.0)
+        with pytest.raises(InvalidBracket, match="no sign change"):
+            replace(bracket, f_hi=1.0)
+        with pytest.raises(InvalidBracket, match="0 < lo < hi"):
+            RootBracket(lo=4.0, hi=1.0, f_lo=3.0, f_hi=-12.0)
 
 
 class TestImplicitConservation:

@@ -160,6 +160,21 @@ def test_bonding_refuses_a_non_finite_trade(trade, amount):
 
 
 @pytest.mark.parametrize(
+    "curve, deposit, message",
+    [
+        ((1e308, 10.0, 0.5), 1.7e308, "input 1.7e+308 takes reserve 1e+308 "),
+        ((1e-300, 1e300, 1.0), 1.0, "minting inf takes supply 1e+300 "),
+    ],
+    ids=["reserve", "supply"],
+)
+def test_bonding_refuses_a_buy_past_the_float_range(curve, deposit, message):
+    # a finite deposit that takes the reserve, or mints enough to take the
+    # supply, past the largest float
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}past the floating-point range$"):
+        bonding.bonding_buy(bonding.bonding_curve(*curve), deposit)
+
+
+@pytest.mark.parametrize(
     "loss",
     [
         lambda rho: analysis.divergence_loss(uniswap_pool(100.0, 100.0), 1, rho),
@@ -285,6 +300,7 @@ RULES = {
     "past the floating-point range": "quote",
     "trade size must be finite": "quote",
     "fraction must exceed -1": "quote",
+    "takes supply": "quote",
     "produced zero output": "quote",
     "every weight must lie in (0, 1)": "quote",
     "weights must sum to 1": "quote",

@@ -27,6 +27,7 @@ from ammlab import (
     slippage,
     spot_rate,
     stableswap_pool,
+    swap_amount,
 )
 from ammlab import stableswap
 from ammlab.analysis import default_shift_grid
@@ -450,6 +451,71 @@ class TestDivergenceLoss:
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 2, 0.5)
         with pytest.raises(DomainError):
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, -1.0)
+
+
+class TestUnrolledSwap:
+    """The 2- and 3-asset swap outputs must equal the generic loop over the
+    non-output reserves bit for bit, or fail with the same error."""
+
+    def test_matches_the_generic_loop(self):
+        # random pools from 1e-100 to 1e100 with A from 1e-6 to 1e12;
+        # forward, reverse, exhausting, zero and non-finite trades
+        rng = random.Random("stableswap/swap-outputs")
+        cases = []
+        for _ in range(3000):
+            n = rng.choice((2, 3))
+            scale = 10.0 ** rng.uniform(-100.0, 100.0)
+            reserves = tuple(scale * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n))
+            amp = 10.0 ** rng.uniform(-6.0, 12.0)
+            i, o = rng.sample(range(n), 2)
+            r_i = reserves[i]
+            x_in = rng.choice((
+                r_i * 10.0 ** rng.uniform(-12.0, 3.0),
+                r_i * 10.0 ** rng.uniform(3.0, 300.0),
+                -r_i * rng.random(),
+                -r_i * (1.0 + rng.random()),
+                0.0,
+                rng.choice((math.nan, math.inf, -math.inf)),
+            ))
+            cases.append((reserves, amp, i, o, x_in))
+
+        def outcome(reserves, d, amp, i, o, x_in):
+            try:
+                return float.hex(stableswap_swap(reserves, d, amp, i, o, x_in))
+            except AmmError as exc:
+                return type(exc), str(exc)
+
+        outcomes = []
+        for reserves, amp, i, o, x_in in cases:
+            try:
+                d = solve_invariant(reserves, amp)
+            except AmmError:
+                continue
+            unrolled = outcome(reserves, d, amp, i, o, x_in)
+            with patch.dict(stableswap._SWAP_OUTPUTS, clear=True):
+                generic = outcome(reserves, d, amp, i, o, x_in)
+            assert generic == unrolled, (reserves, amp, i, o, x_in)
+            outcomes.append((len(reserves), unrolled))
+        kinds = Counter(
+            (n, "ok" if isinstance(out, str) else out[0].__name__) for n, out in outcomes
+        )
+        for n in (2, 3):
+            assert kinds[n, "ok"] >= 600
+            assert kinds[n, "DomainError"] >= 100
+            assert kinds[n, "ReserveDepletion"] >= 100
+            assert kinds[n, "NoSolution"] >= 50
+
+    def test_a_pool_picks_its_form_once(self):
+        for n in (2, 3, 4):
+            pool = stableswap_pool((100.0,) * n, 10.0)
+            with patch.dict(stableswap._SWAP_OUTPUTS, clear=True):
+                generic = stableswap_pool((100.0,) * n, 10.0)
+            assert pool._curve.swap is stableswap._SWAP_OUTPUTS.get(n, stableswap._swap_output)
+            assert generic._curve.swap is stableswap._swap_output
+            for x_in in (1e-9, 1.0, 99.0, -50.0):
+                assert float.hex(swap_amount(pool, 0, n - 1, x_in)) == float.hex(
+                    swap_amount(generic, 0, n - 1, x_in)
+                )
 
 
 class TestUnrolledResidual:

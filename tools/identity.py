@@ -11,7 +11,10 @@ to both trees:
   7-pool, 8-action base scenario over all six protocols, a few hand-made
   edge cases and an unparseable file;
 * random stableswap pools: n from 2 to 4, reserve scale 1e±160, per-asset
-  imbalance 1e±40, amplification 1e-3 to 1e6.
+  imbalance 1e±40, amplification 1e-3 to 1e6;
+* random bonding curves: reserve and supply 1e±150, reserve ratio in
+  (0, 1], each with a deposit and a burn, plus hand-made buys whose reserve
+  or minted supply leaves the float range (BONDING_HAND_MADE).
 
 Each tree runs in its own interpreter (`PYTHONPATH=TREE/src`). For every
 scenario file it runs `ammlab validate`, `ammlab run` and
@@ -21,12 +24,18 @@ build's accept or refuse decision with the error class and message, and on
 a built pool, by `float.hex`: D, `spot_rate(0, 1)`, every `SwapOutcome`
 field, the receipt deviation and post reserves of a swap, the post
 reserves, D, share supply and receipt of a liquidity change, and the
-divergence loss of the last asset at each shift in SHIFTS. Each step that
-raises is recorded as its error class and message.
+divergence loss of the last asset at each shift in SHIFTS. For every
+bonding curve it records, by `float.hex`, the post state's five fields and
+the amount of a buy of the deposit, of a sell of the burn, and of a sell of
+the minted amount from the bought state. Each step that raises is recorded
+as its error class and message.
 
 The two records must match exactly. `--accept 'OLD=>NEW'` (repeatable)
 declares a wording change: OLD is replaced by NEW in tree A's text before
-the comparison, and the cases it reconciles are counted. Exit status 0 when
+the comparison, and the cases it reconciles are counted. `--accept-re
+'PATTERN=>REPLACEMENT'` does the same with `re.sub`, for a new wording that
+quotes a value the old one did not: each bonding record names its curve's
+inputs, which a group of PATTERN can pick up. Exit status 0 when
 every case matches, 1 otherwise.
 """
 from __future__ import annotations
@@ -41,6 +50,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +65,9 @@ MODES = {
     "run --parallel 2": lambda path, out: ["run", path, "--parallel", "2", "--out", out],
 }
 POOL_SEEDS = (1, 2)
+# (reserve, supply, reserve ratio, deposit, burn): a buy whose reserve, and
+# one whose minted supply, leaves the float range
+BONDING_HAND_MADE = ((1e308, 10.0, 0.5, 1.7e308, 1.0), (1e-300, 1e300, 1.0, 1.0, 1.0))
 SHIFTS = (-0.9, -0.5, 0.01, 1.0, 4.0, 1e3)  # price shifts of each pool's divergence loss
 SHOWN = 20  # differing cases printed in full
 
@@ -210,9 +223,21 @@ def _perfbench_generate():
     return module
 
 
-def write_corpus(directory: Path, mutants: int, value_mutants: int, pools: int) -> int:
-    """Write the scenario files under directory/scenarios and the pool list
-    to directory/pools.json; returns the number of scenario files."""
+def bonding_case(rng: random.Random) -> list:
+    reserve = 10.0 ** rng.uniform(-150, 150)
+    supply = 10.0 ** rng.uniform(-150, 150)
+    ratio = 1.0 if rng.random() < 0.1 else 1.0 - rng.random()
+    deposit = rng.choice((reserve * 10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(150, 308)))
+    burn = supply * rng.choice((rng.random(), 1.0 - 10.0 ** rng.uniform(-16, -1), 1.0))
+    return [reserve, supply, ratio, deposit, burn]
+
+
+def write_corpus(
+    directory: Path, mutants: int, value_mutants: int, pools: int, curves: int
+) -> int:
+    """Write the scenario files under directory/scenarios, the pool list to
+    directory/pools.json and the bonding cases to directory/curves.json;
+    returns the number of scenario files."""
     scenarios = directory / "scenarios"
     scenarios.mkdir(parents=True)
     docs = {f"bundled-{p.stem}": json.loads(p.read_text(encoding="utf-8"))
@@ -239,6 +264,10 @@ def write_corpus(directory: Path, mutants: int, value_mutants: int, pools: int) 
             reserves = [scale * 10.0 ** rng.uniform(-40, 40) for _ in range(n)]
             corpus.append([reserves, 10.0 ** rng.uniform(-3, 6)])
     (directory / "pools.json").write_text(json.dumps(corpus), encoding="utf-8")
+    rng = random.Random("identity/bonding")
+    cases = [list(case) for case in BONDING_HAND_MADE]
+    cases += [bonding_case(rng) for _ in range(curves)]
+    (directory / "curves.json").write_text(json.dumps(cases), encoding="utf-8")
     return len(docs) + 1
 
 
@@ -286,22 +315,44 @@ def _pool_line(core, analysis, reserves, amplification) -> str:
     return " ".join(parts)
 
 
+def _curve_line(bonding, reserve, supply, ratio, deposit, burn) -> str:
+    def trade(step, fn, state, amount):
+        try:
+            post, moved = fn(state, amount)
+        except Exception as exc:  # noqa: BLE001 - the class is the record
+            return None, f"{step} refused {type(exc).__name__}: {exc}"
+        values = [post.reserve, post.supply, post.reserve_ratio, post.anchor_reserve,
+                  post.anchor_supply, moved]
+        return (post, moved), f"{step}={','.join(map(_hex, values))}"
+
+    inputs = f"curve=({reserve!r}, {supply!r}, {ratio!r}) deposit={deposit!r} burn={burn!r}"
+    try:
+        state = bonding.bonding_curve(reserve, supply, ratio)
+    except Exception as exc:  # noqa: BLE001
+        return f"refused {type(exc).__name__}: {exc}; {inputs}"
+    bought, buy = trade("buy", bonding.bonding_buy, state, deposit)
+    parts = [inputs, buy, trade("sell", bonding.bonding_sell, state, burn)[1]]
+    if bought is not None:
+        parts.append(trade("sell-minted", bonding.bonding_sell, *bought)[1])
+    return " ".join(parts)
+
+
 def worker(tree: Path, corpus: Path, out: Path) -> int:
     import ammlab
-    from ammlab import analysis, cli, core
+    from ammlab import analysis, bonding, cli, core
 
     if tree.resolve() not in Path(ammlab.__file__).resolve().parents:
         print(f"ammlab was imported from {ammlab.__file__}, not from {tree}", file=sys.stderr)
         return 2
     scratch = Path(tempfile.mkdtemp(prefix="identity-out-"))
     try:
-        _record_all(cli, core, analysis, corpus, scratch, out)
+        _record_all(cli, core, analysis, bonding, corpus, scratch, out)
     finally:
         shutil.rmtree(scratch)
     return 0
 
 
-def _record_all(cli, core, analysis, corpus: Path, scratch: Path, out: Path) -> None:
+def _record_all(cli, core, analysis, bonding, corpus: Path, scratch: Path, out: Path) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for path in sorted((corpus / "scenarios").glob("*.json")):
             for mode, argv in MODES.items():
@@ -330,6 +381,11 @@ def _record_all(cli, core, analysis, corpus: Path, scratch: Path, out: Path) -> 
             record = {"case": f"pool {k:05d}", "exit": None, "stdout": line, "stderr": "",
                       "files": {}}
             fh.write(json.dumps(record) + "\n")
+        curves = json.loads((corpus / "curves.json").read_text(encoding="utf-8"))
+        for k, case in enumerate(curves):
+            record = {"case": f"curve {k:05d}", "exit": None,
+                      "stdout": _curve_line(bonding, *case), "stderr": "", "files": {}}
+            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +409,15 @@ def _digest(record: dict) -> tuple:
 
 def compare(args) -> int:
     accept = [rule.split("=>", 1) for rule in args.accept]
-    if any(len(rule) != 2 for rule in accept):
-        raise SystemExit("--accept takes OLD=>NEW")
+    accept_re = [rule.split("=>", 1) for rule in args.accept_re]
+    if any(len(rule) != 2 for rule in accept + accept_re):
+        raise SystemExit("--accept and --accept-re take OLD=>NEW")
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     try:
-        files = write_corpus(work, args.mutants, args.value_mutants, args.pools)
+        files = write_corpus(work, args.mutants, args.value_mutants, args.pools, args.curves)
         print(f"corpus: {files} scenario files x {len(MODES)} modes, "
-              f"{args.pools * len(POOL_SEEDS)} stableswap pools")
+              f"{args.pools * len(POOL_SEEDS)} stableswap pools, "
+              f"{args.curves + len(BONDING_HAND_MADE)} bonding curves")
         a = _records(args.tree_a.resolve(), work, work / "a.jsonl")
         b = _records(args.tree_b.resolve(), work, work / "b.jsonl")
     finally:
@@ -376,17 +434,19 @@ def compare(args) -> int:
         for key in ("stdout", "stderr"):
             for old, new in accept:
                 ra[key] = ra[key].replace(old, new)
+            for pattern, replacement in accept_re:
+                ra[key] = re.sub(pattern, replacement, ra[key])
         if _digest(ra) == _digest(rb):
             accepted += 1
         else:
             differ.append((ra, rb))
     print(f"identical: {same}; identical after --accept: {accepted}; different: {len(differ)}")
     outcomes = Counter(
-        (r["case"].rsplit(" ", 1)[0], r["exit"]) if r["exit"] is not None
-        else ("pool", "refused" if r["stdout"].startswith("refused") else "built")
+        (r["case"].rsplit(" ", 1)[0], r["exit"] if r["exit"] is not None
+         else "refused" if r["stdout"].startswith("refused") else "built")
         for r in b
     )
-    for mode in (*MODES, "pool"):
+    for mode in (*MODES, "pool", "curve"):
         counts = ", ".join(f"{code} x {n}" for (m, code), n in sorted(outcomes.items(), key=str)
                            if m == mode)
         print(f"  tree B {mode}: {counts}")
@@ -407,8 +467,11 @@ def main(argv=None) -> int:
     p.add_argument("--mutants", type=int, default=1500, help="structural scenario mutants")
     p.add_argument("--value-mutants", type=int, default=300, help="numeric scenario mutants")
     p.add_argument("--pools", type=int, default=10000, help="stableswap pools per seed")
+    p.add_argument("--curves", type=int, default=5000, help="random bonding curves")
     p.add_argument("--accept", action="append", default=[], metavar="OLD=>NEW",
                    help="a declared wording change in tree B")
+    p.add_argument("--accept-re", action="append", default=[], metavar="PATTERN=>REPLACEMENT",
+                   help="a declared wording change in tree B, as a regular expression")
     w = sub.add_parser("worker", help=argparse.SUPPRESS)
     w.add_argument("tree", type=Path)
     w.add_argument("corpus", type=Path)
