@@ -21,9 +21,10 @@ float operations in plain Python, so a sweep on linear grids never loads
 numpy.
 
 Divergence loss comes from closed forms on every family: weighted pools
-have it outright, stableswap pools through a one-dimensional root solve along
-the curve. The generic rebalance-and-revalue engine in ``numerics`` is kept
-apart as their independent check.
+have it outright, stableswap pools through a one-dimensional Newton solve
+along the curve with the curve equation's own slope, which calls no
+``numerics`` solver. The generic rebalance-and-revalue engine in
+``numerics`` is kept apart as their independent check.
 
 Per-point solver failures inside divergence and cross-section sweeps mark the
 point as NaN and record it, rather than aborting the series: a grid point can
@@ -225,7 +226,7 @@ def divergence_loss(state: PoolState, asset: int, rho: float) -> float:
     by rho against asset 0 (the numeraire).
 
     Weighted pools use the closed form (1+rho)^w / (1 + w*rho) - 1;
-    stableswap pools rebalance along the curve by a one-dimensional root
+    stableswap pools rebalance along the curve by a one-dimensional Newton
     solve (stableswap.stableswap_divergence_loss), which the generic
     rebalance-and-revalue procedure in numerics checks. Oracle-anchored
     pools have no divergence loss to measure — their quoted rates follow the

@@ -171,7 +171,7 @@ class _StableSwapCurve:
     def __init__(self, state: PoolState) -> None:
         self.D = state.invariant[0]
         self.A = state.spec.amplification
-        self.q, self.dq, self.shift = _ss.curve_constants(self.D, self.A, state.n_assets)
+        self.q, self.dq, self.shift = _ss._constants(self.D, self.A, state.n_assets)
         self.swap = _ss._swap_output_for(state.n_assets)
 
     def spot_rate(self, reserves, i: int, o: int) -> float:

@@ -91,8 +91,9 @@ def mint_refusal(supply: float, minted: float) -> DomainError:
 
 
 def check_fraction(fraction) -> None:
-    # written so that a NaN or infinite fraction fails too
-    if not -1.0 < fraction < math.inf:
+    if not math.isfinite(fraction):
+        raise DomainError(f"fraction must be finite, got {fraction}")
+    if fraction <= -1.0:
         raise ReserveDepletion(f"fraction must exceed -1, got {fraction}")
 
 

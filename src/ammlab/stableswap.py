@@ -9,6 +9,9 @@ where the amplification A already absorbs the conventional n^n factor.
 Large A flattens the curve toward constant sum (spot rate pinned near 1,
 D -> sum r_k); small A relaxes it toward the constant-product hyperbola
 (D -> n * (prod r_k)^{1/n}).
+
+solve_invariant finds D with numerics.find_root; the divergence loss solves
+its curve equation by its own Newton iteration with the closed-form slope.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from functools import partial, reduce
 from operator import add
 
 from . import quote
-from .errors import DomainError, NoSolution
-from .numerics import RootBracket, find_root
+from .errors import ConvergenceFailure, DomainError, NoSolution
+from .numerics import DEFAULT_CONFIG, RootBracket, find_root
 from .quote import slippage_from_quote
 
 
@@ -69,16 +72,25 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
     return abs(g) / max(scale, 1e-300)
 
 
-def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
-    """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
-    spot rates, swaps and conservation checks share. A q beyond the float
-    range raises DomainError."""
+def _constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
+    """curve_constants without its check of D*q, for a pool, whose
+    conservation gate refuses a D*q beyond the float range in its own words."""
     shift = D * (1.0 - 1.0 / amplification)
     try:
         q = (D / n) ** n
     except OverflowError:
         raise DomainError(f"(D/n)^n leaves the floating-point range at D={D}") from None
     return q, D * q, shift
+
+
+def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
+    """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
+    spot rates, swaps and conservation checks share. A q or a D*q beyond
+    the float range raises DomainError."""
+    constants = _constants(D, amplification, n)
+    if not math.isfinite(constants[1]):
+        raise DomainError(f"D*(D/n)^n leaves the floating-point range at D={D}")
+    return constants
 
 
 def conservation_check(reserves, D: float, amplification: float, q: float, dq: float):
@@ -305,84 +317,119 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
 
 
 def _curve(e, A: float):
-    """s -> (x, P, f) on the rebalanced state: x_k = s + e_k*(s + A),
-    P = prod(n/x_k)^(1/(n+1)) and the curve equation
-    f = A*sum(1/x_k) + (1 - A)*P - 1 (see stableswap_divergence_loss).
+    """s -> (x, P, f, f') on the rebalanced state: x_k = s + e_k*(s + A),
+    P = prod(n/x_k)^(1/(n+1)), the curve equation
+    f = A*sum(1/x_k) + (1 - A)*P - 1 (see stableswap_divergence_loss) and its
+    slope in s, f' = -A*sum((1 + e_k)/x_k^2) - (1 - A)*P*sum((1 + e_k)/x_k)/(n+1).
 
     The generic divergence point evaluates it for any n; the 2- and 3-asset
-    forms unroll it. The sum is folded left to right, as the unrolled
-    residuals add: the built-in sum compensates its rounding on Python 3.12
-    and later."""
+    forms unroll it. Sums are folded left to right, as the unrolled forms
+    add: the built-in sum compensates its rounding on Python 3.12 and
+    later."""
     n = len(e)
+    B = 1.0 - A
 
-    def curve(s: float) -> tuple[list[float], float, float]:
-        x = [s + ek * (s + A) for ek in e]
+    def curve(s: float) -> tuple[list[float], float, float, float]:
+        t = s + A
+        x = [s + ek * t for ek in e]
         P = math.prod(n / xk for xk in x) ** (1.0 / (n + 1))
-        return x, P, A * reduce(add, [1.0 / xk for xk in x]) + (1.0 - A) * P - 1.0
+        inv = [1.0 / xk for xk in x]
+        d = [(1.0 + ek) * ik for ek, ik in zip(e, inv)]
+        f = A * reduce(add, inv) + B * P - 1.0
+        d2 = reduce(add, [dk * ik for dk, ik in zip(d, inv)])
+        return x, P, f, -A * d2 - B * P * reduce(add, d) / (n + 1)
 
     return curve
 
 
 # Two unrolled forms keep _curve's float operations in _curve's order: the
-# residuals below, which the bracket walk and find_root evaluate, and the
-# revaluation of _divergence_loss_2 and _divergence_loss_3, which computes x
-# and P at the root. find_root's iterates follow the last bits of f, and the
-# loss follows those of P*x_k, so a reordered operation moves output bytes.
-# What differs is exact: s + A and 1 - A are computed once (the doubles
-# _curve recomputes), math.prod's leading 1 and the fold's leading 0 are
-# dropped, n/x_k is written n.0/x_k and 1/(n+1) a literal.
-def _residual_2(e, A: float, k: float):
+# value-and-slope forms below, which the divergence root solve evaluates, and
+# the revaluation of _divergence_loss_2 and _divergence_loss_3, which computes
+# x and P at the root. The solve's iterates follow the last bits of f and f',
+# and the loss follows those of P*x_k, so a reordered operation moves output
+# bytes. What differs is exact: math.prod's leading 1 and the folds' leading
+# 0 are dropped, n/x_k is written n.0/x_k, and n + 1 and 1/(n+1) literals.
+def _residual_2(e, A: float):
     e0, e1 = e
+    a0, a1 = 1.0 + e0, 1.0 + e1
     B = 1.0 - A
 
-    def f(u: float) -> float:
-        s = k * u
+    def f(s: float) -> tuple[float, float]:
         t = s + A
         x0 = s + e0 * t
         x1 = s + e1 * t
-        return A * (1.0 / x0 + 1.0 / x1) + B * ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0) - 1.0
+        P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
+        i0, i1 = 1.0 / x0, 1.0 / x1
+        d0, d1 = a0 * i0, a1 * i1
+        return A * (i0 + i1) + B * P - 1.0, -A * (d0 * i0 + d1 * i1) - B * P * (d0 + d1) / 3
 
     return f
 
 
-def _residual_3(e, A: float, k: float):
+def _residual_3(e, A: float):
     e0, e1, e2 = e
+    a0, a1, a2 = 1.0 + e0, 1.0 + e1, 1.0 + e2
     B = 1.0 - A
 
-    def f(u: float) -> float:
-        s = k * u
+    def f(s: float) -> tuple[float, float]:
         t = s + A
         x0 = s + e0 * t
         x1 = s + e1 * t
         x2 = s + e2 * t
-        return (
-            A * (1.0 / x0 + 1.0 / x1 + 1.0 / x2)
-            + B * ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
-            - 1.0
-        )
+        P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
+        i0, i1, i2 = 1.0 / x0, 1.0 / x1, 1.0 / x2
+        d0, d1, d2 = a0 * i0, a1 * i1, a2 * i2
+        f = A * (i0 + i1 + i2) + B * P - 1.0
+        return f, -A * (d0 * i0 + d1 * i1 + d2 * i2) - B * P * (d0 + d1 + d2) / 4
 
     return f
 
 
-_UNROLLED_RESIDUALS = {2: _residual_2, 3: _residual_3}
-
-
-def _residual(e, A: float, k: float):
-    """u -> _curve(e, A)(k*u)[2], bit for bit: the curve equation in units of
-    k, unrolled for 2 and 3 assets."""
-    unrolled = _UNROLLED_RESIDUALS.get(len(e))
-    if unrolled is not None:
-        return unrolled(e, A, k)
-    curve = _curve(e, A)
-    return lambda u: curve(k * u)[2]
-
-
 _UNREPRESENTABLE = "the curve is not representable"
 _RESERVE_OUT_OF_RANGE = "a rebalanced reserve leaves the floating-point range"
+_REL_TOL = DEFAULT_CONFIG.root_rel_tol
+_MAX_ITERATIONS = DEFAULT_CONFIG.root_max_iterations
 
 
 def _unattainable(rho: float, o: int, reason: str) -> NoSolution:
     return NoSolution(f"rate shift {rho} for asset {o} is unattainable: {reason}")
+
+
+def _shift_root(residual, n: int, A: float, s: float, rho: float, o: int) -> float:
+    """The root in s of the curve equation, for residual(s) -> (f, f'):
+    Newton from s, the unshifted root, inside the bracket [s_lo, s_hi] where
+    f is positive at s_lo and negative at s_hi (bounds from x_k >= s). Each
+    iterate replaces the bracket end whose sign its f shares; a Newton step
+    that leaves the bracket bisects it in log space instead. The solve stops
+    once a step moves s by at most _REL_TOL relative."""
+    lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
+    hi = 2.0 * n * (A if A > 1.0 else 1.0)
+    s = min(max(s, lo), hi)
+    for _ in range(_MAX_ITERATIONS):
+        f, slope = residual(s)
+        if not math.isfinite(f):
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        if f > 0.0:
+            lo = s
+        elif f < 0.0:
+            hi = s
+        else:
+            return s
+        if not lo < hi:
+            # rounding gives f the wrong sign at a bracket end
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        # s is now a bracket end: a step that rounds to zero ends the solve,
+        # and a zero slope bisects
+        t = s - f / slope if slope else math.nan
+        if t != s and not lo < t < hi:
+            t = math.sqrt(lo) * math.sqrt(hi)
+        if abs(t - s) <= _REL_TOL * t:
+            return t
+        s = t
+    raise ConvergenceFailure(
+        f"rate shift {rho} for asset {o}: root not located to rel_tol={_REL_TOL} "
+        f"within {_MAX_ITERATIONS} iterations"
+    )
 
 
 def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
@@ -408,31 +455,12 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
         return max(out, 0.0) / w[m]
 
     e = [excess(k) for k in range(n)]
-    # the bracket walk and the solve evaluate the curve equation alone, and
-    # _curve gives x and P at the root; _divergence_loss_2 and
-    # _divergence_loss_3 repeat all of this in the same order for 2 and 3
-    # assets, so this form runs for 4 or more and is their reference
-    residual = _residual(e, A, 1.0)
-
-    # the curve equation is positive at s_lo and negative at s_hi (bounds
-    # from x_k >= s); walk from the unshifted state by factors of two
-    s_lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
-    s_hi = 2.0 * n * max(1.0, A)
-    s = min(max(c / reserves[m], s_lo), s_hi)
-    f = residual(s)
-    factor = 2.0 if f > 0.0 else 0.5
-    while True:
-        t = min(max(s * factor, s_lo), s_hi)
-        f_t = residual(t)
-        if t == s or not (math.isfinite(f) and math.isfinite(f_t)):
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        if f_t == 0.0 or (f_t > 0.0) != (f > 0.0):
-            break
-        s, f = t, f_t
-    (lo, f_lo), (hi, f_hi) = sorted(((s, f), (t, f_t)))
-    # solve in units of lo, so the finite-difference step stays inside s > 0
-    root = lo * find_root(_residual(e, A, lo), RootBracket(1.0, hi / lo, f_lo, f_hi))
-    x, P, _ = _curve(e, A)(root)
+    # _divergence_loss_2 and _divergence_loss_3 repeat all of this in the same
+    # order for 2 and 3 assets, so this form runs for 4 or more and is their
+    # reference
+    curve = _curve(e, A)
+    root = _shift_root(lambda s: curve(s)[2:], n, A, c / reserves[m], rho, o)
+    x, P, _, _ = curve(root)
     rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
     if not all(0.0 < r < math.inf for r in rebalanced):
         raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
@@ -443,43 +471,10 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
 
 # The 2- and 3-asset forms of _divergence_loss_at, bit for bit. They set up
 # w, m and e, and revalue at the root, unrolled: tuple unpacking and plain
-# comparisons in place of min(key=), max, sorted, all() and the comprehensions
-# (each conditional keeps the generic form's choice, NaN included); the
-# rebalanced x and P repeat _curve's operations in its order, and the values
-# are summed by the same math.fsum. The walk and the solve share _shift_root.
-def _shift_root(unrolled, e, A: float, s: float, rho: float, o: int) -> float:
-    """The root of the curve equation for the excess weights e, walked from
-    s and solved as _divergence_loss_at does, on the unrolled residual."""
-    n = len(e)
-    residual = unrolled(e, A, 1.0)
-    s_lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
-    s_hi = 2.0 * n * (A if A > 1.0 else 1.0)
-    if s_lo > s:
-        s = s_lo
-    if s_hi < s:
-        s = s_hi
-    f = residual(s)
-    if not math.isfinite(f):
-        raise _unattainable(rho, o, _UNREPRESENTABLE)
-    # a step keeps f's sign until the walk brackets the root
-    positive = f > 0.0
-    factor = 2.0 if positive else 0.5
-    while True:
-        t = s * factor
-        if s_lo > t:
-            t = s_lo
-        if s_hi < t:
-            t = s_hi
-        f_t = residual(t)
-        if t == s or not math.isfinite(f_t):
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        if f_t == 0.0 or (f_t > 0.0) != positive:
-            break
-        s, f = t, f_t
-    lo, f_lo, hi, f_hi = (t, f_t, s, f) if t < s else (s, f, t, f_t)
-    return lo * find_root(unrolled(e, A, lo), RootBracket(1.0, hi / lo, f_lo, f_hi))
-
-
+# comparisons in place of min(key=), max, all() and the comprehensions (each
+# conditional keeps the generic form's choice, NaN included); the rebalanced
+# x and P repeat _curve's operations in its order, and the values are summed
+# by the same math.fsum. Every form solves by _shift_root.
 def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
     quote.check_price_shift(rho)
     if rho == 0.0:
@@ -495,7 +490,7 @@ def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
         out = c * (r0 - r1) / (r1 * r0) + rho * g1
         e0, e1 = 0.0, (0.0 if out < 0.0 else out) / g0
         r_m = r0
-    s = _shift_root(_residual_2, (e0, e1), A, c / r_m, rho, o)
+    s = _shift_root(_residual_2((e0, e1), A), 2, A, c / r_m, rho, o)
     t = s + A
     x0 = s + e0 * t
     x1 = s + e1 * t
@@ -542,7 +537,7 @@ def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
         elif m == o:
             out -= shift
         e2 = (0.0 if out < 0.0 else out) / w_m
-    s = _shift_root(_residual_3, (e0, e1, e2), A, c / r_m, rho, o)
+    s = _shift_root(_residual_3((e0, e1, e2), A), 3, A, c / r_m, rho, o)
     t = s + A
     x0 = s + e0 * t
     x1 = s + e1 * t
@@ -575,8 +570,11 @@ def stableswap_divergence_loss(
     A*sum(1/x_k) + (1-A)*P - 1 = 0 with P = prod(n/x_k)^(1/(n+1)) = D/c':
     one equation in s, +inf at s -> 0 and -1 at s -> inf, with a single root
     because one point of the strictly convex curve has its normal along w.
-    Then r'_k = D/(P*x_k), valued at the prices w_k/w_0, as
-    numerics.generic_divergence_loss values a pool at g_k/g_0.
+    Its slope in s is a closed form (_curve), so Newton's method solves it
+    from the unshifted root s = c/r_m inside a-priori bounds, in about 7.5
+    evaluations on the default shift grid. Then r'_k = D/(P*x_k), valued at
+    the prices w_k/w_0, as numerics.generic_divergence_loss values a pool at
+    g_k/g_0.
     """
     return stableswap_divergence_kernel(reserves, D, amplification, o)(rho)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ammlab import analysis, bonding, numerics, pmm, stableswap, weighted
+from ammlab import analysis, bonding, numerics, pmm, quote, stableswap, weighted
 from ammlab.core import (
     add_liquidity_proportional,
     apply_swap,
@@ -285,6 +285,21 @@ def test_liquidity_leaving_the_float_range_is_refused(make_pool, fraction, error
         add_liquidity_proportional(make_pool(), fraction)
 
 
+@pytest.mark.parametrize("fraction", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_fraction_is_refused(fraction):
+    # judged before the bound at -1, as a trade's size is
+    with pytest.raises(DomainError, match=f"^fraction must be finite, got {fraction}$"):
+        add_liquidity_proportional(uniswap_pool(100.0, 100.0), fraction)
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.5, 0.5), (1.0, 1e-13)], ids=["zero", "one"])
+def test_a_weight_of_exactly_zero_or_one_is_refused(weights):
+    # each set passes every other rule: (1.0, 1e-13) sums to 1 within the
+    # tolerance of the sum rule
+    with pytest.raises(ValueError, match=re.escape(f"every weight must lie in (0, 1), got {weights}")):
+        quote.check_weights(weights)
+
+
 # one message per rule, and the one module of src/ammlab that words it; the
 # modules that enforce a rule call the check or the refusal built there
 RULES = {
@@ -300,6 +315,7 @@ RULES = {
     "past the floating-point range": "quote",
     "trade size must be finite": "quote",
     "fraction must exceed -1": "quote",
+    "fraction must be finite": "quote",
     "takes supply": "quote",
     "produced zero output": "quote",
     "every weight must lie in (0, 1)": "quote",

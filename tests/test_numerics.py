@@ -130,8 +130,8 @@ class TestFindRoot:
         # find_root's iterates decide every root's last bits, and with them
         # the output bytes: its results on a seeded set of brackets, by
         # float.hex, are pinned. The brackets are solve_invariant's on
-        # stableswap pools, the divergence curve equation between the
-        # bracket walk's bounds, and roots within the difference step's
+        # stableswap pools, the stableswap divergence curve equation between
+        # its a-priori bounds, and roots within the difference step's
         # floor of the domain's edge, where Newton gives way to bisection
         rng = random.Random("numerics/find_root")
         roots = []
@@ -146,7 +146,8 @@ class TestFindRoot:
             amp = 10.0 ** rng.uniform(-6.0, 12.0)
             lo = 0.5 * amp if amp <= 1.0 else n * (2.0 * n) ** -(n + 1)
             hi = 2.0 * n * max(1.0, amp)
-            f = stableswap._residual(e, amp, lo)
+            curve = stableswap._curve(e, amp)
+            f = lambda u, curve=curve, lo=lo: curve(lo * u)[2]  # noqa: E731
             roots.append(find_root(f, RootBracket.from_function(f, 1.0, hi / lo)))
         for _ in range(50):
             r = 10.0 ** rng.uniform(-14.0, -10.0)

@@ -30,7 +30,7 @@ from ammlab import (
     swap_amount,
 )
 from ammlab import stableswap
-from ammlab.analysis import default_shift_grid
+from ammlab.analysis import default_shift_grid, divergence_curve
 from ammlab.stableswap import (
     conservation_residual,
     defining_residual,
@@ -444,6 +444,41 @@ class TestDivergenceLoss:
         with pytest.raises(NoSolution):
             stableswap_divergence_loss((100.0, 100.0), d, 1e8, 1, 1e300)
 
+    # balanced and unbalanced 2-, 3- and 4-asset pools across the
+    # amplifications of the divergence benchmark
+    SOLVE_POOLS = [
+        stableswap_pool(reserves, amp)
+        for reserves in ((100.0, 100.0), (100.0, 450.0), (100.0,) * 3, (100.0, 300.0, 600.0),
+                         (100.0,) * 4, (100.0, 250.0, 400.0, 550.0))
+        for amp in (1.0, 10.0, 100.0, 1000.0)
+    ]
+
+    def test_the_solve_calls_no_root_finder(self):
+        # the divergence root comes from the curve equation's own slope: no
+        # find_root, and so no finite-difference derivative
+        with patch.object(stableswap, "find_root", side_effect=AssertionError("find_root")):
+            for pool in self.SOLVE_POOLS:
+                series = divergence_curve(pool, 1)
+                assert not series.failures
+                assert all(math.isfinite(y) for y in series.y_values)
+
+    def test_the_solve_takes_few_evaluations(self):
+        # Newton from the unshifted root with the analytic slope: about 7.5
+        # curve evaluations per point on the default grid, where the bracket
+        # walk and find_root took 19
+        evaluations = []
+        solve = stableswap._shift_root
+
+        def counted(residual, *args):
+            def f(s):
+                evaluations.append(s)
+                return residual(s)
+            return solve(f, *args)
+
+        with patch.object(stableswap, "_shift_root", counted):
+            points = sum(len(divergence_curve(pool, 1).x_values) for pool in self.SOLVE_POOLS)
+        assert len(evaluations) / points <= 8.5
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 0, 0.5)
@@ -519,9 +554,10 @@ class TestUnrolledSwap:
 
 
 class TestUnrolledResidual:
-    """The 2- and 3-asset curve equations that the divergence solve evaluates
-    must equal the generic stableswap._curve bit for bit: a reordered float
-    operation moves the roots find_root returns, and with them output bytes."""
+    """The 2- and 3-asset curve equations and slopes that the divergence
+    solve evaluates must equal the generic stableswap._curve bit for bit: a
+    reordered float operation moves the roots the solve returns, and with
+    them output bytes."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -535,16 +571,17 @@ class TestUnrolledResidual:
         k=st.one_of(st.just(1.0), _log_uniform(-4.0, 9.0)),
     )
     def test_matches_the_generic_curve_bit_for_bit(self, e, amp, u, k):
-        assert len(e) in stableswap._UNROLLED_RESIDUALS
-        got = stableswap._residual(e, amp, k)(u)
-        assert float.hex(got) == float.hex(stableswap._curve(e, amp)(k * u)[2])
+        unrolled = {2: stableswap._residual_2, 3: stableswap._residual_3}[len(e)]
+        got = unrolled(e, amp)(k * u)
+        want = stableswap._curve(e, amp)(k * u)[2:]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_divergence_loss_matches_the_generic_path(self):
         # the unrolled 2- and 3-asset divergence points against the generic
         # _divergence_loss_at on the generic curve: equal bits, or the same
         # error. Random pools from 1e-100 to 1e100 with shifts up to 1e300
         # reach the rebalanced reserves' range check; two 3-asset pools
-        # imbalanced by over 1e100 reach the walk's finiteness check
+        # imbalanced by over 1e100 reach the solve's finiteness check
         rng = random.Random("stableswap/divergence-points")
         cases = []
         for _ in range(2500):
@@ -579,9 +616,7 @@ class TestUnrolledResidual:
             except AmmError:
                 continue
             unrolled = outcome(reserves, d, amp, o, rho)
-            with patch.dict(stableswap._UNROLLED_RESIDUALS, clear=True), patch.dict(
-                stableswap._DIVERGENCE_POINTS, clear=True
-            ):
+            with patch.dict(stableswap._DIVERGENCE_POINTS, clear=True):
                 assert outcome(reserves, d, amp, o, rho) == unrolled, (reserves, amp, o, rho)
             outcomes.append(unrolled)
         reasons = Counter(

@@ -36,7 +36,9 @@ the comparison, and the cases it reconciles are counted. `--accept-re
 'PATTERN=>REPLACEMENT'` does the same with `re.sub`, for a new wording that
 quotes a value the old one did not: each bonding record names its curve's
 inputs, which a group of PATTERN can pick up. Exit status 0 when
-every case matches, 1 otherwise.
+every case matches, 1 otherwise. Of the records that still differ, those
+whose outputs differ only in `float.hex` values are summarised by the
+largest distance in ulps of each field that moved (`div(1)`, `swap[9]`, …).
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -407,6 +410,46 @@ def _digest(record: dict) -> tuple:
     return record["exit"], sha(record["stdout"]), sha(record["stderr"]), record["files"]
 
 
+_HEX = re.compile(r"-?0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+")
+
+
+def _ordinal(x: float) -> int:
+    """x's position among the doubles, with -0.0 and 0.0 at 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float_moves(ra: dict, rb: dict):
+    """{field: ulp distance} when the two records differ only in float.hex
+    values of their space-separated `key=v1,v2,...` output, else None."""
+    if (ra["exit"], ra["stderr"], ra["files"]) != (rb["exit"], rb["stderr"], rb["files"]):
+        return None
+    a, b = ra["stdout"].split(" "), rb["stdout"].split(" ")
+    if len(a) != len(b):
+        return None
+    moves, seen = {}, Counter()
+    for ta, tb in zip(a, b):
+        key, _, va = ta.partition("=")
+        seen[key] += 1
+        if ta == tb:
+            continue
+        kb, _, vb = tb.partition("=")
+        pa, pb = va.split(","), vb.split(",")
+        if key != kb or len(pa) != len(pb):
+            return None
+        for j, (x, y) in enumerate(zip(pa, pb)):
+            if x == y:
+                continue
+            if not (_HEX.fullmatch(x) and _HEX.fullmatch(y)):
+                return None
+            field = key if len(pa) == 1 else f"{key}[{j}]"
+            if seen[key] > 1:  # a key's later uses, as the D after a liquidity change
+                field += f"#{seen[key]}"
+            distance = abs(_ordinal(float.fromhex(x)) - _ordinal(float.fromhex(y)))
+            moves[field] = max(moves.get(field, 0), distance)
+    return moves
+
+
 def compare(args) -> int:
     accept = [rule.split("=>", 1) for rule in args.accept]
     accept_re = [rule.split("=>", 1) for rule in args.accept_re]
@@ -441,6 +484,14 @@ def compare(args) -> int:
         else:
             differ.append((ra, rb))
     print(f"identical: {same}; identical after --accept: {accepted}; different: {len(differ)}")
+    moved = [m for m in (_float_moves(ra, rb) for ra, rb in differ) if m is not None]
+    if moved:
+        worst = {}
+        for moves in moved:
+            for field, distance in moves.items():
+                worst[field] = max(worst.get(field, 0), distance)
+        print(f"  {len(moved)} of them differ only in float.hex values; the largest ulp distance "
+              "by field: " + ", ".join(f"{f} {d}" for f, d in sorted(worst.items())))
     outcomes = Counter(
         (r["case"].rsplit(" ", 1)[0], r["exit"] if r["exit"] is not None
          else "refused" if r["stdout"].startswith("refused") else "built")
