@@ -14,11 +14,10 @@ operations, in the same order, as the scalar function it samples
 (``core.slippage``, ``core.swap_amount``, ``divergence_loss``), so a curve
 equals the scalar path bit for bit. The kernels are plain Python: numpy's
 vectorised ``power`` rounds differently from the C library's ``pow`` in a
-few percent of values, which would break that equality. numpy is imported
-only by ``log_grid``, whose ``numpy.geomspace`` a plain-Python product does
-not reproduce bit for bit; ``linear_grid`` repeats ``numpy.linspace``'s
-float operations in plain Python, so a sweep on linear grids never loads
-numpy.
+few percent of values, which would break that equality. The grids load no
+numpy either: ``log_grid`` is correctly rounded, from `decimal` and integer
+arithmetic, so its bits do not depend on the machine, and ``linear_grid``
+repeats ``numpy.linspace``'s float operations in plain Python.
 
 Divergence loss comes from closed forms on every family: weighted pools
 have it outright, stableswap pools through a one-dimensional Newton solve
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Sequence
@@ -117,6 +117,8 @@ class CurveSeries:
 # the largest grid log_grid and linear_grid build: each holds the whole grid
 # before any point is evaluated
 MAX_GRID_POINTS = 1_000_000
+# the fixed-point fraction bits of log_grid's running product
+_FRACTION_BITS = 128
 
 
 def _check_grid(kind: str, lo: float, hi: float, points: int) -> None:
@@ -131,14 +133,36 @@ def _check_grid(kind: str, lo: float, hi: float, points: int) -> None:
 
 
 def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    """Log-spaced grid on [lo, hi], endpoints included: numpy.geomspace's
-    values, the one grid that loads numpy."""
+    """Log-spaced grid on [lo, hi], endpoints included: point k is lo*q^k
+    with q = (hi/lo)^(1/(points - 1)), correctly rounded, the same bits on
+    every machine.
+
+    q comes from 60-digit `decimal` ln and exp, which are correctly rounded
+    and computed in integers. lo*q^k is then a fixed-point running product
+    in Python ints with 128 fraction bits, off by at most about k*2^-127
+    relative, and int/int true division rounds it correctly, subnormals
+    included. A point could round the wrong way only if lo*q^k lay that
+    close to a midpoint between two doubles; tests/test_reference.py checks
+    every point of a seeded corpus against a per-point reference."""
     if not (0.0 < lo < hi):
         raise ValueError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
+    lo, hi = float(lo), float(hi)
     _check_grid("log", lo, hi, points)
-    import numpy as np
+    # imported here, so that importing the package does not load decimal
+    from decimal import Context, Decimal
 
-    return tuple(float(v) for v in np.geomspace(lo, hi, points))
+    ctx = Context(prec=60)
+    q = ctx.exp(ctx.divide(ctx.ln(ctx.divide(Decimal(hi), Decimal(lo))), points - 1))
+    step = int(ctx.to_integral_value(ctx.multiply(q, 1 << _FRACTION_BITS)))
+    # lo = num/den exactly; m/den is then lo*q^k, with m truncated at each step
+    num, den = lo.as_integer_ratio()
+    m, den = num << _FRACTION_BITS, den << _FRACTION_BITS
+    values = [lo]
+    for _ in range(points - 2):
+        m = m * step >> _FRACTION_BITS
+        values.append(m / den)
+    values.append(hi)
+    return tuple(values)
 
 
 def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -178,26 +202,35 @@ def default_cross_section_grid(reserve: float) -> tuple[float, ...]:
     return log_grid(0.1 * reserve, 10.0 * reserve, 50)
 
 
+# each sweep's grid domain, an interval, as (membership test, refusal); the
+# tests are written so that NaN fails them
+_GRID_DOMAINS = {
+    SeriesKind.SLIPPAGE: (
+        lambda g: 0.0 < g <= 0.95, "normalized trade sizes must lie in (0, 0.95], got {}"
+    ),
+    SeriesKind.DIVERGENCE_LOSS: (lambda g: g > -1.0, "price shifts must exceed -1, got {}"),
+    SeriesKind.CONSERVATION_CROSS_SECTION: (
+        lambda g: g > 0.0, "reserve grid values must be positive, got {}"
+    ),
+}
+
+
 def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
     """Raise ValueError at the first grid value outside the sweep's domain
     (normalized trade sizes in (0, 0.95] for slippage, price shifts above -1
     for divergence loss, positive reserves for a cross-section), then unless
     the grid strictly increases."""
-    if kind is SeriesKind.SLIPPAGE:
-        for g in grid:
-            if not 0.0 < g <= 0.95:
-                raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
-    elif kind is SeriesKind.DIVERGENCE_LOSS:
-        for g in grid:
-            if not g > -1.0:
-                raise ValueError(f"price shifts must exceed -1, got {g}")
-    else:
-        for g in grid:
-            if not g > 0.0:
-                raise ValueError(f"reserve grid values must be positive, got {g}")
-    for a, b in zip(grid, grid[1:]):
-        if not b > a:
-            raise ValueError("grid values must be strictly increasing")
+    inside, refusal = _GRID_DOMAINS[kind]
+    # every domain is an interval, so a strictly increasing grid lies in it
+    # exactly when its two ends do; any other grid is scanned in order
+    if all(map(operator.lt, grid, grid[1:])) and (
+        not grid or inside(grid[0]) and inside(grid[-1])
+    ):
+        return
+    for g in grid:
+        if not inside(g):
+            raise ValueError(refusal.format(g))
+    raise ValueError("grid values must be strictly increasing")
 
 
 def hyperparameter_string(state: PoolState) -> str:
@@ -296,7 +329,7 @@ def slippage_curve(
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
     value g; the first point that raises aborts the series."""
-    grid = default_trade_grid() if grid is None else tuple(float(g) for g in grid)
+    grid = default_trade_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
@@ -321,7 +354,7 @@ def divergence_curve(
     (-1, inf)), equal to divergence_loss at every point; per-point solver
     failures become NaN entries."""
     loss = _divergence_kernel(state, asset)
-    grid = default_shift_grid() if grid is None else tuple(float(g) for g in grid)
+    grid = default_shift_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
     y, failures = _solved_points(loss, grid)
     return _series(SeriesKind.DIVERGENCE_LOSS, state, grid, y, failures, pool_id, protocol)
@@ -342,7 +375,7 @@ def conservation_cross_section(
     swap = swap_kernel(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
-    grid = default_cross_section_grid(r_in) if grid is None else tuple(float(g) for g in grid)
+    grid = default_cross_section_grid(r_in) if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
     y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return _series(

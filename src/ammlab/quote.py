@@ -109,6 +109,12 @@ def check_stableswap_amplification(a) -> None:
         raise ValueError(f"stableswap amplification must be finite and positive, got {a}")
 
 
+def check_invariant(D) -> None:
+    # written so that a NaN D fails too
+    if not D > 0.0:
+        raise DomainError(f"stableswap invariant D must be positive, got {D}")
+
+
 def check_pmm_amplification(a) -> None:
     if a is None or not (math.isfinite(a) and 0.0 < a <= 1.0):
         raise ValueError(f"pmm amplification must lie in (0, 1], got {a}")

@@ -85,8 +85,9 @@ def _constants(D: float, amplification: float, n: int) -> tuple[float, float, fl
 
 def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
     """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
-    spot rates, swaps and conservation checks share. A q or a D*q beyond
-    the float range raises DomainError."""
+    spot rates, swaps and conservation checks share. A D that is not
+    positive, then a q or a D*q beyond the float range, raises DomainError."""
+    quote.check_invariant(D)
     constants = _constants(D, amplification, n)
     if not math.isfinite(constants[1]):
         raise DomainError(f"D*(D/n)^n leaves the floating-point range at D={D}")
@@ -200,7 +201,9 @@ def _spot_rate(reserves, dq: float, amplification: float, i: int, o: int) -> flo
 
 def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: int) -> float:
     """Spot rate (token i per token o) on the amplified curve:
-    r_i*(A*r_o*prod + D*q) / (r_o*(A*r_i*prod + D*q)) with q = (D/n)^n."""
+    r_i*(A*r_o*prod + D*q) / (r_o*(A*r_i*prod + D*q)) with q = (D/n)^n.
+    A D that is not positive is refused first."""
+    quote.check_invariant(D)
     _check_reserves(reserves)
     if i == o:
         return 1.0
@@ -301,9 +304,10 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
 
 def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
     """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho),
-    bit for bit, with the reserve, asset-index and numeraire checks
-    and the unshifted curve gradient done once for a sweep. Each point runs
-    the pool size's form in _DIVERGENCE_POINTS, or the generic one."""
+    bit for bit, with the invariant, reserve, asset-index and numeraire
+    checks and the unshifted curve gradient done once for a sweep. Each point
+    runs the pool size's form in _DIVERGENCE_POINTS, or the generic one."""
+    quote.check_invariant(D)
     _check_reserves(reserves)
     n = len(reserves)
     quote.check_index(n, o)

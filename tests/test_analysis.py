@@ -114,18 +114,6 @@ class TestGrids:
             want = [float(v).hex() for v in np.linspace(lo, hi, points)]
         assert [v.hex() for v in linear_grid(lo, hi, points)] == want
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        lo=st.floats(min_value=5e-324, max_value=1e300),
-        ratio=st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
-        points=st.integers(2, 300),
-    )
-    def test_log_grid_is_numpy_geomspace(self, lo, ratio, points):
-        hi = min(lo * ratio, 1e308)
-        assume(lo < hi)
-        want = [float(v).hex() for v in np.geomspace(lo, hi, points)]
-        assert [v.hex() for v in log_grid(lo, hi, points)] == want
-
     def test_grids_are_capped_before_allocating(self):
         for build in (log_grid, linear_grid):
             with pytest.raises(ValueError, match="at most 1000000 points, got 1000001"):
@@ -151,6 +139,56 @@ class TestGrids:
         check_grid_domain(kind, (good,))
         with pytest.raises(ValueError, match=message):
             check_grid_domain(kind, (good, bad, math.nan))
+
+
+def _scanned_grid_domain(kind, grid):
+    """check_grid_domain as two scans, the domain's then the order's: the
+    reference that its ordered fast path must agree with."""
+    if kind is SeriesKind.SLIPPAGE:
+        for g in grid:
+            if not 0.0 < g <= 0.95:
+                raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
+    elif kind is SeriesKind.DIVERGENCE_LOSS:
+        for g in grid:
+            if not g > -1.0:
+                raise ValueError(f"price shifts must exceed -1, got {g}")
+    else:
+        for g in grid:
+            if not g > 0.0:
+                raise ValueError(f"reserve grid values must be positive, got {g}")
+    for a, b in zip(grid, grid[1:]):
+        if not b > a:
+            raise ValueError("grid values must be strictly increasing")
+
+
+# grid values at and around every domain's ends, NaN and the infinities
+_EDGES = (-math.inf, -1.0001, -1.0, -0.99, -0.0, 0.0, 5e-324, 0.5, 0.95, 0.9500000000000001,
+          1.0, 1e300, math.inf, math.nan)
+_GRID_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(-2.0, 2.0), st.floats())
+
+
+class TestGridDomainScan:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(list(SeriesKind)),
+        grid=st.one_of(
+            st.lists(_GRID_VALUES, max_size=8),
+            st.lists(_GRID_VALUES, max_size=8, unique=True).map(sorted),
+        ),
+    )
+    @example(kind=SeriesKind.SLIPPAGE, grid=[0.5, 0.96, 0.97])
+    @example(kind=SeriesKind.SLIPPAGE, grid=[0.0, 0.5, 0.97])
+    @example(kind=SeriesKind.DIVERGENCE_LOSS, grid=[-2.0, -1.0, 0.5])
+    @example(kind=SeriesKind.CONSERVATION_CROSS_SECTION, grid=[1.0, 2.0, math.nan])
+    def test_matches_the_two_scans(self, kind, grid):
+        grid = tuple(grid)
+        try:
+            _scanned_grid_domain(kind, grid)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                check_grid_domain(kind, grid)
+        else:
+            check_grid_domain(kind, grid)
 
 
 class TestCurveSeries:

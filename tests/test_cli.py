@@ -13,7 +13,8 @@ import pytest
 
 import ammlab
 from ammlab import __version__
-from ammlab.cli import main, run_scenario, validate_scenario_data
+from ammlab.analysis import CurveSeries, SeriesKind
+from ammlab.cli import _series_csv, main, run_scenario, validate_scenario_data
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -727,6 +728,29 @@ class TestDeterminism:
             assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
+class TestSeriesCsv:
+    HEADER = "grid,value,pool,protocol,hyperparameters\n"
+
+    def series(self, x, y):
+        return CurveSeries(
+            kind=SeriesKind.SLIPPAGE, pool_id="p-1", protocol="curve",
+            hyperparameters="amplification=10%", x_values=x, y_values=y,
+        )
+
+    def test_an_empty_series_is_its_header(self):
+        assert _series_csv(self.series((), ()), []) == self.HEADER
+
+    def test_rows_keep_nan_and_negative_zero(self):
+        x = (0.1, 0.25, 0.5)
+        y = (math.nan, -0.0, 1.0 / 3.0)
+        text = _series_csv(self.series(x, y), ["0.10000000000000001", "0.25", "0.5"])
+        assert text == self.HEADER + (
+            "0.10000000000000001,nan,p-1,curve,amplification=10%\n"
+            "0.25,-0,p-1,curve,amplification=10%\n"
+            "0.5,0.33333333333333331,p-1,curve,amplification=10%\n"
+        )
+
+
 # a trader's session on each family, as the trade-stream benchmark drives it
 TRADES = """
 from ammlab import bonding, core, numerics
@@ -747,9 +771,9 @@ bonding.bonding_sell(bonding.bonding_buy(curve, 10.0)[0], 5.0)
 
 
 class TestNumpyFreeImport:
-    """numpy is loaded by log-spaced grids and the solve_rebalance oracle
-    alone; importing the package, trading and a run on linear grids leave it
-    unloaded."""
+    """numpy is loaded by the solve_rebalance oracle alone: importing the
+    package, trading and runs on linear and log grids leave it unloaded, and
+    importing the package leaves decimal, which log grids use, unloaded."""
 
     @pytest.mark.parametrize(
         "code",
@@ -758,12 +782,19 @@ class TestNumpyFreeImport:
             "import ammlab.cli",
             TRADES,
             "from ammlab import cli; cli.main(['run', {scenario!r}, '--out', {out!r}])",
+            "import sys, ammlab\n"
+            "assert not {{'numpy', 'decimal'}} & set(sys.modules), 'loaded on import'\n"
+            "from ammlab import cli\n"
+            "assert cli.main(['validate', {log_scenario!r}]) == 0\n"
+            "assert cli.main(['run', {log_scenario!r}, '--out', {out!r}]) == 0",
         ],
-        ids=["package", "cli", "trades", "linear-grid-run"],
+        ids=["package", "cli", "trades", "linear-grid-run", "log-grid-run"],
     )
     def test_numpy_stays_unloaded(self, tmp_path, code):
         code = code.format(
-            scenario=str(SCENARIOS / "divergence_heavy.json"), out=str(tmp_path / "out")
+            scenario=str(SCENARIOS / "divergence_heavy.json"),
+            log_scenario=str(SCENARIOS / "compare_four.json"),
+            out=str(tmp_path / "out"),
         )
         src = str(Path(ammlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

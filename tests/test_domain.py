@@ -300,6 +300,48 @@ def test_a_weight_of_exactly_zero_or_one_is_refused(weights):
         quote.check_weights(weights)
 
 
+# every public stableswap function that takes an invariant D, as D -> call
+INVARIANT_CALLS = {
+    "curve_constants": lambda d: stableswap.curve_constants(d, 10.0, 2),
+    "stableswap_spot_rate": lambda d: stableswap.stableswap_spot_rate((100.0, 100.0), d, 10.0, 0, 1),
+    "stableswap_spot_rate same asset": lambda d: stableswap.stableswap_spot_rate(
+        (100.0, 100.0), d, 10.0, 1, 1
+    ),
+    "stableswap_swap": lambda d: stableswap.stableswap_swap((100.0, 100.0), d, 10.0, 0, 1, 1.0),
+    "stableswap_slippage": lambda d: stableswap.stableswap_slippage(
+        (100.0, 100.0), d, 10.0, 0, 1, 1.0
+    ),
+    "stableswap_divergence_kernel": lambda d: stableswap.stableswap_divergence_kernel(
+        (100.0, 100.0), d, 10.0, 1
+    ),
+    "stableswap_divergence_loss": lambda d: stableswap.stableswap_divergence_loss(
+        (100.0, 100.0), d, 10.0, 1, 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, -0.0, -200.0, -math.inf, math.nan])
+@pytest.mark.parametrize("name", list(INVARIANT_CALLS))
+def test_a_non_positive_invariant_is_refused(name, d):
+    # the balanced spot rate returned 1.0 and curve_constants negative
+    # constants; a NaN D was refused as leaving the float range
+    with pytest.raises(DomainError, match=f"^stableswap invariant D must be positive, got {d}$"):
+        INVARIANT_CALLS[name](d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stableswap.stableswap_spot_rate((math.nan, 100.0), -1.0, 10.0, 0, 1),
+        lambda: stableswap.stableswap_divergence_kernel((), -1.0, 10.0, 1),
+    ],
+    ids=["spot-rate", "divergence-kernel"],
+)
+def test_the_invariant_is_judged_before_the_reserves(call):
+    with pytest.raises(DomainError, match="^stableswap invariant D must be positive, got -1.0$"):
+        call()
+
+
 # one message per rule, and the one module of src/ammlab that words it; the
 # modules that enforce a rule call the check or the refusal built there
 RULES = {
@@ -310,6 +352,7 @@ RULES = {
     "price shift must exceed -1": "quote",
     "asset 0 is the numeraire": "quote",
     "stableswap amplification must be finite and positive": "quote",
+    "stableswap invariant D must be positive": "quote",
     "pmm amplification must lie in (0, 1]": "quote",
     "exhausts reserve": "quote",
     "past the floating-point range": "quote",

@@ -1,4 +1,4 @@
-"""A 60-digit `decimal` reference for stableswap divergence loss.
+"""`decimal` references for stableswap divergence loss and for log grids.
 
 `divergence_reference` recomputes, from the same float inputs, the quantities
 that `stableswap_divergence_loss` approximates in double precision: the
@@ -6,17 +6,23 @@ shift weights, the root s of the curve equation (by Newton's method in
 `Decimal`) and the loss L. The tests hold the closed form's worst error on a
 seeded corpus, counted in ulps, to the figures recorded below, so that a
 change that moves output bits has to show that it does not lose accuracy.
+
+`log_grid_reference` computes every point of a log grid by its own 80-digit
+`exp`; `log_grid` must equal it at every point of a seeded corpus.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
 from decimal import Context, Decimal, localcontext
 from unittest.mock import patch
 
 import pytest
 
 from ammlab import stableswap
+from ammlab.analysis import default_trade_grid, log_grid
 from ammlab.core import implicit_conservation, stableswap_pool
 from ammlab.numerics import generic_divergence_loss
 from ammlab.stableswap import solve_invariant, stableswap_divergence_loss
@@ -202,3 +208,58 @@ def test_a_newton_step_that_rounds_to_zero_ends_the_solve():
     ref_s, ref_l = divergence_reference(*inputs, start=s)
     assert ulp_error(s, ref_s) <= 2.0
     assert ulp_error(loss, ref_l, math.ulp(float(1 + ref_l))) <= 4.0
+
+
+GRID_CONTEXT = Context(prec=80)
+# sha256 of the float.hex values of default_trade_grid(), space-separated
+DEFAULT_TRADE_GRID_SHA256 = "f6ad30881969b2501e9b7e53b28ed19fcdf2d1dc5fe3c2a3acbd73bf3abcb07a"
+
+
+def log_grid_reference(lo: float, hi: float, points: int) -> list[float]:
+    """log_grid(lo, hi, points) correctly rounded: point k is
+    lo*(hi/lo)^(k/(points - 1)), each from its own 80-digit exp, then
+    rounded to the nearest double (float() of a Decimal rounds correctly,
+    subnormals included); the endpoints are lo and hi themselves."""
+    with localcontext(GRID_CONTEXT):
+        span = (Decimal(hi) / Decimal(lo)).ln()
+        inner = [float(Decimal(lo) * (span * k / (points - 1)).exp()) for k in range(1, points - 1)]
+    return [lo, *inner, hi]
+
+
+def _grid_corpus():
+    """Seeded log grids: lo from the smallest subnormal to 1e308, spans from
+    a few ulps to the whole float range, 2 to 400 points; plus the default
+    trade grid, the benchmark's 2,000-point shapes, and spans from a
+    subnormal lo and across [1e-300, 1e300]."""
+    rng = random.Random("reference/log-grid")
+    cases = [
+        (0.01, 0.9, 50),
+        (1e-4, 0.9, 2000),
+        (5.4e4, 5.4e6, 2000),
+        (1e-300, 1e300, 2000),
+        (5e-324, 1e-300, 300),
+        (5e-324, 2.2250738585072014e-308, 100),
+        (5e-324, sys.float_info.max, 500),
+    ]
+    while len(cases) < 107:
+        log_lo = rng.uniform(-323.3, 308.0)
+        decades = rng.choice((10.0 ** rng.uniform(-14.0, 0.0), rng.uniform(0.0, 632.0)))
+        lo, hi = 10.0**log_lo, 10.0 ** min(log_lo + decades, 308.25)
+        if lo < hi:
+            cases.append((lo, hi, rng.choice((2, 3, rng.randint(4, 60), rng.randint(61, 400)))))
+    return cases
+
+
+def test_log_grid_is_correctly_rounded():
+    points = 0
+    for lo, hi, n in _grid_corpus():
+        got = [v.hex() for v in log_grid(lo, hi, n)]
+        want = [v.hex() for v in log_grid_reference(lo, hi, n)]
+        assert got == want, (lo, hi, n)
+        points += n
+    assert points > 10_000
+
+
+def test_the_default_trade_grid_keeps_its_bits():
+    text = " ".join(v.hex() for v in default_trade_grid())
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_TRADE_GRID_SHA256
