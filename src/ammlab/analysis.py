@@ -119,17 +119,23 @@ class CurveSeries:
 MAX_GRID_POINTS = 1_000_000
 # the fixed-point fraction bits of log_grid's running product
 _FRACTION_BITS = 128
+_INT_OVERFLOW = 2**1024 - 2**970  # the least int magnitude that float() refuses
 
 
-def _check_grid(kind: str, lo: float, hi: float, points: int) -> None:
-    """Refuse, given lo < hi, an unbounded span, which would put NaN or inf
-    on the grid, and a point count outside [2, MAX_GRID_POINTS]."""
+def _check_grid(kind: str, lo, hi, points: int) -> tuple[float, float]:
+    """lo and hi as floats (an int past the float range as an infinity), given
+    lo < hi; refuses an unbounded span, which would put NaN or inf on the
+    grid, and a point count outside [2, MAX_GRID_POINTS]."""
+    lo, hi = (
+        float(b) if abs(b) < _INT_OVERFLOW else math.inf if b > 0 else -math.inf for b in (lo, hi)
+    )
     if not math.isfinite(hi - lo):
         raise ValueError(f"{kind} grid needs finite bounds and span, got [{lo}, {hi}]")
     if points < 2:
         raise ValueError("a grid needs at least two points")
     if points > MAX_GRID_POINTS:
         raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
+    return lo, hi
 
 
 def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -146,8 +152,7 @@ def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     every point of a seeded corpus against a per-point reference."""
     if not (0.0 < lo < hi):
         raise ValueError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
-    lo, hi = float(lo), float(hi)
-    _check_grid("log", lo, hi, points)
+    lo, hi = _check_grid("log", lo, hi, points)
     # imported here, so that importing the package does not load decimal
     from decimal import Context, Decimal
 
@@ -170,8 +175,7 @@ def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     values, bit for bit, from the same float operations."""
     if not lo < hi:
         raise ValueError(f"linear grid needs lo < hi, got [{lo}, {hi}]")
-    lo, hi = float(lo), float(hi)
-    _check_grid("linear", lo, hi, points)
+    lo, hi = _check_grid("linear", lo, hi, points)
     delta = hi - lo
     div = points - 1
     step = delta / div

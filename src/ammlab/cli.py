@@ -65,6 +65,7 @@ from .analysis import (
     SeriesKind,
     check_grid_domain,
     conservation_cross_section,
+    default_cross_section_grid,
     divergence_curve,
     linear_grid,
     log_grid,
@@ -359,7 +360,8 @@ def _compile(data):
             steps.append((name, kind, tuple(pids), i, o, grid))
         # the library judges a well-formed action without evaluating a point:
         # the grid's domain and order, then on each built pool a swap's asset
-        # pair by the swap kernel, or a series' sweep on an empty grid
+        # pair by the swap kernel, a series' sweep on an empty grid, and the
+        # default grid of a cross-section without one
         if grid is not None:
             try:
                 check_grid_domain(kind, grid)
@@ -374,6 +376,8 @@ def _compile(data):
                     swap_kernel(state, i, o)
                 else:
                     _sweep(kind, state, i, o, (), pid, protocol)
+                    if grid is None and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
+                        default_cross_section_grid(state.reserves[i])
             except NotApplicable:
                 problems.append(
                     f"{where}: divergence loss does not apply to {protocol} pool {pid!r}"

@@ -11,11 +11,11 @@ in exactly two pure kinds:
 Each transition returns a receipt measuring how well its rule held, checked
 against ``RULE_TOLERANCE``. Each state builds its family's curve once, at
 construction, and is gated by it: reserves off the conservation curve are
-refused with ``ConservationViolation``. A swap's post state shares its
-parent's curve and every validated constant, so one evaluation of the law
-gives both its check and its receipt, and only the two moved reserves are
-checked again. All operations are pure functions from states to new states;
-nothing is mutated, so states can be shared across threads.
+refused with ``ConservationViolation``. A quote or a swap is one direct call
+into the curve; a swap's post state shares its parent's curve and constants,
+so one law evaluation gives its check and its receipt, and only the two moved
+reserves are checked again. All operations are pure functions from states to
+new states; nothing is mutated, so states can be shared across threads.
 
 Arithmetic is double-precision real arithmetic; on-chain integer rounding and
 fees are out of scope. Disproportionate deposits are not a primitive — they
@@ -141,9 +141,9 @@ def _gate(deviation: float) -> None:
 
 
 # The per-pool curves: each holds its family's constants and evaluates the
-# kernels' per-point helpers on reserves that a PoolState has already
-# checked. deviations(reserves) is (gate deviation, receipt deviation) from
-# one evaluation of the conservation law.
+# kernels' per-point helpers on checked reserves: output(reserves, i, o, x_in)
+# one quote, kernel(reserves, i, o) the same call with x_in left open for a
+# sweep, and deviations(reserves) (gate, receipt) from one law evaluation.
 
 
 class _WeightedCurve:
@@ -155,6 +155,9 @@ class _WeightedCurve:
 
     def spot_rate(self, reserves, i: int, o: int) -> float:
         return _w._spot_rate(reserves, self.weights, i, o)
+
+    def output(self, reserves, i: int, o: int, x_in: float) -> float:
+        return _w._swap_output(reserves[i], reserves[o], self.weights[i] / self.weights[o], x_in)
 
     def kernel(self, reserves, i: int, o: int):
         w = self.weights
@@ -176,6 +179,9 @@ class _StableSwapCurve:
 
     def spot_rate(self, reserves, i: int, o: int) -> float:
         return _ss._spot_rate(reserves, self.dq, self.A, i, o)
+
+    def output(self, reserves, i: int, o: int, x_in: float) -> float:
+        return self.swap(reserves, i, o, self.shift, self.dq, self.A, x_in)
 
     def kernel(self, reserves, i: int, o: int):
         return partial(self.swap, reserves, i, o, self.shift, self.dq, self.A)
@@ -200,6 +206,11 @@ class _PMMCurve:
     def spot_rate(self, reserves, i: int, o: int) -> float:
         rate = _pmm._spot_rate(reserves[0], reserves[1], self.params)
         return rate if (i, o) == (0, 1) else 1.0 / rate
+
+    def output(self, reserves, i: int, o: int, x_in: float) -> float:
+        if i == 0:
+            return _pmm._swap_output(reserves[0], reserves[1], self.params, x_in)
+        return _pmm._swap_output(reserves[1], reserves[0], self.params.mirrored(), x_in)
 
     def kernel(self, reserves, i: int, o: int):
         if (i, o) == (0, 1):
@@ -287,8 +298,10 @@ def pmm_pool(
 def spot_rate(state: PoolState, i: int, o: int) -> float:
     """Marginal exchange rate in asset-i units per unit of asset o; exactly 1
     when i == o, and exact reciprocals across the two orientations."""
-    quote.check_index(len(state.reserves), i)
-    quote.check_index(len(state.reserves), o)
+    n = len(state.reserves)
+    if not 0 <= i < n > o >= 0:
+        quote.check_index(n, i)
+        quote.check_index(n, o)
     if i == o:
         return 1.0
     return state._curve.spot_rate(state.reserves, i, o)
@@ -301,13 +314,14 @@ def swap_amount(state: PoolState, i: int, o: int, x_in: float) -> float:
     takes the output reserve past the float range raises
     quote.output_refusal on weighted and PMM pools, NoSolution on
     stableswap pools."""
-    return swap_kernel(state, i, o)(x_in)
+    quote.check_assets(len(state.reserves), i, o)
+    return state._curve.output(state.reserves, i, o, x_in)
 
 
 def swap_kernel(state: PoolState, i: int, o: int):
-    """x_in -> swap_amount(state, i, o, x_in), bit for bit, with the index
-    checks, the family dispatch and the curve constants done once: the
-    per-point function of a sweep over trade sizes or reserves."""
+    """x_in -> swap_amount(state, i, o, x_in), bit for bit: the curve's output
+    call with the index checks, the family dispatch and the operands done
+    once, the per-point function of a sweep over trade sizes or reserves."""
     quote.check_assets(len(state.reserves), i, o)
     return state._curve.kernel(state.reserves, i, o)
 
@@ -316,7 +330,8 @@ def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
     effective rate over the pre-trade spot rate; swap_amount's refusals
     apply."""
-    x_out = swap_amount(state, i, o, x_in)
+    quote.check_assets(len(state.reserves), i, o)
+    x_out = state._curve.output(state.reserves, i, o, x_in)
     return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
 
 
@@ -429,7 +444,7 @@ def apply_swap(
         # a zero trade keeps the state, checked on construction
         post, x_in, x_out, deviation, effective, slip = state, 0.0, 0.0, 0.0, rate_before, 0.0
     else:
-        x_out = curve.kernel(state.reserves, input_asset, output_asset)(x_in)
+        x_out = curve.output(state.reserves, input_asset, output_asset, x_in)
         slip = slippage_from_quote(x_in, x_out, rate_before)
         reserves = list(state.reserves)
         reserves[input_asset] += x_in
@@ -440,30 +455,20 @@ def apply_swap(
         # reserves alone: PoolState's checks that remain open are their float
         # coercion (x_in may be a numpy scalar), their values and the
         # conservation law, evaluated once
-        reserves[input_asset] = float(reserves[input_asset])
-        reserves[output_asset] = float(reserves[output_asset])
+        reserves[input_asset] = r_in = float(reserves[input_asset])
+        reserves[output_asset] = r_out = float(reserves[output_asset])
         reserves = tuple(reserves)
-        quote.check_reserves(reserves, (reserves[input_asset], reserves[output_asset]))
+        quote.check_reserves(reserves, (r_in, r_out))
         gate, deviation = curve.deviations(reserves)
         _gate(gate)
         post = object.__new__(PoolState)
         post.__dict__.update(state.__dict__, reserves=reserves)
         effective = x_in / x_out
     outcome = SwapOutcome(
-        input_asset=input_asset,
-        output_asset=output_asset,
-        amount_in=x_in,
-        amount_out=x_out,
-        reserves_after=post.reserves,
-        spot_rate_before=rate_before,
-        effective_rate=effective,
-        slippage=slip,
+        input_asset, output_asset, x_in, x_out, post.reserves, rate_before, effective, slip
     )
     receipt = TransitionReceipt(
-        kind=TransitionKind.PURE_SWAP,
-        pre_state=state,
-        post_state=post,
-        checks=(RuleCheck("invariant_preserved", deviation),),
+        TransitionKind.PURE_SWAP, state, post, (RuleCheck("invariant_preserved", deviation),)
     )
     return post, outcome, receipt
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import quote
-from .errors import ConvergenceFailure, DegenerateGradient, InvalidBracket, NoSolution
+from .errors import ConvergenceFailure, DegenerateGradient, DomainError, InvalidBracket, NoSolution
 
 ResidualFn = Callable[[Sequence[float], Sequence[float]], float]
 
@@ -165,7 +165,7 @@ def _partial(
 ) -> float:
     h = max(DEFAULT_CONFIG.spot_rel_step * reserves[k], DEFAULT_CONFIG.spot_abs_step)
     if reserves[k] <= h:
-        raise ValueError(f"reserve {k} too small for the finite-difference step {h}")
+        raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
     up = list(reserves)
     dn = list(reserves)
     up[k] = reserves[k] + h
@@ -293,7 +293,7 @@ def solve_rebalance(
         # means the step was too long, not that the solve failed
         try:
             out = system(u)
-        except (ValueError, OverflowError, DegenerateGradient):
+        except (ValueError, OverflowError, DomainError, DegenerateGradient):
             return None
         return out if np.all(np.isfinite(out)) else None
 

@@ -20,11 +20,12 @@ def check_asset_count(n: int) -> None:
 
 
 def check_reserves(reserves, values=None) -> None:
-    """Every reserve, or each of values taken from reserves, is finite and
-    positive; the message names the whole tuple."""
-    for r in reserves if values is None else values:
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
+    """Every reserve, or each of values taken from reserves (a swap's two moved
+    ones: one comparison), is finite and positive; the message names them all."""
+    if values is None or not 0.0 < values[0] < math.inf > values[1] > 0.0:
+        for r in reserves if values is None else values:
+            if not (math.isfinite(r) and r > 0.0):
+                raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
 
 
 def check_index(n: int, k: int) -> None:
@@ -33,11 +34,12 @@ def check_index(n: int, k: int) -> None:
 
 
 def check_assets(n: int, i: int, o: int) -> None:
-    """A swap takes two distinct assets in [0, n)."""
-    check_index(n, i)
-    check_index(n, o)
-    if i == o:
-        raise IdenticalAssets("swap needs distinct input and output assets")
+    """A swap takes two distinct assets in [0, n): the chain's test."""
+    if not i >= 0 <= o < n > i != o:
+        check_index(n, i)
+        check_index(n, o)
+        if i == o:
+            raise IdenticalAssets("swap needs distinct input and output assets")
 
 
 def check_weights(weights) -> tuple[float, ...]:

@@ -96,6 +96,27 @@ class TestGrids:
         with pytest.raises(ValueError, match="needs finite bounds and span"):
             build(lo, hi, 3)
 
+    @pytest.mark.parametrize(
+        "build, lo, hi, shown",
+        [
+            (log_grid, 1, 10**400, "[1.0, inf]"),
+            (log_grid, 10**400, 10**401, "[inf, inf]"),
+            (linear_grid, -(10**400), 0, "[-inf, 0.0]"),
+            (linear_grid, 0, 2**1024 - 2**970, "[0.0, inf]"),
+        ],
+        ids=["log-hi", "log-both", "linear-lo", "linear-hi-at-the-threshold"],
+    )
+    def test_int_bounds_past_the_float_range_are_unbounded(self, build, lo, hi, shown):
+        # float() refuses these ints with a bare OverflowError
+        kind = "log" if build is log_grid else "linear"
+        with pytest.raises(ValueError) as caught:
+            build(lo, hi, 3)
+        assert str(caught.value) == f"{kind} grid needs finite bounds and span, got {shown}"
+
+    def test_int_bounds_that_round_to_the_largest_float_are_kept(self):
+        largest = 2**1024 - 2**970 - 1
+        assert log_grid(1, largest, 2) == (1.0, 1.7976931348623157e308)
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
         lo=st.floats(allow_nan=False, allow_infinity=False),

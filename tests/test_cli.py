@@ -333,6 +333,31 @@ class TestValidate:
             in capsys.readouterr().out
         )
 
+    def test_a_default_cross_section_grid_is_judged(self, tmp_path, capsys):
+        # [0.1*r, 10*r] around r = 1e308 overflows: validate refuses what run
+        # would refuse, in the same words
+        pool = dict(UNI, reserves=[1e308, 1e308])
+        path = write_scenario(
+            tmp_path,
+            {
+                "pools": [pool],
+                "actions": [
+                    {"action": "cross_section", "pool": "uni"},
+                    {"action": "compare", "pools": ["uni"], "kind": "cross_section",
+                     "grid": [1e307, 1e308]},
+                    {"action": "compare", "pools": ["uni"], "kind": "cross_section"},
+                ],
+            },
+        )
+        refusal = "log grid needs finite bounds and span, got [1.0000000000000001e+307, inf]"
+        expected = f"actions[0]: pool 'uni': {refusal}\nactions[2]: pool 'uni': {refusal}\n"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_library_domain_errors_are_reported_per_pool(self):
         problems = validate_scenario_data(
             {

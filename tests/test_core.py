@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -45,6 +47,9 @@ from ammlab import (
 from ammlab import pmm as _pmm
 from ammlab import stableswap as _ss
 from ammlab import weighted as _w
+from ammlab.core import swap_kernel
+from ammlab import quote
+from ammlab.quote import slippage_from_quote
 from ammlab.stableswap import solve_invariant
 
 reserve_values = st.floats(min_value=1.0, max_value=1e6)
@@ -815,3 +820,165 @@ class TestTransitionBits:
             post, outcome, _ = apply_swap(pool, 0, 1, x_in)
             assert all(type(r) is float for r in post.reserves)
             assert outcome.reserves_after is post.reserves
+
+
+# ---------------------------------------------------------------------------
+# single quotes and trades against the sweep kernel, bit for bit
+
+
+def _kernel_amount(state, i, o, x_in):
+    return swap_kernel(state, i, o)(x_in)
+
+
+def _kernel_slippage(state, i, o, x_in):
+    x_out = swap_kernel(state, i, o)(x_in)
+    return slippage_from_quote(x_in, x_out, spot_rate(state, i, o))
+
+
+def _kernel_swap(state, i, o, x_in):
+    """apply_swap through swap_kernel, spot_rate and the public PoolState
+    constructor; a zero trade keeps the state."""
+    kernel = swap_kernel(state, i, o)
+    rate = spot_rate(state, i, o)
+    if x_in == 0.0:
+        return state.reserves, (i, o, 0.0, 0.0, state.reserves, rate, rate, 0.0), 0.0
+    x_out = kernel(x_in)
+    slip = slippage_from_quote(x_in, x_out, rate)
+    reserves = list(state.reserves)
+    reserves[i] += x_in
+    reserves[o] -= x_out
+    if reserves[o] <= 0.0:
+        raise ReserveDepletion(f"trade would empty the output reserve ({reserves})")
+    post = PoolState(
+        reserves=tuple(reserves),
+        spec=state.spec,
+        invariant=state.invariant,
+        oracle_price=state.oracle_price,
+        share_supply=state.share_supply,
+    )
+    outcome = (i, o, x_in, x_out, post.reserves, rate, x_in / x_out, slip)
+    return post.reserves, outcome, _reference_deviation(post)
+
+
+def _quote_cases(seed):
+    """(pool, i, o, x_in, trade kind): weighted and stableswap pools of 2 to
+    4 assets and PMM pools in both orientations, at scales up to the float
+    range's edge; forward, reverse, zero, exhausting, non-finite and
+    overflowing trades; and bad asset pairs."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 2400:
+        family = rng.choice(("weighted", "stableswap", "stableswap", "pmm"))
+        # stableswap pools past about 1e100 do not build: D*(D/n)^n overflows
+        scale = 10.0 ** rng.uniform(-100.0, 100.0 if family == "stableswap" else 300.0)
+        try:
+            if family == "pmm":
+                n = 2
+                t1, t2 = (scale * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+                price = t1 / t2 * 10.0 ** rng.uniform(-1.0, 1.0)
+                pool = pmm_pool(t1, t2, price, rng.uniform(0.01, 1.0))
+            else:
+                n = rng.randint(2, 4)
+                reserves = [scale * 10.0 ** rng.uniform(0.0, 3.0) for _ in range(n)]
+                if family == "weighted":
+                    raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
+                    pool = weighted_pool(reserves, [w / math.fsum(raw) for w in raw])
+                else:
+                    pool = stableswap_pool(reserves, 10.0 ** rng.uniform(-3.0, 6.0))
+        except (AmmError, ValueError):
+            continue
+        i, o = rng.sample(range(n), 2)
+        r_i = pool.reserves[i]
+        kind = rng.choice(
+            ("forward", "reverse", "zero", "exhausting", "non-finite", "overflowing", "bad pair")
+        )
+        x_in = {
+            "forward": r_i * 10.0 ** rng.uniform(-12.0, 2.0),
+            "reverse": -r_i * rng.uniform(1e-9, 0.999),
+            "zero": rng.choice((0.0, -0.0)),
+            "exhausting": -r_i * rng.choice((1.0, 1.5, 1e10)),
+            "non-finite": rng.choice((math.nan, math.inf, -math.inf)),
+            "overflowing": rng.choice((1.7e308, r_i * 10.0 ** rng.uniform(1.0, 300.0))),
+            "bad pair": r_i * 0.01,
+        }[kind]
+        if kind == "bad pair":
+            i, o = rng.choice(((-1, o), (n, o), (i, -1), (i, n), (i, i)))
+        cases.append((pool, i, o, x_in, kind))
+    return cases
+
+
+class TestSingleQuotes:
+    """swap_amount, slippage and apply_swap call each curve's output method
+    directly; they must equal the swap_kernel(state, i, o)(x_in) path bit
+    for bit, or raise the same error class with the same message."""
+
+    def test_match_the_kernel_path(self):
+        cases = _quote_cases("core/single-quotes")
+        outcomes = Counter()
+        for pool, i, o, x_in, kind in cases:
+            family = pool.spec.family.value
+            for direct, via_kernel in (
+                (swap_amount, _kernel_amount),
+                (slippage, _kernel_slippage),
+                (_swap_result, _kernel_swap),
+            ):
+                got = _settled(direct, pool, i, o, x_in)
+                assert got == _settled(via_kernel, pool, i, o, x_in), (pool, i, o, x_in)
+            outcomes[family, kind, got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
+        for family in ("weighted", "stableswap", "pmm"):
+            for kind in ("forward", "reverse", "zero"):
+                assert outcomes[family, kind, "ok"] >= 50
+            assert outcomes[family, "exhausting", "ReserveDepletion"] >= 50
+            assert outcomes[family, "non-finite", "DomainError"] >= 50
+            assert outcomes[family, "bad pair", "IndexError"] >= 30
+            assert outcomes[family, "bad pair", "IdenticalAssets"] >= 10
+            refused = sum(
+                count for (f, k, name), count in outcomes.items()
+                if (f, k) == (family, "overflowing") and name != "ok"
+            )
+            assert refused >= 50
+        sizes = Counter((pool.spec.family, pool.n_assets) for pool, *_ in cases)
+        for n in (2, 3, 4):
+            assert sizes[ProtocolFamily.WEIGHTED, n] >= 100
+            assert sizes[ProtocolFamily.STABLESWAP, n] >= 100
+        orientations = Counter(
+            (i, o) for pool, i, o, _, kind in cases
+            if pool.spec.family is ProtocolFamily.PMM and kind != "bad pair"
+        )
+        assert orientations[0, 1] >= 100 and orientations[1, 0] >= 100
+
+    def test_one_comparison_guards_match_the_per_rule_checks(self):
+        def indices(n, i, o):
+            quote.check_index(n, i)
+            quote.check_index(n, o)
+
+        def assets(n, i, o):
+            indices(n, i, o)
+            if i == o:
+                raise IdenticalAssets("swap needs distinct input and output assets")
+
+        for n in (2, 3, 4):
+            pool = weighted_pool((100.0,) * n, (1.0 / n,) * n)
+            for i in range(-2, n + 2):
+                for o in range(-2, n + 2):
+                    refusal = _settled(assets, n, i, o)
+                    assert _settled(quote.check_assets, n, i, o) == refusal
+                    if refusal is not None:
+                        for call in (swap_amount, slippage, apply_swap):
+                            assert _settled(call, pool, i, o, 1.0) == refusal
+                    rate, refusal = _settled(spot_rate, pool, i, o), _settled(indices, n, i, o)
+                    assert rate == refusal if refusal is not None else isinstance(rate, str)
+
+        values = (1.0, 5e-324, 1.7e308, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan)
+        for a in values:
+            for b in values:
+                reserves = (a, 2.0, b)
+
+                def each_value():
+                    for r in (a, b):
+                        quote.check_reserves((r,))
+
+                want = _settled(each_value)
+                if want is not None:
+                    want = (ValueError, f"reserves must be finite and positive, got {reserves}")
+                assert _settled(quote.check_reserves, reserves, (a, b)) == want

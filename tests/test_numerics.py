@@ -190,6 +190,15 @@ class TestNumericSpotRate:
         with pytest.raises(DegenerateGradient):
             numeric_spot_rate(flat, (100.0, 100.0), (100.0,), 0, 1)
 
+    def test_reserves_below_the_step_floor_raise_domain_error(self):
+        # the difference step's absolute floor of 1e-9 reaches past reserve 1
+        pool = uniswap_pool(1e-10, 3e-10)
+        curve = implicit_conservation(pool)
+        with pytest.raises(DomainError) as caught:
+            numeric_spot_rate(curve, pool.reserves, pool.invariant, 0, 1)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == "reserve 1 too small for the finite-difference step 1e-09"
+
 
 class TestImplicitSwap:
     def test_constant_product_output(self):
