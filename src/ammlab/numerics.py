@@ -4,7 +4,10 @@ A pool is treated as an opaque relation Z(reserves; invariant) = 0. Everything
 here works from Z alone: safeguarded root finding, finite-difference spot
 rates, swap solving, rate-targeted rebalancing, and the five-step divergence
 loss procedure. None of it touches the protocol closed forms, so these
-routines double as an independent cross-check of those closed forms.
+routines double as an independent cross-check of those closed forms. It is
+plain Python: the rebalance Newton step solves its n×n system by Gaussian
+elimination with partial pivoting, and its sums are folded left to right,
+as the built-in sum compensates its rounding on Python 3.12 and later.
 
 All tolerances live in one table, DEFAULT_CONFIG (a SolverConfig record),
 which every routine reads; there is no per-call override, so outputs are
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 from . import quote
@@ -182,6 +187,7 @@ def numeric_spot_rate(
 ) -> float:
     """Spot rate (token i per token o) as the ratio of central-difference
     partials (dZ/dr_o)/(dZ/dr_i). Returns 1 exactly when i == o."""
+    quote.check_reserves(reserves)
     quote.check_index(len(reserves), i)
     quote.check_index(len(reserves), o)
     if i == o:
@@ -211,6 +217,7 @@ def implicit_swap(
     raises NoSolution. Negative x_in is the reverse-trade convention and
     yields negative x_out.
     """
+    quote.check_reserves(reserves)
     quote.check_assets(len(reserves), i, o)
     r_in_new = reserves[i] + x_in
     if not 0.0 < r_in_new < math.inf:
@@ -235,18 +242,30 @@ def implicit_swap(
     return reserves[o] - find_root(g, RootBracket(lo, hi, g_lo, g_hi))
 
 
-def _rebalance_scale(
-    Z: ImplicitConservation,
-    reserves: Sequence[float],
-    invariant: Sequence[float],
-) -> float:
-    # characteristic variation of Z over relative reserve moves; normalizes
-    # the conservation equation so "within 1e-9" means the same thing for
-    # every protocol family
-    total = 0.0
-    for k in range(len(reserves)):
-        total += abs(_partial(Z, reserves, invariant, k)) * reserves[k]
-    return max(total, 1e-300)
+def _solve_linear(rows: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """x with rows·x = b: Gaussian elimination with partial pivoting (the
+    first row of largest magnitude) and back substitution, in the order of
+    LAPACK's getf2 and getrs, which numpy.linalg.solve calls, less their
+    fused multiply-adds; so the multipliers scale by the reciprocal pivot. An
+    exactly zero pivot raises ConvergenceFailure."""
+    n = len(b)
+    a = [[*row, bk] for row, bk in zip(rows, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k][k]
+        if pivot == 0.0:
+            raise ConvergenceFailure("singular rebalance Jacobian: Singular matrix")
+        inverse = 1.0 / pivot
+        for i in range(k + 1, n):
+            m = a[i][k] * inverse
+            a[i] = [x - m * y for x, y in zip(a[i], a[k])]
+    x = [row[n] for row in a]
+    for i in reversed(range(n)):
+        x[i] /= a[i][i]
+        for j in range(i):
+            x[j] -= x[i] * a[j][i]
+    return x
 
 
 def solve_rebalance(
@@ -264,10 +283,6 @@ def solve_rebalance(
     iterate stays in the positive orthant; the initial guess is the current
     reserves.
     """
-    # the one numpy user outside log grids: imported here, so that importing
-    # the package does not load numpy
-    import numpy as np
-
     n = len(reserves)
     quote.check_index(n, o)
     if n != Z.n:
@@ -277,61 +292,62 @@ def solve_rebalance(
     others = [j for j in range(n) if j != o]
     base = [numeric_spot_rate(Z, reserves, invariant, j, o) for j in others]
     target = 1.0 + rho
-    z_scale = _rebalance_scale(Z, reserves, invariant)
+    # the characteristic variation of Z over relative reserve moves: it
+    # normalizes the conservation equation, so that "within 1e-9" means the
+    # same thing for every protocol family
+    z_scale = max(reduce(add, [abs(_partial(Z, reserves, invariant, k)) * r
+                               for k, r in enumerate(reserves)]), 1e-300)
 
-    def system(u: np.ndarray) -> np.ndarray:
+    def system(u: list[float]) -> list[float]:
         r = [math.exp(v) for v in u]
-        out = np.empty(n)
-        for row, j in enumerate(others):
-            rate = numeric_spot_rate(Z, r, invariant, j, o)
-            out[row] = rate / (base[row] * target) - 1.0
-        out[n - 1] = Z.evaluate(r, invariant) / z_scale
+        out = [numeric_spot_rate(Z, r, invariant, j, o) / (b * target) - 1.0
+               for j, b in zip(others, base)]
+        out.append(Z.evaluate(r, invariant) / z_scale)
         return out
 
-    def probe(u: np.ndarray) -> np.ndarray | None:
+    def probe(u: list[float]) -> list[float] | None:
         # trial evaluation during damping: leaving the evaluable domain just
         # means the step was too long, not that the solve failed
         try:
             out = system(u)
         except (ValueError, OverflowError, DomainError, DegenerateGradient):
             return None
-        return out if np.all(np.isfinite(out)) else None
+        return out if all(map(math.isfinite, out)) else None
 
-    def converged(F: np.ndarray) -> bool:
+    def converged(F: list[float]) -> bool:
         rates_ok = all(abs(F[row]) <= config.rebalance_rate_tol for row in range(n - 1))
         return rates_ok and abs(F[n - 1]) <= config.rebalance_residual_tol
 
-    u = np.array([math.log(r) for r in reserves])
+    def norm(F: list[float]) -> float:
+        return math.sqrt(reduce(add, [v * v for v in F]))
+
+    u = [math.log(r) for r in reserves]
     F = system(u)
-    if not np.all(np.isfinite(F)):
+    if not all(map(math.isfinite, F)):
         raise ConvergenceFailure("conservation residual is not finite at the start state")
     if converged(F):
         return tuple(reserves)
 
     jac_h = config.rebalance_jacobian_step
     for _ in range(config.rebalance_max_iterations):
-        J = np.empty((n, n))
+        columns = []
         for k in range(n):
-            up = u.copy()
-            dn = u.copy()
+            up, dn = list(u), list(u)
             up[k] += jac_h
             dn[k] -= jac_h
-            J[:, k] = (system(up) - system(dn)) / (2.0 * jac_h)
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"singular rebalance Jacobian: {exc}") from exc
-        if not np.all(np.isfinite(step)):
+            columns.append([(a - b) / (2.0 * jac_h) for a, b in zip(system(up), system(dn))])
+        step = _solve_linear(list(zip(*columns)), [-v for v in F])
+        if not all(map(math.isfinite, step)):
             raise ConvergenceFailure("rebalance Newton step is not finite")
-        biggest = float(np.max(np.abs(step)))
+        biggest = max(map(abs, step))
         if biggest > config.rebalance_max_log_step:
-            step *= config.rebalance_max_log_step / biggest
-        norm = float(np.linalg.norm(F))
+            step = [s * (config.rebalance_max_log_step / biggest) for s in step]
+        F_norm = norm(F)
         alpha = 1.0
         while True:
-            trial_u = u + alpha * step
+            trial_u = [v + alpha * s for v, s in zip(u, step)]
             trial_F = probe(trial_u)
-            if trial_F is not None and float(np.linalg.norm(trial_F)) < (1.0 - 1e-4 * alpha) * norm:
+            if trial_F is not None and norm(trial_F) < (1.0 - 1e-4 * alpha) * F_norm:
                 break
             alpha *= 0.5
             if alpha < config.rebalance_min_damping:
@@ -383,7 +399,7 @@ def generic_divergence_loss(
 
     def value(state: Sequence[float]) -> tuple[float, list[float]]:
         rates = [numeric_spot_rate(Z, state, invariant, 0, j) for j in range(n)]
-        return sum(rate * r for rate, r in zip(rates, state)), rates
+        return reduce(add, [rate * r for rate, r in zip(rates, state)]), rates
 
     V, rates = value(reserves)
     V_held = V + rates[o] * reserves[o] * rho

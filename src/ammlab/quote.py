@@ -60,9 +60,11 @@ def check_weight_count(n: int, weights) -> None:
 
 
 def check_price_shift(rho: float) -> None:
-    # written so that a NaN shift fails too
+    # written so that a NaN shift fails the first test
     if not rho > -1.0:
         raise DomainError(f"price shift must exceed -1, got {rho}")
+    if rho == math.inf:
+        raise DomainError(f"price shift must be finite, got {rho}")
 
 
 def check_numeraire(o: int) -> None:

@@ -795,10 +795,23 @@ bonding.bonding_sell(bonding.bonding_buy(curve, 10.0)[0], 5.0)
 """
 
 
+ORACLE = """
+from ammlab import core, numerics
+for pool in (
+    core.weighted_pool((100.0, 200.0, 300.0), (0.5, 0.3, 0.2)),
+    core.stableswap_pool((100.0, 300.0, 600.0), 10.0),
+):
+    curve = core.implicit_conservation(pool)
+    numerics.solve_rebalance(curve, pool.reserves, pool.invariant, 2, 0.5)
+    numerics.generic_divergence_loss(curve, pool.reserves, pool.invariant, 1, -0.3)
+"""
+
+
 class TestNumpyFreeImport:
-    """numpy is loaded by the solve_rebalance oracle alone: importing the
-    package, trading and runs on linear and log grids leave it unloaded, and
-    importing the package leaves decimal, which log grids use, unloaded."""
+    """The package runs without numpy, a test extra only: importing it,
+    trading, runs on linear and log grids and the rebalance-and-revalue
+    oracle leave numpy unloaded, and importing the package leaves decimal,
+    which log grids use, unloaded."""
 
     @pytest.mark.parametrize(
         "code",
@@ -806,6 +819,7 @@ class TestNumpyFreeImport:
             "import ammlab",
             "import ammlab.cli",
             TRADES,
+            ORACLE,
             "from ammlab import cli; cli.main(['run', {scenario!r}, '--out', {out!r}])",
             "import sys, ammlab\n"
             "assert not {{'numpy', 'decimal'}} & set(sys.modules), 'loaded on import'\n"
@@ -813,7 +827,7 @@ class TestNumpyFreeImport:
             "assert cli.main(['validate', {log_scenario!r}]) == 0\n"
             "assert cli.main(['run', {log_scenario!r}, '--out', {out!r}]) == 0",
         ],
-        ids=["package", "cli", "trades", "linear-grid-run", "log-grid-run"],
+        ids=["package", "cli", "trades", "oracle", "linear-grid-run", "log-grid-run"],
     )
     def test_numpy_stays_unloaded(self, tmp_path, code):
         code = code.format(

@@ -186,15 +186,33 @@ def test_bonding_refuses_a_buy_past_the_float_range(curve, deposit, message):
         lambda rho: stableswap.stableswap_divergence_loss((100.0,) * 4, 400.0, 10.0, 3, rho),
         lambda rho: numerics.generic_divergence_loss(UNI_Z, (100.0, 100.0), (100.0,), 1, rho),
         lambda rho: numerics.solve_rebalance(UNI_Z, (100.0, 100.0), (100.0,), 1, rho),
+        lambda rho: weighted.weighted_rebalanced_reserves((100.0, 100.0), W, 1, rho),
     ],
     ids=[
         "uniswap", "weighted", "stableswap-2", "stableswap-3", "stableswap-4", "generic",
-        "solve_rebalance",
+        "solve_rebalance", "weighted_rebalanced_reserves",
     ],
 )
 def test_divergence_loss_refuses_a_nan_price_shift(loss):
+    # an infinite shift is refused before any arithmetic, which would give a
+    # NaN loss, (inf, nan) reserves, or a solver failure
     with pytest.raises(DomainError, match="^price shift must exceed -1, got nan$"):
         loss(math.nan)
+    with pytest.raises(DomainError, match="^price shift must be finite, got inf$"):
+        loss(math.inf)
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [uniswap_pool(100.0, 100.0), stableswap_pool((100.0, 100.0, 100.0), 10.0)],
+    ids=["uniswap", "stableswap"],
+)
+def test_a_divergence_sweep_aborts_at_an_infinite_shift(pool):
+    # inf passes the shift grid's check, g > -1; the kernel refuses it, and a
+    # refusal is no solver failure, so the sweep stops there rather than
+    # writing a NaN point
+    with pytest.raises(DomainError, match="^price shift must be finite, got inf$"):
+        analysis.divergence_curve(pool, 1, [0.5, math.inf])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -253,6 +271,36 @@ def test_an_overflowing_implicit_swap_is_refused():
         numerics.implicit_swap(
             implicit_conservation(pool), pool.reserves, pool.invariant, 0, 1, 1e308
         )
+
+
+# the generic engine's entry points that take reserves, as (law, reserves) -> call
+ENGINE = {
+    "numeric_spot_rate": lambda z, r: numerics.numeric_spot_rate(z, r, (1e4,), 0, 1),
+    "implicit_swap": lambda z, r: numerics.implicit_swap(z, r, (1e4,), 0, 1, 1.0),
+    "solve_rebalance": lambda z, r: numerics.solve_rebalance(z, r, (1e4,), 1, 0.5),
+    "generic_divergence_loss": lambda z, r: numerics.generic_divergence_loss(z, r, (1e4,), 1, 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "reserves",
+    [(math.nan, 100.0), (math.inf, 100.0), (100.0, -100.0), (100.0, 0.0)],
+    ids=["nan", "inf", "negative", "zero"],
+)
+@pytest.mark.parametrize(
+    "law",
+    # a law that evaluates anywhere, and the built-in (100, 100) constant-product law
+    [numerics.ImplicitConservation(lambda r, c: r[0] * r[1] - c[0], 2), UNI_Z],
+    ids=["permissive", "built-in"],
+)
+@pytest.mark.parametrize("name", list(ENGINE))
+def test_the_generic_engine_judges_the_callers_reserves(name, law, reserves):
+    # the reserves are judged before any difference probe or bracket is
+    # built from them, so the message names the caller's reserves, whatever
+    # the law accepts
+    message = f"^reserves must be finite and positive, got {re.escape(str(reserves))}$"
+    with pytest.raises(ValueError, match=message):
+        ENGINE[name](law, reserves)
 
 
 def test_the_generic_engine_words_its_rules_as_quote():
@@ -350,6 +398,7 @@ RULES = {
     "asset index": "quote",
     "needs distinct input and output assets": "quote",
     "price shift must exceed -1": "quote",
+    "price shift must be finite": "quote",
     "asset 0 is the numeraire": "quote",
     "stableswap amplification must be finite and positive": "quote",
     "stableswap invariant D must be positive": "quote",

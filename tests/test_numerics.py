@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,7 @@ from ammlab import (
     swap_amount,
     uniswap_pool,
 )
-from ammlab import stableswap
+from ammlab import numerics, stableswap
 from ammlab.pmm import PMMParams, conservation_gap, pmm_swap
 from ammlab.stableswap import defining_residual, solve_invariant
 from ammlab.weighted import weighted_rebalanced_reserves
@@ -303,6 +304,53 @@ class TestSolveRebalance:
         )
         with pytest.raises(NoSolution):
             solve_rebalance(curve, reserves, (d,), 1, 0.5)
+
+
+def exact_solution(rows, b) -> list[Fraction]:
+    """The solution of rows·x = b in rationals, by Gauss-Jordan elimination."""
+    n = len(b)
+    a = [[Fraction(v) for v in row] + [Fraction(bk)] for row, bk in zip(rows, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        for i in range(n):
+            if i != k:
+                m = a[i][k] / a[k][k]
+                a[i] = [x - m * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+class TestSolveLinear:
+    """The n×n solve of the rebalance Newton step against exact rational
+    elimination."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_exact_elimination(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        b = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        if seed % 3 == 0:
+            # a zero and a tiny leading entry: elimination must swap rows
+            rows[0][0] = 0.0
+            rows[1][1] = 1e-18 * rows[1][1]
+        want = exact_solution(rows, b)
+        got = numerics._solve_linear(rows, b)
+        scale = max(abs(w) for w in want)
+        assert all(abs(Fraction(g) - w) <= 1e-11 * scale for g, w in zip(got, want))
+
+    def test_pivots_on_the_largest_entry(self):
+        # without the row swap, 1 - 1e20 absorbs the 1 and x_0 comes out 0
+        got = numerics._solve_linear([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        assert got == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]], [[1.0, 1.0, 0.0]] * 3],
+        ids=["dependent-rows", "zero-column", "equal-rows"],
+    )
+    def test_an_exactly_singular_matrix_raises(self, rows):
+        with pytest.raises(ConvergenceFailure, match="^singular rebalance Jacobian: Singular matrix$"):
+            numerics._solve_linear(rows, [1.0] * len(rows))
 
 
 class TestGenericDivergenceLoss:
