@@ -19,6 +19,14 @@ numpy either: ``log_grid`` is correctly rounded, from `decimal` and integer
 arithmetic, so its bits do not depend on the machine, and ``linear_grid``
 repeats ``numpy.linspace``'s float operations in plain Python.
 
+Slippage and cross-section sweeps call the ``swap_kernel`` function in one
+comprehension over the grid, and weighted divergence sweeps run one loop over
+the closed form. That comprehension leaves out the per-point wrapping: the
+slippage quotient's zero cases and the cross-section's NaN rows. Where it
+meets one of them (a zero trade or output, a ``NoSolution``), the sweep
+recomputes its series from the first point through the wrapped form, which
+states them.
+
 Divergence loss comes from closed forms on every family: weighted pools
 have it outright, stableswap pools through a one-dimensional Newton solve
 along the curve with the curve equation's own slope, which calls no
@@ -104,8 +112,9 @@ class CurveSeries:
     failures: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_values", tuple(map(float, self.x_values)))
-        object.__setattr__(self, "y_values", tuple(map(float, self.y_values)))
+        # tuple() returns a tuple as it is: every sweep passes tuples of floats
+        object.__setattr__(self, "x_values", tuple(self.x_values))
+        object.__setattr__(self, "y_values", tuple(self.y_values))
         if len(self.x_values) != len(self.y_values):
             raise ValueError("x and y vectors must have equal length")
 
@@ -212,7 +221,9 @@ _GRID_DOMAINS = {
     SeriesKind.SLIPPAGE: (
         lambda g: 0.0 < g <= 0.95, "normalized trade sizes must lie in (0, 0.95], got {}"
     ),
-    SeriesKind.DIVERGENCE_LOSS: (lambda g: g > -1.0, "price shifts must exceed -1, got {}"),
+    SeriesKind.DIVERGENCE_LOSS: (
+        lambda g: -1.0 < g < math.inf, "price shifts must be finite and exceed -1, got {}"
+    ),
     SeriesKind.CONSERVATION_CROSS_SECTION: (
         lambda g: g > 0.0, "reserve grid values must be positive, got {}"
     ),
@@ -221,9 +232,9 @@ _GRID_DOMAINS = {
 
 def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
     """Raise ValueError at the first grid value outside the sweep's domain
-    (normalized trade sizes in (0, 0.95] for slippage, price shifts above -1
-    for divergence loss, positive reserves for a cross-section), then unless
-    the grid strictly increases."""
+    (normalized trade sizes in (0, 0.95] for slippage, finite price shifts
+    above -1 for divergence loss, positive reserves for a cross-section),
+    then unless the grid strictly increases."""
     inside, refusal = _GRID_DOMAINS[kind]
     # every domain is an interval, so a strictly increasing grid lies in it
     # exactly when its two ends do; any other grid is scanned in order
@@ -237,21 +248,28 @@ def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
     raise ValueError("grid values must be strictly increasing")
 
 
+# how every float of an output file is written: 17 significant digits, enough
+# to round-trip any double exactly
+FLOAT_FORMAT = "%.17g"
+
+
+def format_floats(values) -> list[str]:
+    """Each value in FLOAT_FORMAT, from one % operation for the sequence."""
+    return ((FLOAT_FORMAT + ",") * len(values) % tuple(values)).split(",")[:-1]
+
+
 def hyperparameter_string(state: PoolState) -> str:
     """Deterministic key=value;... encoding of a pool's hyperparameters."""
-    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
+    spec = state.spec
+    if spec.family is ProtocolFamily.WEIGHTED:
         # "|" keeps the encoding free of commas, so CSV fields never need quoting
-        return "weights=" + "|".join(fmt(w) for w in state.spec.weights)
-    if family is ProtocolFamily.STABLESWAP:
-        return f"amplification={fmt(state.spec.amplification)}"
+        return "weights=" + "|".join(format_floats(spec.weights))
+    if spec.family is ProtocolFamily.STABLESWAP:
+        return "amplification=" + FLOAT_FORMAT % spec.amplification
     return (
-        f"amplification={fmt(state.spec.amplification)}"
-        f";oracle_price={fmt(state.oracle_price)}"
-        f";target1={fmt(state.invariant[0])}"
-        f";target2={fmt(state.invariant[1])}"
-    )
+        "amplification=" + FLOAT_FORMAT + ";oracle_price=" + FLOAT_FORMAT
+        + ";target1=" + FLOAT_FORMAT + ";target2=" + FLOAT_FORMAT
+    ) % (spec.amplification, state.oracle_price, *state.invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +356,12 @@ def slippage_curve(
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
-
-    def point(g: float) -> float:
-        x_in = g * r_in
-        return slippage_from_quote(x_in, swap(x_in), rate)
-
-    y = tuple(map(point, grid))
+    try:
+        # slippage_from_quote but for its zero trade and zero output, which
+        # divide by zero here
+        y = tuple([(x / swap(x)) / rate - 1.0 for x in map(r_in.__mul__, grid)])
+    except ZeroDivisionError:
+        y = tuple([slippage_from_quote(x, swap(x), rate) for x in map(r_in.__mul__, grid)])
     return _series(SeriesKind.SLIPPAGE, state, grid, y, (), pool_id, protocol)
 
 
@@ -360,7 +378,11 @@ def divergence_curve(
     loss = _divergence_kernel(state, asset)
     grid = default_shift_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
-    y, failures = _solved_points(loss, grid)
+    if state.spec.family is ProtocolFamily.WEIGHTED:
+        # the grid check admits exactly the shifts that the kernel admits
+        y, failures = _w._divergence_losses(state.spec.weights[asset], grid), ()
+    else:
+        y, failures = _solved_points(loss, grid)
     return _series(SeriesKind.DIVERGENCE_LOSS, state, grid, y, failures, pool_id, protocol)
 
 
@@ -381,7 +403,11 @@ def conservation_cross_section(
     r_out = state.reserves[output_asset]
     grid = default_cross_section_grid(r_in) if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
-    y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
+    try:
+        # a point with no solution makes a NaN row, which _solved_points states
+        y, failures = tuple([r_out - swap(g - r_in) for g in grid]), ()
+    except (NoSolution, ConvergenceFailure):
+        y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return _series(
         SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol
     )

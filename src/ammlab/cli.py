@@ -62,11 +62,13 @@ from pathlib import Path
 
 from . import __version__, quote
 from .analysis import (
+    FLOAT_FORMAT,
     SeriesKind,
     check_grid_domain,
     conservation_cross_section,
     default_cross_section_grid,
     divergence_curve,
+    format_floats,
     linear_grid,
     log_grid,
     slippage_curve,
@@ -118,11 +120,6 @@ _ACTION_KEYS = {
     "cross_section": {"action", "pool", "input_asset", "output_asset", "grid"},
     "compare": {"action", "pools", "kind", "input_asset", "output_asset", "grid"},
 }
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
 
 
 def _is_number(v) -> bool:
@@ -409,7 +406,7 @@ def _series_csv(series, x_column: list[str]) -> str:
     """The series as CSV text; x_column holds the grid values already
     formatted, so a compare formats its shared grid once."""
     tail = f"{series.pool_id},{series.protocol},{series.hyperparameters}".replace("%", "%%")
-    row = "%s,%.17g," + tail + "\n"
+    row = "%s," + FLOAT_FORMAT + "," + tail + "\n"
     # one % for the whole series: the same bytes as one % per row
     values = tuple(chain.from_iterable(zip(x_column, series.y_values)))
     return "grid,value,pool,protocol,hyperparameters\n" + (row * len(series.y_values)) % values
@@ -463,14 +460,14 @@ def _execute(pools: dict, steps: list):
                 )
             else:
                 kind, pids, i, o, grid = args
-                x_column = None if grid is None else [_fmt(x) for x in grid]
+                x_column = None if grid is None else format_floats(grid)
                 for pid in pids:
                     series = _sweep(kind, states[pid], i, o, grid, pid, pools[pid][0])
                     if series.failures:
                         manifest.extend(_series_failures(series, idx))
                         exit_code = EXIT_SOLVER
                     # without an explicit grid each pool's series has its own
-                    column = x_column or [_fmt(x) for x in series.x_values]
+                    column = x_column or format_floats(series.x_values)
                     csvs.append(
                         (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series, column))
                     )

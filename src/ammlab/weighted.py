@@ -85,6 +85,12 @@ def _divergence_loss_at(w: float, rho: float) -> float:
     return (1.0 + rho) ** w / (1.0 + w * rho) - 1.0
 
 
+def _divergence_losses(w: float, shifts) -> tuple[float, ...]:
+    """_divergence_loss_at(w, rho) for each rho of shifts, all finite and
+    above -1, from one loop."""
+    return tuple([(1.0 + rho) ** w / (1.0 + w * rho) - 1.0 for rho in shifts])
+
+
 def weighted_divergence_kernel(weights, o: int):
     """rho -> weighted_divergence_loss(weights, o, rho), with the index check
     and the weight w_o taken once for a sweep."""

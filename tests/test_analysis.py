@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from ammlab import (
     ConvergenceFailure,
+    DomainError,
+    InfeasibleTrade,
     NoSolution,
     NotApplicable,
+    ReserveDepletion,
     apply_swap,
     pmm_pool,
     slippage,
@@ -22,7 +25,7 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
-from ammlab import analysis
+from ammlab import analysis, weighted
 from ammlab.analysis import (
     MAX_GRID_POINTS,
     ComparisonConfig,
@@ -171,8 +174,8 @@ def _scanned_grid_domain(kind, grid):
                 raise ValueError(f"normalized trade sizes must lie in (0, 0.95], got {g}")
     elif kind is SeriesKind.DIVERGENCE_LOSS:
         for g in grid:
-            if not g > -1.0:
-                raise ValueError(f"price shifts must exceed -1, got {g}")
+            if not -1.0 < g < math.inf:
+                raise ValueError(f"price shifts must be finite and exceed -1, got {g}")
     else:
         for g in grid:
             if not g > 0.0:
@@ -253,10 +256,21 @@ class TestSweepGrids:
 
             return wrapped
 
+        def counting_losses(w, shifts):
+            points.extend(shifts)
+            return losses(w, shifts)
+
+        # the kernels and the weighted divergence loop alike
         for attr in ("swap_kernel", "_divergence_kernel"):
             monkeypatch.setattr(analysis, attr, counting(getattr(analysis, attr)))
+        losses = weighted._divergence_losses
+        monkeypatch.setattr(weighted, "_divergence_losses", counting_losses)
+        pool = uniswap_pool(100.0, 100.0)
+        self.SWEEPS[name](pool, (0.1, 0.2, 0.5))
+        assert len(points) == 3
+        points.clear()
         with pytest.raises(ValueError, match="strictly increasing"):
-            self.SWEEPS[name](uniswap_pool(100.0, 100.0), (0.5, 0.1, 0.2))
+            self.SWEEPS[name](pool, (0.5, 0.1, 0.2))
         assert points == []
 
 
@@ -267,12 +281,20 @@ class TestHyperparameterString:
     def test_stableswap(self):
         pool = stableswap_pool((100.0, 100.0), 10.0)
         assert hyperparameter_string(pool) == "amplification=10"
+        # 17 significant digits round-trip the double
+        pool = stableswap_pool((100.0, 100.0), 0.1 + 0.2)
+        assert hyperparameter_string(pool) == "amplification=0.30000000000000004"
 
     def test_pmm(self):
         pool = pmm_pool(100.0, 100.0, 1.0, 0.5)
         assert (
             hyperparameter_string(pool)
             == "amplification=0.5;oracle_price=1;target1=100;target2=100"
+        )
+        pool = pmm_pool(100.0, 80.0, 1.25, 0.1 + 0.2)
+        assert (
+            hyperparameter_string(pool)
+            == "amplification=0.30000000000000004;oracle_price=1.25;target1=100;target2=80"
         )
 
 
@@ -489,7 +511,7 @@ reserve_sizes = st.floats(min_value=1.0, max_value=1e6)
 
 @st.composite
 def swept_pools(draw, families=("weighted", "stableswap", "pmm")):
-    """(pool, input asset, output asset): 2- and 3-asset weighted and
+    """(pool, input asset, output asset): 2- to 4-asset weighted and
     stableswap pools with any asset pair, and PMM pools in both
     orientations, displaced against the sweep's direction so that its
     trades cross the equilibrium seam."""
@@ -507,7 +529,7 @@ def swept_pools(draw, families=("weighted", "stableswap", "pmm")):
         if displacement:
             pool, _, _ = apply_swap(pool, o, i, displacement * pool.reserves[o])
         return pool, i, o
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([2, 3, 4]))
     reserves = draw(st.lists(reserve_sizes, min_size=n, max_size=n))
     i, o = draw(st.permutations(range(n)))[:2]
     if family == "weighted":
@@ -577,7 +599,8 @@ class TestSweepsMatchTheScalarPath:
         assert list(series.failures) == failures == []
 
     @pytest.mark.parametrize(
-        "reserves, i, o", [((100.0, 100.0), 0, 1), ((100.0, 150.0, 80.0), 2, 0)]
+        "reserves, i, o",
+        [((100.0, 100.0), 0, 1), ((100.0, 150.0, 80.0), 2, 0), ((100.0, 150.0, 80.0, 120.0), 3, 1)],
     )
     def test_cross_section_failures(self, reserves, i, o):
         # reserves of 1e200 and more have no positive solution: NaN rows
@@ -600,3 +623,166 @@ class TestSweepsMatchTheScalarPath:
             assert max(grid) * pool.reserves[i] > pool.invariant[i] - pool.reserves[i]
             want = [slippage(pool, i, o, g * pool.reserves[i]) for g in grid]
             assert_bitwise_equal(slippage_curve(pool, i, o, grid).y_values, want)
+
+
+def kernel_calls(monkeypatch):
+    """The trades that sweeps hand to swap_kernel's function from here on, in
+    order: a series recomputed through the wrapped per-point form hands them
+    over a second time."""
+    calls = []
+    original = analysis.swap_kernel
+
+    def counting(*args):
+        kernel = original(*args)
+        return lambda x: calls.append(x) or kernel(x)
+
+    monkeypatch.setattr(analysis, "swap_kernel", counting)
+    return calls
+
+
+class TestSweepGridEdges:
+    """Grids at the edges of the sweeps' kernel comprehensions: every sweep
+    equals the scalar path bit for bit, refusals included, and recomputes its
+    series exactly where the comprehension meets a point that only the
+    wrapped per-point form handles."""
+
+    POOLS = {
+        "uniswap": lambda s: uniswap_pool(100.0 * s, 100.0 * s),
+        "weighted3": lambda s: weighted_pool((100.0 * s, 200.0 * s, 300.0 * s), (0.5, 0.3, 0.2)),
+        "stableswap2": lambda s: stableswap_pool((100.0 * s, 120.0 * s), 10.0),
+        "stableswap3": lambda s: stableswap_pool((100.0 * s, 120.0 * s, 80.0 * s), 10.0),
+        "pmm": lambda s: pmm_pool(100.0 * s, 80.0 * s, 1.25, 0.3),
+    }
+
+    @pytest.mark.parametrize("name", list(POOLS))
+    def test_one_point_grids(self, name, monkeypatch):
+        pool = self.POOLS[name](1.0)
+        r_in, r_out = pool.reserves[0], pool.reserves[1]
+        calls = kernel_calls(monkeypatch)
+        want = [slippage(pool, 0, 1, 0.3 * r_in)]
+        assert_bitwise_equal(slippage_curve(pool, 0, 1, (0.3,)).y_values, want)
+        want = [r_out - swap_amount(pool, 0, 1, 0.5 * r_in - r_in)]
+        assert_bitwise_equal(conservation_cross_section(pool, 0, 1, (0.5 * r_in,)).y_values, want)
+        if name != "pmm":
+            want = [divergence_loss(pool, 1, 0.5)]
+            assert_bitwise_equal(divergence_curve(pool, 1, (0.5,)).y_values, want)
+        assert calls == [0.3 * r_in, 0.5 * r_in - r_in]
+
+    @pytest.mark.parametrize("name", [*POOLS, "pmm-displaced"])
+    def test_a_cross_section_point_at_the_input_reserve(self, name, monkeypatch):
+        # the cross-section point at the input reserve itself; the displaced
+        # PMM pool's curve pairs its reserve 1 with a reserve 2 one ulp off
+        i, o = 0, 1
+        if name == "pmm-displaced":
+            pool, _, _ = apply_swap(pmm_pool(100.0, 80.0, 1.25, 0.3), 0, 1, 20.0)
+            i, o = 1, 0
+        else:
+            pool = self.POOLS[name](1.0)
+        r_in, r_out = pool.reserves[i], pool.reserves[o]
+        calls = kernel_calls(monkeypatch)
+        series = conservation_cross_section(pool, i, o, (0.5 * r_in, r_in, 2.0 * r_in))
+        want = [r_out - swap_amount(pool, i, o, g - r_in) for g in series.x_values]
+        assert series.y_values[1] == r_out
+        assert_bitwise_equal(series.y_values, want)
+        assert calls == [g - r_in for g in series.x_values]
+
+    @pytest.mark.parametrize("name", list(POOLS))
+    def test_a_trade_that_underflows_to_zero_has_zero_slippage(self, name, monkeypatch):
+        pool = self.POOLS[name](1e-3)
+        r_in = pool.reserves[0]
+        grid = (5e-324, 0.5)
+        assert grid[0] * r_in == 0.0
+        calls = kernel_calls(monkeypatch)
+        got = slippage_curve(pool, 0, 1, grid).y_values
+        assert got[0] == 0.0
+        assert_bitwise_equal(got, [slippage(pool, 0, 1, g * r_in) for g in grid])
+        # the zero trade divides by zero in the comprehension; the wrapped
+        # form recomputes the series from its first point
+        assert calls == [0.0, 0.0, 0.5 * r_in]
+
+    @pytest.mark.parametrize("name", ["uniswap", "weighted3"])
+    def test_a_zero_output_refuses_the_slippage_series(self, name, monkeypatch):
+        # 1e-20 of the reserve does not move it: the output is exactly 0
+        pool = self.POOLS[name](1e4)
+        r_in = pool.reserves[0]
+        with pytest.raises(InfeasibleTrade) as scalar:
+            slippage(pool, 0, 1, 1e-20 * r_in)
+        calls = kernel_calls(monkeypatch)
+        with pytest.raises(InfeasibleTrade, match=f"^{re.escape(str(scalar.value))}$"):
+            slippage_curve(pool, 0, 1, (1e-20, 0.5))
+        assert calls == [1e-20 * r_in] * 2
+
+    def test_a_point_without_solution_recomputes_the_cross_section(self, monkeypatch):
+        pool = self.POOLS["stableswap2"](1.0)
+        r_in = pool.reserves[0]
+        grid = (50.0, 100.0, 1e200, 1e300)
+        calls = kernel_calls(monkeypatch)
+        series = conservation_cross_section(pool, 0, 1, grid)
+        assert [k for k, _ in series.failures] == [2, 3]
+        # NoSolution at 1e200 stops the comprehension; _solved_points
+        # recomputes every point and writes the NaN rows
+        assert calls == [g - r_in for g in grid[:3]] + [g - r_in for g in grid]
+
+    @pytest.mark.parametrize(
+        "pool, grid",
+        [
+            # the output reserve's product overflows to inf
+            (lambda: weighted_pool((1.0, 1e300), (0.9, 0.1)), (1e-5, 1.0, 2.0)),
+            # ratio ** (w_i/w_o) raises OverflowError
+            (lambda: weighted_pool((1.0, 1.0), (0.99, 0.01)), (1e-4, 1.0)),
+            # the PMM curve's reserve 2 is inf
+            (lambda: pmm_pool(1e300, 8e299, 1.25, 0.3), (1e285, 1e300)),
+        ],
+        ids=["weighted-product", "weighted-power", "pmm"],
+    )
+    def test_a_reverse_trade_past_the_float_range_refuses_the_cross_section(
+        self, pool, grid, monkeypatch
+    ):
+        # at the grid's low end the output reserve grows past the largest float
+        pool = pool()
+        r_in = pool.reserves[0]
+        with pytest.raises(DomainError) as scalar:
+            swap_amount(pool, 0, 1, grid[0] - r_in)
+        assert "takes output reserve" in str(scalar.value)
+        calls = kernel_calls(monkeypatch)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+            conservation_cross_section(pool, 0, 1, grid)
+        assert calls == [grid[0] - r_in]
+
+    @pytest.mark.parametrize("name", list(POOLS))
+    @pytest.mark.parametrize(
+        "grid, error",
+        [((1e-300, 50.0), ReserveDepletion), ((50.0, math.inf), DomainError)],
+        ids=["low-end", "high-end"],
+    )
+    def test_a_grid_end_outside_the_trade_guard_refuses_the_cross_section(
+        self, name, grid, error, monkeypatch
+    ):
+        # 1e-300 - r_in rounds to -r_in, which empties the input reserve
+        pool = self.POOLS[name](1.0)
+        r_in = pool.reserves[0]
+        bad = grid[0] if error is ReserveDepletion else grid[-1]
+        with pytest.raises(error) as scalar:
+            swap_amount(pool, 0, 1, bad - r_in)
+        calls = kernel_calls(monkeypatch)
+        with pytest.raises(error, match=f"^{re.escape(str(scalar.value))}$"):
+            conservation_cross_section(pool, 0, 1, grid)
+        assert calls == [g - r_in for g in grid[: grid.index(bad) + 1]]
+
+    @pytest.mark.parametrize("amplification", [0.3, 1.0])
+    @pytest.mark.parametrize("i, o", [(0, 1), (1, 0)])
+    def test_pmm_grids_cross_the_equilibrium_seam(self, amplification, i, o, monkeypatch):
+        # the input reserve starts below its target, so the trades cross the
+        # seam; at A = 1 the r1 >= C1 branch is the constant-product limit
+        pool, _, _ = apply_swap(pmm_pool(100.0, 80.0, 1.25, amplification), o, i, 30.0)
+        r_in, r_out, target = pool.reserves[i], pool.reserves[o], pool.invariant[i]
+        assert r_in < target
+        calls = kernel_calls(monkeypatch)
+        sizes = log_grid(1e-3, 0.95, 60)
+        assert sizes[-1] * r_in > target - r_in
+        want = [slippage(pool, i, o, g * r_in) for g in sizes]
+        assert_bitwise_equal(slippage_curve(pool, i, o, sizes).y_values, want)
+        grid = log_grid(0.5 * r_in, 3.0 * target, 60)
+        want = [r_out - swap_amount(pool, i, o, g - r_in) for g in grid]
+        assert_bitwise_equal(conservation_cross_section(pool, i, o, grid).y_values, want)
+        assert calls == [g * r_in for g in sizes] + [g - r_in for g in grid]

@@ -207,11 +207,10 @@ def test_divergence_loss_refuses_a_nan_price_shift(loss):
     [uniswap_pool(100.0, 100.0), stableswap_pool((100.0, 100.0, 100.0), 10.0)],
     ids=["uniswap", "stableswap"],
 )
-def test_a_divergence_sweep_aborts_at_an_infinite_shift(pool):
-    # inf passes the shift grid's check, g > -1; the kernel refuses it, and a
-    # refusal is no solver failure, so the sweep stops there rather than
-    # writing a NaN point
-    with pytest.raises(DomainError, match="^price shift must be finite, got inf$"):
+def test_a_divergence_sweep_refuses_an_infinite_shift_first(pool):
+    # the shift grid's domain is -1 < g < inf, so inf is refused by the grid
+    # check, as a ValueError, before the first point
+    with pytest.raises(ValueError, match=r"^price shifts must be finite and exceed -1, got inf$"):
         analysis.divergence_curve(pool, 1, [0.5, math.inf])
 
 
