@@ -346,49 +346,6 @@ def _curve(e, A: float):
     return curve
 
 
-# Two unrolled forms keep _curve's float operations in _curve's order: the
-# value-and-slope forms below, which the divergence root solve evaluates, and
-# the revaluation of _divergence_loss_2 and _divergence_loss_3, which computes
-# x and P at the root. The solve's iterates follow the last bits of f and f',
-# and the loss follows those of P*x_k, so a reordered operation moves output
-# bytes. What differs is exact: math.prod's leading 1 and the folds' leading
-# 0 are dropped, n/x_k is written n.0/x_k, and n + 1 and 1/(n+1) literals.
-def _residual_2(e, A: float):
-    e0, e1 = e
-    a0, a1 = 1.0 + e0, 1.0 + e1
-    B = 1.0 - A
-
-    def f(s: float) -> tuple[float, float]:
-        t = s + A
-        x0 = s + e0 * t
-        x1 = s + e1 * t
-        P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
-        i0, i1 = 1.0 / x0, 1.0 / x1
-        d0, d1 = a0 * i0, a1 * i1
-        return A * (i0 + i1) + B * P - 1.0, -A * (d0 * i0 + d1 * i1) - B * P * (d0 + d1) / 3
-
-    return f
-
-
-def _residual_3(e, A: float):
-    e0, e1, e2 = e
-    a0, a1, a2 = 1.0 + e0, 1.0 + e1, 1.0 + e2
-    B = 1.0 - A
-
-    def f(s: float) -> tuple[float, float]:
-        t = s + A
-        x0 = s + e0 * t
-        x1 = s + e1 * t
-        x2 = s + e2 * t
-        P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
-        i0, i1, i2 = 1.0 / x0, 1.0 / x1, 1.0 / x2
-        d0, d1, d2 = a0 * i0, a1 * i1, a2 * i2
-        f = A * (i0 + i1 + i2) + B * P - 1.0
-        return f, -A * (d0 * i0 + d1 * i1 + d2 * i2) - B * P * (d0 + d1 + d2) / 4
-
-    return f
-
-
 _UNREPRESENTABLE = "the curve is not representable"
 _RESERVE_OUT_OF_RANGE = "a rebalanced reserve leaves the floating-point range"
 _REL_TOL = DEFAULT_CONFIG.root_rel_tol
@@ -399,13 +356,24 @@ def _unattainable(rho: float, o: int, reason: str) -> NoSolution:
     return NoSolution(f"rate shift {rho} for asset {o} is unattainable: {reason}")
 
 
+def _unconverged(rho: float, o: int) -> ConvergenceFailure:
+    return ConvergenceFailure(
+        f"rate shift {rho} for asset {o}: root not located to rel_tol={_REL_TOL} "
+        f"within {_MAX_ITERATIONS} iterations"
+    )
+
+
 def _shift_root(residual, n: int, A: float, s: float, rho: float, o: int) -> float:
     """The root in s of the curve equation, for residual(s) -> (f, f'):
     Newton from s, the unshifted root, inside the bracket [s_lo, s_hi] where
     f is positive at s_lo and negative at s_hi (bounds from x_k >= s). Each
     iterate replaces the bracket end whose sign its f shares; a Newton step
     that leaves the bracket bisects it in log space instead. The solve stops
-    once a step moves s by at most _REL_TOL relative."""
+    once a step moves s by at most _REL_TOL relative.
+
+    The generic divergence point (n >= 4) solves by this function.
+    _divergence_loss_2 and _divergence_loss_3 each carry their own copy of
+    this loop, with the curve equation inlined; change all three together."""
     lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
     hi = 2.0 * n * (A if A > 1.0 else 1.0)
     s = min(max(s, lo), hi)
@@ -430,10 +398,7 @@ def _shift_root(residual, n: int, A: float, s: float, rho: float, o: int) -> flo
         if abs(t - s) <= _REL_TOL * t:
             return t
         s = t
-    raise ConvergenceFailure(
-        f"rate shift {rho} for asset {o}: root not located to rel_tol={_REL_TOL} "
-        f"within {_MAX_ITERATIONS} iterations"
-    )
+    raise _unconverged(rho, o)
 
 
 def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
@@ -474,11 +439,17 @@ def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
 
 
 # The 2- and 3-asset forms of _divergence_loss_at, bit for bit. They set up
-# w, m and e, and revalue at the root, unrolled: tuple unpacking and plain
-# comparisons in place of min(key=), max, all() and the comprehensions (each
-# conditional keeps the generic form's choice, NaN included); the rebalanced
-# x and P repeat _curve's operations in its order, and the values are summed
-# by the same math.fsum. Every form solves by _shift_root.
+# w, m and e, solve, and revalue at the root, unrolled: tuple unpacking and
+# plain comparisons in place of min(key=), max, all() and the comprehensions
+# (each conditional keeps the generic form's choice, NaN included). Each
+# carries _shift_root's loop with the same bracket, bisection, stop rule and
+# errors, and evaluates f, f' and the rebalanced x and P with _curve's float
+# operations in _curve's order. The solve's iterates follow the last bits of
+# f and f', and the loss follows those of P*x_k, so a reordered operation
+# moves output bytes. What differs is exact: math.prod's leading 1 and the
+# folds' leading 0 are dropped, n/x_k is written n.0/x_k, n + 1 and 1/(n+1)
+# and the bracket ends are literals, and f' is formed only where a step
+# needs it.
 def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
     quote.check_price_shift(rho)
     if rho == 0.0:
@@ -494,7 +465,39 @@ def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
         out = c * (r0 - r1) / (r1 * r0) + rho * g1
         e0, e1 = 0.0, (0.0 if out < 0.0 else out) / g0
         r_m = r0
-    s = _shift_root(_residual_2((e0, e1), A), 2, A, c / r_m, rho, o)
+    a0, a1, B = 1.0 + e0, 1.0 + e1, 1.0 - A
+    lo = 0.5 * A if A <= 1.0 else 2 * 4.0**-3
+    hi = 4.0 * (A if A > 1.0 else 1.0)
+    s = c / r_m
+    s = lo if lo > s else hi if hi < s else s
+    for _ in range(_MAX_ITERATIONS):
+        t = s + A
+        x0 = s + e0 * t
+        x1 = s + e1 * t
+        P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
+        i0, i1 = 1.0 / x0, 1.0 / x1
+        f = A * (i0 + i1) + B * P - 1.0
+        if not math.isfinite(f):
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        if f > 0.0:
+            lo = s
+        elif f < 0.0:
+            hi = s
+        else:
+            break
+        if not lo < hi:
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        d0, d1 = a0 * i0, a1 * i1
+        slope = -A * (d0 * i0 + d1 * i1) - B * P * (d0 + d1) / 3
+        step = s - f / slope if slope else math.nan
+        if step != s and not lo < step < hi:
+            step = math.sqrt(lo) * math.sqrt(hi)
+        converged = abs(step - s) <= _REL_TOL * step
+        s = step
+        if converged:
+            break
+    else:
+        raise _unconverged(rho, o)
     t = s + A
     x0 = s + e0 * t
     x1 = s + e1 * t
@@ -541,7 +544,40 @@ def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
         elif m == o:
             out -= shift
         e2 = (0.0 if out < 0.0 else out) / w_m
-    s = _shift_root(_residual_3((e0, e1, e2), A), 3, A, c / r_m, rho, o)
+    a0, a1, a2, B = 1.0 + e0, 1.0 + e1, 1.0 + e2, 1.0 - A
+    lo = 0.5 * A if A <= 1.0 else 3 * 6.0**-4
+    hi = 6.0 * (A if A > 1.0 else 1.0)
+    s = c / r_m
+    s = lo if lo > s else hi if hi < s else s
+    for _ in range(_MAX_ITERATIONS):
+        t = s + A
+        x0 = s + e0 * t
+        x1 = s + e1 * t
+        x2 = s + e2 * t
+        P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
+        i0, i1, i2 = 1.0 / x0, 1.0 / x1, 1.0 / x2
+        f = A * (i0 + i1 + i2) + B * P - 1.0
+        if not math.isfinite(f):
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        if f > 0.0:
+            lo = s
+        elif f < 0.0:
+            hi = s
+        else:
+            break
+        if not lo < hi:
+            raise _unattainable(rho, o, _UNREPRESENTABLE)
+        d0, d1, d2 = a0 * i0, a1 * i1, a2 * i2
+        slope = -A * (d0 * i0 + d1 * i1 + d2 * i2) - B * P * (d0 + d1 + d2) / 4
+        step = s - f / slope if slope else math.nan
+        if step != s and not lo < step < hi:
+            step = math.sqrt(lo) * math.sqrt(hi)
+        converged = abs(step - s) <= _REL_TOL * step
+        s = step
+        if converged:
+            break
+    else:
+        raise _unconverged(rho, o)
     t = s + A
     x0 = s + e0 * t
     x1 = s + e1 * t

@@ -143,7 +143,8 @@ CORPUS = _corpus()
 def _solved(cases, invariant=lambda reserves, amp: float(invariant_reference(reserves, amp))):
     """(inputs, L, s) for each case, with the invariant D, by default the
     reference's rounded, and the root s that the closed form's solve
-    returned."""
+    returned. The 2- and 3-asset forms solve inline, so s is recorded on
+    the generic path, which must return the same L bit for bit."""
     roots = []
     solve = stableswap._shift_root
 
@@ -152,11 +153,15 @@ def _solved(cases, invariant=lambda reserves, amp: float(invariant_reference(res
         return roots[-1]
 
     out = []
-    with patch.object(stableswap, "_shift_root", recorded):
-        for reserves, amp, o, rho in cases:
-            d = invariant(reserves, amp)
-            loss = stableswap_divergence_loss(reserves, d, amp, o, rho)
-            out.append(((reserves, d, amp, o, rho), loss, roots[-1]))
+    for reserves, amp, o, rho in cases:
+        d = invariant(reserves, amp)
+        loss = stableswap_divergence_loss(reserves, d, amp, o, rho)
+        with patch.object(stableswap, "_shift_root", recorded), patch.dict(
+            stableswap._DIVERGENCE_POINTS, clear=True
+        ):
+            assert stableswap_divergence_loss(reserves, d, amp, o, rho).hex() == loss.hex()
+        out.append(((reserves, d, amp, o, rho), loss, roots[-1]))
+    assert len(roots) == len(cases)
     return out
 
 

@@ -465,7 +465,9 @@ class TestDivergenceLoss:
     def test_the_solve_takes_few_evaluations(self):
         # Newton from the unshifted root with the analytic slope: about 7.5
         # curve evaluations per point on the default grid, where the bracket
-        # walk and find_root took 19
+        # walk and find_root took 19. Counted on the generic path, which
+        # TestUnrolledResidual ties bit for bit to the 2- and 3-asset forms'
+        # own copies of the loop
         evaluations = []
         solve = stableswap._shift_root
 
@@ -475,9 +477,26 @@ class TestDivergenceLoss:
                 return residual(s)
             return solve(f, *args)
 
-        with patch.object(stableswap, "_shift_root", counted):
+        with patch.object(stableswap, "_shift_root", counted), patch.dict(
+            stableswap._DIVERGENCE_POINTS, clear=True
+        ):
             points = sum(len(divergence_curve(pool, 1).x_values) for pool in self.SOLVE_POOLS)
+        assert points == 24 * len(default_shift_grid())
         assert len(evaluations) / points <= 8.5
+
+    def test_only_pools_of_four_or_more_assets_call_the_generic_solve(self):
+        calls = Counter()
+        solve = stableswap._shift_root
+
+        def counted(residual, n, *args):
+            calls[n] += 1
+            return solve(residual, n, *args)
+
+        with patch.object(stableswap, "_shift_root", counted):
+            for pool in self.SOLVE_POOLS:
+                divergence_curve(pool, 1)
+        assert set(calls) == {4}
+        assert calls[4] >= 8 * (len(default_shift_grid()) - 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -554,45 +573,31 @@ class TestUnrolledSwap:
 
 
 class TestUnrolledResidual:
-    """The 2- and 3-asset curve equations and slopes that the divergence
-    solve evaluates must equal the generic stableswap._curve bit for bit: a
-    reordered float operation moves the roots the solve returns, and with
-    them output bytes."""
-
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(
-        e=st.lists(
-            st.one_of(st.just(0.0), _log_uniform(-17.0, 20.0), _log_uniform(20.0, 300.0)),
-            min_size=2,
-            max_size=3,
-        ),
-        amp=_log_uniform(-3.0, 8.0),
-        u=_log_uniform(-4.0, 9.0),
-        k=st.one_of(st.just(1.0), _log_uniform(-4.0, 9.0)),
-    )
-    def test_matches_the_generic_curve_bit_for_bit(self, e, amp, u, k):
-        unrolled = {2: stableswap._residual_2, 3: stableswap._residual_3}[len(e)]
-        got = unrolled(e, amp)(k * u)
-        want = stableswap._curve(e, amp)(k * u)[2:]
-        assert list(map(float.hex, got)) == list(map(float.hex, want))
+    """The 2- and 3-asset divergence points inline the curve equation, its
+    slope and the Newton loop of the generic path; they must equal
+    stableswap._divergence_loss_at bit for bit: a reordered float operation
+    moves the roots the solve returns, and with them output bytes."""
 
     def test_divergence_loss_matches_the_generic_path(self):
         # the unrolled 2- and 3-asset divergence points against the generic
         # _divergence_loss_at on the generic curve: equal bits, or the same
-        # error. Random pools from 1e-100 to 1e100 with shifts up to 1e300
-        # reach the rebalanced reserves' range check; two 3-asset pools
-        # imbalanced by over 1e100 reach the solve's finiteness check
+        # error. Random pools from 1e-100 to 1e100 with A up to 1e12 and
+        # shifts up to 1e300, within 1e-12 of -1 and down to 1e-12 either
+        # way reach the regions where f cancels and the rebalanced
+        # reserves' range check; two 3-asset pools imbalanced by over 1e100
+        # reach the solve's finiteness check
         rng = random.Random("stableswap/divergence-points")
         cases = []
-        for _ in range(2500):
+        for _ in range(3000):
             n = rng.choice((2, 3))
             scale = 10.0 ** rng.uniform(-100.0, 100.0)
             reserves = tuple(scale * 10.0 ** rng.uniform(-10.0, 10.0) for _ in range(n))
-            amp = 10.0 ** rng.uniform(-6.0, 12.0)
+            amp = 10.0 ** rng.choice((rng.uniform(-6.0, 12.0), rng.uniform(10.0, 12.0)))
             o = rng.randrange(1, n)
             rho = rng.choice((
                 rng.uniform(-1.0, 4.0),
                 -1.0 + 10.0 ** rng.uniform(-12.0, 0.0),
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -4.0),
                 10.0 ** rng.uniform(-12.0, 300.0),
             ))
             cases.append((reserves, amp, o, rho))
@@ -609,19 +614,36 @@ class TestUnrolledResidual:
             except AmmError as exc:
                 return type(exc), str(exc)
 
-        outcomes = []
+        excess = []
+        curve = stableswap._curve
+
+        def recorded(e, A):
+            excess.append(max(e))
+            return curve(e, A)
+
+        outcomes, reached = [], Counter()
         for reserves, amp, o, rho in cases:
             try:
                 d = solve_invariant(reserves, amp)
             except AmmError:
                 continue
             unrolled = outcome(reserves, d, amp, o, rho)
-            with patch.dict(stableswap._DIVERGENCE_POINTS, clear=True):
+            with patch.dict(stableswap._DIVERGENCE_POINTS, clear=True), patch.object(
+                stableswap, "_curve", recorded
+            ):
                 assert outcome(reserves, d, amp, o, rho) == unrolled, (reserves, amp, o, rho)
             outcomes.append(unrolled)
+            if isinstance(unrolled, str):
+                # the regions the solved points reach
+                reached["A >= 1e11"] += amp >= 1e11
+                reached["excess >= 1e280"] += excess[-1] >= 1e280
+                reached["1 + rho <= 1e-10"] += 1.0 + rho <= 1e-10
+                reached["|rho| <= 1e-10"] += abs(rho) <= 1e-10
+                reached["3 assets, o = 2"] += len(reserves) == 3 and o == 2
         reasons = Counter(
             out[1].rsplit(": ", 1)[-1] for out in outcomes if out[0] is NoSolution
         )
         assert reasons["the curve is not representable"] == 2
         assert reasons["a rebalanced reserve leaves the floating-point range"] >= 5
         assert sum(isinstance(out, str) for out in outcomes) >= 2000
+        assert min(reached.values()) >= 20 and len(reached) == 5, reached
