@@ -108,6 +108,9 @@ def _post_reserve_error(r1_new: float) -> ValueError:
     return ValueError(f"reserve must stay {what}, got {r1_new}")
 
 
+_SINGULAR = "quadratic branch undefined at A = 1; evaluate the constant-product limit"
+
+
 def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     """Post-trade reserve 2 on the r1 >= C1 branch: the positive root of
     P*(1-A)*u^2 + (r1' - C1 - P*C2*(1-2A))*u - P*A*C2^2 = 0.
@@ -121,9 +124,7 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     c1, c2 = params.target1, params.target2
     lead = p * (1.0 - a)
     if lead == 0.0:
-        raise SingularAmplification(
-            "quadratic branch undefined at A = 1; evaluate the constant-product limit"
-        )
+        raise SingularAmplification(_SINGULAR)
     b = (r1_new - c1) - p * c2 * (1.0 - 2.0 * a)
     c = -p * a * c2 * c2
     disc = b * b - 4.0 * lead * c
@@ -133,7 +134,9 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
 
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
-    """The reserve-2 value paired with r1_new on the conservation curve."""
+    """The reserve-2 value paired with r1_new on the conservation curve.
+    _swap_output carries its own copy of this solve and
+    quadratic_branch_reserve2's; the three change together."""
     if not 0.0 < r1_new < math.inf:
         raise _post_reserve_error(r1_new)
     p, a = params.oracle_price, params.amplification
@@ -147,12 +150,32 @@ def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
 
 
 def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
+    # r2 - reserve2_given_reserve1(r1 + x1, params), bit for bit, in one frame:
+    # its branch solve inlined, max(x, y) as y if y > x else x
     r1_new = r1 + x1
     if not 0.0 < r1_new < math.inf:
         raise quote.trade_refusal(r1, x1)
     if x1 == 0.0:
         return 0.0
-    r2_new = reserve2_given_reserve1(r1_new, params)
+    p, a = params.oracle_price, params.amplification
+    c1, c2 = params.target1, params.target2
+    if r1_new >= c1:
+        if a == 1.0:
+            r2_new = p * c2 * c2 / (r1_new - c1 + p * c2)
+        else:
+            lead = p * (1.0 - a)
+            if lead == 0.0:
+                raise SingularAmplification(_SINGULAR)
+            b = (r1_new - c1) - p * c2 * (1.0 - 2.0 * a)
+            c = -p * a * c2 * c2
+            disc = b * b - 4.0 * lead * c
+            q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            root = q_half / lead
+            r2_new = c / q_half
+            if not r2_new > root:
+                r2_new = root
+    else:
+        r2_new = c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
     if not r2_new < math.inf:
         raise quote.output_refusal(r2, x1)
     return r2 - r2_new

@@ -66,6 +66,7 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
     last term beyond the float range raises DomainError: it would make the
     residual NaN."""
     _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
     g, scale, power = _polynomial_terms(reserves, D, amplification)
     if not math.isfinite(power):
         raise _out_of_range(reserves, D)
@@ -88,6 +89,7 @@ def curve_constants(D: float, amplification: float, n: int) -> tuple[float, floa
     spot rates, swaps and conservation checks share. A D that is not
     positive, then a q or a D*q beyond the float range, raises DomainError."""
     quote.check_invariant(D)
+    quote.check_stableswap_amplification(amplification)
     constants = _constants(D, amplification, n)
     if not math.isfinite(constants[1]):
         raise DomainError(f"D*(D/n)^n leaves the floating-point range at D={D}")
@@ -125,6 +127,7 @@ def defining_residual(reserves, D: float, amplification: float) -> float:
     The excess sum(r) - D is summed exactly before A multiplies it: rounding
     sum(r)/D first would put noise of order A*eps on the residual."""
     _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
     n = len(reserves)
     prod = math.prod(reserves)
     return (D / n) ** n / prod - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
@@ -140,6 +143,7 @@ def invariant_drift(reserves, D: float, amplification: float) -> float:
     re-solving D to ~1e-18, without a root solve.
     """
     _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
     n = len(reserves)
     ratio = (D / n) ** n / math.prod(reserves)
     g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
@@ -205,6 +209,7 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     A D that is not positive is refused first."""
     quote.check_invariant(D)
     _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
     if i == o:
         return 1.0
     _, dq, _ = curve_constants(D, amplification, len(reserves))
@@ -216,7 +221,8 @@ def _output_reserve(
 ) -> float:
     """The post-trade output reserve: the positive root u of
     u^2 + (s0 - shift)*u - scale/(A*p0) = 0, for the sum s0 and product p0
-    of the non-output reserves after the trade."""
+    of the non-output reserves after the trade. _swap_output_2 and
+    _swap_output_3 carry their own copy; the three change together."""
     b = s0 - shift
     c = scale / (amplification * p0)
     disc = b * b + 4.0 * c
@@ -252,8 +258,10 @@ def _swap_output(
 
 # The 2- and 3-asset forms of _swap_output, bit for bit: the loop's leading
 # 0.0 + and 1.0 * are exact, and a sum or product of two doubles does not
-# depend on their order. The pool size picks its form once (_SWAP_OUTPUTS);
-# the loop runs for 4 or more assets and is their reference.
+# depend on their order. Each inlines _output_reserve's quadratic in its
+# operation order (max(x, y) as y if y > x else x, isfinite as < inf: the same
+# NaN outcomes), so the three change together. The pool size picks its form
+# once (_SWAP_OUTPUTS); the loop runs for 4 or more assets and is their reference.
 def _swap_output_2(
     reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
 ) -> float:
@@ -262,7 +270,18 @@ def _swap_output_2(
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    return reserves[o] - _output_reserve(r_in_new, r_in_new, shift, scale, amplification)
+    b = r_in_new - shift
+    c = scale / (amplification * r_in_new)
+    disc = b * b + 4.0 * c
+    if disc < 0.0:
+        raise NoSolution("swap quadratic has no real root")
+    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = -c / q_half
+    if not root > q_half:
+        root = q_half
+    if not 0.0 < root < math.inf:
+        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
+    return reserves[o] - root
 
 
 def _swap_output_3(
@@ -274,9 +293,18 @@ def _swap_output_3(
     if x_in == 0.0:
         return 0.0
     r_other = reserves[3 - i - o]
-    return reserves[o] - _output_reserve(
-        r_in_new + r_other, r_in_new * r_other, shift, scale, amplification
-    )
+    b = (r_in_new + r_other) - shift
+    c = scale / (amplification * (r_in_new * r_other))
+    disc = b * b + 4.0 * c
+    if disc < 0.0:
+        raise NoSolution("swap quadratic has no real root")
+    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = -c / q_half
+    if not root > q_half:
+        root = q_half
+    if not 0.0 < root < math.inf:
+        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
+    return reserves[o] - root
 
 
 _SWAP_OUTPUTS = {2: _swap_output_2, 3: _swap_output_3}
@@ -309,6 +337,7 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
     runs the pool size's form in _DIVERGENCE_POINTS, or the generic one."""
     quote.check_invariant(D)
     _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
     n = len(reserves)
     quote.check_index(n, o)
     quote.check_numeraire(o)

@@ -18,6 +18,7 @@ from .quote import slippage_from_quote
 def _check_shape(reserves, weights) -> None:
     quote.check_weight_count(len(reserves), weights)
     quote.check_reserves(reserves)
+    quote.check_weights(weights)
 
 
 def _conservation(reserves, weights) -> float:
@@ -94,6 +95,7 @@ def _divergence_losses(w: float, shifts) -> tuple[float, ...]:
 def weighted_divergence_kernel(weights, o: int):
     """rho -> weighted_divergence_loss(weights, o, rho), with the index check
     and the weight w_o taken once for a sweep."""
+    quote.check_weights(weights)
     quote.check_index(len(weights), o)
     return partial(_divergence_loss_at, weights[o])
 

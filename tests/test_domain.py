@@ -389,6 +389,110 @@ def test_the_invariant_is_judged_before_the_reserves(call):
         call()
 
 
+# every public stableswap function that takes an amplification, as
+# (reserves, D, A) -> call
+AMPLIFICATION_CALLS = {
+    "solve_invariant": lambda r, d, a: stableswap.solve_invariant(r, a),
+    "curve_constants": lambda r, d, a: stableswap.curve_constants(d, a, len(r)),
+    "stableswap.conservation_residual": lambda r, d, a: stableswap.conservation_residual(r, d, a),
+    "defining_residual": lambda r, d, a: stableswap.defining_residual(r, d, a),
+    "invariant_drift": lambda r, d, a: stableswap.invariant_drift(r, d, a),
+    "stableswap_spot_rate": lambda r, d, a: stableswap.stableswap_spot_rate(r, d, a, 0, 1),
+    "stableswap_spot_rate same asset": lambda r, d, a: stableswap.stableswap_spot_rate(
+        r, d, a, 1, 1
+    ),
+    "stableswap_swap": lambda r, d, a: stableswap.stableswap_swap(r, d, a, 0, 1, 10.0),
+    "stableswap_slippage": lambda r, d, a: stableswap.stableswap_slippage(r, d, a, 0, 1, 10.0),
+    "stableswap_divergence_kernel": lambda r, d, a: stableswap.stableswap_divergence_kernel(
+        r, d, a, 1
+    ),
+    "stableswap_divergence_loss": lambda r, d, a: stableswap.stableswap_divergence_loss(
+        r, d, a, 1, 0.5
+    ),
+}
+# the ones that also take D, and judge it first
+_JUDGE_D = ("curve_constants", "stableswap_spot_rate", "stableswap_spot_rate same asset",
+            "stableswap_swap", "stableswap_slippage", "stableswap_divergence_kernel",
+            "stableswap_divergence_loss")
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, -0.001, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("name", list(AMPLIFICATION_CALLS))
+def test_a_stableswap_amplification_outside_its_domain_is_refused(name, a):
+    # at A = 0 the swap divided by zero, at A = -0.001 it returned -289,788.86,
+    # the divergence loss at A = 0 was positive and the residual at A = NaN NaN
+    message = f"stableswap amplification must be finite and positive, got {a}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AMPLIFICATION_CALLS[name]((100.0, 200.0), 290.0, a)
+
+
+@pytest.mark.parametrize("name", [k for k in AMPLIFICATION_CALLS if k != "curve_constants"])
+def test_the_reserves_are_judged_before_the_amplification(name):
+    message = r"^reserves must be finite and positive, got \(nan, 200.0\)$"
+    with pytest.raises(ValueError, match=message):
+        AMPLIFICATION_CALLS[name]((math.nan, 200.0), 290.0, 0.0)
+
+
+@pytest.mark.parametrize("name", _JUDGE_D)
+def test_the_invariant_is_judged_before_the_amplification(name):
+    with pytest.raises(DomainError, match="^stableswap invariant D must be positive, got -1.0$"):
+        AMPLIFICATION_CALLS[name]((100.0, 200.0), -1.0, 0.0)
+
+
+# every public weighted function that takes weights, as (reserves, weights) -> call
+WEIGHT_CALLS = {
+    "weighted_conservation": lambda r, w: weighted.weighted_conservation(r, w),
+    "weighted_spot_rate": lambda r, w: weighted.weighted_spot_rate(r, w, 0, 1),
+    "weighted_spot_rate same asset": lambda r, w: weighted.weighted_spot_rate(r, w, 1, 1),
+    "weighted_swap": lambda r, w: weighted.weighted_swap(r, w, 0, 1, 10.0),
+    "weighted_slippage": lambda r, w: weighted.weighted_slippage(r, w, 0, 1, 10.0),
+    "weighted_rebalanced_reserves": lambda r, w: weighted.weighted_rebalanced_reserves(
+        r, w, 1, 0.5
+    ),
+    "weighted_divergence_kernel": lambda r, w: weighted.weighted_divergence_kernel(w, 1),
+    "weighted_divergence_loss": lambda r, w: weighted.weighted_divergence_loss(w, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1.0, 0.0), "every weight must lie in (0, 1), got (1.0, 0.0)"),
+        ((math.nan, 0.5), "every weight must lie in (0, 1), got (nan, 0.5)"),
+        ((-0.5, 1.5), "every weight must lie in (0, 1), got (-0.5, 1.5)"),
+        ((0.5, math.inf), "every weight must lie in (0, 1), got (0.5, inf)"),
+        ((0.5, 0.6), "weights must sum to 1, got (0.5, 0.6)"),
+    ],
+    ids=["zero", "nan", "negative", "inf", "sum"],
+)
+@pytest.mark.parametrize("name", list(WEIGHT_CALLS))
+def test_weights_outside_their_domain_are_refused(name, weights, message):
+    # weights (1, 0) divided by zero, (nan, 0.5) gave NaN and (-0.5, 1.5) a
+    # spot rate of -1.5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WEIGHT_CALLS[name]((100.0, 200.0), weights)
+
+
+@pytest.mark.parametrize("name", [k for k in WEIGHT_CALLS if "divergence" not in k])
+def test_the_reserves_are_judged_before_the_weights(name):
+    message = r"^reserves must be finite and positive, got \(nan, 200.0\)$"
+    with pytest.raises(ValueError, match=message):
+        WEIGHT_CALLS[name]((math.nan, 200.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: weighted.weighted_divergence_kernel(w, 5),
+        lambda w: weighted.weighted_divergence_loss(w, 5, 0.5),
+    ],
+    ids=["weighted_divergence_kernel", "weighted_divergence_loss"],
+)
+def test_the_weights_are_judged_before_the_asset_index(call):
+    with pytest.raises(ValueError, match=r"^every weight must lie in \(0, 1\), got \(1.0, 0.0\)$"):
+        call((1.0, 0.0))
+
+
 # one message per rule, and the one module of src/ammlab that words it; the
 # modules that enforce a rule call the check or the refusal built there
 RULES = {

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from ammlab import (
+    AmmError,
     DomainError,
     InfeasibleTrade,
     ReserveDepletion,
@@ -15,6 +18,7 @@ from ammlab import (
     pmm_pool,
     swap_amount,
 )
+from ammlab import pmm, quote
 from ammlab.pmm import (
     PMMParams,
     conservation_gap,
@@ -178,6 +182,98 @@ class TestSwap:
         r2 = reserve2_given_reserve1(r1, BALANCED)
         out = pmm_swap(r1, r2, BALANCED, 20.0)
         assert math.isclose(r2 - out, 100.0, rel_tol=1e-12)
+
+
+class TestInlinedSwap:
+    """_swap_output carries its own copy of reserve2_given_reserve1's branch
+    solve, quadratic_branch_reserve2's included. It must equal the
+    composition it replaced bit for bit, or raise the same exception: a
+    reordered float operation moves output bytes."""
+
+    @staticmethod
+    def composed(r1, r2, params, x1):
+        # r2 - reserve2_given_reserve1(r1 + x1, params) behind the swap's guards
+        r1_new = r1 + x1
+        if not 0.0 < r1_new < math.inf:
+            raise quote.trade_refusal(r1, x1)
+        if x1 == 0.0:
+            return 0.0
+        r2_new = reserve2_given_reserve1(r1_new, params)
+        if not r2_new < math.inf:
+            raise quote.output_refusal(r2, x1)
+        return r2 - r2_new
+
+    def test_matches_the_composed_branch_solve(self):
+        # oracle prices from subnormal to 1e300, A anywhere in (0, 1], at 1
+        # and within 1e-12 of it, targets from 1e-100 to 1e100, half the
+        # pools mirrored; reserve 1 at, near and far below its target, and
+        # forward, reverse, exhausting, seam-landing, overflowing, zero and
+        # non-finite trades
+        rng = random.Random("pmm/swap-outputs")
+        kinds = Counter()
+        for _ in range(6000):
+            price = rng.choice((
+                10.0 ** rng.uniform(-3.0, 3.0),
+                10.0 ** rng.uniform(-300.0, 300.0),
+                5e-324 * rng.randrange(1, 1 << 20),
+            ))
+            amp = rng.choice((
+                1.0, 1.0 - 10.0 ** rng.uniform(-16.0, -12.0), rng.uniform(1e-9, 1.0),
+                10.0 ** rng.uniform(-300.0, 0.0),
+            ))
+            targets = 10.0 ** rng.uniform(-100.0, 100.0), 10.0 ** rng.uniform(-100.0, 100.0)
+            try:
+                params = PMMParams(price, amp, *targets)
+                if rng.random() < 0.5:
+                    params = params.mirrored()
+            except ValueError:
+                continue
+            c1 = params.target1
+            r1 = c1 * rng.choice(
+                (1.0, 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-300.0, 0.0))
+            )
+            r2 = params.target2 * 10.0 ** rng.uniform(-3.0, 3.0)
+            x1 = rng.choice((
+                r1 * 10.0 ** rng.uniform(-15.0, 3.0),
+                -r1 * rng.random(),
+                -r1 * (1.0 + rng.random()),
+                c1 - r1,
+                r1 * 10.0 ** rng.uniform(3.0, 300.0),
+                1.7e308 * rng.random(),
+                rng.choice((0.0, math.nan, math.inf, -math.inf)),
+            ))
+            outcomes = []
+            for swap in (pmm._swap_output, self.composed):
+                try:
+                    outcomes.append(float.hex(swap(r1, r2, params, x1)))
+                except Exception as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (r1, r2, params, x1)
+            out = outcomes[0]
+            if not isinstance(out, str):
+                kinds["output refusal" if "output reserve" in out[1] else out[0].__name__] += 1
+                continue
+            r1_new = r1 + x1
+            if x1 == 0.0:
+                kinds["zero trade"] += 1
+                continue
+            if r1_new < c1:
+                kinds["r1' < C1"] += 1
+            elif params.amplification == 1.0:
+                kinds["A = 1"] += 1
+            else:
+                kinds["quadratic"] += 1
+                kinds["1 - A <= 1e-12"] += 1.0 - params.amplification <= 1e-12
+            kinds["r1' = C1"] += r1_new == c1
+            kinds["reverse"] += x1 < 0.0
+            kinds["mirrored"] += params.target1 != targets[0]
+        for kind, least in {
+            "r1' < C1": 400, "quadratic": 700, "A = 1": 200, "1 - A <= 1e-12": 200,
+            "r1' = C1": 200, "reverse": 300, "mirrored": 600, "zero trade": 200,
+            "output refusal": 100, "SingularAmplification": 50, "ZeroDivisionError": 10,
+            "ReserveDepletion": 400, "DomainError": 250,
+        }.items():
+            assert kinds[kind] >= least, (kind, kinds)
 
 
 class TestSlippage:

@@ -512,11 +512,17 @@ class TestUnrolledSwap:
     non-output reserves bit for bit, or fail with the same error."""
 
     def test_matches_the_generic_loop(self):
-        # random pools from 1e-100 to 1e100 with A from 1e-6 to 1e12;
-        # forward, reverse, exhausting, zero and non-finite trades
+        # the only guard of the quadratic that the 2- and 3-asset forms
+        # inline: equal bits, or the same exception by class and message.
+        # Random pools from 1e-100 to 1e100 with A from 1e-6 to 1e12 take
+        # their constants from curve_constants; forward, reverse, exhausting,
+        # zero and non-finite trades. Two fifths of the cases replace one of
+        # shift, scale and A with a value that no pool builds (negated, zero,
+        # subnormal, rescaled by up to 1e300 or not finite), so the corpus
+        # reaches every refusal of the quadratic
         rng = random.Random("stableswap/swap-outputs")
         cases = []
-        for _ in range(3000):
+        for _ in range(4000):
             n = rng.choice((2, 3))
             scale = 10.0 ** rng.uniform(-100.0, 100.0)
             reserves = tuple(scale * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n))
@@ -531,33 +537,52 @@ class TestUnrolledSwap:
                 0.0,
                 rng.choice((math.nan, math.inf, -math.inf)),
             ))
-            cases.append((reserves, amp, i, o, x_in))
-
-        def outcome(reserves, d, amp, i, o, x_in):
             try:
-                return float.hex(stableswap_swap(reserves, d, amp, i, o, x_in))
-            except AmmError as exc:
-                return type(exc), str(exc)
-
-        outcomes = []
-        for reserves, amp, i, o, x_in in cases:
-            try:
-                d = solve_invariant(reserves, amp)
+                _, dq, shift = stableswap.curve_constants(solve_invariant(reserves, amp), amp, n)
             except AmmError:
                 continue
-            unrolled = outcome(reserves, d, amp, i, o, x_in)
-            with patch.dict(stableswap._SWAP_OUTPUTS, clear=True):
-                generic = outcome(reserves, d, amp, i, o, x_in)
-            assert generic == unrolled, (reserves, amp, i, o, x_in)
-            outcomes.append((len(reserves), unrolled))
-        kinds = Counter(
-            (n, "ok" if isinstance(out, str) else out[0].__name__) for n, out in outcomes
-        )
+            constants = [shift, dq, amp]
+            if rng.random() < 0.4:
+                k = rng.randrange(3)
+                constants[k] = rng.choice((
+                    -constants[k], 0.0, 5e-324, constants[k] * 10.0 ** rng.uniform(-300.0, 300.0),
+                    math.inf, -math.inf, math.nan,
+                ))
+            cases.append((reserves, i, o, *constants, x_in))
+
+        def outcome(swap, *args):
+            try:
+                return float.hex(swap(*args))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        def kind(out):
+            if isinstance(out, str):
+                return "ok"
+            error, message = out
+            if message == "swap quadratic has no real root":
+                return "no real root"
+            if message.startswith("swap quadratic produced a non-positive reserve "):
+                root = float(message.rsplit(" ", 1)[1])
+                if math.isnan(root):
+                    return "root nan"
+                return "root inf" if math.isinf(root) else "root <= 0"
+            return error.__name__
+
+        kinds = Counter()
+        for case in cases:
+            n = len(case[0])
+            unrolled = outcome(stableswap._SWAP_OUTPUTS[n], *case)
+            assert outcome(stableswap._swap_output, *case) == unrolled, case
+            kinds[n, kind(unrolled)] += 1
         for n in (2, 3):
             assert kinds[n, "ok"] >= 600
-            assert kinds[n, "DomainError"] >= 100
-            assert kinds[n, "ReserveDepletion"] >= 100
-            assert kinds[n, "NoSolution"] >= 50
+            assert kinds[n, "DomainError"] >= 200
+            assert kinds[n, "ReserveDepletion"] >= 200
+            # each refusal of the quadratic, and a division by zero
+            for refusal in ("no real root", "root <= 0", "root inf", "root nan",
+                            "ZeroDivisionError"):
+                assert kinds[n, refusal] >= 10, (n, refusal, kinds)
 
     def test_a_pool_picks_its_form_once(self):
         for n in (2, 3, 4):
