@@ -70,26 +70,23 @@ class ImplicitConservation:
         quote.check_asset_count(self.n)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RootBracket:
-    """An interval [lo, hi] of positive reals straddling a sign change.
-
-    Built on every divergence point, so its checked fields are filled in one
-    write, not by a generated __init__'s object.__setattr__ per field."""
+    """An interval [lo, hi] of positive reals straddling a sign change."""
 
     lo: float
     hi: float
     f_lo: float
     f_hi: float
 
-    def __init__(self, lo: float, hi: float, f_lo: float, f_hi: float) -> None:
+    def __post_init__(self) -> None:
+        lo, hi, f_lo, f_hi = self.lo, self.hi, self.f_lo, self.f_hi
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise InvalidBracket(f"bracket endpoints must satisfy 0 < lo < hi, got [{lo}, {hi}]")
         if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
             raise InvalidBracket("bracket endpoint values must be finite")
         if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
             raise InvalidBracket(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
-        self.__dict__.update(lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi)
 
     @classmethod
     def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":

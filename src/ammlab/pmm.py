@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import quote
-from .errors import SingularAmplification
+from .errors import DomainError, SingularAmplification
 from .quote import slippage_from_quote
 
 
@@ -38,10 +38,10 @@ class PMMParams:
         if not (math.isfinite(self.oracle_price) and self.oracle_price > 0.0):
             raise ValueError(f"oracle price must be finite and positive, got {self.oracle_price}")
         quote.check_pmm_amplification(self.amplification)
-        if self.target1 <= 0.0 or self.target2 <= 0.0:
-            raise ValueError(
-                f"equilibrium targets must be positive, got ({self.target1}, {self.target2})"
-            )
+        t1, t2 = self.target1, self.target2
+        if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+            what = "positive" if t1 <= 0.0 or t2 <= 0.0 else "finite"
+            raise ValueError(f"equilibrium targets must be {what}, got ({t1}, {t2})")
 
     def mirrored(self) -> "PMMParams":
         """The same pool with the two assets relabeled (price inverted);
@@ -109,6 +109,7 @@ def _post_reserve_error(r1_new: float) -> ValueError:
 
 
 _SINGULAR = "quadratic branch undefined at A = 1; evaluate the constant-product limit"
+_VANISHING = "quadratic branch's linear coefficient and discriminant underflow to zero"
 
 
 def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
@@ -130,7 +131,10 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     disc = b * b - 4.0 * lead * c
     # stable two-root form; the roots have opposite signs (c/lead < 0)
     q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return max(q_half / lead, c / q_half)
+    try:
+        return max(q_half / lead, c / q_half)
+    except ZeroDivisionError:
+        raise DomainError(_VANISHING) from None
 
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
@@ -171,7 +175,10 @@ def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
             disc = b * b - 4.0 * lead * c
             q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
             root = q_half / lead
-            r2_new = c / q_half
+            try:
+                r2_new = c / q_half
+            except ZeroDivisionError:
+                raise DomainError(_VANISHING) from None
             if not r2_new > root:
                 r2_new = root
     else:

@@ -40,37 +40,23 @@ def _out_of_range(reserves, D: float) -> DomainError:
     )
 
 
-def _polynomial_terms(reserves, D: float, amplification: float) -> tuple[float, float, float]:
-    """g(D), the sum of its term magnitudes (for backward-error residuals),
-    and its last term D^{n+1} / (n^n * prod(r)).
-
-    g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)); the invariant is
-    the positive root of g. The last term can overflow to inf at the upper
-    end of solve_invariant's bracket, sum(r), even where the root itself is
-    representable: g is then -inf, a valid sign for the root solve.
-    """
-    n = len(reserves)
-    total = math.fsum(reserves)
-    prod = math.prod(reserves)
-    try:
-        power = D * (D / n) ** n / prod
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(reserves, D) from None
-    terms = (amplification * total, D, amplification * D, power)
-    return terms[0] + terms[1] - terms[2] - terms[3], sum(abs(t) for t in terms), power
-
-
 def conservation_residual(reserves, D: float, amplification: float) -> float:
     """Relative residual of the defining equation at (reserves, D):
-    |g(D)| normalized by the magnitudes of g's terms. Zero on the curve. A
-    last term beyond the float range raises DomainError: it would make the
+    |g(D)| normalized by the magnitudes of g's terms, for
+    g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)). Zero on the curve.
+    A last term beyond the float range raises DomainError: it would make the
     residual NaN."""
     _check_reserves(reserves)
     quote.check_stableswap_amplification(amplification)
-    g, scale, power = _polynomial_terms(reserves, D, amplification)
+    n = len(reserves)
+    a_total, a_d = amplification * math.fsum(reserves), amplification * D
+    try:
+        power = D * (D / n) ** n / math.prod(reserves)
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(reserves, D) from None
     if not math.isfinite(power):
         raise _out_of_range(reserves, D)
-    return abs(g) / max(scale, 1e-300)
+    return abs(a_total + D - a_d - power) / max(sum(map(abs, (a_total, D, a_d, power))), 1e-300)
 
 
 def _constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
@@ -152,7 +138,8 @@ def invariant_drift(reserves, D: float, amplification: float) -> float:
 
 
 def solve_invariant(reserves, amplification: float) -> float:
-    """The unique positive invariant D for the given reserves.
+    """The unique positive invariant D for the given reserves: the root of
+    g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)).
 
     AM-GM brackets the root inside [n*(prod r)^{1/n}, sum r], where g has
     opposite signs at the endpoints and is strictly decreasing; a balanced
@@ -164,10 +151,18 @@ def solve_invariant(reserves, amplification: float) -> float:
     if min(reserves) == max(reserves):
         return n * reserves[0]
     total = math.fsum(reserves)
-    geo = n * math.prod(reserves) ** (1.0 / n)
+    prod = math.prod(reserves)
+    geo = n * prod ** (1.0 / n)
+    a_total = amplification * total
 
     def g(D: float) -> float:
-        return _polynomial_terms(reserves, D, amplification)[0]
+        # the last term can overflow to inf at D = sum(r) even where the root
+        # is representable: g is then -inf, and the root bracket refuses it
+        try:
+            power = D * (D / n) ** n / prod
+        except (OverflowError, ZeroDivisionError):
+            raise _out_of_range(reserves, D) from None
+        return a_total + D - amplification * D - power
 
     g_lo, g_hi = g(geo), g(total)
     # analytically g(geo) >= 0 >= g(total); an endpoint where rounding makes g
@@ -216,27 +211,6 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     return _spot_rate(reserves, dq, amplification, i, o)
 
 
-def _output_reserve(
-    s0: float, p0: float, shift: float, scale: float, amplification: float
-) -> float:
-    """The post-trade output reserve: the positive root u of
-    u^2 + (s0 - shift)*u - scale/(A*p0) = 0, for the sum s0 and product p0
-    of the non-output reserves after the trade. _swap_output_2 and
-    _swap_output_3 carry their own copy; the three change together."""
-    b = s0 - shift
-    c = scale / (amplification * p0)
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    # stable two-root form of u^2 + b*u - c = 0; the roots have opposite
-    # signs (product -c < 0), keep the positive one
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = max(q_half, -c / q_half)
-    if not (root > 0.0 and math.isfinite(root)):
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return root
-
-
 def _swap_output(
     reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
 ) -> float:
@@ -245,20 +219,30 @@ def _swap_output(
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    s0 = 0.0
-    p0 = 1.0
+    s0, p0 = 0.0, 1.0
     for k, r in enumerate(reserves):
         if k == o:
             continue
         val = r_in_new if k == i else r
         s0 += val
         p0 *= val
-    return reserves[o] - _output_reserve(s0, p0, shift, scale, amplification)
+    b = s0 - shift
+    c = scale / (amplification * p0)
+    disc = b * b + 4.0 * c
+    if disc < 0.0:
+        raise NoSolution("swap quadratic has no real root")
+    # the post-trade output reserve is the positive root of u^2 + b*u - c = 0;
+    # the stable two-root form's roots have opposite signs (product -c < 0)
+    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = max(q_half, -c / q_half)
+    if not (root > 0.0 and math.isfinite(root)):
+        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
+    return reserves[o] - root
 
 
 # The 2- and 3-asset forms of _swap_output, bit for bit: the loop's leading
 # 0.0 + and 1.0 * are exact, and a sum or product of two doubles does not
-# depend on their order. Each inlines _output_reserve's quadratic in its
+# depend on their order. Each carries the loop form's quadratic in its
 # operation order (max(x, y) as y if y > x else x, isfinite as < inf: the same
 # NaN outcomes), so the three change together. The pool size picks its form
 # once (_SWAP_OUTPUTS); the loop runs for 4 or more assets and is their reference.

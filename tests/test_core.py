@@ -200,9 +200,16 @@ class TestPoolState:
         assert issubclass(ConservationViolation, ValueError)
 
     def test_nan_deviation_fails_the_check(self):
-        # a NaN target makes the PMM residual NaN, which must not pass
+        # an infinite conservation value makes the weighted deviation
+        # inf/inf = NaN, which must not pass
+        spec = ProtocolSpec(family=ProtocolFamily.WEIGHTED, weights=(0.5, 0.5))
         with pytest.raises(ConservationViolation, match="relative deviation nan"):
+            PoolState(reserves=(100.0, 100.0), spec=spec, invariant=(math.inf,))
+        # a NaN target is refused before the gate, by the PMM parameters
+        with pytest.raises(ValueError) as info:
             pmm_pool(math.nan, 100.0, 1.0, 0.5, reserves=(100.0, 100.0))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "equilibrium targets must be finite, got (nan, 100.0)"
 
 
 class TestFactories:
@@ -257,8 +264,10 @@ class TestFactories:
         # the refusal is the root bracket's, which needs finite endpoint
         # values
         reserves = (1e103, 1e-3)
-        g, _, power = _ss._polynomial_terms(reserves, math.fsum(reserves), 1.0)
-        assert g == -math.inf and power == math.inf
+        D = math.fsum(reserves)
+        power = D * (D / 2) ** 2 / math.prod(reserves)
+        assert power == math.inf
+        assert 1.0 * D + D - 1.0 * D - power == -math.inf
         with pytest.raises(InvalidBracket, match="endpoint values must be finite"):
             stableswap_pool(reserves, 1.0)
 

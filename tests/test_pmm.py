@@ -48,6 +48,19 @@ class TestParams:
         with pytest.raises(ValueError):
             PMMParams(oracle_price=1.0, amplification=0.5, target1=-1.0, target2=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_target_refusals_name_the_targets(self, bad):
+        # NaN and +inf are refused as not finite; a target that is not
+        # positive keeps its wording, which `ammlab validate` prints
+        for targets in ((bad, 100.0), (100.0, bad), (bad, math.nan)):
+            with pytest.raises(ValueError) as info:
+                PMMParams(1.0, 0.5, *targets)
+            assert type(info.value) is ValueError
+            what = "positive" if bad <= 0.0 else "finite"
+            assert str(info.value) == (
+                f"equilibrium targets must be {what}, got ({targets[0]}, {targets[1]})"
+            )
+
     def test_mirrored_swaps_orientation(self):
         params = PMMParams(
             oracle_price=4.0, amplification=0.25, target1=10.0, target2=40.0
@@ -126,6 +139,27 @@ class TestReserveBranches:
     def test_rejects_nonpositive_reserve(self):
         with pytest.raises(ValueError):
             reserve2_given_reserve1(0.0, BALANCED)
+
+    @pytest.mark.parametrize("params, r1, r2, x1", [
+        # c = -P*A*C2^2 underflows to -0 and b is exactly 0
+        (PMMParams(2.8332113776164132e-303, 0.999999999999995, 5.910385770188295e-96,
+                   1.6775729819587356e-53),
+         1.3759091475769334e-99, 1.6274854138289453e-48, 5.909009861040718e-96),
+        # a landing on r1' = C1 at A = 0.5 makes b exactly 0, and 4*lead*c
+        # underflows, although the reserve-2 root C2 = 1 is representable
+        (PMMParams(2e-300, 0.5, 1.0, 1.0), 0.5, 1.0, 0.5),
+    ])
+    def test_a_vanishing_linear_coefficient_and_discriminant_raise_domain_error(
+        self, params, r1, r2, x1
+    ):
+        # the stable root form's q_half is 0, so c/q_half would divide by zero
+        message = "^quadratic branch's linear coefficient and discriminant underflow to zero$"
+        with pytest.raises(DomainError, match=message):
+            pmm_swap(r1, r2, params, x1)
+        with pytest.raises(DomainError, match=message):
+            quadratic_branch_reserve2(r1 + x1, params)
+        with pytest.raises(DomainError, match=message):
+            reserve2_given_reserve1(r1 + x1, params)
 
 
 class TestSwap:
@@ -251,7 +285,8 @@ class TestInlinedSwap:
             assert outcomes[0] == outcomes[1], (r1, r2, params, x1)
             out = outcomes[0]
             if not isinstance(out, str):
-                kinds["output refusal" if "output reserve" in out[1] else out[0].__name__] += 1
+                kinds["output refusal" if "output reserve" in out[1]
+                      else "q_half = 0" if out[1] == pmm._VANISHING else out[0].__name__] += 1
                 continue
             r1_new = r1 + x1
             if x1 == 0.0:
@@ -270,7 +305,7 @@ class TestInlinedSwap:
         for kind, least in {
             "r1' < C1": 400, "quadratic": 700, "A = 1": 200, "1 - A <= 1e-12": 200,
             "r1' = C1": 200, "reverse": 300, "mirrored": 600, "zero trade": 200,
-            "output refusal": 100, "SingularAmplification": 50, "ZeroDivisionError": 10,
+            "output refusal": 100, "SingularAmplification": 50, "q_half = 0": 10,
             "ReserveDepletion": 400, "DomainError": 250,
         }.items():
             assert kinds[kind] >= least, (kind, kinds)

@@ -184,6 +184,15 @@ class TestConservationCheck:
         assert residual.hex() == conservation_residual(reserves, d, amp).hex()
         assert drift.hex() == invariant_drift(reserves, d, amp).hex()
 
+    def test_the_residual_refuses_an_infinite_last_term(self):
+        # D*(D/n)^n overflows to inf without raising: the residual would be NaN
+        with pytest.raises(DomainError) as info:
+            conservation_residual((1e150, 1e150), 1.5e150, 10.0)
+        assert str(info.value) == (
+            "the invariant equation leaves the floating-point range at D=1.5e+150 "
+            "for reserves (1e+150, 1e+150)"
+        )
+
 
 class TestSpotRate:
     def test_same_asset_is_one(self):
