@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 from . import quote
 from .errors import NonPositiveState, SupplyDepletion
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+from .quote import check_positive
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class BondingCurveState:
 
     def __post_init__(self) -> None:
         for name in ("reserve", "supply", "anchor_reserve", "anchor_supply"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         f = self.reserve_ratio
         if not (math.isfinite(f) and 0.0 < f <= 1.0):
             raise ValueError(f"reserve ratio must lie in (0, 1], got {f}")
@@ -74,7 +70,7 @@ def bonding_price(state: BondingCurveState) -> float:
 def bonding_reserve_at(state: BondingCurveState, supply: float) -> float:
     """Reserve implied by the curve at the given supply, from the anchor:
     C = C0 * (s / s0)^(1/F), for a finite, positive supply."""
-    _check_positive("supply", supply)
+    check_positive("supply", supply)
     return state.anchor_reserve * (supply / state.anchor_supply) ** (1.0 / state.reserve_ratio)
 
 

@@ -76,7 +76,7 @@ class ProtocolSpec:
                 raise ValueError("pmm pools take no weights")
             quote.check_pmm_amplification(self.amplification)
             object.__setattr__(self, "amplification", float(self.amplification))
-        else:  # pragma: no cover - enum is closed
+        else:  # a family that is not a ProtocolFamily, such as a plain str
             raise ValueError(f"unknown protocol family {self.family!r}")
 
 
@@ -104,8 +104,7 @@ class PoolState:
         object.__setattr__(self, "invariant", invariant)
         quote.check_asset_count(len(reserves))
         quote.check_reserves(reserves)
-        if not (math.isfinite(self.share_supply) and self.share_supply > 0.0):
-            raise ValueError(f"share supply must be positive, got {self.share_supply}")
+        quote.check_positive("share supply", self.share_supply)
         family = self.spec.family
         if family is ProtocolFamily.PMM:
             if len(reserves) != 2:

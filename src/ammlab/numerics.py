@@ -72,7 +72,7 @@ class ImplicitConservation:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """An interval [lo, hi] of positive reals straddling a sign change."""
+    """[lo, hi] and f_lo = f(lo), f_hi = f(hi): positive reals straddling a sign change."""
 
     lo: float
     hi: float
@@ -88,27 +88,17 @@ class RootBracket:
         if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
             raise InvalidBracket(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":
-        return cls(lo, hi, f(lo), f(hi))
 
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: RootBracket,
-    rel_tol: float = DEFAULT_CONFIG.root_rel_tol,
-    max_iterations: int = DEFAULT_CONFIG.root_max_iterations,
-) -> float:
+def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Safeguarded Newton iteration inside a validated bracket.
 
     Newton steps (finite-difference derivative) are accepted only while they
     stay strictly inside the current bracket; anything else falls back to
     bisection. A difference probe that leaves f's domain (f raises ValueError
     or OverflowError) ends the Newton steps: the rest of the solve bisects.
-    The bracket shrinks monotonically, so the method cannot diverge.
-    """
-    if rel_tol < 1e-15:
-        raise ValueError("rel_tol below 1e-15 is not resolvable in double precision")
+    The bracket shrinks monotonically, so the method cannot diverge; it stops
+    at DEFAULT_CONFIG's root_rel_tol or fails after root_max_iterations steps."""
+    rel_tol, max_iterations = DEFAULT_CONFIG.root_rel_tol, DEFAULT_CONFIG.root_max_iterations
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
     if f_lo == 0.0:
@@ -363,17 +353,16 @@ def solve_rebalance(
 @dataclass(frozen=True)
 class ValuationReport:
     """Pool valuation around a price shift: V before, V_held if the deposit
-    had been held outside, V_prime after rebalancing, and the loss L."""
+    had been held outside, V_prime after rebalancing; L = V_prime/V_held - 1."""
 
     V: float
     V_held: float
     V_prime: float
-    L: float
     rho: float
 
-    def __post_init__(self) -> None:
-        if self.L != self.V_prime / self.V_held - 1.0:
-            raise ValueError("L must equal V_prime/V_held - 1 exactly as stored")
+    @property
+    def L(self) -> float:
+        return self.V_prime / self.V_held - 1.0
 
 
 def generic_divergence_loss(
@@ -402,4 +391,4 @@ def generic_divergence_loss(
     V_held = V + rates[o] * reserves[o] * rho
     rebalanced = solve_rebalance(Z, reserves, invariant, o, rho)
     V_prime, _ = value(rebalanced)
-    return ValuationReport(V=V, V_held=V_held, V_prime=V_prime, L=V_prime / V_held - 1.0, rho=rho)
+    return ValuationReport(V=V, V_held=V_held, V_prime=V_prime, rho=rho)

@@ -35,8 +35,7 @@ class PMMParams:
     target2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.oracle_price) and self.oracle_price > 0.0):
-            raise ValueError(f"oracle price must be finite and positive, got {self.oracle_price}")
+        quote.check_positive("oracle price", self.oracle_price)
         quote.check_pmm_amplification(self.amplification)
         t1, t2 = self.target1, self.target2
         if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
@@ -148,7 +147,11 @@ def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
     if r1_new >= c1:
         if a == 1.0:
             # removable singularity: the curve is r1*r2 = C1*C2 exactly
-            return p * c2 * c2 / (r1_new - c1 + p * c2)
+            try:
+                return p * c2 * c2 / (r1_new - c1 + p * c2)
+            except ZeroDivisionError:
+                # r1' = C1 and P*C2 underflows to 0: the curve's point (C1, C2)
+                return c2
         return quadratic_branch_reserve2(r1_new, params)
     return c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
 
@@ -165,7 +168,10 @@ def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
     c1, c2 = params.target1, params.target2
     if r1_new >= c1:
         if a == 1.0:
-            r2_new = p * c2 * c2 / (r1_new - c1 + p * c2)
+            try:
+                r2_new = p * c2 * c2 / (r1_new - c1 + p * c2)
+            except ZeroDivisionError:
+                r2_new = c2
         else:
             lead = p * (1.0 - a)
             if lead == 0.0:

@@ -28,6 +28,11 @@ def check_reserves(reserves, values=None) -> None:
                 raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
 
 
+def check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def check_index(n: int, k: int) -> None:
     if not 0 <= k < n:
         raise IndexError(f"asset index {k} out of range for {n} assets")

@@ -31,8 +31,8 @@ def _check_reserves(reserves) -> None:
 
 
 def _out_of_range(reserves, D: float) -> DomainError:
-    # (D/n)^n or D*(D/n)^n overflows, or prod(r) underflows to 0: the
-    # equation is not representable at this scale without rescaling the
+    # sum(r), (D/n)^n or D*(D/n)^n overflows, or prod(r) underflows to 0:
+    # the equation is not representable at this scale without rescaling the
     # reserves
     return DomainError(
         f"the invariant equation leaves the floating-point range at D={D} "
@@ -49,8 +49,8 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
     _check_reserves(reserves)
     quote.check_stableswap_amplification(amplification)
     n = len(reserves)
-    a_total, a_d = amplification * math.fsum(reserves), amplification * D
     try:
+        a_total, a_d = amplification * math.fsum(reserves), amplification * D
         power = D * (D / n) ** n / math.prod(reserves)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
@@ -88,11 +88,11 @@ def conservation_check(reserves, D: float, amplification: float, q: float, dq: f
     gate and its receipt. The reserves are not checked; where invariant_drift
     divides by a zero slope, the drift is inf."""
     n = len(reserves)
-    total = math.fsum(reserves)
     prod = math.prod(reserves)
     try:
+        total = math.fsum(reserves)
         power = dq / prod
-    except ZeroDivisionError:
+    except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
     if not math.isfinite(power):
         raise _out_of_range(reserves, D)
@@ -131,8 +131,11 @@ def invariant_drift(reserves, D: float, amplification: float) -> float:
     _check_reserves(reserves)
     quote.check_stableswap_amplification(amplification)
     n = len(reserves)
-    ratio = (D / n) ** n / math.prod(reserves)
-    g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
+    try:
+        ratio = (D / n) ** n / math.prod(reserves)
+        g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(reserves, D) from None
     slope = 1.0 - amplification - (n + 1) * ratio
     return abs(g) / (D * abs(slope))
 
@@ -150,7 +153,11 @@ def solve_invariant(reserves, amplification: float) -> float:
     n = len(reserves)
     if min(reserves) == max(reserves):
         return n * reserves[0]
-    total = math.fsum(reserves)
+    try:
+        total = math.fsum(reserves)
+    except OverflowError:
+        # the upper end of the bracket, D = sum(r), is beyond the float range
+        raise _out_of_range(reserves, math.inf) from None
     prod = math.prod(reserves)
     geo = n * prod ** (1.0 / n)
     a_total = amplification * total

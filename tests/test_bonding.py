@@ -112,6 +112,10 @@ class TestSell:
         _, released = bonding_sell(state, 250.0)
         assert math.isclose(released, 100.0 * 250.0 / 1000.0, rel_tol=1e-12)
 
+    def test_zero_burn_is_identity(self):
+        state = bonding_curve(reserve=100.0, supply=1000.0, reserve_ratio=0.5)
+        assert bonding_sell(state, 0.0) == (state, 0.0)
+
     def test_negative_burn_rejected(self):
         state = bonding_curve(reserve=100.0, supply=1000.0, reserve_ratio=0.5)
         with pytest.raises(NonPositiveState):

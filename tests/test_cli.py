@@ -54,6 +54,13 @@ def _slippage_on(grid):
 # per refusal the CLI's own shape checks can make, and the library's verdict
 # on the sushiswap and bancor builds
 REFUSALS = {
+    "stableswap-sum-past-range": (
+        {"pools": [dict(CRV, reserves=[1e308, 9e307])], "actions": []},
+        [
+            "pools[0]: the invariant equation leaves the floating-point range at D=inf "
+            "for reserves (1e+308, 9e+307)"
+        ],
+    ),
     "grid-empty": (_slippage_on([]), ["actions[0]: grid array is empty"]),
     "grid-not-numbers": (
         _slippage_on([0.1, "x"]),

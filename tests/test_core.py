@@ -88,6 +88,10 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match=f"^{family.value} pools take no weights$"):
             ProtocolSpec(family=family, weights=(0.5, 0.5), amplification=amplification)
 
+    def test_a_family_given_as_a_plain_string_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown protocol family 'weighted'$"):
+            ProtocolSpec("weighted", weights=(0.5, 0.5))
+
     def test_pmm_amplification_capped_at_one(self):
         with pytest.raises(ValueError):
             ProtocolSpec(family=ProtocolFamily.PMM, amplification=1.5)
@@ -144,7 +148,7 @@ class TestPoolState:
             (
                 ProtocolFamily.WEIGHTED,
                 dict(reserves=(100.0, 100.0), invariant=(100.0,), share_supply=0.0),
-                "share supply must be positive, got 0.0",
+                "share supply must be finite and positive, got 0.0",
             ),
             (
                 ProtocolFamily.PMM,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -495,6 +496,60 @@ def test_the_weights_are_judged_before_the_asset_index(call):
 
 # one message per rule, and the one module of src/ammlab that words it; the
 # modules that enforce a rule call the check or the refusal built there
+# finite reserves whose sum is not finite
+SUM_PAST_RANGE = (1e308, 9e307)
+
+
+@pytest.mark.parametrize(
+    "call, reserves, d",
+    [
+        (lambda: stableswap_pool(SUM_PAST_RANGE, 10.0), SUM_PAST_RANGE, "inf"),
+        (lambda: stableswap.solve_invariant(SUM_PAST_RANGE, 10.0), SUM_PAST_RANGE, "inf"),
+        # balanced: D = n*r is inf, and the pool's conservation gate refuses it
+        (lambda: stableswap_pool((1e308, 1e308), 10.0), (1e308, 1e308), "inf"),
+        (lambda: stableswap.conservation_residual(SUM_PAST_RANGE, 1e308, 10.0),
+         SUM_PAST_RANGE, "1e+308"),
+        (lambda: stableswap.invariant_drift(SUM_PAST_RANGE, 1e308, 10.0),
+         SUM_PAST_RANGE, "1e+308"),
+        (lambda: stableswap.conservation_residual((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
+        (lambda: stableswap.invariant_drift((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
+        # prod(r) underflows to zero
+        (lambda: stableswap.invariant_drift((1e-200, 1e-200), 2e-200, 10.0),
+         (1e-200, 1e-200), "2e-200"),
+    ],
+    ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual", "invariant_drift",
+         "residual-power", "drift-power", "drift-product"],
+)
+def test_the_stableswap_equation_past_the_float_range_is_refused(call, reserves, d):
+    message = (f"the invariant equation leaves the floating-point range at D={d} "
+               f"for reserves {reserves}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_pmm_constant_product_limit_at_the_targets_is_c2():
+    # A = 1 and r1' = C1, where P*C2 underflows to zero: the limit's formula
+    # is 0/0, and the curve passes through (C1, C2)
+    params = PMMParams(5e-324, 1.0, 1.0, 0.1)
+    assert pmm.reserve2_given_reserve1(1.0, params) == 0.1
+    assert pmm.pmm_swap(0.5, 0.1, params, 0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: bonding.bonding_curve(reserve=v, supply=1.0, reserve_ratio=0.5), "reserve"),
+        (lambda v: PMMParams(v, 0.5, 100.0, 100.0), "oracle price"),
+        (lambda v: replace(uniswap_pool(100.0, 100.0), share_supply=v), "share supply"),
+    ],
+    ids=["bonding", "pmm", "pool"],
+)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_a_quantity_that_is_not_finite_and_positive_is_refused_alike(build, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {bad}$"):
+        build(bad)
+
+
 RULES = {
     "reserves must be finite and positive": "quote",
     "a pool needs at least two assets": "quote",
@@ -516,6 +571,7 @@ RULES = {
     "every weight must lie in (0, 1)": "quote",
     "weights must sum to 1": "quote",
     "one weight per asset required": "quote",
+    "{name} must be finite and positive": "quote",
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",

@@ -29,6 +29,7 @@ from ammlab import (
     stableswap_pool,
     swap_amount,
     uniswap_pool,
+    weighted_pool,
 )
 from ammlab import numerics, stableswap
 from ammlab.pmm import PMMParams, conservation_gap, pmm_swap
@@ -54,22 +55,21 @@ UNISWAP = ImplicitConservation(evaluate=constant_product, n=2)
 
 
 class TestRootBracket:
-    def test_from_function_evaluates_endpoints(self):
-        bracket = RootBracket.from_function(lambda x: x * x - 4.0, 1.0, 10.0)
-        assert bracket.f_lo == -3.0
-        assert bracket.f_hi == 96.0
+    def test_keeps_the_endpoint_values(self):
+        bracket = RootBracket(1.0, 10.0, -3.0, 96.0)
+        assert (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi) == (1.0, 10.0, -3.0, 96.0)
 
     def test_rejects_nonpositive_lower_endpoint(self):
         with pytest.raises(InvalidBracket):
-            RootBracket.from_function(lambda x: x - 1.0, 0.0, 10.0)
+            RootBracket(0.0, 10.0, -1.0, 9.0)
 
     def test_rejects_inverted_endpoints(self):
         with pytest.raises(InvalidBracket):
-            RootBracket.from_function(lambda x: x - 1.0, 5.0, 2.0)
+            RootBracket(5.0, 2.0, 4.0, 1.0)
 
     def test_rejects_same_sign_endpoints(self):
         with pytest.raises(InvalidBracket):
-            RootBracket.from_function(lambda x: x * x + 1.0, 1.0, 10.0)
+            RootBracket(1.0, 10.0, 2.0, 101.0)
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(InvalidBracket):
@@ -78,31 +78,27 @@ class TestRootBracket:
 
 class TestFindRoot:
     def test_quadratic_root(self):
-        bracket = RootBracket.from_function(lambda x: x * x - 4.0, 1.0, 10.0)
-        root = find_root(lambda x: x * x - 4.0, bracket)
+        root = find_root(lambda x: x * x - 4.0, RootBracket(1.0, 10.0, -3.0, 96.0))
         assert math.isclose(root, 2.0, rel_tol=1e-12)
 
-    def test_triple_root_converges_at_reduced_tolerance(self):
+    def test_a_triple_root_exhausts_the_iteration_budget(self):
         # Newton slows to a crawl on a multiple root and the finite-difference
-        # derivative floors out near it, so full precision is not reachable;
-        # a looser tolerance must still land on the root.
-        bracket = RootBracket.from_function(lambda x: (x - 3.0) ** 3, 1.0, 10.0)
-        root = find_root(lambda x: (x - 3.0) ** 3, bracket, rel_tol=1e-6)
-        assert math.isclose(root, 3.0, rel_tol=1e-4)
+        # derivative floors out near it, so the default tolerance is not
+        # reachable within the default budget
+        def f(x: float) -> float:
+            return (x - 3.0) ** 3
+
+        message = "^root not located to rel_tol=1e-14 within 256 iterations$"
+        with pytest.raises(ConvergenceFailure, match=message):
+            find_root(f, RootBracket(1.0, 10.0, f(1.0), f(10.0)))
 
     def test_endpoint_root_returned_immediately(self):
         bracket = RootBracket(lo=2.0, hi=10.0, f_lo=0.0, f_hi=96.0)
         assert find_root(lambda x: x * x - 4.0, bracket) == 2.0
 
-    def test_rejects_unresolvable_tolerance(self):
-        bracket = RootBracket.from_function(lambda x: x - 2.0, 1.0, 10.0)
-        with pytest.raises(ValueError):
-            find_root(lambda x: x - 2.0, bracket, rel_tol=1e-16)
-
-    def test_exhausted_iterations_raise(self):
-        bracket = RootBracket.from_function(lambda x: x - 2.0, 1.0, 10.0)
-        with pytest.raises(ConvergenceFailure):
-            find_root(lambda x: x - 2.0, bracket, max_iterations=1)
+    def test_upper_endpoint_root_returned_immediately(self):
+        bracket = RootBracket(lo=1.0, hi=2.0, f_lo=-3.0, f_hi=0.0)
+        assert find_root(lambda x: x * x - 4.0, bracket) == 2.0
 
     def test_probe_outside_the_domain_bisects(self):
         # the root sits closer to the domain's edge than the difference
@@ -110,7 +106,7 @@ class TestFindRoot:
         def f(x: float) -> float:
             return math.log(x / 3e-13)
 
-        root = find_root(f, RootBracket.from_function(f, 1e-20, 1.0))
+        root = find_root(f, RootBracket(1e-20, 1.0, f(1e-20), f(1.0)))
         assert math.isclose(root, 3e-13, rel_tol=1e-13)
 
     def test_matches_stableswap_invariant_solver(self):
@@ -122,8 +118,7 @@ class TestFindRoot:
         def g(d: float) -> float:
             return defining_residual(reserves, d, amp)
 
-        bracket = RootBracket.from_function(g, 100.0, 300.0)
-        via_root = find_root(g, bracket)
+        via_root = find_root(g, RootBracket(100.0, 300.0, g(100.0), g(300.0)))
         via_solver = solve_invariant(reserves, amp)
         assert math.isclose(via_root, via_solver, rel_tol=1e-12)
 
@@ -149,11 +144,11 @@ class TestFindRoot:
             hi = 2.0 * n * max(1.0, amp)
             curve = stableswap._curve(e, amp)
             f = lambda u, curve=curve, lo=lo: curve(lo * u)[2]  # noqa: E731
-            roots.append(find_root(f, RootBracket.from_function(f, 1.0, hi / lo)))
+            roots.append(find_root(f, RootBracket(1.0, hi / lo, f(1.0), f(hi / lo))))
         for _ in range(50):
             r = 10.0 ** rng.uniform(-14.0, -10.0)
             f = lambda x, r=r: math.log(x / r)  # noqa: E731
-            roots.append(find_root(f, RootBracket.from_function(f, 1e-20, 1.0)))
+            roots.append(find_root(f, RootBracket(1e-20, 1.0, f(1e-20), f(1.0))))
         results = [float.hex(x) for x in roots]
         assert results[:2] == ["0x1.2264ab1b39a96p-5", "0x1.bc5366b4ff3c2p+4"]
         digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
@@ -292,6 +287,43 @@ class TestSolveRebalance:
         with pytest.raises(DomainError):
             solve_rebalance(UNISWAP, (100.0, 100.0), (10_000.0,), 1, -1.0)
 
+    def test_a_trial_step_off_the_domain_is_shortened(self, monkeypatch):
+        # one damped trial lands where a spot rate's gradient degenerates:
+        # the probe treats that as a step too long, not as the solve's
+        # failure, and the solve ends by stagnating
+        pool = stableswap_pool((2159042186.8583684, 2937.887800825304, 1985550424803377.8),
+                               3532.4062801936707)
+        raised = []
+
+        def recorded(*args):
+            try:
+                return numeric_spot_rate(*args)
+            except DegenerateGradient as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(numerics, "numeric_spot_rate", recorded)
+        message = ("^rate shift 514896.7606359474 for asset 1 is unattainable on this curve "
+                   r"\(Newton stagnated\)$")
+        with pytest.raises(NoSolution, match=message):
+            solve_rebalance(implicit_conservation(pool), pool.reserves, pool.invariant, 1,
+                            514896.7606359474)
+        assert len(raised) == 1
+
+    def test_the_iteration_budget_bounds_the_solve(self):
+        # a weight of 2.5e-8 on reserves near 1e118: every damped step is
+        # accepted, yet 256 of them do not reach the tolerances
+        pool = weighted_pool((5.95114610433313e118, 4.0551637544196295e111),
+                             (0.999999974774507, 2.5225493027747348e-08))
+        with pytest.raises(ConvergenceFailure,
+                           match="^rebalance not converged within 256 iterations$"):
+            solve_rebalance(implicit_conservation(pool), pool.reserves, pool.invariant, 1,
+                            0.00018448313390398826)
+
+    def test_reserves_must_match_the_curve_size(self):
+        with pytest.raises(ValueError, match="^expected 2 reserves, got 3$"):
+            solve_rebalance(UNISWAP, (100.0, 100.0, 100.0), (10_000.0,), 1, 0.5)
+
     def test_unattainable_rate_raises_no_solution(self):
         # At extreme amplification the rates stay pinned near 1 until a
         # reserve is nearly drained; the damped Newton solve stalls before a
@@ -388,6 +420,8 @@ class TestGenericDivergenceLoss:
             report = generic_divergence_loss(curve, (100.0, 100.0), invariant, 1, rho)
             assert report.L <= 1e-10
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
+    def test_the_loss_is_derived_not_stored(self):
+        with pytest.raises(TypeError):
             ValuationReport(V=200.0, V_held=221.0, V_prime=220.0, L=0.5, rho=0.21)
+        report = generic_divergence_loss(UNISWAP, (100.0, 100.0), (10_000.0,), 1, 0.21)
+        assert report.L == report.V_prime / report.V_held - 1.0

@@ -296,6 +296,8 @@ class TestInlinedSwap:
                 kinds["r1' < C1"] += 1
             elif params.amplification == 1.0:
                 kinds["A = 1"] += 1
+                # the limit's 0/0, where the curve passes through (C1, C2)
+                kinds["A = 1, 0/0"] += r1_new == c1 and params.oracle_price * params.target2 == 0.0
             else:
                 kinds["quadratic"] += 1
                 kinds["1 - A <= 1e-12"] += 1.0 - params.amplification <= 1e-12
@@ -306,7 +308,7 @@ class TestInlinedSwap:
             "r1' < C1": 400, "quadratic": 700, "A = 1": 200, "1 - A <= 1e-12": 200,
             "r1' = C1": 200, "reverse": 300, "mirrored": 600, "zero trade": 200,
             "output refusal": 100, "SingularAmplification": 50, "q_half = 0": 10,
-            "ReserveDepletion": 400, "DomainError": 250,
+            "ReserveDepletion": 400, "DomainError": 250, "A = 1, 0/0": 5,
         }.items():
             assert kinds[kind] >= least, (kind, kinds)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -506,6 +507,37 @@ class TestDivergenceLoss:
                 divergence_curve(pool, 1)
         assert set(calls) == {4}
         assert calls[4] >= 8 * (len(default_shift_grid()) - 1)
+
+    @pytest.mark.parametrize(
+        "reserves, amp, o, rho, error, reason",
+        [
+            # at such A the curve equation's two A-sized terms cancel to
+            # rounding noise, so Newton and bisection never settle: each form
+            # runs out of iterations
+            ((0.0791, 0.041), 1.4e139, 1, -0.9999999999998316, ConvergenceFailure,
+             ": root not located to rel_tol=1e-14 within 256 iterations"),
+            ((1110.0, 1170.0, 2600.0), 1.8e107, 2, -0.9999999999840418, ConvergenceFailure,
+             ": root not located to rel_tol=1e-14 within 256 iterations"),
+            ((0.00164, 8.58e-05, 7.25e-05, 7.51), 7.6e92, 1, -0.9838353391997732,
+             ConvergenceFailure, ": root not located to rel_tol=1e-14 within 256 iterations"),
+            # a subnormal A puts the bracket's lower end A/2 at 5e-324, and
+            # the first bisection lands where the curve's P overflows
+            ((1.4008219440704583e-69, 1.739693954112794e-67), 1e-323, 1, -0.9987283496557591,
+             NoSolution, " is unattainable: the curve is not representable"),
+        ],
+        ids=["2-unconverged", "3-unconverged", "4-unconverged", "2-not-finite"],
+    )
+    def test_a_pool_at_the_edge_of_the_solve_is_refused(self, reserves, amp, o, rho, error, reason):
+        d = stableswap_pool(reserves, amp).invariant[0]
+        message = f"rate shift {rho} for asset {o}{reason}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            stableswap_divergence_loss(reserves, d, amp, o, rho)
+
+    def test_a_zero_shift_on_four_assets_is_lossless(self):
+        # the generic form, which the 2- and 3-asset forms unroll
+        reserves = (100.0, 200.0, 300.0, 400.0)
+        d = solve_invariant(reserves, 10.0)
+        assert stableswap_divergence_loss(reserves, d, 10.0, 2, 0.0) == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
