@@ -12,12 +12,20 @@ D -> sum r_k); small A relaxes it toward the constant-product hyperbola
 
 solve_invariant finds D with numerics.find_root; the divergence loss solves
 its curve equation by its own Newton iteration with the closed-form slope.
+
+The swap output and the divergence point are each written once, as a
+source template that is unrolled for a pool size on its first use, compiled
+and cached (_swap_output_for, _divergence_point_for).
 """
 from __future__ import annotations
 
+import linecache
 import math
-from functools import partial, reduce
-from operator import add
+import re
+import string
+from functools import cache, partial, reduce
+from itertools import takewhile
+from operator import add, mul
 
 from . import quote
 from .errors import ConvergenceFailure, DomainError, NoSolution
@@ -136,6 +144,9 @@ def invariant_drift(reserves, D: float, amplification: float) -> float:
         g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
+    if not math.isfinite(g):
+        # D*ratio, A*sum(r) or A*D overflows: the drift would be inf/inf
+        raise _out_of_range(reserves, D)
     slope = 1.0 - amplification - (n + 1) * ratio
     return abs(g) / (D * abs(slope))
 
@@ -218,92 +229,90 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     return _spot_rate(reserves, dq, amplification, i, o)
 
 
-def _swap_output(
-    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
-) -> float:
+# the longest sum or product _unroll writes as one expression: the compiler
+# recurses once per operator, and its depth limit lies near 3,000 on Python 3.11
+_LONGEST_FOLD = 64
+_FOLDS = {" + ": "add", " * ": "mul"}
+
+
+def _unroll(template: str, n: int, /, **constants) -> str:
+    """template written out for an n-asset pool. The lines between `%each`
+    and `%end` repeat for k = 0..n-1 (`%each from 1`: k = 1..n-1),
+    `[[body|sep]]` joins body for k = 0..n-1 with sep, `@` in either stands
+    for k, and `$name` for constants[name]. Beyond _LONGEST_FOLD terms a sum
+    or product becomes the same left fold by reduce."""
+
+    def join(match) -> str:
+        body, sep = match[1], match[2]
+        terms = [body.replace("@", str(k)) for k in range(n)]
+        if n > _LONGEST_FOLD and sep in _FOLDS:
+            return f"reduce({_FOLDS[sep]}, ({', '.join(terms)}))"
+        return sep.join(terms)
+
+    lines, out = iter(template.splitlines()), []
+    for line in lines:
+        if line.lstrip().startswith("%each"):
+            first = int(line.split(" from ")[1]) if " from " in line else 0
+            block = list(takewhile(lambda text: text.strip() != "%end", lines))
+            out += [text.replace("@", str(k)) for k in range(first, n) for text in block]
+        else:
+            out.append(line)
+    source = re.sub(r"\[\[(.*?)\|(.*?)\]\]", join, "\n".join(out))
+    return string.Template(source).substitute(constants) + "\n"
+
+
+def _compiled(source: str, name: str, n: int):
+    """The function name that source defines, compiled against this module's
+    globals; linecache holds the source for tracebacks, inspect and profilers."""
+    filename = f"<ammlab.stableswap {name}, {n} assets>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+# the swap output (see stableswap_swap), unrolled by _swap_output_for
+_SWAP_OUTPUT = """\
+def swap_output(reserves, i, o, shift, scale, amplification, x_in):
     r_in_new = reserves[i] + x_in
     if not 0.0 < r_in_new < math.inf:
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    s0, p0 = 0.0, 1.0
-    for k, r in enumerate(reserves):
-        if k == o:
-            continue
-        val = r_in_new if k == i else r
-        s0 += val
-        p0 *= val
-    b = s0 - shift
-    c = scale / (amplification * p0)
+    $gather
+    b = $total - shift
+    c = scale / (amplification * $product)
     disc = b * b + 4.0 * c
     if disc < 0.0:
         raise NoSolution("swap quadratic has no real root")
     # the post-trade output reserve is the positive root of u^2 + b*u - c = 0;
     # the stable two-root form's roots have opposite signs (product -c < 0)
     q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = max(q_half, -c / q_half)
-    if not (root > 0.0 and math.isfinite(root)):
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return reserves[o] - root
-
-
-# The 2- and 3-asset forms of _swap_output, bit for bit: the loop's leading
-# 0.0 + and 1.0 * are exact, and a sum or product of two doubles does not
-# depend on their order. Each carries the loop form's quadratic in its
-# operation order (max(x, y) as y if y > x else x, isfinite as < inf: the same
-# NaN outcomes), so the three change together. The pool size picks its form
-# once (_SWAP_OUTPUTS); the loop runs for 4 or more assets and is their reference.
-def _swap_output_2(
-    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
-) -> float:
-    r_in_new = reserves[i] + x_in
-    if not 0.0 < r_in_new < math.inf:
-        raise quote.trade_refusal(reserves[i], x_in)
-    if x_in == 0.0:
-        return 0.0
-    b = r_in_new - shift
-    c = scale / (amplification * r_in_new)
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     root = -c / q_half
     if not root > q_half:
         root = q_half
     if not 0.0 < root < math.inf:
         raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
     return reserves[o] - root
+"""
 
 
-def _swap_output_3(
-    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
-) -> float:
-    r_in_new = reserves[i] + x_in
-    if not 0.0 < r_in_new < math.inf:
-        raise quote.trade_refusal(reserves[i], x_in)
-    if x_in == 0.0:
-        return 0.0
-    r_other = reserves[3 - i - o]
-    b = (r_in_new + r_other) - shift
-    c = scale / (amplification * (r_in_new * r_other))
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = -c / q_half
-    if not root > q_half:
-        root = q_half
-    if not 0.0 < root < math.inf:
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return reserves[o] - root
-
-
-_SWAP_OUTPUTS = {2: _swap_output_2, 3: _swap_output_3}
-
-
+@cache
 def _swap_output_for(n: int):
-    """The swap output function for an n-asset pool: unrolled for 2 and 3."""
-    return _SWAP_OUTPUTS.get(n, _swap_output)
+    """The swap output function for an n-asset pool, _SWAP_OUTPUT written out
+    for n: (reserves, i, o, shift, scale, amplification, x_in) -> x_out."""
+    # S0 and P0 fold the non-output reserves in index order: a sum or product
+    # of two doubles does not depend on their order, one of three or more does
+    if n == 2:
+        gather, total, product = "", "r_in_new", "r_in_new"
+    elif n == 3:
+        gather = "r_other = reserves[3 - i - o]"
+        total, product = "(r_in_new + r_other)", "(r_in_new * r_other)"
+    else:
+        gather = "held = [r_in_new if k == i else r for k, r in enumerate(reserves) if k != o]"
+        total, product = "reduce(add, held)", "math.prod(held)"
+    source = _unroll(_SWAP_OUTPUT, n, gather=gather, total=total, product=product)
+    return _compiled(source, "swap_output", n)
 
 
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
@@ -319,51 +328,6 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     n = len(reserves)
     _, scale, shift = curve_constants(D, amplification, n)
     return _swap_output_for(n)(reserves, i, o, shift, scale, amplification, x_in)
-
-
-def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
-    """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho),
-    bit for bit, with the invariant, reserve, asset-index and numeraire
-    checks and the unshifted curve gradient done once for a sweep. Each point
-    runs the pool size's form in _DIVERGENCE_POINTS, or the generic one."""
-    quote.check_invariant(D)
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
-    n = len(reserves)
-    quote.check_index(n, o)
-    quote.check_numeraire(o)
-    A = amplification
-    c = D * math.prod(D / (n * r) for r in reserves)
-    g = [A + c / r for r in reserves]
-    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
-    point = _DIVERGENCE_POINTS.get(n, _divergence_loss_at)
-    return partial(point, tuple(reserves), D, A, o, c, tuple(g), V)
-
-
-def _curve(e, A: float):
-    """s -> (x, P, f, f') on the rebalanced state: x_k = s + e_k*(s + A),
-    P = prod(n/x_k)^(1/(n+1)), the curve equation
-    f = A*sum(1/x_k) + (1 - A)*P - 1 (see stableswap_divergence_loss) and its
-    slope in s, f' = -A*sum((1 + e_k)/x_k^2) - (1 - A)*P*sum((1 + e_k)/x_k)/(n+1).
-
-    The generic divergence point evaluates it for any n; the 2- and 3-asset
-    forms unroll it. Sums are folded left to right, as the unrolled forms
-    add: the built-in sum compensates its rounding on Python 3.12 and
-    later."""
-    n = len(e)
-    B = 1.0 - A
-
-    def curve(s: float) -> tuple[list[float], float, float, float]:
-        t = s + A
-        x = [s + ek * t for ek in e]
-        P = math.prod(n / xk for xk in x) ** (1.0 / (n + 1))
-        inv = [1.0 / xk for xk in x]
-        d = [(1.0 + ek) * ik for ek, ik in zip(e, inv)]
-        f = A * reduce(add, inv) + B * P - 1.0
-        d2 = reduce(add, [dk * ik for dk, ik in zip(d, inv)])
-        return x, P, f, -A * d2 - B * P * reduce(add, d) / (n + 1)
-
-    return curve
 
 
 _UNREPRESENTABLE = "the curve is not representable"
@@ -383,236 +347,127 @@ def _unconverged(rho: float, o: int) -> ConvergenceFailure:
     )
 
 
-def _shift_root(residual, n: int, A: float, s: float, rho: float, o: int) -> float:
-    """The root in s of the curve equation, for residual(s) -> (f, f'):
-    Newton from s, the unshifted root, inside the bracket [s_lo, s_hi] where
-    f is positive at s_lo and negative at s_hi (bounds from x_k >= s). Each
-    iterate replaces the bracket end whose sign its f shares; a Newton step
-    that leaves the bracket bisects it in log space instead. The solve stops
-    once a step moves s by at most _REL_TOL relative.
-
-    The generic divergence point (n >= 4) solves by this function.
-    _divergence_loss_2 and _divergence_loss_3 each carry their own copy of
-    this loop, with the curve equation inlined; change all three together."""
-    lo = 0.5 * A if A <= 1.0 else n * (2.0 * n) ** -(n + 1)
-    hi = 2.0 * n * (A if A > 1.0 else 1.0)
-    s = min(max(s, lo), hi)
-    for _ in range(_MAX_ITERATIONS):
-        f, slope = residual(s)
-        if not math.isfinite(f):
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        if f > 0.0:
-            lo = s
-        elif f < 0.0:
-            hi = s
-        else:
-            return s
-        if not lo < hi:
-            # rounding gives f the wrong sign at a bracket end
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        # s is now a bracket end: a step that rounds to zero ends the solve,
-        # and a zero slope bisects
-        t = s - f / slope if slope else math.nan
-        if t != s and not lo < t < hi:
-            t = math.sqrt(lo) * math.sqrt(hi)
-        if abs(t - s) <= _REL_TOL * t:
-            return t
-        s = t
-    raise _unconverged(rho, o)
-
-
-def _divergence_loss_at(reserves, D, A, o, c, g, V, rho: float) -> float:
+# The divergence point (see stableswap_divergence_loss), unrolled by
+# _divergence_point_for. Newton on f(s) = A*sum(1/x_k) + (1 - A)*P - 1 runs
+# inside [lo, hi], where f is positive at lo and negative at hi (bounds from
+# x_k >= s); each iterate replaces the bracket end whose sign its f shares,
+# and a step that leaves the bracket bisects it in log space. The iterates
+# follow the last bits of f and f', and the loss those of P*x_k, so sums and
+# products fold left to right: a reordered operation moves output bytes.
+_DIVERGENCE_POINT = """\
+def divergence_point(reserves, D, A, o, c, g, V, rho):
     quote.check_price_shift(rho)
     if rho == 0.0:
         return 0.0
-    n = len(reserves)
-    w = list(g)
-    w[o] *= 1.0 + rho
-    m = min(range(n), key=w.__getitem__)
-
-    def excess(k: int) -> float:
-        # w_k - w_m as c*(1/r_k - 1/r_m) plus the shift term, not as a
-        # difference of the A-sized weights, whose rounding error a large A
-        # would carry into x_k
-        if k == m:
-            return 0.0
-        out = c * (reserves[m] - reserves[k]) / (reserves[k] * reserves[m])
-        if k == o:
-            out += rho * g[o]
-        elif m == o:
-            out -= rho * g[o]
-        return max(out, 0.0) / w[m]
-
-    e = [excess(k) for k in range(n)]
-    # _divergence_loss_2 and _divergence_loss_3 repeat all of this in the same
-    # order for 2 and 3 assets, so this form runs for 4 or more and is their
-    # reference
-    curve = _curve(e, A)
-    root = _shift_root(lambda s: curve(s)[2:], n, A, c / reserves[m], rho, o)
-    x, P, _, _ = curve(root)
-    rebalanced = [D / (P * xk) if P * xk > 0.0 else math.inf for xk in x]
-    if not all(0.0 < r < math.inf for r in rebalanced):
-        raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
-    V_held = V + g[o] / g[0] * reserves[o] * rho
-    V_prime = math.fsum(wk / w[0] * r for wk, r in zip(w, rebalanced))
-    return V_prime / V_held - 1.0
-
-
-# The 2- and 3-asset forms of _divergence_loss_at, bit for bit. They set up
-# w, m and e, solve, and revalue at the root, unrolled: tuple unpacking and
-# plain comparisons in place of min(key=), max, all() and the comprehensions
-# (each conditional keeps the generic form's choice, NaN included). Each
-# carries _shift_root's loop with the same bracket, bisection, stop rule and
-# errors, and evaluates f, f' and the rebalanced x and P with _curve's float
-# operations in _curve's order. The solve's iterates follow the last bits of
-# f and f', and the loss follows those of P*x_k, so a reordered operation
-# moves output bytes. What differs is exact: math.prod's leading 1 and the
-# folds' leading 0 are dropped, n/x_k is written n.0/x_k, n + 1 and 1/(n+1)
-# and the bracket ends are literals, and f' is formed only where a step
-# needs it.
-def _divergence_loss_2(reserves, D, A, o, c, g, V, rho: float) -> float:
-    quote.check_price_shift(rho)
-    if rho == 0.0:
-        return 0.0
-    r0, r1 = reserves
-    g0, g1 = g
-    w1 = g1 * (1.0 + rho)  # o is 1
-    if w1 < g0:
-        out = c * (r1 - r0) / (r0 * r1) - rho * g1
-        e0, e1 = (0.0 if out < 0.0 else out) / w1, 0.0
-        r_m = r1
-    else:
-        out = c * (r0 - r1) / (r1 * r0) + rho * g1
-        e0, e1 = 0.0, (0.0 if out < 0.0 else out) / g0
-        r_m = r0
-    a0, a1, B = 1.0 + e0, 1.0 + e1, 1.0 - A
-    lo = 0.5 * A if A <= 1.0 else 2 * 4.0**-3
-    hi = 4.0 * (A if A > 1.0 else 1.0)
-    s = c / r_m
-    s = lo if lo > s else hi if hi < s else s
-    for _ in range(_MAX_ITERATIONS):
-        t = s + A
-        x0 = s + e0 * t
-        x1 = s + e1 * t
-        P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
-        i0, i1 = 1.0 / x0, 1.0 / x1
-        f = A * (i0 + i1) + B * P - 1.0
-        if not math.isfinite(f):
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        if f > 0.0:
-            lo = s
-        elif f < 0.0:
-            hi = s
-        else:
-            break
-        if not lo < hi:
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        d0, d1 = a0 * i0, a1 * i1
-        slope = -A * (d0 * i0 + d1 * i1) - B * P * (d0 + d1) / 3
-        step = s - f / slope if slope else math.nan
-        if step != s and not lo < step < hi:
-            step = math.sqrt(lo) * math.sqrt(hi)
-        converged = abs(step - s) <= _REL_TOL * step
-        s = step
-        if converged:
-            break
-    else:
-        raise _unconverged(rho, o)
-    t = s + A
-    x0 = s + e0 * t
-    x1 = s + e1 * t
-    P = ((2.0 / x0) * (2.0 / x1)) ** (1.0 / 3.0)
-    p0, p1 = P * x0, P * x1
-    if p0 > 0.0 and p1 > 0.0:
-        q0, q1 = D / p0, D / p1
-        if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf:
-            V_held = V + g1 / g0 * r1 * rho
-            return math.fsum((g0 / g0 * q0, w1 / g0 * q1)) / V_held - 1.0
-    raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
-
-
-def _divergence_loss_3(reserves, D, A, o, c, g, V, rho: float) -> float:
-    quote.check_price_shift(rho)
-    if rho == 0.0:
-        return 0.0
-    r0, r1, r2 = reserves
-    g0, g1, g2 = g
-    w1, w2 = (g1 * (1.0 + rho), g2) if o == 1 else (g1, g2 * (1.0 + rho))
+    [[r@|, ]] = reserves
+    [[g@|, ]] = g
+    w0 = g0
+    %each from 1
+    w@ = g@ * (1.0 + rho) if o == @ else g@
+    %end
     shift = rho * g[o]
-    m, r_m, w_m = 0, r0, g0
-    if w1 < w_m:
-        m, r_m, w_m = 1, r1, w1
-    if w2 < w_m:
-        m, r_m, w_m = 2, r2, w2
-    e0 = e1 = e2 = 0.0
-    if m != 0:
-        out = c * (r_m - r0) / (r0 * r_m)
-        if m == o:
-            out -= shift
-        e0 = (0.0 if out < 0.0 else out) / w_m
-    if m != 1:
-        out = c * (r_m - r1) / (r1 * r_m)
-        if o == 1:
+    m, r_m, w_m = 0, r0, w0
+    %each from 1
+    if w@ < w_m:
+        m, r_m, w_m = @, r@, w@
+    %end
+    # w_k - w_m as c*(1/r_k - 1/r_m) plus the shift term, not as a
+    # difference of the A-sized weights, whose rounding error a large A
+    # would carry into x_k
+    %each
+    e@ = 0.0
+    if m != @:
+        out = c * (r_m - r@) / (r@ * r_m)
+        if o == @:
             out += shift
         elif m == o:
             out -= shift
-        e1 = (0.0 if out < 0.0 else out) / w_m
-    if m != 2:
-        out = c * (r_m - r2) / (r2 * r_m)
-        if o == 2:
-            out += shift
-        elif m == o:
-            out -= shift
-        e2 = (0.0 if out < 0.0 else out) / w_m
-    a0, a1, a2, B = 1.0 + e0, 1.0 + e1, 1.0 + e2, 1.0 - A
-    lo = 0.5 * A if A <= 1.0 else 3 * 6.0**-4
-    hi = 6.0 * (A if A > 1.0 else 1.0)
+        e@ = (0.0 if out < 0.0 else out) / w_m
+    %end
+    [[a@|, ]], B = [[1.0 + e@|, ]], 1.0 - A
+    lo = 0.5 * A if A <= 1.0 else $lo
+    hi = $hi * (A if A > 1.0 else 1.0)
     s = c / r_m
     s = lo if lo > s else hi if hi < s else s
-    for _ in range(_MAX_ITERATIONS):
-        t = s + A
-        x0 = s + e0 * t
-        x1 = s + e1 * t
-        x2 = s + e2 * t
-        P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
-        i0, i1, i2 = 1.0 / x0, 1.0 / x1, 1.0 / x2
-        f = A * (i0 + i1 + i2) + B * P - 1.0
-        if not math.isfinite(f):
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        if f > 0.0:
-            lo = s
-        elif f < 0.0:
-            hi = s
+    try:
+        for _ in range(_MAX_ITERATIONS):
+            t = s + A
+            %each
+            x@ = s + e@ * t
+            %end
+            P = ([[($n / x@)| * ]]) ** $power
+            [[i@|, ]] = [[1.0 / x@|, ]]
+            f = A * ([[i@| + ]]) + B * P - 1.0
+            if not math.isfinite(f):
+                raise _unattainable(rho, o, _UNREPRESENTABLE)
+            if f > 0.0:
+                lo = s
+            elif f < 0.0:
+                hi = s
+            else:
+                break
+            if not lo < hi:
+                # rounding gives f the wrong sign at a bracket end
+                raise _unattainable(rho, o, _UNREPRESENTABLE)
+            # s is now a bracket end: a step that rounds to zero ends the
+            # solve, and a zero slope bisects
+            [[d@|, ]] = [[a@ * i@|, ]]
+            slope = -A * ([[d@ * i@| + ]]) - B * P * ([[d@| + ]]) / $n_plus_1
+            step = s - f / slope if slope else math.nan
+            if step != s and not lo < step < hi:
+                step = math.sqrt(lo) * math.sqrt(hi)
+            converged = abs(step - s) <= _REL_TOL * step
+            s = step
+            if converged:
+                break
         else:
-            break
-        if not lo < hi:
-            raise _unattainable(rho, o, _UNREPRESENTABLE)
-        d0, d1, d2 = a0 * i0, a1 * i1, a2 * i2
-        slope = -A * (d0 * i0 + d1 * i1 + d2 * i2) - B * P * (d0 + d1 + d2) / 4
-        step = s - f / slope if slope else math.nan
-        if step != s and not lo < step < hi:
-            step = math.sqrt(lo) * math.sqrt(hi)
-        converged = abs(step - s) <= _REL_TOL * step
-        s = step
-        if converged:
-            break
-    else:
-        raise _unconverged(rho, o)
-    t = s + A
-    x0 = s + e0 * t
-    x1 = s + e1 * t
-    x2 = s + e2 * t
-    P = ((3.0 / x0) * (3.0 / x1) * (3.0 / x2)) ** 0.25
-    p0, p1, p2 = P * x0, P * x1, P * x2
-    if p0 > 0.0 and p1 > 0.0 and p2 > 0.0:
-        q0, q1, q2 = D / p0, D / p1, D / p2
-        if 0.0 < q0 < math.inf and 0.0 < q1 < math.inf and 0.0 < q2 < math.inf:
+            raise _unconverged(rho, o)
+        t = s + A
+        %each
+        x@ = s + e@ * t
+        %end
+        P = ([[($n / x@)| * ]]) ** $power
+    except ZeroDivisionError:
+        # an x_k underflows to 0: at a subnormal A the bracket's lower end
+        # A/2 rounds to 0
+        raise _unattainable(rho, o, _UNREPRESENTABLE) from None
+    [[p@|, ]] = [[P * x@|, ]]
+    if [[p@ > 0.0| and ]]:
+        [[q@|, ]] = [[D / p@|, ]]
+        if [[0.0 < q@ < math.inf| and ]]:
             V_held = V + g[o] / g0 * reserves[o] * rho
-            return math.fsum((g0 / g0 * q0, w1 / g0 * q1, w2 / g0 * q2)) / V_held - 1.0
+            return math.fsum(([[w@ / g0 * q@|, ]])) / V_held - 1.0
     raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
+"""
 
 
-_DIVERGENCE_POINTS = {2: _divergence_loss_2, 3: _divergence_loss_3}
+@cache
+def _divergence_point_for(n: int):
+    """The divergence point function for an n-asset pool, _DIVERGENCE_POINT
+    written out for n: (reserves, D, A, o, c, g, V, rho) -> loss."""
+    source = _unroll(
+        _DIVERGENCE_POINT, n, n=float(n), n_plus_1=n + 1, power=1.0 / (n + 1),
+        lo=n * (2.0 * n) ** -(n + 1), hi=2.0 * n,
+    )
+    return _compiled(source, "divergence_point", n)
+
+
+def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
+    """rho -> stableswap_divergence_loss(reserves, D, amplification, o, rho),
+    with the invariant, reserve, asset-index and numeraire checks and the
+    unshifted curve gradient done once for a sweep. Each point runs the
+    divergence point written out for the pool size (_DIVERGENCE_POINT)."""
+    quote.check_invariant(D)
+    _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
+    n = len(reserves)
+    quote.check_index(n, o)
+    quote.check_numeraire(o)
+    A = amplification
+    c = D * math.prod(D / (n * r) for r in reserves)
+    g = [A + c / r for r in reserves]
+    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
+    return partial(_divergence_point_for(n), tuple(reserves), D, A, o, c, tuple(g), V)
 
 
 def stableswap_divergence_loss(
@@ -630,9 +485,9 @@ def stableswap_divergence_loss(
     A*sum(1/x_k) + (1-A)*P - 1 = 0 with P = prod(n/x_k)^(1/(n+1)) = D/c':
     one equation in s, +inf at s -> 0 and -1 at s -> inf, with a single root
     because one point of the strictly convex curve has its normal along w.
-    Its slope in s is a closed form (_curve), so Newton's method solves it
-    from the unshifted root s = c/r_m inside a-priori bounds, in about 7.5
-    evaluations on the default shift grid. Then r'_k = D/(P*x_k), valued at
+    Its slope in s is a closed form, so Newton's method solves it from the
+    unshifted root s = c/r_m inside a-priori bounds, in about 7.5 evaluations
+    on the default shift grid. Then r'_k = D/(P*x_k), valued at
     the prices w_k/w_0, as numerics.generic_divergence_loss values a pool at
     g_k/g_0.
     """

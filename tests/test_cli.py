@@ -584,6 +584,24 @@ class TestRun:
         assert abs(float(rows[1][1]) - (-0.2)) <= 1e-3
         assert math.isnan(float(rows[2][1]))
 
+    def test_an_underflowing_rebalance_is_an_unattainable_point(self, tmp_path, capsys):
+        # at A = 5e-324 a rebalanced x_k underflows to 0 at the first shift
+        pool = {
+            "id": "c4", "protocol": "curve", "amplification": 5e-324,
+            "reserves": [4.0516221510570526e+62, 1.7298228857387102e+77,
+                         3.363231831095374e+17, 5.859623136055229e+47],
+        }
+        curve = {"action": "divergence_curve", "pool": "c4", "asset": 1,
+                 "grid": [-0.7394837533598139, -0.5]}
+        path = write_scenario(tmp_path, {"pools": [pool], "actions": [curve]})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        manifest = (out / "scenario_failures.txt").read_text(encoding="utf-8")
+        assert "is unattainable: the curve is not representable" in manifest
+        _, rows = read_csv_columns(out / "scenario_a000_divergence_loss_c4.csv")
+        assert math.isnan(float(rows[0][1]))
+        assert math.isfinite(float(rows[1][1]))
+
     def test_domain_error_during_execution(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path,

@@ -516,9 +516,11 @@ SUM_PAST_RANGE = (1e308, 9e307)
         # prod(r) underflows to zero
         (lambda: stableswap.invariant_drift((1e-200, 1e-200), 2e-200, 10.0),
          (1e-200, 1e-200), "2e-200"),
+        # (D/n)^n / prod(r) is finite, D times it is not
+        (lambda: stableswap.invariant_drift((1.0, 1.0), 1e150, 10.0), (1.0, 1.0), "1e+150"),
     ],
     ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual", "invariant_drift",
-         "residual-power", "drift-power", "drift-product"],
+         "residual-power", "drift-power", "drift-product", "drift-last-term"],
 )
 def test_the_stableswap_equation_past_the_float_range_is_refused(call, reserves, d):
     message = (f"the invariant equation leaves the floating-point range at D={d} "

@@ -21,11 +21,12 @@ from unittest.mock import patch
 
 import pytest
 
-from ammlab import stableswap
 from ammlab.analysis import default_trade_grid, log_grid
 from ammlab.core import implicit_conservation, stableswap_pool
 from ammlab.numerics import generic_divergence_loss
 from ammlab.stableswap import solve_invariant, stableswap_divergence_loss
+
+import stableswap_reference as reference
 
 CONTEXT = Context(prec=60)
 
@@ -47,7 +48,7 @@ def ulp_error(x: float, ref: Decimal, unit: float | None = None) -> float:
 
 
 def _curve(e, A: Decimal, n: int, s: Decimal):
-    """(x, P, f, f') of the curve equation at s, as stableswap._curve
+    """(x, P, f, f') of the curve equation at s, as stableswap_reference.curve
     defines them, in Decimal."""
     x = [s + ek * (s + A) for ek in e]
     log_prod = sum((Decimal(n) / xk).ln() for xk in x)
@@ -143,10 +144,10 @@ CORPUS = _corpus()
 def _solved(cases, invariant=lambda reserves, amp: float(invariant_reference(reserves, amp))):
     """(inputs, L, s) for each case, with the invariant D, by default the
     reference's rounded, and the root s that the closed form's solve
-    returned. The 2- and 3-asset forms solve inline, so s is recorded on
-    the generic path, which must return the same L bit for bit."""
+    returned. The unrolled forms solve inline, so s is recorded on the loop
+    reference, which must return the same L bit for bit."""
     roots = []
-    solve = stableswap._shift_root
+    solve = reference.shift_root
 
     def recorded(*args):
         roots.append(solve(*args))
@@ -156,10 +157,8 @@ def _solved(cases, invariant=lambda reserves, amp: float(invariant_reference(res
     for reserves, amp, o, rho in cases:
         d = invariant(reserves, amp)
         loss = stableswap_divergence_loss(reserves, d, amp, o, rho)
-        with patch.object(stableswap, "_shift_root", recorded), patch.dict(
-            stableswap._DIVERGENCE_POINTS, clear=True
-        ):
-            assert stableswap_divergence_loss(reserves, d, amp, o, rho).hex() == loss.hex()
+        with patch.object(reference, "shift_root", recorded):
+            assert reference.divergence_loss(reserves, d, amp, o, rho).hex() == loss.hex()
         out.append(((reserves, d, amp, o, rho), loss, roots[-1]))
     assert len(roots) == len(cases)
     return out

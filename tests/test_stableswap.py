@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import re
+import traceback
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -30,7 +32,7 @@ from ammlab import (
     stableswap_pool,
     swap_amount,
 )
-from ammlab import stableswap
+from ammlab import analysis, stableswap
 from ammlab.analysis import default_shift_grid, divergence_curve
 from ammlab.stableswap import (
     conservation_residual,
@@ -43,6 +45,8 @@ from ammlab.stableswap import (
     stableswap_swap,
 )
 from ammlab.weighted import weighted_divergence_loss
+
+import stableswap_reference as reference
 
 AMPLIFICATION_LADDER = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -475,11 +479,10 @@ class TestDivergenceLoss:
     def test_the_solve_takes_few_evaluations(self):
         # Newton from the unshifted root with the analytic slope: about 7.5
         # curve evaluations per point on the default grid, where the bracket
-        # walk and find_root took 19. Counted on the generic path, which
-        # TestUnrolledResidual ties bit for bit to the 2- and 3-asset forms'
-        # own copies of the loop
+        # walk and find_root took 19. Counted on the loop reference, which
+        # TestUnrolledResidual ties bit for bit to the unrolled forms
         evaluations = []
-        solve = stableswap._shift_root
+        solve = reference.shift_root
 
         def counted(residual, *args):
             def f(s):
@@ -487,26 +490,32 @@ class TestDivergenceLoss:
                 return residual(s)
             return solve(f, *args)
 
-        with patch.object(stableswap, "_shift_root", counted), patch.dict(
-            stableswap._DIVERGENCE_POINTS, clear=True
-        ):
-            points = sum(len(divergence_curve(pool, 1).x_values) for pool in self.SOLVE_POOLS)
+        points = 0
+        with patch.object(reference, "shift_root", counted):
+            for pool in self.SOLVE_POOLS:
+                kernel = analysis._divergence_kernel(pool, 1)
+                for rho in default_shift_grid():
+                    reference.divergence_loss_at(*kernel.args, rho)
+                    points += 1
         assert points == 24 * len(default_shift_grid())
         assert len(evaluations) / points <= 8.5
 
-    def test_only_pools_of_four_or_more_assets_call_the_generic_solve(self):
-        calls = Counter()
-        solve = stableswap._shift_root
-
-        def counted(residual, n, *args):
-            calls[n] += 1
-            return solve(residual, n, *args)
-
-        with patch.object(stableswap, "_shift_root", counted):
-            for pool in self.SOLVE_POOLS:
-                divergence_curve(pool, 1)
-        assert set(calls) == {4}
-        assert calls[4] >= 8 * (len(default_shift_grid()) - 1)
+    def test_every_pool_size_runs_its_unrolled_form(self):
+        # one function per pool size, written out from the template for
+        # that size, which the pool's swaps and divergence sweeps call
+        swaps, points = set(), set()
+        for n in range(2, 7):
+            pool = stableswap_pool(tuple(100.0 * (k + 1) for k in range(n)), 10.0)
+            swap, point = pool._curve.swap, analysis._divergence_kernel(pool, n - 1).func
+            assert swap is stableswap._swap_output_for(n)
+            assert point is stableswap._divergence_point_for(n)
+            assert swap.__code__.co_filename == f"<ammlab.stableswap swap_output, {n} assets>"
+            assert point.__code__.co_filename == (
+                f"<ammlab.stableswap divergence_point, {n} assets>"
+            )
+            swaps.add(swap)
+            points.add(point)
+        assert len(swaps) == len(points) == 5
 
     @pytest.mark.parametrize(
         "reserves, amp, o, rho, error, reason",
@@ -524,17 +533,26 @@ class TestDivergenceLoss:
             # the first bisection lands where the curve's P overflows
             ((1.4008219440704583e-69, 1.739693954112794e-67), 1e-323, 1, -0.9987283496557591,
              NoSolution, " is unattainable: the curve is not representable"),
+            # at A = 5e-324 the lower end A/2 rounds to 0, and a bisection
+            # from it makes an x_k underflow to 0
+            ((4.0516221510570526e+62, 1.7298228857387102e+77, 3.363231831095374e+17,
+              5.859623136055229e+47), 5e-324, 1, -0.7394837533598139,
+             NoSolution, " is unattainable: the curve is not representable"),
+            ((2.1326123117567886e-62, 8.868725201770162e-63, 3.931662555603119e+48), 5e-324, 1,
+             3.3253380839887335e+290,
+             NoSolution, " is unattainable: the curve is not representable"),
         ],
-        ids=["2-unconverged", "3-unconverged", "4-unconverged", "2-not-finite"],
+        ids=["2-unconverged", "3-unconverged", "4-unconverged", "2-not-finite", "4-underflow",
+             "3-underflow"],
     )
     def test_a_pool_at_the_edge_of_the_solve_is_refused(self, reserves, amp, o, rho, error, reason):
         d = stableswap_pool(reserves, amp).invariant[0]
         message = f"rate shift {rho} for asset {o}{reason}"
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            stableswap_divergence_loss(reserves, d, amp, o, rho)
+        for loss in (stableswap_divergence_loss, reference.divergence_loss):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                loss(reserves, d, amp, o, rho)
 
     def test_a_zero_shift_on_four_assets_is_lossless(self):
-        # the generic form, which the 2- and 3-asset forms unroll
         reserves = (100.0, 200.0, 300.0, 400.0)
         d = solve_invariant(reserves, 10.0)
         assert stableswap_divergence_loss(reserves, d, 10.0, 2, 0.0) == 0.0
@@ -548,48 +566,55 @@ class TestDivergenceLoss:
             stableswap_divergence_loss((100.0, 100.0), 200.0, 10.0, 1, -1.0)
 
 
+def _swap_cases(seed: str, sizes, count: int) -> list:
+    """Random pools from 1e-100 to 1e100 with A from 1e-6 to 1e12 take their
+    constants from curve_constants; forward, reverse, exhausting, zero and
+    non-finite trades. Two fifths of the cases replace one of shift, scale
+    and A with a value that no pool builds (negated, zero, subnormal,
+    rescaled by up to 1e300 or not finite), so the corpus reaches every
+    refusal of the quadratic."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.choice(sizes)
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        reserves = tuple(scale * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n))
+        amp = 10.0 ** rng.uniform(-6.0, 12.0)
+        i, o = rng.sample(range(n), 2)
+        r_i = reserves[i]
+        x_in = rng.choice((
+            r_i * 10.0 ** rng.uniform(-12.0, 3.0),
+            r_i * 10.0 ** rng.uniform(3.0, 300.0),
+            -r_i * rng.random(),
+            -r_i * (1.0 + rng.random()),
+            0.0,
+            rng.choice((math.nan, math.inf, -math.inf)),
+        ))
+        try:
+            _, dq, shift = stableswap.curve_constants(solve_invariant(reserves, amp), amp, n)
+        except AmmError:
+            continue
+        constants = [shift, dq, amp]
+        if rng.random() < 0.4:
+            k = rng.randrange(3)
+            constants[k] = rng.choice((
+                -constants[k], 0.0, 5e-324, constants[k] * 10.0 ** rng.uniform(-300.0, 300.0),
+                math.inf, -math.inf, math.nan,
+            ))
+        cases.append((reserves, i, o, *constants, x_in))
+    return cases
+
+
 class TestUnrolledSwap:
-    """The 2- and 3-asset swap outputs must equal the generic loop over the
-    non-output reserves bit for bit, or fail with the same error."""
+    """The swap output written out for each pool size must equal the loop
+    reference over the non-output reserves bit for bit, or fail with the
+    same error."""
 
     def test_matches_the_generic_loop(self):
-        # the only guard of the quadratic that the 2- and 3-asset forms
-        # inline: equal bits, or the same exception by class and message.
-        # Random pools from 1e-100 to 1e100 with A from 1e-6 to 1e12 take
-        # their constants from curve_constants; forward, reverse, exhausting,
-        # zero and non-finite trades. Two fifths of the cases replace one of
-        # shift, scale and A with a value that no pool builds (negated, zero,
-        # subnormal, rescaled by up to 1e300 or not finite), so the corpus
-        # reaches every refusal of the quadratic
-        rng = random.Random("stableswap/swap-outputs")
-        cases = []
-        for _ in range(4000):
-            n = rng.choice((2, 3))
-            scale = 10.0 ** rng.uniform(-100.0, 100.0)
-            reserves = tuple(scale * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n))
-            amp = 10.0 ** rng.uniform(-6.0, 12.0)
-            i, o = rng.sample(range(n), 2)
-            r_i = reserves[i]
-            x_in = rng.choice((
-                r_i * 10.0 ** rng.uniform(-12.0, 3.0),
-                r_i * 10.0 ** rng.uniform(3.0, 300.0),
-                -r_i * rng.random(),
-                -r_i * (1.0 + rng.random()),
-                0.0,
-                rng.choice((math.nan, math.inf, -math.inf)),
-            ))
-            try:
-                _, dq, shift = stableswap.curve_constants(solve_invariant(reserves, amp), amp, n)
-            except AmmError:
-                continue
-            constants = [shift, dq, amp]
-            if rng.random() < 0.4:
-                k = rng.randrange(3)
-                constants[k] = rng.choice((
-                    -constants[k], 0.0, 5e-324, constants[k] * 10.0 ** rng.uniform(-300.0, 300.0),
-                    math.inf, -math.inf, math.nan,
-                ))
-            cases.append((reserves, i, o, *constants, x_in))
+        # equal bits, or the same exception by class and message, at 2 to 5
+        # assets: 4 and more fold the non-output reserves in index order
+        cases = _swap_cases("stableswap/swap-outputs", (2, 3), 4000)
+        cases += _swap_cases("stableswap/swap-outputs/4-5", (4, 5), 6000)
 
         def outcome(swap, *args):
             try:
@@ -613,10 +638,10 @@ class TestUnrolledSwap:
         kinds = Counter()
         for case in cases:
             n = len(case[0])
-            unrolled = outcome(stableswap._SWAP_OUTPUTS[n], *case)
-            assert outcome(stableswap._swap_output, *case) == unrolled, case
+            unrolled = outcome(stableswap._swap_output_for(n), *case)
+            assert outcome(reference.swap_output, *case) == unrolled, case
             kinds[n, kind(unrolled)] += 1
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             assert kinds[n, "ok"] >= 600
             assert kinds[n, "DomainError"] >= 200
             assert kinds[n, "ReserveDepletion"] >= 200
@@ -625,63 +650,59 @@ class TestUnrolledSwap:
                             "ZeroDivisionError"):
                 assert kinds[n, refusal] >= 10, (n, refusal, kinds)
 
-    def test_a_pool_picks_its_form_once(self):
-        for n in (2, 3, 4):
+    def test_a_pool_swaps_by_its_size_form(self):
+        for n in (2, 3, 4, 5):
             pool = stableswap_pool((100.0,) * n, 10.0)
-            with patch.dict(stableswap._SWAP_OUTPUTS, clear=True):
-                generic = stableswap_pool((100.0,) * n, 10.0)
-            assert pool._curve.swap is stableswap._SWAP_OUTPUTS.get(n, stableswap._swap_output)
-            assert generic._curve.swap is stableswap._swap_output
+            curve = pool._curve
             for x_in in (1e-9, 1.0, 99.0, -50.0):
                 assert float.hex(swap_amount(pool, 0, n - 1, x_in)) == float.hex(
-                    swap_amount(generic, 0, n - 1, x_in)
+                    reference.swap_output(pool.reserves, 0, n - 1, curve.shift, curve.dq,
+                                          curve.A, x_in)
                 )
 
 
+def _divergence_cases(seed: str, sizes, count: int) -> list:
+    """Random pools from 1e-100 to 1e100 with A up to 1e12 and shifts up to
+    1e300, within 1e-12 of -1 and down to 1e-12 either way: they reach the
+    regions where f cancels and the rebalanced reserves' range check."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.choice(sizes)
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        reserves = tuple(scale * 10.0 ** rng.uniform(-10.0, 10.0) for _ in range(n))
+        amp = 10.0 ** rng.choice((rng.uniform(-6.0, 12.0), rng.uniform(10.0, 12.0)))
+        o = rng.randrange(1, n)
+        rho = rng.choice((
+            rng.uniform(-1.0, 4.0),
+            -1.0 + 10.0 ** rng.uniform(-12.0, 0.0),
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -4.0),
+            10.0 ** rng.uniform(-12.0, 300.0),
+        ))
+        cases.append((reserves, amp, o, rho))
+    return cases
+
+
 class TestUnrolledResidual:
-    """The 2- and 3-asset divergence points inline the curve equation, its
-    slope and the Newton loop of the generic path; they must equal
-    stableswap._divergence_loss_at bit for bit: a reordered float operation
-    moves the roots the solve returns, and with them output bytes."""
+    """The divergence point written out for each pool size inlines the curve
+    equation, its slope and the Newton loop; it must equal the loop
+    reference bit for bit: a reordered float operation moves the roots the
+    solve returns, and with them output bytes."""
 
-    def test_divergence_loss_matches_the_generic_path(self):
-        # the unrolled 2- and 3-asset divergence points against the generic
-        # _divergence_loss_at on the generic curve: equal bits, or the same
-        # error. Random pools from 1e-100 to 1e100 with A up to 1e12 and
-        # shifts up to 1e300, within 1e-12 of -1 and down to 1e-12 either
-        # way reach the regions where f cancels and the rebalanced
-        # reserves' range check; two 3-asset pools imbalanced by over 1e100
-        # reach the solve's finiteness check
-        rng = random.Random("stableswap/divergence-points")
-        cases = []
-        for _ in range(3000):
-            n = rng.choice((2, 3))
-            scale = 10.0 ** rng.uniform(-100.0, 100.0)
-            reserves = tuple(scale * 10.0 ** rng.uniform(-10.0, 10.0) for _ in range(n))
-            amp = 10.0 ** rng.choice((rng.uniform(-6.0, 12.0), rng.uniform(10.0, 12.0)))
-            o = rng.randrange(1, n)
-            rho = rng.choice((
-                rng.uniform(-1.0, 4.0),
-                -1.0 + 10.0 ** rng.uniform(-12.0, 0.0),
-                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -4.0),
-                10.0 ** rng.uniform(-12.0, 300.0),
-            ))
-            cases.append((reserves, amp, o, rho))
-        cases += [
-            ((6.027984854914927e-20, 3.7187202283900295e-138, 3.3623626518537535e-118),
-             27291316123.15527, 2, -0.976534714960766),
-            ((1.5743298522794656e-134, 1.3221162647478556e-19, 1.0101688250408584e-149),
-             73392281102087.28, 2, -0.999990037487363),
-        ]
+    @staticmethod
+    def compare(cases):
+        """The outcome of each case that builds a D, after checking that the
+        unrolled and the loop forms agree on it: equal bits, or the same
+        error; and a Counter of the regions its solved points reach."""
 
-        def outcome(reserves, d, amp, o, rho):
+        def outcome(loss, reserves, d, amp, o, rho):
             try:
-                return float.hex(stableswap_divergence_loss(reserves, d, amp, o, rho))
+                return float.hex(loss(reserves, d, amp, o, rho))
             except AmmError as exc:
                 return type(exc), str(exc)
 
         excess = []
-        curve = stableswap._curve
+        curve = reference.curve
 
         def recorded(e, A):
             excess.append(max(e))
@@ -693,11 +714,10 @@ class TestUnrolledResidual:
                 d = solve_invariant(reserves, amp)
             except AmmError:
                 continue
-            unrolled = outcome(reserves, d, amp, o, rho)
-            with patch.dict(stableswap._DIVERGENCE_POINTS, clear=True), patch.object(
-                stableswap, "_curve", recorded
-            ):
-                assert outcome(reserves, d, amp, o, rho) == unrolled, (reserves, amp, o, rho)
+            unrolled = outcome(stableswap_divergence_loss, reserves, d, amp, o, rho)
+            with patch.object(reference, "curve", recorded):
+                loop = outcome(reference.divergence_loss, reserves, d, amp, o, rho)
+            assert loop == unrolled, (reserves, amp, o, rho)
             outcomes.append(unrolled)
             if isinstance(unrolled, str):
                 # the regions the solved points reach
@@ -705,7 +725,20 @@ class TestUnrolledResidual:
                 reached["excess >= 1e280"] += excess[-1] >= 1e280
                 reached["1 + rho <= 1e-10"] += 1.0 + rho <= 1e-10
                 reached["|rho| <= 1e-10"] += abs(rho) <= 1e-10
-                reached["3 assets, o = 2"] += len(reserves) == 3 and o == 2
+                reached["o = n - 1 >= 2"] += o == len(reserves) - 1 >= 2
+        return outcomes, reached
+
+    def test_divergence_loss_matches_the_generic_path(self):
+        # two 3-asset pools imbalanced by over 1e100 reach the solve's
+        # finiteness check
+        cases = _divergence_cases("stableswap/divergence-points", (2, 3), 3000)
+        cases += [
+            ((6.027984854914927e-20, 3.7187202283900295e-138, 3.3623626518537535e-118),
+             27291316123.15527, 2, -0.976534714960766),
+            ((1.5743298522794656e-134, 1.3221162647478556e-19, 1.0101688250408584e-149),
+             73392281102087.28, 2, -0.999990037487363),
+        ]
+        outcomes, reached = self.compare(cases)
         reasons = Counter(
             out[1].rsplit(": ", 1)[-1] for out in outcomes if out[0] is NoSolution
         )
@@ -713,3 +746,65 @@ class TestUnrolledResidual:
         assert reasons["a rebalanced reserve leaves the floating-point range"] >= 5
         assert sum(isinstance(out, str) for out in outcomes) >= 2000
         assert min(reached.values()) >= 20 and len(reached) == 5, reached
+
+    def test_four_and_five_assets_match_the_generic_path(self):
+        cases = _divergence_cases("stableswap/divergence-points/4-5", (4, 5), 2000)
+        outcomes, reached = self.compare(cases)
+        reasons = Counter(
+            out[1].rsplit(": ", 1)[-1] for out in outcomes if out[0] is NoSolution
+        )
+        assert reasons["a rebalanced reserve leaves the floating-point range"] >= 5
+        assert sum(isinstance(out, str) for out in outcomes) >= 1100
+        assert min(reached.values()) >= 5 and len(reached) == 5, reached
+
+
+class TestLongFolds:
+    def test_a_fold_past_the_longest_keeps_its_bits(self):
+        # from _LONGEST_FOLD + 1 assets on, the sums and products of the
+        # divergence point are reduce calls: the same left folds
+        rng = random.Random("stableswap/long-folds")
+        for n in (stableswap._LONGEST_FOLD, stableswap._LONGEST_FOLD + 1):
+            reserves = tuple(rng.uniform(0.5, 2.0) for _ in range(n))
+            pool = stableswap_pool(reserves, 10.0)
+            d = pool.invariant[0]
+            assert ("reduce(" in inspect.getsource(stableswap._divergence_point_for(n))) == (
+                n > stableswap._LONGEST_FOLD
+            )
+            for o, rho in ((1, -0.5), (n - 1, 0.21), (n // 2, 3.0)):
+                assert float.hex(stableswap_divergence_loss(reserves, d, 10.0, o, rho)) == (
+                    float.hex(reference.divergence_loss(reserves, d, 10.0, o, rho))
+                )
+            assert float.hex(swap_amount(pool, n - 1, 0, 0.5)) == float.hex(
+                reference.swap_output(reserves, n - 1, 0, pool._curve.shift, pool._curve.dq,
+                                      10.0, 0.5)
+            )
+
+
+class TestGeneratedSource:
+    """The unrolled kernels are compiled from source that tracebacks,
+    inspect and profilers can read."""
+
+    def test_getsource_returns_the_generated_source(self):
+        for n in (2, 3, 4):
+            swap, point = stableswap._swap_output_for(n), stableswap._divergence_point_for(n)
+            source = inspect.getsource(swap)
+            assert source.startswith("def swap_output(reserves, i, o, shift, scale, ")
+            assert 'raise NoSolution("swap quadratic has no real root")' in source
+            source = inspect.getsource(point)
+            assert source.startswith("def divergence_point(reserves, D, A, o, c, g, V, rho):")
+            assert f"x{n - 1} = s + e{n - 1} * t" in source
+            assert f"x{n} " not in source
+
+    def test_a_refusal_shows_the_template_line(self):
+        # a negated scale leaves the swap quadratic without a real root
+        with pytest.raises(NoSolution, match="^swap quadratic has no real root$") as caught:
+            stableswap._swap_output_for(3)((100.0, 100.0, 100.0), 0, 1, 0.0, -1e13, 10.0, 1.0)
+        lines = traceback.format_tb(caught.value.__traceback__)
+        assert 'File "<ammlab.stableswap swap_output, 3 assets>"' in lines[-1]
+        assert 'raise NoSolution("swap quadratic has no real root")' in lines[-1]
+        d = solve_invariant((100.0, 100.0, 100.0, 100.0), 1e8)
+        with pytest.raises(NoSolution) as caught:
+            stableswap_divergence_loss((100.0,) * 4, d, 1e8, 1, 1e300)
+        lines = traceback.format_tb(caught.value.__traceback__)
+        assert 'File "<ammlab.stableswap divergence_point, 4 assets>"' in lines[-1]
+        assert "raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)" in lines[-1]
