@@ -25,7 +25,7 @@ import re
 import string
 from functools import cache, partial, reduce
 from itertools import takewhile
-from operator import add, mul
+from operator import add, mul  # with reduce, read by the generated kernels
 
 from . import quote
 from .errors import ConvergenceFailure, DomainError, NoSolution
@@ -229,18 +229,20 @@ def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: in
     return _spot_rate(reserves, dq, amplification, i, o)
 
 
-# the longest sum or product _unroll writes as one expression: the compiler
+# the longest sum or product _unrolled writes as one expression: the compiler
 # recurses once per operator, and its depth limit lies near 3,000 on Python 3.11
 _LONGEST_FOLD = 64
 _FOLDS = {" + ": "add", " * ": "mul"}
 
 
-def _unroll(template: str, n: int, /, **constants) -> str:
-    """template written out for an n-asset pool. The lines between `%each`
-    and `%end` repeat for k = 0..n-1 (`%each from 1`: k = 1..n-1),
-    `[[body|sep]]` joins body for k = 0..n-1 with sep, `@` in either stands
-    for k, and `$name` for constants[name]. Beyond _LONGEST_FOLD terms a sum
-    or product becomes the same left fold by reduce."""
+def _unrolled(template: str, name: str, n: int, /, **constants):
+    """The function `name` that template defines, written out for an n-asset
+    pool and compiled against this module's globals; linecache holds its
+    source for tracebacks, inspect and profilers. In template, `$key` stands
+    for constants[key]; then the lines between `%each` and `%end` repeat for
+    k = 0..n-1 (`%each from 1`: k = 1..n-1), and `[[body|sep]]` joins body
+    for k = 0..n-1 with sep, where `@` stands for k. Beyond _LONGEST_FOLD
+    terms a sum or product becomes the same left fold by reduce."""
 
     def join(match) -> str:
         body, sep = match[1], match[2]
@@ -249,7 +251,8 @@ def _unroll(template: str, n: int, /, **constants) -> str:
             return f"reduce({_FOLDS[sep]}, ({', '.join(terms)}))"
         return sep.join(terms)
 
-    lines, out = iter(template.splitlines()), []
+    lines = iter(string.Template(template).substitute(constants).splitlines())
+    out = []
     for line in lines:
         if line.lstrip().startswith("%each"):
             first = int(line.split(" from ")[1]) if " from " in line else 0
@@ -257,13 +260,7 @@ def _unroll(template: str, n: int, /, **constants) -> str:
             out += [text.replace("@", str(k)) for k in range(first, n) for text in block]
         else:
             out.append(line)
-    source = re.sub(r"\[\[(.*?)\|(.*?)\]\]", join, "\n".join(out))
-    return string.Template(source).substitute(constants) + "\n"
-
-
-def _compiled(source: str, name: str, n: int):
-    """The function name that source defines, compiled against this module's
-    globals; linecache holds the source for tracebacks, inspect and profilers."""
+    source = re.sub(r"\[\[(.*?)\|(.*?)\]\]", join, "\n".join(out)) + "\n"
     filename = f"<ammlab.stableswap {name}, {n} assets>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
@@ -309,10 +306,18 @@ def _swap_output_for(n: int):
         gather = "r_other = reserves[3 - i - o]"
         total, product = "(r_in_new + r_other)", "(r_in_new * r_other)"
     else:
-        gather = "held = [r_in_new if k == i else r for k, r in enumerate(reserves) if k != o]"
-        total, product = "reduce(add, held)", "math.prod(held)"
-    source = _unroll(_SWAP_OUTPUT, n, gather=gather, total=total, product=product)
-    return _compiled(source, "swap_output", n)
+        gather = "\n    ".join((
+            "[[r@|, ]] = reserves",
+            "s0, p0 = 0.0, 1.0",
+            "%each",
+            "if o != @:",
+            "    held = r_in_new if i == @ else r@",
+            "    s0 += held",
+            "    p0 *= held",
+            "%end",
+        ))
+        total, product = "s0", "p0"
+    return _unrolled(_SWAP_OUTPUT, "swap_output", n, gather=gather, total=total, product=product)
 
 
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
@@ -361,10 +366,7 @@ def divergence_point(reserves, D, A, o, c, g, V, rho):
         return 0.0
     [[r@|, ]] = reserves
     [[g@|, ]] = g
-    w0 = g0
-    %each from 1
-    w@ = g@ * (1.0 + rho) if o == @ else g@
-    %end
+    [[w@|, ]] = [[g@ * (1.0 + rho) if o == @ else g@|, ]]
     shift = rho * g[o]
     m, r_m, w_m = 0, r0, w0
     %each from 1
@@ -445,11 +447,10 @@ def divergence_point(reserves, D, A, o, c, g, V, rho):
 def _divergence_point_for(n: int):
     """The divergence point function for an n-asset pool, _DIVERGENCE_POINT
     written out for n: (reserves, D, A, o, c, g, V, rho) -> loss."""
-    source = _unroll(
-        _DIVERGENCE_POINT, n, n=float(n), n_plus_1=n + 1, power=1.0 / (n + 1),
-        lo=n * (2.0 * n) ** -(n + 1), hi=2.0 * n,
+    return _unrolled(
+        _DIVERGENCE_POINT, "divergence_point", n, n=float(n), n_plus_1=n + 1,
+        power=1.0 / (n + 1), lo=n * (2.0 * n) ** -(n + 1), hi=2.0 * n,
     )
-    return _compiled(source, "divergence_point", n)
 
 
 def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: int):
