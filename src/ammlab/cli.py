@@ -3,21 +3,23 @@
 ``ammlab run <scenario.json>`` reads a declarative scenario — pool
 definitions plus an ordered action list — executes it, and writes CSV series
 files and a plain-text transition-receipt log. ``ammlab validate`` reports
-every scenario problem without executing anything: it checks the document's
-shape (keys, types, list lengths, pool references, grid specs) itself, and
-the library judges every value: it builds each pool and checks each grid,
-fraction and action argument, in its own words; those problems are prefixed
-``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks and executes
-what they built: the pools, the resolved grids and each action's arguments
-with their defaults filled in, so nothing is built twice. Output is
-deterministic: identical scenarios produce byte-identical files. Everything
-runs in one thread, in grid order; ``--parallel N`` must be at least 1 and
-does not change the output (a thread pool cannot speed up this pure-Python
-arithmetic, which holds the interpreter lock, so none is started).
+every scenario problem and writes nothing. It checks the document's shape
+(keys, types, list lengths, pool references, grid specs) itself; the library
+judges every value. Pools are built, grids and fractions checked, and then
+every action runs in order: each swap and liquidity change moves its pool's
+state through ``apply_swap`` or ``add_liquidity_proportional``, and each
+series is judged on an empty grid, on the state before it. Problems are
+prefixed ``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks,
+then executes what they built (the pools, the resolved grids and each
+action's arguments with their defaults filled in), so nothing is built
+twice. Output is deterministic: identical scenarios produce byte-identical
+files. Everything runs in one thread, in grid order; ``--parallel N`` must be
+at least 1 and does not change the output (a thread pool cannot speed up this
+pure-Python arithmetic, which holds the interpreter lock, so none is started).
 
 Exit codes: 0 success, 1 parse error, 2 validation error (or a domain error
-hit while executing), 3 solver failure (partial outputs are kept and a
-manifest of failed points is written).
+at a series point while executing), 3 solver failure (partial outputs are
+kept and a manifest of failed points is written).
 
 Scenario schema (JSON object):
 
@@ -81,7 +83,6 @@ from .core import (
     pmm_pool,
     stableswap_pool,
     sushiswap_pool,
-    swap_kernel,
     uniswap_pool,
     weighted_pool,
 )
@@ -241,13 +242,80 @@ def _build_pool(defn) -> PoolState:
     )
 
 
+def _check_action(act, where: str, built: dict):
+    """(problems, step) of one action's shape and grid; step is None where
+    a problem leaves nothing to replay. A step is (name, kind, pool ids, i,
+    o, value): kind is None for a swap or add_liquidity, whose value is its
+    amount or fraction; a series' value is its grid, None for the default,
+    and a divergence series' o its appreciating asset."""
+    if not isinstance(act, dict):
+        return [f"{where}: action must be an object"], None
+    name = act.get("action")
+    if not (isinstance(name, str) and name in _ACTION_KEYS):
+        return [
+            f"{where}: unknown action {name!r} (expected one of {', '.join(_ACTION_KEYS)})"
+        ], None
+    problems = []
+    unknown = set(act) - _ACTION_KEYS[name]
+    if unknown:
+        problems.append(f"{where}: unknown keys for {name}: {sorted(unknown)}")
+    if name == "compare":
+        pids = act.get("pools")
+        if not isinstance(pids, list):
+            problems.append(f"{where}: pools must be an array of pool ids")
+            pids = []
+        if len(set(map(str, pids))) != len(pids):
+            problems.append(f"{where}: duplicate pool ids in compare")
+        kind = act.get("kind", "slippage")
+        if not (isinstance(kind, str) and kind in _KINDS):
+            problems.append(
+                f"{where}: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"
+            )
+            return problems, None
+        kind = _KINDS[kind]
+    else:
+        pids = [act.get("pool")]
+        kind = _SERIES_ACTIONS.get(name)
+    for pid in pids:
+        if not (isinstance(pid, str) and pid in built):
+            problems.append(f"{where}: references undefined pool {pid!r}")
+    keys = {"divergence_curve": ("asset",), "add_liquidity": ()}.get(
+        name, ("input_asset", "output_asset")
+    )
+    for key in keys:
+        if not _is_index(act.get(key, 0)):
+            problems.append(f"{where}: {key} must be an integer")
+    arg = "fraction" if name == "add_liquidity" else "amount"
+    value = act.get(arg)
+    try:
+        if kind is not None:
+            value = _resolve_grid(act.get("grid"))
+        elif not _is_number(value):
+            raise ValueError(f"{arg} must be a finite number")
+        elif name == "add_liquidity":
+            quote.check_fraction(value)
+    except _DOMAIN_ERRORS as exc:
+        problems.append(f"{where}: {exc}")
+    if problems:
+        return problems, None
+    if kind is None:
+        value = float(value)
+    elif value is not None:
+        # a grid outside its domain or order is a problem, but its pools are
+        # still judged
+        try:
+            check_grid_domain(kind, value)
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+    o = act.get("asset" if name == "divergence_curve" else "output_asset", 1)
+    return problems, (name, kind, tuple(pids), act.get("input_asset", 0), o, value)
+
+
 def _compile(data):
-    """(problems, pools, steps) of a parsed scenario document; pools and
-    steps are complete only when there are no problems. pools maps each pool
-    id to (protocol, state), the states the checks built. steps holds one
-    step per action, led by its name: (name, pid, i, o, amount) for a swap,
-    (name, pid, fraction) for add_liquidity, (name, kind, pids, i, o, grid or
-    None) for a series, where o is a divergence series' appreciating asset."""
+    """(problems, pools, actions) of a parsed scenario document: the problems
+    of its shape outside the actions, the pools as built, and each action's
+    (problems, step) from _check_action. pools maps each pool id to
+    (protocol, state), the state None where the pool failed its checks."""
     problems: list[str] = []
     if not isinstance(data, dict):
         return ["scenario root must be a JSON object"], {}, []
@@ -269,7 +337,6 @@ def _compile(data):
             problems.append("output: directory must be a string")
 
     pools = data.get("pools")
-    # pool id -> (protocol, state, or None when the pool failed its checks)
     built: dict[str, tuple[str, PoolState | None]] = {}
     if not isinstance(pools, list):
         problems.append("pools must be an array")
@@ -287,115 +354,80 @@ def _compile(data):
     if not isinstance(actions, list):
         problems.append("actions must be an array")
         actions = []
-    steps: list[tuple] = []
-    for k, act in enumerate(actions):
-        where = f"actions[{k}]"
-        if not isinstance(act, dict):
-            problems.append(f"{where}: action must be an object")
-            continue
-        name = act.get("action")
-        if not (isinstance(name, str) and name in _ACTION_KEYS):
-            problems.append(
-                f"{where}: unknown action {name!r} (expected one of {', '.join(_ACTION_KEYS)})"
-            )
-            continue
-        before = len(problems)
-        unknown = set(act) - _ACTION_KEYS[name]
-        if unknown:
-            problems.append(f"{where}: unknown keys for {name}: {sorted(unknown)}")
-        if name == "compare":
-            pids = act.get("pools")
-            if not isinstance(pids, list):
-                problems.append(f"{where}: pools must be an array of pool ids")
-                pids = []
-            if len(set(map(str, pids))) != len(pids):
-                problems.append(f"{where}: duplicate pool ids in compare")
-            kind = act.get("kind", "slippage")
-            if not (isinstance(kind, str) and kind in _KINDS):
-                problems.append(
-                    f"{where}: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"
-                )
-                continue
-            kind = _KINDS[kind]
-        else:
-            pids = [act.get("pool")]
-            kind = _SERIES_ACTIONS.get(name)
-        known = [pid for pid in pids if isinstance(pid, str) and pid in built]
-        for pid in pids:
-            if pid not in known:
-                problems.append(f"{where}: references undefined pool {pid!r}")
-        if name == "add_liquidity":
-            fraction = act.get("fraction")
-            try:
-                if not _is_number(fraction):
-                    raise ValueError("fraction must be a finite number")
-                quote.check_fraction(fraction)
-            except _DOMAIN_ERRORS as exc:
-                problems.append(f"{where}: {exc}")
-            if len(problems) == before:
-                steps.append((name, pids[0], float(fraction)))
-            continue
-        keys = ("asset",) if name == "divergence_curve" else ("input_asset", "output_asset")
-        for key in keys:
-            if not _is_index(act.get(key, 0)):
-                problems.append(f"{where}: {key} must be an integer")
-        if name == "swap" and not _is_number(act.get("amount")):
-            problems.append(f"{where}: amount must be a finite number")
-        grid = None
-        if kind is not None:
-            try:
-                grid = _resolve_grid(act.get("grid"))
-            except _DOMAIN_ERRORS as exc:
-                problems.append(f"{where}: {exc}")
-        if len(problems) > before:
-            continue
-        # o is the appreciating asset of a divergence_curve
-        i, o = act.get("input_asset", 0), act.get(keys[-1], 1)
+    return problems, built, [
+        _check_action(act, f"actions[{k}]", built) for k, act in enumerate(actions)
+    ]
+
+
+def _act(idx: int, step: tuple, pid: str, state: PoolState, protocol: str, evaluate: bool):
+    """What action idx does to the pool pid: (its state after, its record).
+    A swap or a liquidity change moves the state and records its receipt
+    line. A series keeps the state and records its sweep, over its grid when
+    evaluating, else over an empty grid, with a cross-section's default grid
+    built from the reserves."""
+    name, kind, _, i, o, value = step
+    if kind is None:
         if name == "swap":
-            steps.append((name, pids[0], i, o, float(act["amount"])))
+            state, outcome, receipt = apply_swap(state, i, o, value)
+            moved = (
+                f"input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
+                f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
+            )
         else:
-            steps.append((name, kind, tuple(pids), i, o, grid))
-        # the library judges a well-formed action without evaluating a point:
-        # the grid's domain and order, then on each built pool a swap's asset
-        # pair by the swap kernel, a series' sweep on an empty grid, and the
-        # default grid of a cross-section without one
-        if grid is not None:
-            try:
-                check_grid_domain(kind, grid)
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
-        for pid in known:
-            protocol, state = built[pid]
+            state, receipt = add_liquidity_proportional(state, value)
+            moved = f"fraction={value!r}"
+        check = receipt.checks[0]
+        return state, (
+            f"action {idx:03d} {name} pool={pid} {moved} kind={receipt.kind.value}"
+            f" rule={check.rule} deviation={check.deviation!r} tolerance={check.tolerance!r}"
+            f" passed={'yes' if check.passed else 'no'}"
+        )
+    grid = value if evaluate else ()
+    if kind is SeriesKind.DIVERGENCE_LOSS:
+        return state, divergence_curve(state, o, grid, pool_id=pid, protocol=protocol)
+    sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
+    series = sweep(state, i, o, grid, pool_id=pid, protocol=protocol)
+    if value is None and not evaluate and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
+        default_cross_section_grid(state.reserves[i])
+    return state, series
+
+
+def _validate(data):
+    """(problems, pools, steps) of a parsed scenario document: the shape
+    problems, then the validate pass. It runs each action in order on each
+    pool it names, by _act on the state that the earlier actions left, with
+    empty grids. A failing transition is a problem and leaves the state as
+    it was; a solver failure is not a problem, since run stops there with
+    exit 3. pools and steps are complete only when there are no problems."""
+    problems, pools, actions = _compile(data)
+    states = {pid: state for pid, (_, state) in pools.items()}
+    for k, (found, step) in enumerate(actions):
+        problems += found
+        if step is None:
+            continue
+        for pid in step[2]:
+            protocol, state = pools[pid][0], states[pid]
             if state is None:
                 continue
             try:
-                if kind is None:
-                    swap_kernel(state, i, o)
-                else:
-                    _sweep(kind, state, i, o, (), pid, protocol)
-                    if grid is None and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
-                        default_cross_section_grid(state.reserves[i])
+                states[pid] = _act(k, step, pid, state, protocol, False)[0]
             except NotApplicable:
                 problems.append(
-                    f"{where}: divergence loss does not apply to {protocol} pool {pid!r}"
+                    f"actions[{k}]: divergence loss does not apply to {protocol} pool {pid!r}"
                 )
+            except (NoSolution, ConvergenceFailure):
+                pass
             except _DOMAIN_ERRORS as exc:
-                problems.append(f"{where}: pool {pid!r}: {exc}")
-    return problems, built, steps
+                problems.append(f"actions[{k}]: pool {pid!r}: {exc}")
+    return problems, pools, [step for _, step in actions]
 
 
 def validate_scenario_data(data) -> list[str]:
-    """Every problem in a parsed scenario document, without executing it:
-    shape problems, then each pool's and each action's values as the library
-    judges them, prefixed pools[k]: or actions[k]:."""
-    return _compile(data)[0]
-
-
-def validate_scenario(path) -> list[str]:
-    """Parse the scenario file and return every validation problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return validate_scenario_data(data)
+    """Every problem in a parsed scenario document: shape problems, then
+    each pool's and each action's values as the library judges them,
+    prefixed pools[k]: or actions[k]:. Swaps and liquidity changes are
+    replayed in order; no series point is evaluated."""
+    return _validate(data)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,79 +444,43 @@ def _series_csv(series, x_column: list[str]) -> str:
     return "grid,value,pool,protocol,hyperparameters\n" + (row * len(series.y_values)) % values
 
 
-def _series_failures(series, idx: int) -> list[str]:
-    return [
-        f"action {idx:03d} {series.kind.value} pool={series.pool_id} "
-        f"point={k} x={series.x_values[k]!r}: {msg}"
-        for k, msg in series.failures
-    ]
-
-
-def _receipt_tail(receipt) -> str:
-    """The receipt line's account of the rule checked on a transition."""
-    check = receipt.checks[0]
-    return (
-        f" kind={receipt.kind.value} rule={check.rule}"
-        f" deviation={check.deviation!r} tolerance={check.tolerance!r}"
-        f" passed={'yes' if check.passed else 'no'}"
-    )
-
-
 def _execute(pools: dict, steps: list):
-    """Run the steps _compile built on its pools; returns (receipt lines,
-    [(csv name, csv content)], manifest lines, exit code, fatal message or
-    None)."""
+    """The evaluating pass: run the validated steps by _act on the pools as
+    built; returns (receipt lines, [(csv name, csv content)], manifest
+    lines, exit code, fatal message or None)."""
     states = {pid: state for pid, (_, state) in pools.items()}
     receipts: list[str] = []
     csvs: list[tuple[str, str]] = []
     manifest: list[str] = []
     exit_code = EXIT_OK
 
-    for idx, (name, *args) in enumerate(steps):
+    for idx, step in enumerate(steps):
+        name, kind, pids, _, _, grid = step
+        x_column = None if kind is None or grid is None else format_floats(grid)
         try:
-            if name == "swap":
-                pid, i, o, amount = args
-                states[pid], outcome, receipt = apply_swap(states[pid], i, o, amount)
-                receipts.append(
-                    f"action {idx:03d} swap pool={pid}"
-                    f" input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
-                    f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
-                    + _receipt_tail(receipt)
+            for pid in pids:
+                states[pid], record = _act(idx, step, pid, states[pid], pools[pid][0], True)
+                if kind is None:
+                    receipts.append(record)
+                    continue
+                if record.failures:
+                    manifest += [
+                        f"action {idx:03d} {record.kind.value} pool={pid} "
+                        f"point={k} x={record.x_values[k]!r}: {msg}"
+                        for k, msg in record.failures
+                    ]
+                    exit_code = EXIT_SOLVER
+                # without an explicit grid each pool's series has its own
+                column = x_column or format_floats(record.x_values)
+                csvs.append(
+                    (f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
                 )
-            elif name == "add_liquidity":
-                pid, fraction = args
-                states[pid], receipt = add_liquidity_proportional(states[pid], fraction)
-                receipts.append(
-                    f"action {idx:03d} add_liquidity pool={pid} fraction={fraction!r}"
-                    + _receipt_tail(receipt)
-                )
-            else:
-                kind, pids, i, o, grid = args
-                x_column = None if grid is None else format_floats(grid)
-                for pid in pids:
-                    series = _sweep(kind, states[pid], i, o, grid, pid, pools[pid][0])
-                    if series.failures:
-                        manifest.extend(_series_failures(series, idx))
-                        exit_code = EXIT_SOLVER
-                    # without an explicit grid each pool's series has its own
-                    column = x_column or format_floats(series.x_values)
-                    csvs.append(
-                        (f"a{idx:03d}_{series.kind.value}_{pid}.csv", _series_csv(series, column))
-                    )
         except (NoSolution, ConvergenceFailure) as exc:
             manifest.append(f"action {idx:03d} {name}: {exc}")
             return receipts, csvs, manifest, EXIT_SOLVER, None
         except _DOMAIN_ERRORS as exc:
             return receipts, csvs, manifest, EXIT_VALIDATION, f"action {idx:03d} {name}: {exc}"
     return receipts, csvs, manifest, exit_code, None
-
-
-def _sweep(kind, state, i, o, grid, pool_id, protocol):
-    # o is the appreciating asset of a divergence series
-    if kind is SeriesKind.DIVERGENCE_LOSS:
-        return divergence_curve(state, o, grid, pool_id=pool_id, protocol=protocol)
-    sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
-    return sweep(state, i, o, grid, pool_id=pool_id, protocol=protocol)
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
@@ -497,7 +493,7 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot parse scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    problems, pools, steps = _compile(data)
+    problems, pools, steps = _validate(data)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -551,7 +547,7 @@ def main(argv=None) -> int:
         help="degree of parallelism, at least 1; grids are evaluated in one "
         "thread and the output is identical at every degree",
     )
-    p_validate = sub.add_parser("validate", help="report scenario problems without executing")
+    p_validate = sub.add_parser("validate", help="report scenario problems; writes nothing")
     p_validate.add_argument("scenario", help="path to the scenario JSON file")
     sub.add_parser("version", help="print the package version")
     args = parser.parse_args(argv)
@@ -561,10 +557,12 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.command == "validate":
         try:
-            problems = validate_scenario(args.scenario)
+            with open(args.scenario, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot parse scenario: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        problems = validate_scenario_data(data)
         for problem in problems:
             print(problem)
         return EXIT_VALIDATION if problems else EXIT_OK

@@ -419,7 +419,8 @@ class TestValidate:
         )
 
     def test_series_asset_pair_is_judged_once(self, monkeypatch):
-        # a swap's pair is judged by the swap kernel, a series' by its sweep
+        # a series' pair is judged by its sweep; a swap's goes through
+        # apply_swap, which quotes without the swap kernel
         calls = []
         original = ammlab.analysis.swap_kernel
 
@@ -428,14 +429,13 @@ class TestValidate:
             return original(*args)
 
         monkeypatch.setattr(ammlab.analysis, "swap_kernel", counting)
-        monkeypatch.setattr(ammlab.cli, "swap_kernel", counting)
         actions = [
             {"action": "swap", "pool": "uni", "amount": 1},
             {"action": "slippage_curve", "pool": "uni"},
             {"action": "cross_section", "pool": "uni", "input_asset": 1, "output_asset": 0},
         ]
         assert validate_scenario_data({"pools": [UNI], "actions": actions}) == []
-        assert calls == [(0, 1), (0, 1), (1, 0)]
+        assert calls == [(0, 1), (1, 0)]
 
     def test_divergence_compare_names_the_numeraire(self):
         compare = {"action": "compare", "pools": ["uni"], "kind": "divergence_loss",
@@ -603,6 +603,7 @@ class TestRun:
         assert math.isfinite(float(rows[1][1]))
 
     def test_domain_error_during_execution(self, tmp_path, capsys):
+        # the validate pass replays the swap, so run refuses it before writing
         path = write_scenario(
             tmp_path,
             {
@@ -612,7 +613,10 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
-        assert "action 000 swap" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "actions[0]: pool 'uni': input -150.0 exhausts reserve 100.0\n"
+        )
+        assert not out.exists()
 
     def test_overflowing_reverse_swap_is_a_domain_error(self, tmp_path, capsys):
         # (r_in / r_in')^(w_i / w_o) leaves the float range
@@ -623,26 +627,25 @@ class TestRun:
         )
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "action 000 swap: input -99.99999 takes output reserve 100.0 "
+            "actions[0]: pool 'bal': input -99.99999 takes output reserve 100.0 "
             "past the floating-point range\n"
         )
 
     def test_solver_failure_during_execution(self, tmp_path, capsys):
-        # a swap whose quadratic leaves the float range fails to solve: the
-        # earlier receipts are kept, the failure goes to the manifest and no
-        # later action runs
-        path = write_scenario(
-            tmp_path,
-            {
-                "pools": [CRV],
-                "actions": [
-                    {"action": "swap", "pool": "crv", "amount": 1},
-                    {"action": "swap", "pool": "crv", "amount": 1e300},
-                    {"action": "slippage_curve", "pool": "crv", "grid": [0.5]},
-                    {"action": "swap", "pool": "crv", "amount": 1},
-                ],
-            },
-        )
+        # a swap whose quadratic leaves the float range fails to solve: no
+        # validation problem, but at run time the earlier receipts are kept,
+        # the failure goes to the manifest and no later action runs
+        document = {
+            "pools": [CRV],
+            "actions": [
+                {"action": "swap", "pool": "crv", "amount": 1},
+                {"action": "swap", "pool": "crv", "amount": 1e300},
+                {"action": "slippage_curve", "pool": "crv", "grid": [0.5]},
+                {"action": "swap", "pool": "crv", "amount": 1},
+            ],
+        }
+        assert validate_scenario_data(document) == []
+        path = write_scenario(tmp_path, document)
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == ""
@@ -668,7 +671,9 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
-        assert "action 000 add_liquidity" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "actions[0]: pool 'crv': (D/n)^n leaves the floating-point range at D=2e+302\n"
+        )
 
     def test_parallel_must_be_positive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
@@ -725,6 +730,86 @@ class TestRun:
         assert run_scenario(path, out_dir=override) == 0
         assert (override / "demo_receipts.log").exists()
         assert not (tmp_path / "data").exists()
+
+
+class TestValidateAgreesWithRun:
+    """validate replays every transition as run does, so a scenario that
+    validates runs each of them, and one that fails at a transition fails
+    both commands with the same lines before run writes anything."""
+
+    TRANSITION_FAILURES = {
+        # the swap takes the input reserve to 1.1e308, where the default
+        # cross-section grid [0.1*r, 10*r] leaves the float range
+        "swap-then-default-grid": (
+            {
+                "pools": [dict(UNI, reserves=[1e307, 1e307])],
+                "actions": [
+                    {"action": "swap", "pool": "uni", "amount": 1e308},
+                    {"action": "cross_section", "pool": "uni"},
+                ],
+            },
+            "actions[1]: pool 'uni': log grid needs finite bounds and span, "
+            "got [1.1e+307, inf]\n",
+        ),
+        "series-then-overdrawn-swap": (
+            {
+                "pools": [UNI],
+                "actions": [
+                    {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+                    {"action": "swap", "pool": "uni", "amount": -150},
+                ],
+            },
+            "actions[1]: pool 'uni': input -150.0 exhausts reserve 100.0\n",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "document, expected", list(TRANSITION_FAILURES.values()), ids=list(TRANSITION_FAILURES)
+    )
+    def test_a_failing_transition_fails_both_commands(self, tmp_path, capsys, document, expected):
+        path = write_scenario(tmp_path, document)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_a_failing_transition_leaves_the_state(self):
+        # the refused swap does not move the pool, so the next one is judged
+        # on the reserves of 100
+        actions = [
+            {"action": "swap", "pool": "uni", "amount": -150},
+            {"action": "swap", "pool": "uni", "amount": -90},
+        ]
+        assert validate_scenario_data({"pools": [UNI], "actions": actions}) == [
+            "actions[0]: pool 'uni': input -150.0 exhausts reserve 100.0"
+        ]
+
+    def test_a_series_is_judged_on_the_replayed_state(self):
+        # after the swap, asset 0's reserve is 1.1e308 and the default grid
+        # around it overflows; asset 1's shrank and its grid is fine
+        pool = dict(UNI, reserves=[1e307, 1e307])
+        actions = [
+            {"action": "swap", "pool": "uni", "amount": 1e308},
+            {"action": "cross_section", "pool": "uni", "input_asset": 1, "output_asset": 0},
+            {"action": "compare", "pools": ["uni"], "kind": "cross_section"},
+        ]
+        assert validate_scenario_data({"pools": [pool], "actions": actions}) == [
+            "actions[2]: pool 'uni': log grid needs finite bounds and span, got [1.1e+307, inf]"
+        ]
+
+    def test_a_series_point_still_fails_at_run_time(self, tmp_path, capsys):
+        # validate evaluates no series point: a trade whose output rounds to
+        # zero is found by run
+        pool = dict(UNI, reserves=[1e300, 1e-300])
+        curve = {"action": "slippage_curve", "pool": "uni", "grid": [1e-300]}
+        path = write_scenario(tmp_path, {"pools": [pool], "actions": [curve]})
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "action 000 slippage_curve: input 1.0 produced zero output; slippage undefined\n"
+        )
 
 
 class TestDeterminism:
