@@ -186,6 +186,9 @@ def numeric_spot_rate(
         raise DegenerateGradient(
             f"dZ/dr_{i} = {d_i} is numerically zero relative to scale {scale}"
         )
+    if d_o == 0.0:
+        # a rate of 0 is no spot rate, and a rebalance divides by it
+        raise DegenerateGradient(f"dZ/dr_{o} = {d_o} is zero relative to scale {scale}")
     return d_o / d_i
 
 

@@ -188,6 +188,19 @@ class TestNumericSpotRate:
         with pytest.raises(DegenerateGradient):
             numeric_spot_rate(flat, (100.0, 100.0), (100.0,), 0, 1)
 
+    def test_a_zero_output_partial_raises(self):
+        # with a weight of 1e-11 on asset 1, dZ/dr_1 rounds to exactly 0: a
+        # rate of 0, by which the rebalance's rate residual would divide
+        pool = weighted_pool((100.0, 100.0), (1 - 1e-11, 1e-11))
+        curve = implicit_conservation(pool)
+        refusal = "^dZ/dr_1 = 0.0 is zero relative to scale 1.0000000001042508$"
+        with pytest.raises(DegenerateGradient, match=refusal):
+            numeric_spot_rate(curve, pool.reserves, pool.invariant, 0, 1)
+        with pytest.raises(DegenerateGradient, match=refusal):
+            solve_rebalance(curve, pool.reserves, pool.invariant, 1, 0.5)
+        with pytest.raises(DegenerateGradient, match=refusal):
+            generic_divergence_loss(curve, pool.reserves, pool.invariant, 1, 0.5)
+
     def test_reserves_below_the_step_floor_raise_domain_error(self):
         # the difference step's absolute floor of 1e-9 reaches past reserve 1
         pool = uniswap_pool(1e-10, 3e-10)
