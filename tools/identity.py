@@ -30,13 +30,18 @@ the amount of a buy of the deposit, of a sell of the burn, and of a sell of
 the minted amount from the bought state. Each step that raises is recorded
 as its error class and message.
 
+Tree B must also keep the CLI contract on its own: no mode may end in an
+uncaught exception, and `run` and `run --parallel 2` must give the same exit
+code and the same files for every scenario. The tool prints, for tree B,
+how many scenarios end with each pair of `validate` and `run` exit codes.
+
 The two records must match exactly. `--accept 'OLD=>NEW'` (repeatable)
 declares a wording change: OLD is replaced by NEW in tree A's text before
 the comparison, and the cases it reconciles are counted. `--accept-re
 'PATTERN=>REPLACEMENT'` does the same with `re.sub`, for a new wording that
 quotes a value the old one did not: each bonding record names its curve's
 inputs, which a group of PATTERN can pick up. Exit status 0 when
-every case matches, 1 otherwise. Of the records that still differ, those
+every case matches and tree B keeps the CLI contract, 1 otherwise. Of the records that still differ, those
 whose outputs differ only in `float.hex` values are summarised by the
 largest distance in ulps of each field that moved (`div(1)`, `swap[9]`, …).
 """
@@ -450,6 +455,24 @@ def _float_moves(ra: dict, rb: dict):
     return moves
 
 
+def _contract(records: list[dict]) -> tuple[list[str], Counter]:
+    """The CLI contract's violations in one tree's records, and how many
+    scenarios end with each (validate, run) pair of exit codes."""
+    violations, by_scenario = [], {}
+    for r in records:
+        if isinstance(r["exit"], str) and r["exit"].startswith("uncaught"):
+            violations.append(f"{r['case']}: {r['exit']}")
+        mode, _, name = r["case"].rpartition(" ")
+        if mode in MODES:
+            by_scenario.setdefault(name, {})[mode] = r
+    for name, modes in by_scenario.items():
+        serial, parallel = modes["run"], modes["run --parallel 2"]
+        if (serial["exit"], serial["files"]) != (parallel["exit"], parallel["files"]):
+            violations.append(f"{name}: run and run --parallel 2 differ")
+    exits = Counter((m["validate"]["exit"], m["run"]["exit"]) for m in by_scenario.values())
+    return violations, exits
+
+
 def compare(args) -> int:
     accept = [rule.split("=>", 1) for rule in args.accept]
     accept_re = [rule.split("=>", 1) for rule in args.accept_re]
@@ -501,12 +524,18 @@ def compare(args) -> int:
         counts = ", ".join(f"{code} x {n}" for (m, code), n in sorted(outcomes.items(), key=str)
                            if m == mode)
         print(f"  tree B {mode}: {counts}")
+    violations, exits = _contract(b)
+    print("  tree B (validate, run) exits: "
+          + ", ".join(f"{pair} x {n}" for pair, n in sorted(exits.items(), key=str)))
     for ra, rb in differ[:SHOWN]:
         print(f"DIFF {ra['case']}")
         for key in ("exit", "stdout", "stderr", "files"):
             if ra[key] != rb[key]:
                 print(f"  {key} A: {ra[key]!r}\n  {key} B: {rb[key]!r}")
-    return 1 if differ else 0
+    print(f"CLI contract of tree B: {len(violations)} violations")
+    for line in violations:
+        print(f"  {line}")
+    return 1 if differ or violations else 0
 
 
 def main(argv=None) -> int:
