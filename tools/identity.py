@@ -41,9 +41,10 @@ the comparison, and the cases it reconciles are counted. `--accept-re
 'PATTERN=>REPLACEMENT'` does the same with `re.sub`, for a new wording that
 quotes a value the old one did not: each bonding record names its curve's
 inputs, which a group of PATTERN can pick up. Exit status 0 when
-every case matches and tree B keeps the CLI contract, 1 otherwise. Of the records that still differ, those
-whose outputs differ only in `float.hex` values are summarised by the
-largest distance in ulps of each field that moved (`div(1)`, `swap[9]`, …).
+every case matches and tree B keeps the CLI contract, 1 otherwise. Of the
+records that still differ, those whose outputs differ only in `float.hex`
+values are summarised by the largest distance in ulps of each field that
+moved (`div(1)`, `swap[9]`, …).
 """
 from __future__ import annotations
 
