@@ -12,6 +12,10 @@ to both trees:
   edge cases and an unparseable file;
 * random stableswap pools: n from 2 to 4, reserve scale 1e±160, per-asset
   imbalance 1e±40, amplification 1e-3 to 1e6;
+* random PMM pools: oracle price 1e±300 or subnormal, A in (0, 1] with
+  exactly 1 and 1 - 1e-16 to 1 - 1e-12 among the draws, targets 1e±100,
+  reserve 1 at, near or far from C1 on either side, and reserve 2 paired
+  with it on the curve;
 * random bonding curves: reserve and supply 1e±150, reserve ratio in
   (0, 1], each with a deposit and a burn, plus hand-made buys whose reserve
   or minted supply leaves the float range (BONDING_HAND_MADE).
@@ -24,10 +28,15 @@ build's accept or refuse decision with the error class and message, and on
 a built pool, by `float.hex`: D, `spot_rate(0, 1)`, every `SwapOutcome`
 field, the receipt deviation and post reserves of a swap, the post
 reserves, D, share supply and receipt of a liquidity change, and the
-divergence loss of the last asset at each shift in SHIFTS. For every
-bonding curve it records, by `float.hex`, the post state's five fields and
-the amount of a buy of the deposit, of a sell of the burn, and of a sell of
-the minted amount from the bought state. Each step that raises is recorded
+divergence loss of the last asset at each shift in SHIFTS. For every PMM
+pool it records, by `float.hex`, the reserve 2 paired with reserve 1 and the
+build, the spot rate both ways, swaps both ways (one of random size, one
+that lands on the input reserve's target and one that crosses it), a
+liquidity change, and `reserve2_given_reserve1` and
+`quadratic_branch_reserve2` at each swap's post-trade input reserve. For
+every bonding curve it records, by `float.hex`, the post state's five
+fields and the amount of a buy of the deposit, of a sell of the burn, and of
+a sell of the minted amount from the bought state. Each step that raises is recorded
 as its error class and message.
 
 Tree B must also keep the CLI contract on its own: no mode may end in an
@@ -44,7 +53,9 @@ inputs, which a group of PATTERN can pick up. Exit status 0 when
 every case matches and tree B keeps the CLI contract, 1 otherwise. Of the
 records that still differ, those whose outputs differ only in `float.hex`
 values are summarised by the largest distance in ulps of each field that
-moved (`div(1)`, `swap[9]`, …).
+moved (`div(1)`, `swap[9]`, …). After the first SHOWN differing records the
+tool names every differing scenario file with its differing modes, and
+counts the differing records of each kind.
 """
 from __future__ import annotations
 
@@ -241,12 +252,30 @@ def bonding_case(rng: random.Random) -> list:
     return [reserve, supply, ratio, deposit, burn]
 
 
+def pmm_case(rng: random.Random) -> list:
+    price = rng.choice((
+        10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-300, 300),
+        5e-324 * rng.randrange(1, 1 << 20),
+    ))
+    amplification = rng.choice((
+        1.0, 1.0 - 10.0 ** rng.uniform(-16, -12), 1.0 - rng.random(),
+        10.0 ** rng.uniform(-300, 0),
+    ))
+    c1, c2 = 10.0 ** rng.uniform(-100, 100), 10.0 ** rng.uniform(-100, 100)
+    near = 10.0 ** rng.uniform(-16, -1)
+    r1 = c1 * rng.choice((1.0, 1.0 + near, 1.0 - near, 10.0 ** rng.uniform(-3, 3)))
+    # trades of asset 0 and of asset 1, as fractions of their reserves
+    x, y = (rng.choice((10.0 ** rng.uniform(-15, 3), -rng.random())) for _ in range(2))
+    return [price, amplification, c1, c2, r1, x, y]
+
+
 def write_corpus(
     directory: Path, mutants: int, value_mutants: int, pools: int, curves: int
 ) -> int:
     """Write the scenario files under directory/scenarios, the pool list to
-    directory/pools.json and the bonding cases to directory/curves.json;
-    returns the number of scenario files."""
+    directory/pools.json, the PMM cases to directory/pmm.json and the
+    bonding cases to directory/curves.json; returns the number of scenario
+    files."""
     scenarios = directory / "scenarios"
     scenarios.mkdir(parents=True)
     docs = {f"bundled-{p.stem}": json.loads(p.read_text(encoding="utf-8"))
@@ -273,6 +302,11 @@ def write_corpus(
             reserves = [scale * 10.0 ** rng.uniform(-40, 40) for _ in range(n)]
             corpus.append([reserves, 10.0 ** rng.uniform(-3, 6)])
     (directory / "pools.json").write_text(json.dumps(corpus), encoding="utf-8")
+    cases = []
+    for seed in POOL_SEEDS:
+        rng = random.Random(f"identity/pmm/{seed}")
+        cases += [pmm_case(rng) for _ in range(pools)]
+    (directory / "pmm.json").write_text(json.dumps(cases), encoding="utf-8")
     rng = random.Random("identity/bonding")
     cases = [list(case) for case in BONDING_HAND_MADE]
     cases += [bonding_case(rng) for _ in range(curves)]
@@ -324,6 +358,52 @@ def _pool_line(core, analysis, reserves, amplification) -> str:
     return " ".join(parts)
 
 
+def _pmm_line(core, pmm, price, amplification, c1, c2, r1, x, y) -> str:
+    def attempt(step, fn):
+        try:
+            return f"{step}={fn()}"
+        except Exception as exc:  # noqa: BLE001 - the class is the record
+            return f"{step} refused {type(exc).__name__}: {exc}"
+
+    try:
+        params = pmm.PMMParams(price, amplification, c1, c2)
+        r2 = pmm.reserve2_given_reserve1(r1, params)
+        pool = core.pmm_pool(c1, c2, price, amplification, reserves=(r1, r2))
+    except Exception as exc:  # noqa: BLE001
+        return f"refused {type(exc).__name__}: {exc}"
+    parts = [f"r2={_hex(r2)}", attempt(
+        "spot", lambda: f"{_hex(core.spot_rate(pool, 0, 1))},{_hex(core.spot_rate(pool, 1, 0))}"
+    )]
+
+    def swap(i, amount):
+        post, out, receipt = core.apply_swap(pool, i, 1 - i, amount)
+        fields = [out.amount_out, *out.reserves_after, out.spot_rate_before,
+                  out.effective_rate, out.slippage, receipt.checks[0].deviation]
+        return ",".join(map(_hex, fields))
+
+    # per input asset: a trade of random size, one that lands on the input
+    # reserve's target and one that crosses it, each with both reserve-2
+    # solves at its post-trade input reserve, in that asset's orientation
+    solves = (("r2g", pmm.reserve2_given_reserve1), ("quad", pmm.quadratic_branch_reserve2))
+    sides = ((r1, c1, x, lambda: params), (r2, c2, y, params.mirrored))
+    for i, (reserve, target, fraction, oriented) in enumerate(sides):
+        land = target - reserve
+        for trade, amount in (("swap", reserve * fraction), ("land", land),
+                              ("cross", 2.0 * land if land else reserve * fraction)):
+            parts.append(attempt(f"{trade}{i}", lambda: swap(i, amount)))
+            for name, solve in solves:
+                parts.append(attempt(f"{trade}{i}.{name}",
+                                     lambda: _hex(solve(reserve + amount, oriented()))))
+
+    def liquidity():
+        post, receipt = core.add_liquidity_proportional(pool, 0.1)
+        fields = [*post.reserves, *post.invariant, post.share_supply, receipt.checks[0].deviation]
+        return ",".join(map(_hex, fields))
+
+    parts.append(attempt("add", liquidity))
+    return " ".join(parts)
+
+
 def _curve_line(bonding, reserve, supply, ratio, deposit, burn) -> str:
     def trade(step, fn, state, amount):
         try:
@@ -348,20 +428,22 @@ def _curve_line(bonding, reserve, supply, ratio, deposit, burn) -> str:
 
 def worker(tree: Path, corpus: Path, out: Path) -> int:
     import ammlab
-    from ammlab import analysis, bonding, cli, core
+    from ammlab import analysis, bonding, cli, core, pmm
 
     if tree.resolve() not in Path(ammlab.__file__).resolve().parents:
         print(f"ammlab was imported from {ammlab.__file__}, not from {tree}", file=sys.stderr)
         return 2
     scratch = Path(tempfile.mkdtemp(prefix="identity-out-"))
     try:
-        _record_all(cli, core, analysis, bonding, corpus, scratch, out)
+        _record_all(cli, core, analysis, bonding, pmm, corpus, scratch, out)
     finally:
         shutil.rmtree(scratch)
     return 0
 
 
-def _record_all(cli, core, analysis, bonding, corpus: Path, scratch: Path, out: Path) -> None:
+def _record_all(
+    cli, core, analysis, bonding, pmm, corpus: Path, scratch: Path, out: Path
+) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for path in sorted((corpus / "scenarios").glob("*.json")):
             for mode, argv in MODES.items():
@@ -389,6 +471,11 @@ def _record_all(cli, core, analysis, bonding, corpus: Path, scratch: Path, out: 
             line = _pool_line(core, analysis, reserves, amplification)
             record = {"case": f"pool {k:05d}", "exit": None, "stdout": line, "stderr": "",
                       "files": {}}
+            fh.write(json.dumps(record) + "\n")
+        cases = json.loads((corpus / "pmm.json").read_text(encoding="utf-8"))
+        for k, case in enumerate(cases):
+            record = {"case": f"pmm {k:05d}", "exit": None,
+                      "stdout": _pmm_line(core, pmm, *case), "stderr": "", "files": {}}
             fh.write(json.dumps(record) + "\n")
         curves = json.loads((corpus / "curves.json").read_text(encoding="utf-8"))
         for k, case in enumerate(curves):
@@ -484,6 +571,7 @@ def compare(args) -> int:
         files = write_corpus(work, args.mutants, args.value_mutants, args.pools, args.curves)
         print(f"corpus: {files} scenario files x {len(MODES)} modes, "
               f"{args.pools * len(POOL_SEEDS)} stableswap pools, "
+              f"{args.pools * len(POOL_SEEDS)} PMM pools, "
               f"{args.curves + len(BONDING_HAND_MADE)} bonding curves")
         a = _records(args.tree_a.resolve(), work, work / "a.jsonl")
         b = _records(args.tree_b.resolve(), work, work / "b.jsonl")
@@ -521,7 +609,7 @@ def compare(args) -> int:
          else "refused" if r["stdout"].startswith("refused") else "built")
         for r in b
     )
-    for mode in (*MODES, "pool", "curve"):
+    for mode in (*MODES, "pool", "pmm", "curve"):
         counts = ", ".join(f"{code} x {n}" for (m, code), n in sorted(outcomes.items(), key=str)
                            if m == mode)
         print(f"  tree B {mode}: {counts}")
@@ -533,6 +621,17 @@ def compare(args) -> int:
         for key in ("exit", "stdout", "stderr", "files"):
             if ra[key] != rb[key]:
                 print(f"  {key} A: {ra[key]!r}\n  {key} B: {rb[key]!r}")
+    files, kinds = {}, Counter()
+    for ra, _ in differ:
+        kind, _, name = ra["case"].rpartition(" ")
+        if kind in MODES:
+            files.setdefault(name, []).append(kind)
+            kind = "scenario"
+        kinds[kind] += 1
+    for name, modes in files.items():
+        print(f"differing file {name}: {', '.join(modes)}")
+    print("differing records: "
+          + ", ".join(f"{kind} {kinds[kind]}" for kind in ("scenario", "pool", "pmm", "curve")))
     print(f"CLI contract of tree B: {len(violations)} violations")
     for line in violations:
         print(f"  {line}")
@@ -547,7 +646,8 @@ def main(argv=None) -> int:
     p.add_argument("tree_b", type=Path)
     p.add_argument("--mutants", type=int, default=1500, help="structural scenario mutants")
     p.add_argument("--value-mutants", type=int, default=300, help="numeric scenario mutants")
-    p.add_argument("--pools", type=int, default=10000, help="stableswap pools per seed")
+    p.add_argument("--pools", type=int, default=10000,
+                   help="stableswap pools, and PMM pools, per seed")
     p.add_argument("--curves", type=int, default=5000, help="random bonding curves")
     p.add_argument("--accept", action="append", default=[], metavar="OLD=>NEW",
                    help="a declared wording change in tree B")
