@@ -111,15 +111,8 @@ _SINGULAR = "quadratic branch undefined at A = 1; evaluate the constant-product 
 _VANISHING = "quadratic branch's linear coefficient and discriminant underflow to zero"
 
 
-def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
-    """Post-trade reserve 2 on the r1 >= C1 branch: the positive root of
-    P*(1-A)*u^2 + (r1' - C1 - P*C2*(1-2A))*u - P*A*C2^2 = 0.
-
-    At A = 1 the leading coefficient vanishes; use the analytic limit via
-    reserve2_given_reserve1 instead.
-    """
-    if not 0.0 < r1_new < math.inf:
-        raise _post_reserve_error(r1_new)
+def _quadratic_root(r1_new: float, params: PMMParams) -> float:
+    # the positive root of P*(1-A)*u^2 + (r1' - C1 - P*C2*(1-2A))*u - P*A*C2^2 = 0
     p, a = params.oracle_price, params.amplification
     c1, c2 = params.target1, params.target2
     lead = p * (1.0 - a)
@@ -130,65 +123,57 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     disc = b * b - 4.0 * lead * c
     # stable two-root form; the roots have opposite signs (c/lead < 0)
     q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    root = q_half / lead
     try:
-        return max(q_half / lead, c / q_half)
+        other = c / q_half
     except ZeroDivisionError:
         raise DomainError(_VANISHING) from None
+    # max(root, other), without the call
+    return other if other > root else root
+
+
+def _reserve2(r1_new: float, params: PMMParams) -> float:
+    # the curve's reserve 2 at r1' in (0, inf)
+    p, a = params.oracle_price, params.amplification
+    c1, c2 = params.target1, params.target2
+    if r1_new < c1:
+        return c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
+    if a == 1.0:
+        # removable singularity: the curve is r1*r2 = C1*C2 exactly
+        try:
+            return p * c2 * c2 / (r1_new - c1 + p * c2)
+        except ZeroDivisionError:
+            # r1' = C1 and P*C2 underflows to 0: the curve's point (C1, C2)
+            return c2
+    return _quadratic_root(r1_new, params)
+
+
+def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
+    """Post-trade reserve 2 on the r1 >= C1 branch: the positive root of
+    P*(1-A)*u^2 + (r1' - C1 - P*C2*(1-2A))*u - P*A*C2^2 = 0.
+
+    At A = 1 the leading coefficient vanishes; use the analytic limit via
+    reserve2_given_reserve1 instead.
+    """
+    if not 0.0 < r1_new < math.inf:
+        raise _post_reserve_error(r1_new)
+    return _quadratic_root(r1_new, params)
 
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
-    """The reserve-2 value paired with r1_new on the conservation curve.
-    _swap_output carries its own copy of this solve and
-    quadratic_branch_reserve2's; the three change together."""
+    """The reserve-2 value paired with r1_new on the conservation curve."""
     if not 0.0 < r1_new < math.inf:
         raise _post_reserve_error(r1_new)
-    p, a = params.oracle_price, params.amplification
-    c1, c2 = params.target1, params.target2
-    if r1_new >= c1:
-        if a == 1.0:
-            # removable singularity: the curve is r1*r2 = C1*C2 exactly
-            try:
-                return p * c2 * c2 / (r1_new - c1 + p * c2)
-            except ZeroDivisionError:
-                # r1' = C1 and P*C2 underflows to 0: the curve's point (C1, C2)
-                return c2
-        return quadratic_branch_reserve2(r1_new, params)
-    return c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
+    return _reserve2(r1_new, params)
 
 
 def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
-    # r2 - reserve2_given_reserve1(r1 + x1, params), bit for bit, in one frame:
-    # its branch solve inlined, max(x, y) as y if y > x else x
     r1_new = r1 + x1
     if not 0.0 < r1_new < math.inf:
         raise quote.trade_refusal(r1, x1)
     if x1 == 0.0:
         return 0.0
-    p, a = params.oracle_price, params.amplification
-    c1, c2 = params.target1, params.target2
-    if r1_new >= c1:
-        if a == 1.0:
-            try:
-                r2_new = p * c2 * c2 / (r1_new - c1 + p * c2)
-            except ZeroDivisionError:
-                r2_new = c2
-        else:
-            lead = p * (1.0 - a)
-            if lead == 0.0:
-                raise SingularAmplification(_SINGULAR)
-            b = (r1_new - c1) - p * c2 * (1.0 - 2.0 * a)
-            c = -p * a * c2 * c2
-            disc = b * b - 4.0 * lead * c
-            q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            root = q_half / lead
-            try:
-                r2_new = c / q_half
-            except ZeroDivisionError:
-                raise DomainError(_VANISHING) from None
-            if not r2_new > root:
-                r2_new = root
-    else:
-        r2_new = c2 + (c1 - r1_new) * (1.0 + a * (c1 / r1_new - 1.0)) / p
+    r2_new = _reserve2(r1_new, params)
     if not r2_new < math.inf:
         raise quote.output_refusal(r2, x1)
     return r2 - r2_new

@@ -30,7 +30,17 @@ from ammlab.pmm import (
     reserve2_given_reserve1,
 )
 
+import pmm_reference as reference
+
 BALANCED = PMMParams(oracle_price=1.0, amplification=0.5, target1=100.0, target2=100.0)
+
+
+def _outcome(fn, *args):
+    """fn(*args) by float.hex, or the class and message of what it raised."""
+    try:
+        return float.hex(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestParams:
@@ -219,23 +229,10 @@ class TestSwap:
 
 
 class TestInlinedSwap:
-    """_swap_output carries its own copy of reserve2_given_reserve1's branch
-    solve, quadratic_branch_reserve2's included. It must equal the
-    composition it replaced bit for bit, or raise the same exception: a
+    """_swap_output, reserve2_given_reserve1 and quadratic_branch_reserve2
+    share one branch solve. Each must equal the standalone solve in
+    tests/pmm_reference.py bit for bit, or raise the same exception: a
     reordered float operation moves output bytes."""
-
-    @staticmethod
-    def composed(r1, r2, params, x1):
-        # r2 - reserve2_given_reserve1(r1 + x1, params) behind the swap's guards
-        r1_new = r1 + x1
-        if not 0.0 < r1_new < math.inf:
-            raise quote.trade_refusal(r1, x1)
-        if x1 == 0.0:
-            return 0.0
-        r2_new = reserve2_given_reserve1(r1_new, params)
-        if not r2_new < math.inf:
-            raise quote.output_refusal(r2, x1)
-        return r2 - r2_new
 
     def test_matches_the_composed_branch_solve(self):
         # oracle prices from subnormal to 1e300, A anywhere in (0, 1], at 1
@@ -276,19 +273,16 @@ class TestInlinedSwap:
                 1.7e308 * rng.random(),
                 rng.choice((0.0, math.nan, math.inf, -math.inf)),
             ))
-            outcomes = []
-            for swap in (pmm._swap_output, self.composed):
-                try:
-                    outcomes.append(float.hex(swap(r1, r2, params, x1)))
-                except Exception as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1], (r1, r2, params, x1)
-            out = outcomes[0]
+            r1_new = r1 + x1
+            out = _outcome(pmm._swap_output, r1, r2, params, x1)
+            assert out == _outcome(reference.swap_output, r1, r2, params, x1), (r1, r2, params, x1)
+            for solve in ("reserve2_given_reserve1", "quadratic_branch_reserve2"):
+                got = _outcome(getattr(pmm, solve), r1_new, params)
+                assert got == _outcome(getattr(reference, solve), r1_new, params), (solve, r1_new)
             if not isinstance(out, str):
                 kinds["output refusal" if "output reserve" in out[1]
                       else "q_half = 0" if out[1] == pmm._VANISHING else out[0].__name__] += 1
                 continue
-            r1_new = r1 + x1
             if x1 == 0.0:
                 kinds["zero trade"] += 1
                 continue
