@@ -398,7 +398,9 @@ def _validate(data):
     pool it names, by _act on the state that the earlier actions left, with
     empty grids. A failing transition is a problem and leaves the state as
     it was; a solver failure is not a problem, since run stops there with
-    exit 3. pools and steps are complete only when there are no problems."""
+    exit 3, and the pool's later actions are not judged, as for a pool that
+    failed to build. pools and steps are complete only when there are no
+    problems."""
     problems, pools, actions = _compile(data)
     states = {pid: state for pid, (_, state) in pools.items()}
     for k, (found, step) in enumerate(actions):
@@ -416,7 +418,7 @@ def _validate(data):
                     f"actions[{k}]: divergence loss does not apply to {protocol} pool {pid!r}"
                 )
             except (NoSolution, ConvergenceFailure):
-                pass
+                states[pid] = None
             except _DOMAIN_ERRORS as exc:
                 problems.append(f"actions[{k}]: pool {pid!r}: {exc}")
     return problems, pools, [step for _, step in actions]

@@ -799,6 +799,22 @@ class TestValidateAgreesWithRun:
             "actions[2]: pool 'uni': log grid needs finite bounds and span, got [1.1e+307, inf]"
         ]
 
+    def test_actions_after_a_solver_failure_are_not_judged(self, tmp_path, capsys):
+        # run stops at the swap that fails to solve, so validate does not
+        # judge the pool's overdrawn swap after it
+        actions = [
+            {"action": "swap", "pool": "crv", "amount": 1e300},
+            {"action": "swap", "pool": "crv", "amount": -150},
+        ]
+        path = write_scenario(tmp_path, {"pools": [CRV], "actions": actions})
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 000 swap: swap quadratic produced a non-positive reserve 0.0\n"
+        )
+
     def test_a_series_point_still_fails_at_run_time(self, tmp_path, capsys):
         # validate evaluates no series point: a trade whose output rounds to
         # zero is found by run
