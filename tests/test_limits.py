@@ -1,9 +1,10 @@
-"""Two families at the limits of their amplification.
+"""Three families at their limits.
 
 Stableswap tends to constant product as A -> 0 and to constant sum as
-A -> inf (Egorov, *StableSwap*, 2019). Each limit of its divergence loss has
-a closed form that needs neither the stableswap formulas nor the numeric
-engine:
+A -> inf (Egorov, *StableSwap*, 2019). Its swap outputs and spot rates tend
+to those of the equal-weight product pool on the same reserves, and to the
+constant sum's x and 1. Each limit of its divergence loss has a closed form
+that needs neither the stableswap formulas nor the numeric engine:
 
 * as A -> 0, the loss of an equal-weight product pool,
   weighted_divergence_loss with w_k = 1/n;
@@ -15,6 +16,10 @@ constant price P as A -> 0. As A -> 1 it follows the A = 1 branch, the
 hyperbola (r1 - C1 + P*C2)*r2 = P*C2^2 through (C1, C2), which is
 r1*r2 = C1*C2 where C1 = P*C2. Both limits are checked in both orientations.
 
+A bonding curve with reserve C, supply s and reserve ratio F mints
+s*((1 + t/C)^F - 1) for a deposit t, which tends to the constant price's
+t*s/C as F -> 1.
+
 The tests hold each gap below a multiple of a power of the distance from
 the limit, down to a rounding floor where one shows. The multiples and the
 floors are the largest on these seeded pools, rounded up: they may only
@@ -24,10 +29,12 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import permutations
 
 import pytest
 
-from ammlab import pmm_pool, stableswap_pool, swap_amount
+from ammlab import pmm_pool, spot_rate, stableswap_pool, swap_amount, weighted_pool
+from ammlab.bonding import bonding_buy, bonding_curve
 from ammlab.stableswap import stableswap_divergence_loss
 from ammlab.weighted import weighted_divergence_loss
 
@@ -50,6 +57,25 @@ PRICE_RATE = 3.9
 PRICE_FLOOR = 2.7e-13
 BRANCH_RATE = 0.25
 BRANCH_FLOOR = 2.6e-13
+
+
+# stableswap swaps and spot rates, 2 and 3 assets: the relative gap falls in
+# proportion to A as A -> 0 and to 1/A as A -> inf. A swap's floor is its
+# cancellation, at most floor/f for a trade of f times the input reserve
+# (A -> 0) or the output reserve (A -> inf); a spot rate's is SPOT_FLOOR
+SWAP_LIMITS = {
+    # limit: (amplifications, distance from the limit, swap rate, spot rate, swap floor)
+    "constant-product": (SMALL_A, lambda a: a, 3.1, 3.1, 9.6e-15),
+    "constant-sum": (LARGE_A, lambda a: 1.0 / a, 14.0, 6.3, 2.7e-14),
+}
+SPOT_FLOOR = 2.2e-16
+
+# bonding: the relative gap of the minted amount falls in proportion to
+# 1 - F, down to the cancellation of (1 + u)^F - 1, at most MINT_FLOOR/u for
+# a deposit of u times the reserve; F = 1 itself is checked too
+BONDING_DISTANCES = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0)
+MINT_RATE = 3.0
+MINT_FLOOR = 1.8e-15
 
 
 def _shifts(rng: random.Random) -> list[float]:
@@ -136,3 +162,60 @@ def test_pmm_reaches_its_limits(limit, i):
                 want = _pmm_limit(limit, c1, c2, p, i, x)
                 gap = abs(got - want) / want
                 assert gap <= max(rate * d, floor), (c1, c2, p, d, f, got, want)
+
+
+def _stableswap_swap_cases(limit: str, n: int):
+    """(pools, trade fractions): toward constant product, ROADMAP's
+    (100, 250) and pools of every scale with reserves 10x apart; toward
+    constant sum, the balanced (100, ..., 100) and reserves 2x apart."""
+    rng = random.Random(f"limits/stableswap/swaps/{limit}/{n}")
+    if limit == "constant-product":
+        pools = [(100.0, 250.0, 175.0)[:n]]
+        for _ in range(3):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            pools.append(tuple(scale * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)))
+        fractions = [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0]
+        return pools, fractions + [10.0 ** rng.uniform(-8.0, 1.0) for _ in range(4)]
+    pools = [(100.0,) * n]
+    pools += [tuple(100.0 * rng.uniform(0.5, 2.0) for _ in range(n)) for _ in range(2)]
+    fractions = [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5]
+    return pools, fractions + [0.5 * 10.0 ** rng.uniform(-5.0, 0.0) for _ in range(4)]
+
+
+@pytest.mark.parametrize("limit", SWAP_LIMITS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_stableswap_swaps_reach_their_limits(limit, n):
+    amplifications, distance, swap_rate, spot_rate_rate, floor = SWAP_LIMITS[limit]
+    product = limit == "constant-product"
+    pools, fractions = _stableswap_swap_cases(limit, n)
+    for reserves in pools:
+        weighted = weighted_pool(reserves, (1.0 / n,) * n)
+        for amp in amplifications:
+            pool, d = stableswap_pool(reserves, amp), distance(amp)
+            for i, o in permutations(range(n), 2):
+                want = spot_rate(weighted, i, o) if product else 1.0
+                gap = abs(spot_rate(pool, i, o) - want) / want
+                assert gap <= max(spot_rate_rate * d, SPOT_FLOOR), (reserves, amp, i, o)
+                for f in fractions:
+                    x = f * reserves[i if product else o]
+                    want = swap_amount(weighted, i, o, x) if product else x
+                    gap = abs(swap_amount(pool, i, o, x) - want) / want
+                    assert gap <= max(swap_rate * d, floor / f), (reserves, amp, i, o, f)
+
+
+def test_bonding_mints_at_the_constant_price_as_the_ratio_reaches_one():
+    # the curve of ROADMAP's measurement, reserve 100 and supply 10, and
+    # seeded curves of every scale; deposits of 1e-6 to 10 of the reserve
+    rng = random.Random("limits/bonding")
+    curves = [(100.0, 10.0)]
+    curves += [(10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(5)]
+    fractions = [1e-6, 1e-4, 1e-2, 0.05, 1.0, 10.0]
+    fractions += [10.0 ** rng.uniform(-6.0, 1.0) for _ in range(4)]
+    for reserve, supply in curves:
+        for d in BONDING_DISTANCES:
+            curve = bonding_curve(reserve, supply, 1.0 - d)
+            for u in fractions:
+                deposit = u * reserve
+                want = deposit * supply / reserve
+                gap = abs(bonding_buy(curve, deposit)[1] - want) / want
+                assert gap <= max(MINT_RATE * d, MINT_FLOOR / u), (reserve, supply, d, u)
