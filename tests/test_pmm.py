@@ -18,7 +18,7 @@ from ammlab import (
     pmm_pool,
     swap_amount,
 )
-from ammlab import pmm, quote
+from ammlab import pmm
 from ammlab.pmm import (
     PMMParams,
     conservation_gap,
