@@ -36,8 +36,8 @@ liquidity change, and `reserve2_given_reserve1` and
 `quadratic_branch_reserve2` at each swap's post-trade input reserve. For
 every bonding curve it records, by `float.hex`, the post state's five
 fields and the amount of a buy of the deposit, of a sell of the burn, and of
-a sell of the minted amount from the bought state. Each step that raises is recorded
-as its error class and message.
+a sell of the minted amount from the bought state. Each step that raises is
+recorded as its error class and message.
 
 Tree B must also keep the CLI contract on its own: no mode may end in an
 uncaught exception, and `run` and `run --parallel 2` must give the same exit
