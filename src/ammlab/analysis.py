@@ -22,10 +22,9 @@ repeats ``numpy.linspace``'s float operations in plain Python.
 Slippage and cross-section sweeps call the ``swap_kernel`` function in one
 comprehension over the grid, and weighted divergence sweeps run one loop over
 the closed form. That comprehension leaves out the per-point wrapping: the
-slippage quotient's zero cases and the cross-section's NaN rows. Where it
-meets one of them (a zero trade or output, a ``NoSolution``), the sweep
-recomputes its series from the first point through the wrapped form, which
-states them.
+slippage quotient's zero cases and the failing points. Where it meets one of
+them (a ``ZeroDivisionError`` or an ``AmmError``), the sweep recomputes its
+series from the first point through ``_solved_points``, which states them.
 
 Divergence loss comes from closed forms on every family: weighted pools
 have it outright, stableswap pools through a one-dimensional Newton solve
@@ -33,12 +32,12 @@ along the curve with the curve equation's own slope, which calls no
 ``numerics`` solver. The generic rebalance-and-revalue engine in
 ``numerics`` is kept apart as their independent check.
 
-Per-point solver failures inside divergence and cross-section sweeps mark the
-point as NaN and record it, rather than aborting the series: a grid point can
-be legitimately unattainable, such as a price shift whose rebalanced reserves
-leave the floating-point range, or a cross-section reserve with no positive
-solution. Any other error, and any error in a slippage sweep, aborts the
-series.
+A point that raises an ``AmmError`` (a shift whose rebalanced reserves leave
+the float range, a reserve with no positive solution, a zero output) is NaN
+in its series and one (index, "<ErrorClass>: <message>") failure, and the
+series goes on: ``_solved_points`` alone turns such an error into data. A
+sweep refuses bad arguments before its first point; any other exception at
+a point is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -61,7 +60,7 @@ from .core import (
     swap_amount,
     swap_kernel,
 )
-from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
+from .errors import AmmError, NotApplicable
 from .numerics import ValuationReport, generic_divergence_loss
 from .quote import slippage_from_quote
 
@@ -101,7 +100,7 @@ class SeriesKind(str, enum.Enum):
 @dataclass(frozen=True)
 class CurveSeries:
     """One x/y sweep with pool metadata; NaN y-values mark failed points,
-    each listed in `failures` as (grid index, reason)."""
+    each listed in `failures` as (grid index, "<ErrorClass>: <message>")."""
 
     kind: SeriesKind
     pool_id: str
@@ -312,14 +311,15 @@ def _divergence_kernel(state: PoolState, asset: int):
 
 
 def _solved_points(solve: Callable[[float], float], grid):
-    """y-values and (grid index, reason) failures of solve over the grid; a
-    point raising NoSolution or ConvergenceFailure becomes NaN."""
+    """y-values and (grid index, reason) failures of solve over the grid: a
+    point that raises an AmmError becomes NaN, its reason "<ErrorClass>:
+    <message>". No other code turns a point's error into data."""
 
     def point(x: float) -> tuple[float, str | None]:
         try:
             return solve(x), None
-        except (NoSolution, ConvergenceFailure) as exc:
-            return math.nan, str(exc)
+        except AmmError as exc:
+            return math.nan, f"{type(exc).__name__}: {exc}"
 
     results = tuple(map(point, grid))
     failures = tuple((k, msg) for k, (_, msg) in enumerate(results) if msg is not None)
@@ -350,19 +350,19 @@ def slippage_curve(
     """Slippage S against normalized trade size x_in/r_in over the grid
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
-    value g; the first point that raises aborts the series."""
+    value g; a point where that raises an AmmError is a NaN entry."""
     grid = default_trade_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     try:
-        # slippage_from_quote but for its zero trade and zero output, which
-        # divide by zero here
-        y = tuple([(x / swap(x)) / rate - 1.0 for x in map(r_in.__mul__, grid)])
-    except ZeroDivisionError:
-        y = tuple([slippage_from_quote(x, swap(x), rate) for x in map(r_in.__mul__, grid)])
-    return _series(SeriesKind.SLIPPAGE, state, grid, y, (), pool_id, protocol)
+        # slippage_from_quote but for its zero cases and failing points
+        y, failures = tuple([(x / swap(x)) / rate - 1.0 for x in map(r_in.__mul__, grid)]), ()
+    except (ZeroDivisionError, AmmError):
+        solve = lambda x: slippage_from_quote(x, swap(x), rate)  # noqa: E731
+        y, failures = _solved_points(solve, map(r_in.__mul__, grid))
+    return _series(SeriesKind.SLIPPAGE, state, grid, y, failures, pool_id, protocol)
 
 
 def divergence_curve(
@@ -373,8 +373,8 @@ def divergence_curve(
     protocol: str | None = None,
 ) -> CurveSeries:
     """Divergence loss L against price shift rho over the grid (values in
-    (-1, inf)), equal to divergence_loss at every point; per-point solver
-    failures become NaN entries."""
+    (-1, inf)), equal to divergence_loss at every point; a point where that
+    raises an AmmError becomes a NaN entry."""
     loss = _divergence_kernel(state, asset)
     grid = default_shift_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.DIVERGENCE_LOSS, grid)
@@ -397,16 +397,16 @@ def conservation_cross_section(
     """The conservation curve itself: for each input-reserve value g on the
     grid, the output reserve r_out - swap_amount(state, input_asset,
     output_asset, g - r_in) keeping the law satisfied with every other
-    reserve fixed. Points with no positive solution become NaN entries."""
+    reserve fixed. A point where that raises an AmmError is a NaN entry."""
     swap = swap_kernel(state, input_asset, output_asset)
     r_in = state.reserves[input_asset]
     r_out = state.reserves[output_asset]
     grid = default_cross_section_grid(r_in) if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.CONSERVATION_CROSS_SECTION, grid)
     try:
-        # a point with no solution makes a NaN row, which _solved_points states
+        # a failing point makes a NaN row, which _solved_points states
         y, failures = tuple([r_out - swap(g - r_in) for g in grid]), ()
-    except (NoSolution, ConvergenceFailure):
+    except AmmError:
         y, failures = _solved_points(lambda g: r_out - swap(g - r_in), grid)
     return _series(
         SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol
@@ -437,8 +437,8 @@ class ComparisonConfig:
 
 
 def compare_protocols(config: ComparisonConfig) -> tuple[CurveSeries, ...]:
-    """One CurveSeries per configured pool; failures are annotated with the
-    pool id they came from. An empty pool list yields an empty tuple."""
+    """One CurveSeries per configured pool; a failing point is NaN, as in each
+    sweep, and an AmmError refusing a whole sweep gains a "pool '<id>': " prefix."""
     series = []
     for entry in config.pools:
         pool_id, state, label = entry if len(entry) == 3 else (*entry, None)

@@ -17,9 +17,9 @@ files. Everything runs in one thread, in grid order; ``--parallel N`` must be
 at least 1 and does not change the output (a thread pool cannot speed up this
 pure-Python arithmetic, which holds the interpreter lock, so none is started).
 
-Exit codes: 0 success, 1 parse error, 2 validation error (or a domain error
-at a series point while executing), 3 solver failure (partial outputs are
-kept and a manifest of failed points is written).
+Exit codes: 0 success; 1 a scenario or output path that cannot be read or
+written; 2 a validation problem, which only validation reports; 3 a point with
+no value (a NaN row; the run goes on) or a transition that fails to solve.
 
 Scenario schema (JSON object):
 
@@ -448,8 +448,8 @@ def _series_csv(series, x_column: list[str]) -> str:
 
 def _execute(pools: dict, steps: list):
     """The evaluating pass: run the validated steps by _act on the pools as
-    built; returns (receipt lines, [(csv name, csv content)], manifest
-    lines, exit code, fatal message or None)."""
+    built; returns (receipt lines, [(csv name, csv content)], manifest lines,
+    exit code). Validation replayed each transition, so only a solver failure stops it."""
     states = {pid: state for pid, (_, state) in pools.items()}
     receipts: list[str] = []
     csvs: list[tuple[str, str]] = []
@@ -479,10 +479,8 @@ def _execute(pools: dict, steps: list):
                 )
         except (NoSolution, ConvergenceFailure) as exc:
             manifest.append(f"action {idx:03d} {name}: {exc}")
-            return receipts, csvs, manifest, EXIT_SOLVER, None
-        except _DOMAIN_ERRORS as exc:
-            return receipts, csvs, manifest, EXIT_VALIDATION, f"action {idx:03d} {name}: {exc}"
-    return receipts, csvs, manifest, exit_code, None
+            return receipts, csvs, manifest, EXIT_SOLVER
+    return receipts, csvs, manifest, exit_code
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
@@ -515,20 +513,21 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     else:
         directory = Path.cwd()
 
-    receipts, csvs, manifest, code, fatal = _execute(pools, steps)
-
-    directory.mkdir(parents=True, exist_ok=True)
-    content = "".join(line + "\n" for line in receipts)
-    (directory / f"{stem}_receipts.log").write_text(content, encoding="utf-8", newline="\n")
-    for name, text in csvs:
-        (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    receipts, csvs, manifest, code = _execute(pools, steps)
+    files = [("receipts.log", "".join(line + "\n" for line in receipts)), *csvs]
     if manifest:
-        failures = "".join(line + "\n" for line in manifest)
-        (directory / f"{stem}_failures.txt").write_text(
-            failures, encoding="utf-8", newline="\n"
-        )
-    if fatal is not None:
-        print(fatal, file=sys.stderr)
+        files.append(("failures.txt", "".join(line + "\n" for line in manifest)))
+    try:
+        for name, text in files:
+            (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

@@ -238,7 +238,8 @@ _FOLDS = {" + ": "add", " * ": "mul"}
 def _unrolled(template: str, name: str, n: int, /, **constants):
     """The function `name` that template defines, written out for an n-asset
     pool and compiled against this module's globals; linecache holds its
-    source for tracebacks, inspect and profilers. In template, `$key` stands
+    source for tracebacks, inspect and profilers until linecache.clearcache(),
+    which drops it for the rest of the process. In template, `$key` stands
     for constants[key]; then the lines between `%each` and `%end` repeat for
     k = 0..n-1 (`%each from 1`: k = 1..n-1), and `[[body|sep]]` joins body
     for k = 0..n-1 with sep, where `@` stands for k. Beyond _LONGEST_FOLD

@@ -11,10 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
-    ConvergenceFailure,
+    AmmError,
     DomainError,
     InfeasibleTrade,
-    NoSolution,
     NotApplicable,
     ReserveDepletion,
     apply_swap,
@@ -546,15 +545,15 @@ def sorted_grid(values):
 
 
 def scalar_series(function, grid):
-    """function over the grid as a sweep records it: NoSolution and
-    ConvergenceFailure become NaN plus a (grid index, reason) failure."""
+    """function over the grid as a sweep records it: an AmmError becomes NaN
+    plus a (grid index, "<ErrorClass>: <message>") failure."""
     ys, failures = [], []
     for k, x in enumerate(grid):
         try:
             ys.append(function(x))
-        except (NoSolution, ConvergenceFailure) as exc:
+        except AmmError as exc:
             ys.append(math.nan)
-            failures.append((k, str(exc)))
+            failures.append((k, f"{type(exc).__name__}: {exc}"))
     return ys, failures
 
 
@@ -569,13 +568,10 @@ class TestSweepsMatchTheScalarPath:
     def test_slippage_curve(self, case, grid):
         pool, i, o = case
         r_in = pool.reserves[i]
-        try:
-            want = [slippage(pool, i, o, g * r_in) for g in grid]
-        except Exception as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                slippage_curve(pool, i, o, grid)
-            return
-        assert_bitwise_equal(slippage_curve(pool, i, o, grid).y_values, want)
+        want, failures = scalar_series(lambda g: slippage(pool, i, o, g * r_in), grid)
+        series = slippage_curve(pool, i, o, grid)
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(swept_pools(), sorted_grid(st.floats(0.05, 20.0)))
@@ -610,6 +606,8 @@ class TestSweepsMatchTheScalarPath:
         want, failures = scalar_series(lambda g: r_out - swap_amount(pool, i, o, g - r_in), grid)
         series = conservation_cross_section(pool, i, o, grid)
         assert [k for k, _ in failures] == [2, 3]
+        assert all(reason.startswith("NoSolution: ") for _, reason in failures)
+        assert math.isnan(want[2]) and math.isnan(want[3])
         assert_bitwise_equal(series.y_values, want)
         assert list(series.failures) == failures
 
@@ -642,9 +640,10 @@ def kernel_calls(monkeypatch):
 
 class TestSweepGridEdges:
     """Grids at the edges of the sweeps' kernel comprehensions: every sweep
-    equals the scalar path bit for bit, refusals included, and recomputes its
-    series exactly where the comprehension meets a point that only the
-    wrapped per-point form handles."""
+    equals the scalar path bit for bit, a failing point as NaN with the
+    scalar path's error, and recomputes its series exactly where the
+    comprehension meets a point that only the wrapped per-point form
+    handles."""
 
     POOLS = {
         "uniswap": lambda s: uniswap_pool(100.0 * s, 100.0 * s),
@@ -701,16 +700,20 @@ class TestSweepGridEdges:
         assert calls == [0.0, 0.0, 0.5 * r_in]
 
     @pytest.mark.parametrize("name", ["uniswap", "weighted3"])
-    def test_a_zero_output_refuses_the_slippage_series(self, name, monkeypatch):
+    def test_a_zero_output_is_a_nan_slippage_point(self, name, monkeypatch):
         # 1e-20 of the reserve does not move it: the output is exactly 0
         pool = self.POOLS[name](1e4)
         r_in = pool.reserves[0]
         with pytest.raises(InfeasibleTrade) as scalar:
             slippage(pool, 0, 1, 1e-20 * r_in)
         calls = kernel_calls(monkeypatch)
-        with pytest.raises(InfeasibleTrade, match=f"^{re.escape(str(scalar.value))}$"):
-            slippage_curve(pool, 0, 1, (1e-20, 0.5))
-        assert calls == [1e-20 * r_in] * 2
+        series = slippage_curve(pool, 0, 1, (1e-20, 0.5))
+        assert math.isnan(series.y_values[0])
+        assert series.failures == ((0, f"InfeasibleTrade: {scalar.value}"),)
+        assert_bitwise_equal(series.y_values[1:], [slippage(pool, 0, 1, 0.5 * r_in)])
+        # the zero output divides by zero in the comprehension; _solved_points
+        # recomputes the series from its first point
+        assert calls == [1e-20 * r_in] * 2 + [0.5 * r_in]
 
     def test_a_point_without_solution_recomputes_the_cross_section(self, monkeypatch):
         pool = self.POOLS["stableswap2"](1.0)
@@ -735,19 +738,22 @@ class TestSweepGridEdges:
         ],
         ids=["weighted-product", "weighted-power", "pmm"],
     )
-    def test_a_reverse_trade_past_the_float_range_refuses_the_cross_section(
-        self, pool, grid, monkeypatch
-    ):
+    def test_a_reverse_trade_past_the_float_range_is_a_nan_point(self, pool, grid, monkeypatch):
         # at the grid's low end the output reserve grows past the largest float
         pool = pool()
-        r_in = pool.reserves[0]
+        r_in, r_out = pool.reserves[0], pool.reserves[1]
         with pytest.raises(DomainError) as scalar:
             swap_amount(pool, 0, 1, grid[0] - r_in)
         assert "takes output reserve" in str(scalar.value)
         calls = kernel_calls(monkeypatch)
-        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
-            conservation_cross_section(pool, 0, 1, grid)
-        assert calls == [grid[0] - r_in]
+        series = conservation_cross_section(pool, 0, 1, grid)
+        assert math.isnan(series.y_values[0])
+        assert series.failures == ((0, f"DomainError: {scalar.value}"),)
+        want = [r_out - swap_amount(pool, 0, 1, g - r_in) for g in grid[1:]]
+        assert_bitwise_equal(series.y_values[1:], want)
+        # the comprehension stops at the first point; _solved_points
+        # recomputes every point
+        assert calls == [grid[0] - r_in] + [g - r_in for g in grid]
 
     @pytest.mark.parametrize("name", list(POOLS))
     @pytest.mark.parametrize(
@@ -755,19 +761,23 @@ class TestSweepGridEdges:
         [((1e-300, 50.0), ReserveDepletion), ((50.0, math.inf), DomainError)],
         ids=["low-end", "high-end"],
     )
-    def test_a_grid_end_outside_the_trade_guard_refuses_the_cross_section(
+    def test_a_grid_end_outside_the_trade_guard_is_a_nan_point(
         self, name, grid, error, monkeypatch
     ):
         # 1e-300 - r_in rounds to -r_in, which empties the input reserve
         pool = self.POOLS[name](1.0)
-        r_in = pool.reserves[0]
-        bad = grid[0] if error is ReserveDepletion else grid[-1]
+        r_in, r_out = pool.reserves[0], pool.reserves[1]
+        bad = 0 if error is ReserveDepletion else 1
         with pytest.raises(error) as scalar:
-            swap_amount(pool, 0, 1, bad - r_in)
+            swap_amount(pool, 0, 1, grid[bad] - r_in)
         calls = kernel_calls(monkeypatch)
-        with pytest.raises(error, match=f"^{re.escape(str(scalar.value))}$"):
-            conservation_cross_section(pool, 0, 1, grid)
-        assert calls == [g - r_in for g in grid[: grid.index(bad) + 1]]
+        series = conservation_cross_section(pool, 0, 1, grid)
+        assert math.isnan(series.y_values[bad])
+        assert series.failures == ((bad, f"{error.__name__}: {scalar.value}"),)
+        good = 1 - bad
+        want = [r_out - swap_amount(pool, 0, 1, grid[good] - r_in)]
+        assert_bitwise_equal([series.y_values[good]], want)
+        assert calls == [g - r_in for g in grid[: bad + 1]] + [g - r_in for g in grid]
 
     @pytest.mark.parametrize("amplification", [0.3, 1.0])
     @pytest.mark.parametrize("i, o", [(0, 1), (1, 0)])

@@ -675,6 +675,52 @@ class TestRun:
             "actions[0]: pool 'crv': (D/n)^n leaves the floating-point range at D=2e+302\n"
         )
 
+    def test_the_run_goes_on_past_a_failing_point(self, tmp_path, capsys):
+        # at A = 1e-300 every slippage point of the curve pool has no
+        # solution; both pools' series are still written and the swap after
+        # them still runs
+        crv = dict(CRV, reserves=[100, 120], amplification=1e-300)
+        grid = [0.01, 0.1, 0.5]
+        document = {"pools": [crv, UNI], "actions": [
+            {"action": "compare", "pools": ["crv", "uni"], "kind": "slippage", "grid": grid},
+            {"action": "swap", "pool": "uni", "amount": 10},
+        ]}
+        path = write_scenario(tmp_path, document)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scenario_a000_slippage_crv.csv", "scenario_a000_slippage_uni.csv",
+            "scenario_failures.txt", "scenario_receipts.log",
+        ]
+        _, rows = read_csv_columns(out / "scenario_a000_slippage_crv.csv")
+        assert all(math.isnan(float(row[1])) for row in rows) and len(rows) == 3
+        _, rows = read_csv_columns(out / "scenario_a000_slippage_uni.csv")
+        # constant product: the slippage is the trade size itself
+        assert [float(row[1]) for row in rows] == pytest.approx(grid, rel=1e-12)
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == "".join(
+            f"action 000 slippage pool=crv point={k} x={g!r}: "
+            "NoSolution: swap quadratic produced a non-positive reserve 0.0\n"
+            for k, g in enumerate(grid)
+        )
+        receipts = (out / "scenario_receipts.log").read_text(encoding="utf-8").splitlines()
+        assert len(receipts) == 1
+        assert receipts[0].startswith("action 001 swap pool=uni")
+
+    def test_an_output_path_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        # the directory is a file or lies under one, or an output file's
+        # name is taken by a directory: one stderr line, no traceback
+        path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        (tmp_path / "out" / "scenario_receipts.log").mkdir(parents=True)
+        for out in (blocker, blocker / "sub", tmp_path / "out"):
+            assert main(["run", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert blocker.read_text(encoding="utf-8") == ""
+
     def test_parallel_must_be_positive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
         assert main(["run", str(path), "--parallel", "0", "--out", str(tmp_path)]) == 2
@@ -815,16 +861,21 @@ class TestValidateAgreesWithRun:
             "action 000 swap: swap quadratic produced a non-positive reserve 0.0\n"
         )
 
-    def test_a_series_point_still_fails_at_run_time(self, tmp_path, capsys):
+    def test_a_failing_series_point_is_a_nan_row(self, tmp_path, capsys):
         # validate evaluates no series point: a trade whose output rounds to
-        # zero is found by run
+        # zero is found by run, which writes it as a NaN row and exits 3
         pool = dict(UNI, reserves=[1e300, 1e-300])
         curve = {"action": "slippage_curve", "pool": "uni", "grid": [1e-300]}
         path = write_scenario(tmp_path, {"pools": [pool], "actions": [curve]})
         assert main(["validate", str(path)]) == 0
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "action 000 slippage_curve: input 1.0 produced zero output; slippage undefined\n"
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv_columns(out / "scenario_a000_slippage_uni.csv")
+        assert [row[:2] for row in rows] == [["1e-300", "nan"]]
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 000 slippage pool=uni point=0 x=1e-300: "
+            "InfeasibleTrade: input 1.0 produced zero output; slippage undefined\n"
         )
 
 

@@ -59,16 +59,24 @@ BRANCH_RATE = 0.25
 BRANCH_FLOOR = 2.6e-13
 
 
-# stableswap swaps and spot rates, 2 and 3 assets: the relative gap falls in
+# stableswap swaps and spot rates, 2 to 4 assets: the relative gap falls in
 # proportion to A as A -> 0 and to 1/A as A -> inf. A swap's floor is its
 # cancellation, at most floor/f for a trade of f times the input reserve
-# (A -> 0) or the output reserve (A -> inf); a spot rate's is SPOT_FLOOR
+# (A -> 0) or the output reserve (A -> inf); a spot rate's is a few ulps
 SWAP_LIMITS = {
-    # limit: (amplifications, distance from the limit, swap rate, spot rate, swap floor)
-    "constant-product": (SMALL_A, lambda a: a, 3.1, 3.1, 9.6e-15),
-    "constant-sum": (LARGE_A, lambda a: 1.0 / a, 14.0, 6.3, 2.7e-14),
+    # limit: (amplifications, distance from the limit,
+    #         {pool size: (swap rate, spot rate, swap floor, spot floor)})
+    "constant-product": (SMALL_A, lambda a: a, {
+        2: (3.1, 3.1, 9.6e-15, 2.2e-16),
+        3: (3.1, 3.1, 9.6e-15, 2.2e-16),
+        4: (3.1, 3.1, 1.9e-14, 2.5e-16),
+    }),
+    "constant-sum": (LARGE_A, lambda a: 1.0 / a, {
+        2: (14.0, 6.3, 2.7e-14, 2.2e-16),
+        3: (14.0, 6.3, 2.7e-14, 2.2e-16),
+        4: (23.0, 11.0, 3.8e-14, 2.5e-16),
+    }),
 }
-SPOT_FLOOR = 2.2e-16
 
 # bonding: the relative gap of the minted amount falls in proportion to
 # 1 - F, down to the cancellation of (1 + u)^F - 1, at most MINT_FLOOR/u for
@@ -170,7 +178,7 @@ def _stableswap_swap_cases(limit: str, n: int):
     constant sum, the balanced (100, ..., 100) and reserves 2x apart."""
     rng = random.Random(f"limits/stableswap/swaps/{limit}/{n}")
     if limit == "constant-product":
-        pools = [(100.0, 250.0, 175.0)[:n]]
+        pools = [(100.0, 250.0, 175.0, 130.0)[:n]]
         for _ in range(3):
             scale = 10.0 ** rng.uniform(-3.0, 3.0)
             pools.append(tuple(scale * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)))
@@ -183,9 +191,10 @@ def _stableswap_swap_cases(limit: str, n: int):
 
 
 @pytest.mark.parametrize("limit", SWAP_LIMITS)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", SIZES)
 def test_stableswap_swaps_reach_their_limits(limit, n):
-    amplifications, distance, swap_rate, spot_rate_rate, floor = SWAP_LIMITS[limit]
+    amplifications, distance, bounds = SWAP_LIMITS[limit]
+    swap_rate, spot_rate_rate, floor, spot_floor = bounds[n]
     product = limit == "constant-product"
     pools, fractions = _stableswap_swap_cases(limit, n)
     for reserves in pools:
@@ -195,7 +204,7 @@ def test_stableswap_swaps_reach_their_limits(limit, n):
             for i, o in permutations(range(n), 2):
                 want = spot_rate(weighted, i, o) if product else 1.0
                 gap = abs(spot_rate(pool, i, o) - want) / want
-                assert gap <= max(spot_rate_rate * d, SPOT_FLOOR), (reserves, amp, i, o)
+                assert gap <= max(spot_rate_rate * d, spot_floor), (reserves, amp, i, o)
                 for f in fractions:
                     x = f * reserves[i if product else o]
                     want = swap_amount(weighted, i, o, x) if product else x

@@ -40,9 +40,12 @@ a sell of the minted amount from the bought state. Each step that raises is
 recorded as its error class and message.
 
 Tree B must also keep the CLI contract on its own: no mode may end in an
-uncaught exception, and `run` and `run --parallel 2` must give the same exit
-code and the same files for every scenario. The tool prints, for tree B,
-how many scenarios end with each pair of `validate` and `run` exit codes.
+uncaught exception, `run` and `run --parallel 2` must give the same exit
+code and the same files for every scenario, and a scenario that passes
+`validate` must not make `run` exit 2, since exit 2 comes only from
+validation (a failing series point is a NaN row and exit 3). The tool
+prints, for tree B, how many scenarios end with each pair of `validate` and
+`run` exit codes.
 
 The two records must match exactly. `--accept 'OLD=>NEW'` (repeatable)
 declares a wording change: OLD is replaced by NEW in tree A's text before
@@ -174,6 +177,20 @@ HAND_MADE = {
     },
     "divergence-on-dodo": {"pools": [BASE["pools"][6]], "actions": [
         {"action": "divergence_curve", "pool": "ddo", "asset": 1}]},
+    # series points with no value, each a NaN row and a failure line, exit 3:
+    # a slippage output that rounds to zero, a cross-section grid whose low
+    # end empties the input reserve, and a compare with a pool that fails
+    # every point, followed by a swap that still runs
+    "zero-output-slippage-point": {
+        "pools": [dict(BASE["pools"][0], reserves=[1e300, 1e-300])],
+        "actions": [{"action": "slippage_curve", "pool": "uni", "grid": [1e-300]}]},
+    "emptying-cross-section-point": {"pools": [BASE["pools"][0]], "actions": [
+        {"action": "cross_section", "pool": "uni", "grid": [1e-300, 50]}]},
+    "failing-compare-then-swap": {
+        "pools": [dict(BASE["pools"][4], amplification=1e-300), BASE["pools"][0]],
+        "actions": [
+            {"action": "compare", "pools": ["crv", "uni"], "kind": "slippage"},
+            {"action": "swap", "pool": "uni", "amount": 10}]},
     "default-grids": {"pools": BASE["pools"], "actions": [
         {"action": "compare", "pools": ["uni", "bal", "crv", "ddo"], "kind": kind}
         for kind in ("slippage", "cross_section")]},
@@ -545,7 +562,8 @@ def _float_moves(ra: dict, rb: dict):
 
 def _contract(records: list[dict]) -> tuple[list[str], Counter]:
     """The CLI contract's violations in one tree's records, and how many
-    scenarios end with each (validate, run) pair of exit codes."""
+    scenarios end with each (validate, run) pair of exit codes; a scenario
+    that validates and makes run exit 2 is a violation."""
     violations, by_scenario = [], {}
     for r in records:
         if isinstance(r["exit"], str) and r["exit"].startswith("uncaught"):
@@ -557,6 +575,8 @@ def _contract(records: list[dict]) -> tuple[list[str], Counter]:
         serial, parallel = modes["run"], modes["run --parallel 2"]
         if (serial["exit"], serial["files"]) != (parallel["exit"], parallel["files"]):
             violations.append(f"{name}: run and run --parallel 2 differ")
+        if (modes["validate"]["exit"], serial["exit"]) == (0, 2):
+            violations.append(f"{name}: validate exits 0, run exits 2")
     exits = Counter((m["validate"]["exit"], m["run"]["exit"]) for m in by_scenario.values())
     return violations, exits
 
