@@ -60,7 +60,7 @@ from .core import (
     swap_amount,
     swap_kernel,
 )
-from .errors import AmmError, NotApplicable
+from .errors import AmmError, DomainError, NotApplicable
 from .numerics import ValuationReport, generic_divergence_loss
 from .quote import slippage_from_quote
 
@@ -350,18 +350,22 @@ def slippage_curve(
     """Slippage S against normalized trade size x_in/r_in over the grid
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
-    value g; a point where that raises an AmmError is a NaN entry."""
+    value g; a point where that raises an AmmError is a NaN entry. A spot
+    rate that under- or overflowed to 0 or inf raises DomainError."""
     grid = default_trade_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"spot rate {rate!r} is outside the float range; slippage undefined")
     r_in = state.reserves[input_asset]
     try:
         # slippage_from_quote but for its zero cases and failing points
         y, failures = tuple([(x / swap(x)) / rate - 1.0 for x in map(r_in.__mul__, grid)]), ()
     except (ZeroDivisionError, AmmError):
-        solve = lambda x: slippage_from_quote(x, swap(x), rate)  # noqa: E731
-        y, failures = _solved_points(solve, map(r_in.__mul__, grid))
+        y, failures = _solved_points(
+            lambda x: slippage_from_quote(x, swap(x), rate), map(r_in.__mul__, grid)
+        )
     return _series(SeriesKind.SLIPPAGE, state, grid, y, failures, pool_id, protocol)
 
 

@@ -515,14 +515,10 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
 
     try:
         directory.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    receipts, csvs, manifest, code = _execute(pools, steps)
-    files = [("receipts.log", "".join(line + "\n" for line in receipts)), *csvs]
-    if manifest:
-        files.append(("failures.txt", "".join(line + "\n" for line in manifest)))
-    try:
+        receipts, csvs, manifest, code = _execute(pools, steps)
+        files = [("receipts.log", "".join(line + "\n" for line in receipts)), *csvs]
+        if manifest:
+            files.append(("failures.txt", "".join(line + "\n" for line in manifest)))
         for name, text in files:
             (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:

@@ -316,6 +316,17 @@ class TestSlippageCurve:
         with pytest.raises(ValueError):
             slippage_curve(pool, 0, 1, (0.0, 0.5))
 
+    @pytest.mark.parametrize(
+        "reserves, rate", [((1e-200, 1e200), "0.0"), ((1e200, 1e-200), "inf")]
+    )
+    def test_a_spot_rate_past_the_float_range_refuses_the_series(self, reserves, rate):
+        # no slippage point is defined when the rate it divides by under- or
+        # overflowed; the empty grid of validate is refused as well
+        refusal = f"^spot rate {rate} is outside the float range; slippage undefined$"
+        for grid in ((0.1, 0.5), ()):
+            with pytest.raises(DomainError, match=refusal):
+                slippage_curve(uniswap_pool(*reserves), 0, 1, grid)
+
     def test_positive_and_increasing_for_all_protocols(self):
         for _, pool in four_pool_config().pools:
             series = slippage_curve(pool, 0, 1)

@@ -807,6 +807,19 @@ class TestValidateAgreesWithRun:
             },
             "actions[1]: pool 'uni': input -150.0 exhausts reserve 100.0\n",
         ),
+        # the spot rate 1e-400 underflows to 0 and 1e400 overflows to inf:
+        # every slippage point divides by it
+        **{
+            f"slippage-on-a-spot-rate-of-{rate}": (
+                {
+                    "pools": [dict(UNI, reserves=reserves)],
+                    "actions": [{"action": "slippage_curve", "pool": "uni"}],
+                },
+                f"actions[0]: pool 'uni': spot rate {rate} is outside the float range; "
+                "slippage undefined\n",
+            )
+            for rate, reserves in (("0.0", [1e-200, 1e200]), ("inf", [1e200, 1e-200]))
+        },
     }
 
     @pytest.mark.parametrize(
@@ -864,7 +877,7 @@ class TestValidateAgreesWithRun:
     def test_a_failing_series_point_is_a_nan_row(self, tmp_path, capsys):
         # validate evaluates no series point: a trade whose output rounds to
         # zero is found by run, which writes it as a NaN row and exits 3
-        pool = dict(UNI, reserves=[1e300, 1e-300])
+        pool = dict(UNI, reserves=[1e150, 1e-150])
         curve = {"action": "slippage_curve", "pool": "uni", "grid": [1e-300]}
         path = write_scenario(tmp_path, {"pools": [pool], "actions": [curve]})
         assert main(["validate", str(path)]) == 0
@@ -875,7 +888,7 @@ class TestValidateAgreesWithRun:
         assert [row[:2] for row in rows] == [["1e-300", "nan"]]
         assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
             "action 000 slippage pool=uni point=0 x=1e-300: "
-            "InfeasibleTrade: input 1.0 produced zero output; slippage undefined\n"
+            "InfeasibleTrade: input 1e-150 produced zero output; slippage undefined\n"
         )
 
 

@@ -182,7 +182,7 @@ HAND_MADE = {
     # end empties the input reserve, and a compare with a pool that fails
     # every point, followed by a swap that still runs
     "zero-output-slippage-point": {
-        "pools": [dict(BASE["pools"][0], reserves=[1e300, 1e-300])],
+        "pools": [dict(BASE["pools"][0], reserves=[1e150, 1e-150])],
         "actions": [{"action": "slippage_curve", "pool": "uni", "grid": [1e-300]}]},
     "emptying-cross-section-point": {"pools": [BASE["pools"][0]], "actions": [
         {"action": "cross_section", "pool": "uni", "grid": [1e-300, 50]}]},
@@ -191,6 +191,11 @@ HAND_MADE = {
         "actions": [
             {"action": "compare", "pools": ["crv", "uni"], "kind": "slippage"},
             {"action": "swap", "pool": "uni", "amount": 10}]},
+    # a slippage series on a spot rate that underflows to 0, which every
+    # point would divide by: a validation problem, exit 2
+    "underflowing-spot-rate-slippage": {
+        "pools": [dict(BASE["pools"][0], reserves=[1e-200, 1e200])],
+        "actions": [{"action": "slippage_curve", "pool": "uni"}]},
     "default-grids": {"pools": BASE["pools"], "actions": [
         {"action": "compare", "pools": ["uni", "bal", "crv", "ddo"], "kind": kind}
         for kind in ("slippage", "cross_section")]},
