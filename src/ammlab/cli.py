@@ -16,6 +16,9 @@ twice. Output is deterministic: identical scenarios produce byte-identical
 files. Everything runs in one thread, in grid order; ``--parallel N`` must be
 at least 1 and does not change the output (a thread pool cannot speed up this
 pure-Python arithmetic, which holds the interpreter lock, so none is started).
+Each series' CSV is written as soon as it is formatted; the receipt log and
+any failure manifest follow at the end, so a write error (exit 1) or a bug
+mid-run leaves the CSVs written before it and no receipt log.
 
 Exit codes: 0 success; 1 a scenario or output path that cannot be read or
 written; 2 a validation problem, which only validation reports; 3 a point with
@@ -446,14 +449,15 @@ def _series_csv(series, x_column: list[str]) -> str:
     return "grid,value,pool,protocol,hyperparameters\n" + (row * len(series.y_values)) % values
 
 
-def _execute(pools: dict, steps: list):
+def _execute(pools: dict, steps: list, write):
     """The evaluating pass: run the validated steps by _act on the pools as
-    built; returns (receipt lines, [(csv name, csv content)], manifest lines,
-    exit code). Validation replayed each transition, so only a solver failure stops it."""
+    built, handing each series' CSV to write(csv name, content) as soon as it
+    is formatted; returns (receipt lines, manifest lines, exit code).
+    Validation replayed each transition, so only a solver failure stops it."""
     states = {pid: state for pid, (_, state) in pools.items()}
     receipts: list[str] = []
-    csvs: list[tuple[str, str]] = []
     manifest: list[str] = []
+    columns: dict[tuple, list[str]] = {}
     exit_code = EXIT_OK
 
     for idx, step in enumerate(steps):
@@ -472,20 +476,22 @@ def _execute(pools: dict, steps: list):
                         for k, msg in record.failures
                     ]
                     exit_code = EXIT_SOLVER
-                # without an explicit grid each pool's series has its own
-                column = x_column or format_floats(record.x_values)
-                csvs.append(
-                    (f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
-                )
+                # a default grid, each pool's own, is formatted once per run
+                column = x_column or columns.get(record.x_values)
+                if column is None:
+                    column = columns[record.x_values] = format_floats(record.x_values)
+                write(f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
         except (NoSolution, ConvergenceFailure) as exc:
             manifest.append(f"action {idx:03d} {name}: {exc}")
-            return receipts, csvs, manifest, EXIT_SOLVER
-    return receipts, csvs, manifest, exit_code
+            return receipts, manifest, EXIT_SOLVER
+    return receipts, manifest, exit_code
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     """Execute a scenario file end to end; returns the process exit code.
-    `parallel` must be at least 1; the output is the same at every value."""
+    `parallel` must be at least 1; the output is the same at every value.
+    _execute writes each CSV, then the receipt log and any failure manifest
+    follow; an error mid-run leaves the CSVs written before it in place."""
     scenario_path = Path(path)
     try:
         with open(scenario_path, "r", encoding="utf-8") as fh:
@@ -513,14 +519,15 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     else:
         directory = Path.cwd()
 
+    def write(name: str, text: str) -> None:
+        (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
+
     try:
         directory.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
-        receipts, csvs, manifest, code = _execute(pools, steps)
-        files = [("receipts.log", "".join(line + "\n" for line in receipts)), *csvs]
+        receipts, manifest, code = _execute(pools, steps, write)
+        write("receipts.log", "".join(line + "\n" for line in receipts))
         if manifest:
-            files.append(("failures.txt", "".join(line + "\n" for line in manifest)))
-        for name, text in files:
-            (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
+            write("failures.txt", "".join(line + "\n" for line in manifest))
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE

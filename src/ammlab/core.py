@@ -328,7 +328,7 @@ def swap_kernel(state: PoolState, i: int, o: int):
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
     effective rate over the pre-trade spot rate; swap_amount's refusals
-    apply."""
+    apply, and quote.rate_refusal for a spot rate outside the float range."""
     quote.check_assets(len(state.reserves), i, o)
     x_out = state._curve.output(state.reserves, i, o, x_in)
     return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
@@ -434,7 +434,8 @@ def apply_swap(
 
     Returns the post state, the trade quantities, and a receipt recording the
     measured relative invariant deviation. A trade is refused as by
-    swap_amount; a post state off the curve raises ConservationViolation.
+    swap_amount, a nonzero one on a spot rate outside the float range as by
+    slippage; a post state off the curve raises ConservationViolation.
     """
     quote.check_assets(len(state.reserves), input_asset, output_asset)
     curve = state._curve

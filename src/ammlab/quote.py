@@ -129,13 +129,20 @@ def check_pmm_amplification(a) -> None:
         raise ValueError(f"pmm amplification must lie in (0, 1], got {a}")
 
 
+def rate_refusal(rate: float) -> DomainError:
+    """What a slippage or a slippage sweep raises on a spot rate of 0 or inf."""
+    return DomainError(f"spot rate {rate!r} is outside the float range; slippage undefined")
+
+
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
     pre-trade spot rate E, for an input x_in that returned x_out. A zero
-    trade has zero slippage by convention; zero output from a nonzero trade
-    leaves slippage undefined and raises InfeasibleTrade."""
+    trade has zero slippage by convention; a nonzero one raises InfeasibleTrade
+    on a zero output, then rate_refusal on a spot rate of 0 or inf."""
     if x_in == 0.0:
         return 0.0
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
+    if not 0.0 < rate < math.inf:
+        raise rate_refusal(rate)
     return (x_in / x_out) / rate - 1.0

@@ -551,6 +551,20 @@ def swept_pools(draw, families=("weighted", "stableswap", "pmm")):
     return stableswap_pool(reserves, amplification), i, o
 
 
+@st.composite
+def stableswap_divergence_cases(draw):
+    """(pool, appreciating asset): 2- to 4-asset stableswap pools with A up
+    to 1e8, where the largest shifts have no rebalanced state."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    reserves = draw(st.lists(reserve_sizes, min_size=n, max_size=n))
+    pool = stableswap_pool(reserves, 10.0 ** draw(st.floats(-2.0, 8.0)))
+    return pool, draw(st.integers(1, n - 1))
+
+
+# price shifts, moderate and extreme
+shifts = st.one_of(st.floats(-0.999, 10.0), st.sampled_from([1e10, 1e100, 1e300]))
+
+
 def sorted_grid(values):
     return st.lists(values, min_size=1, max_size=40, unique=True).map(sorted)
 
@@ -604,6 +618,32 @@ class TestSweepsMatchTheScalarPath:
         series = divergence_curve(pool, asset, grid)
         assert_bitwise_equal(series.y_values, want)
         assert list(series.failures) == failures == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stableswap_divergence_cases(), sorted_grid(shifts))
+    @example(case=(stableswap_pool((100.0, 100.0), 1e8), 1), grid=[-0.5, 4.0, 1e10, 1e300])
+    def test_stableswap_divergence_curve(self, case, grid):
+        pool, asset = case
+        want, failures = scalar_series(lambda rho: divergence_loss(pool, asset, rho), grid)
+        series = divergence_curve(pool, asset, grid)
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures
+
+    @pytest.mark.parametrize(
+        "reserves, asset",
+        [((100.0, 100.0), 1), ((100.0, 150.0, 80.0), 2), ((100.0, 150.0, 80.0, 120.0), 3)],
+    )
+    def test_stableswap_divergence_failures(self, reserves, asset):
+        # at A = 1e8 a shift of 1e300 takes a rebalanced reserve out of the
+        # float range: a NaN row with the scalar path's reason
+        pool = stableswap_pool(reserves, 1e8)
+        grid = (-0.5, 4.0, 1e300)
+        want, failures = scalar_series(lambda rho: divergence_loss(pool, asset, rho), grid)
+        series = divergence_curve(pool, asset, grid)
+        assert [k for k, _ in failures] == [2]
+        assert failures[0][1].startswith("NoSolution: ")
+        assert_bitwise_equal(series.y_values, want)
+        assert list(series.failures) == failures
 
     @pytest.mark.parametrize(
         "reserves, i, o",

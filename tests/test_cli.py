@@ -7,13 +7,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ammlab
 from ammlab import __version__
-from ammlab.analysis import CurveSeries, SeriesKind
+from ammlab.analysis import (
+    CurveSeries,
+    SeriesKind,
+    default_cross_section_grid,
+    default_shift_grid,
+    default_trade_grid,
+)
 from ammlab.cli import _series_csv, main, run_scenario, validate_scenario_data
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -721,6 +728,105 @@ class TestRun:
             assert err.startswith("cannot write output: ") and err.count("\n") == 1
         assert blocker.read_text(encoding="utf-8") == ""
 
+    def test_an_output_name_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        # each series is written as it is formatted: the run stops at the
+        # name a directory takes, after the series before it
+        path = write_scenario(tmp_path, {"pools": [UNI], "actions": [
+            {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+            {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+            {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+        ]})
+        out = tmp_path / "out"
+        (out / "scenario_a001_slippage_uni.csv").mkdir(parents=True)
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scenario_a000_slippage_uni.csv", "scenario_a001_slippage_uni.csv"
+        ]
+
+    def test_a_solver_failure_keeps_the_series_before_it(self, tmp_path, capsys):
+        # the series before the failing swap is written, the one after it
+        # never runs, and the receipts and the manifest follow
+        path = write_scenario(tmp_path, {"pools": [CRV, UNI], "actions": [
+            {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+            {"action": "swap", "pool": "crv", "amount": 1e300},
+            {"action": "slippage_curve", "pool": "uni", "grid": [0.5]},
+        ]})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scenario_a000_slippage_uni.csv", "scenario_failures.txt", "scenario_receipts.log"
+        ]
+        assert (out / "scenario_receipts.log").read_text(encoding="utf-8") == ""
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 001 swap: swap quadratic produced a non-positive reserve 0.0\n"
+        )
+
+    def test_peak_memory_does_not_grow_with_the_number_of_series(self, tmp_path):
+        # a series' CSV is written before the next one is formatted, so a
+        # run holds one series' text at a time; holding every CSV to the end
+        # peaks about 2.1 times higher for 8 series than for 2
+        grid = {"start": 1e-3, "stop": 0.9, "points": 5000}
+
+        def scenario(n):
+            pools = [dict(UNI, id=f"u{k}", reserves=[100 + k, 100]) for k in range(n)]
+            return write_scenario(tmp_path, {"pools": pools, "actions": [
+                {"action": "compare", "pools": [p["id"] for p in pools], "grid": grid}
+            ]}, name=f"s{n}.json")
+
+        assert run_scenario(scenario(2), out_dir=tmp_path / "warm") == 0
+        peaks = []
+        for n in (2, 8):
+            path = scenario(n)
+            tracemalloc.start()
+            try:
+                assert run_scenario(path, out_dir=tmp_path / f"out{n}") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_each_default_grid_is_formatted_once(self, tmp_path, monkeypatch):
+        # two divergence curves share the default shift grid, a slippage
+        # compare the default trade grid, and a cross-section compare has one
+        # default grid per input reserve: 100 twice, then 200
+        calls = []
+        original = ammlab.cli.format_floats
+        monkeypatch.setattr(
+            ammlab.cli, "format_floats", lambda values: calls.append(values) or original(values)
+        )
+        pools = [UNI, dict(UNI, id="uni2", reserves=[100, 50]),
+                 dict(UNI, id="uni3", reserves=[200, 100]), BAL, CRV]
+        cross = ["uni", "uni2", "uni3"]
+        path = write_scenario(tmp_path, {"pools": pools, "actions": [
+            {"action": "divergence_curve", "pool": "crv"},
+            {"action": "divergence_curve", "pool": "bal"},
+            {"action": "compare", "pools": cross, "kind": "cross_section"},
+            {"action": "compare", "pools": ["uni", "bal", "crv"]},
+        ]})
+        assert run_scenario(path, out_dir=tmp_path / "default") == 0
+        grids = [default_shift_grid(), default_cross_section_grid(100.0),
+                 default_cross_section_grid(200.0), default_trade_grid()]
+        assert calls == grids
+        # the same files as with every default grid written out
+        explicit = write_scenario(tmp_path, {"pools": pools, "actions": [
+            {"action": "divergence_curve", "pool": "crv", "grid": list(grids[0])},
+            {"action": "divergence_curve", "pool": "bal", "grid": list(grids[0])},
+            *({"action": "cross_section", "pool": pid, "grid": list(grid)}
+              for pid, grid in zip(cross, (grids[1], grids[1], grids[2]))),
+            {"action": "compare", "pools": ["uni", "bal", "crv"], "grid": list(grids[3])},
+        ]}, name="explicit.json")
+        assert run_scenario(explicit, out_dir=tmp_path / "explicit") == 0
+
+        def files(directory):
+            # the stem and the action indices differ: a compare became three actions
+            return {p.name.split("_", 2)[-1]: p.read_bytes() for p in directory.iterdir()}
+
+        assert files(tmp_path / "default") == files(tmp_path / "explicit")
+        assert len(files(tmp_path / "default")) == 9
+
     def test_parallel_must_be_positive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"pools": [UNI], "actions": []})
         assert main(["run", str(path), "--parallel", "0", "--out", str(tmp_path)]) == 2
@@ -819,6 +925,21 @@ class TestValidateAgreesWithRun:
                 "slippage undefined\n",
             )
             for rate, reserves in (("0.0", [1e-200, 1e200]), ("inf", [1e200, 1e-200]))
+        },
+        # a swap's slippage divides by the same rate
+        **{
+            f"swap-on-a-spot-rate-of-{rate}": (
+                {
+                    "pools": [dict(UNI, reserves=reserves)],
+                    "actions": [{"action": "swap", "pool": "uni", "amount": amount}],
+                },
+                f"actions[0]: pool 'uni': spot rate {rate} is outside the float range; "
+                "slippage undefined\n",
+            )
+            for rate, reserves, amount in (
+                ("0.0", [1e-200, 1e200], 1e-201),
+                ("inf", [1e200, 1e-200], 1e199),
+            )
         },
     }
 

@@ -122,6 +122,29 @@ def test_zero_output_is_refused_in_one_wording(call):
         call(uniswap_pool(1e300, 1e-300), 0, 1, 1e-30)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r, x: slippage(uniswap_pool(*r), 0, 1, x),
+        lambda r, x: apply_swap(uniswap_pool(*r), 0, 1, x),
+        lambda r, x: weighted.weighted_slippage(r, W, 0, 1, x),
+        lambda r, x: analysis.slippage_curve(uniswap_pool(*r), 0, 1, ()),
+    ],
+    ids=["slippage", "apply_swap", "weighted_slippage", "slippage_curve"],
+)
+@pytest.mark.parametrize(
+    "reserves, x_in, rate", [((1e-200, 1e200), 1e-201, "0.0"), ((1e200, 1e-200), 1e199, "inf")]
+)
+def test_a_spot_rate_past_the_float_range_is_refused_in_one_wording(call, reserves, x_in, rate):
+    # the rates 1e-400 and 1e400 under- and overflow; each trade has a
+    # nonzero output, and its slippage would divide by the rate
+    message = f"^spot rate {rate} is outside the float range; slippage undefined$"
+    with pytest.raises(DomainError, match=message):
+        call(reserves, x_in)
+    # a zero trade divides by nothing: zero slippage, as on any pool
+    assert slippage(uniswap_pool(*reserves), 0, 1, 0.0) == 0.0
+
+
 def _output_overflow(x_in, r_out):
     reserve = re.escape(str(r_out))
     return f"^input {x_in} takes output reserve {reserve} past the floating-point range$"

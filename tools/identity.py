@@ -196,6 +196,33 @@ HAND_MADE = {
     "underflowing-spot-rate-slippage": {
         "pools": [dict(BASE["pools"][0], reserves=[1e-200, 1e200])],
         "actions": [{"action": "slippage_curve", "pool": "uni"}]},
+    # swaps on the spot rates 0 and inf, whose slippage would divide by them:
+    # a validation problem, exit 2
+    **{
+        f"swap-on-{name}-spot-rate": {
+            "pools": [dict(BASE["pools"][0], reserves=reserves)],
+            "actions": [{"action": "swap", "pool": "uni", "amount": amount}]}
+        for name, reserves, amount in (("underflowing", [1e-200, 1e200], 1e-201),
+                                       ("overflowing", [1e200, 1e-200], 1e199))
+    },
+    # default grids, whose x columns a run formats once per distinct grid:
+    # two divergence curves on the shift grid, a cross-section compare whose
+    # pools share an input reserve and differ in it, and explicit grids equal
+    # to the default trade and shift grids next to the defaults themselves
+    "default-divergence-grids": {"pools": BASE["pools"], "actions": [
+        {"action": "divergence_curve", "pool": pid, "asset": 1} for pid in ("crv", "bal")]},
+    "default-cross-section-grids": {
+        "pools": [BASE["pools"][0], dict(BASE["pools"][0], id="uni2", reserves=[100, 50]),
+                  dict(BASE["pools"][0], id="uni3", reserves=[200, 100])],
+        "actions": [{"action": "compare", "pools": ["uni", "uni2", "uni3"],
+                     "kind": "cross_section"}]},
+    "explicit-default-grids": {"pools": BASE["pools"], "actions": [
+        {"action": "slippage_curve", "pool": "uni", "grid": {"start": 0.01, "stop": 0.9,
+                                                             "points": 50}},
+        {"action": "compare", "pools": ["uni", "crv"], "kind": "slippage"},
+        {"action": "divergence_curve", "pool": "crv", "asset": 1, "grid": {
+            "start": -0.9, "stop": 4, "points": 60, "spacing": "linear"}},
+        {"action": "divergence_curve", "pool": "bal", "asset": 1}]},
     "default-grids": {"pools": BASE["pools"], "actions": [
         {"action": "compare", "pools": ["uni", "bal", "crv", "ddo"], "kind": kind}
         for kind in ("slippage", "cross_section")]},
