@@ -79,8 +79,6 @@ __all__ = [
     "slippage_curve",
     "divergence_curve",
     "conservation_cross_section",
-    "ComparisonConfig",
-    "compare_protocols",
     "MAX_GRID_POINTS",
     "log_grid",
     "linear_grid",
@@ -415,53 +413,3 @@ def conservation_cross_section(
     return _series(
         SeriesKind.CONSERVATION_CROSS_SECTION, state, grid, y, failures, pool_id, protocol
     )
-
-
-# ---------------------------------------------------------------------------
-# side-by-side comparison
-
-
-@dataclass(frozen=True)
-class ComparisonConfig:
-    """Pools to sweep side by side: on `grid`, or where it is None each on
-    its own sweep's default grid (a cross-section's default spans a decade
-    around that pool's input reserve).
-
-    pools: (pool id, state) pairs, optionally (pool id, state, protocol
-    label) triples when the caller wants a display name different from the
-    family name. For divergence sweeps `output_asset` is the appreciating
-    asset.
-    """
-
-    pools: tuple
-    kind: SeriesKind = SeriesKind.SLIPPAGE
-    input_asset: int = 0
-    output_asset: int = 1
-    grid: tuple[float, ...] | None = None
-
-
-def compare_protocols(config: ComparisonConfig) -> tuple[CurveSeries, ...]:
-    """One CurveSeries per configured pool; a failing point is NaN, as in each
-    sweep, and an AmmError refusing a whole sweep gains a "pool '<id>': " prefix."""
-    series = []
-    for entry in config.pools:
-        pool_id, state, label = entry if len(entry) == 3 else (*entry, None)
-        pool_id = str(pool_id)
-        try:
-            if config.kind is SeriesKind.DIVERGENCE_LOSS:
-                one = divergence_curve(
-                    state, config.output_asset, config.grid, pool_id=pool_id, protocol=label
-                )
-            else:
-                sweep = (
-                    slippage_curve if config.kind is SeriesKind.SLIPPAGE
-                    else conservation_cross_section
-                )
-                one = sweep(
-                    state, config.input_asset, config.output_asset, config.grid,
-                    pool_id=pool_id, protocol=label,
-                )
-        except AmmError as exc:
-            raise type(exc)(f"pool '{pool_id}': {exc}") from exc
-        series.append(one)
-    return tuple(series)

@@ -204,7 +204,11 @@ class _PMMCurve:
 
     def spot_rate(self, reserves, i: int, o: int) -> float:
         rate = _pmm._spot_rate(reserves[0], reserves[1], self.params)
-        return rate if (i, o) == (0, 1) else 1.0 / rate
+        if (i, o) == (0, 1):
+            return rate
+        if rate and 1.0 / rate < math.inf:
+            return 1.0 / rate
+        raise quote.reciprocal_refusal(rate)
 
     def output(self, reserves, i: int, o: int, x_in: float) -> float:
         if i == 0:
@@ -296,7 +300,8 @@ def pmm_pool(
 
 def spot_rate(state: PoolState, i: int, o: int) -> float:
     """Marginal exchange rate in asset-i units per unit of asset o; exactly 1
-    when i == o, and exact reciprocals across the two orientations."""
+    when i == o, and exact reciprocals across the two orientations, or
+    quote.reciprocal_refusal where a PMM rate's reciprocal is not a float."""
     n = len(state.reserves)
     if not 0 <= i < n > o >= 0:
         quote.check_index(n, i)
@@ -486,7 +491,8 @@ def add_liquidity_proportional(
     rates). Every field changes, so the new state takes the full PoolState
     check, after a growth that leaves (0, inf) is refused
     (quote.growth_refusal). The receipt records the worst relative spot-rate
-    change over all ordered asset pairs; a NaN change fails it.
+    change over all ordered asset pairs; a NaN change fails it, and a rate
+    of 0 raises quote.reciprocal_refusal.
     """
     quote.check_fraction(fraction)
     grow = 1.0 + fraction
@@ -512,6 +518,8 @@ def add_liquidity_proportional(
             if i == o:
                 continue
             before = curve.spot_rate(state.reserves, i, o)
+            if not before:
+                raise quote.reciprocal_refusal(before)
             after = post_curve.spot_rate(post.reserves, i, o)
             change = abs(after / before - 1.0)
             # max() would keep 0.0 over a NaN change

@@ -94,10 +94,11 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
 
     Newton steps (finite-difference derivative) are accepted only while they
     stay strictly inside the current bracket; anything else falls back to
-    bisection. A difference probe that leaves f's domain (f raises ValueError
-    or OverflowError) ends the Newton steps: the rest of the solve bisects.
-    The bracket shrinks monotonically, so the method cannot diverge; it stops
-    at DEFAULT_CONFIG's root_rel_tol or fails after root_max_iterations steps."""
+    bisection. A difference probe that leaves f's domain (f raises
+    ValueError, OverflowError or DomainError) ends the Newton steps: the rest
+    of the solve bisects. The bracket shrinks monotonically, so the method
+    cannot diverge; it stops at DEFAULT_CONFIG's root_rel_tol or fails after
+    root_max_iterations steps."""
     rel_tol, max_iterations = DEFAULT_CONFIG.root_rel_tol, DEFAULT_CONFIG.root_max_iterations
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
@@ -128,7 +129,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
                 h = 1e-12
             try:
                 d = (f(x + h) - f(x - h)) / (2.0 * h)
-            except (ValueError, OverflowError):
+            except (ValueError, OverflowError, DomainError):
                 # the step's absolute floor reaches past the edge of f's
                 # domain: this close to it a difference quotient misleads
                 # even where both probes succeed, and a tiny Newton step

@@ -49,13 +49,10 @@ class PMMParams:
 
     @cached_property
     def _mirror(self) -> "PMMParams":
-        # built, and validated, on first use only: 1/P can overflow
-        return PMMParams(
-            oracle_price=1.0 / self.oracle_price,
-            amplification=self.amplification,
-            target1=self.target2,
-            target2=self.target1,
-        )
+        # built on first use only: 1/P overflows below about 5.6e-309
+        if 1.0 / self.oracle_price == math.inf:
+            raise quote.reciprocal_refusal(self.oracle_price)
+        return PMMParams(1.0 / self.oracle_price, self.amplification, self.target2, self.target1)
 
 
 def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:

@@ -134,6 +134,12 @@ def rate_refusal(rate: float) -> DomainError:
     return DomainError(f"spot rate {rate!r} is outside the float range; slippage undefined")
 
 
+def reciprocal_refusal(rate: float) -> DomainError:
+    """What the reverse of a rate, or a change relative to it, raises where
+    1/rate leaves the float range: at 0, or below about 5.6e-309."""
+    return DomainError(f"rate {rate!r} has no reciprocal in the float range")
+
+
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
     pre-trade spot rate E, for an input x_in that returned x_out. A zero

@@ -48,25 +48,6 @@ def _out_of_range(reserves, D: float) -> DomainError:
     )
 
 
-def conservation_residual(reserves, D: float, amplification: float) -> float:
-    """Relative residual of the defining equation at (reserves, D):
-    |g(D)| normalized by the magnitudes of g's terms, for
-    g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)). Zero on the curve.
-    A last term beyond the float range raises DomainError: it would make the
-    residual NaN."""
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
-    n = len(reserves)
-    try:
-        a_total, a_d = amplification * math.fsum(reserves), amplification * D
-        power = D * (D / n) ** n / math.prod(reserves)
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(reserves, D) from None
-    if not math.isfinite(power):
-        raise _out_of_range(reserves, D)
-    return abs(a_total + D - a_d - power) / max(sum(map(abs, (a_total, D, a_d, power))), 1e-300)
-
-
 def _constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
     """curve_constants without its check of D*q, for a pool, whose
     conservation gate refuses a D*q beyond the float range in its own words."""
@@ -92,9 +73,11 @@ def curve_constants(D: float, amplification: float, n: int) -> tuple[float, floa
 
 def conservation_check(reserves, D: float, amplification: float, q: float, dq: float):
     """(conservation_residual, invariant_drift) at (reserves, D) from one
-    pass, bit for bit, given q and D*q from curve_constants: a transition's
-    gate and its receipt. The reserves are not checked; where invariant_drift
-    divides by a zero slope, the drift is inf."""
+    pass, given q and D*q from curve_constants: a transition's gate and its
+    receipt. With g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)), the
+    residual is |g(D)| over the sum of g's terms, and the drift is one Newton
+    step on g from D, |g(D)| / (D * |g'(D)|), inf at a zero slope. The
+    reserves are not checked."""
     n = len(reserves)
     prod = math.prod(reserves)
     try:
@@ -102,53 +85,61 @@ def conservation_check(reserves, D: float, amplification: float, q: float, dq: f
         power = dq / prod
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
-    if not math.isfinite(power):
-        raise _out_of_range(reserves, D)
     a_total, a_d = amplification * total, amplification * D
     head = a_total + D - a_d
+    gap = head - power
+    if not math.isfinite(gap):
+        # the last term, A*sum(r) or A*D overflows: g(D) would be inf or NaN
+        raise _out_of_range(reserves, D)
     # the four terms are positive, so their sum is that of their magnitudes
-    residual = abs(head - power) / max(sum((a_total, D, a_d, power)), 1e-300)
+    residual = abs(gap) / max(sum((a_total, D, a_d, power)), 1e-300)
     ratio = q / prod
     denominator = D * abs(1.0 - amplification - (n + 1) * ratio)
     return residual, abs(head - D * ratio) / denominator if denominator else math.inf
 
 
+def _checked_conservation(reserves, D: float, amplification: float) -> tuple[float, float]:
+    # conservation_check on checked arguments, and its refusal for (D/n)^n
+    quote.check_invariant(D)
+    _check_reserves(reserves)
+    quote.check_stableswap_amplification(amplification)
+    n = len(reserves)
+    try:
+        q = (D / n) ** n
+    except OverflowError:
+        raise _out_of_range(reserves, D) from None
+    return conservation_check(reserves, D, amplification, q, D * q)
+
+
+def conservation_residual(reserves, D: float, amplification: float) -> float:
+    """The relative residual of the defining equation at (reserves, D), zero
+    on the curve: conservation_check's first value."""
+    return _checked_conservation(reserves, D, amplification)[0]
+
+
+def invariant_drift(reserves, D: float, amplification: float) -> float:
+    """The relative distance |D* - D| / D from D to the reserves' invariant
+    D*, to first order (the neglected term is of the order of its square):
+    conservation_check's second value."""
+    return _checked_conservation(reserves, D, amplification)[1]
+
+
 def defining_residual(reserves, D: float, amplification: float) -> float:
     """Signed residual (D/n)^n/prod(r) - 1 - A*(sum(r)/D - 1), zero exactly
     on the curve and strictly decreasing in every reserve — the form handed
-    to the generic numeric engine.
+    to the generic numeric engine. A first term beyond the float range
+    raises DomainError.
 
     The excess sum(r) - D is summed exactly before A multiplies it: rounding
     sum(r)/D first would put noise of order A*eps on the residual."""
     _check_reserves(reserves)
     quote.check_stableswap_amplification(amplification)
     n = len(reserves)
-    prod = math.prod(reserves)
-    return (D / n) ** n / prod - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
-
-
-def invariant_drift(reserves, D: float, amplification: float) -> float:
-    """Relative distance |D* - D| / D from D to the reserves' invariant D*,
-    to first order: one Newton step on g from D, |g(D)| / (D * |g'(D)|) with
-    g'(D) = 1 - A - (n+1) * (D/n)^n / prod(r).
-
-    g' is strictly negative near the root and the neglected term is of the
-    order of the result squared, so at drifts near 1e-9 this agrees with
-    re-solving D to ~1e-18, without a root solve.
-    """
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
-    n = len(reserves)
     try:
-        ratio = (D / n) ** n / math.prod(reserves)
-        g = amplification * math.fsum(reserves) + D - amplification * D - D * ratio
+        power = (D / n) ** n / math.prod(reserves)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(reserves, D) from None
-    if not math.isfinite(g):
-        # D*ratio, A*sum(r) or A*D overflows: the drift would be inf/inf
-        raise _out_of_range(reserves, D)
-    slope = 1.0 - amplification - (n + 1) * ratio
-    return abs(g) / (D * abs(slope))
+    return power - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
 
 
 def solve_invariant(reserves, amplification: float) -> float:

@@ -27,11 +27,9 @@ from ammlab import (
 from ammlab import analysis, weighted
 from ammlab.analysis import (
     MAX_GRID_POINTS,
-    ComparisonConfig,
     CurveSeries,
     SeriesKind,
     check_grid_domain,
-    compare_protocols,
     conservation_cross_section,
     default_shift_grid,
     default_trade_grid,
@@ -44,17 +42,13 @@ from ammlab.analysis import (
 )
 
 
-def four_pool_config(kind=SeriesKind.SLIPPAGE, grid=None):
-    return ComparisonConfig(
-        pools=(
-            ("uniswap", uniswap_pool(100.0, 100.0)),
-            ("balancer", weighted_pool((100.0, 100.0), (0.8, 0.2))),
-            ("curve", stableswap_pool((100.0, 100.0), 10.0)),
-            ("dodo", pmm_pool(100.0, 100.0, 1.0, 0.5)),
-        ),
-        kind=kind,
-        grid=grid,
-    )
+# one pool of each family at (100, 100)
+FOUR_POOLS = (
+    uniswap_pool(100.0, 100.0),
+    weighted_pool((100.0, 100.0), (0.8, 0.2)),
+    stableswap_pool((100.0, 100.0), 10.0),
+    pmm_pool(100.0, 100.0, 1.0, 0.5),
+)
 
 
 class TestGrids:
@@ -328,7 +322,7 @@ class TestSlippageCurve:
                 slippage_curve(uniswap_pool(*reserves), 0, 1, grid)
 
     def test_positive_and_increasing_for_all_protocols(self):
-        for _, pool in four_pool_config().pools:
+        for pool in FOUR_POOLS:
             series = slippage_curve(pool, 0, 1)
             assert all(y > 0.0 for y in series.y_values)
             assert all(
@@ -463,54 +457,6 @@ class TestConservationCrossSection:
         assert len(series.x_values) == 50
         assert math.isclose(series.x_values[0], 10.0, rel_tol=1e-12)
         assert math.isclose(series.x_values[-1], 1000.0, rel_tol=1e-12)
-
-
-class TestCompareProtocols:
-    def test_empty_configuration(self):
-        assert compare_protocols(ComparisonConfig(pools=())) == ()
-
-    def test_four_protocol_slippage(self):
-        series = compare_protocols(four_pool_config())
-        assert [s.pool_id for s in series] == ["uniswap", "balancer", "curve", "dodo"]
-        shared = series[0].x_values
-        for s in series:
-            assert s.x_values == shared
-            assert all(a < b for a, b in zip(s.y_values, s.y_values[1:]))
-
-    def test_constant_product_limit_pairs_with_uniswap(self):
-        config = ComparisonConfig(
-            pools=(
-                ("uniswap", uniswap_pool(100.0, 100.0)),
-                ("curve", stableswap_pool((100.0, 100.0), 1e-8)),
-            )
-        )
-        uni, curve = compare_protocols(config)
-        for a, b in zip(uni.y_values, curve.y_values):
-            assert abs(a - b) <= 1e-4
-
-    def test_errors_name_the_offending_pool(self):
-        config = ComparisonConfig(
-            pools=(
-                ("uniswap", uniswap_pool(100.0, 100.0)),
-                ("dodo", pmm_pool(100.0, 100.0, 1.0, 0.5)),
-            ),
-            kind=SeriesKind.DIVERGENCE_LOSS,
-        )
-        with pytest.raises(NotApplicable, match="pool 'dodo'"):
-            compare_protocols(config)
-
-    def test_each_pool_sweeps_its_own_default_cross_section_grid(self):
-        small, large = uniswap_pool(100.0, 100.0), uniswap_pool(1e6, 1e6)
-        config = ComparisonConfig(
-            pools=(("small", small), ("large", large)),
-            kind=SeriesKind.CONSERVATION_CROSS_SECTION,
-        )
-        got = compare_protocols(config)
-        assert [s.x_values for s in got] == [
-            conservation_cross_section(small, 0, 1).x_values,
-            conservation_cross_section(large, 0, 1).x_values,
-        ]
-        assert math.isclose(got[1].x_values[0], 1e5, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ammlab.core import (
     implicit_conservation,
     pmm_pool,
     slippage,
+    spot_rate,
     stableswap_pool,
     swap_amount,
     uniswap_pool,
@@ -143,6 +144,42 @@ def test_a_spot_rate_past_the_float_range_is_refused_in_one_wording(call, reserv
         call(reserves, x_in)
     # a zero trade divides by nothing: zero slippage, as on any pool
     assert slippage(uniswap_pool(*reserves), 0, 1, 0.0) == 0.0
+
+
+# PMM pools with an oracle price of 7.6494e-319, whose reciprocal overflows,
+# as (pool, their spot rate 0 -> 1): one off equilibrium, whose rate
+# underflows to 0.0, and one at equilibrium, whose rate is the price
+_TINY_PRICE = PMMParams(7.6494e-319, 0.98875, 1.04e-33, 1.34e92)
+RECIPROCAL_POOLS = {
+    "rate-0.0": (lambda: pmm_pool(1.04e-33, 1.34e92, 7.6494e-319, 0.98875, reserves=(
+        1.16e-36, pmm.reserve2_given_reserve1(1.16e-36, _TINY_PRICE))), "0.0"),
+    "subnormal-price": (lambda: pmm_pool(1.04e-33, 1.34e92, 7.6494e-319, 0.98875), "7.6494e-319"),
+}
+# every call that quotes such a pool 1 -> 0 or divides by its rate, as
+# (pool -> call, whether it inverts the spot rate or the oracle price)
+RECIPROCAL_CALLS = {
+    "spot_rate": (lambda p: spot_rate(p, 1, 0), "spot"),
+    "swap_amount": (lambda p: swap_amount(p, 1, 0, 1e80), "price"),
+    "slippage": (lambda p: slippage(p, 1, 0, 1e80), "price"),
+    "apply_swap": (lambda p: apply_swap(p, 1, 0, 1e80), "spot"),
+    "slippage_curve": (lambda p: analysis.slippage_curve(p, 1, 0), "price"),
+    "conservation_cross_section": (
+        lambda p: analysis.conservation_cross_section(p, 1, 0), "price"
+    ),
+    "add_liquidity_proportional": (lambda p: add_liquidity_proportional(p, 0.1), "spot"),
+}
+
+
+@pytest.mark.parametrize("pool", list(RECIPROCAL_POOLS))
+@pytest.mark.parametrize("name", list(RECIPROCAL_CALLS))
+def test_a_rate_without_a_reciprocal_in_the_float_range_is_refused(name, pool):
+    # these raised a bare ZeroDivisionError, or ValueError for the mirrored
+    # oracle price inf, or returned inf or a receipt with a NaN deviation
+    make_pool, spot = RECIPROCAL_POOLS[pool]
+    call, inverts = RECIPROCAL_CALLS[name]
+    rate = spot if inverts == "spot" else "7.6494e-319"
+    with pytest.raises(DomainError, match=f"^rate {rate} has no reciprocal in the float range$"):
+        call(make_pool())
 
 
 def _output_overflow(x_in, r_out):
@@ -348,8 +385,11 @@ def test_the_generic_engine_words_its_rules_as_quote():
          DomainError, "fraction 1e+300 scales 1e+300 to inf, outside (0, inf)"),
         (lambda: uniswap_pool(1e-310, 1e-310), -1.0 + 2.0**-53, ReserveDepletion,
          "fraction -0.9999999999999999 scales 1e-310 to 0.0, outside (0, inf)"),
+        # the reserves stay in range; their spot rate 1e-400 underflows to 0.0
+        (lambda: uniswap_pool(1e-200, 1e200), 0.1, DomainError,
+         "rate 0.0 has no reciprocal in the float range"),
     ],
-    ids=["uniswap", "pmm", "pmm-target", "share-supply", "underflow"],
+    ids=["uniswap", "pmm", "pmm-target", "share-supply", "underflow", "rate-0.0"],
 )
 def test_liquidity_leaving_the_float_range_is_refused(make_pool, fraction, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -388,6 +428,10 @@ INVARIANT_CALLS = {
     "stableswap_divergence_loss": lambda d: stableswap.stableswap_divergence_loss(
         (100.0, 100.0), d, 10.0, 1, 0.5
     ),
+    "stableswap.conservation_residual": lambda d: stableswap.conservation_residual(
+        (100.0, 100.0), d, 10.0
+    ),
+    "invariant_drift": lambda d: stableswap.invariant_drift((100.0, 100.0), d, 10.0),
 }
 
 
@@ -437,7 +481,7 @@ AMPLIFICATION_CALLS = {
 # the ones that also take D, and judge it first
 _JUDGE_D = ("curve_constants", "stableswap_spot_rate", "stableswap_spot_rate same asset",
             "stableswap_swap", "stableswap_slippage", "stableswap_divergence_kernel",
-            "stableswap_divergence_loss")
+            "stableswap_divergence_loss", "stableswap.conservation_residual", "invariant_drift")
 
 
 @pytest.mark.parametrize("a", [0.0, -0.0, -0.001, -math.inf, math.inf, math.nan])
@@ -519,8 +563,9 @@ def test_the_weights_are_judged_before_the_asset_index(call):
 
 # one message per rule, and the one module of src/ammlab that words it; the
 # modules that enforce a rule call the check or the refusal built there
-# finite reserves whose sum is not finite
+# finite reserves whose sum is not finite, and ones whose sum times A = 1e250 is not
 SUM_PAST_RANGE = (1e308, 9e307)
+BIG_A_RESERVES = (1e100, 1e100)
 
 
 @pytest.mark.parametrize(
@@ -541,9 +586,20 @@ SUM_PAST_RANGE = (1e308, 9e307)
          (1e-200, 1e-200), "2e-200"),
         # (D/n)^n / prod(r) is finite, D times it is not
         (lambda: stableswap.invariant_drift((1.0, 1.0), 1e150, 10.0), (1.0, 1.0), "1e+150"),
+        # A*sum(r) and A*D overflow, the last term does not
+        (lambda: stableswap.conservation_residual(BIG_A_RESERVES, 2e100, 1e250),
+         BIG_A_RESERVES, "2e+100"),
+        (lambda: stableswap.invariant_drift(BIG_A_RESERVES, 2e100, 1e250), BIG_A_RESERVES, "2e+100"),
+        (lambda: stableswap_pool(BIG_A_RESERVES, 1e250), BIG_A_RESERVES, "2e+100"),
+        # (D/n)^n overflows, and prod(r) underflows to zero
+        (lambda: stableswap.defining_residual((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
+        (lambda: stableswap.defining_residual((1e-200, 1e-200), 2e-200, 10.0),
+         (1e-200, 1e-200), "2e-200"),
     ],
     ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual", "invariant_drift",
-         "residual-power", "drift-power", "drift-product", "drift-last-term"],
+         "residual-power", "drift-power", "drift-product", "drift-last-term",
+         "residual-amplified-sum", "drift-amplified-sum", "pool-amplified-sum",
+         "defining-residual-power", "defining-residual-product"],
 )
 def test_the_stableswap_equation_past_the_float_range_is_refused(call, reserves, d):
     message = (f"the invariant equation leaves the floating-point range at D={d} "
@@ -597,6 +653,7 @@ RULES = {
     "weights must sum to 1": "quote",
     "one weight per asset required": "quote",
     "{name} must be finite and positive": "quote",
+    "has no reciprocal in the float range": "quote",
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",

@@ -111,6 +111,17 @@ class TestFindRoot:
         root = find_root(f, RootBracket(1e-20, 1.0, f(1e-20), f(1.0)))
         assert math.isclose(root, 3e-13, rel_tol=1e-13)
 
+    def test_probe_refused_as_a_domain_error_bisects(self):
+        # the same root where f refuses x <= 0 with DomainError, as
+        # stableswap's defining_residual refuses a (D/n)^n past the float range
+        def f(x: float) -> float:
+            if x <= 0.0:
+                raise DomainError(f"x must be positive, got {x}")
+            return math.log(x / 3e-13)
+
+        root = find_root(f, RootBracket(1e-20, 1.0, f(1e-20), f(1.0)))
+        assert math.isclose(root, 3e-13, rel_tol=1e-13)
+
     def test_matches_stableswap_invariant_solver(self):
         # Independent route to the same stableswap D: root of the defining
         # residual in D over a wide bracket.

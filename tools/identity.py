@@ -205,6 +205,21 @@ HAND_MADE = {
         for name, reserves, amount in (("underflowing", [1e-200, 1e200], 1e-201),
                                        ("overflowing", [1e200, 1e-200], 1e199))
     },
+    # dodo pools with an oracle price whose reciprocal overflows, off
+    # equilibrium (spot rate 0 -> 1 underflows to 0.0) and at it (the rate is
+    # the subnormal price): a 1 -> 0 swap and a liquidity change, each a
+    # validation problem, exit 2
+    **{
+        f"dodo-{name}": {
+            "pools": [dict(BASE["pools"][6], reserves=reserves, amplification=0.98875,
+                           oracle_price=7.6494e-319, targets=[1.04e-33, 1.34e92])],
+            "actions": [
+                {"action": "swap", "pool": "ddo", "input_asset": 1, "output_asset": 0,
+                 "amount": 1e80},
+                {"action": "add_liquidity", "pool": "ddo", "fraction": 0.1}]}
+        for name, reserves in (("spot-rate-0", [1.16e-36, 1.20389184067004e288]),
+                               ("subnormal-price", [1.04e-33, 1.34e92]))
+    },
     # default grids, whose x columns a run formats once per distinct grid:
     # two divergence curves on the shift grid, a cross-section compare whose
     # pools share an input reserve and differ in it, and explicit grids equal
