@@ -187,7 +187,7 @@ class _StableSwapCurve:
 
     def deviations(self, reserves) -> tuple[float, float]:
         # the gate is the residual of the defining equation, the receipt the
-        # drift of D (invariant_drift)
+        # drift of D to first order
         return _ss.conservation_check(reserves, self.D, self.A, self.q, self.dq)
 
 

@@ -57,9 +57,16 @@ class PMMParams:
 
 def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     a = params.amplification
-    if r1 >= params.target1:
-        return params.oracle_price * (1.0 + a * ((params.target2 / r2) ** 2 - 1.0))
-    return params.oracle_price / (1.0 + a * ((params.target1 / r1) ** 2 - 1.0))
+    try:
+        if r1 >= params.target1:
+            rate = params.oracle_price * (1.0 + a * ((params.target2 / r2) ** 2 - 1.0))
+            if rate < math.inf:
+                return rate
+        else:  # at most the oracle price: the denominator is at least 1
+            return params.oracle_price / (1.0 + a * ((params.target1 / r1) ** 2 - 1.0))
+    except OverflowError:
+        pass
+    raise quote.curve_refusal(r1)
 
 
 def pmm_spot_rate(r1: float, r2: float, params: PMMParams) -> float:
@@ -125,8 +132,11 @@ def _quadratic_root(r1_new: float, params: PMMParams) -> float:
         other = c / q_half
     except ZeroDivisionError:
         raise DomainError(_VANISHING) from None
-    # max(root, other), without the call
-    return other if other > root else root
+    # max(root, other), without the call; c, b*b or P*C2 can overflow
+    root = other if other > root else root
+    if 0.0 <= root < math.inf:
+        return root
+    raise quote.curve_refusal(r1_new)
 
 
 def _reserve2(r1_new: float, params: PMMParams) -> float:
@@ -158,10 +168,13 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
 
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
-    """The reserve-2 value paired with r1_new on the conservation curve."""
+    """The reserve 2 paired with r1_new on the curve; past the float range, curve_refusal."""
     if not 0.0 < r1_new < math.inf:
         raise _post_reserve_error(r1_new)
-    return _reserve2(r1_new, params)
+    r2 = _reserve2(r1_new, params)
+    if r2 < math.inf:
+        return r2
+    raise quote.curve_refusal(r1_new)
 
 
 def _swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:

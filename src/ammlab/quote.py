@@ -140,6 +140,11 @@ def reciprocal_refusal(rate: float) -> DomainError:
     return DomainError(f"rate {rate!r} has no reciprocal in the float range")
 
 
+def curve_refusal(reserve: float) -> DomainError:
+    """What a PMM kernel raises where its spot rate or reserve 2 leaves the float range."""
+    return DomainError(f"the PMM curve at reserve {reserve!r} leaves the floating-point range")
+
+
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
     pre-trade spot rate E, for an input x_in that returned x_out. A zero

@@ -13,9 +13,9 @@ D -> sum r_k); small A relaxes it toward the constant-product hyperbola
 solve_invariant finds D with numerics.find_root; the divergence loss solves
 its curve equation by its own Newton iteration with the closed-form slope.
 
-The swap output and the divergence point are each written once, as a
-source template that is unrolled for a pool size on its first use, compiled
-and cached (_swap_output_for, _divergence_point_for).
+The swap output and the divergence point are each written once, as one
+source template for every pool size, unrolled for a size on its first use,
+compiled and cached (_swap_output_for, _divergence_point_for).
 """
 from __future__ import annotations
 
@@ -72,12 +72,13 @@ def curve_constants(D: float, amplification: float, n: int) -> tuple[float, floa
 
 
 def conservation_check(reserves, D: float, amplification: float, q: float, dq: float):
-    """(conservation_residual, invariant_drift) at (reserves, D) from one
-    pass, given q and D*q from curve_constants: a transition's gate and its
-    receipt. With g(D) = A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)), the
-    residual is |g(D)| over the sum of g's terms, and the drift is one Newton
-    step on g from D, |g(D)| / (D * |g'(D)|), inf at a zero slope. The
-    reserves are not checked."""
+    """(residual, drift) at (reserves, D) from one pass, given q and D*q from
+    curve_constants: a transition's gate and its receipt. With g(D) =
+    A*sum(r) + D - A*D - D^{n+1} / (n^n * prod(r)), the residual is |g(D)|
+    over the sum of g's terms, and the drift, one Newton step on g from D,
+    |g(D)| / (D * |g'(D)|), is the relative distance from D to the reserves'
+    invariant to first order (inf at a zero slope). The reserves are not
+    checked."""
     n = len(reserves)
     prod = math.prod(reserves)
     try:
@@ -91,15 +92,20 @@ def conservation_check(reserves, D: float, amplification: float, q: float, dq: f
     if not math.isfinite(gap):
         # the last term, A*sum(r) or A*D overflows: g(D) would be inf or NaN
         raise _out_of_range(reserves, D)
-    # the four terms are positive, so their sum is that of their magnitudes
-    residual = abs(gap) / max(sum((a_total, D, a_d, power)), 1e-300)
+    # the four terms are positive, so their sum is that of their magnitudes;
+    # where it overflows, the quotient is taken on all of them over 4
+    size = sum((a_total, D, a_d, power))
+    if size == math.inf:
+        gap, size = gap / 4.0, a_total / 4.0 + D / 4.0 + a_d / 4.0 + power / 4.0
+    residual = abs(gap) / max(size, 1e-300)
     ratio = q / prod
     denominator = D * abs(1.0 - amplification - (n + 1) * ratio)
     return residual, abs(head - D * ratio) / denominator if denominator else math.inf
 
 
-def _checked_conservation(reserves, D: float, amplification: float) -> tuple[float, float]:
-    # conservation_check on checked arguments, and its refusal for (D/n)^n
+def conservation_residual(reserves, D: float, amplification: float) -> float:
+    """The relative residual of the defining equation at (reserves, D), zero
+    on the curve: conservation_check's first value, on checked arguments."""
     quote.check_invariant(D)
     _check_reserves(reserves)
     quote.check_stableswap_amplification(amplification)
@@ -108,20 +114,7 @@ def _checked_conservation(reserves, D: float, amplification: float) -> tuple[flo
         q = (D / n) ** n
     except OverflowError:
         raise _out_of_range(reserves, D) from None
-    return conservation_check(reserves, D, amplification, q, D * q)
-
-
-def conservation_residual(reserves, D: float, amplification: float) -> float:
-    """The relative residual of the defining equation at (reserves, D), zero
-    on the curve: conservation_check's first value."""
-    return _checked_conservation(reserves, D, amplification)[0]
-
-
-def invariant_drift(reserves, D: float, amplification: float) -> float:
-    """The relative distance |D* - D| / D from D to the reserves' invariant
-    D*, to first order (the neglected term is of the order of its square):
-    conservation_check's second value."""
-    return _checked_conservation(reserves, D, amplification)[1]
+    return conservation_check(reserves, D, amplification, q, D * q)[0]
 
 
 def defining_residual(reserves, D: float, amplification: float) -> float:
@@ -231,10 +224,10 @@ def _unrolled(template: str, name: str, n: int, /, **constants):
     pool and compiled against this module's globals; linecache holds its
     source for tracebacks, inspect and profilers until linecache.clearcache(),
     which drops it for the rest of the process. In template, `$key` stands
-    for constants[key]; then the lines between `%each` and `%end` repeat for
-    k = 0..n-1 (`%each from 1`: k = 1..n-1), and `[[body|sep]]` joins body
-    for k = 0..n-1 with sep, where `@` stands for k. Beyond _LONGEST_FOLD
-    terms a sum or product becomes the same left fold by reduce."""
+    for constants[key]; then the lines between `%each` and `%end` repeat,
+    and `[[body|sep]]` joins body with sep, for k = 0..n-1, where `@` stands
+    for k. Beyond _LONGEST_FOLD terms a sum or product becomes the same left
+    fold by reduce."""
 
     def join(match) -> str:
         body, sep = match[1], match[2]
@@ -247,9 +240,8 @@ def _unrolled(template: str, name: str, n: int, /, **constants):
     out = []
     for line in lines:
         if line.lstrip().startswith("%each"):
-            first = int(line.split(" from ")[1]) if " from " in line else 0
             block = list(takewhile(lambda text: text.strip() != "%end", lines))
-            out += [text.replace("@", str(k)) for k in range(first, n) for text in block]
+            out += [text.replace("@", str(k)) for k in range(n) for text in block]
         else:
             out.append(line)
     source = re.sub(r"\[\[(.*?)\|(.*?)\]\]", join, "\n".join(out)) + "\n"
@@ -260,7 +252,8 @@ def _unrolled(template: str, name: str, n: int, /, **constants):
     return namespace[name]
 
 
-# the swap output (see stableswap_swap), unrolled by _swap_output_for
+# the swap output (see stableswap_swap), unrolled by _swap_output_for; s0 and
+# p0 fold the non-output reserves in index order, which counts from 4 assets on
 _SWAP_OUTPUT = """\
 def swap_output(reserves, i, o, shift, scale, amplification, x_in):
     r_in_new = reserves[i] + x_in
@@ -268,9 +261,16 @@ def swap_output(reserves, i, o, shift, scale, amplification, x_in):
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    $gather
-    b = $total - shift
-    c = scale / (amplification * $product)
+    [[r@|, ]] = reserves
+    s0, p0 = 0.0, 1.0
+    %each
+    if o != @:
+        held = r_in_new if i == @ else r@
+        s0 += held
+        p0 *= held
+    %end
+    b = s0 - shift
+    c = scale / (amplification * p0)
     disc = b * b + 4.0 * c
     if disc < 0.0:
         raise NoSolution("swap quadratic has no real root")
@@ -290,26 +290,7 @@ def swap_output(reserves, i, o, shift, scale, amplification, x_in):
 def _swap_output_for(n: int):
     """The swap output function for an n-asset pool, _SWAP_OUTPUT written out
     for n: (reserves, i, o, shift, scale, amplification, x_in) -> x_out."""
-    # S0 and P0 fold the non-output reserves in index order: a sum or product
-    # of two doubles does not depend on their order, one of three or more does
-    if n == 2:
-        gather, total, product = "", "r_in_new", "r_in_new"
-    elif n == 3:
-        gather = "r_other = reserves[3 - i - o]"
-        total, product = "(r_in_new + r_other)", "(r_in_new * r_other)"
-    else:
-        gather = "\n    ".join((
-            "[[r@|, ]] = reserves",
-            "s0, p0 = 0.0, 1.0",
-            "%each",
-            "if o != @:",
-            "    held = r_in_new if i == @ else r@",
-            "    s0 += held",
-            "    p0 *= held",
-            "%end",
-        ))
-        total, product = "s0", "p0"
-    return _unrolled(_SWAP_OUTPUT, "swap_output", n, gather=gather, total=total, product=product)
+    return _unrolled(_SWAP_OUTPUT, "swap_output", n)
 
 
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
@@ -361,7 +342,7 @@ def divergence_point(reserves, D, A, o, c, g, V, rho):
     [[w@|, ]] = [[g@ * (1.0 + rho) if o == @ else g@|, ]]
     shift = rho * g[o]
     m, r_m, w_m = 0, r0, w0
-    %each from 1
+    %each
     if w@ < w_m:
         m, r_m, w_m = @, r@, w@
     %end

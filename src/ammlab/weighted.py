@@ -83,12 +83,12 @@ def weighted_slippage(reserves, weights, i: int, o: int, x_in: float) -> float:
 
 def _divergence_loss_at(w: float, rho: float) -> float:
     quote.check_price_shift(rho)
-    return (1.0 + rho) ** w / (1.0 + w * rho) - 1.0
+    return _divergence_losses(w, (rho,))[0]
 
 
 def _divergence_losses(w: float, shifts) -> tuple[float, ...]:
-    """_divergence_loss_at(w, rho) for each rho of shifts, all finite and
-    above -1, from one loop."""
+    """The loss (1+rho)^w / (1 + w*rho) - 1 for each rho of shifts, all
+    finite and above -1, from one loop."""
     return tuple([(1.0 + rho) ** w / (1.0 + w * rho) - 1.0 for rho in shifts])
 
 

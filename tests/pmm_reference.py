@@ -1,4 +1,4 @@
-"""The PMM reserve-2 solve written out as two standalone functions.
+"""The PMM reserve-2 solve written out as standalone functions.
 
 `ammlab.pmm` states the solve once, in `_quadratic_root` (the r1 >= C1
 quadratic) and `_reserve2` (the whole piecewise curve), and the swap kernel
@@ -31,12 +31,24 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     # stable two-root form; the roots have opposite signs (c/lead < 0)
     q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     try:
-        return max(q_half / lead, c / q_half)
+        root = max(q_half / lead, c / q_half)
     except ZeroDivisionError:
         raise DomainError(_VANISHING) from None
+    if not 0.0 <= root < math.inf:
+        raise quote.curve_refusal(r1_new)
+    return root
 
 
 def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
+    r2 = _reserve2(r1_new, params)
+    if not r2 < math.inf:
+        raise quote.curve_refusal(r1_new)
+    return r2
+
+
+def _reserve2(r1_new: float, params: PMMParams) -> float:
+    # the curve's reserve 2 at r1', beyond the float range on the r1' < C1
+    # branch as inf, which a swap refuses as its output's overflow
     if not 0.0 < r1_new < math.inf:
         raise _post_reserve_error(r1_new)
     p, a = params.oracle_price, params.amplification
@@ -54,13 +66,13 @@ def reserve2_given_reserve1(r1_new: float, params: PMMParams) -> float:
 
 
 def swap_output(r1: float, r2: float, params: PMMParams, x1: float) -> float:
-    # r2 - reserve2_given_reserve1(r1 + x1, params) behind the swap's guards
+    # r2 - _reserve2(r1 + x1, params) behind the swap's guards
     r1_new = r1 + x1
     if not 0.0 < r1_new < math.inf:
         raise quote.trade_refusal(r1, x1)
     if x1 == 0.0:
         return 0.0
-    r2_new = reserve2_given_reserve1(r1_new, params)
+    r2_new = _reserve2(r1_new, params)
     if not r2_new < math.inf:
         raise quote.output_refusal(r2, x1)
     return r2 - r2_new

@@ -36,6 +36,10 @@ DDO = {
     "oracle_price": 1.0,
 }
 
+# a dodo pool whose swap quadratic's constant term -P*A*C2^2 overflows at
+# every reserve 1 above its target of 1
+DDO_PAST_RANGE = dict(DDO, reserves=[1, 1e150], oracle_price=1e10, targets=[1, 1e150])
+
 
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
@@ -941,6 +945,14 @@ class TestValidateAgreesWithRun:
                 ("inf", [1e200, 1e-200], 1e199),
             )
         },
+        # the swap quadratic's c = -P*A*C2^2 overflows: the swap returned inf
+        # and apply_swap named a reserve of -inf
+        "swap-past-the-pmm-curve's-range": (
+            {"pools": [DDO_PAST_RANGE],
+             "actions": [{"action": "swap", "pool": "ddo", "amount": 0.5}]},
+            "actions[0]: pool 'ddo': the PMM curve at reserve 1.5 leaves the floating-point "
+            "range\n",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -993,6 +1005,27 @@ class TestValidateAgreesWithRun:
         assert capsys.readouterr().err == ""
         assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
             "action 000 swap: swap quadratic produced a non-positive reserve 0.0\n"
+        )
+
+    def test_a_pmm_curve_past_the_float_range_is_a_nan_row(self, tmp_path, capsys):
+        # the same pool's slippage read -1 and its cross-section -inf, and
+        # run exited 0
+        actions = [{"action": "slippage_curve", "pool": "ddo", "grid": [0.5]},
+                   {"action": "cross_section", "pool": "ddo", "grid": [0.5, 2]}]
+        path = write_scenario(tmp_path, {"pools": [DDO_PAST_RANGE], "actions": actions})
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv_columns(out / "scenario_a000_slippage_ddo.csv")
+        assert [row[:2] for row in rows] == [["0.5", "nan"]]
+        _, rows = read_csv_columns(out / "scenario_a001_conservation_cross_section_ddo.csv")
+        assert [row[:2] for row in rows] == [["0.5", "9.9999999999999998e+149"], ["2", "nan"]]
+        refusal = "DomainError: the PMM curve at reserve {} leaves the floating-point range\n"
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 000 slippage pool=ddo point=0 x=0.5: " + refusal.format(1.5)
+            + "action 001 conservation_cross_section pool=ddo point=1 x=2.0: "
+            + refusal.format(2.0)
         )
 
     def test_a_failing_series_point_is_a_nan_row(self, tmp_path, capsys):

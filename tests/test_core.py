@@ -663,7 +663,9 @@ def _reference_deviation(state):
         value = _w.weighted_conservation(r, state.spec.weights)
         return abs(value - state.invariant[0]) / state.invariant[0]
     if family is ProtocolFamily.STABLESWAP:
-        return _ss.invariant_drift(r, state.invariant[0], state.spec.amplification)
+        d, amp = state.invariant[0], state.spec.amplification
+        q, dq, _ = _ss.curve_constants(d, amp, len(r))
+        return _ss.conservation_check(r, d, amp, q, dq)[1]
     return _pmm.conservation_residual(r[0], r[1], _params(state))
 
 

@@ -45,7 +45,6 @@ KERNELS = {
     "solve_invariant": lambda r: stableswap.solve_invariant(r, 10.0),
     "defining_residual": lambda r: stableswap.defining_residual(r, 200.0, 10.0),
     "stableswap.conservation_residual": lambda r: stableswap.conservation_residual(r, 200.0, 10.0),
-    "invariant_drift": lambda r: stableswap.invariant_drift(r, 200.0, 10.0),
     "stableswap_spot_rate": lambda r: stableswap.stableswap_spot_rate(r, 200.0, 10.0, 0, 1),
     "stableswap_swap": lambda r: stableswap.stableswap_swap(r, 200.0, 10.0, 0, 1, 1.0),
     "stableswap_slippage": lambda r: stableswap.stableswap_slippage(r, 200.0, 10.0, 0, 1, 1.0),
@@ -180,6 +179,62 @@ def test_a_rate_without_a_reciprocal_in_the_float_range_is_refused(name, pool):
     rate = spot if inverts == "spot" else "7.6494e-319"
     with pytest.raises(DomainError, match=f"^rate {rate} has no reciprocal in the float range$"):
         call(make_pool())
+
+
+# PMM pools whose curve leaves the float range: at reserve 1e160 the
+# square (C2/r2)^2 of the spot rate 0 -> 1 overflows, though the rate, 1e120,
+# does not; at reserve 1.5 the swap's c = -P*A*C2^2 overflows to -inf
+_SQUARE = PMMParams(1e-200, 1.0, 1.0, 1e200)
+_C_PAST_RANGE = PMMParams(1e10, 0.5, 1.0, 1e150)
+
+
+def _square_pool():
+    return pmm_pool(1.0, 1e200, 1e-200, 1.0, reserves=(
+        1e160, pmm.reserve2_given_reserve1(1e160, _SQUARE)))
+
+
+# every call that reaches such a value, as (call, the reserve it names)
+CURVE_CALLS = {
+    "spot_rate": (lambda: spot_rate(_square_pool(), 0, 1), 1e160),
+    "spot_rate reverse": (lambda: spot_rate(_square_pool(), 1, 0), 1e160),
+    "pmm_spot_rate": (lambda: pmm.pmm_spot_rate(*_square_pool().reserves, _SQUARE), 1e160),
+    "slippage rate": (lambda: slippage(_square_pool(), 0, 1, 1e150), 1e160),
+    "apply_swap rate": (lambda: apply_swap(_square_pool(), 0, 1, 1e150), 1e160),
+    "slippage_curve": (lambda: analysis.slippage_curve(_square_pool(), 0, 1), 1e160),
+    "swap_amount": (lambda: swap_amount(pmm_pool(1.0, 1e150, 1e10, 0.5), 0, 1, 0.5), 1.5),
+    "slippage": (lambda: slippage(pmm_pool(1.0, 1e150, 1e10, 0.5), 0, 1, 0.5), 1.5),
+    "apply_swap": (lambda: apply_swap(pmm_pool(1.0, 1e150, 1e10, 0.5), 0, 1, 0.5), 1.5),
+    "pmm_swap": (lambda: pmm.pmm_swap(1.0, 1e150, _C_PAST_RANGE, 0.5), 1.5),
+    "pmm_slippage": (lambda: pmm.pmm_slippage(1.0, 1e150, _C_PAST_RANGE, 0.5), 1.5),
+    "quadratic_branch_reserve2": (
+        lambda: pmm.quadratic_branch_reserve2(1.5, _C_PAST_RANGE), 1.5
+    ),
+    "reserve2_given_reserve1": (lambda: pmm.reserve2_given_reserve1(1.5, _C_PAST_RANGE), 1.5),
+    # the r1 < C1 branch, and the constant-product limit's P*C2^2
+    "reserve2_given_reserve1 below C1": (
+        lambda: pmm.reserve2_given_reserve1(1.0, PMMParams(1e-10, 0.5, 1e300, 1.0)), 1.0
+    ),
+    "reserve2_given_reserve1 at A = 1": (
+        lambda: pmm.reserve2_given_reserve1(1.0, PMMParams(1e10, 1.0, 1.0, 1e200)), 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CURVE_CALLS))
+def test_a_pmm_curve_value_past_the_float_range_is_refused(name):
+    # these raised a bare OverflowError, or returned an output of inf, a
+    # slippage of -1.0 or a reserve 2 of -inf or inf
+    call, reserve = CURVE_CALLS[name]
+    message = f"the PMM curve at reserve {reserve!r} leaves the floating-point range"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_pmm_spot_rate_of_0_stays_a_value():
+    # the rate 0 -> 1 off equilibrium underflows to 0.0, as a weighted
+    # pool's can; only its reciprocal and a slippage on it are refused
+    assert spot_rate(RECIPROCAL_POOLS["rate-0.0"][0](), 0, 1) == 0.0
+    assert spot_rate(uniswap_pool(1e-200, 1e200), 0, 1) == 0.0
 
 
 def _output_overflow(x_in, r_out):
@@ -388,8 +443,11 @@ def test_the_generic_engine_words_its_rules_as_quote():
         # the reserves stay in range; their spot rate 1e-400 underflows to 0.0
         (lambda: uniswap_pool(1e-200, 1e200), 0.1, DomainError,
          "rate 0.0 has no reciprocal in the float range"),
+        # the spot rate's square overflows
+        (_square_pool, 0.1, DomainError,
+         "the PMM curve at reserve 1e+160 leaves the floating-point range"),
     ],
-    ids=["uniswap", "pmm", "pmm-target", "share-supply", "underflow", "rate-0.0"],
+    ids=["uniswap", "pmm", "pmm-target", "share-supply", "underflow", "rate-0.0", "pmm-rate"],
 )
 def test_liquidity_leaving_the_float_range_is_refused(make_pool, fraction, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -431,7 +489,6 @@ INVARIANT_CALLS = {
     "stableswap.conservation_residual": lambda d: stableswap.conservation_residual(
         (100.0, 100.0), d, 10.0
     ),
-    "invariant_drift": lambda d: stableswap.invariant_drift((100.0, 100.0), d, 10.0),
 }
 
 
@@ -464,7 +521,6 @@ AMPLIFICATION_CALLS = {
     "curve_constants": lambda r, d, a: stableswap.curve_constants(d, a, len(r)),
     "stableswap.conservation_residual": lambda r, d, a: stableswap.conservation_residual(r, d, a),
     "defining_residual": lambda r, d, a: stableswap.defining_residual(r, d, a),
-    "invariant_drift": lambda r, d, a: stableswap.invariant_drift(r, d, a),
     "stableswap_spot_rate": lambda r, d, a: stableswap.stableswap_spot_rate(r, d, a, 0, 1),
     "stableswap_spot_rate same asset": lambda r, d, a: stableswap.stableswap_spot_rate(
         r, d, a, 1, 1
@@ -481,7 +537,7 @@ AMPLIFICATION_CALLS = {
 # the ones that also take D, and judge it first
 _JUDGE_D = ("curve_constants", "stableswap_spot_rate", "stableswap_spot_rate same asset",
             "stableswap_swap", "stableswap_slippage", "stableswap_divergence_kernel",
-            "stableswap_divergence_loss", "stableswap.conservation_residual", "invariant_drift")
+            "stableswap_divergence_loss", "stableswap.conservation_residual")
 
 
 @pytest.mark.parametrize("a", [0.0, -0.0, -0.001, -math.inf, math.inf, math.nan])
@@ -577,28 +633,24 @@ BIG_A_RESERVES = (1e100, 1e100)
         (lambda: stableswap_pool((1e308, 1e308), 10.0), (1e308, 1e308), "inf"),
         (lambda: stableswap.conservation_residual(SUM_PAST_RANGE, 1e308, 10.0),
          SUM_PAST_RANGE, "1e+308"),
-        (lambda: stableswap.invariant_drift(SUM_PAST_RANGE, 1e308, 10.0),
-         SUM_PAST_RANGE, "1e+308"),
         (lambda: stableswap.conservation_residual((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
-        (lambda: stableswap.invariant_drift((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
         # prod(r) underflows to zero
-        (lambda: stableswap.invariant_drift((1e-200, 1e-200), 2e-200, 10.0),
+        (lambda: stableswap.conservation_residual((1e-200, 1e-200), 2e-200, 10.0),
          (1e-200, 1e-200), "2e-200"),
         # (D/n)^n / prod(r) is finite, D times it is not
-        (lambda: stableswap.invariant_drift((1.0, 1.0), 1e150, 10.0), (1.0, 1.0), "1e+150"),
+        (lambda: stableswap.conservation_residual((1.0, 1.0), 1e150, 10.0), (1.0, 1.0), "1e+150"),
         # A*sum(r) and A*D overflow, the last term does not
         (lambda: stableswap.conservation_residual(BIG_A_RESERVES, 2e100, 1e250),
          BIG_A_RESERVES, "2e+100"),
-        (lambda: stableswap.invariant_drift(BIG_A_RESERVES, 2e100, 1e250), BIG_A_RESERVES, "2e+100"),
         (lambda: stableswap_pool(BIG_A_RESERVES, 1e250), BIG_A_RESERVES, "2e+100"),
         # (D/n)^n overflows, and prod(r) underflows to zero
         (lambda: stableswap.defining_residual((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
         (lambda: stableswap.defining_residual((1e-200, 1e-200), 2e-200, 10.0),
          (1e-200, 1e-200), "2e-200"),
     ],
-    ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual", "invariant_drift",
-         "residual-power", "drift-power", "drift-product", "drift-last-term",
-         "residual-amplified-sum", "drift-amplified-sum", "pool-amplified-sum",
+    ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual",
+         "residual-power", "residual-product", "residual-last-term",
+         "residual-amplified-sum", "pool-amplified-sum",
          "defining-residual-power", "defining-residual-product"],
 )
 def test_the_stableswap_equation_past_the_float_range_is_refused(call, reserves, d):
@@ -654,6 +706,7 @@ RULES = {
     "one weight per asset required": "quote",
     "{name} must be finite and positive": "quote",
     "has no reciprocal in the float range": "quote",
+    "the PMM curve at reserve": "quote",
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",

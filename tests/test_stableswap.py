@@ -18,11 +18,15 @@ from hypothesis import strategies as st
 
 from ammlab import (
     AmmError,
+    ConservationViolation,
     ConvergenceFailure,
     DomainError,
     IdenticalAssets,
     ImplicitConservation,
     NoSolution,
+    PoolState,
+    ProtocolFamily,
+    ProtocolSpec,
     ReserveDepletion,
     apply_swap,
     generic_divergence_loss,
@@ -37,7 +41,6 @@ from ammlab.analysis import default_shift_grid, divergence_curve
 from ammlab.stableswap import (
     conservation_residual,
     defining_residual,
-    invariant_drift,
     solve_invariant,
     stableswap_divergence_loss,
     stableswap_slippage,
@@ -64,6 +67,13 @@ def implicit_curve(amp: float, n: int) -> ImplicitConservation:
 # base-10 exponents: reserves 1e-3..1e6, amplification 1e-2..1e4
 log_reserves = st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=4)
 log_amplification = st.floats(min_value=-2.0, max_value=4.0)
+
+
+def drift(reserves, d: float, amp: float) -> float:
+    """The relative distance from d to the reserves' invariant, to first
+    order: conservation_check's second value, a pool's receipt."""
+    q, dq, _ = stableswap.curve_constants(d, amp, len(reserves))
+    return stableswap.conservation_check(reserves, d, amp, q, dq)[1]
 
 
 class TestParams:
@@ -151,7 +161,7 @@ class TestInvariantDrift:
         post[i] += x_in
         post[o] -= stableswap_swap(reserves, d, amp, i, o, x_in)
         re_solved = abs(solve_invariant(post, amp) - d) / d
-        assert abs(invariant_drift(post, d, amp) - re_solved) <= 1e-14
+        assert abs(drift(post, d, amp) - re_solved) <= 1e-14
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -164,30 +174,55 @@ class TestInvariantDrift:
         amp = 10.0**amp_exponent
         delta = 10.0**delta_exponent
         d = solve_invariant(reserves, amp)
-        drift = invariant_drift(reserves, d * (1.0 + delta), amp)
-        assert math.isclose(drift, delta / (1.0 + delta), rel_tol=1e-2)
+        got = drift(reserves, d * (1.0 + delta), amp)
+        assert math.isclose(got, delta / (1.0 + delta), rel_tol=1e-2)
 
     def test_zero_drift_on_a_balanced_pool(self):
-        assert invariant_drift((100.0, 100.0), 200.0, 10.0) == 0.0
+        assert drift((100.0, 100.0), 200.0, 10.0) == 0.0
 
 
 class TestConservationCheck:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(
-        exponents=st.lists(st.floats(min_value=-6.0, max_value=9.0), min_size=2, max_size=4),
-        amp_exponent=st.floats(min_value=-3.0, max_value=8.0),
-        delta=st.one_of(st.just(0.0), st.floats(min_value=-1e-6, max_value=1e-6)),
-    )
-    def test_matches_residual_and_drift_bit_for_bit(self, exponents, amp_exponent, delta):
-        # one pass gives conservation_residual and invariant_drift, on the
-        # curve and off it
-        reserves = tuple(10.0**e for e in exponents)
-        amp = 10.0**amp_exponent
-        d = solve_invariant(reserves, amp) * (1.0 + delta)
-        q, dq, _ = stableswap.curve_constants(d, amp, len(reserves))
-        residual, drift = stableswap.conservation_check(reserves, d, amp, q, dq)
-        assert residual.hex() == conservation_residual(reserves, d, amp).hex()
-        assert drift.hex() == invariant_drift(reserves, d, amp).hex()
+    @staticmethod
+    def _exact(reserves, d: float, amp: float):
+        """(residual, drift, the sum of g's terms, |g'(D)|) of
+        conservation_check, in exact rational arithmetic on the same floats."""
+        n, r, D, A = len(reserves), [Fraction(x) for x in reserves], Fraction(d), Fraction(amp)
+        power = D ** (n + 1) / (n**n * math.prod(r))
+        g = A * sum(r) + D - A * D - power
+        slope = abs(1 - A - (n + 1) * power / D)
+        size = A * sum(r) + D + A * D + power
+        return abs(g) / size, abs(g) / (D * slope), size, slope
+
+    def _pools(self):
+        # 2-4 assets, reserves 1e-6..1e9 and A 1e-3..1e8, on the curve and
+        # off it by up to 1e-6 in D; then a pool whose terms sum past the
+        # largest float, on the curve and off it by 1e-3
+        rng = random.Random("stableswap/conservation-check")
+        for _ in range(3_000):
+            reserves = tuple(10.0 ** rng.uniform(-6.0, 9.0) for _ in range(rng.randint(2, 4)))
+            amp = 10.0 ** rng.uniform(-3.0, 8.0)
+            delta = rng.choice((0.0, rng.uniform(-1e-6, 1e-6)))
+            yield reserves, solve_invariant(reserves, amp) * (1.0 + delta), amp
+        yield (1e100, 1e100), 2e100, 5e207
+        yield (1e100, 1e100), 1.998e100, 5e207
+
+    def test_matches_the_exact_residual_and_drift(self):
+        eps = Fraction(2.0**-52)
+        for reserves, d, amp in self._pools():
+            q, dq, _ = stableswap.curve_constants(d, amp, len(reserves))
+            residual, receipt = stableswap.conservation_check(reserves, d, amp, q, dq)
+            exact, exact_drift, size, slope = self._exact(reserves, d, amp)
+            assert abs(Fraction(residual) - exact) <= 2 * eps, (reserves, d, amp)
+            bound = 2 * eps * size / (Fraction(d) * slope)
+            assert abs(Fraction(receipt) - exact_drift) <= bound, (reserves, d, amp)
+
+    def test_a_state_whose_terms_sum_past_the_float_range_is_refused(self):
+        # A*sum(r) + A*D overflows, every term and g(D) do not: the residual
+        # read 0.0, and the pool built, off the curve by 1e-3 in D
+        with pytest.raises(ConservationViolation, match=r"relative deviation 5\.003e-04"):
+            PoolState(reserves=(1e100, 1e100), invariant=(1.998e100,), spec=ProtocolSpec(
+                ProtocolFamily.STABLESWAP, amplification=5e207))
+        assert stableswap_pool((1e100, 1e100), 5e207).invariant == (2e100,)
 
     def test_the_residual_refuses_an_infinite_last_term(self):
         # D*(D/n)^n overflows to inf without raising: the residual would be NaN
@@ -612,7 +647,7 @@ class TestUnrolledSwap:
 
     def test_matches_the_generic_loop(self):
         # equal bits, or the same exception by class and message, at 2 to 5
-        # assets: 4 and more fold the non-output reserves in index order
+        # assets, each folding the non-output reserves in index order
         cases = _swap_cases("stableswap/swap-outputs", (2, 3), 4000)
         cases += _swap_cases("stableswap/swap-outputs/4-5", (4, 5), 6000)
 

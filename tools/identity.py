@@ -220,6 +220,25 @@ HAND_MADE = {
         for name, reserves in (("spot-rate-0", [1.16e-36, 1.20389184067004e288]),
                                ("subnormal-price", [1.04e-33, 1.34e92]))
     },
+    # a dodo pool whose swap quadratic's c = -P*A*C2^2 overflows at every
+    # reserve 1 above its target: its series points are NaN rows, exit 3, and
+    # a 0 -> 1 swap is a validation problem, exit 2
+    **{
+        f"dodo-curve-past-range-{name}": {
+            "pools": [dict(BASE["pools"][6], reserves=[1, 1e150], targets=[1, 1e150],
+                           oracle_price=1e10)],
+            "actions": actions}
+        for name, actions in (
+            ("series", [{"action": "slippage_curve", "pool": "ddo"},
+                        {"action": "cross_section", "pool": "ddo"}]),
+            ("swap", [{"action": "swap", "pool": "ddo", "amount": 0.5}]))
+    },
+    # a curve pool whose conservation terms sum past the largest float
+    "curve-terms-past-range": {
+        "pools": [dict(BASE["pools"][4], reserves=[1e100, 1e100], amplification=5e207)],
+        "actions": [{"action": "swap", "pool": "crv", "amount": 1e99},
+                    {"action": "slippage_curve", "pool": "crv"},
+                    {"action": "divergence_curve", "pool": "crv", "asset": 1}]},
     # default grids, whose x columns a run formats once per distinct grid:
     # two divergence curves on the shift grid, a cross-section compare whose
     # pools share an input reserve and differ in it, and explicit grids equal
