@@ -348,8 +348,9 @@ def slippage_curve(
     """Slippage S against normalized trade size x_in/r_in over the grid
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
-    value g; a point where that raises an AmmError is a NaN entry. A spot
-    rate that under- or overflowed to 0 or inf raises quote.rate_refusal."""
+    value g; a point where that raises an AmmError, a slippage outside (-1,
+    inf) included, is a NaN entry. A spot rate that under- or overflowed to 0
+    or inf raises quote.rate_refusal."""
     grid = default_trade_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
@@ -358,9 +359,11 @@ def slippage_curve(
         raise quote.rate_refusal(rate)
     r_in = state.reserves[input_asset]
     try:
-        # slippage_from_quote but for its zero cases and failing points
+        # slippage_from_quote but for its zero cases, its refusals and failing points
         y, failures = tuple([(x / swap(x)) / rate - 1.0 for x in map(r_in.__mul__, grid)]), ()
     except (ZeroDivisionError, AmmError):
+        y = None
+    if y is None or y and not (-1.0 < min(y) and max(y) < math.inf):
         y, failures = _solved_points(
             lambda x: slippage_from_quote(x, swap(x), rate), map(r_in.__mul__, grid)
         )

@@ -10,12 +10,13 @@ every action runs in order: each swap and liquidity change moves its pool's
 state through ``apply_swap`` or ``add_liquidity_proportional``, and each
 series is judged on an empty grid, on the state before it. Problems are
 prefixed ``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks,
-then executes what they built (the pools, the resolved grids and each
-action's arguments with their defaults filled in), so nothing is built
-twice. Output is deterministic: identical scenarios produce byte-identical
-files. Everything runs in one thread, in grid order; ``--parallel N`` must be
-at least 1 and does not change the output (a thread pool cannot speed up this
-pure-Python arithmetic, which holds the interpreter lock, so none is started).
+and their replay is its only transition pass: it evaluates each series over
+its grid on the state the replay judged it on and copies the replay's
+receipt lines, so no pool, grid or transition is computed twice. Output is
+deterministic: identical scenarios produce byte-identical files. Everything
+runs in one thread, in grid order; ``--parallel N`` must be at least 1 and
+does not change the output (a thread pool cannot speed up this pure-Python
+arithmetic, which holds the interpreter lock, so none is started).
 Each series' CSV is written as soon as it is formatted; the receipt log and
 any failure manifest follow at the end, so a write error (exit 1) or a bug
 mid-run leaves the CSVs written before it and no receipt log.
@@ -97,25 +98,25 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
-_PROTOCOLS = ("uniswap", "sushiswap", "balancer", "bancor", "curve", "dodo")
-_KINDS = {
-    "slippage": SeriesKind.SLIPPAGE,
-    "divergence_loss": SeriesKind.DIVERGENCE_LOSS,
-    "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
+# each series kind by its name in a compare and by its action, in SeriesKind's order
+_KINDS = dict(zip(("slippage", "divergence_loss", "cross_section"), SeriesKind))
+_SERIES_ACTIONS = dict(zip(("slippage_curve", "divergence_curve", "cross_section"), SeriesKind))
+# protocol -> (its keys besides id and protocol, in its factory's argument
+# order; the list that its two-asset factory takes as two arguments; the
+# factory, which looks the pool builder up in this module at each call)
+_PROTOCOLS = {
+    "uniswap": (("reserves",), "reserves", lambda r: uniswap_pool(*r)),
+    "sushiswap": (("reserves",), "reserves", lambda r: sushiswap_pool(*r)),
+    "balancer": (("reserves", "weights"), None, lambda r, w: weighted_pool(r, w)),
+    "bancor": (("reserves", "weights"), None, lambda r, w: bancor_pool(r, w)),
+    "curve": (("reserves", "amplification"), None, lambda r, a: stableswap_pool(r, a)),
+    # targets default to the reserves
+    "dodo": (
+        ("reserves", "amplification", "oracle_price", "targets"), "targets",
+        lambda r, a, p, t=None: pmm_pool(*(t or r), p, a, reserves=r),
+    ),
 }
-_POOL_KEYS = {
-    "uniswap": {"id", "protocol", "reserves"},
-    "sushiswap": {"id", "protocol", "reserves"},
-    "balancer": {"id", "protocol", "reserves", "weights"},
-    "bancor": {"id", "protocol", "reserves", "weights"},
-    "curve": {"id", "protocol", "reserves", "amplification"},
-    "dodo": {"id", "protocol", "reserves", "amplification", "oracle_price", "targets"},
-}
-_SERIES_ACTIONS = {
-    "slippage_curve": SeriesKind.SLIPPAGE,
-    "divergence_curve": SeriesKind.DIVERGENCE_LOSS,
-    "cross_section": SeriesKind.CONSERVATION_CROSS_SECTION,
-}
+_SCALARS = ("amplification", "oracle_price")
 _ACTION_KEYS = {
     "swap": {"action", "pool", "input_asset", "output_asset", "amount"},
     "add_liquidity": {"action", "pool", "fraction"},
@@ -142,8 +143,6 @@ def _is_index(v) -> bool:
 # what the library raises for a value outside a formula's domain (overflow
 # included: huge reserves leave the floating-point range inside a formula)
 _DOMAIN_ERRORS = (AmmError, ArithmeticError, IndexError, ValueError)
-# the lists the two-asset factories take as two separate arguments
-_PAIRS = {"uniswap": "reserves", "sushiswap": "reserves", "dodo": "targets"}
 
 
 def _resolve_grid(spec):
@@ -189,60 +188,38 @@ def _check_pool(defn, where: str, problems: list[str]):
         problems.append(f"{where}: pool id must match [A-Za-z0-9_-]+, got {pid!r}")
         pid = None
     protocol = defn.get("protocol")
-    if protocol not in _PROTOCOLS:
+    if not (isinstance(protocol, str) and protocol in _PROTOCOLS):
         problems.append(
             f"{where}: unknown protocol {protocol!r} (expected one of {', '.join(_PROTOCOLS)})"
         )
         return pid, None, None
+    keys, pair, build = _PROTOCOLS[protocol]
     before = len(problems)
-    unknown = set(defn) - _POOL_KEYS[protocol]
+    unknown = set(defn) - {"id", "protocol", *keys}
     if unknown:
         problems.append(f"{where}: unknown keys for {protocol}: {sorted(unknown)}")
-    for key in sorted(_POOL_KEYS[protocol] - {"id", "protocol"}):
+    for key in sorted(keys):
         if key == "targets" and key not in defn:
             continue
         value = defn.get(key)
-        if key in ("amplification", "oracle_price"):
+        if key in _SCALARS:
             if not _is_number(value):
                 problems.append(f"{where}: {key} must be a finite number")
         elif not (isinstance(value, list) and all(_is_number(v) for v in value)):
             problems.append(f"{where}: {key} must be a list of finite numbers")
-    pair = _PAIRS.get(protocol)
-    # dodo targets default to the reserves
     if len(problems) == before and pair and len(defn.get(pair, defn["reserves"])) != 2:
         problems.append(f"{where}: {protocol} {pair} must have exactly two entries")
     if len(problems) > before:
         return pid, protocol, None
     try:
-        return pid, protocol, _build_pool(defn)
+        # the factories reject values outside their domain
+        return pid, protocol, build(*(
+            float(defn[key]) if key in _SCALARS else [float(v) for v in defn[key]]
+            for key in keys if key in defn
+        ))
     except _DOMAIN_ERRORS as exc:
         problems.append(f"{where}: {exc}")
         return pid, protocol, None
-
-
-def _build_pool(defn) -> PoolState:
-    """Construct the PoolState for a shape-checked definition; the factories
-    reject values outside their domain."""
-    protocol = defn["protocol"]
-    reserves = [float(r) for r in defn["reserves"]]
-    if protocol == "uniswap":
-        return uniswap_pool(reserves[0], reserves[1])
-    if protocol == "sushiswap":
-        return sushiswap_pool(reserves[0], reserves[1])
-    if protocol == "balancer":
-        return weighted_pool(reserves, [float(w) for w in defn["weights"]])
-    if protocol == "bancor":
-        return bancor_pool(reserves, [float(w) for w in defn["weights"]])
-    if protocol == "curve":
-        return stableswap_pool(reserves, float(defn["amplification"]))
-    targets = defn.get("targets", reserves)
-    return pmm_pool(
-        float(targets[0]),
-        float(targets[1]),
-        float(defn["oracle_price"]),
-        float(defn["amplification"]),
-        reserves=reserves,
-    )
 
 
 def _check_action(act, where: str, built: dict):
@@ -282,10 +259,7 @@ def _check_action(act, where: str, built: dict):
     for pid in pids:
         if not (isinstance(pid, str) and pid in built):
             problems.append(f"{where}: references undefined pool {pid!r}")
-    keys = {"divergence_curve": ("asset",), "add_liquidity": ()}.get(
-        name, ("input_asset", "output_asset")
-    )
-    for key in keys:
+    for key in sorted(k for k in _ACTION_KEYS[name] if k.endswith("asset")):
         if not _is_index(act.get(key, 0)):
             problems.append(f"{where}: {key} must be an integer")
     arg = "fraction" if name == "add_liquidity" else "amount"
@@ -362,69 +336,82 @@ def _compile(data):
     ]
 
 
-def _act(idx: int, step: tuple, pid: str, state: PoolState, protocol: str, evaluate: bool):
-    """What action idx does to the pool pid: (its state after, its record).
-    A swap or a liquidity change moves the state and records its receipt
-    line. A series keeps the state and records its sweep, over its grid when
-    evaluating, else over an empty grid, with a cross-section's default grid
-    built from the reserves."""
-    name, kind, _, i, o, value = step
-    if kind is None:
-        if name == "swap":
-            state, outcome, receipt = apply_swap(state, i, o, value)
-            moved = (
-                f"input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
-                f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
-            )
-        else:
-            state, receipt = add_liquidity_proportional(state, value)
-            moved = f"fraction={value!r}"
-        check = receipt.checks[0]
-        return state, (
-            f"action {idx:03d} {name} pool={pid} {moved} kind={receipt.kind.value}"
-            f" rule={check.rule} deviation={check.deviation!r} tolerance={check.tolerance!r}"
-            f" passed={'yes' if check.passed else 'no'}"
+def _transition(idx: int, step: tuple, pid: str, state: PoolState):
+    """(state after, receipt line) of the swap or liquidity change idx on
+    the pool pid."""
+    name, _, _, i, o, value = step
+    if name == "swap":
+        state, outcome, receipt = apply_swap(state, i, o, value)
+        moved = (
+            f"input_asset={outcome.input_asset} output_asset={outcome.output_asset}"
+            f" x_in={outcome.amount_in!r} x_out={outcome.amount_out!r}"
         )
-    grid = value if evaluate else ()
+    else:
+        state, receipt = add_liquidity_proportional(state, value)
+        moved = f"fraction={value!r}"
+    check = receipt.checks[0]
+    return state, (
+        f"action {idx:03d} {name} pool={pid} {moved} kind={receipt.kind.value}"
+        f" rule={check.rule} deviation={check.deviation!r} tolerance={check.tolerance!r}"
+        f" passed={'yes' if check.passed else 'no'}"
+    )
+
+
+def _series(step: tuple, pid: str, state: PoolState, protocol: str, grid):
+    """The sweep of the series step on the pool pid over grid, None for its
+    default grid."""
+    _, kind, _, i, o, _ = step
     if kind is SeriesKind.DIVERGENCE_LOSS:
-        return state, divergence_curve(state, o, grid, pool_id=pid, protocol=protocol)
+        return divergence_curve(state, o, grid, pool_id=pid, protocol=protocol)
     sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
-    series = sweep(state, i, o, grid, pool_id=pid, protocol=protocol)
-    if value is None and not evaluate and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
-        default_cross_section_grid(state.reserves[i])
-    return state, series
+    return sweep(state, i, o, grid, pool_id=pid, protocol=protocol)
 
 
 def _validate(data):
-    """(problems, pools, steps) of a parsed scenario document: the shape
-    problems, then the validate pass. It runs each action in order on each
-    pool it names, by _act on the state that the earlier actions left, with
-    empty grids. A failing transition is a problem and leaves the state as
-    it was; a solver failure is not a problem, since run stops there with
-    exit 3, and the pool's later actions are not judged, as for a pool that
-    failed to build. pools and steps are complete only when there are no
-    problems."""
+    """(problems, entries) of a parsed scenario document: the shape problems,
+    then the replay, which is also run's only transition pass. It runs each
+    action in order on each pool it names, on the state that the earlier
+    actions left: a swap or liquidity change moves the state, and a series is
+    judged by its sweep on an empty grid (a cross-section's default grid is
+    built too). entries holds, in that order, one (action index, step, pool
+    id, protocol, state, outcome) per action and pool: the state the action
+    ran on, and as outcome a transition's receipt line, the solver failure
+    that stops run, or None for a series. A failing transition is a problem
+    and leaves the state as it was; after a solver failure the pool's later
+    actions are not judged, as for a pool that failed to build. entries is
+    complete only when there are no problems."""
     problems, pools, actions = _compile(data)
     states = {pid: state for pid, (_, state) in pools.items()}
+    entries = []
     for k, (found, step) in enumerate(actions):
         problems += found
         if step is None:
             continue
-        for pid in step[2]:
+        _, kind, pids, i, _, grid = step
+        for pid in pids:
             protocol, state = pools[pid][0], states[pid]
             if state is None:
                 continue
+            outcome = None
             try:
-                states[pid] = _act(k, step, pid, state, protocol, False)[0]
+                if kind is None:
+                    states[pid], outcome = _transition(k, step, pid, state)
+                else:
+                    _series(step, pid, state, protocol, ())
+                    if grid is None and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
+                        default_cross_section_grid(state.reserves[i])
             except NotApplicable:
                 problems.append(
                     f"actions[{k}]: divergence loss does not apply to {protocol} pool {pid!r}"
                 )
-            except (NoSolution, ConvergenceFailure):
-                states[pid] = None
+                continue
+            except (NoSolution, ConvergenceFailure) as exc:
+                states[pid], outcome = None, exc
             except _DOMAIN_ERRORS as exc:
                 problems.append(f"actions[{k}]: pool {pid!r}: {exc}")
-    return problems, pools, [step for _, step in actions]
+                continue
+            entries.append((k, step, pid, protocol, state, outcome))
+    return problems, entries
 
 
 def validate_scenario_data(data) -> list[str]:
@@ -449,42 +436,62 @@ def _series_csv(series, x_column: list[str]) -> str:
     return "grid,value,pool,protocol,hyperparameters\n" + (row * len(series.y_values)) % values
 
 
-def _execute(pools: dict, steps: list, write):
-    """The evaluating pass: run the validated steps by _act on the pools as
-    built, handing each series' CSV to write(csv name, content) as soon as it
-    is formatted; returns (receipt lines, manifest lines, exit code).
-    Validation replayed each transition, so only a solver failure stops it."""
-    states = {pid: state for pid, (_, state) in pools.items()}
+def _execute(entries: list, write):
+    """The evaluating pass over validation's entries: it copies each receipt
+    line, evaluates each series over its grid on the state validation judged
+    it on and hands its CSV to write(csv name, content) as soon as it is
+    formatted, and stops at the first solver failure; returns (receipt lines,
+    manifest lines, exit code). A series' points cannot stop it: a failing
+    point is a NaN row."""
     receipts: list[str] = []
     manifest: list[str] = []
     columns: dict[tuple, list[str]] = {}
+    column = last_grid = None
     exit_code = EXIT_OK
 
-    for idx, step in enumerate(steps):
-        name, kind, pids, _, _, grid = step
-        x_column = None if kind is None or grid is None else format_floats(grid)
-        try:
-            for pid in pids:
-                states[pid], record = _act(idx, step, pid, states[pid], pools[pid][0], True)
-                if kind is None:
-                    receipts.append(record)
-                    continue
-                if record.failures:
-                    manifest += [
-                        f"action {idx:03d} {record.kind.value} pool={pid} "
-                        f"point={k} x={record.x_values[k]!r}: {msg}"
-                        for k, msg in record.failures
-                    ]
-                    exit_code = EXIT_SOLVER
-                # a default grid, each pool's own, is formatted once per run
-                column = x_column or columns.get(record.x_values)
-                if column is None:
-                    column = columns[record.x_values] = format_floats(record.x_values)
-                write(f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
-        except (NoSolution, ConvergenceFailure) as exc:
-            manifest.append(f"action {idx:03d} {name}: {exc}")
+    for idx, step, pid, protocol, state, outcome in entries:
+        name, kind, _, _, _, grid = step
+        if isinstance(outcome, AmmError):
+            manifest.append(f"action {idx:03d} {name}: {outcome}")
             return receipts, manifest, EXIT_SOLVER
+        if kind is None:
+            receipts.append(outcome)
+            continue
+        record = _series(step, pid, state, protocol, grid)
+        if record.failures:
+            manifest += [
+                f"action {idx:03d} {record.kind.value} pool={pid} "
+                f"point={k} x={record.x_values[k]!r}: {msg}"
+                for k, msg in record.failures
+            ]
+            exit_code = EXIT_SOLVER
+        if grid is None:
+            # a default grid, each pool's own, is formatted once per run
+            column = columns.get(record.x_values)
+            if column is None:
+                column = columns[record.x_values] = format_floats(record.x_values)
+        elif grid is not last_grid:
+            # an explicit grid once per action, whose pools share it
+            column = format_floats(grid)
+        last_grid = grid
+        write(f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
     return receipts, manifest, exit_code
+
+
+def _load(path, stream) -> tuple:
+    """(exit code, document, entries) of a scenario file: EXIT_PARSE where it
+    cannot be read as JSON, else _validate's entries, with EXIT_VALIDATION
+    where it finds problems, which go to stream, one a line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"cannot parse scenario: {exc}", file=sys.stderr)
+        return EXIT_PARSE, None, None
+    problems, entries = _validate(data)
+    for problem in problems:
+        print(problem, file=stream)
+    return EXIT_VALIDATION if problems else EXIT_OK, data, entries
 
 
 def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
@@ -493,38 +500,26 @@ def run_scenario(path, out_dir=None, parallel: int = 1) -> int:
     _execute writes each CSV, then the receipt log and any failure manifest
     follow; an error mid-run leaves the CSVs written before it in place."""
     scenario_path = Path(path)
-    try:
-        with open(scenario_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot parse scenario: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    problems, pools, steps = _validate(data)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return EXIT_VALIDATION
+    code, data, entries = _load(scenario_path, sys.stderr)
+    if code:
+        return code
     if parallel < 1:
         print("--parallel must be >= 1", file=sys.stderr)
         return EXIT_VALIDATION
 
     output = data.get("output", {})
     stem = output.get("stem", scenario_path.stem)
-    if out_dir is not None:
-        directory = Path(out_dir)
-    elif "directory" in output:
-        directory = Path(output["directory"])
-        if not directory.is_absolute():
-            directory = scenario_path.parent / directory
-    else:
-        directory = Path.cwd()
+    if out_dir is None:
+        # an absolute directory, the working one included, replaces the path before it
+        out_dir = scenario_path.parent / output.get("directory", Path.cwd())
+    directory = Path(out_dir)
 
     def write(name: str, text: str) -> None:
         (directory / f"{stem}_{name}").write_text(text, encoding="utf-8", newline="\n")
 
     try:
         directory.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
-        receipts, manifest, code = _execute(pools, steps, write)
+        receipts, manifest, code = _execute(entries, write)
         write("receipts.log", "".join(line + "\n" for line in receipts))
         if manifest:
             write("failures.txt", "".join(line + "\n" for line in manifest))
@@ -560,16 +555,7 @@ def main(argv=None) -> int:
         print(f"ammlab {__version__}")
         return EXIT_OK
     if args.command == "validate":
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot parse scenario: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        problems = validate_scenario_data(data)
-        for problem in problems:
-            print(problem)
-        return EXIT_VALIDATION if problems else EXIT_OK
+        return _load(args.scenario, sys.stdout)[0]
     return run_scenario(args.scenario, out_dir=args.out, parallel=args.parallel)
 
 

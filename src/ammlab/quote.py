@@ -149,11 +149,18 @@ def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
     pre-trade spot rate E, for an input x_in that returned x_out. A zero
     trade has zero slippage by convention; a nonzero one raises InfeasibleTrade
-    on a zero output, then rate_refusal on a spot rate of 0 or inf."""
+    on a zero output, then rate_refusal on a spot rate of 0 or inf, then
+    DomainError where S rounds to -1 or below, or to inf."""
     if x_in == 0.0:
         return 0.0
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
     if not 0.0 < rate < math.inf:
         raise rate_refusal(rate)
-    return (x_in / x_out) / rate - 1.0
+    s = (x_in / x_out) / rate - 1.0
+    if -1.0 < s < math.inf:
+        return s
+    raise DomainError(
+        f"realized rate {x_in!r}/{x_out!r} against spot rate {rate!r} gives slippage"
+        f" {s!r}, outside (-1, inf)"
+    )

@@ -28,8 +28,12 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
     b = (r1_new - c1) - p * c2 * (1.0 - 2.0 * a)
     c = -p * a * c2 * c2
     disc = b * b - 4.0 * lead * c
+    sqrt_disc = math.sqrt(disc)
+    if sqrt_disc == math.inf:
+        # b*b or lead*c overflowed: the same square root without the squares
+        sqrt_disc = math.hypot(b, 2.0 * math.sqrt(lead) * math.sqrt(-c))
     # stable two-root form; the roots have opposite signs (c/lead < 0)
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    q_half = -0.5 * (b + math.copysign(sqrt_disc, b))
     try:
         root = max(q_half / lead, c / q_half)
     except ZeroDivisionError:

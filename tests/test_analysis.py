@@ -24,7 +24,7 @@ from ammlab import (
     uniswap_pool,
     weighted_pool,
 )
-from ammlab import analysis, weighted
+from ammlab import analysis, quote, weighted
 from ammlab.analysis import (
     MAX_GRID_POINTS,
     CurveSeries,
@@ -711,6 +711,29 @@ class TestSweepGridEdges:
         # the zero output divides by zero in the comprehension; _solved_points
         # recomputes the series from its first point
         assert calls == [1e-20 * r_in] * 2 + [0.5 * r_in]
+
+    def test_a_slippage_past_the_float_range_is_a_nan_point(self, monkeypatch):
+        # the realized rate at 0.95 of the reserve overflows against the spot
+        # rate 1e308; the slippage at 0.01 is a value
+        pool = uniswap_pool(1e300, 1e-8)
+        with pytest.raises(DomainError) as scalar:
+            slippage(pool, 0, 1, 0.95 * 1e300)
+        calls = kernel_calls(monkeypatch)
+        series = slippage_curve(pool, 0, 1, (0.01, 0.95))
+        assert math.isnan(series.y_values[1])
+        assert series.failures == ((1, f"DomainError: {scalar.value}"),)
+        assert_bitwise_equal(series.y_values[:1], [slippage(pool, 0, 1, 0.01 * 1e300)])
+        # the comprehension's inf sends the series through _solved_points
+        assert calls == [0.01 * 1e300, 0.95 * 1e300] * 2
+
+    def test_a_slippage_of_minus_1_is_a_nan_point(self, monkeypatch):
+        # an output 1e300 times the input rounds (x_in/x_out)/E - 1 to -1.0
+        monkeypatch.setattr(analysis, "swap_kernel", lambda *args: lambda x: 1e300 * x)
+        series = slippage_curve(self.POOLS["uniswap"](1.0), 0, 1, (0.5,))
+        with pytest.raises(DomainError) as scalar:
+            quote.slippage_from_quote(50.0, 5e301, 1.0)
+        assert math.isnan(series.y_values[0])
+        assert series.failures == ((0, f"DomainError: {scalar.value}"),)
 
     def test_a_point_without_solution_recomputes_the_cross_section(self, monkeypatch):
         pool = self.POOLS["stableswap2"](1.0)

@@ -112,6 +112,14 @@ REFUSALS = {
             "balancer, bancor, curve, dodo)"
         ],
     ),
+    # a list is no protocol name, and cannot be looked up in a table either
+    "protocol-list": (
+        {"pools": [dict(UNI, protocol=["uniswap"])], "actions": []},
+        [
+            "pools[0]: unknown protocol ['uniswap'] (expected one of uniswap, sushiswap, "
+            "balancer, bancor, curve, dodo)"
+        ],
+    ),
     "fraction-not-a-number": (
         {"pools": [UNI], "actions": [{"action": "add_liquidity", "pool": "uni", "fraction": "1"}]},
         ["actions[0]: fraction must be a finite number"],
@@ -503,8 +511,10 @@ class TestRun:
         assert list(out.glob("*.csv")) == []
 
     def test_run_builds_each_pool_and_grid_once(self, tmp_path, monkeypatch):
-        # run executes the pools and grids that validation built
-        calls = {"stableswap_pool": 0, "log_grid": 0}
+        # run executes the pools and grids that validation built, and takes
+        # its transitions from validation's replay
+        calls = {"stableswap_pool": 0, "log_grid": 0, "apply_swap": 0,
+                 "add_liquidity_proportional": 0}
 
         def counting(name):
             original = getattr(ammlab.cli, name)
@@ -520,10 +530,15 @@ class TestRun:
         grid = {"start": 0.01, "stop": 0.9, "points": 20}
         path = write_scenario(
             tmp_path,
-            {"pools": [CRV], "actions": [{"action": "slippage_curve", "pool": "crv", "grid": grid}]},
+            {"pools": [CRV], "actions": [
+                {"action": "swap", "pool": "crv", "amount": 10},
+                {"action": "add_liquidity", "pool": "crv", "fraction": 0.1},
+                {"action": "slippage_curve", "pool": "crv", "grid": grid},
+            ]},
         )
         assert run_scenario(path, out_dir=tmp_path / "out") == 0
-        assert calls == {"stableswap_pool": 1, "log_grid": 1}
+        assert calls == {"stableswap_pool": 1, "log_grid": 1, "apply_swap": 1,
+                         "add_liquidity_proportional": 1}
 
     def test_receipts_record_transitions(self, tmp_path):
         path = write_scenario(

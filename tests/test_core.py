@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import types
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -997,3 +998,17 @@ class TestSingleQuotes:
                 if want is not None:
                     want = (ValueError, f"reserves must be finite and positive, got {reserves}")
                 assert _settled(quote.check_reserves, reserves, (a, b)) == want
+
+
+class TestPublicNames:
+    def test_all_holds_each_imported_name_and_no_submodule(self):
+        # __all__ is derived from the package's imports
+        import ammlab
+
+        assert len(ammlab.__all__) == len(set(ammlab.__all__)) == 64
+        for name in ammlab.__all__:
+            assert not isinstance(getattr(ammlab, name), types.ModuleType), name
+        namespace = {}
+        exec("from ammlab import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(ammlab.__all__)

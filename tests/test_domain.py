@@ -145,6 +145,36 @@ def test_a_spot_rate_past_the_float_range_is_refused_in_one_wording(call, reserv
     assert slippage(uniswap_pool(*reserves), 0, 1, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "x_in, x_out, rate, s",
+    [(1e200, 1e-150, 1.0, "inf"), (1e-200, 1e150, 1.0, "-1.0"), (9.5e299, 4.8e-9, 1e308, "inf")],
+)
+def test_a_slippage_outside_its_range_is_refused(x_in, x_out, rate, s):
+    # S > -1 for any finite positive quote; -1.0 and inf are rounding
+    message = (
+        f"realized rate {x_in!r}/{x_out!r} against spot rate {rate!r} gives slippage {s},"
+        " outside (-1, inf)"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        quote.slippage_from_quote(x_in, x_out, rate)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda p, x: slippage(p, 0, 1, x), lambda p, x: apply_swap(p, 0, 1, x)],
+    ids=["slippage", "apply_swap"],
+)
+def test_a_swap_whose_slippage_overflows_is_refused(call):
+    # the spot rate 1e308 is a value, but 9.5e299 in for about 4.9e-9 out
+    # is a realized rate past the float range
+    message = (
+        "realized rate 9.5e+299/4.871794871794871e-09 against spot rate 1e+308 gives"
+        " slippage inf, outside (-1, inf)"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(uniswap_pool(1e300, 1e-8), 9.5e299)
+
+
 # PMM pools with an oracle price of 7.6494e-319, whose reciprocal overflows,
 # as (pool, their spot rate 0 -> 1): one off equilibrium, whose rate
 # underflows to 0.0, and one at equilibrium, whose rate is the price
@@ -707,6 +737,7 @@ RULES = {
     "{name} must be finite and positive": "quote",
     "has no reciprocal in the float range": "quote",
     "the PMM curve at reserve": "quote",
+    "outside (-1, inf)": "quote",
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -170,6 +171,27 @@ class TestReserveBranches:
             quadratic_branch_reserve2(r1 + x1, params)
         with pytest.raises(DomainError, match=message):
             reserve2_given_reserve1(r1 + x1, params)
+
+
+    @pytest.mark.parametrize("r1, params", [
+        # b*b overflows; the root is about P*A*C2^2/r1'
+        (1e160, PMMParams(1.0, 0.5, 1.0, 1.0)),
+        (1e300, PMMParams(1.0, 0.5, 1.0, 1.0)),
+        # 4*lead*c overflows: at r1' = C1 the root is C2
+        (1.0, PMMParams(1e200, 0.5, 1.0, 1.0)),
+        (3.0, PMMParams(1e200, 0.25, 1.0, 2.0)),
+    ])
+    def test_a_discriminant_past_the_float_range_keeps_its_root(self, r1, params):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            p, a, c1, c2 = map(Decimal, (params.oracle_price, params.amplification,
+                                         params.target1, params.target2))
+            lead, b, c = p * (1 - a), Decimal(r1) - c1 - p * c2 * (1 - 2 * a), -p * a * c2 * c2
+            s = (b * b - 4 * lead * c).sqrt()
+            q_half = -(b + s if b >= 0 else b - s) / 2
+            exact = float(max(q_half / lead, c / q_half))
+        assert reserve2_given_reserve1(r1, params) == pytest.approx(exact, rel=2**-50, abs=0.0)
+        assert quadratic_branch_reserve2(r1, params) == reserve2_given_reserve1(r1, params)
 
 
 class TestSwap:
