@@ -5,18 +5,19 @@ definitions plus an ordered action list — executes it, and writes CSV series
 files and a plain-text transition-receipt log. ``ammlab validate`` reports
 every scenario problem and writes nothing. It checks the document's shape
 (keys, types, list lengths, pool references, grid specs) itself; the library
-judges every value. Pools are built, grids and fractions checked, and then
-every action runs in order: each swap and liquidity change moves its pool's
-state through ``apply_swap`` or ``add_liquidity_proportional``, and each
-series is judged on an empty grid, on the state before it. Problems are
-prefixed ``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks,
-and their replay is its only transition pass: it evaluates each series over
-its grid on the state the replay judged it on and copies the replay's
-receipt lines, so no pool, grid or transition is computed twice. Output is
-deterministic: identical scenarios produce byte-identical files. Everything
-runs in one thread, in grid order; ``--parallel N`` must be at least 1 and
-does not change the output (a thread pool cannot speed up this pure-Python
-arithmetic, which holds the interpreter lock, so none is started).
+judges every value. Pools are built, and then each action is checked and
+run on each pool it names, in order, in one pass: each swap and liquidity
+change moves its pool's state through ``apply_swap`` or
+``add_liquidity_proportional``, and each series binds its sweep to the state
+before it and judges that sweep on an empty grid. Problems are prefixed
+``pools[k]:`` or ``actions[k]:``. ``run`` makes the same checks, and their
+replay is its only transition pass: it copies the replay's receipt lines and
+calls each bound sweep on its grid, so no pool, grid or transition is
+computed twice. Output is deterministic: identical scenarios produce
+byte-identical files. Everything runs in one thread, in grid order;
+``--parallel N`` must be at least 1 and does not change the output (a thread
+pool cannot speed up this pure-Python arithmetic, which holds the
+interpreter lock, so none is started).
 Each series' CSV is written as soon as it is formatted; the receipt log and
 any failure manifest follow at the end, so a write error (exit 1) or a bug
 mid-run leaves the CSVs written before it and no receipt log.
@@ -63,6 +64,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -222,124 +224,9 @@ def _check_pool(defn, where: str, problems: list[str]):
         return pid, protocol, None
 
 
-def _check_action(act, where: str, built: dict):
-    """(problems, step) of one action's shape and grid; step is None where
-    a problem leaves nothing to replay. A step is (name, kind, pool ids, i,
-    o, value): kind is None for a swap or add_liquidity, whose value is its
-    amount or fraction; a series' value is its grid, None for the default,
-    and a divergence series' o its appreciating asset."""
-    if not isinstance(act, dict):
-        return [f"{where}: action must be an object"], None
-    name = act.get("action")
-    if not (isinstance(name, str) and name in _ACTION_KEYS):
-        return [
-            f"{where}: unknown action {name!r} (expected one of {', '.join(_ACTION_KEYS)})"
-        ], None
-    problems = []
-    unknown = set(act) - _ACTION_KEYS[name]
-    if unknown:
-        problems.append(f"{where}: unknown keys for {name}: {sorted(unknown)}")
-    if name == "compare":
-        pids = act.get("pools")
-        if not isinstance(pids, list):
-            problems.append(f"{where}: pools must be an array of pool ids")
-            pids = []
-        if len(set(map(str, pids))) != len(pids):
-            problems.append(f"{where}: duplicate pool ids in compare")
-        kind = act.get("kind", "slippage")
-        if not (isinstance(kind, str) and kind in _KINDS):
-            problems.append(
-                f"{where}: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"
-            )
-            return problems, None
-        kind = _KINDS[kind]
-    else:
-        pids = [act.get("pool")]
-        kind = _SERIES_ACTIONS.get(name)
-    for pid in pids:
-        if not (isinstance(pid, str) and pid in built):
-            problems.append(f"{where}: references undefined pool {pid!r}")
-    for key in sorted(k for k in _ACTION_KEYS[name] if k.endswith("asset")):
-        if not _is_index(act.get(key, 0)):
-            problems.append(f"{where}: {key} must be an integer")
-    arg = "fraction" if name == "add_liquidity" else "amount"
-    value = act.get(arg)
-    try:
-        if kind is not None:
-            value = _resolve_grid(act.get("grid"))
-        elif not _is_number(value):
-            raise ValueError(f"{arg} must be a finite number")
-        elif name == "add_liquidity":
-            quote.check_fraction(value)
-    except _DOMAIN_ERRORS as exc:
-        problems.append(f"{where}: {exc}")
-    if problems:
-        return problems, None
-    if kind is None:
-        value = float(value)
-    elif value is not None:
-        # a grid outside its domain or order is a problem, but its pools are
-        # still judged
-        try:
-            check_grid_domain(kind, value)
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-    o = act.get("asset" if name == "divergence_curve" else "output_asset", 1)
-    return problems, (name, kind, tuple(pids), act.get("input_asset", 0), o, value)
-
-
-def _compile(data):
-    """(problems, pools, actions) of a parsed scenario document: the problems
-    of its shape outside the actions, the pools as built, and each action's
-    (problems, step) from _check_action. pools maps each pool id to
-    (protocol, state), the state None where the pool failed its checks."""
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return ["scenario root must be a JSON object"], {}, []
-    unknown = set(data) - {"output", "pools", "actions"}
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        problems.append("output must be an object")
-    else:
-        bad = set(output) - {"stem", "directory"}
-        if bad:
-            problems.append(f"output: unknown keys {sorted(bad)}")
-        stem = output.get("stem")
-        if stem is not None and not (isinstance(stem, str) and _ID_PATTERN.match(stem)):
-            problems.append(f"output: stem must match [A-Za-z0-9_-]+, got {stem!r}")
-        directory = output.get("directory")
-        if directory is not None and not isinstance(directory, str):
-            problems.append("output: directory must be a string")
-
-    pools = data.get("pools")
-    built: dict[str, tuple[str, PoolState | None]] = {}
-    if not isinstance(pools, list):
-        problems.append("pools must be an array")
-        pools = []
-    for k, defn in enumerate(pools):
-        where = f"pools[{k}]"
-        pid, protocol, state = _check_pool(defn, where, problems)
-        if pid is not None:
-            if pid in built:
-                problems.append(f"{where}: duplicate pool id {pid!r}")
-            elif protocol is not None:
-                built[pid] = (protocol, state)
-
-    actions = data.get("actions")
-    if not isinstance(actions, list):
-        problems.append("actions must be an array")
-        actions = []
-    return problems, built, [
-        _check_action(act, f"actions[{k}]", built) for k, act in enumerate(actions)
-    ]
-
-
-def _transition(idx: int, step: tuple, pid: str, state: PoolState):
+def _transition(idx: int, name: str, pid: str, state: PoolState, i, o, value: float):
     """(state after, receipt line) of the swap or liquidity change idx on
     the pool pid."""
-    name, _, _, i, o, value = step
     if name == "swap":
         state, outcome, receipt = apply_swap(state, i, o, value)
         moved = (
@@ -357,60 +244,157 @@ def _transition(idx: int, step: tuple, pid: str, state: PoolState):
     )
 
 
-def _series(step: tuple, pid: str, state: PoolState, protocol: str, grid):
-    """The sweep of the series step on the pool pid over grid, None for its
-    default grid."""
-    _, kind, _, i, o, _ = step
-    if kind is SeriesKind.DIVERGENCE_LOSS:
-        return divergence_curve(state, o, grid, pool_id=pid, protocol=protocol)
-    sweep = slippage_curve if kind is SeriesKind.SLIPPAGE else conservation_cross_section
-    return sweep(state, i, o, grid, pool_id=pid, protocol=protocol)
+def _check_action(k: int, act, pools: dict, problems: list[str], entries: list) -> None:
+    """Check action k's shape and grid, then replay it on each pool it names,
+    in order, on the state the earlier actions left in pools (pool id ->
+    (protocol, state), the state None where nothing is left to judge). It
+    appends its problems, shape before replay, and one (k, name, grid,
+    outcome) entry per pool replayed without one: grid is a series' explicit
+    grid, else None, and outcome the receipt line, the solver failure that
+    stops run, or the series' sweep bound to the state, assets, pool id and
+    protocol, as judged on an empty grid (a cross-section's default grid is
+    built too). A failing transition leaves the state; a solver failure
+    leaves None, so the pool's later actions are not judged."""
+    where = f"actions[{k}]"
+    if not isinstance(act, dict):
+        problems.append(f"{where}: action must be an object")
+        return
+    name = act.get("action")
+    if not (isinstance(name, str) and name in _ACTION_KEYS):
+        problems.append(
+            f"{where}: unknown action {name!r} (expected one of {', '.join(_ACTION_KEYS)})"
+        )
+        return
+    before = len(problems)
+    unknown = set(act) - _ACTION_KEYS[name]
+    if unknown:
+        problems.append(f"{where}: unknown keys for {name}: {sorted(unknown)}")
+    if name == "compare":
+        pids = act.get("pools")
+        if not isinstance(pids, list):
+            problems.append(f"{where}: pools must be an array of pool ids")
+            pids = []
+        if len(set(map(str, pids))) != len(pids):
+            problems.append(f"{where}: duplicate pool ids in compare")
+        kind = act.get("kind", "slippage")
+        if not (isinstance(kind, str) and kind in _KINDS):
+            problems.append(
+                f"{where}: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"
+            )
+            return
+        kind = _KINDS[kind]
+    else:
+        pids = [act.get("pool")]
+        kind = _SERIES_ACTIONS.get(name)
+    for pid in pids:
+        if not (isinstance(pid, str) and pid in pools):
+            problems.append(f"{where}: references undefined pool {pid!r}")
+    for key in sorted(key for key in _ACTION_KEYS[name] if key.endswith("asset")):
+        if not _is_index(act.get(key, 0)):
+            problems.append(f"{where}: {key} must be an integer")
+    arg = "fraction" if name == "add_liquidity" else "amount"
+    value, grid = act.get(arg), None
+    try:
+        if kind is not None:
+            grid = _resolve_grid(act.get("grid"))
+        elif not _is_number(value):
+            raise ValueError(f"{arg} must be a finite number")
+        elif name == "add_liquidity":
+            quote.check_fraction(value)
+    except _DOMAIN_ERRORS as exc:
+        problems.append(f"{where}: {exc}")
+    if len(problems) > before:
+        return
+    if kind is None:
+        value = float(value)
+    elif grid is not None:
+        # a grid outside its domain or order is a problem, but its pools are
+        # still judged
+        try:
+            check_grid_domain(kind, grid)
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+    i = act.get("input_asset", 0)
+    o = act.get("asset" if name == "divergence_curve" else "output_asset", 1)
+    for pid in pids:
+        protocol, state = pools[pid]
+        if state is None:
+            continue
+        try:
+            if kind is None:
+                state, outcome = _transition(k, name, pid, state, i, o, value)
+            else:
+                # each sweep is looked up by its name in this module here, at
+                # each replay, so a wrapper set on that name sees every call
+                if kind is SeriesKind.DIVERGENCE_LOSS:
+                    sweep, assets = divergence_curve, (o,)
+                elif kind is SeriesKind.SLIPPAGE:
+                    sweep, assets = slippage_curve, (i, o)
+                else:
+                    sweep, assets = conservation_cross_section, (i, o)
+                outcome = partial(sweep, state, *assets, pool_id=pid, protocol=protocol)
+                outcome(())
+                if grid is None and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
+                    default_cross_section_grid(state.reserves[i])
+        except NotApplicable:
+            problems.append(f"{where}: divergence loss does not apply to {protocol} pool {pid!r}")
+            continue
+        except (NoSolution, ConvergenceFailure) as exc:
+            state, outcome = None, exc
+        except _DOMAIN_ERRORS as exc:
+            problems.append(f"{where}: pool {pid!r}: {exc}")
+            continue
+        pools[pid] = (protocol, state)
+        entries.append((k, name, grid, outcome))
 
 
 def _validate(data):
-    """(problems, entries) of a parsed scenario document: the shape problems,
-    then the replay, which is also run's only transition pass. It runs each
-    action in order on each pool it names, on the state that the earlier
-    actions left: a swap or liquidity change moves the state, and a series is
-    judged by its sweep on an empty grid (a cross-section's default grid is
-    built too). entries holds, in that order, one (action index, step, pool
-    id, protocol, state, outcome) per action and pool: the state the action
-    ran on, and as outcome a transition's receipt line, the solver failure
-    that stops run, or None for a series. A failing transition is a problem
-    and leaves the state as it was; after a solver failure the pool's later
-    actions are not judged, as for a pool that failed to build. entries is
-    complete only when there are no problems."""
-    problems, pools, actions = _compile(data)
-    states = {pid: state for pid, (_, state) in pools.items()}
-    entries = []
-    for k, (found, step) in enumerate(actions):
-        problems += found
-        if step is None:
-            continue
-        _, kind, pids, i, _, grid = step
-        for pid in pids:
-            protocol, state = pools[pid][0], states[pid]
-            if state is None:
-                continue
-            outcome = None
-            try:
-                if kind is None:
-                    states[pid], outcome = _transition(k, step, pid, state)
-                else:
-                    _series(step, pid, state, protocol, ())
-                    if grid is None and kind is SeriesKind.CONSERVATION_CROSS_SECTION:
-                        default_cross_section_grid(state.reserves[i])
-            except NotApplicable:
-                problems.append(
-                    f"actions[{k}]: divergence loss does not apply to {protocol} pool {pid!r}"
-                )
-                continue
-            except (NoSolution, ConvergenceFailure) as exc:
-                states[pid], outcome = None, exc
-            except _DOMAIN_ERRORS as exc:
-                problems.append(f"actions[{k}]: pool {pid!r}: {exc}")
-                continue
-            entries.append((k, step, pid, protocol, state, outcome))
+    """(problems, entries) of a parsed scenario document: the problems of its
+    shape outside the actions, each pool's as it is built, then each action's
+    from _check_action, whose replay is also run's only transition pass.
+    entries holds _check_action's entries in action order; it is complete
+    only when there are no problems."""
+    if not isinstance(data, dict):
+        return ["scenario root must be a JSON object"], []
+    problems: list[str] = []
+    unknown = set(data) - {"output", "pools", "actions"}
+    if unknown:
+        problems.append(f"unknown top-level keys: {sorted(unknown)}")
+    output = data.get("output", {})
+    if not isinstance(output, dict):
+        problems.append("output must be an object")
+    else:
+        bad = set(output) - {"stem", "directory"}
+        if bad:
+            problems.append(f"output: unknown keys {sorted(bad)}")
+        stem = output.get("stem")
+        if stem is not None and not (isinstance(stem, str) and _ID_PATTERN.match(stem)):
+            problems.append(f"output: stem must match [A-Za-z0-9_-]+, got {stem!r}")
+        directory = output.get("directory")
+        if directory is not None and not isinstance(directory, str):
+            problems.append("output: directory must be a string")
+
+    defns = data.get("pools")
+    pools: dict[str, tuple[str, PoolState | None]] = {}
+    if not isinstance(defns, list):
+        problems.append("pools must be an array")
+        defns = []
+    for k, defn in enumerate(defns):
+        where = f"pools[{k}]"
+        pid, protocol, state = _check_pool(defn, where, problems)
+        if pid is not None:
+            if pid in pools:
+                problems.append(f"{where}: duplicate pool id {pid!r}")
+            elif protocol is not None:
+                pools[pid] = (protocol, state)
+
+    actions = data.get("actions")
+    if not isinstance(actions, list):
+        problems.append("actions must be an array")
+        actions = []
+    entries: list[tuple] = []
+    for k, act in enumerate(actions):
+        _check_action(k, act, pools, problems, entries)
     return problems, entries
 
 
@@ -438,30 +422,29 @@ def _series_csv(series, x_column: list[str]) -> str:
 
 def _execute(entries: list, write):
     """The evaluating pass over validation's entries: it copies each receipt
-    line, evaluates each series over its grid on the state validation judged
-    it on and hands its CSV to write(csv name, content) as soon as it is
-    formatted, and stops at the first solver failure; returns (receipt lines,
-    manifest lines, exit code). A series' points cannot stop it: a failing
-    point is a NaN row."""
+    line, calls each bound sweep on its grid and hands the series' CSV,
+    named by the pool id and kind the series records, to write(csv name,
+    content) as soon as it is formatted, and stops at the first solver
+    failure; returns (receipt lines, manifest lines, exit code). A series'
+    points cannot stop it: a failing point is a NaN row."""
     receipts: list[str] = []
     manifest: list[str] = []
     columns: dict[tuple, list[str]] = {}
     column = last_grid = None
     exit_code = EXIT_OK
 
-    for idx, step, pid, protocol, state, outcome in entries:
-        name, kind, _, _, _, grid = step
+    for idx, name, grid, outcome in entries:
         if isinstance(outcome, AmmError):
             manifest.append(f"action {idx:03d} {name}: {outcome}")
             return receipts, manifest, EXIT_SOLVER
-        if kind is None:
+        if isinstance(outcome, str):
             receipts.append(outcome)
             continue
-        record = _series(step, pid, state, protocol, grid)
+        record = outcome(grid)
+        kind, pid = record.kind.value, record.pool_id
         if record.failures:
             manifest += [
-                f"action {idx:03d} {record.kind.value} pool={pid} "
-                f"point={k} x={record.x_values[k]!r}: {msg}"
+                f"action {idx:03d} {kind} pool={pid} point={k} x={record.x_values[k]!r}: {msg}"
                 for k, msg in record.failures
             ]
             exit_code = EXIT_SOLVER
@@ -474,7 +457,7 @@ def _execute(entries: list, write):
             # an explicit grid once per action, whose pools share it
             column = format_floats(grid)
         last_grid = grid
-        write(f"a{idx:03d}_{record.kind.value}_{pid}.csv", _series_csv(record, column))
+        write(f"a{idx:03d}_{kind}_{pid}.csv", _series_csv(record, column))
     return receipts, manifest, exit_code
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import pmm as _pmm
@@ -142,7 +142,8 @@ def _gate(deviation: float) -> None:
 # The per-pool curves: each holds its family's constants and evaluates the
 # kernels' per-point helpers on checked reserves: output(reserves, i, o, x_in)
 # one quote, kernel(reserves, i, o) the same call with x_in left open for a
-# sweep, and deviations(reserves) (gate, receipt) from one law evaluation.
+# sweep, deviations(reserves) (gate, receipt) from one law evaluation, and
+# law(reserves, invariant) the signed residual Z at any constants.
 
 
 class _WeightedCurve:
@@ -165,6 +166,9 @@ class _WeightedCurve:
     def deviations(self, reserves) -> tuple[float, float]:
         deviation = abs(_w._conservation(reserves, self.weights) - self.value) / self.value
         return deviation, deviation
+
+    def law(self, reserves, invariant) -> float:
+        return _w.weighted_conservation(reserves, self.weights) - invariant[0]
 
 
 class _StableSwapCurve:
@@ -189,6 +193,9 @@ class _StableSwapCurve:
         # the gate is the residual of the defining equation, the receipt the
         # drift of D to first order
         return _ss.conservation_check(reserves, self.D, self.A, self.q, self.dq)
+
+    def law(self, reserves, invariant) -> float:
+        return _ss.defining_residual(reserves, invariant[0], self.A)
 
 
 class _PMMCurve:
@@ -223,6 +230,10 @@ class _PMMCurve:
     def deviations(self, reserves) -> tuple[float, float]:
         deviation = _pmm._residual(reserves[0], reserves[1], self.params)
         return deviation, deviation
+
+    def law(self, reserves, invariant) -> float:
+        params = replace(self.params, target1=invariant[0], target2=invariant[1])
+        return _pmm.conservation_gap(reserves[0], reserves[1], params)
 
 
 _CURVES = {
@@ -541,31 +552,6 @@ def add_liquidity_proportional(
 def implicit_conservation(state: PoolState) -> ImplicitConservation:
     """The pool's conservation law as a bare residual Z(reserves, constants),
     suitable for the generic numeric engine (root solves, finite-difference
-    rates, rebalancing). Z is zero exactly on the pool's curve."""
-    family = state.spec.family
-    if family is ProtocolFamily.WEIGHTED:
-        weights = state.spec.weights
-
-        def evaluate(reserves, invariant):
-            return _w.weighted_conservation(reserves, weights) - invariant[0]
-
-    elif family is ProtocolFamily.STABLESWAP:
-        amplification = state.spec.amplification
-
-        def evaluate(reserves, invariant):
-            return _ss.defining_residual(reserves, invariant[0], amplification)
-
-    else:
-        oracle_price = state.oracle_price
-        amplification = state.spec.amplification
-
-        def evaluate(reserves, invariant):
-            params = _pmm.PMMParams(
-                oracle_price=oracle_price,
-                amplification=amplification,
-                target1=invariant[0],
-                target2=invariant[1],
-            )
-            return _pmm.conservation_gap(reserves[0], reserves[1], params)
-
-    return ImplicitConservation(evaluate=evaluate, n=state.n_assets)
+    rates, rebalancing): its curve's law. Z is zero exactly on the pool's
+    curve."""
+    return ImplicitConservation(evaluate=state._curve.law, n=state.n_assets)

@@ -540,6 +540,41 @@ class TestRun:
         assert calls == {"stableswap_pool": 1, "log_grid": 1, "apply_swap": 1,
                          "add_liquidity_proportional": 1}
 
+    def test_validation_binds_each_sweep_and_run_calls_it_on_its_grid(
+        self, tmp_path, monkeypatch
+    ):
+        # validate judges each series' bound sweep on the empty grid; run
+        # replays validation, then calls each sweep once more, in action order
+        grids = []
+        original = ammlab.cli.slippage_curve
+
+        def recording(state, i, o, grid, **labels):
+            grids.append((labels["pool_id"], grid))
+            return original(state, i, o, grid, **labels)
+
+        monkeypatch.setattr(ammlab.cli, "slippage_curve", recording)
+        grid = [0.1, 0.2, 0.5]
+        path = write_scenario(tmp_path, {"pools": [UNI, BAL, CRV], "actions": [
+            {"action": "compare", "pools": ["uni", "bal", "crv"], "grid": grid},
+            {"action": "slippage_curve", "pool": "bal"},
+        ]})
+        judged = [("uni", ()), ("bal", ()), ("crv", ()), ("bal", ())]
+        assert main(["validate", str(path)]) == 0
+        assert grids == judged
+        grids.clear()
+        assert run_scenario(path, out_dir=tmp_path / "out") == 0
+        explicit = tuple(grid)
+        assert grids == judged + [("uni", explicit), ("bal", explicit), ("crv", explicit),
+                                  ("bal", None)]
+
+    def test_the_readme_scenario_validates_and_runs(self, tmp_path):
+        readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command-line interface", 1)[1]
+        data = json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+        assert validate_scenario_data(data) == []
+        path = write_scenario(tmp_path, data)
+        assert run_scenario(path, out_dir=tmp_path / "out") == 0
+
     def test_receipts_record_transitions(self, tmp_path):
         path = write_scenario(
             tmp_path,

@@ -576,6 +576,92 @@ class TestImplicitConservation:
             residual = curve.evaluate(pool.reserves, pool.invariant)
             assert abs(residual) <= 1e-9 * max(1.0, pool.invariant[0])
 
+    def test_the_law_is_the_family_function_at_any_constants(self):
+        # off-curve reserves and constants other than the pool's own, bit for
+        # bit: a law that read the pool's own constants would differ
+        rng = random.Random(36)
+        branches = Counter()
+        for _ in range(100):
+            for n in (2, 3, 4):
+                reserves = tuple(10 ** rng.uniform(0, 3) for _ in range(n))
+                point = tuple(10 ** rng.uniform(0, 3) for _ in range(n))
+                c = (sum(point) * rng.uniform(0.5, 2.0),)
+                raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
+                pool = weighted_pool(reserves, [w / sum(raw) for w in raw])
+                law = implicit_conservation(pool)
+                assert law.n == n
+                want = _w.weighted_conservation(point, pool.spec.weights) - c[0]
+                assert law.evaluate(point, c) == want
+                pool = stableswap_pool(reserves, 10 ** rng.uniform(-1, 3))
+                want = _ss.defining_residual(point, c[0], pool.spec.amplification)
+                assert implicit_conservation(pool).evaluate(point, c) == want
+            targets = (10 ** rng.uniform(0, 3), 10 ** rng.uniform(0, 3))
+            pool = pmm_pool(*targets, 10 ** rng.uniform(-2, 2), rng.uniform(0.05, 1.0))
+            point = (10 ** rng.uniform(0, 3), 10 ** rng.uniform(0, 3))
+            c = (10 ** rng.uniform(0, 3), 10 ** rng.uniform(0, 3))
+            params = _pmm.PMMParams(pool.oracle_price, pool.spec.amplification, *c)
+            want = _pmm.conservation_gap(*point, params)
+            assert implicit_conservation(pool).evaluate(point, c) == want
+            branches[point[0] >= c[0]] += 1
+        assert branches[True] > 10 and branches[False] > 10
+
+
+# how many of 500 seeded pools per (family, size) give their asset-permuted
+# twin a different invariant, spot rate or 1%-of-reserve swap output, and the
+# worst relative gap; a sum or product of three or more doubles depends on
+# its order (ROADMAP item 20). Each count and gap may only fall.
+ORDER_GAPS = {
+    ("stableswap", 2): {"invariant": (0, 0.0), "spot": (0, 0.0), "swap": (0, 0.0)},
+    ("stableswap", 3): {"invariant": (49, 5.0e-15), "spot": (60, 9.7e-15), "swap": (49, 2.6e-12)},
+    ("stableswap", 4): {"invariant": (100, 7.9e-15), "spot": (99, 1.3e-14), "swap": (176, 4.1e-12)},
+    ("weighted", 2): {"invariant": (0, 0.0), "spot": (0, 0.0), "swap": (0, 0.0)},
+    ("weighted", 3): {"invariant": (119, 2.2e-16), "spot": (0, 0.0), "swap": (0, 0.0)},
+    ("weighted", 4): {"invariant": (196, 3.4e-16), "spot": (0, 0.0), "swap": (0, 0.0)},
+}
+
+
+def order_gaps(family: str, n: int) -> dict[str, list]:
+    """[count, worst relative gap] of each quantity in ORDER_GAPS' corpus."""
+    rng = random.Random(n + 10 * (family == "weighted"))
+    found = {key: [0, 0.0] for key in ("invariant", "spot", "swap")}
+    for _ in range(500):
+        reserves = [10 ** rng.uniform(0, 6) for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        twin_reserves = [reserves[a] for a in perm]
+        if family == "stableswap":
+            amplification = 10 ** rng.uniform(-1, 3)
+            pool = stableswap_pool(reserves, amplification)
+            twin = stableswap_pool(twin_reserves, amplification)
+        else:
+            raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
+            weights = [w / sum(raw) for w in raw]
+            pool = weighted_pool(reserves, weights)
+            twin = weighted_pool(twin_reserves, [weights[a] for a in perm])
+        i, o = rng.sample(range(n), 2)
+        # the twin's index of each original asset
+        ti, to = perm.index(i), perm.index(o)
+        x_in = 0.01 * reserves[i]
+        pairs = {
+            "invariant": (pool.invariant[0], twin.invariant[0]),
+            "spot": (spot_rate(pool, i, o), spot_rate(twin, ti, to)),
+            "swap": (swap_amount(pool, i, o, x_in), swap_amount(twin, ti, to, x_in)),
+        }
+        for key, (a, b) in pairs.items():
+            if a != b:
+                found[key][0] += 1
+                found[key][1] = max(found[key][1], abs(a - b) / abs(a))
+    return found
+
+
+class TestAssetOrder:
+    @pytest.mark.parametrize("family, n", list(ORDER_GAPS), ids=[f"{f}-{n}" for f, n in ORDER_GAPS])
+    def test_a_permuted_twin_differs_at_most_as_measured(self, family, n):
+        found = order_gaps(family, n)
+        for key, (count, worst) in ORDER_GAPS[family, n].items():
+            assert found[key][0] <= count and found[key][1] <= worst, key
+            if count == 0:
+                assert found[key] == [0, 0.0], key
+
 
 class TestRandomizedRules:
     @settings(max_examples=60, deadline=None, derandomize=True)
