@@ -51,6 +51,8 @@ from typing import Callable, Sequence
 from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
+# implicit_conservation, slippage, swap_amount and generic_divergence_loss are
+# bound here for perfbench/tracing.py, which wraps them in this module
 from .core import (
     PoolState,
     ProtocolFamily,
@@ -61,33 +63,9 @@ from .core import (
     swap_kernel,
 )
 from .errors import AmmError, NotApplicable
-from .numerics import ValuationReport, generic_divergence_loss
+from .numerics import generic_divergence_loss
 from .quote import slippage_from_quote
 
-__all__ = [
-    "SeriesKind",
-    "CurveSeries",
-    # the generic engine that checks divergence_loss and the scalar functions
-    # the sweeps sample, re-exported beside them (perfbench/tracing.py wraps
-    # generic_divergence_loss, implicit_conservation, slippage, swap_amount)
-    "ValuationReport",
-    "generic_divergence_loss",
-    "implicit_conservation",
-    "slippage",
-    "swap_amount",
-    "divergence_loss",
-    "slippage_curve",
-    "divergence_curve",
-    "conservation_cross_section",
-    "MAX_GRID_POINTS",
-    "log_grid",
-    "linear_grid",
-    "default_trade_grid",
-    "default_shift_grid",
-    "default_cross_section_grid",
-    "check_grid_domain",
-    "hyperparameter_string",
-]
 
 class SeriesKind(str, enum.Enum):
     SLIPPAGE = "slippage"

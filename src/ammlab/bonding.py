@@ -77,7 +77,9 @@ def bonding_reserve_at(state: BondingCurveState, supply: float) -> float:
 def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveState, float]:
     """Deposit reserve, mint tokens: e = s * ((1 + t/C)^F - 1).
 
-    Returns the post-trade state and the minted token amount.
+    Where g = (1 + t/C)^F is below 2, g - 1 would cancel: the amount is
+    s * expm1(F * log1p(t/C)) there. Returns the post-trade state and the
+    minted token amount.
     """
     if not math.isfinite(deposit):
         raise quote.trade_refusal(state.reserve, deposit)
@@ -90,7 +92,9 @@ def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveS
     reserve = state.reserve + deposit
     if not reserve < math.inf:
         raise quote.trade_refusal(state.reserve, deposit)
-    minted = state.supply * ((1.0 + deposit / state.reserve) ** state.reserve_ratio - 1.0)
+    u, f = deposit / state.reserve, state.reserve_ratio
+    g = (1.0 + u) ** f
+    minted = state.supply * (g - 1.0 if g >= 2.0 else math.expm1(f * math.log1p(u)))
     supply = state.supply + minted
     if not supply < math.inf:
         raise quote.mint_refusal(state.supply, minted)

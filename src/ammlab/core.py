@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 
 from . import pmm as _pmm
@@ -359,13 +359,26 @@ class TransitionKind(str, enum.Enum):
     PURE_LIQUIDITY_CHANGE = "pure_liquidity_change"
 
 
-# The records built on every transition fill their fields in one write:
-# the __init__ a frozen dataclass generates calls object.__setattr__ once per
-# field. Equality, hash, repr, replace() and the frozen assignment check stay
-# the dataclass's own.
+def _record(cls):
+    """A frozen dataclass whose __init__ fills every field in one write,
+    ``self.__dict__.update(name=name, ...)``, where the __init__ a frozen
+    dataclass generates calls object.__setattr__ once per field. It is
+    written from the fields, with their defaults, as dataclasses writes its
+    own; equality, hash, repr, replace() and the frozen assignment check stay
+    the dataclass's."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    defaults = {f"_{f.name}": f.default for f in fields(cls) if f.default is not MISSING}
+    params = ", ".join(f"{n}=_{n}" if f"_{n}" in defaults else n for n in names)
+    body = ", ".join(f"{n}={n}" for n in names)
+    scope = {}
+    exec(f"def __init__(self, {params}):\n    self.__dict__.update({body})", defaults, scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class RuleCheck:
     """One measured transition-rule deviation against its tolerance."""
 
@@ -373,15 +386,12 @@ class RuleCheck:
     deviation: float
     tolerance: float = RULE_TOLERANCE
 
-    def __init__(self, rule: str, deviation: float, tolerance: float = RULE_TOLERANCE) -> None:
-        self.__dict__.update(rule=rule, deviation=deviation, tolerance=tolerance)
-
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class SwapOutcome:
     """Quantities of a single swap, oriented input-per-output like spot."""
 
@@ -394,46 +404,15 @@ class SwapOutcome:
     effective_rate: float
     slippage: float
 
-    def __init__(
-        self,
-        input_asset: int,
-        output_asset: int,
-        amount_in: float,
-        amount_out: float,
-        reserves_after: tuple[float, ...],
-        spot_rate_before: float,
-        effective_rate: float,
-        slippage: float,
-    ) -> None:
-        self.__dict__.update(
-            input_asset=input_asset,
-            output_asset=output_asset,
-            amount_in=amount_in,
-            amount_out=amount_out,
-            reserves_after=reserves_after,
-            spot_rate_before=spot_rate_before,
-            effective_rate=effective_rate,
-            slippage=slippage,
-        )
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class TransitionReceipt:
     """Audit record of one transition and its rule-check measurements."""
 
     kind: TransitionKind
     pre_state: PoolState
     post_state: PoolState
-    checks: tuple[RuleCheck, ...] = field(default_factory=tuple)
-
-    def __init__(
-        self,
-        kind: TransitionKind,
-        pre_state: PoolState,
-        post_state: PoolState,
-        checks: tuple[RuleCheck, ...] = (),
-    ) -> None:
-        self.__dict__.update(kind=kind, pre_state=pre_state, post_state=post_state, checks=checks)
+    checks: tuple[RuleCheck, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import pytest
 
@@ -97,6 +99,24 @@ class TestBuy:
         gains = [b - a for a, b in zip(minted, minted[1:])]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
+    @pytest.mark.parametrize("decade", range(-15, 3))
+    def test_minting_matches_a_60_digit_reference(self, decade):
+        # deposits of 10^decade to 10^(decade + 1) of the reserve, where
+        # s * ((1 + t/C)^F - 1) would cancel to a relative error of 1
+        ctx = decimal.Context(prec=60)
+        rng = random.Random(f"bonding/mint/{decade}")
+        worst = 0.0
+        for _ in range(2000):
+            reserve, supply = (10.0 ** rng.uniform(-150.0, 150.0) for _ in range(2))
+            ratio = 1.0 if rng.random() < 0.5 else 1.0 - rng.random()
+            deposit = reserve * 10.0 ** rng.uniform(decade, decade + 1)
+            _, minted = bonding_buy(bonding_curve(reserve, supply, ratio), deposit)
+            u = ctx.divide(Decimal(deposit), Decimal(reserve))
+            g = ctx.power(ctx.add(1, u), Decimal(ratio))
+            want = ctx.multiply(Decimal(supply), ctx.subtract(g, 1))
+            worst = max(worst, float(abs(Decimal(minted) - want) / want))
+        assert worst <= 6e-16
+
 
 class TestSell:
     def test_worked_example_inverse(self):
@@ -183,7 +203,9 @@ class TestIdentities:
 
 
 def _reference_buy(state, deposit):
-    minted = state.supply * ((1.0 + deposit / state.reserve) ** state.reserve_ratio - 1.0)
+    u, f = deposit / state.reserve, state.reserve_ratio
+    g = (1.0 + u) ** f
+    minted = state.supply * (g - 1.0 if g >= 2.0 else math.expm1(f * math.log1p(u)))
     return replace(state, reserve=state.reserve + deposit, supply=state.supply + minted), minted
 
 

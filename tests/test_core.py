@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import types
@@ -526,8 +527,8 @@ def _record_cases():
 class TestRecords:
     """The transition records, the bonding state and the root bracket keep
     the dataclass contract whatever builds them: construction by position
-    and by keyword, defaults, equality, hash, repr, fields, replace and the
-    frozen assignment check."""
+    and by keyword, the constructor's signature, defaults, equality, hash,
+    repr, fields, replace and the frozen assignment check."""
 
     @pytest.mark.parametrize(
         "cls, args, defaults", _record_cases(), ids=[c[0].__name__ for c in _record_cases()]
@@ -545,6 +546,10 @@ class TestRecords:
         )
         required = len(args) - len(defaults)
         assert names[required:] == list(defaults)
+        # the constructor's signature is the fields, in order, with their defaults
+        assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == [
+            (n, defaults.get(n, inspect.Parameter.empty)) for n in names
+        ]
         assert cls(*args[:required]).__dict__ == {**dict(zip(names, args)), **defaults}
 
         # replace() rebuilds through the same constructor

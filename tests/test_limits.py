@@ -79,11 +79,14 @@ SWAP_LIMITS = {
 }
 
 # bonding: the relative gap of the minted amount falls in proportion to
-# 1 - F, down to the cancellation of (1 + u)^F - 1, at most MINT_FLOOR/u for
-# a deposit of u times the reserve; F = 1 itself is checked too
+# 1 - F, down to MINT_FLOOR, two ulps, at any deposit (bonding_buy takes
+# expm1 where (1 + u)^F - 1 would cancel), and down to POW_FLOOR/u where
+# that is tighter, for a deposit of u times the reserve; F = 1 itself is
+# checked too
 BONDING_DISTANCES = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0)
 MINT_RATE = 3.0
-MINT_FLOOR = 1.8e-15
+MINT_FLOOR = 4.5e-16
+POW_FLOOR = 1.8e-15
 
 
 def _shifts(rng: random.Random) -> list[float]:
@@ -227,4 +230,4 @@ def test_bonding_mints_at_the_constant_price_as_the_ratio_reaches_one():
                 deposit = u * reserve
                 want = deposit * supply / reserve
                 gap = abs(bonding_buy(curve, deposit)[1] - want) / want
-                assert gap <= max(MINT_RATE * d, MINT_FLOOR / u), (reserve, supply, d, u)
+                assert gap <= max(MINT_RATE * d, min(MINT_FLOOR, POW_FLOOR / u)), (reserve, supply, d, u)

@@ -10,34 +10,39 @@ to both trees:
   divergence scenarios for seeds 1-3, structural and value mutants of a
   7-pool, 8-action base scenario over all six protocols, a few hand-made
   edge cases and an unparseable file;
-* random stableswap pools: n from 2 to 4, reserve scale 1e±160, per-asset
-  imbalance 1e±40, amplification 1e-3 to 1e6;
-* random PMM pools: oracle price 1e±300 or subnormal, A in (0, 1] with
-  exactly 1 and 1 - 1e-16 to 1 - 1e-12 among the draws, targets 1e±100,
-  reserve 1 at, near or far from C1 on either side, and reserve 2 paired
-  with it on the curve;
-* random bonding curves: reserve and supply 1e±150, reserve ratio in
-  (0, 1], each with a deposit and a burn, plus hand-made buys whose reserve
-  or minted supply leaves the float range (BONDING_HAND_MADE).
+* the cases of each kind in KINDS, the table that names each kind's draw
+  and record, written to one `cases.json`:
+  - `pool`: stableswap pools, n from 2 to 4, reserve scale 1e±160,
+    per-asset imbalance 1e±40, amplification 1e-3 to 1e6;
+  - `weighted`: weighted pools, n from 2 to 4, weights U(1, 3) normalised,
+    reserve scale 1e±150, per-asset imbalance 1e±40, a trade of
+    10^U(-15, 3) or -U(0, 1) of reserve 0;
+  - `pmm`: PMM pools, oracle price 1e±300 or subnormal, A in (0, 1] with
+    exactly 1 and 1 - 1e-16 to 1 - 1e-12 among the draws, targets 1e±100,
+    reserve 1 at, near or far from C1 on either side, and reserve 2 paired
+    with it on the curve;
+  - `curve`: bonding curves, reserve and supply 1e±150, reserve ratio in
+    (0, 1], each with a deposit and a burn, plus hand-made buys whose
+    reserve or minted supply leaves the float range (BONDING_HAND_MADE).
 
 Each tree runs in its own interpreter (`PYTHONPATH=TREE/src`). For every
 scenario file it runs `ammlab validate`, `ammlab run` and
 `ammlab run --parallel 2` in-process and records the exit code, stdout,
-stderr and the sha256 of every file written. For every pool it records the
-build's accept or refuse decision with the error class and message, and on
-a built pool, by `float.hex`: D, `spot_rate(0, 1)`, every `SwapOutcome`
-field, the receipt deviation and post reserves of a swap, the post
-reserves, D, share supply and receipt of a liquidity change, and the
-divergence loss of the last asset at each shift in SHIFTS. For every PMM
-pool it records, by `float.hex`, the reserve 2 paired with reserve 1 and the
-build, the spot rate both ways, swaps both ways (one of random size, one
-that lands on the input reserve's target and one that crosses it), a
-liquidity change, and `reserve2_given_reserve1` and
-`quadratic_branch_reserve2` at each swap's post-trade input reserve. For
-every bonding curve it records, by `float.hex`, the post state's five
-fields and the amount of a buy of the deposit, of a sell of the burn, and of
-a sell of the minted amount from the bought state. Each step that raises is
-recorded as its error class and message.
+stderr and the sha256 of every file written. For every case it records the
+build's refusal, or each step's values by `float.hex` or the error class
+and message the step raised. The values of a swap, and of a bonding trade's
+post state, are the fields of `SwapOutcome` and `BondingCurveState` in field
+order, as `dataclasses.fields` lists them. A stableswap or weighted pool
+records its invariant, the spot rate both ways, a swap (with the receipt
+deviation, the post reserves and whether the post state shares the pool's
+curve), a liquidity change (post reserves, invariant, share supply and
+receipt) and the divergence loss of the last asset at each shift in SHIFTS.
+A PMM pool records reserve 2, the spot rate both ways, swaps both ways (one
+of random size, one that lands on the input reserve's target and one that
+crosses it), each with `reserve2_given_reserve1` and
+`quadratic_branch_reserve2` at its post-trade input reserve, and a liquidity
+change. A bonding curve records a buy of the deposit, a sell of the burn and
+a sell of the minted amount from the bought state.
 
 Tree B must also keep the CLI contract on its own: no mode may end in an
 uncaught exception, `run` and `run --parallel 2` must give the same exit
@@ -65,6 +70,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -326,13 +332,22 @@ def _perfbench_generate():
     return module
 
 
-def bonding_case(rng: random.Random) -> list:
-    reserve = 10.0 ** rng.uniform(-150, 150)
-    supply = 10.0 ** rng.uniform(-150, 150)
-    ratio = 1.0 if rng.random() < 0.1 else 1.0 - rng.random()
-    deposit = rng.choice((reserve * 10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(150, 308)))
-    burn = supply * rng.choice((rng.random(), 1.0 - 10.0 ** rng.uniform(-16, -1), 1.0))
-    return [reserve, supply, ratio, deposit, burn]
+def stableswap_case(rng: random.Random) -> list:
+    scale = 10.0 ** rng.uniform(-160, 160)
+    n = rng.randint(2, 4)
+    reserves = [scale * 10.0 ** rng.uniform(-40, 40) for _ in range(n)]
+    return [reserves, 10.0 ** rng.uniform(-3, 6)]
+
+
+def weighted_case(rng: random.Random) -> list:
+    scale = 10.0 ** rng.uniform(-150, 150)
+    n = rng.randint(2, 4)
+    reserves = [scale * 10.0 ** rng.uniform(-40, 40) for _ in range(n)]
+    raw = [rng.uniform(1.0, 3.0) for _ in range(n)]
+    weights = [w / math.fsum(raw) for w in raw[:-1]]
+    weights.append(1.0 - math.fsum(weights))
+    # a trade of asset 0, as a fraction of its reserve
+    return [reserves, weights, rng.choice((10.0 ** rng.uniform(-15, 3), -rng.random()))]
 
 
 def pmm_case(rng: random.Random) -> list:
@@ -352,13 +367,153 @@ def pmm_case(rng: random.Random) -> list:
     return [price, amplification, c1, c2, r1, x, y]
 
 
+def bonding_case(rng: random.Random) -> list:
+    reserve = 10.0 ** rng.uniform(-150, 150)
+    supply = 10.0 ** rng.uniform(-150, 150)
+    ratio = 1.0 if rng.random() < 0.1 else 1.0 - rng.random()
+    deposit = rng.choice((reserve * 10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(150, 308)))
+    burn = supply * rng.choice((rng.random(), 1.0 - 10.0 ** rng.uniform(-16, -1), 1.0))
+    return [reserve, supply, ratio, deposit, burn]
+
+
+def _draws(stream: str, draw, count: int) -> list:
+    rng = random.Random(f"identity/{stream}")
+    return [draw(rng) for _ in range(count)]
+
+
+def _per_seed(stream: str, draw):
+    """The cases of `pools` draws from each of POOL_SEEDS' streams."""
+    return lambda pools, curves: [
+        case for seed in POOL_SEEDS for case in _draws(f"{stream}/{seed}", draw, pools)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# worker: runs inside one tree
+
+
+def _hex(x) -> str:
+    return float(x).hex() if type(x) in (int, float) else repr(x)
+
+
+def _values(record) -> list:
+    """A record's field values in field order, each tuple spread out."""
+    values = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        values += value if isinstance(value, tuple) else [value]
+    return values
+
+
+def _attempt(step: str, fn) -> str:
+    """`step=v1,v2,...` of the values fn returns, or the error it raises."""
+    try:
+        return f"{step}={','.join(map(_hex, fn()))}"
+    except Exception as exc:  # noqa: BLE001 - the class is the record
+        return f"{step} {_refused(exc)}"
+
+
+def _refused(exc: Exception) -> str:
+    return f"refused {type(exc).__name__}: {exc}"
+
+
+def _swap(am, pool, i: int, amount: float) -> list:
+    post, out, receipt = am.apply_swap(pool, i, 1 - i, amount)
+    return [*_values(out), receipt.checks[0].deviation, *post.reserves,
+            post._curve is pool._curve]
+
+
+def _liquidity(am, pool) -> list:
+    post, receipt = am.add_liquidity_proportional(pool, 0.1)
+    return [*post.reserves, *post.invariant, post.share_supply, receipt.checks[0].deviation,
+            receipt.passed]
+
+
+def _pool_line(am, build, fraction: float) -> str:
+    """The record of a stableswap or weighted pool: its invariant, the spot
+    rate both ways, a swap of fraction of reserve 0, a liquidity change, and
+    the last asset's divergence loss at each of SHIFTS."""
+    try:
+        pool = build()
+    except Exception as exc:  # noqa: BLE001
+        return _refused(exc)
+    o = len(pool.reserves) - 1
+    steps = [("invariant", lambda: pool.invariant),
+             ("spot(0,1)", lambda: [am.spot_rate(pool, 0, 1)]),
+             ("spot(1,0)", lambda: [am.spot_rate(pool, 1, 0)]),
+             ("swap", lambda: _swap(am, pool, 0, fraction * pool.reserves[0])),
+             ("add", lambda: _liquidity(am, pool))]
+    steps += [(f"div({rho:g})", lambda rho=rho: [am.divergence_loss(pool, o, rho)])
+              for rho in SHIFTS]
+    return " ".join(_attempt(step, fn) for step, fn in steps)
+
+
+def _pmm_line(am, price, amplification, c1, c2, r1, x, y) -> str:
+    pmm = am.pmm
+    try:
+        params = pmm.PMMParams(price, amplification, c1, c2)
+        r2 = pmm.reserve2_given_reserve1(r1, params)
+        pool = am.pmm_pool(c1, c2, price, amplification, reserves=(r1, r2))
+    except Exception as exc:  # noqa: BLE001
+        return _refused(exc)
+    parts = [f"r2={_hex(r2)}", _attempt("spot(0,1)", lambda: [am.spot_rate(pool, 0, 1)]),
+             _attempt("spot(1,0)", lambda: [am.spot_rate(pool, 1, 0)])]
+    # per input asset: a trade of random size, one that lands on the input
+    # reserve's target and one that crosses it, each with both reserve-2
+    # solves at its post-trade input reserve, in that asset's orientation
+    solves = (("r2g", pmm.reserve2_given_reserve1), ("quad", pmm.quadratic_branch_reserve2))
+    sides = ((r1, c1, x, lambda: params), (r2, c2, y, params.mirrored))
+    for i, (reserve, target, fraction, oriented) in enumerate(sides):
+        land = target - reserve
+        for trade, amount in (("swap", reserve * fraction), ("land", land),
+                              ("cross", 2.0 * land if land else reserve * fraction)):
+            parts.append(_attempt(f"{trade}{i}", lambda: _swap(am, pool, i, amount)))
+            for name, solve in solves:
+                parts.append(_attempt(f"{trade}{i}.{name}",
+                                      lambda: [solve(reserve + amount, oriented())]))
+    parts.append(_attempt("add", lambda: _liquidity(am, pool)))
+    return " ".join(parts)
+
+
+def _curve_line(am, reserve, supply, ratio, deposit, burn) -> str:
+    inputs = f"curve=({reserve!r}, {supply!r}, {ratio!r}) deposit={deposit!r} burn={burn!r}"
+    try:
+        state = am.bonding_curve(reserve, supply, ratio)
+    except Exception as exc:  # noqa: BLE001
+        return f"{_refused(exc)}; {inputs}"
+    done = {}  # step: (post state, amount), for the sell of the minted amount
+
+    def trade(step, fn, parent, amount):
+        post, moved = done[step] = fn(parent, amount)
+        return [*_values(post), moved]
+
+    parts = [inputs, _attempt("buy", lambda: trade("buy", am.bonding_buy, state, deposit)),
+             _attempt("sell", lambda: trade("sell", am.bonding_sell, state, burn))]
+    if "buy" in done:
+        parts.append(_attempt("sell-minted",
+                              lambda: trade("sell-minted", am.bonding_sell, *done["buy"])))
+    return " ".join(parts)
+
+
+# kind: (its cases from the --pools and --curves counts, the record of one case)
+KINDS = {
+    "pool": (_per_seed("stableswap", stableswap_case),
+             lambda am, reserves, a: _pool_line(am, lambda: am.stableswap_pool(reserves, a), 0.1)),
+    "weighted": (_per_seed("weighted", weighted_case),
+                 lambda am, reserves, weights, fraction: _pool_line(
+                     am, lambda: am.weighted_pool(reserves, weights), fraction)),
+    "pmm": (_per_seed("pmm", pmm_case), _pmm_line),
+    "curve": (lambda pools, curves: [*BONDING_HAND_MADE, *_draws("bonding", bonding_case, curves)],
+              _curve_line),
+}
+
+
 def write_corpus(
     directory: Path, mutants: int, value_mutants: int, pools: int, curves: int
-) -> int:
-    """Write the scenario files under directory/scenarios, the pool list to
-    directory/pools.json, the PMM cases to directory/pmm.json and the
-    bonding cases to directory/curves.json; returns the number of scenario
-    files."""
+) -> tuple[int, dict]:
+    """Write the scenario files under directory/scenarios and each kind's
+    cases to directory/cases.json; returns the number of scenario files and
+    the number of cases of each kind."""
     scenarios = directory / "scenarios"
     scenarios.mkdir(parents=True)
     docs = {f"bundled-{p.stem}": json.loads(p.read_text(encoding="utf-8"))
@@ -375,158 +530,27 @@ def write_corpus(
     for name, doc in docs.items():
         (scenarios / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     (scenarios / "unparseable.json").write_text('{"pools": [', encoding="utf-8")
-
-    corpus = []
-    for seed in POOL_SEEDS:
-        rng = random.Random(f"identity/stableswap/{seed}")
-        for _ in range(pools):
-            scale = 10.0 ** rng.uniform(-160, 160)
-            n = rng.randint(2, 4)
-            reserves = [scale * 10.0 ** rng.uniform(-40, 40) for _ in range(n)]
-            corpus.append([reserves, 10.0 ** rng.uniform(-3, 6)])
-    (directory / "pools.json").write_text(json.dumps(corpus), encoding="utf-8")
-    cases = []
-    for seed in POOL_SEEDS:
-        rng = random.Random(f"identity/pmm/{seed}")
-        cases += [pmm_case(rng) for _ in range(pools)]
-    (directory / "pmm.json").write_text(json.dumps(cases), encoding="utf-8")
-    rng = random.Random("identity/bonding")
-    cases = [list(case) for case in BONDING_HAND_MADE]
-    cases += [bonding_case(rng) for _ in range(curves)]
-    (directory / "curves.json").write_text(json.dumps(cases), encoding="utf-8")
-    return len(docs) + 1
-
-
-# ---------------------------------------------------------------------------
-# worker: runs inside one tree
-
-
-def _hex(x) -> str:
-    return float(x).hex() if isinstance(x, (int, float)) else repr(x)
-
-
-def _pool_line(core, analysis, reserves, amplification) -> str:
-    def attempt(step, fn):
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001 - the class is the record
-            return f"{step} refused {type(exc).__name__}: {exc}"
-
-    try:
-        pool = core.stableswap_pool(reserves, amplification)
-    except Exception as exc:  # noqa: BLE001
-        return f"refused {type(exc).__name__}: {exc}"
-    parts = [f"D={_hex(pool.invariant[0])}"]
-    parts.append(attempt("spot", lambda: f"spot={_hex(core.spot_rate(pool, 0, 1))}"))
-
-    def swap():
-        post, out, receipt = core.apply_swap(pool, 0, 1, 0.1 * pool.reserves[0])
-        fields = [out.input_asset, out.output_asset, out.amount_in, out.amount_out,
-                  *out.reserves_after, out.spot_rate_before, out.effective_rate, out.slippage]
-        return (f"swap={','.join(map(_hex, fields))} dev={_hex(receipt.checks[0].deviation)}"
-                f" post={','.join(map(_hex, post.reserves))} shared={post._curve is pool._curve}")
-
-    def liquidity():
-        post, receipt = core.add_liquidity_proportional(pool, 0.1)
-        return (f"add={','.join(map(_hex, post.reserves))} D={_hex(post.invariant[0])}"
-                f" shares={_hex(post.share_supply)} dev={_hex(receipt.checks[0].deviation)}"
-                f" passed={receipt.passed}")
-
-    parts.append(attempt("swap", swap))
-    parts.append(attempt("add", liquidity))
-    o = len(pool.reserves) - 1
-    for rho in SHIFTS:
-        step = f"div({rho:g})"
-        parts.append(attempt(step, lambda: f"{step}={_hex(analysis.divergence_loss(pool, o, rho))}"))
-    return " ".join(parts)
-
-
-def _pmm_line(core, pmm, price, amplification, c1, c2, r1, x, y) -> str:
-    def attempt(step, fn):
-        try:
-            return f"{step}={fn()}"
-        except Exception as exc:  # noqa: BLE001 - the class is the record
-            return f"{step} refused {type(exc).__name__}: {exc}"
-
-    try:
-        params = pmm.PMMParams(price, amplification, c1, c2)
-        r2 = pmm.reserve2_given_reserve1(r1, params)
-        pool = core.pmm_pool(c1, c2, price, amplification, reserves=(r1, r2))
-    except Exception as exc:  # noqa: BLE001
-        return f"refused {type(exc).__name__}: {exc}"
-    parts = [f"r2={_hex(r2)}", attempt(
-        "spot", lambda: f"{_hex(core.spot_rate(pool, 0, 1))},{_hex(core.spot_rate(pool, 1, 0))}"
-    )]
-
-    def swap(i, amount):
-        post, out, receipt = core.apply_swap(pool, i, 1 - i, amount)
-        fields = [out.amount_out, *out.reserves_after, out.spot_rate_before,
-                  out.effective_rate, out.slippage, receipt.checks[0].deviation]
-        return ",".join(map(_hex, fields))
-
-    # per input asset: a trade of random size, one that lands on the input
-    # reserve's target and one that crosses it, each with both reserve-2
-    # solves at its post-trade input reserve, in that asset's orientation
-    solves = (("r2g", pmm.reserve2_given_reserve1), ("quad", pmm.quadratic_branch_reserve2))
-    sides = ((r1, c1, x, lambda: params), (r2, c2, y, params.mirrored))
-    for i, (reserve, target, fraction, oriented) in enumerate(sides):
-        land = target - reserve
-        for trade, amount in (("swap", reserve * fraction), ("land", land),
-                              ("cross", 2.0 * land if land else reserve * fraction)):
-            parts.append(attempt(f"{trade}{i}", lambda: swap(i, amount)))
-            for name, solve in solves:
-                parts.append(attempt(f"{trade}{i}.{name}",
-                                     lambda: _hex(solve(reserve + amount, oriented()))))
-
-    def liquidity():
-        post, receipt = core.add_liquidity_proportional(pool, 0.1)
-        fields = [*post.reserves, *post.invariant, post.share_supply, receipt.checks[0].deviation]
-        return ",".join(map(_hex, fields))
-
-    parts.append(attempt("add", liquidity))
-    return " ".join(parts)
-
-
-def _curve_line(bonding, reserve, supply, ratio, deposit, burn) -> str:
-    def trade(step, fn, state, amount):
-        try:
-            post, moved = fn(state, amount)
-        except Exception as exc:  # noqa: BLE001 - the class is the record
-            return None, f"{step} refused {type(exc).__name__}: {exc}"
-        values = [post.reserve, post.supply, post.reserve_ratio, post.anchor_reserve,
-                  post.anchor_supply, moved]
-        return (post, moved), f"{step}={','.join(map(_hex, values))}"
-
-    inputs = f"curve=({reserve!r}, {supply!r}, {ratio!r}) deposit={deposit!r} burn={burn!r}"
-    try:
-        state = bonding.bonding_curve(reserve, supply, ratio)
-    except Exception as exc:  # noqa: BLE001
-        return f"refused {type(exc).__name__}: {exc}; {inputs}"
-    bought, buy = trade("buy", bonding.bonding_buy, state, deposit)
-    parts = [inputs, buy, trade("sell", bonding.bonding_sell, state, burn)[1]]
-    if bought is not None:
-        parts.append(trade("sell-minted", bonding.bonding_sell, *bought)[1])
-    return " ".join(parts)
+    cases = {kind: generate_cases(pools, curves) for kind, (generate_cases, _) in KINDS.items()}
+    (directory / "cases.json").write_text(json.dumps(cases), encoding="utf-8")
+    return len(docs) + 1, {kind: len(c) for kind, c in cases.items()}
 
 
 def worker(tree: Path, corpus: Path, out: Path) -> int:
     import ammlab
-    from ammlab import analysis, bonding, cli, core, pmm
+    from ammlab import cli
 
     if tree.resolve() not in Path(ammlab.__file__).resolve().parents:
         print(f"ammlab was imported from {ammlab.__file__}, not from {tree}", file=sys.stderr)
         return 2
     scratch = Path(tempfile.mkdtemp(prefix="identity-out-"))
     try:
-        _record_all(cli, core, analysis, bonding, pmm, corpus, scratch, out)
+        _record_all(ammlab, cli, corpus, scratch, out)
     finally:
         shutil.rmtree(scratch)
     return 0
 
 
-def _record_all(
-    cli, core, analysis, bonding, pmm, corpus: Path, scratch: Path, out: Path
-) -> None:
+def _record_all(am, cli, corpus: Path, scratch: Path, out: Path) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for path in sorted((corpus / "scenarios").glob("*.json")):
             for mode, argv in MODES.items():
@@ -549,22 +573,12 @@ def _record_all(
                 record = {"case": f"{mode} {path.stem}", "exit": code,
                           "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
                 fh.write(json.dumps(record) + "\n")
-        pools = json.loads((corpus / "pools.json").read_text(encoding="utf-8"))
-        for k, (reserves, amplification) in enumerate(pools):
-            line = _pool_line(core, analysis, reserves, amplification)
-            record = {"case": f"pool {k:05d}", "exit": None, "stdout": line, "stderr": "",
-                      "files": {}}
-            fh.write(json.dumps(record) + "\n")
-        cases = json.loads((corpus / "pmm.json").read_text(encoding="utf-8"))
-        for k, case in enumerate(cases):
-            record = {"case": f"pmm {k:05d}", "exit": None,
-                      "stdout": _pmm_line(core, pmm, *case), "stderr": "", "files": {}}
-            fh.write(json.dumps(record) + "\n")
-        curves = json.loads((corpus / "curves.json").read_text(encoding="utf-8"))
-        for k, case in enumerate(curves):
-            record = {"case": f"curve {k:05d}", "exit": None,
-                      "stdout": _curve_line(bonding, *case), "stderr": "", "files": {}}
-            fh.write(json.dumps(record) + "\n")
+        cases = json.loads((corpus / "cases.json").read_text(encoding="utf-8"))
+        for kind, (_, line) in KINDS.items():
+            for k, case in enumerate(cases[kind]):
+                record = {"case": f"{kind} {k:05d}", "exit": None, "stdout": line(am, *case),
+                          "stderr": "", "files": {}}
+                fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +668,10 @@ def compare(args) -> int:
         raise SystemExit("--accept and --accept-re take OLD=>NEW")
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     try:
-        files = write_corpus(work, args.mutants, args.value_mutants, args.pools, args.curves)
+        files, cases = write_corpus(
+            work, args.mutants, args.value_mutants, args.pools, args.curves)
         print(f"corpus: {files} scenario files x {len(MODES)} modes, "
-              f"{args.pools * len(POOL_SEEDS)} stableswap pools, "
-              f"{args.pools * len(POOL_SEEDS)} PMM pools, "
-              f"{args.curves + len(BONDING_HAND_MADE)} bonding curves")
+              + ", ".join(f"{n} {kind} cases" for kind, n in cases.items()))
         a = _records(args.tree_a.resolve(), work, work / "a.jsonl")
         b = _records(args.tree_b.resolve(), work, work / "b.jsonl")
     finally:
@@ -695,7 +708,7 @@ def compare(args) -> int:
          else "refused" if r["stdout"].startswith("refused") else "built")
         for r in b
     )
-    for mode in (*MODES, "pool", "pmm", "curve"):
+    for mode in (*MODES, *KINDS):
         counts = ", ".join(f"{code} x {n}" for (m, code), n in sorted(outcomes.items(), key=str)
                            if m == mode)
         print(f"  tree B {mode}: {counts}")
@@ -717,7 +730,7 @@ def compare(args) -> int:
     for name, modes in files.items():
         print(f"differing file {name}: {', '.join(modes)}")
     print("differing records: "
-          + ", ".join(f"{kind} {kinds[kind]}" for kind in ("scenario", "pool", "pmm", "curve")))
+          + ", ".join(f"{kind} {kinds[kind]}" for kind in ("scenario", *KINDS)))
     print(f"CLI contract of tree B: {len(violations)} violations")
     for line in violations:
         print(f"  {line}")
@@ -733,7 +746,7 @@ def main(argv=None) -> int:
     p.add_argument("--mutants", type=int, default=1500, help="structural scenario mutants")
     p.add_argument("--value-mutants", type=int, default=300, help="numeric scenario mutants")
     p.add_argument("--pools", type=int, default=10000,
-                   help="stableswap pools, and PMM pools, per seed")
+                   help="stableswap, weighted and PMM pools, per seed")
     p.add_argument("--curves", type=int, default=5000, help="random bonding curves")
     p.add_argument("--accept", action="append", default=[], metavar="OLD=>NEW",
                    help="a declared wording change in tree B")
