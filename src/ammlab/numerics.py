@@ -9,9 +9,11 @@ plain Python: the rebalance Newton step solves its n×n system by Gaussian
 elimination with partial pivoting, and its sums are folded left to right,
 as the built-in sum compensates its rounding on Python 3.12 and later.
 
-All tolerances live in one table, DEFAULT_CONFIG (a SolverConfig record),
-which every routine reads; there is no per-call override, so outputs are
-reproducible bit-for-bit across runs.
+One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance,
+step and budget but three literals: find_root's Newton step (1e-7 of x,
+floor 1e-12), the line search's sufficient-decrease factor 1e-4 and the
+1e-300 floor that guards the division by z_scale. There is no per-call
+override, so outputs are reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
 
@@ -29,23 +31,21 @@ ResidualFn = Callable[[Sequence[float], Sequence[float]], float]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Every numeric tolerance and budget used by this module."""
+    """The numeric tolerances, steps and budget that this module's routines read."""
 
     root_rel_tol: float = 1e-14
-    root_max_iterations: int = 256
-    # finite-difference step for spot rates: max(rel*r_k, abs)
+    # budget of find_root, solve_rebalance and the stableswap divergence Newton
+    max_iterations: int = 256
+    # finite-difference step for spot rates, relative to r_k
     spot_rel_step: float = 1e-6
-    spot_abs_step: float = 1e-9
     degenerate_gradient_rtol: float = 1e-12
     # swap root bracket, as multiples of the output reserve
     swap_bracket_lo: float = 1e-12
     swap_bracket_hi: float = 1e3
-    # convergence is measured relative to the *target* rate, so the achieved
-    # |E'/E - 1 - rho| error carries a (1+rho) factor; 1e-9 keeps it under
-    # 1e-8 for shifts up to rho = 9
-    rebalance_rate_tol: float = 1e-9
-    rebalance_residual_tol: float = 1e-9
-    rebalance_max_iterations: int = 256
+    # bounds each row of the normalised rebalance system; a rate row is
+    # relative to the *target* rate, so the achieved |E'/E - 1 - rho| error
+    # carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
+    rebalance_tol: float = 1e-9
     rebalance_jacobian_step: float = 1e-7
     rebalance_max_log_step: float = 1.0
     rebalance_min_damping: float = 1.0 / 1024.0
@@ -98,8 +98,8 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     ValueError, OverflowError or DomainError) ends the Newton steps: the rest
     of the solve bisects. The bracket shrinks monotonically, so the method
     cannot diverge; it stops at DEFAULT_CONFIG's root_rel_tol or fails after
-    root_max_iterations steps."""
-    rel_tol, max_iterations = DEFAULT_CONFIG.root_rel_tol, DEFAULT_CONFIG.root_max_iterations
+    its max_iterations steps."""
+    rel_tol, max_iterations = DEFAULT_CONFIG.root_rel_tol, DEFAULT_CONFIG.max_iterations
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
     if f_lo == 0.0:
@@ -156,8 +156,8 @@ def _partial(
     invariant: Sequence[float],
     k: int,
 ) -> float:
-    h = max(DEFAULT_CONFIG.spot_rel_step * reserves[k], DEFAULT_CONFIG.spot_abs_step)
-    if reserves[k] <= h:
+    h = DEFAULT_CONFIG.spot_rel_step * reserves[k]
+    if h == 0.0:
         raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
     up = list(reserves)
     dn = list(reserves)
@@ -182,6 +182,9 @@ def numeric_spot_rate(
         return 1.0
     d_o = _partial(Z, reserves, invariant, o)
     d_i = _partial(Z, reserves, invariant, i)
+    for k, d in ((o, d_o), (i, d_i)):
+        if not math.isfinite(d):
+            raise DomainError(f"dZ/dr_{k} = {d} is not finite")
     scale = max(abs(d_o), abs(d_i))
     if scale == 0.0 or abs(d_i) <= DEFAULT_CONFIG.degenerate_gradient_rtol * scale:
         raise DegenerateGradient(
@@ -306,8 +309,7 @@ def solve_rebalance(
         return out if all(map(math.isfinite, out)) else None
 
     def converged(F: list[float]) -> bool:
-        rates_ok = all(abs(F[row]) <= config.rebalance_rate_tol for row in range(n - 1))
-        return rates_ok and abs(F[n - 1]) <= config.rebalance_residual_tol
+        return all(abs(v) <= config.rebalance_tol for v in F)
 
     def norm(F: list[float]) -> float:
         return math.sqrt(reduce(add, [v * v for v in F]))
@@ -320,7 +322,7 @@ def solve_rebalance(
         return tuple(reserves)
 
     jac_h = config.rebalance_jacobian_step
-    for _ in range(config.rebalance_max_iterations):
+    for _ in range(config.max_iterations):
         columns = []
         for k in range(n):
             up, dn = list(u), list(u)
@@ -350,7 +352,7 @@ def solve_rebalance(
         if converged(F):
             return tuple(math.exp(v) for v in u)
     raise ConvergenceFailure(
-        f"rebalance not converged within {config.rebalance_max_iterations} iterations"
+        f"rebalance not converged within {config.max_iterations} iterations"
     )
 
 

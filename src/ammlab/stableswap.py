@@ -311,7 +311,7 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
 _UNREPRESENTABLE = "the curve is not representable"
 _RESERVE_OUT_OF_RANGE = "a rebalanced reserve leaves the floating-point range"
 _REL_TOL = DEFAULT_CONFIG.root_rel_tol
-_MAX_ITERATIONS = DEFAULT_CONFIG.root_max_iterations
+_MAX_ITERATIONS = DEFAULT_CONFIG.max_iterations
 
 
 def _unattainable(rho: float, o: int, reason: str) -> NoSolution:

@@ -741,6 +741,7 @@ RULES = {
     "grid values must be strictly increasing": "analysis",
     "the curve is not representable": "stableswap",
     "a rebalanced reserve leaves the floating-point range": "stableswap",
+    "dZ/dr_{k} = {d} is not finite": "numerics",
 }
 
 

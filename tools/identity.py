@@ -61,9 +61,11 @@ inputs, which a group of PATTERN can pick up. Exit status 0 when
 every case matches and tree B keeps the CLI contract, 1 otherwise. Of the
 records that still differ, those whose outputs differ only in `float.hex`
 values are summarised by the largest distance in ulps of each field that
-moved (`div(1)`, `swap[9]`, …). After the first SHOWN differing records the
-tool names every differing scenario file with its differing modes, and
-counts the differing records of each kind.
+moved between two nonzero values (`div(1)`, `swap[9]`, …), and by the count
+of each field's moves from or to ±0.0, which no ulp distance measures.
+After the first SHOWN differing records the tool names every differing
+scenario file with its differing modes, and counts the differing records of
+each kind.
 """
 from __future__ import annotations
 
@@ -610,14 +612,17 @@ def _ordinal(x: float) -> int:
 
 
 def _float_moves(ra: dict, rb: dict):
-    """{field: ulp distance} when the two records differ only in float.hex
-    values of their space-separated `key=v1,v2,...` output, else None."""
+    """({field: ulp distance}, Counter({field: moves from or to ±0.0})) when
+    the two records differ only in float.hex values of their space-separated
+    `key=v1,v2,...` output, else None. The ulp distance covers only moves
+    between two nonzero values: from 0.0 it would count every double below
+    the new value."""
     if (ra["exit"], ra["stderr"], ra["files"]) != (rb["exit"], rb["stderr"], rb["files"]):
         return None
     a, b = ra["stdout"].split(" "), rb["stdout"].split(" ")
     if len(a) != len(b):
         return None
-    moves, seen = {}, Counter()
+    moves, zeros, seen = {}, Counter(), Counter()
     for ta, tb in zip(a, b):
         key, _, va = ta.partition("=")
         seen[key] += 1
@@ -635,9 +640,13 @@ def _float_moves(ra: dict, rb: dict):
             field = key if len(pa) == 1 else f"{key}[{j}]"
             if seen[key] > 1:  # a key's later uses, as the D after a liquidity change
                 field += f"#{seen[key]}"
-            distance = abs(_ordinal(float.fromhex(x)) - _ordinal(float.fromhex(y)))
+            fx, fy = float.fromhex(x), float.fromhex(y)
+            if fx == 0.0 or fy == 0.0:
+                zeros[field] += 1
+                continue
+            distance = abs(_ordinal(fx) - _ordinal(fy))
             moves[field] = max(moves.get(field, 0), distance)
-    return moves
+    return moves, zeros
 
 
 def _contract(records: list[dict]) -> tuple[list[str], Counter]:
@@ -697,12 +706,16 @@ def compare(args) -> int:
     print(f"identical: {same}; identical after --accept: {accepted}; different: {len(differ)}")
     moved = [m for m in (_float_moves(ra, rb) for ra, rb in differ) if m is not None]
     if moved:
-        worst = {}
-        for moves in moved:
+        worst, zeros = {}, Counter()
+        for moves, zero_moves in moved:
             for field, distance in moves.items():
                 worst[field] = max(worst.get(field, 0), distance)
+            zeros.update(zero_moves)
         print(f"  {len(moved)} of them differ only in float.hex values; the largest ulp distance "
-              "by field: " + ", ".join(f"{f} {d}" for f, d in sorted(worst.items())))
+              "between nonzero values by field: "
+              + ", ".join(f"{f} {d}" for f, d in sorted(worst.items())))
+        print("  moves from or to zero by field: "
+              + ", ".join(f"{f} x {n}" for f, n in sorted(zeros.items())))
     outcomes = Counter(
         (r["case"].rsplit(" ", 1)[0], r["exit"] if r["exit"] is not None
          else "refused" if r["stdout"].startswith("refused") else "built")
