@@ -45,7 +45,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 from . import quote
@@ -184,9 +184,10 @@ def default_shift_grid() -> tuple[float, ...]:
     return linear_grid(-0.9, 4.0, 60)
 
 
+@lru_cache
 def default_cross_section_grid(reserve: float) -> tuple[float, ...]:
     """Input-reserve sweep around the current value: 50 log-spaced points on
-    [0.1*r, 10*r]."""
+    [0.1*r, 10*r], built once per reserve for `validate` and `run` alike."""
     return log_grid(0.1 * reserve, 10.0 * reserve, 50)
 
 

@@ -12,8 +12,9 @@ as the built-in sum compensates its rounding on Python 3.12 and later.
 One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance,
 step and budget but three literals: find_root's Newton step (1e-7 of x,
 floor 1e-12), the line search's sufficient-decrease factor 1e-4 and the
-1e-300 floor that guards the division by z_scale. There is no per-call
-override, so outputs are reproducible bit-for-bit across runs.
+1e-300 floor that guards the division by z_scale; a swap's bracket is
+derived from the trade. There is no per-call override, so outputs are
+reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
 
@@ -39,9 +40,6 @@ class SolverConfig:
     # finite-difference step for spot rates, relative to r_k
     spot_rel_step: float = 1e-6
     degenerate_gradient_rtol: float = 1e-12
-    # swap root bracket, as multiples of the output reserve
-    swap_bracket_lo: float = 1e-12
-    swap_bracket_hi: float = 1e3
     # bounds each row of the normalised rebalance system; a rate row is
     # relative to the *target* rate, so the achieved |E'/E - 1 - rho| error
     # carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
@@ -150,6 +148,13 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     )
 
 
+def _check_state(Z: ImplicitConservation, reserves: Sequence[float]) -> None:
+    # every entry point judges the caller's reserves here, before Z sees them
+    quote.check_reserves(reserves)
+    if len(reserves) != Z.n:
+        raise ValueError(f"expected {Z.n} reserves, got {len(reserves)}")
+
+
 def _partial(
     Z: ImplicitConservation,
     reserves: Sequence[float],
@@ -175,7 +180,7 @@ def numeric_spot_rate(
 ) -> float:
     """Spot rate (token i per token o) as the ratio of central-difference
     partials (dZ/dr_o)/(dZ/dr_i). Returns 1 exactly when i == o."""
-    quote.check_reserves(reserves)
+    _check_state(Z, reserves)
     quote.check_index(len(reserves), i)
     quote.check_index(len(reserves), o)
     if i == o:
@@ -205,35 +210,37 @@ def implicit_swap(
     x_in: float,
 ) -> float:
     """Swap by root finding: add x_in to reserve i, solve Z = 0 for the new
-    reserve o (all other reserves fixed), return x_out = r_o - r_o'.
-
-    The root is bracketed inside [1e-12*r_o, 1e3*r_o]; no sign change there
-    raises NoSolution. Negative x_in is the reverse-trade convention and
-    yields negative x_out.
-    """
-    quote.check_reserves(reserves)
+    reserve o (all other reserves fixed), return x_out = r_o - r_o'; a
+    negative x_in is the reverse trade and yields a negative x_out. Each end
+    of [r_o/2, 2*r_o] doubles outward until Z changes sign across the two;
+    once both ends have left (0, inf), the swap raises NoSolution."""
+    _check_state(Z, reserves)
     quote.check_assets(len(reserves), i, o)
     r_in_new = reserves[i] + x_in
     if not 0.0 < r_in_new < math.inf:
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    work = list(reserves)
-    work[i] = r_in_new
 
     def g(y: float) -> float:
-        probe = list(work)
-        probe[o] = y
+        probe = list(reserves)
+        probe[i], probe[o] = r_in_new, y
         return Z.evaluate(probe, invariant)
 
-    lo = DEFAULT_CONFIG.swap_bracket_lo * reserves[o]
-    hi = DEFAULT_CONFIG.swap_bracket_hi * reserves[o]
+    # both ends move: off its curve, a state can put a tiny trade's root on either side of r_o
+    lo, hi = 0.5 * reserves[o], 2.0 * reserves[o]
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
-        raise NoSolution(
-            f"no post-trade reserve in [{lo}, {hi}] satisfies the conservation law"
-        )
-    return reserves[o] - find_root(g, RootBracket(lo, hi, g_lo, g_hi))
+    while g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
+        if 0.5 * lo == 0.0 and 2.0 * hi == math.inf:
+            raise NoSolution(f"no post-trade reserve in [{lo}, {hi}] satisfies the "
+                             "conservation law")
+        if 0.5 * lo > 0.0:
+            lo, g_lo = 0.5 * lo, g(0.5 * lo)
+        if 2.0 * hi < math.inf:
+            hi, g_hi = 2.0 * hi, g(2.0 * hi)
+    # u = r_o'/lo lies in [1, hi/lo], where find_root's difference step is relative
+    u = find_root(lambda u: g(u * lo), RootBracket(1.0, hi / lo, g_lo, g_hi))
+    return reserves[o] - u * lo
 
 
 def _solve_linear(rows: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
@@ -279,8 +286,7 @@ def solve_rebalance(
     """
     n = len(reserves)
     quote.check_index(n, o)
-    if n != Z.n:
-        raise ValueError(f"expected {Z.n} reserves, got {n}")
+    _check_state(Z, reserves)
     quote.check_price_shift(rho)
     config = DEFAULT_CONFIG
     others = [j for j in range(n) if j != o]

@@ -540,6 +540,31 @@ class TestRun:
         assert calls == {"stableswap_pool": 1, "log_grid": 1, "apply_swap": 1,
                          "add_liquidity_proportional": 1}
 
+    def test_run_builds_each_default_cross_section_grid_once(self, tmp_path, monkeypatch):
+        # validate builds a grid-less cross-section's default grid to judge
+        # it, and run sweeps the same grid: three series on input reserves of
+        # 100 build it once
+        built = []
+        original = ammlab.analysis.log_grid
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        ammlab.analysis.default_cross_section_grid.cache_clear()
+        monkeypatch.setattr(ammlab.analysis, "log_grid", counting)
+        curve = {"id": "c", "protocol": "curve", "reserves": [100, 120], "amplification": 10}
+        path = write_scenario(
+            tmp_path,
+            {"pools": [UNI, curve], "actions": [
+                {"action": "cross_section", "pool": "uni"},
+                {"action": "compare", "pools": ["uni", "c"], "kind": "cross_section"},
+            ]},
+        )
+        assert run_scenario(path, out_dir=tmp_path / "out") == 0
+        assert len(list((tmp_path / "out").glob("*.csv"))) == 3
+        assert built == [(10.0, 1000.0, 50)]
+
     def test_validation_binds_each_sweep_and_run_calls_it_on_its_grid(
         self, tmp_path, monkeypatch
     ):

@@ -448,6 +448,22 @@ def test_the_generic_engine_judges_the_callers_reserves(name, law, reserves):
         ENGINE[name](law, reserves)
 
 
+@pytest.mark.parametrize("name", list(ENGINE))
+def test_the_generic_engine_judges_the_reserve_count_before_the_law(name):
+    # three reserves for a 2-asset stableswap law, which would evaluate on
+    # them: each entry point refuses them before the law sees them
+    law = implicit_conservation(stableswap_pool((100.0, 120.0), 10.0))
+    seen = []
+
+    def evaluate(reserves, invariant):
+        seen.append(reserves)
+        return law.evaluate(reserves, invariant)
+
+    with pytest.raises(ValueError, match="^expected 2 reserves, got 3$"):
+        ENGINE[name](numerics.ImplicitConservation(evaluate, 2), (100.0, 120.0, 90.0))
+    assert seen == []
+
+
 def test_the_generic_engine_words_its_rules_as_quote():
     with pytest.raises(IdenticalAssets, match="^swap needs distinct input and output assets$"):
         numerics.implicit_swap(UNI_Z, (100.0, 100.0), (100.0,), 1, 1, 10.0)

@@ -262,8 +262,64 @@ class TestImplicitSwap:
         constant_sum = ImplicitConservation(
             evaluate=lambda r, inv: r[0] + r[1] - inv[0], n=2
         )
-        with pytest.raises(NoSolution):
+        with pytest.raises(NoSolution, match=r"^no post-trade reserve in \[5e-324, "
+                           r"1\.4044477616111843e\+308\] satisfies the conservation law$"):
             implicit_swap(constant_sum, (100.0, 100.0), (200.0,), 0, 1, 250.0)
+
+    @pytest.mark.parametrize(
+        "build, i, o, x_in",
+        [
+            # r_o'/r_o = 1e-13 and about 1e6
+            (lambda: uniswap_pool(100.0, 100.0), 0, 1, 1e15),
+            (lambda: uniswap_pool(100.0, 100.0), 0, 1, -99.9999),
+            (lambda: pmm_pool(100.0, 100.0, 1.0, 0.5), 0, 1, 1e16),
+            # r_o'/r_o about 5,001
+            (lambda: pmm_pool(100.0, 100.0, 1.0, 0.5), 1, 0, -99.99),
+            # one end leaves the float range first and the other goes on:
+            # 2^28*r_o overflows before r_o' = 1e-10*r_o is bracketed, and
+            # 2^-46*r_o underflows before r_o' = 1e14*r_o is
+            (lambda: uniswap_pool(1e290, 1e300), 0, 1, 1e300),
+            (lambda: uniswap_pool(1.0, 1e-310), 0, 1, -0.99999999999999),
+        ],
+        ids=["uniswap-deposit", "uniswap-reverse", "pmm-deposit", "pmm-reverse",
+             "past-the-largest-float", "past-the-smallest-float"],
+    )
+    def test_output_reserves_far_from_the_start_are_reached(self, build, i, o, x_in):
+        pool = build()
+        numeric = implicit_swap(
+            implicit_conservation(pool), pool.reserves, pool.invariant, i, o, x_in
+        )
+        assert math.isclose(numeric, swap_amount(pool, i, o, x_in), rel_tol=1e-8)
+
+    def test_law_evaluations_per_swap(self):
+        # the bracket widens from [r_o/2, 2*r_o], so a trade costs a few
+        # evaluations more than find_root's own; the counts are exact
+        rng = random.Random("numerics/swap-evaluations")
+        pools = [
+            uniswap_pool(100.0, 120.0),
+            weighted_pool((100.0, 200.0, 300.0), (0.5, 0.3, 0.2)),
+            stableswap_pool((100.0, 120.0), 10.0),
+            stableswap_pool((100.0, 120.0), 1000.0),
+            stableswap_pool((100.0, 90.0, 110.0), 50.0),
+            pmm_pool(100.0, 100.0, 1.0, 0.5),
+        ]
+        evaluations = swaps = 0
+        for pool in pools:
+            law = implicit_conservation(pool)
+
+            def counting(reserves, invariant, evaluate=law.evaluate):
+                nonlocal evaluations
+                evaluations += 1
+                return evaluate(reserves, invariant)
+
+            curve = ImplicitConservation(evaluate=counting, n=pool.n_assets)
+            for k in range(300):
+                x_in = 10.0 ** rng.uniform(-6.0, 0.0) * pool.reserves[0]
+                if k % 2:
+                    x_in *= -0.5
+                implicit_swap(curve, pool.reserves, pool.invariant, 0, 1, x_in)
+                swaps += 1
+        assert evaluations / swaps <= 45.0
 
     @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-11])
     @pytest.mark.parametrize(
@@ -518,7 +574,7 @@ _PMM_EDGE_REASONS = {
     1e-300: _PMM_EDGE,
     1e-200: _PMM_EDGE,
     1e200: _PMM_EDGE,
-    1e300: _PMM_EDGE + "; the oracle's swap bracket end 1e-12 * r2 overflows the law too",
+    1e300: _PMM_EDGE,
 }
 
 
@@ -561,6 +617,18 @@ class TestAgreementAtEveryScale:
             implicit_conservation(pool), pool.reserves, pool.invariant, 0, 1, x_in
         )
         assert math.isclose(numeric, swap_amount(pool, 0, 1, x_in), rel_tol=1e-8)
+
+    @pytest.mark.parametrize("scale", AGREEMENT_SCALES)
+    def test_pmm_swap_scales_with_the_pool(self, scale):
+        # the PMM law is homogeneous in the reserves and targets, so the
+        # oracle's swap scales with them where the closed form leaves the
+        # float range
+        def oracle(pool):
+            curve = implicit_conservation(pool)
+            return implicit_swap(curve, pool.reserves, pool.invariant, 0, 1, 0.1 * pool.reserves[0])
+
+        pool = _pool_at("pmm", scale)
+        assert math.isclose(oracle(pool), oracle(_pool_at("pmm", 1.0)) * scale, rel_tol=1e-8)
 
     @pytest.mark.parametrize("scale", AGREEMENT_SCALES)
     @pytest.mark.parametrize("kind", [kind for kind in AGREEMENT_POOLS if kind != "pmm"])
