@@ -27,7 +27,7 @@ class InvalidBracket(AmmError):
 
 
 class DegenerateGradient(AmmError):
-    """A spot-rate denominator partial is numerically zero."""
+    """A partial of a spot rate is zero: no rate, or a rate of zero."""
 
 
 class InfeasibleTrade(AmmError):

@@ -13,8 +13,9 @@ One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance,
 step and budget but three literals: find_root's Newton step (1e-7 of x,
 floor 1e-12), the line search's sufficient-decrease factor 1e-4 and the
 1e-300 floor that guards the division by z_scale; a swap's bracket is
-derived from the trade. There is no per-call override, so outputs are
-reproducible bit-for-bit across runs.
+derived from the trade. The spot rates and the rebalance take every partial
+of Z with one relative step, and refuse a rate only for a zero partial.
+There is no per-call override, so outputs are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -37,14 +38,13 @@ class SolverConfig:
     root_rel_tol: float = 1e-14
     # budget of find_root, solve_rebalance and the stableswap divergence Newton
     max_iterations: int = 256
-    # finite-difference step for spot rates, relative to r_k
-    spot_rel_step: float = 1e-6
-    degenerate_gradient_rtol: float = 1e-12
+    # the one finite-difference step of every partial of Z, relative to r_k:
+    # the spot rates, the rebalance's Z scale and its Jacobian in log-reserves
+    partial_rel_step: float = 1e-6
     # bounds each row of the normalised rebalance system; a rate row is
     # relative to the *target* rate, so the achieved |E'/E - 1 - rho| error
     # carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
     rebalance_tol: float = 1e-9
-    rebalance_jacobian_step: float = 1e-7
     rebalance_max_log_step: float = 1.0
     rebalance_min_damping: float = 1.0 / 1024.0
 
@@ -161,7 +161,7 @@ def _partial(
     invariant: Sequence[float],
     k: int,
 ) -> float:
-    h = DEFAULT_CONFIG.spot_rel_step * reserves[k]
+    h = DEFAULT_CONFIG.partial_rel_step * reserves[k]
     if h == 0.0:
         raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
     up = list(reserves)
@@ -191,13 +191,10 @@ def numeric_spot_rate(
         if not math.isfinite(d):
             raise DomainError(f"dZ/dr_{k} = {d} is not finite")
     scale = max(abs(d_o), abs(d_i))
-    if scale == 0.0 or abs(d_i) <= DEFAULT_CONFIG.degenerate_gradient_rtol * scale:
-        raise DegenerateGradient(
-            f"dZ/dr_{i} = {d_i} is numerically zero relative to scale {scale}"
-        )
-    if d_o == 0.0:
-        # a rate of 0 is no spot rate, and a rebalance divides by it
-        raise DegenerateGradient(f"dZ/dr_{o} = {d_o} is zero relative to scale {scale}")
+    for k, d in ((i, d_i), (o, d_o)):
+        # a zero d_i leaves no rate, and a zero d_o a rate of 0, by which a rebalance divides
+        if d == 0.0:
+            raise DegenerateGradient(f"dZ/dr_{k} = {d} is zero relative to scale {scale}")
     return d_o / d_i
 
 
@@ -227,8 +224,11 @@ def implicit_swap(
         probe[i], probe[o] = r_in_new, y
         return Z.evaluate(probe, invariant)
 
-    # both ends move: off its curve, a state can put a tiny trade's root on either side of r_o
-    lo, hi = 0.5 * reserves[o], 2.0 * reserves[o]
+    # both ends move: off its curve, a state can put a tiny trade's root on
+    # either side of r_o; an end whose first value leaves (0, inf) starts at r_o
+    r_o = reserves[o]
+    lo = 0.5 * r_o if 0.5 * r_o > 0.0 else r_o
+    hi = 2.0 * r_o if 2.0 * r_o < math.inf else r_o
     g_lo, g_hi = g(lo), g(hi)
     while g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
         if 0.5 * lo == 0.0 and 2.0 * hi == math.inf:
@@ -327,7 +327,7 @@ def solve_rebalance(
     if converged(F):
         return tuple(reserves)
 
-    jac_h = config.rebalance_jacobian_step
+    jac_h = config.partial_rel_step
     for _ in range(config.max_iterations):
         columns = []
         for k in range(n):

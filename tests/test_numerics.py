@@ -216,6 +216,26 @@ class TestNumericSpotRate:
         with pytest.raises(DegenerateGradient, match=refusal):
             generic_divergence_loss(curve, pool.reserves, pool.invariant, 1, 0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniswap_pool(1.0, 1e13),
+            lambda: uniswap_pool(1.0, 1e20),
+            lambda: uniswap_pool(1.0, 1e60),
+            lambda: weighted_pool((1.0, 1e20, 1e-3), (0.5, 0.3, 0.2)),
+        ],
+        ids=["uniswap-1e13", "uniswap-1e20", "uniswap-1e60", "weighted-1e20"],
+    )
+    def test_steep_rates_agree_both_ways(self, build):
+        # a partial far smaller than the other is still a rate: only a zero
+        # one is refused
+        pool = build()
+        curve = implicit_conservation(pool)
+        for i in range(pool.n_assets):
+            for o in range(pool.n_assets):
+                rate = numeric_spot_rate(curve, pool.reserves, pool.invariant, i, o)
+                assert math.isclose(rate, spot_rate(pool, i, o), rel_tol=1e-8), (i, o)
+
     def test_a_step_that_underflows_raises_domain_error(self):
         # the difference step is 1e-6 of the reserve: for a subnormal reserve
         # of 1.5e-319 it rounds to 0
@@ -280,9 +300,11 @@ class TestImplicitSwap:
             # 2^-46*r_o underflows before r_o' = 1e14*r_o is
             (lambda: uniswap_pool(1e290, 1e300), 0, 1, 1e300),
             (lambda: uniswap_pool(1.0, 1e-310), 0, 1, -0.99999999999999),
+            # 2*r_o overflows, so the upper end starts at r_o
+            (lambda: uniswap_pool(1.0, 1e308), 0, 1, 0.5),
         ],
         ids=["uniswap-deposit", "uniswap-reverse", "pmm-deposit", "pmm-reverse",
-             "past-the-largest-float", "past-the-smallest-float"],
+             "past-the-largest-float", "past-the-smallest-float", "at-the-largest-float"],
     )
     def test_output_reserves_far_from_the_start_are_reached(self, build, i, o, x_in):
         pool = build()
@@ -290,6 +312,15 @@ class TestImplicitSwap:
             implicit_conservation(pool), pool.reserves, pool.invariant, i, o, x_in
         )
         assert math.isclose(numeric, swap_amount(pool, i, o, x_in), rel_tol=1e-8)
+
+    def test_an_output_reserve_whose_half_underflows_starts_the_lower_end_at_it(self):
+        # r_o/2 of the smallest subnormal rounds to 0, which no law accepts;
+        # r_o' is two subnormal steps, so the answer is good to one step
+        pool = uniswap_pool(1.0, 5e-324)
+        numeric = implicit_swap(
+            implicit_conservation(pool), pool.reserves, pool.invariant, 0, 1, -0.5
+        )
+        assert abs(numeric - swap_amount(pool, 0, 1, -0.5)) <= 5e-324
 
     def test_law_evaluations_per_swap(self):
         # the bracket widens from [r_o/2, 2*r_o], so a trade costs a few
@@ -390,11 +421,11 @@ class TestSolveRebalance:
             solve_rebalance(UNISWAP, (100.0, 100.0), (10_000.0,), 1, -1.0)
 
     def test_a_trial_step_off_the_domain_is_shortened(self, monkeypatch):
-        # one damped trial lands where a spot rate's gradient degenerates:
-        # the probe treats that as a step too long, not as the solve's
-        # failure, and the solve ends by stagnating
-        pool = stableswap_pool((2159042186.8583684, 2937.887800825304, 1985550424803377.8),
-                               3532.4062801936707)
+        # a constant product whose dZ/dr_0 is exactly 0 past r_0 = 110.5: the
+        # first full Newton step lands at r_0 = 111.07, where the spot rate
+        # is refused; the probe treats that as a step too long, not as the
+        # solve's failure, and the halved step goes on to r_0 = 110
+        curve = ImplicitConservation(evaluate=lambda r, c: min(r[0], 110.5) * r[1] - c[0], n=2)
         raised = []
 
         def recorded(*args):
@@ -405,22 +436,35 @@ class TestSolveRebalance:
                 raise
 
         monkeypatch.setattr(numerics, "numeric_spot_rate", recorded)
-        message = ("^rate shift 514896.7606359474 for asset 1 is unattainable on this curve "
-                   r"\(Newton stagnated\)$")
-        with pytest.raises(NoSolution, match=message):
-            solve_rebalance(implicit_conservation(pool), pool.reserves, pool.invariant, 1,
-                            514896.7606359474)
+        got = solve_rebalance(curve, (100.0, 100.0), (10_000.0,), 1, 0.21)
+        assert math.isclose(got[0], 110.0, rel_tol=1e-8)
+        assert math.isclose(got[1], 100.0 / 1.1, rel_tol=1e-8)
         assert len(raised) == 1
 
     def test_the_iteration_budget_bounds_the_solve(self):
-        # a weight of 2.5e-8 on reserves near 1e118: every damped step is
-        # accepted, yet 256 of them do not reach the tolerances
-        pool = weighted_pool((5.95114610433313e118, 4.0551637544196295e111),
-                             (0.999999974774507, 2.5225493027747348e-08))
+        # a constant product in log form, started 1000 e-folds of r_0*r_1
+        # off its curve: each step is clipped to rebalance_max_log_step and
+        # accepted, yet 256 of them do not reach the curve
+        curve = ImplicitConservation(
+            evaluate=lambda r, c: math.log(r[0]) + math.log(r[1]) - c[0], n=2
+        )
         with pytest.raises(ConvergenceFailure,
                            match="^rebalance not converged within 256 iterations$"):
-            solve_rebalance(implicit_conservation(pool), pool.reserves, pool.invariant, 1,
-                            0.00018448313390398826)
+            solve_rebalance(curve, (1.0, 1.0), (1000.0,), 1, 0.5)
+
+    def test_a_tiny_weight_stagnates_short_of_an_attainable_shift(self):
+        # a weight of 2.5e-8 on reserves near 1e118: the weighted closed form
+        # rebalances this pool, but the Newton solve stagnates and refuses the
+        # shift as unattainable
+        pool = weighted_pool((5.95114610433313e118, 4.0551637544196295e111),
+                             (0.999999974774507, 2.5225493027747348e-08))
+        rho = 0.00018448313390398826
+        want = weighted_rebalanced_reserves(pool.reserves, pool.spec.weights, 1, rho)
+        assert all(0.0 < r < math.inf for r in want)
+        message = (f"^rate shift {rho} for asset 1 is unattainable on this curve "
+                   r"\(Newton stagnated\)$")
+        with pytest.raises(NoSolution, match=message):
+            solve_rebalance(implicit_conservation(pool), pool.reserves, pool.invariant, 1, rho)
 
     def test_a_residual_that_is_not_finite_at_the_start_raises(self):
         # the law is finite at every difference probe, so the spot rates
@@ -539,6 +583,32 @@ class TestGenericDivergenceLoss:
             ValuationReport(V=200.0, V_held=221.0, V_prime=220.0, L=0.5, rho=0.21)
         report = generic_divergence_loss(UNISWAP, (100.0, 100.0), (10_000.0,), 1, 0.21)
         assert report.L == report.V_prime / report.V_held - 1.0
+
+    def test_law_evaluations_per_loss(self):
+        # seeded weighted and stableswap pools of 2 to 4 assets, up to 6x
+        # unbalanced, A from 1e-2 to about 3e4 and shifts in (-0.9, 4): each
+        # loss is solved, at a bounded mean count of law evaluations
+        rng = random.Random("numerics/rebalance-evaluations")
+        evaluations = 0
+        for k in range(90):
+            n = rng.randint(2, 4)
+            reserves = tuple(100.0 * 6.0 ** rng.uniform(0.0, 1.0) for _ in range(n))
+            if k % 3 == 0:
+                weights = [rng.uniform(1.0, 3.0) for _ in range(n)]
+                pool = weighted_pool(reserves, tuple(w / sum(weights) for w in weights))
+            else:
+                pool = stableswap_pool(reserves, 10.0 ** rng.uniform(-2.0, 4.5))
+            law = implicit_conservation(pool)
+
+            def counting(reserves, invariant, evaluate=law.evaluate):
+                nonlocal evaluations
+                evaluations += 1
+                return evaluate(reserves, invariant)
+
+            curve = ImplicitConservation(evaluate=counting, n=n)
+            generic_divergence_loss(curve, pool.reserves, pool.invariant,
+                                    rng.randint(1, n - 1), rng.uniform(-0.9, 4.0))
+        assert evaluations / 90 <= 600.0
 
 
 def _agreement_pools() -> dict:
