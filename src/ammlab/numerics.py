@@ -10,16 +10,16 @@ elimination with partial pivoting, and its sums are folded left to right,
 as the built-in sum compensates its rounding on Python 3.12 and later.
 
 One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance,
-step and budget but three literals: find_root's Newton step (1e-7 of x,
-floor 1e-12), the line search's sufficient-decrease factor 1e-4 and the
-1e-300 floor that guards the division by z_scale; a swap's bracket is
-derived from the trade. The spot rates and the rebalance take every partial
-of Z with one relative step, and refuse a rate only for a zero partial.
-There is no per-call override, so outputs are reproducible bit-for-bit.
+step and budget but find_root's Newton step (1e-7 of x, floor 1e-12), the
+line search's decrease factor 1e-4 and its stop at float resolution, and
+the 1e-300 floor under z_scale. Each state's partials of Z are taken once,
+with one relative step. There is no per-call override, so outputs are
+reproducible bit-for-bit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -38,15 +38,13 @@ class SolverConfig:
     root_rel_tol: float = 1e-14
     # budget of find_root, solve_rebalance and the stableswap divergence Newton
     max_iterations: int = 256
-    # the one finite-difference step of every partial of Z, relative to r_k:
-    # the spot rates, the rebalance's Z scale and its Jacobian in log-reserves
+    # the one finite-difference step of every partial of Z, relative to r_k and
+    # taken once per state, and of the rebalance Jacobian in log-reserves
     partial_rel_step: float = 1e-6
     # bounds each row of the normalised rebalance system; a rate row is
     # relative to the *target* rate, so the achieved |E'/E - 1 - rho| error
     # carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
     rebalance_tol: float = 1e-9
-    rebalance_max_log_step: float = 1.0
-    rebalance_min_damping: float = 1.0 / 1024.0
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -155,20 +153,33 @@ def _check_state(Z: ImplicitConservation, reserves: Sequence[float]) -> None:
         raise ValueError(f"expected {Z.n} reserves, got {len(reserves)}")
 
 
-def _partial(
+def _partials(
     Z: ImplicitConservation,
     reserves: Sequence[float],
     invariant: Sequence[float],
-    k: int,
-) -> float:
-    h = DEFAULT_CONFIG.partial_rel_step * reserves[k]
-    if h == 0.0:
-        raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
-    up = list(reserves)
-    dn = list(reserves)
-    up[k] = reserves[k] + h
-    dn[k] = reserves[k] - h
-    return (Z.evaluate(up, invariant) - Z.evaluate(dn, invariant)) / (2.0 * h)
+    pairs: Sequence[tuple[int, int]],
+) -> dict[int, float]:
+    """dZ/dr_k by one central difference, once per state for each k of the
+    rate pairs (i, o). Each pair refuses a non-finite partial, then a zero
+    one: a zero dZ/dr_i leaves no rate, and a zero dZ/dr_o a rate of 0."""
+    partials: dict[int, float] = {}
+    for i, o in pairs:
+        for k in (o, i):
+            if k not in partials:
+                h = DEFAULT_CONFIG.partial_rel_step * reserves[k]
+                if h == 0.0:
+                    raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
+                up, dn = list(reserves), list(reserves)
+                up[k], dn[k] = reserves[k] + h, reserves[k] - h
+                partials[k] = (Z.evaluate(up, invariant) - Z.evaluate(dn, invariant)) / (2.0 * h)
+        for k, d in ((o, partials[o]), (i, partials[i])):
+            if not math.isfinite(d):
+                raise DomainError(f"dZ/dr_{k} = {d} is not finite")
+        scale = max(abs(partials[o]), abs(partials[i]))
+        for k, d in ((i, partials[i]), (o, partials[o])):
+            if d == 0.0:
+                raise DegenerateGradient(f"dZ/dr_{k} = {d} is zero relative to scale {scale}")
+    return partials
 
 
 def numeric_spot_rate(
@@ -185,17 +196,8 @@ def numeric_spot_rate(
     quote.check_index(len(reserves), o)
     if i == o:
         return 1.0
-    d_o = _partial(Z, reserves, invariant, o)
-    d_i = _partial(Z, reserves, invariant, i)
-    for k, d in ((o, d_o), (i, d_i)):
-        if not math.isfinite(d):
-            raise DomainError(f"dZ/dr_{k} = {d} is not finite")
-    scale = max(abs(d_o), abs(d_i))
-    for k, d in ((i, d_i), (o, d_o)):
-        # a zero d_i leaves no rate, and a zero d_o a rate of 0, by which a rebalance divides
-        if d == 0.0:
-            raise DegenerateGradient(f"dZ/dr_{k} = {d} is zero relative to scale {scale}")
-    return d_o / d_i
+    d = _partials(Z, reserves, invariant, [(i, o)])
+    return d[o] / d[i]
 
 
 def implicit_swap(
@@ -209,8 +211,9 @@ def implicit_swap(
     """Swap by root finding: add x_in to reserve i, solve Z = 0 for the new
     reserve o (all other reserves fixed), return x_out = r_o - r_o'; a
     negative x_in is the reverse trade and yields a negative x_out. Each end
-    of [r_o/2, 2*r_o] doubles outward until Z changes sign across the two;
-    once both ends have left (0, inf), the swap raises NoSolution."""
+    of [r_o/2, 2*r_o] doubles outward until Z changes sign across the two,
+    and the root is solved for in the octave where the sign changed; once
+    both ends have left (0, inf), the swap raises NoSolution."""
     _check_state(Z, reserves)
     quote.check_assets(len(reserves), i, o)
     r_in_new = reserves[i] + x_in
@@ -230,15 +233,24 @@ def implicit_swap(
     lo = 0.5 * r_o if 0.5 * r_o > 0.0 else r_o
     hi = 2.0 * r_o if 2.0 * r_o < math.inf else r_o
     g_lo, g_hi = g(lo), g(hi)
+    inner = None
     while g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
         if 0.5 * lo == 0.0 and 2.0 * hi == math.inf:
             raise NoSolution(f"no post-trade reserve in [{lo}, {hi}] satisfies the "
                              "conservation law")
+        inner = lo, g_lo, hi, g_hi
         if 0.5 * lo > 0.0:
             lo, g_lo = 0.5 * lo, g(0.5 * lo)
         if 2.0 * hi < math.inf:
             hi, g_hi = 2.0 * hi, g(2.0 * hi)
-    # u = r_o'/lo lies in [1, hi/lo], where find_root's difference step is relative
+    if inner is not None:
+        # the ends before the last step shared a sign, so Z changes sign
+        # between a new end and the one it replaced: keep that octave alone
+        if g_lo == 0.0 or (g_lo < 0.0) != (inner[1] < 0.0):
+            hi, g_hi = inner[0], inner[1]
+        else:
+            lo, g_lo = inner[2], inner[3]
+    # u = r_o'/lo lies in [1, 2], or [1, 4] unwalked: find_root's step is relative
     u = find_root(lambda u: g(u * lo), RootBracket(1.0, hi / lo, g_lo, g_hi))
     return reserves[o] - u * lo
 
@@ -279,10 +291,9 @@ def solve_rebalance(
     """Reserves after arbitrage rebalancing to a shifted price of asset o.
 
     Solves the stacked system: for every j != o the spot rate jE_o rises by
-    the factor (1+rho), and Z stays zero. Damped Newton with a
-    finite-difference Jacobian, iterated in log-reserve coordinates so every
-    iterate stays in the positive orthant; the initial guess is the current
-    reserves.
+    the factor (1+rho), and Z stays zero, by Newton in log-reserves from the
+    current reserves. The line search halves each step until the residual
+    falls, and refuses the shift once no reserve would move by a relative ulp.
     """
     n = len(reserves)
     quote.check_index(n, o)
@@ -290,18 +301,20 @@ def solve_rebalance(
     quote.check_price_shift(rho)
     config = DEFAULT_CONFIG
     others = [j for j in range(n) if j != o]
-    base = [numeric_spot_rate(Z, reserves, invariant, j, o) for j in others]
+    pairs = [(j, o) for j in others]
+    d = _partials(Z, reserves, invariant, pairs)
+    base = [d[o] / d[j] for j in others]
     target = 1.0 + rho
     # the characteristic variation of Z over relative reserve moves: it
     # normalizes the conservation equation, so that "within 1e-9" means the
     # same thing for every protocol family
-    z_scale = max(reduce(add, [abs(_partial(Z, reserves, invariant, k)) * r
-                               for k, r in enumerate(reserves)]), 1e-300)
+    z_scale = max(reduce(add, [abs(d[k]) * r for k, r in enumerate(reserves)]), 1e-300)
 
     def system(u: list[float]) -> list[float]:
         r = [math.exp(v) for v in u]
-        out = [numeric_spot_rate(Z, r, invariant, j, o) / (b * target) - 1.0
-               for j, b in zip(others, base)]
+        _check_state(Z, r)
+        d = _partials(Z, r, invariant, pairs)
+        out = [d[o] / d[j] / (b * target) - 1.0 for j, b in zip(others, base)]
         out.append(Z.evaluate(r, invariant) / z_scale)
         return out
 
@@ -338,9 +351,6 @@ def solve_rebalance(
         step = _solve_linear(list(zip(*columns)), [-v for v in F])
         if not all(map(math.isfinite, step)):
             raise ConvergenceFailure("rebalance Newton step is not finite")
-        biggest = max(map(abs, step))
-        if biggest > config.rebalance_max_log_step:
-            step = [s * (config.rebalance_max_log_step / biggest) for s in step]
         F_norm = norm(F)
         alpha = 1.0
         while True:
@@ -349,17 +359,14 @@ def solve_rebalance(
             if trial_F is not None and norm(trial_F) < (1.0 - 1e-4 * alpha) * F_norm:
                 break
             alpha *= 0.5
-            if alpha < config.rebalance_min_damping:
-                raise NoSolution(
-                    f"rate shift {rho} for asset {o} is unattainable on this curve "
-                    "(Newton stagnated)"
-                )
+            # the step would move no reserve by more than about a relative ulp
+            if alpha * max(map(abs, step)) < sys.float_info.epsilon:
+                raise NoSolution(f"rate shift {rho} for asset {o} is unattainable on this "
+                                 "curve (Newton stagnated)")
         u, F = trial_u, trial_F
         if converged(F):
             return tuple(math.exp(v) for v in u)
-    raise ConvergenceFailure(
-        f"rebalance not converged within {config.max_iterations} iterations"
-    )
+    raise ConvergenceFailure(f"rebalance not converged within {config.max_iterations} iterations")
 
 
 @dataclass(frozen=True)
@@ -394,9 +401,11 @@ def generic_divergence_loss(
     quote.check_index(n, o)
     quote.check_numeraire(o)
     quote.check_price_shift(rho)
+    _check_state(Z, reserves)
 
     def value(state: Sequence[float]) -> tuple[float, list[float]]:
-        rates = [numeric_spot_rate(Z, state, invariant, 0, j) for j in range(n)]
+        d = _partials(Z, state, invariant, [(0, j) for j in range(1, n)])
+        rates = [1.0] + [d[j] / d[0] for j in range(1, n)]
         return reduce(add, [rate * r for rate, r in zip(rates, state)]), rates
 
     V, rates = value(reserves)

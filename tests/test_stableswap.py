@@ -467,6 +467,23 @@ class TestDivergenceLoss:
                 closed = stableswap_divergence_loss(reserves, d, amp, 1, rho)
                 assert abs((1.0 + closed) / (1.0 + generic.L) - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "reserves",
+        [(100.0, 100.0), (100.0, 100.0, 100.0), (1.0, 2.0, 3.0, 4.0)],
+        ids=["100-100", "100-100-100", "1-2-3-4"],
+    )
+    def test_generic_engine_reaches_every_shift_at_amplification_3e4(self, reserves):
+        # at A = 3e4 the rate rows stay near flat until a reserve is nearly
+        # drained: the first Newton steps are long, and the line search
+        # halves them until the residual falls, with no cap on their length
+        amp = 3e4
+        d = solve_invariant(reserves, amp)
+        curve = implicit_curve(amp, len(reserves))
+        for rho in default_shift_grid():
+            generic = generic_divergence_loss(curve, reserves, (d,), 1, rho)
+            closed = stableswap_divergence_loss(reserves, d, amp, 1, rho)
+            assert abs((1.0 + closed) / (1.0 + generic.L) - 1.0) <= 1e-8, rho
+
     def test_zero_shift_is_exactly_zero(self):
         for reserves in ((100.0, 100.0), (50.0, 150.0, 90.0)):
             for amp in AMPLIFICATION_LADDER:
