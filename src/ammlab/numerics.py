@@ -9,12 +9,11 @@ plain Python: the rebalance Newton step solves its n×n system by Gaussian
 elimination with partial pivoting, and its sums are folded left to right,
 as the built-in sum compensates its rounding on Python 3.12 and later.
 
-One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance,
-step and budget but find_root's Newton step (1e-7 of x, floor 1e-12), the
-line search's decrease factor 1e-4 and its stop at float resolution, and
-the 1e-300 floor under z_scale. Each state's partials of Z are taken once,
-with one relative step. There is no per-call override, so outputs are
-reproducible bit-for-bit.
+One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance
+and budget; the literals left are find_root's Newton step (1e-7 of x, floor
+1e-12) and the 1e-300 floor under z_scale. Each state's partials of Z are
+taken once, by central differences of step _STEP relative to the variable,
+and there is no per-call override, so outputs are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -33,21 +32,23 @@ ResidualFn = Callable[[Sequence[float], Sequence[float]], float]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The numeric tolerances, steps and budget that this module's routines read."""
+    """The numeric tolerances and budget that this module's routines read."""
 
     root_rel_tol: float = 1e-14
     # budget of find_root, solve_rebalance and the stableswap divergence Newton
     max_iterations: int = 256
-    # the one finite-difference step of every partial of Z, relative to r_k and
-    # taken once per state, and of the rebalance Jacobian in log-reserves
-    partial_rel_step: float = 1e-6
-    # bounds each row of the normalised rebalance system; a rate row is
-    # relative to the *target* rate, so the achieved |E'/E - 1 - rho| error
-    # carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
+    # bounds each row of the normalised rebalance system; a rate row is the
+    # log of the rate over the *target* rate, so the achieved |E'/E - 1 - rho|
+    # error carries a (1+rho) factor, and 1e-9 keeps it under 1e-8 up to rho = 9
     rebalance_tol: float = 1e-9
 
 
 DEFAULT_CONFIG = SolverConfig()
+# the central-difference step of every partial of Z, relative to r_k, and of
+# the rebalance Jacobian in log-reserves: truncation error grows as h^2 and
+# rounding error as eps/h, so eps^(1/3) balances the two (Nocedal and Wright,
+# Numerical Optimization, section 8.1)
+_STEP = sys.float_info.epsilon ** (1 / 3)
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,11 @@ def _partials(
     for i, o in pairs:
         for k in (o, i):
             if k not in partials:
-                h = DEFAULT_CONFIG.partial_rel_step * reserves[k]
+                h = _STEP * reserves[k]
                 if h == 0.0:
                     raise DomainError(f"reserve {k} too small for the finite-difference step {h}")
+                if reserves[k] + h == math.inf:
+                    raise DomainError(f"reserve {k} too large for the finite-difference step {h}")
                 up, dn = list(reserves), list(reserves)
                 up[k], dn[k] = reserves[k] + h, reserves[k] - h
                 partials[k] = (Z.evaluate(up, invariant) - Z.evaluate(dn, invariant)) / (2.0 * h)
@@ -290,9 +293,9 @@ def solve_rebalance(
 ) -> tuple[float, ...]:
     """Reserves after arbitrage rebalancing to a shifted price of asset o.
 
-    Solves the stacked system: for every j != o the spot rate jE_o rises by
-    the factor (1+rho), and Z stays zero, by Newton in log-reserves from the
-    current reserves. The line search halves each step until the residual
+    Solves the stacked system by Newton in log-reserves from the current
+    reserves: for every j != o, log(jE_o / ((1+rho) * jE_o at the start)) = 0,
+    and Z = 0. The line search halves each step until the residual norm
     falls, and refuses the shift once no reserve would move by a relative ulp.
     """
     n = len(reserves)
@@ -304,6 +307,9 @@ def solve_rebalance(
     pairs = [(j, o) for j in others]
     d = _partials(Z, reserves, invariant, pairs)
     base = [d[o] / d[j] for j in others]
+    for j, b in zip(others, base):
+        if b == 0.0 or not math.isfinite(b):
+            raise DomainError(f"the base rate dZ/dr_{o} / dZ/dr_{j} = {b} is zero or not finite")
     target = 1.0 + rho
     # the characteristic variation of Z over relative reserve moves: it
     # normalizes the conservation equation, so that "within 1e-9" means the
@@ -314,7 +320,7 @@ def solve_rebalance(
         r = [math.exp(v) for v in u]
         _check_state(Z, r)
         d = _partials(Z, r, invariant, pairs)
-        out = [d[o] / d[j] / (b * target) - 1.0 for j, b in zip(others, base)]
+        out = [math.log(d[o] / d[j] / b / target) for j, b in zip(others, base)]
         out.append(Z.evaluate(r, invariant) / z_scale)
         return out
 
@@ -340,14 +346,13 @@ def solve_rebalance(
     if converged(F):
         return tuple(reserves)
 
-    jac_h = config.partial_rel_step
     for _ in range(config.max_iterations):
         columns = []
         for k in range(n):
             up, dn = list(u), list(u)
-            up[k] += jac_h
-            dn[k] -= jac_h
-            columns.append([(a - b) / (2.0 * jac_h) for a, b in zip(system(up), system(dn))])
+            up[k] += _STEP
+            dn[k] -= _STEP
+            columns.append([(a - b) / (2.0 * _STEP) for a, b in zip(system(up), system(dn))])
         step = _solve_linear(list(zip(*columns)), [-v for v in F])
         if not all(map(math.isfinite, step)):
             raise ConvergenceFailure("rebalance Newton step is not finite")
@@ -356,7 +361,7 @@ def solve_rebalance(
         while True:
             trial_u = [v + alpha * s for v, s in zip(u, step)]
             trial_F = probe(trial_u)
-            if trial_F is not None and norm(trial_F) < (1.0 - 1e-4 * alpha) * F_norm:
+            if trial_F is not None and norm(trial_F) < F_norm:
                 break
             alpha *= 0.5
             # the step would move no reserve by more than about a relative ulp

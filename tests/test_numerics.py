@@ -206,11 +206,11 @@ class TestNumericSpotRate:
             numeric_spot_rate(flat, (100.0, 100.0), (100.0,), 0, 1)
 
     def test_a_zero_output_partial_raises(self):
-        # with a weight of 1e-11 on asset 1, dZ/dr_1 rounds to exactly 0: a
+        # with a weight of 1e-12 on asset 1, dZ/dr_1 rounds to exactly 0: a
         # rate of 0, by which the rebalance's rate residual would divide
-        pool = weighted_pool((100.0, 100.0), (1 - 1e-11, 1e-11))
+        pool = weighted_pool((100.0, 100.0), (1 - 1e-12, 1e-12))
         curve = implicit_conservation(pool)
-        refusal = "^dZ/dr_1 = 0.0 is zero relative to scale 1.0000000001042508$"
+        refusal = "^dZ/dr_1 = 0.0 is zero relative to scale 0.9999999999883514$"
         with pytest.raises(DegenerateGradient, match=refusal):
             numeric_spot_rate(curve, pool.reserves, pool.invariant, 0, 1)
         with pytest.raises(DegenerateGradient, match=refusal):
@@ -239,14 +239,26 @@ class TestNumericSpotRate:
                 assert math.isclose(rate, spot_rate(pool, i, o), rel_tol=1e-8), (i, o)
 
     def test_a_step_that_underflows_raises_domain_error(self):
-        # the difference step is 1e-6 of the reserve: for a subnormal reserve
-        # of 1.5e-319 it rounds to 0
+        # the difference step is about 6e-6 of the reserve: for a subnormal
+        # reserve of 1.5e-319 it rounds to 0
         pool = uniswap_pool(5e-320, 1.5e-319)
         curve = implicit_conservation(pool)
         with pytest.raises(DomainError) as caught:
             numeric_spot_rate(curve, pool.reserves, pool.invariant, 0, 1)
         assert type(caught.value) is DomainError
         assert str(caught.value) == "reserve 1 too small for the finite-difference step 0.0"
+
+    @pytest.mark.parametrize("function", [
+        lambda Z, pool: numeric_spot_rate(Z, pool.reserves, pool.invariant, 0, 1),
+        lambda Z, pool: generic_divergence_loss(Z, pool.reserves, pool.invariant, 1, 0.5),
+    ], ids=["spot_rate", "divergence_loss"])
+    def test_a_probe_past_the_largest_float_raises_domain_error(self, function):
+        # the upper probe r_0 + h of the largest float overflows to inf, a
+        # reserve that the law refuses with a bare ValueError
+        pool = uniswap_pool(1.7976931348623157e308, 1.0)
+        refusal = r"^reserve 0 too large for the finite-difference step 1.0885848897538956e\+303$"
+        with pytest.raises(DomainError, match=refusal):
+            function(implicit_conservation(pool), pool)
 
     @pytest.mark.parametrize("function", [
         lambda Z: numeric_spot_rate(Z, (1.0, 2.0), (2.0,), 0, 1),
@@ -444,11 +456,21 @@ class TestSolveRebalance:
             solve_rebalance(UNISWAP, (100.0, 100.0), (10_000.0,), 1, -1.0)
 
     def test_a_trial_step_off_the_domain_is_shortened(self, monkeypatch):
-        # a constant product whose dZ/dr_0 is exactly 0 past r_0 = 110.5: the
-        # first full Newton step lands at r_0 = 111.07, where the spot rate
-        # is refused; the probe treats that as a step too long, not as the
-        # solve's failure, and the halved step goes on to r_0 = 110
-        curve = ImplicitConservation(evaluate=lambda r, c: min(r[0], 110.5) * r[1] - c[0], n=2)
+        # a stableswap law at A = 0.5 whose dZ/dr_0 is exactly 0 past 1.001
+        # times the rebalanced r_0: a full Newton step lands past it, where
+        # the spot rate is refused; the probe treats that as a step too long,
+        # not as the solve's failure, and the halved step goes on to the
+        # uncapped answer
+        amp, reserves = 0.5, (100.0, 100.0)
+        invariant = (solve_invariant(reserves, amp),)
+        uncapped = ImplicitConservation(
+            evaluate=lambda r, inv: defining_residual(r, inv[0], amp), n=2
+        )
+        want = solve_rebalance(uncapped, reserves, invariant, 1, 0.21)
+        cap = 1.001 * want[0]
+        curve = ImplicitConservation(
+            evaluate=lambda r, inv: defining_residual((min(r[0], cap), r[1]), inv[0], amp), n=2
+        )
         raised = []
         partials = numerics._partials
 
@@ -460,9 +482,9 @@ class TestSolveRebalance:
                 raise
 
         monkeypatch.setattr(numerics, "_partials", recorded)
-        got = solve_rebalance(curve, (100.0, 100.0), (10_000.0,), 1, 0.21)
-        assert math.isclose(got[0], 110.0, rel_tol=1e-8)
-        assert math.isclose(got[1], 100.0 / 1.1, rel_tol=1e-8)
+        got = solve_rebalance(curve, reserves, invariant, 1, 0.21)
+        assert math.isclose(got[0], want[0], rel_tol=1e-8)
+        assert math.isclose(got[1], want[1], rel_tol=1e-8)
         assert len(raised) == 1
 
     def test_the_iteration_budget_bounds_the_solve(self):
@@ -507,9 +529,9 @@ class TestSolveRebalance:
 
     def test_a_newton_step_that_is_not_finite_raises(self):
         # the law is nan at one state alone, the first Jacobian probe
-        # exp(log(1) + 1e-6) of r_0; the nan column makes the step nan, which
+        # exp(log(1) + step) of r_0; the nan column makes the step nan, which
         # no halving could shorten
-        probe = [math.exp(1e-6), 2.0]
+        probe = [math.exp(numerics._STEP), 2.0]
         curve = ImplicitConservation(
             evaluate=lambda r, c: math.nan if list(r) == probe else r[0] * r[1] - c[0], n=2
         )
@@ -622,6 +644,21 @@ class TestGenericDivergenceLoss:
         report = generic_divergence_loss(UNISWAP, (100.0, 100.0), (10_000.0,), 1, 0.21)
         assert report.L == report.V_prime / report.V_held - 1.0
 
+    def test_a_base_rate_that_underflows_raises_domain_error(self):
+        # dZ/dr_1 / dZ/dr_0 = 1.9e-446 underflows to 0, by which the rate
+        # rows would divide
+        pool = uniswap_pool(2.7014294934210574e-151, 1.4480668941189615e+295)
+        refusal = "^the base rate dZ/dr_1 / dZ/dr_0 = 0.0 is zero or not finite$"
+        with pytest.raises(DomainError, match=refusal):
+            generic_divergence_loss(implicit_conservation(pool), pool.reserves, pool.invariant, 1, 0.5)
+
+    def test_a_solve_that_probes_past_the_largest_float_raises_domain_error(self):
+        # a shift of -0.5 moves r_1 up from 1.55e308, until a difference
+        # probe of the rebalance would pass the largest float
+        pool = uniswap_pool(8.679608538495712e+82, 1.5545798001846313e+308)
+        with pytest.raises(DomainError, match="^reserve 1 too large for the finite-difference step "):
+            generic_divergence_loss(implicit_conservation(pool), pool.reserves, pool.invariant, 1, -0.5)
+
     def test_law_evaluations_per_loss(self):
         # seeded weighted and stableswap pools of 2 to 4 assets, up to 6x
         # unbalanced, A from 1e-2 to about 3e4 and shifts in (-0.9, 4): each
@@ -646,7 +683,7 @@ class TestGenericDivergenceLoss:
             curve = ImplicitConservation(evaluate=counting, n=n)
             generic_divergence_loss(curve, pool.reserves, pool.invariant,
                                     rng.randint(1, n - 1), rng.uniform(-0.9, 4.0))
-        assert evaluations / 90 <= 480.0
+        assert evaluations / 90 <= 320.0
 
 
 def _agreement_pools() -> dict:
