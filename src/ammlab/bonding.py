@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import quote
 from .errors import NonPositiveState, SupplyDepletion
+from .numerics import ImplicitConservation
 from .quote import check_positive
 
 
@@ -60,6 +61,15 @@ def bonding_curve(reserve: float, supply: float, reserve_ratio: float) -> Bondin
         anchor_reserve=reserve,
         anchor_supply=supply,
     )
+
+
+def conservation(state: BondingCurveState) -> ImplicitConservation:
+    """The curve as a conservation law on (reserve, supply), for the generic
+    engine: C(s) = C0 * (s / s0)^(1/F) keeps C^F / s constant, so
+    Z(r, k) = (r0/k0)^F / (r1/k1) - 1 with k = (anchor_reserve, anchor_supply).
+    Both coordinates rise together along it, so its spot rates are negative."""
+    f = state.reserve_ratio
+    return ImplicitConservation(evaluate=lambda r, k: (r[0] / k[0]) ** f / (r[1] / k[1]) - 1.0, n=2)
 
 
 def bonding_price(state: BondingCurveState) -> float:

@@ -11,9 +11,10 @@ as the built-in sum compensates its rounding on Python 3.12 and later.
 
 One table, DEFAULT_CONFIG (a SolverConfig record), holds every tolerance
 and budget; the literals left are find_root's Newton step (1e-7 of x, floor
-1e-12) and the 1e-300 floor under z_scale. Each state's partials of Z are
-taken once, by central differences of step _STEP relative to the variable,
-and there is no per-call override, so outputs are reproducible bit-for-bit.
+1e-12) and the 1e-300 floor under z_scale. Each state's partials of Z, and
+the rates formed and refused from them, are taken once, by central
+differences of step _STEP relative to the variable, with no per-call
+override, so outputs are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -159,11 +160,15 @@ def _partials(
     reserves: Sequence[float],
     invariant: Sequence[float],
     pairs: Sequence[tuple[int, int]],
-) -> dict[int, float]:
+) -> tuple[dict[int, float], list[float]]:
     """dZ/dr_k by one central difference, once per state for each k of the
-    rate pairs (i, o). Each pair refuses a non-finite partial, then a zero
-    one: a zero dZ/dr_i leaves no rate, and a zero dZ/dr_o a rate of 0."""
+    rate pairs (i, o), and each pair's rate (dZ/dr_o)/(dZ/dr_i). Each pair
+    refuses a non-finite partial, then a zero one: a zero dZ/dr_i leaves no
+    rate, and a zero dZ/dr_o a rate of 0. Then it refuses a rate that
+    underflows to 0 or overflows; a law whose coordinates rise together
+    has a negative rate, which stays."""
     partials: dict[int, float] = {}
+    rates = []
     for i, o in pairs:
         for k in (o, i):
             if k not in partials:
@@ -182,7 +187,10 @@ def _partials(
         for k, d in ((i, partials[i]), (o, partials[o])):
             if d == 0.0:
                 raise DegenerateGradient(f"dZ/dr_{k} = {d} is zero relative to scale {scale}")
-    return partials
+        rates.append(partials[o] / partials[i])
+        if rates[-1] == 0.0 or not math.isfinite(rates[-1]):
+            raise DomainError(f"the rate dZ/dr_{o} / dZ/dr_{i} = {rates[-1]} is zero or not finite")
+    return partials, rates
 
 
 def numeric_spot_rate(
@@ -199,8 +207,7 @@ def numeric_spot_rate(
     quote.check_index(len(reserves), o)
     if i == o:
         return 1.0
-    d = _partials(Z, reserves, invariant, [(i, o)])
-    return d[o] / d[i]
+    return _partials(Z, reserves, invariant, [(i, o)])[1][0]
 
 
 def implicit_swap(
@@ -295,7 +302,8 @@ def solve_rebalance(
 
     Solves the stacked system by Newton in log-reserves from the current
     reserves: for every j != o, log(jE_o / ((1+rho) * jE_o at the start)) = 0,
-    and Z = 0. The line search halves each step until the residual norm
+    and Z = 0; at the start only Z is evaluated, as each rate row there is
+    log(1/(1+rho)). The line search halves each step until the residual norm
     falls, and refuses the shift once no reserve would move by a relative ulp.
     """
     n = len(reserves)
@@ -303,13 +311,8 @@ def solve_rebalance(
     _check_state(Z, reserves)
     quote.check_price_shift(rho)
     config = DEFAULT_CONFIG
-    others = [j for j in range(n) if j != o]
-    pairs = [(j, o) for j in others]
-    d = _partials(Z, reserves, invariant, pairs)
-    base = [d[o] / d[j] for j in others]
-    for j, b in zip(others, base):
-        if b == 0.0 or not math.isfinite(b):
-            raise DomainError(f"the base rate dZ/dr_{o} / dZ/dr_{j} = {b} is zero or not finite")
+    pairs = [(j, o) for j in range(n) if j != o]
+    d, base = _partials(Z, reserves, invariant, pairs)
     target = 1.0 + rho
     # the characteristic variation of Z over relative reserve moves: it
     # normalizes the conservation equation, so that "within 1e-9" means the
@@ -319,8 +322,8 @@ def solve_rebalance(
     def system(u: list[float]) -> list[float]:
         r = [math.exp(v) for v in u]
         _check_state(Z, r)
-        d = _partials(Z, r, invariant, pairs)
-        out = [math.log(d[o] / d[j] / b / target) for j, b in zip(others, base)]
+        _, rates = _partials(Z, r, invariant, pairs)
+        out = [math.log(rate / b / target) for rate, b in zip(rates, base)]
         out.append(Z.evaluate(r, invariant) / z_scale)
         return out
 
@@ -340,8 +343,8 @@ def solve_rebalance(
         return math.sqrt(reduce(add, [v * v for v in F]))
 
     u = [math.log(r) for r in reserves]
-    F = system(u)
-    if not all(map(math.isfinite, F)):
+    F = [math.log(1.0 / target)] * (n - 1) + [Z.evaluate(reserves, invariant) / z_scale]
+    if not math.isfinite(F[-1]):
         raise ConvergenceFailure("conservation residual is not finite at the start state")
     if converged(F):
         return tuple(reserves)
@@ -399,22 +402,24 @@ def generic_divergence_loss(
     """Divergence loss of providing liquidity versus holding, when asset o
     appreciates by rho against the rest. Asset 0 is the numeraire.
 
-    Five steps: value the pool, value the held portfolio after the shift,
-    rebalance the pool to the shifted rates, revalue, compare.
+    Five steps: value the pool at its start rates p, value the held portfolio
+    at p with p_o times 1+rho, rebalance the pool to those shifted rates,
+    value it at them, compare. A value past the float range is refused.
     """
     n = len(reserves)
     quote.check_index(n, o)
     quote.check_numeraire(o)
     quote.check_price_shift(rho)
     _check_state(Z, reserves)
+    prices = [1.0, *_partials(Z, reserves, invariant, [(0, j) for j in range(1, n)])[1]]
+    shifted = [p * (1.0 + rho) if k == o else p for k, p in enumerate(prices)]
 
-    def value(state: Sequence[float]) -> tuple[float, list[float]]:
-        d = _partials(Z, state, invariant, [(0, j) for j in range(1, n)])
-        rates = [1.0] + [d[j] / d[0] for j in range(1, n)]
-        return reduce(add, [rate * r for rate, r in zip(rates, state)]), rates
+    def value(p: Sequence[float], r: Sequence[float]) -> float:
+        v = reduce(add, [pk * rk for pk, rk in zip(p, r)])
+        if not math.isfinite(v):
+            raise DomainError(f"the value of reserves {tuple(r)} leaves the floating-point range")
+        return v
 
-    V, rates = value(reserves)
-    V_held = V + rates[o] * reserves[o] * rho
-    rebalanced = solve_rebalance(Z, reserves, invariant, o, rho)
-    V_prime, _ = value(rebalanced)
+    V, V_held = value(prices, reserves), value(shifted, reserves)
+    V_prime = value(shifted, solve_rebalance(Z, reserves, invariant, o, rho))
     return ValuationReport(V=V, V_held=V_held, V_prime=V_prime, rho=rho)
