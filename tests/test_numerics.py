@@ -839,9 +839,9 @@ class TestAgreementAtEveryScale:
         state = bonding_curve(BONDING_STATE[0] * scale, BONDING_STATE[1] * scale, ratio)
         curve, r = bonding.conservation(state), (state.reserve, state.supply)
         anchor = (state.anchor_reserve, state.anchor_supply)
-        deposit = 0.1 * state.reserve
-        minted = -implicit_swap(curve, r, anchor, 0, 1, deposit)
-        assert math.isclose(minted, bonding_buy(state, deposit)[1], rel_tol=1e-8)
+        for deposit in (1e-6 * state.reserve, 0.1 * state.reserve):
+            minted = -implicit_swap(curve, r, anchor, 0, 1, deposit)
+            assert math.isclose(minted, bonding_buy(state, deposit)[1], rel_tol=1e-8), deposit
         price = -numeric_spot_rate(curve, r, anchor, 0, 1)
         assert math.isclose(price, bonding_price(state), rel_tol=1e-8)
         for supply in (1.5 * state.supply, 0.5 * state.supply):

@@ -21,14 +21,14 @@ closed form.
   [1e-300, 1e307], every third a stableswap pool at A = 10^U(-2, 3) and the
   rest weighted pools as above, skipping pools that refuse to build, asset o
   in 1..n-1 and a shift U(-0.9, 4) or 10^U(-9, 2), each with probability
-  1/2, against `divergence_loss`. Here an `AmmError` is a refusal, and any
-  other outcome that does not agree is a silent fault.
+  1/2, against `divergence_loss`.
 
-It prints the agreeing count per A and per reserve tuple, then for each
-corpus the total and the mean law evaluations of agreeing and of failing
-points (for edges, the counts that agree, refuse and fault silently), then
-one line per failing point of grid and corpus and per silent fault of
-edges: the corpus, the point and its outcome, the error class or
+In every corpus an `AmmError` is a refusal, a loss that does not agree is a
+silent fault, and any other exception ends the tool with its traceback. It
+prints the agreeing count per A and per reserve tuple, then for each corpus
+the total, the mean law evaluations of agreeing and of failing points and
+the counts that agree, refuse and fault silently, then one line per failing
+point: the corpus, the point and its outcome, the error class's name or
 `disagrees`.
 """
 from __future__ import annotations
@@ -58,7 +58,7 @@ EDGE_DRAWS = 3000
 
 def solve(law, n, reserves, invariant, o, rho, closed):
     """(outcome, law evaluations): outcome is None where the engine agrees
-    with closed, else the class of the exception it raised or 'disagrees'."""
+    with closed, else the error class's name or 'disagrees'."""
     evaluations = 0
 
     def counting(r, inv):
@@ -68,8 +68,8 @@ def solve(law, n, reserves, invariant, o, rho, closed):
 
     try:
         L = generic_divergence_loss(ImplicitConservation(counting, n), reserves, invariant, o, rho).L
-    except Exception as exc:
-        return type(exc), evaluations
+    except AmmError as exc:
+        return type(exc).__name__, evaluations
     agrees = math.isfinite(L) and 1.0 + L != 0.0 and abs((1.0 + closed) / (1.0 + L) - 1.0) <= 1e-8
     return (None if agrees else "disagrees"), evaluations
 
@@ -124,19 +124,16 @@ def edge_points():
 
 
 def measure(name, points):
-    agree, total, failures, refused = Counter(), Counter(), [], 0
+    agree, total, failures, silent = Counter(), Counter(), [], 0
     evaluations = {True: [], False: []}
     for label, group, args in points:
         outcome, count = solve(*args)
         total[group] += 1
         agree[group] += outcome is None
         evaluations[outcome is None].append(count)
-        if isinstance(outcome, type) and issubclass(outcome, AmmError):
-            refused += 1
-            if name == "edges":
-                continue
+        silent += outcome == "disagrees"
         if outcome is not None:
-            failures.append(f"fail {name} {label}: {getattr(outcome, '__name__', outcome)}")
+            failures.append(f"fail {name} {label}: {outcome}")
     if name == "grid":
         for amp in AMPLIFICATIONS:
             print(f"{name} A={amp:g}: {sum(agree[amp, r] for r in GRID_RESERVES)} of "
@@ -147,9 +144,8 @@ def measure(name, points):
     mean = {k: sum(v) / len(v) if v else math.nan for k, v in evaluations.items()}
     print(f"{name} total: {sum(agree.values())} of {sum(total.values())} agree; mean law "
           f"evaluations {mean[True]:.1f} agreeing, {mean[False]:.1f} failing")
-    if name == "edges":
-        print(f"{name} outcomes: {sum(agree.values())} agree, {refused} refused, "
-              f"{len(failures)} silent faults")
+    print(f"{name} outcomes: {sum(agree.values())} agree, {len(failures) - silent} refused, "
+          f"{silent} silent faults")
     return failures
 
 
