@@ -57,6 +57,7 @@ from .core import (
 )
 from .errors import (
     AmmError,
+    AssetIndexError,
     ConservationViolation,
     ConvergenceFailure,
     DegenerateGradient,

@@ -62,7 +62,7 @@ from .core import (
     swap_amount,
     swap_kernel,
 )
-from .errors import AmmError, NotApplicable
+from .errors import AmmError, DomainError, NotApplicable
 from .numerics import generic_divergence_loss
 from .quote import slippage_from_quote
 
@@ -91,7 +91,7 @@ class CurveSeries:
         object.__setattr__(self, "x_values", tuple(self.x_values))
         object.__setattr__(self, "y_values", tuple(self.y_values))
         if len(self.x_values) != len(self.y_values):
-            raise ValueError("x and y vectors must have equal length")
+            raise DomainError("x and y vectors must have equal length")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +114,11 @@ def _check_grid(kind: str, lo, hi, points: int) -> tuple[float, float]:
         float(b) if abs(b) < _INT_OVERFLOW else math.inf if b > 0 else -math.inf for b in (lo, hi)
     )
     if not math.isfinite(hi - lo):
-        raise ValueError(f"{kind} grid needs finite bounds and span, got [{lo}, {hi}]")
+        raise DomainError(f"{kind} grid needs finite bounds and span, got [{lo}, {hi}]")
     if points < 2:
-        raise ValueError("a grid needs at least two points")
+        raise DomainError("a grid needs at least two points")
     if points > MAX_GRID_POINTS:
-        raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
+        raise DomainError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
     return lo, hi
 
 
@@ -135,7 +135,7 @@ def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     close to a midpoint between two doubles; tests/test_reference.py checks
     every point of a seeded corpus against a per-point reference."""
     if not (0.0 < lo < hi):
-        raise ValueError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
+        raise DomainError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
     lo, hi = _check_grid("log", lo, hi, points)
     # imported here, so that importing the package does not load decimal
     from decimal import Context, Decimal
@@ -158,7 +158,7 @@ def linear_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     """Evenly spaced grid on [lo, hi], endpoints included: numpy.linspace's
     values, bit for bit, from the same float operations."""
     if not lo < hi:
-        raise ValueError(f"linear grid needs lo < hi, got [{lo}, {hi}]")
+        raise DomainError(f"linear grid needs lo < hi, got [{lo}, {hi}]")
     lo, hi = _check_grid("linear", lo, hi, points)
     delta = hi - lo
     div = points - 1
@@ -207,7 +207,7 @@ _GRID_DOMAINS = {
 
 
 def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
-    """Raise ValueError at the first grid value outside the sweep's domain
+    """Raise DomainError at the first grid value outside the sweep's domain
     (normalized trade sizes in (0, 0.95] for slippage, finite price shifts
     above -1 for divergence loss, positive reserves for a cross-section),
     then unless the grid strictly increases."""
@@ -220,8 +220,8 @@ def check_grid_domain(kind: SeriesKind, grid: Sequence[float]) -> None:
         return
     for g in grid:
         if not inside(g):
-            raise ValueError(refusal.format(g))
-    raise ValueError("grid values must be strictly increasing")
+            raise DomainError(refusal.format(g))
+    raise DomainError("grid values must be strictly increasing")
 
 
 # how every float of an output file is written: 17 significant digits, enough
@@ -328,14 +328,11 @@ def slippage_curve(
     (values restricted to (0, 0.95]). Equal, bit for bit, to
     core.slippage(state, input_asset, output_asset, g * r_in) at every grid
     value g; a point where that raises an AmmError, a slippage outside (-1,
-    inf) included, is a NaN entry. A spot rate that under- or overflowed to 0
-    or inf raises quote.rate_refusal."""
+    inf) included, is a NaN entry. spot_rate's refusals raise."""
     grid = default_trade_grid() if grid is None else tuple(map(float, grid))
     check_grid_domain(SeriesKind.SLIPPAGE, grid)
     swap = swap_kernel(state, input_asset, output_asset)
     rate = spot_rate(state, input_asset, output_asset)
-    if not 0.0 < rate < math.inf:
-        raise quote.rate_refusal(rate)
     r_in = state.reserves[input_asset]
     try:
         # slippage_from_quote but for its zero cases, its refusals and failing points

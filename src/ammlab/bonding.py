@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import quote
-from .errors import NonPositiveState, SupplyDepletion
+from .errors import DomainError, NonPositiveState, SupplyDepletion
 from .numerics import ImplicitConservation
 from .quote import check_positive
 
@@ -39,7 +39,7 @@ class BondingCurveState:
             check_positive(name, getattr(self, name))
         f = self.reserve_ratio
         if not (math.isfinite(f) and 0.0 < f <= 1.0):
-            raise ValueError(f"reserve ratio must lie in (0, 1], got {f}")
+            raise DomainError(f"reserve ratio must lie in (0, 1], got {f}")
 
 
 def _moved(state: BondingCurveState, reserve: float, supply: float) -> BondingCurveState:
@@ -73,8 +73,13 @@ def conservation(state: BondingCurveState) -> ImplicitConservation:
 
 
 def bonding_price(state: BondingCurveState) -> float:
-    """Spot price P = C / (F * s) in reserve units per token."""
-    return state.reserve / (state.reserve_ratio * state.supply)
+    """Spot price P = C / (F * s) in reserve units per token; a price that
+    under- or overflows raises quote.rate_refusal."""
+    den = state.reserve_ratio * state.supply  # 0 only where the price is past the largest float
+    price = state.reserve / den if den else math.inf
+    if 0.0 < price < math.inf:
+        return price
+    raise quote.rate_refusal(price)
 
 
 def bonding_reserve_at(state: BondingCurveState, supply: float) -> float:

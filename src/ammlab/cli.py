@@ -92,7 +92,7 @@ from .core import (
     uniswap_pool,
     weighted_pool,
 )
-from .errors import AmmError, ConvergenceFailure, NoSolution, NotApplicable
+from .errors import AmmError, ConvergenceFailure, DomainError, NoSolution, NotApplicable
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -142,39 +142,35 @@ def _is_index(v) -> bool:
 # validation: the CLI checks the document's shape (keys, types, list lengths,
 # references, grid specs); every value is judged by the library code using it
 
-# what the library raises for a value outside a formula's domain (overflow
-# included: huge reserves leave the floating-point range inside a formula)
-_DOMAIN_ERRORS = (AmmError, ArithmeticError, IndexError, ValueError)
-
 
 def _resolve_grid(spec):
     """Turn a grid spec (array or start/stop/points object) into a tuple;
-    None when the spec is absent. A bad spec raises ValueError, and the
-    library's grid builders their own errors."""
+    None when the spec is absent. A bad spec raises DomainError, as the
+    library's grid builders do."""
     if spec is None:
         return None
     if isinstance(spec, list):
         if len(spec) == 0:
-            raise ValueError("grid array is empty")
+            raise DomainError("grid array is empty")
         if not all(_is_number(v) for v in spec):
-            raise ValueError("grid values must be finite numbers")
+            raise DomainError("grid values must be finite numbers")
         values = tuple(float(v) for v in spec)
     elif isinstance(spec, dict):
         unknown = set(spec) - {"start", "stop", "points", "spacing"}
         if unknown:
-            raise ValueError(f"unknown grid keys {sorted(unknown)}")
+            raise DomainError(f"unknown grid keys {sorted(unknown)}")
         if not (_is_number(spec.get("start")) and _is_number(spec.get("stop"))):
-            raise ValueError("grid start/stop must be finite numbers")
+            raise DomainError("grid start/stop must be finite numbers")
         points = spec.get("points")
         if not _is_index(points):
-            raise ValueError("grid points must be an integer")
+            raise DomainError("grid points must be an integer")
         spacing = spec.get("spacing", "log")
         if spacing not in ("log", "linear"):
-            raise ValueError("grid spacing must be 'log' or 'linear'")
+            raise DomainError("grid spacing must be 'log' or 'linear'")
         build = log_grid if spacing == "log" else linear_grid
         values = build(float(spec["start"]), float(spec["stop"]), points)
     else:
-        raise ValueError("grid must be an array or a start/stop/points object")
+        raise DomainError("grid must be an array or a start/stop/points object")
     return values
 
 
@@ -219,7 +215,7 @@ def _check_pool(defn, where: str, problems: list[str]):
             float(defn[key]) if key in _SCALARS else [float(v) for v in defn[key]]
             for key in keys if key in defn
         ))
-    except _DOMAIN_ERRORS as exc:
+    except AmmError as exc:
         problems.append(f"{where}: {exc}")
         return pid, protocol, None
 
@@ -298,10 +294,10 @@ def _check_action(k: int, act, pools: dict, problems: list[str], entries: list) 
         if kind is not None:
             grid = _resolve_grid(act.get("grid"))
         elif not _is_number(value):
-            raise ValueError(f"{arg} must be a finite number")
+            raise DomainError(f"{arg} must be a finite number")
         elif name == "add_liquidity":
             quote.check_fraction(value)
-    except _DOMAIN_ERRORS as exc:
+    except AmmError as exc:
         problems.append(f"{where}: {exc}")
     if len(problems) > before:
         return
@@ -312,7 +308,7 @@ def _check_action(k: int, act, pools: dict, problems: list[str], entries: list) 
         # still judged
         try:
             check_grid_domain(kind, grid)
-        except ValueError as exc:
+        except AmmError as exc:
             problems.append(f"{where}: {exc}")
     i = act.get("input_asset", 0)
     o = act.get("asset" if name == "divergence_curve" else "output_asset", 1)
@@ -341,7 +337,7 @@ def _check_action(k: int, act, pools: dict, problems: list[str], entries: list) 
             continue
         except (NoSolution, ConvergenceFailure) as exc:
             state, outcome = None, exc
-        except _DOMAIN_ERRORS as exc:
+        except AmmError as exc:
             problems.append(f"{where}: pool {pid!r}: {exc}")
             continue
         pools[pid] = (protocol, state)

@@ -27,12 +27,13 @@ import enum
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
+from itertools import permutations
 
 from . import pmm as _pmm
 from . import quote
 from . import stableswap as _ss
 from . import weighted as _w
-from .errors import ConservationViolation, ReserveDepletion
+from .errors import ConservationViolation, DomainError, ReserveDepletion
 from .numerics import ImplicitConservation
 from .quote import slippage_from_quote
 
@@ -62,22 +63,22 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.family is ProtocolFamily.WEIGHTED:
             if self.weights is None:
-                raise ValueError("weighted pools need weights")
+                raise DomainError("weighted pools need weights")
             if self.amplification is not None:
-                raise ValueError("weighted pools take no amplification")
+                raise DomainError("weighted pools take no amplification")
             object.__setattr__(self, "weights", quote.check_weights(self.weights))
         elif self.family is ProtocolFamily.STABLESWAP:
             if self.weights is not None:
-                raise ValueError("stableswap pools take no weights")
+                raise DomainError("stableswap pools take no weights")
             quote.check_stableswap_amplification(self.amplification)
             object.__setattr__(self, "amplification", float(self.amplification))
         elif self.family is ProtocolFamily.PMM:
             if self.weights is not None:
-                raise ValueError("pmm pools take no weights")
+                raise DomainError("pmm pools take no weights")
             quote.check_pmm_amplification(self.amplification)
             object.__setattr__(self, "amplification", float(self.amplification))
         else:  # a family that is not a ProtocolFamily, such as a plain str
-            raise ValueError(f"unknown protocol family {self.family!r}")
+            raise DomainError(f"unknown protocol family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,18 @@ class PoolState:
         family = self.spec.family
         if family is ProtocolFamily.PMM:
             if len(reserves) != 2:
-                raise ValueError("pmm pools hold exactly two assets")
+                raise DomainError("pmm pools hold exactly two assets")
             if len(invariant) != 2:
-                raise ValueError("pmm pools carry two conservation targets")
+                raise DomainError("pmm pools carry two conservation targets")
             if self.oracle_price is None:
-                raise ValueError("pmm pools need an oracle price")
+                raise DomainError("pmm pools need an oracle price")
         else:
             if self.oracle_price is not None:
-                raise ValueError("only pmm pools carry an oracle price")
+                raise DomainError("only pmm pools carry an oracle price")
             if len(invariant) != 1:
-                raise ValueError("weighted/stableswap pools carry one conservation value")
+                raise DomainError("weighted/stableswap pools carry one conservation value")
             if invariant[0] <= 0.0:
-                raise ValueError(f"conservation value must be positive, got {invariant[0]}")
+                raise DomainError(f"conservation value must be positive, got {invariant[0]}")
             if family is ProtocolFamily.WEIGHTED:
                 quote.check_weight_count(len(reserves), self.spec.weights)
         curve = _CURVES[family](self)
@@ -213,7 +214,7 @@ class _PMMCurve:
         rate = _pmm._spot_rate(reserves[0], reserves[1], self.params)
         if (i, o) == (0, 1):
             return rate
-        if rate and 1.0 / rate < math.inf:
+        if 1.0 / rate < math.inf:
             return 1.0 / rate
         raise quote.reciprocal_refusal(rate)
 
@@ -311,8 +312,8 @@ def pmm_pool(
 
 def spot_rate(state: PoolState, i: int, o: int) -> float:
     """Marginal exchange rate in asset-i units per unit of asset o; exactly 1
-    when i == o, and exact reciprocals across the two orientations, or
-    quote.reciprocal_refusal where a PMM rate's reciprocal is not a float."""
+    when i == o, and exact reciprocals across the two orientations; a rate
+    outside (0, inf) raises quote.rate_refusal, or quote.reciprocal_refusal."""
     n = len(state.reserves)
     if not 0 <= i < n > o >= 0:
         quote.check_index(n, i)
@@ -344,7 +345,7 @@ def swap_kernel(state: PoolState, i: int, o: int):
 def slippage(state: PoolState, i: int, o: int, x_in: float) -> float:
     """S = (x_in/x_out)/E - 1 (quote.slippage_from_quote): excess of the
     effective rate over the pre-trade spot rate; swap_amount's refusals
-    apply, and quote.rate_refusal for a spot rate outside the float range."""
+    apply, then spot_rate's, at a zero trade too."""
     quote.check_assets(len(state.reserves), i, o)
     x_out = state._curve.output(state.reserves, i, o, x_in)
     return slippage_from_quote(x_in, x_out, state._curve.spot_rate(state.reserves, i, o))
@@ -429,8 +430,8 @@ def apply_swap(
 
     Returns the post state, the trade quantities, and a receipt recording the
     measured relative invariant deviation. A trade is refused as by
-    swap_amount, a nonzero one on a spot rate outside the float range as by
-    slippage; a post state off the curve raises ConservationViolation.
+    spot_rate, then as by slippage; a post state off the curve raises
+    ConservationViolation.
     """
     quote.check_assets(len(state.reserves), input_asset, output_asset)
     curve = state._curve
@@ -481,8 +482,7 @@ def add_liquidity_proportional(
     rates). Every field changes, so the new state takes the full PoolState
     check, after a growth that leaves (0, inf) is refused
     (quote.growth_refusal). The receipt records the worst relative spot-rate
-    change over all ordered asset pairs; a NaN change fails it, and a rate
-    of 0 raises quote.reciprocal_refusal.
+    change over all ordered asset pairs.
     """
     quote.check_fraction(fraction)
     grow = 1.0 + fraction
@@ -503,18 +503,10 @@ def add_liquidity_proportional(
     )
     curve, post_curve = state._curve, post._curve
     worst = 0.0
-    for i in range(state.n_assets):
-        for o in range(state.n_assets):
-            if i == o:
-                continue
-            before = curve.spot_rate(state.reserves, i, o)
-            if not before:
-                raise quote.reciprocal_refusal(before)
-            after = post_curve.spot_rate(post.reserves, i, o)
-            change = abs(after / before - 1.0)
-            # max() would keep 0.0 over a NaN change
-            if change > worst or math.isnan(change):
-                worst = change
+    for i, o in permutations(range(state.n_assets), 2):
+        before = curve.spot_rate(state.reserves, i, o)
+        # each rate lies in (0, inf), so no change is NaN
+        worst = max(worst, abs(post_curve.spot_rate(post.reserves, i, o) / before - 1.0))
     receipt = TransitionReceipt(
         kind=TransitionKind.PURE_LIQUIDITY_CHANGE,
         pre_state=state,

@@ -39,8 +39,12 @@ class ConservationViolation(AmmError, ValueError):
     them; a ValueError too, as the value of a state is at fault."""
 
 
-class DomainError(AmmError):
-    """An argument lies outside the mathematical domain of a formula."""
+class DomainError(AmmError, ValueError):
+    """An argument lies outside the domain of a formula or rule; a ValueError too."""
+
+
+class AssetIndexError(AmmError, IndexError):
+    """An index names no asset of the pool; an IndexError too."""
 
 
 class SingularAmplification(AmmError):

@@ -93,7 +93,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     Newton steps (finite-difference derivative) are accepted only while they
     stay strictly inside the current bracket; anything else falls back to
     bisection. A difference probe that leaves f's domain (f raises
-    ValueError, OverflowError or DomainError) ends the Newton steps: the rest
+    ValueError, a DomainError among them, or OverflowError) ends the Newton steps: the rest
     of the solve bisects. The bracket shrinks monotonically, so the method
     cannot diverge; it stops at DEFAULT_CONFIG's root_rel_tol or fails after
     its max_iterations steps."""
@@ -127,7 +127,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
                 h = 1e-12
             try:
                 d = (f(x + h) - f(x - h)) / (2.0 * h)
-            except (ValueError, OverflowError, DomainError):
+            except (ValueError, OverflowError):
                 # the step's absolute floor reaches past the edge of f's
                 # domain: this close to it a difference quotient misleads
                 # even where both probes succeed, and a tiny Newton step
@@ -152,7 +152,7 @@ def _check_state(Z: ImplicitConservation, reserves: Sequence[float]) -> None:
     # every entry point judges the caller's reserves here, before Z sees them
     quote.check_reserves(reserves)
     if len(reserves) != Z.n:
-        raise ValueError(f"expected {Z.n} reserves, got {len(reserves)}")
+        raise DomainError(f"expected {Z.n} reserves, got {len(reserves)}")
 
 
 def _partials(
@@ -332,7 +332,7 @@ def solve_rebalance(
         # means the step was too long, not that the solve failed
         try:
             out = system(u)
-        except (ValueError, OverflowError, DomainError, DegenerateGradient):
+        except (ValueError, OverflowError, DegenerateGradient):
             return None
         return out if all(map(math.isfinite, out)) else None
 

@@ -40,7 +40,7 @@ class PMMParams:
         t1, t2 = self.target1, self.target2
         if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
             what = "positive" if t1 <= 0.0 or t2 <= 0.0 else "finite"
-            raise ValueError(f"equilibrium targets must be {what}, got ({t1}, {t2})")
+            raise DomainError(f"equilibrium targets must be {what}, got ({t1}, {t2})")
 
     def mirrored(self) -> "PMMParams":
         """The same pool with the two assets relabeled (price inverted);
@@ -60,18 +60,19 @@ def _spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     try:
         if r1 >= params.target1:
             rate = params.oracle_price * (1.0 + a * ((params.target2 / r2) ** 2 - 1.0))
-            if rate < math.inf:
-                return rate
         else:  # at most the oracle price: the denominator is at least 1
-            return params.oracle_price / (1.0 + a * ((params.target1 / r1) ** 2 - 1.0))
+            rate = params.oracle_price / (1.0 + a * ((params.target1 / r1) ** 2 - 1.0))
     except OverflowError:
-        pass
-    raise quote.curve_refusal(r1)
+        rate = math.inf
+    if 0.0 < rate < math.inf:
+        return rate
+    raise quote.rate_refusal(rate) if rate == 0.0 else quote.curve_refusal(r1)
 
 
 def pmm_spot_rate(r1: float, r2: float, params: PMMParams) -> float:
     """Spot rate (asset-1 units per asset 2), the oracle price scaled by the
-    pool-composition adjustment; equals P exactly at equilibrium."""
+    pool-composition adjustment; P exactly at equilibrium. Refused below the
+    float range by quote.rate_refusal, above it by quote.curve_refusal."""
     quote.check_reserves((r1, r2))
     return _spot_rate(r1, r2, params)
 
@@ -104,11 +105,10 @@ def conservation_residual(r1: float, r2: float, params: PMMParams) -> float:
     return _residual(r1, r2, params)
 
 
-def _post_reserve_error(r1_new: float) -> ValueError:
-    # a post-trade reserve 1 outside (0, inf): the curve pairs no reserve 2
-    # with it
+def _post_reserve_error(r1_new: float) -> DomainError:
+    # a post-trade reserve 1 outside (0, inf), which the curve pairs with no reserve 2
     what = "positive" if r1_new <= 0.0 else "finite"
-    return ValueError(f"reserve must stay {what}, got {r1_new}")
+    return DomainError(f"reserve must stay {what}, got {r1_new}")
 
 
 _SINGULAR = "quadratic branch undefined at A = 1; evaluate the constant-product limit"

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import AmmError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from .errors import (
+    AmmError, AssetIndexError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+)
 
 _WEIGHT_SUM_TOL = 1e-12
 # how a trade that takes a reserve past the largest float is refused
@@ -16,7 +18,7 @@ _PAST_RANGE = "past the floating-point range"
 
 def check_asset_count(n: int) -> None:
     if n < 2:
-        raise ValueError("a pool needs at least two assets")
+        raise DomainError("a pool needs at least two assets")
 
 
 def check_reserves(reserves, values=None) -> None:
@@ -25,17 +27,17 @@ def check_reserves(reserves, values=None) -> None:
     if values is None or not 0.0 < values[0] < math.inf > values[1] > 0.0:
         for r in reserves if values is None else values:
             if not (math.isfinite(r) and r > 0.0):
-                raise ValueError(f"reserves must be finite and positive, got {tuple(reserves)}")
+                raise DomainError(f"reserves must be finite and positive, got {tuple(reserves)}")
 
 
 def check_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 def check_index(n: int, k: int) -> None:
     if not 0 <= k < n:
-        raise IndexError(f"asset index {k} out of range for {n} assets")
+        raise AssetIndexError(f"asset index {k} out of range for {n} assets")
 
 
 def check_assets(n: int, i: int, o: int) -> None:
@@ -53,15 +55,15 @@ def check_weights(weights) -> tuple[float, ...]:
     weights = tuple(float(w) for w in weights)
     check_asset_count(len(weights))
     if any(not 0.0 < w < 1.0 for w in weights):
-        raise ValueError(f"every weight must lie in (0, 1), got {weights}")
+        raise DomainError(f"every weight must lie in (0, 1), got {weights}")
     if abs(math.fsum(weights) - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {weights}")
+        raise DomainError(f"weights must sum to 1, got {weights}")
     return weights
 
 
 def check_weight_count(n: int, weights) -> None:
     if len(weights) != n:
-        raise ValueError("one weight per asset required")
+        raise DomainError("one weight per asset required")
 
 
 def check_price_shift(rho: float) -> None:
@@ -74,7 +76,7 @@ def check_price_shift(rho: float) -> None:
 
 def check_numeraire(o: int) -> None:
     if o == 0:
-        raise ValueError("asset 0 is the numeraire; pick a different appreciating asset")
+        raise DomainError("asset 0 is the numeraire; pick a different appreciating asset")
 
 
 def trade_refusal(r_in: float, x_in: float) -> AmmError:
@@ -115,7 +117,7 @@ def growth_refusal(fraction: float, value: float) -> AmmError:
 
 def check_stableswap_amplification(a) -> None:
     if a is None or not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"stableswap amplification must be finite and positive, got {a}")
+        raise DomainError(f"stableswap amplification must be finite and positive, got {a}")
 
 
 def check_invariant(D) -> None:
@@ -126,11 +128,11 @@ def check_invariant(D) -> None:
 
 def check_pmm_amplification(a) -> None:
     if a is None or not (math.isfinite(a) and 0.0 < a <= 1.0):
-        raise ValueError(f"pmm amplification must lie in (0, 1], got {a}")
+        raise DomainError(f"pmm amplification must lie in (0, 1], got {a}")
 
 
 def rate_refusal(rate: float) -> DomainError:
-    """What a slippage or a slippage sweep raises on a spot rate of 0 or inf."""
+    """What a curve raises where it forms a spot rate of 0 or inf."""
     return DomainError(f"spot rate {rate!r} is outside the float range; slippage undefined")
 
 
@@ -147,16 +149,14 @@ def curve_refusal(reserve: float) -> DomainError:
 
 def slippage_from_quote(x_in: float, x_out: float, rate: float) -> float:
     """S = (x_in/x_out)/E - 1: relative excess of the realized rate over the
-    pre-trade spot rate E, for an input x_in that returned x_out. A zero
+    pre-trade spot rate E in (0, inf), as every curve's spot rate is (one
+    outside that range is refused where it is formed: rate_refusal). A zero
     trade has zero slippage by convention; a nonzero one raises InfeasibleTrade
-    on a zero output, then rate_refusal on a spot rate of 0 or inf, then
-    DomainError where S rounds to -1 or below, or to inf."""
+    on a zero output, then DomainError where S rounds to -1 or below, or to inf."""
     if x_in == 0.0:
         return 0.0
     if x_out == 0.0:
         raise InfeasibleTrade(f"input {x_in} produced zero output; slippage undefined")
-    if not 0.0 < rate < math.inf:
-        raise rate_refusal(rate)
     s = (x_in / x_out) / rate - 1.0
     if -1.0 < s < math.inf:
         return s

@@ -35,11 +35,16 @@ def weighted_conservation(reserves, weights) -> float:
 
 
 def _spot_rate(reserves, weights, i: int, o: int) -> float:
-    return (reserves[i] * weights[o]) / (reserves[o] * weights[i])
+    den = reserves[o] * weights[i]  # 0 only where the rate is past the largest float
+    rate = reserves[i] * weights[o] / den if den else math.inf
+    if 0.0 < rate < math.inf:
+        return rate
+    raise quote.rate_refusal(rate)
 
 
 def weighted_spot_rate(reserves, weights, i: int, o: int) -> float:
-    """Spot rate (token i per token o): (r_i * w_o) / (r_o * w_i)."""
+    """Spot rate (token i per token o): (r_i * w_o) / (r_o * w_i); a rate
+    that under- or overflows raises quote.rate_refusal."""
     _check_shape(reserves, weights)
     if i == o:
         return 1.0

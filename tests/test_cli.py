@@ -245,6 +245,34 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "'ghost'" in capsys.readouterr().out
 
+    def test_a_spot_rate_past_the_float_range_is_a_problem_in_its_words(self, tmp_path, capsys):
+        # r_1*w_0 = 5e-324*0.4 underflows to 0: the rate 0 -> 1 is past the
+        # largest float, which each action names where it forms the rate
+        pool = dict(BAL, reserves=[1.0, 5e-324], weights=[0.4, 0.6])
+        actions = [
+            {"action": "swap", "pool": "bal", "amount": 0.5},
+            {"action": "slippage_curve", "pool": "bal"},
+            {"action": "add_liquidity", "pool": "bal", "fraction": 0.1},
+        ]
+        path = write_scenario(tmp_path, {"pools": [pool], "actions": actions})
+        assert main(["validate", str(path)]) == 2
+        refusal = "spot rate inf is outside the float range; slippage undefined"
+        assert capsys.readouterr().out.splitlines() == [
+            f"actions[{k}]: pool 'bal': {refusal}" for k in range(3)
+        ]
+
+    def test_a_library_fault_is_not_a_validation_problem(self, tmp_path, monkeypatch):
+        # only an AmmError is a refusal; any other exception is a fault, and
+        # propagates rather than exit 2
+        def faulty(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(ammlab.weighted, "_swap_output", faulty)
+        actions = [{"action": "swap", "pool": "uni", "amount": 10}]
+        path = write_scenario(tmp_path, {"pools": [UNI], "actions": actions})
+        with pytest.raises(ZeroDivisionError):
+            main(["validate", str(path)])
+
     def test_unparseable_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -195,7 +195,7 @@ class TestPoolState:
             spec = ProtocolSpec(family, amplification=0.5)
         with pytest.raises(ValueError) as info:
             PoolState(spec=spec, **fields)
-        assert type(info.value) is ValueError
+        assert type(info.value) is DomainError
         assert str(info.value) == message
 
     def test_off_curve_reserves_raise_conservation_violation(self):
@@ -214,7 +214,7 @@ class TestPoolState:
         # a NaN target is refused before the gate, by the PMM parameters
         with pytest.raises(ValueError) as info:
             pmm_pool(math.nan, 100.0, 1.0, 0.5, reserves=(100.0, 100.0))
-        assert type(info.value) is ValueError
+        assert type(info.value) is DomainError
         assert str(info.value) == "equilibrium targets must be finite, got (nan, 100.0)"
 
 
@@ -1037,7 +1037,7 @@ class TestSingleQuotes:
                 assert outcomes[family, kind, "ok"] >= 50
             assert outcomes[family, "exhausting", "ReserveDepletion"] >= 50
             assert outcomes[family, "non-finite", "DomainError"] >= 50
-            assert outcomes[family, "bad pair", "IndexError"] >= 30
+            assert outcomes[family, "bad pair", "AssetIndexError"] >= 30
             assert outcomes[family, "bad pair", "IdenticalAssets"] >= 10
             refused = sum(
                 count for (f, k, name), count in outcomes.items()
@@ -1087,7 +1087,7 @@ class TestSingleQuotes:
 
                 want = _settled(each_value)
                 if want is not None:
-                    want = (ValueError, f"reserves must be finite and positive, got {reserves}")
+                    want = (DomainError, f"reserves must be finite and positive, got {reserves}")
                 assert _settled(quote.check_reserves, reserves, (a, b)) == want
 
 
@@ -1096,7 +1096,7 @@ class TestPublicNames:
         # __all__ is derived from the package's imports
         import ammlab
 
-        assert len(ammlab.__all__) == len(set(ammlab.__all__)) == 64
+        assert len(ammlab.__all__) == len(set(ammlab.__all__)) == 65
         for name in ammlab.__all__:
             assert not isinstance(getattr(ammlab, name), types.ModuleType), name
         namespace = {}

@@ -6,9 +6,15 @@ words, and every slippage reads a zero trade and a zero output alike."""
 
 from __future__ import annotations
 
+import ast
+import builtins
 import math
+import random
 import re
+from collections import Counter
 from dataclasses import replace
+from functools import partial
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -25,8 +31,9 @@ from ammlab.core import (
     stableswap_pool,
     swap_amount,
     uniswap_pool,
+    weighted_pool,
 )
-from ammlab.errors import DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from ammlab.errors import AmmError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
@@ -116,10 +123,11 @@ def test_identical_assets_read_alike_at_any_trade(name, x_in):
 
 @pytest.mark.parametrize("call", [slippage, apply_swap])
 def test_zero_output_is_refused_in_one_wording(call):
-    # the input 1e-30 rounds away against a reserve of 1e300
+    # the input 1e-30 rounds away against a reserve of 1e150; the spot rate
+    # is 1e300 (on (1e300, 1e-300) it is 1e600, refused before the trade)
     message = "^input 1e-30 produced zero output; slippage undefined$"
     with pytest.raises(InfeasibleTrade, match=message):
-        call(uniswap_pool(1e300, 1e-300), 0, 1, 1e-30)
+        call(uniswap_pool(1e150, 1e-150), 0, 1, 1e-30)
 
 
 @pytest.mark.parametrize(
@@ -129,20 +137,25 @@ def test_zero_output_is_refused_in_one_wording(call):
         lambda r, x: apply_swap(uniswap_pool(*r), 0, 1, x),
         lambda r, x: weighted.weighted_slippage(r, W, 0, 1, x),
         lambda r, x: analysis.slippage_curve(uniswap_pool(*r), 0, 1, ()),
+        lambda r, x: spot_rate(uniswap_pool(*r), 0, 1),
+        lambda r, x: weighted.weighted_spot_rate(r, W, 0, 1),
+        lambda r, x: add_liquidity_proportional(uniswap_pool(*r), 0.1),
     ],
-    ids=["slippage", "apply_swap", "weighted_slippage", "slippage_curve"],
+    ids=[
+        "slippage", "apply_swap", "weighted_slippage", "slippage_curve", "spot_rate",
+        "weighted_spot_rate", "add_liquidity_proportional",
+    ],
 )
 @pytest.mark.parametrize(
     "reserves, x_in, rate", [((1e-200, 1e200), 1e-201, "0.0"), ((1e200, 1e-200), 1e199, "inf")]
 )
 def test_a_spot_rate_past_the_float_range_is_refused_in_one_wording(call, reserves, x_in, rate):
-    # the rates 1e-400 and 1e400 under- and overflow; each trade has a
-    # nonzero output, and its slippage would divide by the rate
+    # the rates 1e-400 and 1e400 under- and overflow, and each is refused
+    # where the curve forms it: at a nonzero trade and at a zero one alike
     message = f"^spot rate {rate} is outside the float range; slippage undefined$"
-    with pytest.raises(DomainError, match=message):
-        call(reserves, x_in)
-    # a zero trade divides by nothing: zero slippage, as on any pool
-    assert slippage(uniswap_pool(*reserves), 0, 1, 0.0) == 0.0
+    for x in (x_in, 0.0):
+        with pytest.raises(DomainError, match=message):
+            call(reserves, x)
 
 
 @pytest.mark.parametrize(
@@ -207,7 +220,11 @@ def test_a_rate_without_a_reciprocal_in_the_float_range_is_refused(name, pool):
     make_pool, spot = RECIPROCAL_POOLS[pool]
     call, inverts = RECIPROCAL_CALLS[name]
     rate = spot if inverts == "spot" else "7.6494e-319"
-    with pytest.raises(DomainError, match=f"^rate {rate} has no reciprocal in the float range$"):
+    message = f"^rate {rate} has no reciprocal in the float range$"
+    if rate == "0.0":
+        # the rate 0 -> 1 that underflows is refused where it is formed
+        message = "^spot rate 0.0 is outside the float range; slippage undefined$"
+    with pytest.raises(DomainError, match=message):
         call(make_pool())
 
 
@@ -260,11 +277,18 @@ def test_a_pmm_curve_value_past_the_float_range_is_refused(name):
         call()
 
 
-def test_a_pmm_spot_rate_of_0_stays_a_value():
-    # the rate 0 -> 1 off equilibrium underflows to 0.0, as a weighted
-    # pool's can; only its reciprocal and a slippage on it are refused
-    assert spot_rate(RECIPROCAL_POOLS["rate-0.0"][0](), 0, 1) == 0.0
-    assert spot_rate(uniswap_pool(1e-200, 1e200), 0, 1) == 0.0
+def test_a_spot_rate_of_0_is_refused_on_every_family():
+    # the PMM rate 0 -> 1 off equilibrium underflows to 0.0, as a weighted
+    # pool's and a bonding curve's price can
+    message = "^spot rate 0.0 is outside the float range; slippage undefined$"
+    for call in (
+        lambda: spot_rate(RECIPROCAL_POOLS["rate-0.0"][0](), 0, 1),
+        lambda: pmm.pmm_spot_rate(1.16e-36, 1.34e92, _TINY_PRICE),
+        lambda: spot_rate(uniswap_pool(1e-200, 1e200), 0, 1),
+        lambda: bonding.bonding_price(bonding.bonding_curve(1e-200, 1e200, 0.5)),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def _output_overflow(x_in, r_out):
@@ -488,7 +512,7 @@ def test_the_generic_engine_words_its_rules_as_quote():
          "fraction -0.9999999999999999 scales 1e-310 to 0.0, outside (0, inf)"),
         # the reserves stay in range; their spot rate 1e-400 underflows to 0.0
         (lambda: uniswap_pool(1e-200, 1e200), 0.1, DomainError,
-         "rate 0.0 has no reciprocal in the float range"),
+         "spot rate 0.0 is outside the float range; slippage undefined"),
         # the spot rate's square overflows
         (_square_pool, 0.1, DomainError,
          "the PMM curve at reserve 1e+160 leaves the floating-point range"),
@@ -770,3 +794,77 @@ def test_each_rule_is_stated_once(message):
         if message in line
     ]
     assert where == [RULES[message]]
+
+
+BUILT_IN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def test_no_module_raises_a_built_in_exception():
+    # every refusal is an AmmError; DomainError and AssetIndexError also
+    # subclass ValueError and IndexError, so code that catches those works
+    src = Path(__file__).resolve().parent.parent / "src" / "ammlab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # an instance built, to raise here or elsewhere, or a class raised
+            made = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+            if isinstance(made, ast.Name) and made.id in BUILT_IN_EXCEPTIONS:
+                found.append(f"{path.name}:{node.lineno} {made.id}")
+    assert found == []
+
+
+def _extreme_rates(rng, kind):
+    """The spot-rate calls of a pool of kind whose reserves, targets and
+    prices lie at 10^U(-320, 308), a stableswap pool's within 1e±10 of one
+    another (few others build): each ordered pair's, or a curve's price."""
+
+    def scale():
+        return 10.0 ** rng.uniform(-320.0, 308.0)
+
+    if kind == "bonding":
+        curve = bonding.bonding_curve(scale(), scale(), rng.uniform(0.01, 1.0))
+        return [lambda: bonding.bonding_price(curve)]
+    n = 2 if kind == "pmm" else rng.randint(2, 4)
+    if kind == "weighted":
+        w = [rng.uniform(1.0, 3.0) for _ in range(n)]
+        pool = weighted_pool([scale() for _ in range(n)], [x / sum(w) for x in w])
+    elif kind == "stableswap":
+        at = scale()
+        reserves = [at * 10.0 ** rng.uniform(-10.0, 10.0) for _ in range(n)]
+        pool = stableswap_pool(reserves, 10.0 ** rng.uniform(-3.0, 6.0))
+    else:
+        params = PMMParams(scale(), rng.uniform(0.01, 1.0), scale(), scale())
+        r1 = params.target1 * 10.0 ** rng.uniform(-3.0, 3.0)
+        r2 = pmm.reserve2_given_reserve1(r1, params)
+        pool = pmm_pool(params.target1, params.target2, params.oracle_price,
+                        params.amplification, reserves=(r1, r2))
+    return [partial(spot_rate, pool, i, o) for i, o in permutations(range(n), 2)]
+
+
+def test_every_spot_rate_lies_in_the_float_range_or_is_refused():
+    # each curve refuses a rate outside (0, inf) where it forms it, so no
+    # caller of a spot rate (a slippage, its sweep, a liquidity change's
+    # receipt) meets a rate of 0 or inf
+    rng = random.Random(46)
+    seen = Counter()
+    for _ in range(4000):
+        kind = rng.choice(("weighted", "stableswap", "pmm", "bonding"))
+        try:
+            rates = _extreme_rates(rng, kind)
+        except AmmError:
+            continue
+        for rate in rates:
+            try:
+                value = rate()
+            except AmmError:
+                seen[kind, "refused"] += 1
+            else:
+                assert 0.0 < value < math.inf, (kind, rate, value)
+                seen[kind, "rate"] += 1
+    for kind in ("weighted", "stableswap", "pmm", "bonding"):
+        assert seen[kind, "rate"] >= 100, seen
+        # the families whose rates reach past the float range in this draw
+        assert kind == "stableswap" or seen[kind, "refused"] >= 10, seen

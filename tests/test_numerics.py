@@ -847,12 +847,12 @@ class TestAgreementAtEveryScale:
         for supply in (1.5 * state.supply, 0.5 * state.supply):
             reserve = state.reserve - implicit_swap(curve, r, anchor, 1, 0, supply - state.supply)
             assert math.isclose(reserve, bonding_reserve_at(state, supply), rel_tol=1e-8), supply
-        for burned in (0.5 * state.supply, 0.999 * state.supply):
+        for burned in (0.5 * state.supply, 0.999 * state.supply, 0.9999 * state.supply):
             try:
                 released = bonding_sell(state, burned)[1]
             except SupplyDepletion:
-                # the reserve left, C * 0.001^(1/F), is below the smallest
-                # float (at F = 0.05 and scale 1e-300): no root exists
+                # the reserve left, C * (1 - burned/s)^(1/F), is below the
+                # smallest float (at F = 0.05 and scale 1e-300): no root exists
                 with pytest.raises(NoSolution):
                     implicit_swap(curve, r, anchor, 1, 0, -burned)
                 continue

@@ -66,7 +66,7 @@ class TestParams:
         for targets in ((bad, 100.0), (100.0, bad), (bad, math.nan)):
             with pytest.raises(ValueError) as info:
                 PMMParams(1.0, 0.5, *targets)
-            assert type(info.value) is ValueError
+            assert type(info.value) is DomainError
             what = "positive" if bad <= 0.0 else "finite"
             assert str(info.value) == (
                 f"equilibrium targets must be {what}, got ({targets[0]}, {targets[1]})"

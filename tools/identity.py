@@ -159,9 +159,14 @@ HAND_MADE = {
     # a uniswap swap whose input reserve overflows to inf: exit 2
     "overflowing-uniswap-swap": {"pools": [dict(BASE["pools"][0], reserves=[1e308, 100])],
                                  "actions": [{"action": "swap", "pool": "uni", "amount": 1e308}]},
-    # a swap whose output rounds to zero: slippage undefined, exit 2
-    "zero-output-swap": {"pools": [dict(BASE["pools"][0], reserves=[1e300, 1e-300])],
-                         "actions": [{"action": "swap", "pool": "uni", "amount": 1e-30}]},
+    # a swap whose output rounds to zero: slippage undefined, exit 2; on
+    # (1e300, 1e-300) the spot rate 1e600 is refused before the trade
+    **{
+        f"zero-output-swap{suffix}": {
+            "pools": [dict(BASE["pools"][0], reserves=reserves)],
+            "actions": [{"action": "swap", "pool": "uni", "amount": 1e-30}]}
+        for suffix, reserves in (("", [1e300, 1e-300]), ("-on-a-rate-in-range", [1e150, 1e-150]))
+    },
     # reverse swaps whose output overflows, by the product r_o * (1 - p) and
     # by the power p = (r_i / r_i')^(w_i / w_o) itself: exit 2
     "reverse-overflowing-uniswap-swap": {
@@ -241,6 +246,20 @@ HAND_MADE = {
                         {"action": "cross_section", "pool": "ddo"}]),
             ("swap", [{"action": "swap", "pool": "ddo", "amount": 0.5}]))
     },
+    # a balancer pool whose spot rate 0 -> 1 divides by r_1*w_0, which
+    # underflows to 0, and a uniswap pool whose rate 0 -> 1 underflows to 0:
+    # each action is refused where the rate is formed, a zero-size swap too,
+    # a validation problem, exit 2
+    "subnormal-balancer-spot-rate": {
+        "pools": [dict(BASE["pools"][3], protocol="balancer", reserves=[1.0, 5e-324],
+                       weights=[0.4, 0.6])],
+        "actions": [{"action": "swap", "pool": "ban", "amount": 0.5},
+                    {"action": "slippage_curve", "pool": "ban"},
+                    {"action": "add_liquidity", "pool": "ban", "fraction": 0.1}]},
+    "uniswap-spot-rate-0-zero-swap": {
+        "pools": [dict(BASE["pools"][0], reserves=[1e-200, 1e200])],
+        "actions": [{"action": "swap", "pool": "uni", "amount": 0},
+                    {"action": "add_liquidity", "pool": "uni", "fraction": 0.1}]},
     # a curve pool whose conservation terms sum past the largest float
     "curve-terms-past-range": {
         "pools": [dict(BASE["pools"][4], reserves=[1e100, 1e100], amplification=5e207)],
