@@ -37,9 +37,7 @@ class BondingCurveState:
     def __post_init__(self) -> None:
         for name in ("reserve", "supply", "anchor_reserve", "anchor_supply"):
             check_positive(name, getattr(self, name))
-        f = self.reserve_ratio
-        if not (math.isfinite(f) and 0.0 < f <= 1.0):
-            raise DomainError(f"reserve ratio must lie in (0, 1], got {f}")
+        quote.check_unit_interval("reserve ratio", self.reserve_ratio)
 
 
 def _moved(state: BondingCurveState, reserve: float, supply: float) -> BondingCurveState:
@@ -84,9 +82,16 @@ def bonding_price(state: BondingCurveState) -> float:
 
 def bonding_reserve_at(state: BondingCurveState, supply: float) -> float:
     """Reserve implied by the curve at the given supply, from the anchor:
-    C = C0 * (s / s0)^(1/F), for a finite, positive supply."""
+    C = C0 * (s / s0)^(1/F), for a finite, positive supply; refused outside (0, inf)."""
     check_positive("supply", supply)
-    return state.anchor_reserve * (supply / state.anchor_supply) ** (1.0 / state.reserve_ratio)
+    f = state.reserve_ratio
+    try:
+        reserve = state.anchor_reserve * (supply / state.anchor_supply) ** (1.0 / f)
+    except OverflowError:  # (s/s0)^(1/F) past the largest float
+        reserve = math.inf
+    if 0.0 < reserve < math.inf:
+        return reserve
+    raise DomainError(f"the bonding curve at supply {supply!r} leaves the floating-point range")
 
 
 def bonding_buy(state: BondingCurveState, deposit: float) -> tuple[BondingCurveState, float]:

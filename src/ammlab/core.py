@@ -70,12 +70,12 @@ class ProtocolSpec:
         elif self.family is ProtocolFamily.STABLESWAP:
             if self.weights is not None:
                 raise DomainError("stableswap pools take no weights")
-            quote.check_stableswap_amplification(self.amplification)
+            quote.check_positive("stableswap amplification", self.amplification)
             object.__setattr__(self, "amplification", float(self.amplification))
         elif self.family is ProtocolFamily.PMM:
             if self.weights is not None:
                 raise DomainError("pmm pools take no weights")
-            quote.check_pmm_amplification(self.amplification)
+            quote.check_unit_interval("pmm amplification", self.amplification)
             object.__setattr__(self, "amplification", float(self.amplification))
         else:  # a family that is not a ProtocolFamily, such as a plain str
             raise DomainError(f"unknown protocol family {self.family!r}")
@@ -119,8 +119,7 @@ class PoolState:
                 raise DomainError("only pmm pools carry an oracle price")
             if len(invariant) != 1:
                 raise DomainError("weighted/stableswap pools carry one conservation value")
-            if invariant[0] <= 0.0:
-                raise DomainError(f"conservation value must be positive, got {invariant[0]}")
+            quote.check_positive("conservation value", invariant[0])
             if family is ProtocolFamily.WEIGHTED:
                 quote.check_weight_count(len(reserves), self.spec.weights)
         curve = _CURVES[family](self)
@@ -229,7 +228,7 @@ class _PMMCurve:
         return partial(_pmm._swap_output, reserves[1], reserves[0], self.params.mirrored())
 
     def deviations(self, reserves) -> tuple[float, float]:
-        deviation = _pmm._residual(reserves[0], reserves[1], self.params)
+        deviation = _pmm._residual(_pmm._gap(reserves[0], reserves[1], self.params), self.params)
         return deviation, deviation
 
     def law(self, reserves, invariant) -> float:

@@ -114,6 +114,8 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
         fx = f(x)
         if fx == 0.0:
             return x
+        if math.isnan(fx):
+            raise DomainError(f"f(x) is NaN at x = {x!r}")
         if (fx < 0.0) == lo_negative:
             lo = x
         else:

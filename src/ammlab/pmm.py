@@ -36,11 +36,9 @@ class PMMParams:
 
     def __post_init__(self) -> None:
         quote.check_positive("oracle price", self.oracle_price)
-        quote.check_pmm_amplification(self.amplification)
-        t1, t2 = self.target1, self.target2
-        if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
-            what = "positive" if t1 <= 0.0 or t2 <= 0.0 else "finite"
-            raise DomainError(f"equilibrium targets must be {what}, got ({t1}, {t2})")
+        quote.check_unit_interval("pmm amplification", self.amplification)
+        quote.check_positive("target1", self.target1)
+        quote.check_positive("target2", self.target2)
 
     def mirrored(self) -> "PMMParams":
         """The same pool with the two assets relabeled (price inverted);
@@ -89,20 +87,24 @@ def conservation_gap(r1: float, r2: float, params: PMMParams) -> float:
     """Signed residual of the conservation relation, in asset-1 units on both
     branches (the r1 <= C1 branch is multiplied through by P, which keeps the
     residual's gradient continuous at the equilibrium point). Zero exactly on
-    the curve."""
+    the curve. A residual beyond the float range raises quote.curve_refusal."""
     quote.check_reserves((r1, r2))
-    return _gap(r1, r2, params)
+    gap = _gap(r1, r2, params)
+    if math.isfinite(gap):
+        return gap
+    raise quote.curve_refusal(r1)
 
 
-def _residual(r1: float, r2: float, params: PMMParams) -> float:
-    scale = params.target1 + params.oracle_price * params.target2
-    return abs(_gap(r1, r2, params)) / scale
+def _residual(gap: float, params: PMMParams) -> float:
+    return abs(gap) / (params.target1 + params.oracle_price * params.target2)
 
 
 def conservation_residual(r1: float, r2: float, params: PMMParams) -> float:
-    """|conservation_gap| relative to the pool's value scale C1 + P*C2."""
-    quote.check_reserves((r1, r2))
-    return _residual(r1, r2, params)
+    """|conservation_gap| over the value scale C1 + P*C2; past the float range, curve_refusal."""
+    residual = _residual(conservation_gap(r1, r2, params), params)
+    if residual < math.inf:
+        return residual
+    raise quote.curve_refusal(r1)
 
 
 def _post_reserve_error(r1_new: float) -> DomainError:

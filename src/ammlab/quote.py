@@ -31,8 +31,13 @@ def check_reserves(reserves, values=None) -> None:
 
 
 def check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
+    if value is None or not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
+def check_unit_interval(name: str, value: float) -> None:
+    if value is None or not 0.0 < value <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {value}")
 
 
 def check_index(n: int, k: int) -> None:
@@ -113,22 +118,6 @@ def growth_refusal(fraction: float, value: float) -> AmmError:
     scaled = value * (1.0 + fraction)
     error = ReserveDepletion if scaled <= 0.0 else DomainError
     return error(f"fraction {fraction} scales {value} to {scaled}, outside (0, inf)")
-
-
-def check_stableswap_amplification(a) -> None:
-    if a is None or not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"stableswap amplification must be finite and positive, got {a}")
-
-
-def check_invariant(D) -> None:
-    # written so that a NaN D fails too
-    if not D > 0.0:
-        raise DomainError(f"stableswap invariant D must be positive, got {D}")
-
-
-def check_pmm_amplification(a) -> None:
-    if a is None or not (math.isfinite(a) and 0.0 < a <= 1.0):
-        raise DomainError(f"pmm amplification must lie in (0, 1], got {a}")
 
 
 def rate_refusal(rate: float) -> DomainError:

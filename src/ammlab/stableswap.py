@@ -33,9 +33,12 @@ from .numerics import DEFAULT_CONFIG, RootBracket, find_root
 from .quote import slippage_from_quote
 
 
-def _check_reserves(reserves) -> None:
-    quote.check_asset_count(len(reserves))
+def _check(reserves, amplification: float, D: float = 1.0, n: int | None = None) -> None:
+    """Every public entry's one check, in order: D (1.0: none), n, the reserves, A."""
+    quote.check_positive("stableswap invariant D", D)
+    quote.check_asset_count(len(reserves) if n is None else n)
     quote.check_reserves(reserves)
+    quote.check_positive("stableswap amplification", amplification)
 
 
 def _out_of_range(reserves, D: float) -> DomainError:
@@ -48,27 +51,27 @@ def _out_of_range(reserves, D: float) -> DomainError:
     )
 
 
-def _constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
-    """curve_constants without its check of D*q, for a pool, whose
+def _constants(D: float, A: float, n: int, finite: bool = False) -> tuple[float, float, float]:
+    """curve_constants on checked arguments. A pool leaves finite off: its
     conservation gate refuses a D*q beyond the float range in its own words."""
-    shift = D * (1.0 - 1.0 / amplification)
+    shift = D * (1.0 - 1.0 / A)
     try:
         q = (D / n) ** n
     except OverflowError:
         raise DomainError(f"(D/n)^n leaves the floating-point range at D={D}") from None
+    if finite and not math.isfinite(D * q):
+        raise DomainError(f"D*(D/n)^n leaves the floating-point range at D={D}")
+    if finite and not math.isfinite(shift):
+        raise DomainError(f"the shift D*(1 - 1/A) leaves the floating-point range at A={A}")
     return q, D * q, shift
 
 
 def curve_constants(D: float, amplification: float, n: int) -> tuple[float, float, float]:
     """(q, D*q, D*(1 - 1/A)) with q = (D/n)^n: the constants that a pool's
-    spot rates, swaps and conservation checks share. A D that is not
-    positive, then a q or a D*q beyond the float range, raises DomainError."""
-    quote.check_invariant(D)
-    quote.check_stableswap_amplification(amplification)
-    constants = _constants(D, amplification, n)
-    if not math.isfinite(constants[1]):
-        raise DomainError(f"D*(D/n)^n leaves the floating-point range at D={D}")
-    return constants
+    spot rates, swaps and conservation checks share. D, n and A are judged in
+    that order; a q, a D*q or a shift beyond the float range raises DomainError."""
+    _check((), amplification, D, n)
+    return _constants(D, amplification, n, finite=True)
 
 
 def conservation_check(reserves, D: float, amplification: float, q: float, dq: float):
@@ -106,12 +109,9 @@ def conservation_check(reserves, D: float, amplification: float, q: float, dq: f
 def conservation_residual(reserves, D: float, amplification: float) -> float:
     """The relative residual of the defining equation at (reserves, D), zero
     on the curve: conservation_check's first value, on checked arguments."""
-    quote.check_invariant(D)
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
-    n = len(reserves)
+    _check(reserves, amplification, D)
     try:
-        q = (D / n) ** n
+        q = (D / len(reserves)) ** len(reserves)
     except OverflowError:
         raise _out_of_range(reserves, D) from None
     return conservation_check(reserves, D, amplification, q, D * q)[0]
@@ -120,19 +120,21 @@ def conservation_residual(reserves, D: float, amplification: float) -> float:
 def defining_residual(reserves, D: float, amplification: float) -> float:
     """Signed residual (D/n)^n/prod(r) - 1 - A*(sum(r)/D - 1), zero exactly
     on the curve and strictly decreasing in every reserve — the form handed
-    to the generic numeric engine. A first term beyond the float range
-    raises DomainError.
+    to the generic numeric engine. A first term or a residual beyond the
+    float range raises DomainError.
 
     The excess sum(r) - D is summed exactly before A multiplies it: rounding
     sum(r)/D first would put noise of order A*eps on the residual."""
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
+    _check(reserves, amplification, D)
     n = len(reserves)
     try:
         power = (D / n) ** n / math.prod(reserves)
+        residual = power - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
     except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(reserves, D) from None
-    return power - 1.0 - amplification * (math.fsum((*reserves, -D)) / D)
+        residual = math.nan
+    if math.isfinite(residual):
+        return residual
+    raise _out_of_range(reserves, D)
 
 
 def solve_invariant(reserves, amplification: float) -> float:
@@ -141,12 +143,11 @@ def solve_invariant(reserves, amplification: float) -> float:
 
     AM-GM brackets the root inside [n*(prod r)^{1/n}, sum r], where g has
     opposite signs at the endpoints and is strictly decreasing; a balanced
-    pool sits exactly at the upper endpoint and returns n*r directly.
-    """
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
+    pool sits exactly at the upper endpoint and returns n*r directly. A D
+    beyond the float range raises DomainError."""
+    _check(reserves, amplification)
     n = len(reserves)
-    if min(reserves) == max(reserves):
+    if min(reserves) == max(reserves) and n * reserves[0] < math.inf:
         return n * reserves[0]
     try:
         total = math.fsum(reserves)
@@ -194,22 +195,22 @@ def _spot_rate(reserves, dq: float, amplification: float, i: int, o: int) -> flo
     # largest reserve into [0.5, 1) (dq = D*(D/n)^n scales by that power to
     # the n+1); every rate in range keeps its bits
     e = math.frexp(max(reserves))[1]
-    if e == 0:
-        raise DomainError("the spot rate's products leave the floating-point range")
-    scaled = [math.ldexp(r, -e) for r in reserves]
-    return _spot_rate(scaled, math.ldexp(dq, -e * (len(reserves) + 1)), amplification, i, o)
+    try:
+        if e:
+            scaled = [math.ldexp(r, -e) for r in reserves]
+            return _spot_rate(scaled, math.ldexp(dq, -e * (len(reserves) + 1)), amplification, i, o)
+    except OverflowError:  # D*q scaled past the largest float: D lies far off the reserves
+        pass
+    raise DomainError("the spot rate's products leave the floating-point range")
 
 
 def stableswap_spot_rate(reserves, D: float, amplification: float, i: int, o: int) -> float:
     """Spot rate (token i per token o) on the amplified curve:
-    r_i*(A*r_o*prod + D*q) / (r_o*(A*r_i*prod + D*q)) with q = (D/n)^n.
-    A D that is not positive is refused first."""
-    quote.check_invariant(D)
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
+    r_i*(A*r_o*prod + D*q) / (r_o*(A*r_i*prod + D*q)) with q = (D/n)^n."""
+    _check(reserves, amplification, D)
     if i == o:
         return 1.0
-    _, dq, _ = curve_constants(D, amplification, len(reserves))
+    _, dq, _ = _constants(D, amplification, len(reserves), finite=True)
     return _spot_rate(reserves, dq, amplification, i, o)
 
 
@@ -301,10 +302,10 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     product of all non-output reserves after the input lands. Non-traded
     reserves stay untouched.
     """
-    _check_reserves(reserves)
+    _check(reserves, amplification, D)
     quote.check_assets(len(reserves), i, o)
     n = len(reserves)
-    _, scale, shift = curve_constants(D, amplification, n)
+    _, scale, shift = _constants(D, amplification, n, finite=True)
     return _swap_output_for(n)(reserves, i, o, shift, scale, amplification, x_in)
 
 
@@ -346,25 +347,25 @@ def divergence_point(reserves, D, A, o, c, g, V, rho):
     if w@ < w_m:
         m, r_m, w_m = @, r@, w@
     %end
-    # w_k - w_m as c*(1/r_k - 1/r_m) plus the shift term, not as a
-    # difference of the A-sized weights, whose rounding error a large A
-    # would carry into x_k
-    %each
-    e@ = 0.0
-    if m != @:
-        out = c * (r_m - r@) / (r@ * r_m)
-        if o == @:
-            out += shift
-        elif m == o:
-            out -= shift
-        e@ = (0.0 if out < 0.0 else out) / w_m
-    %end
-    [[a@|, ]], B = [[1.0 + e@|, ]], 1.0 - A
-    lo = 0.5 * A if A <= 1.0 else $lo
-    hi = $hi * (A if A > 1.0 else 1.0)
-    s = c / r_m
-    s = lo if lo > s else hi if hi < s else s
     try:
+        # w_k - w_m as c*(1/r_k - 1/r_m) plus the shift term, not as a
+        # difference of the A-sized weights, whose rounding error a large A
+        # would carry into x_k
+        %each
+        e@ = 0.0
+        if m != @:
+            out = c * (r_m - r@) / (r@ * r_m)
+            if o == @:
+                out += shift
+            elif m == o:
+                out -= shift
+            e@ = (0.0 if out < 0.0 else out) / w_m
+        %end
+        [[a@|, ]], B = [[1.0 + e@|, ]], 1.0 - A
+        lo = 0.5 * A if A <= 1.0 else $lo
+        hi = $hi * (A if A > 1.0 else 1.0)
+        s = c / r_m
+        s = lo if lo > s else hi if hi < s else s
         for _ in range(_MAX_ITERATIONS):
             t = s + A
             %each
@@ -402,16 +403,16 @@ def divergence_point(reserves, D, A, o, c, g, V, rho):
         x@ = s + e@ * t
         %end
         P = ([[($n / x@)| * ]]) ** $power
-    except ZeroDivisionError:
-        # an x_k underflows to 0: at a subnormal A the bracket's lower end
-        # A/2 rounds to 0
+        [[p@|, ]] = [[P * x@|, ]]
+        if [[p@ > 0.0| and ]]:
+            [[q@|, ]] = [[D / p@|, ]]
+            if [[0.0 < q@ < math.inf| and ]]:
+                V_held = V + g[o] / g0 * reserves[o] * rho
+                return math.fsum(([[w@ / g0 * q@|, ]])) / V_held - 1.0
+    except (OverflowError, ZeroDivisionError):
+        # a product r_k*r_m or an x_k underflows to 0 (at a subnormal A the
+        # bracket's lower end A/2 rounds to 0), or the value sum overflows
         raise _unattainable(rho, o, _UNREPRESENTABLE) from None
-    [[p@|, ]] = [[P * x@|, ]]
-    if [[p@ > 0.0| and ]]:
-        [[q@|, ]] = [[D / p@|, ]]
-        if [[0.0 < q@ < math.inf| and ]]:
-            V_held = V + g[o] / g0 * reserves[o] * rho
-            return math.fsum(([[w@ / g0 * q@|, ]])) / V_held - 1.0
     raise _unattainable(rho, o, _RESERVE_OUT_OF_RANGE)
 """
 
@@ -431,16 +432,17 @@ def stableswap_divergence_kernel(reserves, D: float, amplification: float, o: in
     with the invariant, reserve, asset-index and numeraire checks and the
     unshifted curve gradient done once for a sweep. Each point runs the
     divergence point written out for the pool size (_DIVERGENCE_POINT)."""
-    quote.check_invariant(D)
-    _check_reserves(reserves)
-    quote.check_stableswap_amplification(amplification)
+    _check(reserves, amplification, D)
     n = len(reserves)
     quote.check_index(n, o)
     quote.check_numeraire(o)
     A = amplification
     c = D * math.prod(D / (n * r) for r in reserves)
     g = [A + c / r for r in reserves]
-    V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
+    try:
+        V = math.fsum(gk / g[0] * r for gk, r in zip(g, reserves))
+    except OverflowError:
+        raise _out_of_range(reserves, D) from None
     return partial(_divergence_point_for(n), tuple(reserves), D, A, o, c, tuple(g), V)
 
 

@@ -116,10 +116,10 @@ def weighted_rebalanced_reserves(reserves, weights, o: int, rho: float) -> tuple
     """Reserves after arbitrage restores equilibrium at the shifted price:
     r_o scales by (1+rho)^{w_o - 1}, every other reserve by (1+rho)^{w_o}.
     This leaves the invariant unchanged and moves every spot rate against o
-    by exactly (1+rho)."""
+    by exactly (1+rho). Reserves moved out of (0, inf) fail quote.check_reserves."""
     _check_shape(reserves, weights)
     quote.check_price_shift(rho)
     grow = (1.0 + rho) ** weights[o]
-    return tuple(
-        r * grow / (1.0 + rho) if k == o else r * grow for k, r in enumerate(reserves)
-    )
+    moved = tuple(r * grow / (1.0 + rho) if k == o else r * grow for k, r in enumerate(reserves))
+    quote.check_reserves(moved)
+    return moved

@@ -175,7 +175,7 @@ class TestPoolState:
             (
                 ProtocolFamily.STABLESWAP,
                 dict(reserves=(100.0, 100.0), invariant=(-200.0,)),
-                "conservation value must be positive, got -200.0",
+                "conservation value must be finite and positive, got -200.0",
             ),
             (
                 ProtocolFamily.WEIGHTED,
@@ -206,16 +206,24 @@ class TestPoolState:
         assert issubclass(ConservationViolation, ValueError)
 
     def test_nan_deviation_fails_the_check(self):
-        # an infinite conservation value makes the weighted deviation
-        # inf/inf = NaN, which must not pass
-        spec = ProtocolSpec(family=ProtocolFamily.WEIGHTED, weights=(0.5, 0.5))
+        # off the curve, a PMM residual over a value scale C1 + P*C2 that
+        # overflows is inf/inf = NaN, which must not pass
         with pytest.raises(ConservationViolation, match="relative deviation nan"):
-            PoolState(reserves=(100.0, 100.0), spec=spec, invariant=(math.inf,))
+            pmm_pool(1e200, 1e200, 1e200, 0.5, reserves=(1e200, 1e100))
         # a NaN target is refused before the gate, by the PMM parameters
         with pytest.raises(ValueError) as info:
             pmm_pool(math.nan, 100.0, 1.0, 0.5, reserves=(100.0, 100.0))
         assert type(info.value) is DomainError
-        assert str(info.value) == "equilibrium targets must be finite, got (nan, 100.0)"
+        assert str(info.value) == "target1 must be finite and positive, got nan"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_conservation_value_that_is_not_finite_is_refused(self, value):
+        # the value rule refuses it before the gate, which read NaN or inf
+        spec = ProtocolSpec(family=ProtocolFamily.WEIGHTED, weights=(0.5, 0.5))
+        with pytest.raises(ValueError) as info:
+            PoolState(reserves=(100.0, 100.0), spec=spec, invariant=(value,))
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"conservation value must be finite and positive, got {value}"
 
 
 class TestFactories:

@@ -33,7 +33,9 @@ from ammlab.core import (
     uniswap_pool,
     weighted_pool,
 )
-from ammlab.errors import AmmError, DomainError, IdenticalAssets, InfeasibleTrade, ReserveDepletion
+from ammlab.errors import (
+    AmmError, DomainError, IdenticalAssets, InfeasibleTrade, NoSolution, ReserveDepletion
+)
 from ammlab.pmm import PMMParams
 
 W = (0.5, 0.5)
@@ -559,15 +561,18 @@ INVARIANT_CALLS = {
     "stableswap.conservation_residual": lambda d: stableswap.conservation_residual(
         (100.0, 100.0), d, 10.0
     ),
+    "defining_residual": lambda d: stableswap.defining_residual((100.0, 100.0), d, 10.0),
 }
 
 
-@pytest.mark.parametrize("d", [-1.0, 0.0, -0.0, -200.0, -math.inf, math.nan])
+@pytest.mark.parametrize("d", [-1.0, 0.0, -0.0, -200.0, -math.inf, math.inf, math.nan])
 @pytest.mark.parametrize("name", list(INVARIANT_CALLS))
 def test_a_non_positive_invariant_is_refused(name, d):
     # the balanced spot rate returned 1.0 and curve_constants negative
-    # constants; a NaN D was refused as leaving the float range
-    with pytest.raises(DomainError, match=f"^stableswap invariant D must be positive, got {d}$"):
+    # constants; a NaN D was refused as leaving the float range, and
+    # defining_residual judged no D
+    message = f"^stableswap invariant D must be finite and positive, got {d}$"
+    with pytest.raises(DomainError, match=message):
         INVARIANT_CALLS[name](d)
 
 
@@ -576,11 +581,14 @@ def test_a_non_positive_invariant_is_refused(name, d):
     [
         lambda: stableswap.stableswap_spot_rate((math.nan, 100.0), -1.0, 10.0, 0, 1),
         lambda: stableswap.stableswap_divergence_kernel((), -1.0, 10.0, 1),
+        lambda: stableswap.stableswap_swap((math.nan, 100.0), -1.0, 10.0, 0, 1, 1.0),
+        lambda: stableswap.defining_residual((math.nan, 100.0), -1.0, 10.0),
     ],
-    ids=["spot-rate", "divergence-kernel"],
+    ids=["spot-rate", "divergence-kernel", "swap", "defining-residual"],
 )
 def test_the_invariant_is_judged_before_the_reserves(call):
-    with pytest.raises(DomainError, match="^stableswap invariant D must be positive, got -1.0$"):
+    message = "^stableswap invariant D must be finite and positive, got -1.0$"
+    with pytest.raises(DomainError, match=message):
         call()
 
 
@@ -607,7 +615,8 @@ AMPLIFICATION_CALLS = {
 # the ones that also take D, and judge it first
 _JUDGE_D = ("curve_constants", "stableswap_spot_rate", "stableswap_spot_rate same asset",
             "stableswap_swap", "stableswap_slippage", "stableswap_divergence_kernel",
-            "stableswap_divergence_loss", "stableswap.conservation_residual")
+            "stableswap_divergence_loss", "stableswap.conservation_residual",
+            "defining_residual")
 
 
 @pytest.mark.parametrize("a", [0.0, -0.0, -0.001, -math.inf, math.inf, math.nan])
@@ -629,7 +638,8 @@ def test_the_reserves_are_judged_before_the_amplification(name):
 
 @pytest.mark.parametrize("name", _JUDGE_D)
 def test_the_invariant_is_judged_before_the_amplification(name):
-    with pytest.raises(DomainError, match="^stableswap invariant D must be positive, got -1.0$"):
+    message = "^stableswap invariant D must be finite and positive, got -1.0$"
+    with pytest.raises(DomainError, match=message):
         AMPLIFICATION_CALLS[name]((100.0, 200.0), -1.0, 0.0)
 
 
@@ -717,17 +727,73 @@ BIG_A_RESERVES = (1e100, 1e100)
         (lambda: stableswap.defining_residual((1.0, 1.0), 1e300, 10.0), (1.0, 1.0), "1e+300"),
         (lambda: stableswap.defining_residual((1e-200, 1e-200), 2e-200, 10.0),
          (1e-200, 1e-200), "2e-200"),
+        # the residual -A*(sum(r) - D)/D overflows: it returned -inf
+        (lambda: stableswap.defining_residual((100.0, 100.0), 5e-324, 10.0),
+         (100.0, 100.0), "5e-324"),
+        # balanced, D = n*r is inf: it returned inf
+        (lambda: stableswap.solve_invariant((1e308, 1e308), 10.0), (1e308, 1e308), "inf"),
+        # the pool value behind a divergence loss overflows: a bare OverflowError
+        (lambda: stableswap.stableswap_divergence_loss((1e308, 1e308), 2.1, 25.0, 1, 3.0),
+         (1e308, 1e308), "2.1"),
     ],
     ids=["pool", "solve_invariant", "balanced-pool", "conservation_residual",
          "residual-power", "residual-product", "residual-last-term",
          "residual-amplified-sum", "pool-amplified-sum",
-         "defining-residual-power", "defining-residual-product"],
+         "defining-residual-power", "defining-residual-product",
+         "defining-residual-sum", "balanced-solve_invariant", "divergence-value"],
 )
 def test_the_stableswap_equation_past_the_float_range_is_refused(call, reserves, d):
     message = (f"the invariant equation leaves the floating-point range at D={d} "
                f"for reserves {reserves}")
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_BONDING = bonding.bonding_curve(1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # a bare OverflowError, and a reserve of 0.0
+        (lambda: bonding.bonding_reserve_at(_BONDING, 1e100), DomainError,
+         "the bonding curve at supply 1e+100 leaves the floating-point range"),
+        (lambda: bonding.bonding_reserve_at(_BONDING, 1e-100), DomainError,
+         "the bonding curve at supply 1e-100 leaves the floating-point range"),
+        # (inf, inf) and (1e-150, 0.0)
+        (lambda: weighted.weighted_rebalanced_reserves((1e300, 1e300), W, 1, 1e300), DomainError,
+         "reserves must be finite and positive, got (inf, inf)"),
+        (lambda: weighted.weighted_rebalanced_reserves((1e-300, 1e-300), W, 1, 1e300), DomainError,
+         "reserves must be finite and positive, got (1e-150, 0.0)"),
+        # a bare ZeroDivisionError, and a shift of -inf
+        (lambda: stableswap.curve_constants(200.0, 10.0, 0), DomainError,
+         "a pool needs at least two assets"),
+        (lambda: stableswap.curve_constants(200.0, 5e-324, 2), DomainError,
+         "the shift D*(1 - 1/A) leaves the floating-point range at A=5e-324"),
+        # a bare OverflowError from the rescaled D*q
+        (lambda: stableswap.stableswap_spot_rate((5e-324, 5e-324), 0.5, 0.2, 0, 1), DomainError,
+         "the spot rate's products leave the floating-point range"),
+        # bare ZeroDivisionError and OverflowError: r_0*r_1 underflows, the
+        # rebalanced value sum overflows
+        (lambda: stableswap.stableswap_divergence_loss((1e-200, 1e-200), 2e-200, 10.0, 1, 0.5),
+         NoSolution, "rate shift 0.5 for asset 1 is unattainable: the curve is not representable"),
+        (lambda: stableswap.stableswap_divergence_loss((8e307, 9e307), 1.7e308, 10.0, 1, 0.5),
+         NoSolution, "rate shift 0.5 for asset 1 is unattainable: the curve is not representable"),
+        # -inf, and a relative residual of inf
+        (lambda: pmm.conservation_gap(5e-324, 100.0, PMM), DomainError,
+         "the PMM curve at reserve 5e-324 leaves the floating-point range"),
+        (lambda: pmm.conservation_residual(1e308, 1.0, PMMParams(1.0, 0.5, 1e-60, 1e-60)),
+         DomainError, "the PMM curve at reserve 1e+308 leaves the floating-point range"),
+    ],
+    ids=["bonding-reserve-over", "bonding-reserve-under", "rebalanced-over", "rebalanced-under",
+         "constants-count", "constants-shift", "stableswap-spot-rate",
+         "divergence-product", "divergence-sum", "pmm-gap", "pmm-residual"],
+)
+def test_a_kernel_value_past_the_float_range_is_refused_in_its_words(call, error, message):
+    with pytest.raises(AmmError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_the_pmm_constant_product_limit_at_the_targets_is_c2():
@@ -761,9 +827,6 @@ RULES = {
     "price shift must exceed -1": "quote",
     "price shift must be finite": "quote",
     "asset 0 is the numeraire": "quote",
-    "stableswap amplification must be finite and positive": "quote",
-    "stableswap invariant D must be positive": "quote",
-    "pmm amplification must lie in (0, 1]": "quote",
     "exhausts reserve": "quote",
     "past the floating-point range": "quote",
     "trade size must be finite": "quote",
@@ -775,6 +838,7 @@ RULES = {
     "weights must sum to 1": "quote",
     "one weight per asset required": "quote",
     "{name} must be finite and positive": "quote",
+    "{name} must lie in (0, 1]": "quote",
     "has no reciprocal in the float range": "quote",
     "the PMM curve at reserve": "quote",
     "outside (-1, inf)": "quote",
@@ -868,3 +932,157 @@ def test_every_spot_rate_lies_in_the_float_range_or_is_refused():
         assert seen[kind, "rate"] >= 100, seen
         # the families whose rates reach past the float range in this draw
         assert kind == "stableswap" or seen[kind, "refused"] >= 10, seen
+
+
+# the values each numeric argument of a kernel takes in turn, the others valid
+EXTREMES = (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e308)
+
+
+def _pmm(call):
+    # (r1, r2, price, A, C1, C2, *rest) -> call(r1, r2, PMMParams(...), *rest)
+    return lambda r1, r2, p, a, c1, c2, *rest: call(r1, r2, PMMParams(p, a, c1, c2), *rest)
+
+
+def _curve(call):
+    # (reserve, supply, F, *rest) -> call(bonding_curve(reserve, supply, F), *rest)
+    return lambda c, s, f, *rest: call(bonding.bonding_curve(c, s, f), *rest)
+
+
+def _stableswap(rng, scale):
+    # (reserves, D, A) on the curve, the reserves within 10x of scale
+    reserves = tuple(scale * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+    a = 10.0 ** rng.uniform(-1.0, 3.0)
+    return reserves, stableswap.solve_invariant(reserves, a), a
+
+
+def _point(call):
+    # (r1', price, A, C1, C2) -> call(r1', PMMParams(...))
+    return lambda r1, p, a, c1, c2: call(r1, PMMParams(p, a, c1, c2))
+
+
+def _pmm_point(rng, scale):
+    # (r1', price, A, C1, C2), r1' above the target C1
+    return 1.5 * scale, 1.0, 0.5, scale, scale
+
+
+def _pmm_pool(rng, scale):
+    # (r1, r2, price, A, C1, C2) on the curve, r1 above the target C1
+    r1, *params = _pmm_point(rng, scale)
+    return r1, pmm.reserve2_given_reserve1(r1, PMMParams(*params)), *params
+
+
+# every public function of the four kernel modules as (call over plain
+# arguments, (rng, scale) -> valid arguments, whether every value it returns
+# is a positive quantity: a reserve, a rate, a price or a conservation value).
+# The divergence kernels are called at their shift. stableswap's
+# conservation_check is left out: it takes q and D*q from curve_constants on
+# a pool's checked state, and its drift is inf at a zero slope by definition.
+CONTRACT = {
+    "weighted_conservation": (weighted.weighted_conservation, lambda g, s: ((s, 2 * s), W), True),
+    "weighted_spot_rate": (weighted.weighted_spot_rate, lambda g, s: ((s, 2 * s), W, 0, 1), True),
+    "weighted_swap": (weighted.weighted_swap, lambda g, s: ((s, 2 * s), W, 0, 1, s / 10), False),
+    "weighted_slippage": (weighted.weighted_slippage, lambda g, s: ((s, 2 * s), W, 0, 1, s / 10),
+                          False),
+    "weighted_divergence_kernel": (lambda w, o, rho: weighted.weighted_divergence_kernel(w, o)(rho),
+                                   lambda g, s: (W, 1, 3.0), False),
+    "weighted_divergence_loss": (weighted.weighted_divergence_loss, lambda g, s: (W, 1, 3.0),
+                                 False),
+    "weighted_rebalanced_reserves": (weighted.weighted_rebalanced_reserves,
+                                     lambda g, s: ((s, 2 * s), W, 1, 3.0), True),
+    "curve_constants": (stableswap.curve_constants,
+                        lambda g, s: (*_stableswap(g, s)[1:], 2), False),
+    "stableswap.conservation_residual": (stableswap.conservation_residual, _stableswap, False),
+    "defining_residual": (stableswap.defining_residual, _stableswap, False),
+    "solve_invariant": (stableswap.solve_invariant,
+                        lambda g, s: _stableswap(g, s)[::2], True),
+    "stableswap_spot_rate": (stableswap.stableswap_spot_rate,
+                             lambda g, s: (*_stableswap(g, s), 0, 1), True),
+    "stableswap_swap": (stableswap.stableswap_swap,
+                        lambda g, s: (*_stableswap(g, s), 0, 1, s / 10), False),
+    "stableswap_slippage": (stableswap.stableswap_slippage,
+                            lambda g, s: (*_stableswap(g, s), 0, 1, s / 10), False),
+    "stableswap_divergence_kernel": (
+        lambda r, d, a, o, rho: stableswap.stableswap_divergence_kernel(r, d, a, o)(rho),
+        lambda g, s: (*_stableswap(g, s), 1, 3.0), False,
+    ),
+    "stableswap_divergence_loss": (stableswap.stableswap_divergence_loss,
+                                   lambda g, s: (*_stableswap(g, s), 1, 3.0), False),
+    "PMMParams.mirrored": (lambda p, a, c1, c2: PMMParams(p, a, c1, c2).mirrored(),
+                           lambda g, s: (1.0, 0.5, s, s), True),
+    "pmm_spot_rate": (_pmm(pmm.pmm_spot_rate), _pmm_pool, True),
+    "conservation_gap": (_pmm(pmm.conservation_gap), _pmm_pool, False),
+    "pmm.conservation_residual": (_pmm(pmm.conservation_residual), _pmm_pool, False),
+    "quadratic_branch_reserve2": (_point(pmm.quadratic_branch_reserve2), _pmm_point, True),
+    "reserve2_given_reserve1": (_point(pmm.reserve2_given_reserve1), _pmm_point, True),
+    "pmm_swap": (_pmm(pmm.pmm_swap), lambda g, s: (*_pmm_pool(g, s), s / 10), False),
+    "pmm_slippage": (_pmm(pmm.pmm_slippage), lambda g, s: (*_pmm_pool(g, s), s / 10), False),
+    "bonding.conservation": (_curve(lambda curve: bonding.conservation(curve).evaluate(
+        (curve.reserve, curve.supply), (curve.anchor_reserve, curve.anchor_supply))),
+        lambda g, s: (s, s, 0.1), False),
+    "bonding_price": (_curve(bonding.bonding_price), lambda g, s: (s, s, 0.1), True),
+    "bonding_reserve_at": (_curve(bonding.bonding_reserve_at), lambda g, s: (s, s, 0.1, 2 * s),
+                           True),
+    "bonding_buy": (_curve(bonding.bonding_buy), lambda g, s: (s, s, 0.1, s / 10), False),
+    "bonding_sell": (_curve(bonding.bonding_sell), lambda g, s: (s, s, 0.1, s / 10), False),
+}
+
+
+def _one_extreme(args):
+    """args with one number, one reserve, or every reserve of a tuple set to
+    each of EXTREMES in turn; an index or a count is set to 0 and -1."""
+    for k, arg in enumerate(args):
+        def put(value, k=k):
+            return args[:k] + (value,) + args[k + 1:]
+        if isinstance(arg, tuple):
+            for v in EXTREMES:
+                yield put((v,) * len(arg))
+                yield from (put(arg[:j] + (v,) + arg[j + 1:]) for j in range(len(arg)))
+        elif isinstance(arg, int):
+            yield from (put(0), put(-1))
+        else:
+            yield from (put(v) for v in EXTREMES)
+
+
+def _returned(out):
+    """(value, must be positive) for each number in out; the fields of a
+    curve state or of PMM parameters are positive quantities."""
+    if isinstance(out, (bonding.BondingCurveState, PMMParams)):
+        yield from ((v, True) for v in vars(out).values() if isinstance(v, float))
+    elif isinstance(out, tuple):
+        for part in out:
+            yield from _returned(part)
+    else:
+        yield out, None
+
+
+# reserve 2 underflows to 0.0 on the quadratic branch at r1' = 1e308
+_RESERVE_2_OF_0 = pytest.mark.xfail(strict=True, reason="a PMM reserve 2 of 0.0 is returned")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_RESERVE_2_OF_0) if "reserve2" in name else name for name in CONTRACT
+])
+def test_a_kernel_returns_finite_values_or_raises_an_amm_error(name):
+    # with one argument at an extreme, defining_residual divided by D = 0,
+    # bonding_reserve_at overflowed, and solve_invariant, curve_constants,
+    # conservation_gap, weighted_rebalanced_reserves and the stableswap
+    # divergence loss and spot rate returned inf, NaN, a reserve of 0 or a
+    # bare exception
+    call, valid, positive = CONTRACT[name]
+    rng = random.Random(48)
+    bases = 0
+    for scale in [1.0] + [10.0 ** rng.uniform(-100.0, 100.0) for _ in range(12)]:
+        try:
+            args = valid(rng, scale)
+        except AmmError:  # the curve is refused at this scale
+            continue
+        bases += 1
+        for bent in _one_extreme(args):
+            try:
+                out = call(*bent)
+            except AmmError:
+                continue
+            for value, must in _returned(out):
+                low = 0.0 if (positive if must is None else must) else -math.inf
+                assert low < value < math.inf, (bent, out)
+    assert bases >= 6

@@ -112,6 +112,13 @@ class TestFindRoot:
         bracket = RootBracket(lo=1.0, hi=2.0, f_lo=-3.0, f_hi=0.0)
         assert find_root(lambda x: x * x - 4.0, bracket) == 2.0
 
+    @pytest.mark.parametrize("value", [math.nan, -math.nan], ids=["nan", "negative-nan"])
+    def test_a_nan_value_of_f_raises_domain_error(self, value):
+        # a NaN compares as neither sign: it moved the upper end, and the
+        # solve returned 1.0000000000000036
+        with pytest.raises(DomainError, match=r"^f\(x\) is NaN at x = 1.5$"):
+            find_root(lambda x: value, RootBracket(1.0, 2.0, -1.0, 1.0))
+
     def test_probe_outside_the_domain_bisects(self):
         # the root sits closer to the domain's edge than the difference
         # step's 1e-12 floor, so a probe lands at x <= 0, where log raises

@@ -61,16 +61,14 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_target_refusals_name_the_targets(self, bad):
-        # NaN and +inf are refused as not finite; a target that is not
-        # positive keeps its wording, which `ammlab validate` prints
-        for targets in ((bad, 100.0), (100.0, bad), (bad, math.nan)):
+        # each target is judged by the value rule, the first one first;
+        # `ammlab validate` prints the words
+        for targets, name in (((bad, 100.0), "target1"), ((100.0, bad), "target2"),
+                              ((bad, math.nan), "target1")):
             with pytest.raises(ValueError) as info:
                 PMMParams(1.0, 0.5, *targets)
             assert type(info.value) is DomainError
-            what = "positive" if bad <= 0.0 else "finite"
-            assert str(info.value) == (
-                f"equilibrium targets must be {what}, got ({targets[0]}, {targets[1]})"
-            )
+            assert str(info.value) == f"{name} must be finite and positive, got {bad}"
 
     def test_mirrored_swaps_orientation(self):
         params = PMMParams(
