@@ -172,22 +172,21 @@ class _WeightedCurve:
 
 
 class _StableSwapCurve:
-    __slots__ = ("D", "A", "q", "dq", "shift", "swap")
+    __slots__ = ("D", "A", "q", "dq", "shift")
 
     def __init__(self, state: PoolState) -> None:
         self.D = state.invariant[0]
         self.A = state.spec.amplification
         self.q, self.dq, self.shift = _ss._constants(self.D, self.A, state.n_assets)
-        self.swap = _ss._swap_output_for(state.n_assets)
 
     def spot_rate(self, reserves, i: int, o: int) -> float:
         return _ss._spot_rate(reserves, self.dq, self.A, i, o)
 
     def output(self, reserves, i: int, o: int, x_in: float) -> float:
-        return self.swap(reserves, i, o, self.shift, self.dq, self.A, x_in)
+        return _ss._swap_output(reserves, i, o, self.shift, self.dq, self.A, x_in)
 
     def kernel(self, reserves, i: int, o: int):
-        return partial(self.swap, reserves, i, o, self.shift, self.dq, self.A)
+        return partial(_ss._swap_output, reserves, i, o, self.shift, self.dq, self.A)
 
     def deviations(self, reserves) -> tuple[float, float]:
         # the gate is the residual of the defining equation, the receipt the

@@ -140,7 +140,7 @@ def _quadratic_root(r1_new: float, params: PMMParams) -> float:
         raise DomainError(_VANISHING) from None
     # max(root, other), without the call; c, b*b or P*C2 can overflow
     root = other if other > root else root
-    if 0.0 <= root < math.inf:
+    if 0.0 < root < math.inf:
         return root
     raise quote.curve_refusal(r1_new)
 

@@ -13,9 +13,9 @@ D -> sum r_k); small A relaxes it toward the constant-product hyperbola
 solve_invariant finds D with numerics.find_root; the divergence loss solves
 its curve equation by its own Newton iteration with the closed-form slope.
 
-The swap output and the divergence point are each written once, as one
-source template for every pool size, unrolled for a size on its first use,
-compiled and cached (_swap_output_for, _divergence_point_for).
+The swap output is one plain function (_swap_output). The divergence point
+is written once, as a source template for every pool size, unrolled for a
+size on its first use, compiled and cached (_divergence_point_for).
 """
 from __future__ import annotations
 
@@ -253,25 +253,32 @@ def _unrolled(template: str, name: str, n: int, /, **constants):
     return namespace[name]
 
 
-# the swap output (see stableswap_swap), unrolled by _swap_output_for; s0 and
-# p0 fold the non-output reserves in index order, which counts from 4 assets on
-_SWAP_OUTPUT = """\
-def swap_output(reserves, i, o, shift, scale, amplification, x_in):
+def _swap_output(reserves, i, o, shift, scale, amplification, x_in):
+    """The swap output (see stableswap_swap) on constants from _constants."""
     r_in_new = reserves[i] + x_in
     if not 0.0 < r_in_new < math.inf:
         raise quote.trade_refusal(reserves[i], x_in)
     if x_in == 0.0:
         return 0.0
-    [[r@|, ]] = reserves
-    s0, p0 = 0.0, 1.0
-    %each
-    if o != @:
-        held = r_in_new if i == @ else r@
-        s0 += held
-        p0 *= held
-    %end
+    # s0 and p0 fold the non-output reserves in index order, which counts
+    # from 4 assets on, with the input reserve after the trade
+    s0, p0, k = 0.0, 1.0, 0
+    for r in reserves:
+        if k != o:
+            if k == i:
+                r = r_in_new
+            s0 += r
+            p0 *= r
+        k += 1
     b = s0 - shift
-    c = scale / (amplification * p0)
+    a_p0 = amplification * p0
+    if a_p0:
+        c = scale / a_p0
+    else:
+        # A*P0 underflows to 0: divide by A, then by P0; where P0 itself
+        # underflows, c is taken past the float range and the quadratic
+        # refuses it
+        c = scale / amplification / p0 if p0 else math.inf
     disc = b * b + 4.0 * c
     if disc < 0.0:
         raise NoSolution("swap quadratic has no real root")
@@ -284,14 +291,6 @@ def swap_output(reserves, i, o, shift, scale, amplification, x_in):
     if not 0.0 < root < math.inf:
         raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
     return reserves[o] - root
-"""
-
-
-@cache
-def _swap_output_for(n: int):
-    """The swap output function for an n-asset pool, _SWAP_OUTPUT written out
-    for n: (reserves, i, o, shift, scale, amplification, x_in) -> x_out."""
-    return _unrolled(_SWAP_OUTPUT, "swap_output", n)
 
 
 def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_in: float) -> float:
@@ -306,7 +305,7 @@ def stableswap_swap(reserves, D: float, amplification: float, i: int, o: int, x_
     quote.check_assets(len(reserves), i, o)
     n = len(reserves)
     _, scale, shift = _constants(D, amplification, n, finite=True)
-    return _swap_output_for(n)(reserves, i, o, shift, scale, amplification, x_in)
+    return _swap_output(reserves, i, o, shift, scale, amplification, x_in)
 
 
 _UNREPRESENTABLE = "the curve is not representable"

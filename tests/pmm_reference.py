@@ -38,7 +38,7 @@ def quadratic_branch_reserve2(r1_new: float, params: PMMParams) -> float:
         root = max(q_half / lead, c / q_half)
     except ZeroDivisionError:
         raise DomainError(_VANISHING) from None
-    if not 0.0 <= root < math.inf:
+    if not 0.0 < root < math.inf:
         raise quote.curve_refusal(r1_new)
     return root
 

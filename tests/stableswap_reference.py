@@ -1,10 +1,10 @@
-"""Plain-loop forms of the stableswap swap output and divergence point.
+"""The plain-loop form of the stableswap divergence point.
 
-`ammlab.stableswap` writes each kernel once, as a template that it unrolls
-for every pool size. These are the same rules written as loops over the
+`ammlab.stableswap` writes the divergence point once, as a template that it
+unrolls for every pool size. This is the same rule written as loops over the
 assets, in the same float operations and the same order; the identity tests
-require the unrolled forms to return their bits, or raise their errors, on
-seeded corpora.
+require the unrolled forms to return its bits, or raise its errors, on seeded
+corpora.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from functools import reduce
 from operator import add
 
 from ammlab import quote, stableswap
-from ammlab.errors import NoSolution
 from ammlab.stableswap import (
     _MAX_ITERATIONS,
     _REL_TOL,
@@ -22,35 +21,6 @@ from ammlab.stableswap import (
     _unattainable,
     _unconverged,
 )
-
-
-def swap_output(
-    reserves, i: int, o: int, shift: float, scale: float, amplification: float, x_in: float
-) -> float:
-    r_in_new = reserves[i] + x_in
-    if not 0.0 < r_in_new < math.inf:
-        raise quote.trade_refusal(reserves[i], x_in)
-    if x_in == 0.0:
-        return 0.0
-    s0, p0 = 0.0, 1.0
-    for k, r in enumerate(reserves):
-        if k == o:
-            continue
-        val = r_in_new if k == i else r
-        s0 += val
-        p0 *= val
-    b = s0 - shift
-    c = scale / (amplification * p0)
-    disc = b * b + 4.0 * c
-    if disc < 0.0:
-        raise NoSolution("swap quadratic has no real root")
-    # the post-trade output reserve is the positive root of u^2 + b*u - c = 0;
-    # the stable two-root form's roots have opposite signs (product -c < 0)
-    q_half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    root = max(q_half, -c / q_half)
-    if not (root > 0.0 and math.isfinite(root)):
-        raise NoSolution(f"swap quadratic produced a non-positive reserve {root}")
-    return reserves[o] - root
 
 
 def curve(e, A: float):

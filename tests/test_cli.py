@@ -773,6 +773,20 @@ class TestRun:
         assert len(receipts) == 1
         assert receipts[0].startswith("action 000 swap pool=crv")
 
+    def test_an_underflowing_a_times_p0_is_a_solver_failure(self, tmp_path, capsys):
+        # A*P0 = 1e-300 * 1.1e-30 underflows to 0 in the swap quadratic's
+        # constant term, which was a bare ZeroDivisionError in both commands
+        crv = dict(CRV, reserves=[1e-30, 2e-30], amplification=1e-300)
+        swap = {"action": "swap", "pool": "crv", "amount": 1e-31}
+        path = write_scenario(tmp_path, {"pools": [crv], "actions": [swap]})
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "")
+        assert (out / "scenario_failures.txt").read_text(encoding="utf-8") == (
+            "action 000 swap: swap quadratic produced a non-positive reserve 0.0\n"
+        )
+
     def test_arithmetic_error_during_execution(self, tmp_path, capsys):
         # reserves scaled to ~1e302 leave the floating-point range of the
         # stableswap spot rate: a domain error with exit 2, not a traceback

@@ -1055,13 +1055,7 @@ def _returned(out):
         yield out, None
 
 
-# reserve 2 underflows to 0.0 on the quadratic branch at r1' = 1e308
-_RESERVE_2_OF_0 = pytest.mark.xfail(strict=True, reason="a PMM reserve 2 of 0.0 is returned")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_RESERVE_2_OF_0) if "reserve2" in name else name for name in CONTRACT
-])
+@pytest.mark.parametrize("name", CONTRACT)
 def test_a_kernel_returns_finite_values_or_raises_an_amm_error(name):
     # with one argument at an extreme, defining_residual divided by D = 0,
     # bonding_reserve_at overflowed, and solve_invariant, curve_constants,

@@ -396,6 +396,32 @@ class TestSwap:
         numeric = implicit_swap(curve, reserves, (d,), 0, 2, 50.0)
         assert math.isclose(out, numeric, rel_tol=1e-9)
 
+    def test_an_underflowing_a_times_p0_divides_in_turn(self):
+        # where A*P0 underflows to 0 the kernel divides the scale by A, then
+        # by P0, not by their product. At A = 1e-250 the swap answers near
+        # the constant-product output, the curve's limit as A -> 0
+        reserves = (1e-100, 2e-100)
+        d = solve_invariant(reserves, 1e-250)
+        out = stableswap_swap(reserves, d, 1e-250, 0, 1, 1e-101)
+        assert math.isclose(out, 2e-100 * 1e-101 / 1.1e-100, rel_tol=1e-12)
+        # at A = 1e-300 the shift is about -2.8e270, so b*b overflows and the
+        # quadratic refuses, in its words, an output of about 1.82e-31
+        pool = stableswap_pool((1e-30, 2e-30), 1e-300)
+        curve = pool._curve
+        words = "^swap quadratic produced a non-positive reserve 0.0$"
+        with pytest.raises(NoSolution, match=words):
+            stableswap._swap_output(pool.reserves, 0, 1, curve.shift, curve.dq, curve.A, 1e-31)
+        with pytest.raises(NoSolution, match=words):
+            stableswap_swap(pool.reserves, pool.invariant[0], 1e-300, 0, 1, 1e-31)
+        with pytest.raises(NoSolution, match=words):
+            swap_amount(pool, 0, 1, 1e-31)
+
+    def test_an_underflowing_p0_leaves_c_past_the_float_range(self):
+        # the product of the non-output reserves, 2e-400, underflows to 0
+        words = "^swap quadratic produced a non-positive reserve -inf$"
+        with pytest.raises(NoSolution, match=words):
+            stableswap_swap((1e-200,) * 3, 3e-200, 10.0, 0, 1, 1e-200)
+
 
 class TestSlippage:
     def test_matches_rate_composition(self):
@@ -563,20 +589,17 @@ class TestDivergenceLoss:
 
     def test_every_pool_size_runs_its_unrolled_form(self):
         # one function per pool size, written out from the template for
-        # that size, which the pool's swaps and divergence sweeps call
-        swaps, points = set(), set()
+        # that size, which the pool's divergence sweeps call
+        points = set()
         for n in range(2, 7):
             pool = stableswap_pool(tuple(100.0 * (k + 1) for k in range(n)), 10.0)
-            swap, point = pool._curve.swap, analysis._divergence_kernel(pool, n - 1).func
-            assert swap is stableswap._swap_output_for(n)
+            point = analysis._divergence_kernel(pool, n - 1).func
             assert point is stableswap._divergence_point_for(n)
-            assert swap.__code__.co_filename == f"<ammlab.stableswap swap_output, {n} assets>"
             assert point.__code__.co_filename == (
                 f"<ammlab.stableswap divergence_point, {n} assets>"
             )
-            swaps.add(swap)
             points.add(point)
-        assert len(swaps) == len(points) == 5
+        assert len(points) == 5
 
     @pytest.mark.parametrize(
         "reserves, amp, o, rho, error, reason",
@@ -666,59 +689,63 @@ def _swap_cases(seed: str, sizes, count: int) -> list:
     return cases
 
 
-class TestUnrolledSwap:
-    """The swap output written out for each pool size must equal the loop
-    reference over the non-output reserves bit for bit, or fail with the
-    same error."""
+class TestSwapOutput:
+    """The swap kernel on the seeded corpus returns a finite value or raises
+    an AmmError, and the corpus reaches each of its refusals."""
 
-    def test_matches_the_generic_loop(self):
-        # equal bits, or the same exception by class and message, at 2 to 5
-        # assets, each folding the non-output reserves in index order
+    def test_every_outcome_is_a_value_or_an_amm_error(self):
+        # at 2 to 5 assets, each folding the non-output reserves in index
+        # order; only an A of 0, which every entry refuses, divides by zero
         cases = _swap_cases("stableswap/swap-outputs", (2, 3), 4000)
         cases += _swap_cases("stableswap/swap-outputs/4-5", (4, 5), 6000)
 
-        def outcome(swap, *args):
+        def kind(reserves, i, o, shift, scale, amp, x_in):
             try:
-                return float.hex(swap(*args))
-            except Exception as exc:
-                return type(exc), str(exc)
+                out = stableswap._swap_output(reserves, i, o, shift, scale, amp, x_in)
+            except ZeroDivisionError:
+                assert amp == 0.0
+                return "A = 0"
+            except AmmError as exc:
+                message = str(exc)
+                if message == "swap quadratic has no real root":
+                    return "no real root"
+                if message.startswith("swap quadratic produced a non-positive reserve "):
+                    root = float(message.rsplit(" ", 1)[1])
+                    if math.isnan(root):
+                        return "root nan"
+                    return "root inf" if math.isinf(root) else "root <= 0"
+                return type(exc).__name__
+            assert math.isfinite(out)
+            return "ok"
 
-        def kind(out):
-            if isinstance(out, str):
-                return "ok"
-            error, message = out
-            if message == "swap quadratic has no real root":
-                return "no real root"
-            if message.startswith("swap quadratic produced a non-positive reserve "):
-                root = float(message.rsplit(" ", 1)[1])
-                if math.isnan(root):
-                    return "root nan"
-                return "root inf" if math.isinf(root) else "root <= 0"
-            return error.__name__
-
-        kinds = Counter()
-        for case in cases:
-            n = len(case[0])
-            unrolled = outcome(stableswap._swap_output_for(n), *case)
-            assert outcome(reference.swap_output, *case) == unrolled, case
-            kinds[n, kind(unrolled)] += 1
+        kinds, underflows = Counter(), Counter()
+        for reserves, i, o, shift, scale, amp, x_in in cases:
+            n = len(reserves)
+            out = kind(reserves, i, o, shift, scale, amp, x_in)
+            kinds[n, out] += 1
+            held = [reserves[i] + x_in if k == i else r for k, r in enumerate(reserves) if k != o]
+            if out not in ("A = 0", "DomainError", "ReserveDepletion") and x_in and (
+                amp * math.prod(held) == 0.0
+            ):
+                # A*P0 underflows to 0: the kernel divides by A, then by P0,
+                # and the quadratic answers or refuses
+                underflows[n] += 1
         for n in (2, 3, 4, 5):
             assert kinds[n, "ok"] >= 600
             assert kinds[n, "DomainError"] >= 200
             assert kinds[n, "ReserveDepletion"] >= 200
-            # each refusal of the quadratic, and a division by zero
-            for refusal in ("no real root", "root <= 0", "root inf", "root nan",
-                            "ZeroDivisionError"):
+            for refusal in ("no real root", "root <= 0", "root inf", "root nan"):
                 assert kinds[n, refusal] >= 10, (n, refusal, kinds)
+            assert underflows[n] >= 5, (n, underflows)
 
-    def test_a_pool_swaps_by_its_size_form(self):
+    def test_a_pool_swaps_by_the_kernel(self):
         for n in (2, 3, 4, 5):
             pool = stableswap_pool((100.0,) * n, 10.0)
             curve = pool._curve
             for x_in in (1e-9, 1.0, 99.0, -50.0):
                 assert float.hex(swap_amount(pool, 0, n - 1, x_in)) == float.hex(
-                    reference.swap_output(pool.reserves, 0, n - 1, curve.shift, curve.dq,
-                                          curve.A, x_in)
+                    stableswap._swap_output(pool.reserves, 0, n - 1, curve.shift, curve.dq,
+                                            curve.A, x_in)
                 )
 
 
@@ -835,9 +862,9 @@ class TestLongFolds:
                 assert float.hex(stableswap_divergence_loss(reserves, d, 10.0, o, rho)) == (
                     float.hex(reference.divergence_loss(reserves, d, 10.0, o, rho))
                 )
+            # the swap is a plain loop, the same at any size
             assert float.hex(swap_amount(pool, n - 1, 0, 0.5)) == float.hex(
-                reference.swap_output(reserves, n - 1, 0, pool._curve.shift, pool._curve.dq,
-                                      10.0, 0.5)
+                stableswap_swap(reserves, d, 10.0, n - 1, 0, 0.5)
             )
 
 
@@ -847,22 +874,12 @@ class TestGeneratedSource:
 
     def test_getsource_returns_the_generated_source(self):
         for n in (2, 3, 4):
-            swap, point = stableswap._swap_output_for(n), stableswap._divergence_point_for(n)
-            source = inspect.getsource(swap)
-            assert source.startswith("def swap_output(reserves, i, o, shift, scale, ")
-            assert 'raise NoSolution("swap quadratic has no real root")' in source
-            source = inspect.getsource(point)
+            source = inspect.getsource(stableswap._divergence_point_for(n))
             assert source.startswith("def divergence_point(reserves, D, A, o, c, g, V, rho):")
             assert f"x{n - 1} = s + e{n - 1} * t" in source
             assert f"x{n} " not in source
 
     def test_a_refusal_shows_the_template_line(self):
-        # a negated scale leaves the swap quadratic without a real root
-        with pytest.raises(NoSolution, match="^swap quadratic has no real root$") as caught:
-            stableswap._swap_output_for(3)((100.0, 100.0, 100.0), 0, 1, 0.0, -1e13, 10.0, 1.0)
-        lines = traceback.format_tb(caught.value.__traceback__)
-        assert 'File "<ammlab.stableswap swap_output, 3 assets>"' in lines[-1]
-        assert 'raise NoSolution("swap quadratic has no real root")' in lines[-1]
         d = solve_invariant((100.0, 100.0, 100.0, 100.0), 1e8)
         with pytest.raises(NoSolution) as caught:
             stableswap_divergence_loss((100.0,) * 4, d, 1e8, 1, 1e300)

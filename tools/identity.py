@@ -149,6 +149,10 @@ HAND_MADE = {
         {"action": "swap", "pool": "crv", "amount": 1},
         {"action": "swap", "pool": "crv", "amount": 1e300},
         {"action": "slippage_curve", "pool": "crv", "grid": [0.5]}]},
+    # a swap whose quadratic's A*P0 underflows to 0: solver failure, exit 3
+    "underflowing-a-times-p0": {
+        "pools": [dict(BASE["pools"][4], reserves=[1e-30, 2e-30], amplification=1e-300)],
+        "actions": [{"action": "swap", "pool": "crv", "amount": 1e-31}]},
     # reserves scaled out of the spot rate's range while executing: exit 2
     "domain-error": {"pools": [BASE["pools"][4]], "actions": [
         {"action": "add_liquidity", "pool": "crv", "fraction": 1e300}]},
